@@ -45,17 +45,8 @@ from .gkp import (
     stabilizer_residual,
     syndrome_reduce,
 )
-from .modular import (
-    CanonicalZakPoint,
-    CenteredDecomposition,
-    canonicalize_zak_point,
-    closest_int_multiple,
-    decompose,
-    frac_part,
-)
+from .modular import frac_part
 from .operators import (
-    ModularOperator,
-    QuadratureShift,
     apply_phase_u,
     apply_phase_u_unrestricted,
     apply_phase_v,
@@ -64,8 +55,6 @@ from .operators import (
     apply_X,
     apply_Z,
     modular_expectations,
-    stretched_translate_u,
-    stretched_translate_v,
 )
 from .ssd import (
     IdealSSDState,

@@ -238,8 +238,20 @@ class ModularWavefunction:
         self.samples = samples
         self.tail_bound = tail_bound
 
+    @property
+    def patch(self):
+        return self.grid.patch
+
     def with_samples(self, samples):
         return ModularWavefunction(self.grid, samples, tail_bound=self.tail_bound)
+
+    def scaled(self, c):
+        """The state multiplied by the constant ``c``."""
+        return self.with_samples(c * self.samples)
+
+    def value_at(self, u, v):
+        """Sample at a canonical point; raises OffGridError unless it is a grid node."""
+        return self.samples[self.grid.u_index(u), self.grid.v_index(v)]
 
     def norm_squared(self):
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_area)
@@ -261,13 +273,14 @@ class IdealZakState:
     which cannot be sampled on a grid.  Points are canonicalized into the
     patch on construction (folding reduction phases into the weights) and
     duplicates are merged by weight addition.  The squared Dirac-comb norm
-    proxy is ``sum |weight|^2``.
+    proxy is ``sum |weight|^2``.  ``points`` is a dict, another state or
+    an iterable of ``((x, y), weight)`` pairs.
     """
 
-    __slots__ = ("patch", "points", "canonical")
+    __slots__ = ("patch", "points")
 
     def __init__(self, patch: ZakPatch, points, canonicalize=True):
-        items = points.items() if isinstance(points, dict) else points
+        items = points.items() if hasattr(points, "items") else points
         merged: dict[tuple[float, float], complex] = {}
         for (x, y), w in items:
             w = complex(w)
@@ -280,7 +293,6 @@ class IdealZakState:
             merged[key] = merged.get(key, 0j) + w
         self.patch = patch
         self.points = merged
-        self.canonical = bool(canonicalize)
 
     def items(self):
         return self.points.items()
@@ -294,10 +306,11 @@ class IdealZakState:
     def norm(self):
         return math.sqrt(self.norm_squared())
 
-    def canonicalized(self):
-        if self.canonical:
-            return self
-        return IdealZakState(self.patch, self.points, canonicalize=True)
+    def scaled(self, c):
+        """The state with every weight multiplied by the constant ``c``."""
+        return IdealZakState(
+            self.patch, {p: c * w for p, w in self.points.items()}, canonicalize=False
+        )
 
     def value_at(self, u, v, atol=None):
         """Delta-paired value at a canonical point (sum of weights within ``atol``)."""
@@ -596,11 +609,9 @@ def ideal_state_overlap(state: IdealZakState, psi: ModularWavefunction) -> compl
     No du*dv measure enters; point masses pair with samples directly.
     Every point must land on a grid node.
     """
-    if not state.patch.approx_equal(psi.grid.patch):
+    if not state.patch.approx_equal(psi.patch):
         raise GridMismatchError("ideal state and wavefunction live on different patches")
     total = 0j
     for (u, v), w in state.items():
-        j = psi.grid.u_index(u)
-        k = psi.grid.v_index(v)
-        total += w.conjugate() * psi.samples[j, k]
+        total += w.conjugate() * psi.value_at(u, v)
     return complex(total)

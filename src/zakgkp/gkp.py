@@ -245,13 +245,9 @@ def stabilizer_residual(state, code: GKPCode):
     return r1, r2
 
 
-def _require_code_grid(psi: ModularWavefunction, code: GKPCode):
-    if not psi.grid.patch.approx_equal(code.full_patch()):
-        raise GridMismatchError(
-            "wavefunction patch does not match the code's fundamental patch"
-        )
-    if psi.grid.nu % 4 != 0:
-        raise GridMismatchError("nu must be divisible by 4 to align the correctable patch")
+def _require_code_patch(state, code: GKPCode):
+    if not state.patch.approx_equal(code.full_patch()):
+        raise GridMismatchError("state patch does not match the code's fundamental patch")
 
 
 def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
@@ -263,26 +259,21 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     """
     if code.dim != 2:
         raise ValueError("error correction is implemented for qubit codes (dim=2)")
-    if not isinstance(state, IdealZakState):
-        _require_code_grid(state, code)
+    _require_code_patch(state, code)
     alpha = code.alpha
     out = []
     for ell in (0, 1):
-        u = syn.u_tilde + alpha * ell
         v = syn.v_tilde
-        if isinstance(state, IdealZakState):
-            value = state.value_at(u, v)
-        else:
-            value = state.samples[state.grid.u_index(u), state.grid.v_index(v)]
+        value = state.value_at(syn.u_tilde + alpha * ell, v)
         out.append(cmath.exp(-1j * alpha * ell * v) * value)
     return complex(out[0]), complex(out[1])
 
 
 def _sector_split(state: IdealZakState, code: GKPCode):
-    """Split ideal points into logical sectors with gauge coordinates.
+    """Split ideal points into logical sectors on the gauge patch.
 
-    Returns two dicts mapping gauge points ``(u - alpha*l, v)`` to weights,
-    one per logical index; the left half-patch is sector 0.
+    Returns one IdealZakState per logical index holding the gauge points
+    ``(u - alpha*l, v)``; the left half-patch is sector 0.
     """
     alpha = code.alpha
     boundary = alpha / 2
@@ -291,29 +282,32 @@ def _sector_split(state: IdealZakState, code: GKPCode):
         ell = 0 if u < boundary else 1
         key = (u - alpha * ell, v)
         sectors[ell][key] = sectors[ell].get(key, 0j) + w
-    return sectors
+    return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
 
 
-def _pair_ideal(sectors, alpha, ec_phase):
-    """2x2 matrix of delta-paired gauge overlaps, optionally EC-phased."""
+def _gram(comps, cell_area=None, cross_phase=None):
+    """Unnormalized 2x2 Gram matrix ``G[l, l'] = <c_l'|c_l>`` of two sector components.
+
+    Ideal components pair point masses exactly, with no measure.  Grid
+    components are ModularWavefunctions, or bare sample blocks with their
+    ``cell_area``, summed by the left-Riemann rule; ``cross_phase(l - l')``,
+    when given, multiplies each off-diagonal product before the sum.
+    """
+    if isinstance(comps[0], ModularWavefunction):
+        cell_area = comps[0].grid.cell_area
+        comps = [c.samples for c in comps]
+    ideal = isinstance(comps[0], IdealZakState)
     mat = np.zeros((2, 2), dtype=np.complex128)
-    atol = 1e-9 * max(alpha, 1.0)
-    phased = []
-    for ell in (0, 1):
-        d = {}
-        for (gu, gv), w in sectors[ell].items():
-            if ec_phase:
-                w = w * cmath.exp(-1j * alpha * ell * gv)
-            d[(gu, gv)] = w
-        phased.append(d)
     for ell in (0, 1):
         for ellp in (0, 1):
-            total = 0j
-            for (gu, gv), w in phased[ell].items():
-                for (hu, hv), x in phased[ellp].items():
-                    if abs(gu - hu) <= atol and abs(gv - hv) <= atol:
-                        total += w * x.conjugate()
-            mat[ell, ellp] = total
+            f, g = comps[ell], comps[ellp]
+            if ideal:
+                mat[ell, ellp] = sum(w * g.value_at(u, v).conjugate() for (u, v), w in f.items())
+                continue
+            prod = f * g.conj()
+            if cross_phase is not None and ell != ellp:
+                prod = prod * cross_phase(ell - ellp)
+            mat[ell, ellp] = prod.sum() * cell_area
     return mat
 
 
@@ -326,23 +320,23 @@ def _overlap_matrix(state, code: GKPCode, ec_phase: bool):
     With ``ec_phase`` the error-correction factor ``exp(-i alpha (l-l') v)``
     is included, which matches the syndrome average of Kraus outer products.
     """
+    _require_code_patch(state, code)
     alpha = code.alpha
     if isinstance(state, IdealZakState):
-        return _pair_ideal(_sector_split(state, code), alpha, ec_phase)
+        sectors = _sector_split(state, code)
+        if ec_phase:
+            sectors = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(sectors)]
+        return _gram(sectors)
 
-    _require_code_grid(state, code)
     grid = state.grid
     half = grid.nu // 2
     blocks = (state.samples[:half, :], state.samples[half:, :])
     v = grid.v_values()
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for ell in (0, 1):
-        for ellp in (0, 1):
-            prod = blocks[ell] * blocks[ellp].conj()
-            if ec_phase and ell != ellp:
-                prod = prod * np.exp(-1j * alpha * (ell - ellp) * v)[None, :]
-            mat[ell, ellp] = prod.sum() * grid.cell_area
-    return mat
+
+    def cross_phase(d):
+        return np.exp(-1j * alpha * d * v)[None, :]
+
+    return _gram(blocks, grid.cell_area, cross_phase if ec_phase else None)
 
 
 def logical_from_overlap(rho, code: GKPCode) -> LogicalQubit:

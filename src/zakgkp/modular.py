@@ -1,4 +1,4 @@
-"""Centered modular arithmetic and canonicalization of Zak points.
+"""Centered modular arithmetic, the one canonicalizer behind ``ZakPatch.reduce``.
 
 A real number splits against a period ``T`` and a centering ``mu`` as
 
@@ -13,19 +13,9 @@ patch at ``[-a/4, 3a/4) x [-pi/a, pi/a)``.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "CenteredDecomposition",
-    "CanonicalZakPoint",
-    "split",
-    "frac_part",
-    "closest_int_multiple",
-    "decompose",
-    "canonicalize_zak_point",
-]
+__all__ = ["split", "frac_part"]
 
 
 def split(x: float, period: float, centering: float) -> tuple[float, int]:
@@ -58,61 +48,3 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
 def frac_part(x: float, period: float, centering: float) -> float:
     """Centered fractional part of ``x``, in ``[-centering, period - centering)``."""
     return split(x, period, centering)[0]
-
-
-def closest_int_multiple(x: float, period: float, centering: float) -> float:
-    """Centered closest integer multiple of ``period``, i.e. ``x - frac_part(x)``."""
-    frac, n = split(x, period, centering)
-    return n * period
-
-
-@dataclass(frozen=True)
-class CenteredDecomposition:
-    """Exact split ``x = frac + whole`` with ``whole`` an integer multiple of ``period``."""
-
-    frac: float
-    whole: float
-    period: float
-    centering: float
-
-    @property
-    def x(self) -> float:
-        return self.frac + self.whole
-
-    @property
-    def index(self) -> int:
-        """The integer ``whole / period``."""
-        return round(self.whole / self.period)
-
-
-def decompose(x: float, period: float, centering: float) -> CenteredDecomposition:
-    frac, n = split(x, period, centering)
-    return CenteredDecomposition(frac=frac, whole=n * period, period=period, centering=centering)
-
-
-@dataclass(frozen=True)
-class CanonicalZakPoint:
-    """A point reduced to the fundamental patch together with its reduction phase.
-
-    ``u`` lies in ``[-a/4, 3a/4)``, ``v`` in ``[-pi/a, pi/a)`` and ``phase``
-    is the unit-modulus factor such that the ket at the raw coordinates
-    equals ``phase`` times the ket at ``(u, v)``.
-    """
-
-    u: float
-    v: float
-    phase: complex
-
-
-def canonicalize_zak_point(x: float, y: float, a: float) -> CanonicalZakPoint:
-    """Reduce an unrestricted Zak point into the fundamental patch of period ``a``.
-
-    Wrapping in the first variable by ``n`` periods costs the phase
-    ``exp(-i * n*a * v)``; wrapping in the second variable is free.
-    """
-    if a <= 0:
-        raise ValueError(f"period a must be positive, got {a!r}")
-    u, n = split(x, a, a / 4)
-    v, _ = split(y, 2 * math.pi / a, math.pi / a)
-    phase = cmath.exp(-1j * (n * a) * v)
-    return CanonicalZakPoint(u=u, v=v, phase=phase)

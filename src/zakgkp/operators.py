@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import modular
-from .core import IdealZakState, ModularWavefunction, ZakPatch
+from .core import IdealZakState, ModularWavefunction
 from .errors import NormalizationError
 
 __all__ = [
-    "ModularOperator",
-    "QuadratureShift",
     "apply_phase_u",
     "apply_phase_v",
     "apply_translate_u",
@@ -35,8 +32,6 @@ __all__ = [
     "apply_X",
     "apply_Z",
     "apply_phase_u_unrestricted",
-    "stretched_translate_u",
-    "stretched_translate_v",
     "modular_expectations",
 ]
 
@@ -77,14 +72,8 @@ def _shift_columns(psi: ModularWavefunction, n: int) -> np.ndarray:
 
 def apply_translate_u(state, t, interpolate=False):
     """T_U(t): shift the first argument by ``t`` (u-wraps cost ``exp(-i b v)``)."""
-    if isinstance(state, IdealZakState):
-        patch = state.patch
-
-        def move(p, w):
-            u, v, n = patch.reduce(p[0] + t, p[1])
-            return (u, v), w * cmath.exp(-1j * patch.b * n * v)
-
-        return state.map_points(move)
+    if isinstance(state, IdealZakState):  # construction canonicalizes, wrap phase included
+        return state.map_points(lambda p, w: ((p[0] + t, p[1]), w))
 
     grid = state.grid
     exact = round(t / grid.du)
@@ -100,14 +89,8 @@ def apply_translate_u(state, t, interpolate=False):
 
 def apply_translate_v(state, t, interpolate=False):
     """T_V(t): shift the second argument by ``t`` (v-wraps are free)."""
-    if isinstance(state, IdealZakState):
-        patch = state.patch
-
-        def move(p, w):
-            v, _ = modular.split(p[1] + t, patch.height, -patch.v_min)
-            return (p[0], v), w
-
-        return state.map_points(move)
+    if isinstance(state, IdealZakState):  # construction canonicalizes
+        return state.map_points(lambda p, w: ((p[0], p[1] + t), w))
 
     grid = state.grid
     exact = round(t / grid.dv)
@@ -146,62 +129,6 @@ def apply_phase_u_unrestricted(state: IdealZakState, t):
         frac = modular.frac_part(x, patch.a, -patch.u_min)
         out[(x, y)] = w * cmath.exp(1j * t * frac)
     return IdealZakState(patch, out, canonicalize=True)
-
-
-def stretched_translate_u(state, t, interpolate=False):
-    """T_U on a stretched patch; wrapping in u costs ``exp(-i b v)`` with the patch's b."""
-    return apply_translate_u(state, t, interpolate=interpolate)
-
-
-def stretched_translate_v(state, t, interpolate=False):
-    """T_V on a stretched patch; the vertical period is ``2pi/b``."""
-    return apply_translate_v(state, t, interpolate=interpolate)
-
-
-@dataclass(frozen=True)
-class ModularOperator:
-    """A modular phase or shift as a value: one of P_U, P_V, T_U, T_V.
-
-    ``op(state)`` applies it.  Composition phases (the commutation rules
-    checked in the test suite) hold at the level of applied maps.
-    """
-
-    kind: str
-    t: float
-    patch: ZakPatch
-
-    _DISPATCH = {
-        "P_U": apply_phase_u,
-        "P_V": apply_phase_v,
-        "T_U": apply_translate_u,
-        "T_V": apply_translate_v,
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._DISPATCH:
-            raise ValueError(f"kind must be one of {sorted(self._DISPATCH)}, got {self.kind!r}")
-
-    def __call__(self, state):
-        return self._DISPATCH[self.kind](state, self.t)
-
-
-@dataclass(frozen=True)
-class QuadratureShift:
-    """A Weyl-Heisenberg shift as a value: X (position) or Z (momentum kick).
-
-    Applied maps satisfy Z(s) X(t) = e^{i s t} X(t) Z(s).
-    """
-
-    kind: str
-    t: float
-
-    def __post_init__(self):
-        if self.kind not in ("X", "Z"):
-            raise ValueError(f"kind must be 'X' or 'Z', got {self.kind!r}")
-
-    def __call__(self, state):
-        apply = apply_X if self.kind == "X" else apply_Z
-        return apply(state, self.t)
 
 
 def modular_expectations(psi: ModularWavefunction, norm_tol=1e-8):

@@ -28,7 +28,7 @@ import numpy as np
 from . import gridio, modular, operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid
 from .errors import GridMismatchError
-from .gkp import GKPCode, LogicalQubit, _as_mixture, _pair_ideal, _sector_split
+from .gkp import GKPCode, LogicalQubit, _as_mixture, _gram, _require_code_patch, _sector_split
 
 __all__ = [
     "SSDState",
@@ -72,38 +72,26 @@ class SSDState:
 
 
 class IdealSSDState:
-    """Ideal variant: per-logical-index lists of gauge point masses.
+    """Ideal variant: one IdealZakState per logical index on the gauge patch.
 
     Gauge coordinates are canonicalized into the gauge patch on
     construction, wrapping with the gauge quasi-periodicity phase
-    ``exp(-i 2 alpha n v)``.
+    ``exp(-i 2 alpha n v)``.  ``points`` holds the two sectors' point dicts.
     """
 
-    __slots__ = ("code", "points")
+    __slots__ = ("code", "gamma")
 
-    def __init__(self, code: GKPCode, points0, points1, canonicalize=True):
+    def __init__(self, code: GKPCode, points0, points1):
         patch = code.gauge_patch()
-        sectors = []
-        for pts in (points0, points1):
-            items = pts.items() if isinstance(pts, dict) else pts
-            merged = {}
-            for (x, y), w in items:
-                w = complex(w)
-                if canonicalize:
-                    u, v, n = patch.reduce(x, y)
-                    w *= cmath.exp(-1j * patch.b * n * v)
-                else:
-                    u, v = float(x), float(y)
-                key = (u, v)
-                merged[key] = merged.get(key, 0j) + w
-            sectors.append(merged)
         self.code = code
-        self.points = tuple(sectors)
+        self.gamma = (IdealZakState(patch, points0), IdealZakState(patch, points1))
+
+    @property
+    def points(self):
+        return (self.gamma[0].points, self.gamma[1].points)
 
     def norm_squared(self):
-        return float(
-            sum(abs(w) ** 2 for sector in self.points for w in sector.values())
-        )
+        return self.gamma[0].norm_squared() + self.gamma[1].norm_squared()
 
     def norm(self):
         return math.sqrt(self.norm_squared())
@@ -116,19 +104,13 @@ def to_ssd(state, code: GKPCode | None = None):
     gauge patch (no phases; the unphased form of the change of basis).
     Ideal states split their point masses by sector.
     """
+    if code is None:
+        code = GKPCode(alpha=state.patch.a / 2)
+    _require_code_patch(state, code)
     if isinstance(state, IdealZakState):
-        if code is None:
-            code = GKPCode(alpha=state.patch.a / 2)
-        if not state.patch.approx_equal(code.full_patch()):
-            raise GridMismatchError("state patch does not match the code's fundamental patch")
-        sectors = _sector_split(state, code)
-        return IdealSSDState(code, sectors[0], sectors[1], canonicalize=False)
+        return IdealSSDState(code, *_sector_split(state, code))
 
     grid = state.grid
-    if code is None:
-        code = GKPCode(alpha=grid.patch.a / 2)
-    if not grid.patch.approx_equal(code.full_patch()):
-        raise GridMismatchError("state patch does not match the code's fundamental patch")
     half = grid.nu // 2
     gauge_grid = code.gauge_grid(half, grid.nv)
     gamma0 = ModularWavefunction(gauge_grid, state.samples[:half, :])
@@ -147,10 +129,10 @@ def from_ssd(state):
     code = state.code
     if isinstance(state, IdealSSDState):
         points = []
-        for ell, sector in enumerate(state.points):
-            for (gu, gv), w in sector.items():
+        for ell, gamma in enumerate(state.gamma):
+            for (gu, gv), w in gamma.items():
                 points.append(((gu + code.alpha * ell, gv), w))
-        return IdealZakState(code.full_patch(), points, canonicalize=True)
+        return IdealZakState(code.full_patch(), points)
 
     gauge_grid = state.gauge_grid
     full_grid = code.grid(2 * gauge_grid.nu, gauge_grid.nv)
@@ -160,22 +142,11 @@ def from_ssd(state):
 
 def _trace_matrix(state, ec_phase: bool):
     """Unnormalized 2x2 gauge-contraction matrix of one pure SSD component."""
-    alpha = state.code.alpha
-    if isinstance(state, IdealSSDState):
-        return _pair_ideal(state.points, alpha, ec_phase)
-    grid = state.gauge_grid
-    v = grid.v_values()
-    comps = []
-    for ell in (0, 1):
-        samples = state.gamma[ell].samples
-        if ec_phase:
-            samples = samples * np.exp(-1j * alpha * ell * v)[None, :]
-        comps.append(samples)
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for ell in (0, 1):
-        for ellp in (0, 1):
-            mat[ell, ellp] = np.sum(comps[ell] * comps[ellp].conj()) * grid.cell_area
-    return mat
+    gamma = state.gamma
+    if ec_phase:
+        alpha = state.code.alpha
+        gamma = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(gamma)]
+    return _gram(gamma)
 
 
 def gauge_trace(rho) -> LogicalQubit:
@@ -204,26 +175,13 @@ def apply_Z_ssd(state, t):
     """Momentum kick in SSD form: ``exp(i alpha l t)`` on the logical index,
     gauge phase ``exp(i u t)`` and a gauge v-translation."""
     code = state.code
-    if isinstance(state, IdealSSDState):
-        patch = code.gauge_patch()
-        sectors = []
-        for ell, sector in enumerate(state.points):
-            logical_phase = cmath.exp(1j * code.alpha * ell * t)
-            moved = {}
-            for (gu, gv), w in sector.items():
-                v_new, _ = modular.split(gv + t, patch.height, -patch.v_min)
-                moved[(gu, v_new)] = (
-                    moved.get((gu, v_new), 0j) + w * logical_phase * cmath.exp(1j * gu * t)
-                )
-            sectors.append(moved)
-        return IdealSSDState(code, sectors[0], sectors[1], canonicalize=False)
-
-    new_gamma = []
-    for ell in (0, 1):
-        g = operators.apply_translate_v(operators.apply_phase_u(state.gamma[ell], t), t)
-        phase = cmath.exp(1j * code.alpha * ell * t)
-        new_gamma.append(g.with_samples(phase * g.samples))
-    return SSDState(code, new_gamma[0], new_gamma[1])
+    gamma = [
+        operators.apply_translate_v(operators.apply_phase_u(g, t), t).scaled(
+            cmath.exp(1j * code.alpha * ell * t)
+        )
+        for ell, g in enumerate(state.gamma)
+    ]
+    return type(state)(code, *gamma)
 
 
 def _x_wrap_phase(ell_sum: int, alpha, v):
@@ -233,12 +191,7 @@ def _x_wrap_phase(ell_sum: int, alpha, v):
     leaving the two-sector range in either direction is a full-period
     translation of the original mode and costs one quasi-periodicity phase.
     """
-    count = ell_sum // 2
-    if count == 0:
-        return np.ones_like(v, dtype=np.complex128) if isinstance(v, np.ndarray) else 1.0 + 0j
-    if isinstance(v, np.ndarray):
-        return np.exp(-2j * alpha * count * v)
-    return cmath.exp(-2j * alpha * count * v)
+    return np.exp(-2j * alpha * (ell_sum // 2) * v)
 
 
 def apply_X_ssd(state, t):
@@ -255,8 +208,8 @@ def apply_X_ssd(state, t):
 
     if isinstance(state, IdealSSDState):
         sectors = ({}, {})
-        for ell, sector in enumerate(state.points):
-            for (gu, gv), w in sector.items():
+        for ell, gamma in enumerate(state.gamma):
+            for (gu, gv), w in gamma.items():
                 g_new, wrap = modular.split(gu + frac, alpha, alpha / 2)
                 m = ell + wrap
                 w = w * _x_wrap_phase(m, alpha, gv)
@@ -265,7 +218,7 @@ def apply_X_ssd(state, t):
                 ell_new = m2 % 2
                 key = (g_new, gv)
                 sectors[ell_new][key] = sectors[ell_new].get(key, 0j) + w
-        return IdealSSDState(code, sectors[0], sectors[1], canonicalize=False)
+        return IdealSSDState(code, *sectors)
 
     grid = state.gauge_grid
     cols = grid.u_steps(frac)

@@ -7,6 +7,7 @@ from conftest import ALPHA
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
+    GridMismatchError,
     IdealZakState,
     LogicalQubit,
     MixtureState,
@@ -281,6 +282,26 @@ def test_degenerate_logical_error(code, grid64):
     psi = ModularWavefunction(grid64, np.zeros((64, 64)))
     with pytest.raises(DegenerateLogicalError):
         logical_from_overlap(psi, code)
+
+
+@pytest.mark.parametrize("representation", ["ideal", "grid"])
+@pytest.mark.parametrize(
+    "extract",
+    [
+        lambda state, code: ec_kraus_amplitudes(state, code, syndrome_reduce(code, 0.0, 0.0)),
+        logical_from_overlap,
+        ec_channel_logical,
+    ],
+    ids=["ec_kraus_amplitudes", "logical_from_overlap", "ec_channel_logical"],
+)
+def test_foreign_patch_rejected(code, extract, representation):
+    foreign = GKPCode(alpha=2.0)
+    if representation == "ideal":
+        state = codeword(foreign, 1)
+    else:
+        state = zak_transform(approx_codeword(foreign, 1, 0.4), foreign.grid(32, 32), 16)
+    with pytest.raises(GridMismatchError):
+        extract(state, code)
 
 
 def test_mixture_validation(code):

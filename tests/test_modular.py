@@ -5,14 +5,23 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zakgkp import (
-    canonicalize_zak_point,
-    closest_int_multiple,
-    decompose,
-    frac_part,
-)
+from zakgkp import ZakPatch, frac_part
+from zakgkp.modular import split
 
 A = 2 * math.sqrt(math.pi)
+
+
+def closest_int_multiple(x, period, centering):
+    """The integer multiple of ``period`` that ``split`` removes from ``x``."""
+    return split(x, period, centering)[1] * period
+
+
+def canonicalize(x, y, a):
+    """``ZakPatch.reduce`` on the standard patch of period ``a``, plus the
+    ket's wrap phase ``exp(-i b n v)``."""
+    patch = ZakPatch(a)
+    u, v, n = patch.reduce(x, y)
+    return u, v, cmath.exp(-1j * patch.b * n * v)
 
 periods = st.floats(1e-3, 1e3)
 # centerings comparable in scale to the period: boundary distinctions below
@@ -82,9 +91,10 @@ def test_idempotent(x, period, fraction):
 @given(x=reals, period=periods, fraction=centering_fractions)
 def test_decomposition_reconstructs(x, period, fraction):
     centering = fraction * period
-    d = decompose(x, period, centering)
-    assert d.frac + d.whole == pytest.approx(x, abs=1e-9 * max(1.0, abs(x)))
-    ratio = d.whole / period
+    frac, n = split(x, period, centering)
+    whole = n * period
+    assert frac + whole == pytest.approx(x, abs=1e-9 * max(1.0, abs(x)))
+    ratio = whole / period
     assert ratio == pytest.approx(round(ratio), abs=1e-9 * max(1.0, abs(ratio)))
 
 
@@ -106,35 +116,35 @@ def test_scale_identity(x, period, centering, c):
 
 
 def test_canonicalize_examples():
-    p = canonicalize_zak_point(0.0, 0.0, A)
-    assert (p.u, p.v, p.phase) == (0.0, 0.0, 1 + 0j)
+    u, v, phase = canonicalize(0.0, 0.0, A)
+    assert (u, v, phase) == (0.0, 0.0, 1 + 0j)
 
-    p = canonicalize_zak_point(A, 0.0, A)
-    assert (p.u, p.v) == (0.0, 0.0)
-    assert p.phase == 1 + 0j
+    u, v, phase = canonicalize(A, 0.0, A)
+    assert (u, v) == (0.0, 0.0)
+    assert phase == 1 + 0j
 
     v0 = 0.37
-    p = canonicalize_zak_point(A, v0, A)
-    assert p.u == 0.0
-    assert p.v == pytest.approx(v0)
-    assert p.phase == pytest.approx(cmath.exp(-1j * A * v0))
+    u, v, phase = canonicalize(A, v0, A)
+    assert u == 0.0
+    assert v == pytest.approx(v0)
+    assert phase == pytest.approx(cmath.exp(-1j * A * v0))
 
 
 def test_canonicalize_phase_is_unit_modulus():
     for x, y in [(5.3, -2.1), (-17.0, 9.9), (0.123, 456.0)]:
-        p = canonicalize_zak_point(x, y, A)
-        assert abs(abs(p.phase) - 1) < 1e-12
-        assert -A / 4 <= p.u < 3 * A / 4
-        assert -math.pi / A <= p.v < math.pi / A
+        u, v, phase = canonicalize(x, y, A)
+        assert abs(abs(phase) - 1) < 1e-12
+        assert -A / 4 <= u < 3 * A / 4
+        assert -math.pi / A <= v < math.pi / A
 
 
 @given(x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0), a=st.floats(0.1, 10.0))
 def test_canonicalize_composition(x, y, a):
-    base = canonicalize_zak_point(x, y, a)
+    base_u, base_v, base_phase = canonicalize(x, y, a)
     # adding a period can re-round a point that sits on a wrap boundary
-    assume(min(base.u + a / 4, 3 * a / 4 - base.u) > 1e-6 * a)
-    shifted = canonicalize_zak_point(x + a, y, a)
-    assert shifted.u == pytest.approx(base.u, abs=1e-9 * a)
-    assert shifted.v == pytest.approx(base.v, abs=1e-9)
-    expected = base.phase * cmath.exp(-1j * a * frac_part(y, 2 * math.pi / a, math.pi / a))
-    assert shifted.phase == pytest.approx(expected, abs=1e-9)
+    assume(min(base_u + a / 4, 3 * a / 4 - base_u) > 1e-6 * a)
+    u, v, phase = canonicalize(x + a, y, a)
+    assert u == pytest.approx(base_u, abs=1e-9 * a)
+    assert v == pytest.approx(base_v, abs=1e-9)
+    expected = base_phase * cmath.exp(-1j * a * frac_part(y, 2 * math.pi / a, math.pi / a))
+    assert phase == pytest.approx(expected, abs=1e-9)

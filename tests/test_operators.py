@@ -21,8 +21,6 @@ from zakgkp import (
     gaussian_comb,
     modular_expectations,
     stretch_rescale,
-    stretched_translate_u,
-    stretched_translate_v,
     vacuum,
     zak_transform,
 )
@@ -226,14 +224,14 @@ def test_stretched_translation_wrap_phase(code, grid64):
     b = 2 * A
     psi = stretch_rescale(random_state(grid64, 13), b)
     v = psi.grid.v_values()
-    out = stretched_translate_u(psi, A)
+    out = apply_translate_u(psi, A)
     assert np.allclose(out.samples, np.exp(-1j * b * v)[None, :] * psi.samples, atol=1e-15)
     # ideal variant: point at (0, v0) picks up exp(-i b v0)
     point = IdealZakState(psi.grid.patch, {(0.0, v[7]): 1.0})
-    moved = stretched_translate_u(point, A)
+    moved = apply_translate_u(point, A)
     assert moved.value_at(0.0, v[7]) == pytest.approx(cmath.exp(-1j * b * v[7]), abs=1e-12)
-    assert max_diff(stretched_translate_v(psi, 2 * math.pi / b), psi) == 0.0
-    assert max_diff(stretched_translate_u(psi, 0.0), psi) == 0.0
+    assert max_diff(apply_translate_v(psi, 2 * math.pi / b), psi) == 0.0
+    assert max_diff(apply_translate_u(psi, 0.0), psi) == 0.0
 
 
 def test_stretched_expectation_is_squeezed(code):
@@ -305,24 +303,3 @@ def test_translate_v_interpolation_blend(grid64):
     half = apply_translate_v(psi, 0.5 * grid64.dv, interpolate=True)
     blend = 0.5 * (psi.samples + apply_translate_v(psi, grid64.dv).samples)
     assert np.allclose(half.samples, blend, atol=1e-15)
-
-
-def test_operator_values(code, grid64):
-    from zakgkp import ModularOperator, QuadratureShift
-
-    psi = random_state(grid64, 17)
-    patch = grid64.patch
-    pu = ModularOperator("P_U", 0.371, patch)
-    assert max_diff(pu(psi), apply_phase_u(psi, 0.371)) == 0.0
-    tu = ModularOperator("T_U", 5 * grid64.du, patch)
-    assert max_diff(tu(psi), apply_translate_u(psi, 5 * grid64.du)) == 0.0
-    with pytest.raises(ValueError):
-        ModularOperator("Q_U", 0.0, patch)
-
-    s, t = 3 * grid64.dv, 8 * grid64.du
-    z, x = QuadratureShift("Z", s), QuadratureShift("X", t)
-    lhs = z(x(psi))
-    rhs = x(z(psi))
-    assert max_diff(lhs, rhs.with_samples(cmath.exp(1j * s * t) * rhs.samples)) < 1e-10
-    with pytest.raises(ValueError):
-        QuadratureShift("Y", 0.0)
