@@ -116,6 +116,9 @@ def _resolve_config(args):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             cfg[key] = value
+    for key in ("alpha", "delta", "dx", "dy"):
+        if cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["alpha"] <= 0:
         raise ConfigError(f"alpha must be positive, got {cfg['alpha']!r}")
     if cfg["mmax"] <= 0:
@@ -146,14 +149,21 @@ def _load_table(path):
                 if len(parts) != 3:
                     raise ConfigError(f"{path}:{lineno}: expected x,re,im rows")
                 try:
-                    xs.append(float(parts[0]))
-                    values.append(complex(float(parts[1]), float(parts[2])))
+                    x, re, im = (float(p) for p in parts)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad number: {line!r}") from exc
+                if not all(map(math.isfinite, (x, re, im))):
+                    raise ConfigError(f"{path}:{lineno}: non-finite number: {line!r}")
+                xs.append(x)
+                values.append(complex(re, im))
     except OSError as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
     if not xs:
         raise ConfigError(f"table {path} is empty")
+    if len(set(xs)) != len(xs):
+        raise ConfigError(f"table {path} lists an abscissa more than once")
+    if not any(values):
+        raise ConfigError(f"table {path} has only zero values")
     return tabulated(np.array(xs), np.array(values))
 
 
@@ -173,8 +183,8 @@ def _build_state(cfg, code):
             delta, ell = float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL") from exc
-        if ell not in (0, 1) or delta <= 0:
-            raise ConfigError(f"state {spec!r} needs delta > 0 and ell in {{0, 1}}")
+        if ell not in (0, 1) or not 0 < delta < math.inf:
+            raise ConfigError(f"state {spec!r} needs a finite delta > 0 and ell in {{0, 1}}")
         descriptor = approx_codeword(code, ell, delta)
     elif spec.startswith("tabulated:"):
         descriptor = _load_table(spec.split(":", 1)[1])
@@ -286,8 +296,8 @@ def cmd_sweep(cfg):
         raise ConfigError(f"bad --deltas list {cfg['deltas']!r}") from exc
     if not deltas:
         raise ConfigError("--deltas must list at least one value")
-    if any(d <= 0 for d in deltas):
-        raise ConfigError("--deltas values must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ConfigError(f"--deltas values must be positive and finite, got {cfg['deltas']!r}")
     grid = code.grid(cfg["nu"], cfg["nv"])
     lines = ["delta,fidelity,purity,raw_trace,residual_pv,residual_pu"]
     for delta in deltas:

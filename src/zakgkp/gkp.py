@@ -117,8 +117,8 @@ def syndrome_reduce(code: GKPCode, s: float, t: float) -> Syndrome:
 class LogicalQubit:
     """Trace-normalized 2x2 logical density matrix plus the raw trace.
 
-    Hermiticity to 1e-10 and positivity to -1e-10 are enforced at
-    construction; violations indicate an inconsistent extraction.
+    Finite entries, Hermiticity to 1e-10 and positivity to -1e-10 are
+    enforced at construction; violations indicate an inconsistent extraction.
     """
 
     __slots__ = ("matrix", "raw_trace")
@@ -134,6 +134,8 @@ class LogicalQubit:
     @classmethod
     def from_unnormalized(cls, matrix, herm_tol=1e-10, psd_tol=1e-10):
         matrix = np.asarray(matrix, dtype=np.complex128)
+        if not np.isfinite(matrix).all():
+            raise ZakError(f"logical matrix has non-finite entries: {matrix.tolist()!r}")
         herm = float(np.max(np.abs(matrix - matrix.conj().T)))
         if herm > herm_tol:
             raise ZakError(f"logical matrix fails Hermiticity by {herm:.3e}")

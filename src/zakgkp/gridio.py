@@ -108,6 +108,7 @@ def save_grid_csv(psi: ModularWavefunction, path):
 
 
 def load_grid_csv(path) -> ModularWavefunction:
+    """Read a CSV grid; every sample must appear exactly once."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "u_min,du,Nu,v_min,dv,Nv":
@@ -115,16 +116,36 @@ def load_grid_csv(path) -> ModularWavefunction:
         u_min, du, nu, v_min, dv, nv = fh.readline().strip().split(",")
         nu, nv = int(nu), int(nv)
         du, dv, u_min, v_min = float(du), float(dv), float(u_min), float(v_min)
+        patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
+        grid = ZakGrid(patch, nu, nv)
         if fh.readline().strip() != "j,k,re,im":
             raise ValueError("missing j,k,re,im data header")
-        samples = np.zeros((nu, nv), dtype=np.complex128)
+        # row-major slots; None marks a sample no row has supplied yet
+        values = [None] * (nu * nv)
         for line in fh:
-            if not line.strip():
+            try:
+                j, k, re, im = line.split(",")
+            except ValueError:
+                if line.strip():
+                    raise ValueError(f"{path}: expected j,k,re,im, got {line!r}") from None
                 continue
-            j, k, re, im = line.split(",")
-            samples[int(j), int(k)] = complex(float(re), float(im))
-    patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
-    return ModularWavefunction(ZakGrid(patch, nu, nv), samples)
+            j, k = int(j), int(k)
+            if not (0 <= j < nu and 0 <= k < nv):
+                raise ValueError(
+                    f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid"
+                )
+            i = j * nv + k
+            if values[i] is not None:
+                raise ValueError(f"{path}: sample ({j}, {k}) appears more than once")
+            values[i] = complex(float(re), float(im))
+    missing = values.count(None)
+    if missing:
+        first = values.index(None)
+        raise ValueError(
+            f"{path}: {missing} of {nu * nv} samples missing, "
+            f"the first at ({first // nv}, {first % nv})"
+        )
+    return ModularWavefunction(grid, np.array(values, dtype=np.complex128).reshape(nu, nv))
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
@@ -147,11 +168,18 @@ def save_grid_binary(psi: ModularWavefunction, path):
 def load_grid_binary(path) -> ModularWavefunction:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes is shorter than the {_HEADER.size}-byte header"
+        )
     magic, version, nu, nv, a, b, u_min, v_min = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r} in {path}")
     if version != VERSION:
-        raise ValueError(f"unsupported grid format version {version}")
+        raise ValueError(f"unsupported grid format version {version} in {path}")
+    expected = _HEADER.size + 16 * nu * nv
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} for a {nu}x{nv} grid")
     samples = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nu, nv)
     grid = ZakGrid(ZakPatch(a, b, u_min=u_min, v_min=v_min), nu, nv)
     return ModularWavefunction(grid, samples)

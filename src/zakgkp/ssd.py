@@ -268,31 +268,75 @@ class PPGaugeModes:
 
 
 def pp_bridge(state: SSDState) -> PPGaugeModes:
-    """Fourier series of the gauge wavefunctions in v with frequencies 2 alpha m."""
+    """Fourier series of the gauge wavefunctions in v with frequencies 2 alpha m.
+
+    With ``b = 2 alpha`` the gauge patch's ``b`` and ``v_k = v_min + k dv``,
+    ``b dv nv = 2 pi`` holds exactly, so the analysis phase factors as
+
+        exp(-i b m v_k) = exp(-i b m v_min) exp(-2 pi i m k / nv)
+
+    and the series over ``m_values = -nv/2 .. nv/2-1`` is one length-nv DFT
+    per gauge column: O(nv log nv) per column, frequency ``m`` read from
+    FFT bin ``m mod nv``.  ``coeffs[l]`` is C-contiguous ``(nv, nu)``.
+    """
     code = state.code
     grid = state.gauge_grid
-    alpha = code.alpha
-    v = grid.v_values()
     m = np.arange(-grid.nv // 2, grid.nv // 2)
-    analysis = np.exp(-2j * alpha * np.outer(m, v))
-    scale = math.sqrt(alpha / math.pi) * grid.dv
-    coeffs = tuple(
-        scale * (analysis @ state.gamma[ell].samples.T) for ell in (0, 1)
+    weights = (
+        math.sqrt(code.alpha / math.pi)
+        * grid.dv
+        * np.exp(-1j * grid.patch.b * grid.patch.v_min * m)
     )
-    return PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=coeffs)
+    bins = m % grid.nv
+    coeffs = []
+    for gamma in state.gamma:
+        coeff = np.fft.fft(gamma.samples, axis=1).T.take(bins, axis=0)
+        coeff *= weights[:, None]
+        coeffs.append(coeff)
+    return PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=tuple(coeffs))
 
 
 def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
-    """Resynthesize the gauge wavefunctions from partitioned-position coefficients."""
+    """Resynthesize the gauge wavefunctions from partitioned-position coefficients.
+
+    The synthesis sum over ``m`` is the inverse of :func:`pp_bridge`'s DFT:
+    after the factor ``exp(+i b m v_min)``, frequencies that agree modulo
+    ``nv`` sample identically on the grid, so terms are accumulated into bin
+    ``m mod nv`` and one unnormalized length-nv inverse DFT per gauge column
+    gives the samples, O(nv log nv) per column.  Any integer ``m_values``
+    is accepted, including repeats and values outside ``[-nv/2, nv/2)``;
+    the result equals the direct sum over ``m``.  Samples are C-contiguous
+    ``(nu, nv)``.
+    """
     code = modes.code
     grid = modes.gauge_grid
-    alpha = code.alpha
-    v = grid.v_values()
-    synthesis = np.exp(2j * alpha * np.outer(modes.m_values, v))
-    scale = math.sqrt(alpha / math.pi)
-    gammas = [
-        ModularWavefunction(grid, scale * (coeff.T @ synthesis)) for coeff in modes.coeffs
-    ]
+    m = np.asarray(modes.m_values)
+    if m.ndim != 1 or m.dtype.kind not in "iu":
+        raise ValueError(f"m_values must be a 1-d integer array, got {m.dtype} {m.shape}")
+    # the same phase argument as in pp_bridge, so the factors are exact conjugates
+    weights = math.sqrt(code.alpha / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
+    bins = m % grid.nv
+    # rows with pairwise distinct bins, so that each layer is one scatter-add;
+    # pp_bridge's m_values make a single layer
+    layers = []
+    pending = np.arange(m.size)
+    while pending.size:
+        first = np.unique(bins[pending], return_index=True)[1]
+        layers.append(pending[first])
+        pending = np.delete(pending, first)
+    gammas = []
+    for coeff in modes.coeffs:
+        if coeff.shape != (m.size, grid.nu):
+            raise ValueError(f"coeffs shape {coeff.shape} does not match ({m.size}, {grid.nu})")
+        terms = coeff * weights[:, None]
+        folded = np.zeros((grid.nv, grid.nu), dtype=np.complex128)
+        for rows in layers:
+            folded[bins[rows]] += terms[rows]
+        # the FFT output dies right after the copy; held into the next sector,
+        # it made the allocator return and re-fault its pages on every call
+        gammas.append(ModularWavefunction(
+            grid, np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward")
+        ))
     return SSDState(code, gammas[0], gammas[1])
 
 

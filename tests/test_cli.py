@@ -199,3 +199,50 @@ def test_manifest_records_config_file(tmp_path):
     out = tmp_path / "v.csv"
     assert run("zakplot", "--state", "vacuum", "--config", cfg, "--out", out) == 0
     assert f"config_file={cfg}" in (tmp_path / "v.csv.manifest").read_text()
+
+
+TABLE = "tabulated:{table}"
+
+
+@pytest.mark.parametrize(
+    "args,table",
+    [
+        pytest.param(
+            ("logical", "--state", TABLE), "0.0,1.0,0\n0.0,0.5,0\n", id="repeated-abscissa"
+        ),
+        pytest.param(("logical", "--state", TABLE), "0.0,0,0\n1.0,0,0\n", id="all-zero-table"),
+        pytest.param(("logical", "--state", TABLE), "0.0,nan,0\n", id="nan-table-value"),
+        pytest.param(("logical", "--state", TABLE), "inf,1.0,0\n", id="inf-table-abscissa"),
+        pytest.param(("sweep", "--deltas", "nan"), None, id="nan-deltas"),
+        pytest.param(("sweep", "--deltas", "0.3,inf"), None, id="inf-deltas"),
+        pytest.param(("logical", "--state", "gkp-approx:inf:0"), None, id="inf-approx-delta"),
+        pytest.param(("logical", "--state", "gkp-approx:nan:0"), None, id="nan-approx-delta"),
+        pytest.param(("logical", "--alpha", "inf"), None, id="inf-alpha"),
+        pytest.param(("logical", "--alpha", "nan"), None, id="nan-alpha"),
+        pytest.param(("logical", "--delta", "nan"), None, id="nan-delta"),
+        pytest.param(("shift-array", "--dx", "nan"), None, id="nan-dx"),
+        pytest.param(("shift-array", "--dy", "inf"), None, id="inf-dy"),
+    ],
+)
+def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
+    if table is not None:
+        path = tmp_path / "table.csv"
+        path.write_text(table)
+        args = tuple(a.format(table=path) for a in args)
+    out = tmp_path / "out.csv"
+    assert run(*args, "--grid", "96x96", "--out", out) == 2
+    assert "zakgkp: config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_logical_state_is_a_numerical_failure(tmp_path, capsys):
+    # finite table values whose squares overflow: the logical matrix is NaN
+    table = tmp_path / "table.csv"
+    table.write_text("0.0,1e200,0\n")
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("logical", "--state", f"tabulated:{table}", "--grid", "64x64",
+                   "--out", out)
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

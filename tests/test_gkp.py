@@ -13,6 +13,7 @@ from zakgkp import (
     MixtureState,
     ModularWavefunction,
     NormalizationError,
+    ZakError,
     apply_translate_u,
     apply_X,
     apply_Z,
@@ -270,6 +271,9 @@ def test_logical_qubit_validation():
         LogicalQubit.from_unnormalized(np.array([[1, 1j], [2j, 1]]))
     with pytest.raises(DegenerateLogicalError):
         LogicalQubit.from_unnormalized(np.zeros((2, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ZakError, match="non-finite"):
+            LogicalQubit.from_unnormalized(np.array([[1, 0], [0, bad]], dtype=complex))
     q = LogicalQubit.from_unnormalized(np.array([[3, 1], [1, 1]], dtype=complex))
     assert q.raw_trace == 4.0
     x, y, z = q.bloch

@@ -80,3 +80,59 @@ def test_atomic_write_replaces_existing(code, tmp_path):
     assert np.array_equal(load_grid_csv(path).samples, psi.samples)
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".zakgkp-tmp")]
     assert leftovers == []
+
+
+def csv_lines(code, tmp_path):
+    path = tmp_path / "grid.csv"
+    save_grid_csv(random_state(code.grid(8, 8), 73), path)
+    return path, path.read_text().splitlines()
+
+
+def test_csv_rejects_missing_rows(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    path.write_text("\n".join(lines[:-10]) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: 10 of 64 samples missing"):
+        load_grid_csv(path)
+
+
+@pytest.mark.parametrize("index", ["-1,3", "8,0", "0,8", "2,-5"])
+def test_csv_rejects_out_of_range_index(code, tmp_path, index):
+    # a negative index would otherwise overwrite a sample from the far end
+    path, lines = csv_lines(code, tmp_path)
+    lines[3] = index + "," + lines[3].split(",", 2)[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: sample index .* outside the 8x8 grid"):
+        load_grid_csv(path)
+
+
+def test_csv_rejects_row_without_four_fields(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '0,1,"):
+        load_grid_csv(path)
+
+
+def test_csv_rejects_repeated_sample(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    path.write_text("\n".join(lines + [lines[5]]) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: sample \(0, 2\) appears more than once"):
+        load_grid_csv(path)
+
+
+@pytest.mark.parametrize("change", [-16, -1, 1, 16])
+def test_binary_rejects_wrong_payload_size(code, tmp_path, change):
+    path = tmp_path / "grid.bin"
+    save_grid_binary(random_state(code.grid(8, 8), 74), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+    message = rf"grid\.bin: {len(raw) + change} bytes, expected {len(raw)} for a 8x8 grid"
+    with pytest.raises(ValueError, match=message):
+        load_grid_binary(path)
+
+
+def test_binary_rejects_short_header(tmp_path):
+    path = tmp_path / "grid.bin"
+    path.write_bytes(b"ZAKG")
+    with pytest.raises(ValueError, match=r"grid\.bin: 4 bytes is shorter"):
+        load_grid_binary(path)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from zakgkp import (
     IdealZakState,
     MixtureState,
     ModularWavefunction,
+    PPGaugeModes,
     apply_phase_u,
     apply_X,
     apply_X_ssd,
@@ -289,6 +291,59 @@ def test_pp_bridge_roundtrip(code):
         back = pp_bridge_inverse(pp_bridge(s))
         assert np.max(np.abs(back.gamma[0].samples - s.gamma[0].samples)) < 1e-10
         assert np.max(np.abs(back.gamma[1].samples - s.gamma[1].samples)) < 1e-10
+
+
+def dense_analysis(state, m):
+    """Reference pp_bridge: the Fourier series as an explicit sum over v."""
+    grid = state.gauge_grid
+    phases = np.exp(-2j * ALPHA * np.outer(m, grid.v_values()))
+    scale = math.sqrt(ALPHA / math.pi) * grid.dv
+    return [scale * (phases @ g.samples.T) for g in state.gamma]
+
+
+def dense_synthesis(modes):
+    """Reference pp_bridge_inverse: the series summed term by term in m."""
+    grid = modes.gauge_grid
+    phases = np.exp(2j * ALPHA * np.outer(modes.m_values, grid.v_values()))
+    return [math.sqrt(ALPHA / math.pi) * (c.T @ phases) for c in modes.coeffs]
+
+
+def assert_close_relative(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nu,nv", [(64, 64), (96, 90)])
+def test_pp_bridge_matches_dense_sums(code, nu, nv):
+    s = gauge_state(code, 55, nu, nv)
+    modes = pp_bridge(s)
+    assert list(modes.m_values) == list(range(-nv // 2, nv // 2))
+    for coeff, want in zip(modes.coeffs, dense_analysis(s, modes.m_values)):
+        assert coeff.shape == (nv, nu // 2) and coeff.flags.c_contiguous
+        assert_close_relative(coeff, want)
+    back = pp_bridge_inverse(modes)
+    for gamma, want in zip(back.gamma, dense_synthesis(modes)):
+        assert gamma.samples.shape == (nu // 2, nv) and gamma.samples.flags.c_contiguous
+        assert_close_relative(gamma.samples, want)
+
+
+def test_pp_bridge_inverse_folds_aliased_frequencies(code):
+    # frequencies shifted by +-nv and a repeated one must synthesize as the
+    # direct sum does: on the grid they alias onto bin m mod nv
+    grid = code.gauge_grid(48, 90)
+    nv = grid.nv
+    m = np.array([-nv // 2 - nv, -3, 0, 1, 1, 7 + nv, nv // 2 - 1, 2 * nv, -nv])
+    rng = np.random.default_rng(57)
+    coeffs = tuple(
+        rng.normal(size=(m.size, grid.nu)) + 1j * rng.normal(size=(m.size, grid.nu))
+        for _ in (0, 1)
+    )
+    modes = PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=coeffs)
+    back = pp_bridge_inverse(modes)
+    for gamma, want in zip(back.gamma, dense_synthesis(modes)):
+        assert gamma.samples.flags.c_contiguous
+        assert_close_relative(gamma.samples, want)
+    with pytest.raises(ValueError, match="integer"):
+        pp_bridge_inverse(dataclasses.replace(modes, m_values=m + 0.5))
 
 
 # --- export -------------------------------------------------------------------
