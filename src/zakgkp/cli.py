@@ -43,7 +43,6 @@ DEFAULTS = {
     "alpha": DEFAULT_ALPHA,
     "grid": "256x256",
     "mmax": 16,
-    "delta": 0.2,
     "state": "vacuum",
     "format": "csv",
     "method": "trace",
@@ -60,7 +59,6 @@ _CONFIG_PARSERS = {
     "alpha": float,
     "grid": str,
     "mmax": int,
-    "delta": float,
     "state": str,
     "format": str,
     "method": str,
@@ -116,15 +114,13 @@ def _resolve_config(args):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             cfg[key] = value
-    for key in ("alpha", "delta", "dx", "dy"):
+    for key in ("alpha", "dx", "dy"):
         if cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["alpha"] <= 0:
         raise ConfigError(f"alpha must be positive, got {cfg['alpha']!r}")
     if cfg["mmax"] <= 0:
         raise ConfigError(f"mmax must be positive, got {cfg['mmax']!r}")
-    if cfg["delta"] <= 0:
-        raise ConfigError(f"delta must be positive, got {cfg['delta']!r}")
     if cfg["format"] not in ("csv", "bin"):
         raise ConfigError(f"format must be csv or bin, got {cfg['format']!r}")
     if cfg["method"] not in ("trace", "ec-trace", "overlap"):
@@ -225,10 +221,11 @@ def cmd_zakplot(cfg):
         gridio.save_point_list_csv(state, out)
     else:
         _save_grid(state, out, cfg["format"])
-        magnitude = ModularWavefunction(state.grid, np.abs(state.samples))
-        phase = ModularWavefunction(state.grid, np.angle(state.samples))
-        _save_grid(magnitude, _with_suffix(out, "_abs"), cfg["format"])
-        _save_grid(phase, _with_suffix(out, "_arg"), cfg["format"])
+        # each derived grid is saved and freed before the next one is made
+        for suffix, derive in (("_abs", np.abs), ("_arg", np.angle)):
+            derived = ModularWavefunction(state.grid, derive(state.samples))
+            _save_grid(derived, _with_suffix(out, suffix), cfg["format"])
+            del derived
     gridio.atomic_write_text(out + ".manifest", _manifest_text("zakplot", cfg))
     return 0
 
@@ -336,7 +333,6 @@ def _build_parser():
         p.add_argument("--alpha", type=float, help="GKP half-period (default sqrt(pi))")
         p.add_argument("--grid", help="samples as NUxNV (default 256x256)")
         p.add_argument("--mmax", type=int, help="comb truncation order (default 16)")
-        p.add_argument("--delta", type=float, help="approximation width (default 0.2)")
         p.add_argument(
             "--state",
             help="vacuum | gkp0 | gkp1 | gkp-approx:DELTA:ELL | tabulated:PATH",

@@ -48,6 +48,35 @@ __all__ = [
 #: relative slack used when matching coordinates to grid nodes
 NODE_TOL = 1e-9
 
+#: a comb tooth left out of the window sits below exp(-WINDOW_EXPONENT)
+#: (about 3e-33) times the tooth nearest to the evaluation point
+WINDOW_EXPONENT = 75.0
+
+
+def _finite(name, value, positive=False):
+    """``value`` as a float; ValueError naming ``name`` unless it is finite (and positive)."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _frozen(samples):
+    """Mark a freshly computed array read-only, so that a ModularWavefunction adopts it."""
+    samples.flags.writeable = False
+    return samples
+
+
+def _is_frozen(samples):
+    """True when no writeable array or buffer can change ``samples``' memory."""
+    base = samples
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return base is None or isinstance(base, bytes)
+
 
 class ZakPatch:
     """Fundamental rectangle of a (possibly stretched) Zak basis.
@@ -59,15 +88,10 @@ class ZakPatch:
     __slots__ = ("a", "b", "u_min", "v_min")
 
     def __init__(self, a, b=None, u_min=None, v_min=None):
-        if a <= 0:
-            raise ValueError(f"period a must be positive, got {a!r}")
-        b = a if b is None else b
-        if b <= 0:
-            raise ValueError(f"period parameter b must be positive, got {b!r}")
-        self.a = float(a)
-        self.b = float(b)
-        self.u_min = -self.a / 4 if u_min is None else float(u_min)
-        self.v_min = -math.pi / self.b if v_min is None else float(v_min)
+        self.a = _finite("period a", a, positive=True)
+        self.b = _finite("period parameter b", a if b is None else b, positive=True)
+        self.u_min = -self.a / 4 if u_min is None else _finite("u_min", u_min)
+        self.v_min = -math.pi / self.b if v_min is None else _finite("v_min", v_min)
 
     @property
     def height(self):
@@ -223,12 +247,28 @@ class ModularWavefunction:
     after construction; every operation returns a new instance, so sharing
     across threads is safe.  ``tail_bound`` records the relative comb-sum
     truncation bound when the state came out of :func:`zak_transform`.
+
+    Ownership: ``samples`` is adopted without a copy when it is a
+    complex128 array that nothing can write to: it and every array it is a
+    view of are read-only, and its memory is their own or a ``bytes``
+    object.  The library's results are built that way: a freshly computed
+    array is marked read-only and adopted, ``to_ssd``'s gauge components
+    are views of the parent's samples, and ``load_grid_binary`` keeps the
+    bytes it read.  Anything else, in particular a caller's writeable
+    array or a read-only view of one, is copied, so no state aliases memory
+    that a caller can write through (short of setting a read-only array's
+    writeable flag back, which numpy allows for an array owning its data).
     """
 
     __slots__ = ("grid", "samples", "tail_bound")
 
     def __init__(self, grid: ZakGrid, samples, tail_bound=None):
-        samples = np.array(samples, dtype=np.complex128)
+        if not (
+            isinstance(samples, np.ndarray)
+            and samples.dtype == np.complex128
+            and _is_frozen(samples)
+        ):
+            samples = np.array(samples, dtype=np.complex128)
         if samples.shape != (grid.nu, grid.nv):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid ({grid.nu}, {grid.nv})"
@@ -247,7 +287,7 @@ class ModularWavefunction:
 
     def scaled(self, c):
         """The state multiplied by the constant ``c``."""
-        return self.with_samples(c * self.samples)
+        return self.with_samples(_frozen(c * self.samples))
 
     def value_at(self, u, v):
         """Sample at a canonical point; raises OffGridError unless it is a grid node."""
@@ -263,7 +303,7 @@ class ModularWavefunction:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("cannot normalize the zero wavefunction")
-        return self.with_samples(self.samples / n)
+        return self.with_samples(_frozen(self.samples / n))
 
 
 class IdealZakState:
@@ -343,7 +383,7 @@ class VacuumState:
     __slots__ = ("offset",)
 
     def __init__(self, offset=0.0):
-        self.offset = float(offset)
+        self.offset = _finite("offset", offset)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -359,26 +399,55 @@ class VacuumState:
 class GaussianComb:
     """Normalized comb of Gaussian teeth under a Gaussian envelope.
 
-    Teeth sit at ``offset + spacing * n`` with wavefunction variance
+    Teeth sit at ``offset + spacing * n`` for ``|n| <= N``, the range the
+    envelope leaves above ~1e-80 of its peak, with wavefunction variance
     ``tooth_variance``; the envelope has variance ``envelope_variance``.
     The amplitude is fixed analytically (pairwise Gaussian integrals) so
     that the position-space norm is exactly 1.
+
+    Evaluation is windowed: at each ``x`` only the teeth ``n0 - K .. n0 + K``
+    are summed, with ``n0`` the tooth nearest to ``x`` (clipped to
+    ``[-N, N]``) and the window clipped to ``[-N, N]`` as well.  ``K`` is
+    the smallest integer with ``K (K + 1) r >= WINDOW_EXPONENT``, where
+    ``r = spacing^2 / (2 tooth_variance)``, so every omitted tooth is below
+    ``exp(-WINDOW_EXPONENT)`` times the nearest one: K = 1 for
+    ``delta <= 0.4``, 2 at 0.5 and 7 at 2 for the approximate codewords.
+    :meth:`tail_mass` adds a rigorous bound on the mass this omits.
     """
 
     kind = "gaussian_comb"
-    __slots__ = ("spacing", "tooth_variance", "envelope_variance", "offset", "amplitude", "_centers")
+    __slots__ = (
+        "spacing",
+        "tooth_variance",
+        "envelope_variance",
+        "offset",
+        "amplitude",
+        "_centers",
+        "_window",
+        "_window_ratio",
+    )
 
     def __init__(self, spacing, tooth_variance, envelope_variance, offset=0.0):
-        if spacing <= 0 or tooth_variance <= 0 or envelope_variance <= 0:
-            raise ValueError("spacing and variances must be positive")
-        self.spacing = float(spacing)
-        self.tooth_variance = float(tooth_variance)
-        self.envelope_variance = float(envelope_variance)
-        self.offset = float(offset)
+        self.spacing = _finite("spacing", spacing, positive=True)
+        self.tooth_variance = _finite("tooth_variance", tooth_variance, positive=True)
+        self.envelope_variance = _finite("envelope_variance", envelope_variance, positive=True)
+        self.offset = _finite("offset", offset)
         # teeth beyond the envelope's ~1e-80 amplitude contribute nothing
         reach = math.sqrt(370.0 * self.envelope_variance) + abs(self.offset)
         n = int(math.ceil(reach / self.spacing)) + 1
         self._centers = self.offset + self.spacing * np.arange(-n, n + 1)
+        r = self.spacing**2 / (2 * self.tooth_variance)
+        k = max(1, math.ceil((math.sqrt(1 + 4 * WINDOW_EXPONENT / r) - 1) / 2))
+        if k >= 2 * n:  # the window holds every tooth
+            k, ratio = 2 * n, 0.0
+        else:
+            # at |x - nearest tooth| <= spacing/2, the j-th omitted tooth on
+            # either side is at least (k + 1 + j) spacing - spacing/2 away, so
+            # its term is at most exp(-r (k + j)(k + j + 1)) times the nearest
+            # tooth's; the terms fall at least by exp(-2 r (k + 1)) per step in j
+            ratio = 2 * math.exp(-r * k * (k + 1)) / -math.expm1(-2 * r * (k + 1))
+        self._window = k
+        self._window_ratio = ratio
         self.amplitude = 1.0 / math.sqrt(self._raw_norm_squared())
 
     def _raw_norm_squared(self):
@@ -391,8 +460,20 @@ class GaussianComb:
         return float(np.sum(integrals))
 
     def _comb_factor(self, x):
-        d = x[..., None] - self._centers
-        return np.exp(-(d * d) / (2 * self.tooth_variance)).sum(axis=-1)
+        """Sum of the teeth in the window around the tooth nearest to each ``x``."""
+        centers = self._centers
+        n = centers.size // 2
+        flat = x.reshape(-1)
+        nearest = np.clip(np.rint((flat - self.offset) / self.spacing), -n, n).astype(np.intp) + n
+        total = np.zeros(flat.shape)
+        for k in range(-self._window, self._window + 1):
+            index = nearest + k
+            d = flat - centers.take(index, mode="clip")
+            term = np.exp(-(d * d) / (2 * self.tooth_variance))
+            if k:  # the nearest tooth always exists; the others may lie past +-N
+                term[(index < 0) | (index > 2 * n)] = 0.0
+            total += term
+        return total.reshape(x.shape)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -403,12 +484,20 @@ class GaussianComb:
         return 1.0
 
     def tail_mass(self, lo, hi):
-        # |psi(x)| <= amplitude * K * exp(-x^2 / 2 Ve) with K the comb-sum peak
+        """Mass outside ``[lo, hi]`` plus the mass the windowed sum leaves out.
+
+        Outside: ``|psi(x)| <= amplitude * K * exp(-x^2 / 2 Ve)`` with ``K``
+        the comb-sum peak.  Window: at every ``x`` the omitted teeth sum to
+        at most ``_window_ratio`` times the nearest tooth, so the omitted
+        part of ``psi`` is at most ``_window_ratio * |psi(x)|`` and its mass
+        at most ``_window_ratio^2`` times the norm.
+        """
         xs = self.offset + np.linspace(0.0, self.spacing, 513)
         k_peak = float(self._comb_factor(xs).max()) * (1 + 1e-9)
         se = math.sqrt(self.envelope_variance)
         bound = (self.amplitude * k_peak) ** 2 * math.sqrt(math.pi) * se
-        return bound * 0.5 * (math.erfc(hi / se) + math.erfc(-lo / se))
+        outside = bound * 0.5 * (math.erfc(hi / se) + math.erfc(-lo / se))
+        return outside + self._window_ratio**2 * self.norm_squared()
 
 
 class TabulatedState:
@@ -429,15 +518,16 @@ class TabulatedState:
         values = np.asarray(values, dtype=np.complex128)
         if xs.ndim != 1 or xs.shape != values.shape:
             raise ValueError("xs and values must be 1-d arrays of equal length")
+        for name, array in (("xs", xs), ("values", values)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
         order = np.argsort(xs)
         self.xs = xs[order]
         self.values = values[order]
         if step is None:
             gaps = np.diff(self.xs)
             step = float(gaps.min()) if len(gaps) else 1.0
-        if step <= 0:
-            raise ValueError("step must be positive")
-        self.step = float(step)
+        self.step = _finite("step", step, positive=True)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -479,7 +569,11 @@ def zak_transform(state, grid: ZakGrid, m_max: int, tail_tol: float = 1e-12) -> 
     Sums the comb over ``m in [-m_max, m_max]`` in a fixed order and
     attaches the relative truncation bound (position-space mass the sum
     cannot see, over the state's norm) as ``tail_bound`` on the result.
-    Raises :class:`TruncationError` when that bound exceeds ``tail_tol``.
+    For a :class:`GaussianComb` that mass includes the teeth its windowed
+    evaluation leaves out, each below ``exp(-WINDOW_EXPONENT)`` of the
+    tooth nearest to the sample.  Raises :class:`TruncationError` when the
+    bound exceeds ``tail_tol``.  The result owns the one array it allocates
+    at full grid size.
     """
     if m_max <= 0:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -498,8 +592,9 @@ def zak_transform(state, grid: ZakGrid, m_max: int, tail_tol: float = 1e-12) -> 
 
     values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]), dtype=np.complex128)
     phases = np.exp(-1j * patch.b * np.outer(m, v))
-    samples = math.sqrt(patch.b / (2 * math.pi)) * (values @ phases)
-    return ModularWavefunction(grid, samples, tail_bound=tail)
+    samples = values @ phases
+    samples *= math.sqrt(patch.b / (2 * math.pi))
+    return ModularWavefunction(grid, _frozen(samples), tail_bound=tail)
 
 
 def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex:
@@ -582,14 +677,13 @@ def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
     an unchanged row count the rescaled v grid maps node-to-node, so this
     is a pure rescaling of samples and preserves the norm exactly.
     """
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b!r}")
+    b = _finite("b", b, positive=True)
     old = psi.grid.patch
     ratio = old.b / b
     new_patch = ZakPatch(old.a, b, u_min=old.u_min, v_min=old.v_min * ratio)
     new_grid = ZakGrid(new_patch, psi.grid.nu, psi.grid.nv)
     samples = math.sqrt(b / old.b) * psi.samples
-    return ModularWavefunction(new_grid, samples, tail_bound=psi.tail_bound)
+    return ModularWavefunction(new_grid, _frozen(samples), tail_bound=psi.tail_bound)
 
 
 def convention_phase(u: float, v: float, convention: str) -> complex:

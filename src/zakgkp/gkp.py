@@ -32,6 +32,7 @@ from .core import (
     ModularWavefunction,
     ZakGrid,
     ZakPatch,
+    _finite,
     gaussian_comb,
 )
 from .errors import DegenerateLogicalError, GridMismatchError, NormalizationError, ZakError
@@ -62,8 +63,7 @@ class GKPCode:
     dim: int = 2
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _finite("alpha", self.alpha, positive=True)
         if self.dim < 2:
             raise ValueError(f"logical dimension must be at least 2, got {self.dim}")
 
@@ -213,8 +213,7 @@ def codeword(code: GKPCode, ell: int) -> IdealZakState:
 def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     """Finite-energy codeword: Gaussian comb with tooth variance delta^2
     under an envelope of variance delta^-2, normalized."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    _finite("delta", delta, positive=True)
     if not 0 <= ell < code.dim:
         raise ValueError(f"ell must lie in [0, {code.dim}), got {ell}")
     return gaussian_comb(
@@ -225,14 +224,17 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     )
 
 
-def _difference_norm(s1, s2):
-    if isinstance(s1, IdealZakState):
-        keys = set(s1.points) | set(s2.points)
-        return math.sqrt(
-            sum(abs(s1.points.get(k, 0j) - s2.points.get(k, 0j)) ** 2 for k in keys)
-        )
-    diff = s1.samples - s2.samples
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * s1.grid.cell_area)
+def _difference_norm(s1: IdealZakState, s2: IdealZakState):
+    keys = set(s1.points) | set(s2.points)
+    return math.sqrt(sum(abs(s1.points.get(k, 0j) - s2.points.get(k, 0j)) ** 2 for k in keys))
+
+
+def _defect_norm(psi: ModularWavefunction, phased):
+    """Norm of ``phased - psi.samples``, formed in the buffer of the new array ``phased``."""
+    phased -= psi.samples
+    weights = np.abs(phased)
+    weights **= 2
+    return math.sqrt(float(np.sum(weights)) * psi.grid.cell_area)
 
 
 def stabilizer_residual(state, code: GKPCode):
@@ -242,8 +244,13 @@ def stabilizer_residual(state, code: GKPCode):
     vanish exactly on codewords.  Ideal states use the Dirac-comb norm.
     """
     a = code.period
-    r1 = _difference_norm(operators.apply_phase_v(state, -a), state)
-    r2 = _difference_norm(operators.apply_phase_u(state, 2 * math.pi * code.dim / a), state)
+    tv, tu = -a, 2 * math.pi * code.dim / a
+    if isinstance(state, IdealZakState):
+        r1 = _difference_norm(operators.apply_phase_v(state, tv), state)
+        r2 = _difference_norm(operators.apply_phase_u(state, tu), state)
+        return r1, r2
+    r1 = _defect_norm(state, operators._phase_v_samples(state, tv))
+    r2 = _defect_norm(state, operators._phase_u_samples(state, tu))
     return r1, r2
 
 

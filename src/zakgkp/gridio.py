@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from .core import IdealZakState, ModularWavefunction, ZakGrid, ZakPatch
+from .core import IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _frozen
 
 __all__ = [
     "format_float",
@@ -60,13 +60,14 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _atomic_write(path, data, mode):
+def _atomic_write(path, chunks, mode):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zakgkp-tmp-")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,11 +76,11 @@ def _atomic_write(path, data, mode):
 
 
 def atomic_write_text(path, text: str):
-    _atomic_write(path, text, "w")
+    _atomic_write(path, (text,), "w")
 
 
 def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, data, "wb")
+    _atomic_write(path, (data,), "wb")
 
 
 def save_grid_csv(psi: ModularWavefunction, path):
@@ -145,7 +146,7 @@ def load_grid_csv(path) -> ModularWavefunction:
             f"{path}: {missing} of {nu * nv} samples missing, "
             f"the first at ({first // nv}, {first % nv})"
         )
-    return ModularWavefunction(grid, np.array(values, dtype=np.complex128).reshape(nu, nv))
+    return ModularWavefunction(grid, _frozen(np.array(values, dtype=np.complex128)).reshape(nu, nv))
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
@@ -160,9 +161,10 @@ def save_grid_binary(psi: ModularWavefunction, path):
         grid.patch.u_min,
         grid.patch.v_min,
     )
-    # complex128 memory layout is exactly (re, im) f64 pairs, row-major
-    body = np.ascontiguousarray(psi.samples, dtype="<c16").tobytes()
-    atomic_write_bytes(path, header + body)
+    # complex128 memory layout is exactly (re, im) f64 pairs, row-major; the
+    # array is written through its buffer, with no bytes copy of the samples
+    body = np.ascontiguousarray(psi.samples, dtype="<c16")
+    _atomic_write(path, (header, body), "wb")
 
 
 def load_grid_binary(path) -> ModularWavefunction:
@@ -180,6 +182,7 @@ def load_grid_binary(path) -> ModularWavefunction:
     expected = _HEADER.size + 16 * nu * nv
     if len(raw) != expected:
         raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} for a {nu}x{nv} grid")
+    # read-only over the bytes just read, so the state adopts it without a copy
     samples = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nu, nv)
     grid = ZakGrid(ZakPatch(a, b, u_min=u_min, v_min=v_min), nu, nv)
     return ModularWavefunction(grid, samples)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import modular
-from .core import IdealZakState, ModularWavefunction
+from .core import IdealZakState, ModularWavefunction, _frozen
 from .errors import NormalizationError
 
 __all__ = [
@@ -40,16 +40,24 @@ def apply_phase_u(state, t):
     """P_U(t): multiply by ``exp(i u t)``."""
     if isinstance(state, IdealZakState):
         return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[0] * t)))
-    u = state.grid.u_values()
-    return state.with_samples(state.samples * np.exp(1j * t * u)[:, None])
+    return state.with_samples(_frozen(_phase_u_samples(state, t)))
 
 
 def apply_phase_v(state, t):
     """P_V(t): multiply by ``exp(i v t)``."""
     if isinstance(state, IdealZakState):
         return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[1] * t)))
-    v = state.grid.v_values()
-    return state.with_samples(state.samples * np.exp(1j * t * v)[None, :])
+    return state.with_samples(_frozen(_phase_v_samples(state, t)))
+
+
+def _phase_u_samples(psi: ModularWavefunction, t) -> np.ndarray:
+    """A new writeable array of ``psi``'s samples times ``exp(i u t)``."""
+    return psi.samples * np.exp(1j * t * psi.grid.u_values())[:, None]
+
+
+def _phase_v_samples(psi: ModularWavefunction, t) -> np.ndarray:
+    """A new writeable array of ``psi``'s samples times ``exp(i v t)``."""
+    return psi.samples * np.exp(1j * t * psi.grid.v_values())[None, :]
 
 
 def _shift_columns(psi: ModularWavefunction, n: int) -> np.ndarray:
@@ -80,11 +88,11 @@ def apply_translate_u(state, t, interpolate=False):
     offset = t / grid.du - exact
     if abs(offset) <= 1e-9 or not interpolate:
         n = grid.u_steps(t)  # raises OffGridError when off-grid and not interpolating
-        return state.with_samples(_shift_columns(state, n))
+        return state.with_samples(_frozen(_shift_columns(state, n)))
     n0 = math.floor(t / grid.du)
     w = t / grid.du - n0
     blended = (1 - w) * _shift_columns(state, n0) + w * _shift_columns(state, n0 + 1)
-    return state.with_samples(blended)
+    return state.with_samples(_frozen(blended))
 
 
 def apply_translate_v(state, t, interpolate=False):
@@ -97,13 +105,13 @@ def apply_translate_v(state, t, interpolate=False):
     offset = t / grid.dv - exact
     if abs(offset) <= 1e-9 or not interpolate:
         n = grid.v_steps(t)
-        return state.with_samples(np.roll(state.samples, n % grid.nv, axis=1))
+        return state.with_samples(_frozen(np.roll(state.samples, n % grid.nv, axis=1)))
     n0 = math.floor(t / grid.dv)
     w = t / grid.dv - n0
     blended = (1 - w) * np.roll(state.samples, n0 % grid.nv, axis=1) + w * np.roll(
         state.samples, (n0 + 1) % grid.nv, axis=1
     )
-    return state.with_samples(blended)
+    return state.with_samples(_frozen(blended))
 
 
 def apply_X(state, t, interpolate=False):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridio, modular, operators
-from .core import IdealZakState, ModularWavefunction, ZakGrid
+from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
 from .gkp import GKPCode, LogicalQubit, _as_mixture, _gram, _require_code_patch, _sector_split
 
@@ -101,8 +101,9 @@ def to_ssd(state, code: GKPCode | None = None):
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
     Grid states split into left/right half columns re-indexed onto the
-    gauge patch (no phases; the unphased form of the change of basis).
-    Ideal states split their point masses by sector.
+    gauge patch (no phases; the unphased form of the change of basis); the
+    gauge components are views of the state's samples, not copies.  Ideal
+    states split their point masses by sector.
     """
     if code is None:
         code = GKPCode(alpha=state.patch.a / 2)
@@ -137,7 +138,7 @@ def from_ssd(state):
     gauge_grid = state.gauge_grid
     full_grid = code.grid(2 * gauge_grid.nu, gauge_grid.nv)
     samples = np.vstack([state.gamma[0].samples, state.gamma[1].samples])
-    return ModularWavefunction(full_grid, samples)
+    return ModularWavefunction(full_grid, _frozen(samples))
 
 
 def _trace_matrix(state, ec_phase: bool):
@@ -246,7 +247,7 @@ def apply_X_ssd(state, t):
         ell_mid = (ell_new - n_alpha) % 2
         phase = _x_wrap_phase(ell_mid + n_alpha, alpha, v)
         new_gamma.append(
-            ModularWavefunction(grid, frac_parts[ell_mid] * phase[None, :])
+            ModularWavefunction(grid, _frozen(frac_parts[ell_mid] * phase[None, :]))
         )
     return SSDState(code, new_gamma[0], new_gamma[1])
 
@@ -332,10 +333,8 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
         folded = np.zeros((grid.nv, grid.nu), dtype=np.complex128)
         for rows in layers:
             folded[bins[rows]] += terms[rows]
-        # the FFT output dies right after the copy; held into the next sector,
-        # it made the allocator return and re-fault its pages on every call
         gammas.append(ModularWavefunction(
-            grid, np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward")
+            grid, _frozen(np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward"))
         ))
     return SSDState(code, gammas[0], gammas[1])
 

@@ -193,6 +193,22 @@ def test_unwritable_output_path(tmp_path):
     assert run("zakplot", "--state", "vacuum", "--grid", "64x64", "--out", missing) == 2
 
 
+def test_delta_is_not_an_option(tmp_path, capsys):
+    # approximate states carry their delta in the spec; --delta set nothing
+    out = tmp_path / "v.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("logical", "--state", "gkp-approx:0.2:0", "--delta", "0.2", "--out", out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 0.2\n")
+    assert run("logical", "--config", cfg, "--out", out) == 2
+    assert "unknown key 'delta'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("logical", "--state", "gkp0", "--out", out) == 0
+    manifest = (tmp_path / "v.csv.manifest").read_text()
+    assert "state=gkp0" in manifest and "delta=" not in manifest
+
+
 def test_manifest_records_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 64x64\n")
@@ -219,7 +235,6 @@ TABLE = "tabulated:{table}"
         pytest.param(("logical", "--state", "gkp-approx:nan:0"), None, id="nan-approx-delta"),
         pytest.param(("logical", "--alpha", "inf"), None, id="inf-alpha"),
         pytest.param(("logical", "--alpha", "nan"), None, id="nan-alpha"),
-        pytest.param(("logical", "--delta", "nan"), None, id="nan-delta"),
         pytest.param(("shift-array", "--dx", "nan"), None, id="nan-dx"),
         pytest.param(("shift-array", "--dy", "inf"), None, id="inf-dy"),
     ],

@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ALPHA
 from zakgkp import (
+    GKPCode,
     GridMismatchError,
     IdealZakState,
     ModularWavefunction,
@@ -13,17 +15,31 @@ from zakgkp import (
     TruncationError,
     ZakGrid,
     ZakPatch,
+    apply_phase_u,
+    apply_phase_v,
+    apply_translate_u,
+    apply_translate_v,
+    apply_X,
+    apply_X_ssd,
+    apply_Z,
+    apply_Z_ssd,
+    approx_codeword,
     convention_phase,
     evaluate_extended,
+    from_ssd,
     gaussian_comb,
     ideal_state_overlap,
     inner_product,
     inverse_zak_transform,
+    pp_bridge,
+    pp_bridge_inverse,
     stretch_rescale,
     tabulated,
+    to_ssd,
     vacuum,
     zak_transform,
 )
+from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
 
@@ -266,3 +282,153 @@ def test_evaluate_extended_interpolates_across_seams(vac64, grid64):
     assert out.interpolated
     expected = 0.5 * (vac64.samples[5, -1] + vac64.samples[5, 0])
     assert out.value == pytest.approx(expected, abs=1e-12)
+
+
+def dense_comb_terms(comb, x):
+    """Every tooth's term at every ``x`` (the sum GaussianComb used before windowing)."""
+    d = x[..., None] - comb._centers
+    return np.exp(-(d * d) / (2 * comb.tooth_variance))
+
+
+def transform_points(grid, m_max):
+    """The abscissae ``u_j + a m`` that :func:`zak_transform` evaluates."""
+    m = np.arange(-m_max, m_max + 1)
+    return grid.u_values()[:, None] + grid.patch.a * m[None, :]
+
+
+@pytest.mark.parametrize("delta,window", [(0.1, 1), (0.4, 1), (0.5, 2), (1.0, 3), (2.0, 7)])
+def test_comb_window_width(delta, window):
+    assert gaussian_comb(A, delta**2, delta**-2)._window == window
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.3, 0.5, 1.0, 2.0])
+def test_windowed_comb_matches_dense_sum(code, delta, ell):
+    comb = approx_codeword(code, ell, delta)
+    grid, m_max = code.grid(64, 64), 40
+    x = transform_points(grid, m_max)
+    envelope = np.exp(-(x * x) / (2 * comb.envelope_variance))
+    terms = dense_comb_terms(comb, x)
+    dense = comb.amplitude * terms.sum(axis=-1) * envelope
+    windowed = comb.evaluate(x)
+    assert np.max(np.abs(windowed - dense)) <= 2e-15 * np.max(np.abs(dense))
+
+    # the teeth the window leaves out, summed on their own (not as a rounded
+    # difference of two sums), must carry no more mass than tail_bound admits
+    n = comb._centers.size // 2
+    nearest = np.clip(np.rint((x - comb.offset) / comb.spacing), -n, n)
+    teeth = np.arange(-n, n + 1)
+    outside = np.abs(teeth - nearest[..., None]) > comb._window
+    omitted = comb.amplitude * (terms * outside).sum(axis=-1) * envelope
+    omitted_mass = float(np.sum(omitted**2)) * grid.du
+    psi = zak_transform(comb, grid, m_max)
+    assert psi.tail_bound >= omitted_mass
+    assert psi.tail_bound < 1e-12
+    if delta == 1.0:  # wide teeth under a wide envelope: the check is not vacuous
+        assert omitted_mass > 0
+
+
+def test_windowed_comb_evaluates_scalars_and_far_points():
+    comb = gaussian_comb(A, 0.3**2, 0.3**-2)
+    x = np.array([0.0, 0.4 * A, 1e3, -1e3])
+    dense = comb.amplitude * dense_comb_terms(comb, x).sum(axis=-1) * np.exp(
+        -(x * x) / (2 * comb.envelope_variance)
+    )
+    assert np.array_equal(comb.evaluate(x), dense)
+    assert comb.evaluate(0.0) == dense[0]
+    assert np.shape(comb.evaluate(0.0)) == ()
+
+
+def test_caller_array_is_copied(grid64):
+    raw = np.ones((64, 64), dtype=np.complex128)
+    psi = ModularWavefunction(grid64, raw)
+    raw[0, 0] = 5.0
+    assert psi.samples[0, 0] == 1.0
+    assert not np.shares_memory(psi.samples, raw)
+    # a read-only view does not protect memory the caller can still write
+    view = raw.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(ModularWavefunction(grid64, view).samples, raw)
+    # nor does a read-only array over a mutable buffer
+    buffer = bytearray(raw.nbytes)
+    flat = np.frombuffer(buffer, dtype=np.complex128)
+    flat.flags.writeable = False
+    over = flat.reshape(64, 64)
+    assert not np.shares_memory(ModularWavefunction(grid64, over).samples, over)
+
+
+def test_library_results_are_read_only(code, tmp_path):
+    grid = code.grid(64, 64)
+    psi = zak_transform(approx_codeword(code, 0, 0.3), grid, 16)
+    split = to_ssd(psi, code)
+    shifted = apply_X_ssd(apply_Z_ssd(split, 2 * grid.dv), 3 * grid.du)
+    save_grid_binary(psi, tmp_path / "psi.bin")
+    save_grid_csv(psi, tmp_path / "psi.csv")
+    results = {
+        "zak_transform": psi,
+        "apply_phase_u": apply_phase_u(psi, 0.3),
+        "apply_phase_v": apply_phase_v(psi, 0.3),
+        "apply_translate_u": apply_translate_u(psi, 0.25 * grid.du, interpolate=True),
+        "apply_translate_v": apply_translate_v(psi, 0.25 * grid.dv, interpolate=True),
+        "apply_X": apply_X(psi, 5 * grid.du),
+        "apply_Z": apply_Z(psi, 5 * grid.dv),
+        "scaled": psi.scaled(2j),
+        "normalized": psi.normalized(),
+        "stretch_rescale": stretch_rescale(psi, 2 * psi.patch.b),
+        "to_ssd": split.gamma[0],
+        "apply_X_ssd": shifted.gamma[1],
+        "from_ssd": from_ssd(shifted),
+        "pp_bridge_inverse": pp_bridge_inverse(pp_bridge(shifted)).gamma[0],
+        "load_grid_binary": load_grid_binary(tmp_path / "psi.bin"),
+        "load_grid_csv": load_grid_csv(tmp_path / "psi.csv"),
+    }
+    for name, result in results.items():
+        assert not result.samples.flags.writeable, name
+
+
+def test_to_ssd_shares_memory_with_the_state(code):
+    psi = zak_transform(approx_codeword(code, 1, 0.3), code.grid(64, 64), 16)
+    split = to_ssd(psi, code)
+    for gamma in split.gamma:
+        assert np.shares_memory(gamma.samples, psi.samples)
+    assert np.array_equal(from_ssd(split).samples, psi.samples)
+
+
+def test_zak_transform_allocates_little_beyond_its_result(code):
+    grid = code.grid(512, 512)
+    comb = approx_codeword(code, 0, 0.1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        psi = zak_transform(comb, grid, 16)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert psi.samples.nbytes == 512 * 512 * 16
+    assert peak <= 1.5 * psi.samples.nbytes
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        pytest.param(lambda: GKPCode(alpha=math.inf), "alpha", id="code-inf-alpha"),
+        pytest.param(lambda: approx_codeword(GKPCode(), 0, math.nan), "delta", id="nan-delta"),
+        pytest.param(lambda: ZakPatch(math.nan), "period a", id="patch-nan-a"),
+        pytest.param(lambda: ZakPatch(1.0, b=math.inf), "period parameter b", id="patch-inf-b"),
+        pytest.param(lambda: ZakPatch(1.0, u_min=math.inf), "u_min", id="patch-inf-u-min"),
+        pytest.param(lambda: ZakPatch(1.0, v_min=math.nan), "v_min", id="patch-nan-v-min"),
+        pytest.param(lambda: vacuum(math.nan), "offset", id="vacuum-nan-offset"),
+        pytest.param(lambda: tabulated([0.0, math.nan], [1.0, 1.0]), "xs", id="table-nan-x"),
+        pytest.param(lambda: tabulated([0.0, 1.0], [1.0, math.nan]), "values", id="table-nan-value"),
+        pytest.param(lambda: tabulated([0.0, 1.0], [1.0, 1.0], step=math.nan), "step",
+                     id="table-nan-step"),
+        pytest.param(lambda: gaussian_comb(math.nan, 0.04, 25.0), "spacing", id="comb-nan-spacing"),
+        pytest.param(lambda: gaussian_comb(A, 0.04, math.inf), "envelope_variance",
+                     id="comb-inf-envelope"),
+        pytest.param(lambda: gaussian_comb(A, 0.04, 25.0, offset=math.inf), "offset",
+                     id="comb-inf-offset"),
+    ],
+)
+def test_constructors_reject_non_finite_input(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()

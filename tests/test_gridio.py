@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,23 @@ def test_binary_roundtrip_is_exact(code, tmp_path):
     assert np.array_equal(loaded.samples, psi.samples)
     assert loaded.grid.patch == psi.grid.patch
     assert path.stat().st_size == 48 + 16 * 32 * 16
+
+
+def test_binary_save_writes_samples_without_a_copy(code, tmp_path):
+    psi = random_state(code.grid(256, 256), 73)
+    path = tmp_path / "grid.bin"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_grid_binary(psi, path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.samples.nbytes / 8
+    loaded = load_grid_binary(path)
+    assert np.array_equal(loaded.samples, psi.samples)
+    # the loaded state adopts the read-only buffer of the bytes it read
+    assert not loaded.samples.flags.writeable and not loaded.samples.flags.owndata
 
 
 def test_binary_rejects_bad_magic(tmp_path):
