@@ -254,7 +254,9 @@ def stabilizer_residual(state, code: GKPCode):
     return r1, r2
 
 
-def _require_code_patch(state, code: GKPCode):
+def _require_qubit_patch(state, code: GKPCode):
+    if code.dim != 2:
+        raise ValueError(f"error correction and the SSD need a qubit code (dim=2), got dim={code.dim}")
     if not state.patch.approx_equal(code.full_patch()):
         raise GridMismatchError("state patch does not match the code's fundamental patch")
 
@@ -266,9 +268,7 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     points are interior to the fundamental patch, so no extension phases
     enter.  Grid states require the points to be grid nodes.
     """
-    if code.dim != 2:
-        raise ValueError("error correction is implemented for qubit codes (dim=2)")
-    _require_code_patch(state, code)
+    _require_qubit_patch(state, code)
     alpha = code.alpha
     out = []
     for ell in (0, 1):
@@ -278,86 +278,72 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     return complex(out[0]), complex(out[1])
 
 
-def _sector_split(state: IdealZakState, code: GKPCode):
-    """Split ideal points into logical sectors on the gauge patch.
+def _sectors(state, code: GKPCode):
+    """The two gauge components ``(gamma_0, gamma_1)`` of a pure state.
 
-    Returns one IdealZakState per logical index holding the gauge points
-    ``(u - alpha*l, v)``; the left half-patch is sector 0.
+    This is the unphased change of basis to (qubit) x (gauge mode), a pure
+    re-indexing: the left half-patch is logical 0, the right half logical
+    1.  A grid state yields its left and right half columns on the gauge
+    grid (views of its samples, not copies); an ideal state yields its
+    points ``(u - alpha*l, v)`` on the gauge patch.
     """
-    alpha = code.alpha
-    boundary = alpha / 2
-    sectors = ({}, {})
-    for (u, v), w in state.items():
-        ell = 0 if u < boundary else 1
-        key = (u - alpha * ell, v)
-        sectors[ell][key] = sectors[ell].get(key, 0j) + w
-    return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
+    _require_qubit_patch(state, code)
+    if isinstance(state, IdealZakState):
+        alpha = code.alpha
+        sectors = ([], [])
+        for (u, v), w in state.items():
+            ell = 0 if u < alpha / 2 else 1
+            sectors[ell].append(((u - alpha * ell, v), w))
+        return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
+    half = state.grid.nu // 2
+    gauge_grid = code.gauge_grid(half, state.grid.nv)
+    return (
+        ModularWavefunction(gauge_grid, state.samples[:half, :]),
+        ModularWavefunction(gauge_grid, state.samples[half:, :]),
+    )
 
 
-def _gram(comps, cell_area=None, cross_phase=None):
-    """Unnormalized 2x2 Gram matrix ``G[l, l'] = <c_l'|c_l>`` of two sector components.
+def _gram(gamma, alpha, ec_phase: bool):
+    """Unnormalized 2x2 Gram matrix ``G[l, l'] = <gamma_l'|gamma_l>`` of two gauge components.
 
-    Ideal components pair point masses exactly, with no measure.  Grid
-    components are ModularWavefunctions, or bare sample blocks with their
-    ``cell_area``, summed by the left-Riemann rule; ``cross_phase(l - l')``,
-    when given, multiplies each off-diagonal product before the sum.
+    With ``ec_phase`` each ``gamma_l`` is first counter-rotated by
+    ``exp(-i alpha l v)``, which turns the Gram matrix into the syndrome
+    average of the outer products of :func:`ec_kraus_amplitudes`.  Grid
+    components are summed by the left-Riemann rule (the correctable-patch
+    boundaries are grid-aligned); ideal components pair point masses
+    exactly, with no measure.
     """
-    if isinstance(comps[0], ModularWavefunction):
-        cell_area = comps[0].grid.cell_area
-        comps = [c.samples for c in comps]
-    ideal = isinstance(comps[0], IdealZakState)
+    if ec_phase:
+        gamma = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(gamma)]
     mat = np.zeros((2, 2), dtype=np.complex128)
-    for ell in (0, 1):
-        for ellp in (0, 1):
-            f, g = comps[ell], comps[ellp]
-            if ideal:
+    for ell, f in enumerate(gamma):
+        for ellp, g in enumerate(gamma):
+            if isinstance(f, IdealZakState):
                 mat[ell, ellp] = sum(w * g.value_at(u, v).conjugate() for (u, v), w in f.items())
-                continue
-            prod = f * g.conj()
-            if cross_phase is not None and ell != ellp:
-                prod = prod * cross_phase(ell - ellp)
-            mat[ell, ellp] = prod.sum() * cell_area
+            else:
+                mat[ell, ellp] = (f.samples * g.samples.conj()).sum() * f.grid.cell_area
     return mat
 
 
-def _overlap_matrix(state, code: GKPCode, ec_phase: bool):
-    """Unnormalized logical matrix of one pure component.
-
-    Grid states integrate ``psi(u+alpha l, v) conj(psi(u+alpha l', v))``
-    over the correctable patch with the left-Riemann rule (the patch
-    boundaries are grid-aligned); ideal states pair point masses exactly.
-    With ``ec_phase`` the error-correction factor ``exp(-i alpha (l-l') v)``
-    is included, which matches the syndrome average of Kraus outer products.
-    """
-    _require_code_patch(state, code)
-    alpha = code.alpha
-    if isinstance(state, IdealZakState):
-        sectors = _sector_split(state, code)
-        if ec_phase:
-            sectors = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(sectors)]
-        return _gram(sectors)
-
-    grid = state.grid
-    half = grid.nu // 2
-    blocks = (state.samples[:half, :], state.samples[half:, :])
-    v = grid.v_values()
-
-    def cross_phase(d):
-        return np.exp(-1j * alpha * d * v)[None, :]
-
-    return _gram(blocks, grid.cell_area, cross_phase if ec_phase else None)
+def _mixture_logical(rho, gram):
+    """Trace-normalized logical qubit of ``sum_i p_i gram(component_i)``."""
+    mat = np.zeros((2, 2), dtype=np.complex128)
+    for p, component in _as_mixture(rho):
+        mat += p * gram(component)
+    return LogicalQubit.from_unnormalized(mat)
 
 
 def logical_from_overlap(rho, code: GKPCode) -> LogicalQubit:
     """CV-to-qubit map: integrate the shifted-codeword overlaps over P_G.
 
-    Accepts a :class:`MixtureState` or a bare pure state.  The returned
-    matrix is trace-normalized; the raw trace is the correctable-patch mass.
+    ``rho[l, l'] = integral of psi(u + alpha l, v) conj(psi(u + alpha l', v))``
+    over the correctable patch, i.e. the Gram matrix of the gauge
+    components, so this equals :func:`zakgkp.ssd.gauge_trace` of
+    :func:`zakgkp.ssd.to_ssd` bit for bit.  Accepts a :class:`MixtureState`
+    or a bare pure state.  The returned matrix is trace-normalized; the raw
+    trace is the correctable-patch mass.
     """
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in _as_mixture(rho):
-        mat += p * _overlap_matrix(component, code, ec_phase=False)
-    return LogicalQubit.from_unnormalized(mat)
+    return _mixture_logical(rho, lambda s: _gram(_sectors(s, code), code.alpha, ec_phase=False))
 
 
 def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
@@ -365,9 +351,7 @@ def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
 
     Same integrals as :func:`logical_from_overlap` with the counter-rotation
     phase ``exp(-i alpha (l - l') v~)``, equal to the syndrome average of
-    the outer products of :func:`ec_kraus_amplitudes`.
+    the outer products of :func:`ec_kraus_amplitudes`, and to
+    :func:`zakgkp.ssd.ec_gauge_trace` of :func:`zakgkp.ssd.to_ssd` bit for bit.
     """
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in _as_mixture(rho):
-        mat += p * _overlap_matrix(component, code, ec_phase=True)
-    return LogicalQubit.from_unnormalized(mat)
+    return _mixture_logical(rho, lambda s: _gram(_sectors(s, code), code.alpha, ec_phase=True))

@@ -74,7 +74,7 @@ def _shift_columns(psi: ModularWavefunction, n: int) -> np.ndarray:
     if r:
         out[:r, :] *= np.exp(-1j * b * v)[None, :]
     if k:
-        out = out * np.exp(-1j * b * k * v)[None, :]
+        out *= np.exp(-1j * b * k * v)[None, :]
     return out
 
 

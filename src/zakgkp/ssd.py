@@ -11,24 +11,26 @@ with the gauge wavefunctions living on the stretched half-width patch
 change of basis is a pure re-indexing of samples and exactly unitary.
 Gauge u-wraps cost ``exp(-i 2 alpha v)`` on kets.
 
-Tracing out the gauge mode yields the same logical qubit as the overlap
-map in :mod:`zakgkp.gkp`; preceding the trace with the entangling
-counter-rotation (gamma_l -> exp(-i alpha l v) gamma_l) yields the
-error-correction logical state instead.
+The split is ``gkp._sectors``, the one the overlap maps use, so tracing
+out the gauge mode yields the overlap map's logical qubit bit for bit;
+preceding the trace with the entangling counter-rotation
+(gamma_l -> exp(-i alpha l v) gamma_l) yields the error-correction
+logical state instead.  The SSD shifts are the full-mode operators
+conjugated by the change of basis.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gridio, modular, operators
+from . import gridio, operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
-from .gkp import GKPCode, LogicalQubit, _as_mixture, _gram, _require_code_patch, _sector_split
+from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _sectors
 
 __all__ = [
     "SSDState",
@@ -107,16 +109,10 @@ def to_ssd(state, code: GKPCode | None = None):
     """
     if code is None:
         code = GKPCode(alpha=state.patch.a / 2)
-    _require_code_patch(state, code)
+    gamma = _sectors(state, code)
     if isinstance(state, IdealZakState):
-        return IdealSSDState(code, *_sector_split(state, code))
-
-    grid = state.grid
-    half = grid.nu // 2
-    gauge_grid = code.gauge_grid(half, grid.nv)
-    gamma0 = ModularWavefunction(gauge_grid, state.samples[:half, :])
-    gamma1 = ModularWavefunction(gauge_grid, state.samples[half:, :])
-    return SSDState(code, gamma0, gamma1)
+        return IdealSSDState(code, *gamma)
+    return SSDState(code, *gamma)
 
 
 def from_ssd(state):
@@ -141,21 +137,9 @@ def from_ssd(state):
     return ModularWavefunction(full_grid, _frozen(samples))
 
 
-def _trace_matrix(state, ec_phase: bool):
-    """Unnormalized 2x2 gauge-contraction matrix of one pure SSD component."""
-    gamma = state.gamma
-    if ec_phase:
-        alpha = state.code.alpha
-        gamma = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(gamma)]
-    return _gram(gamma)
-
-
 def gauge_trace(rho) -> LogicalQubit:
     """Partial trace over the gauge mode, trace-normalized with raw trace kept."""
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in _as_mixture(rho):
-        mat += p * _trace_matrix(component, ec_phase=False)
-    return LogicalQubit.from_unnormalized(mat)
+    return _mixture_logical(rho, lambda s: _gram(s.gamma, s.code.alpha, ec_phase=False))
 
 
 def ec_gauge_trace(rho) -> LogicalQubit:
@@ -166,90 +150,29 @@ def ec_gauge_trace(rho) -> LogicalQubit:
     small-shifted codewords this undoes the shift-induced logical rotation
     exactly.
     """
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in _as_mixture(rho):
-        mat += p * _trace_matrix(component, ec_phase=True)
-    return LogicalQubit.from_unnormalized(mat)
+    return _mixture_logical(rho, lambda s: _gram(s.gamma, s.code.alpha, ec_phase=True))
 
 
 def apply_Z_ssd(state, t):
-    """Momentum kick in SSD form: ``exp(i alpha l t)`` on the logical index,
-    gauge phase ``exp(i u t)`` and a gauge v-translation."""
-    code = state.code
-    gamma = [
-        operators.apply_translate_v(operators.apply_phase_u(g, t), t).scaled(
-            cmath.exp(1j * code.alpha * ell * t)
-        )
-        for ell, g in enumerate(state.gamma)
-    ]
-    return type(state)(code, *gamma)
+    """Momentum kick in SSD form: :func:`operators.apply_Z` on the full mode,
+    seen through the change of basis.
 
-
-def _x_wrap_phase(ell_sum: int, alpha, v):
-    """Phase for a logical-sector transition: ``exp(-i 2 alpha v floor(m/2))``.
-
-    ``m`` is the pre-reduction logical index (old index plus wrap count);
-    leaving the two-sector range in either direction is a full-period
-    translation of the original mode and costs one quasi-periodicity phase.
+    On the gauge components this is ``exp(i alpha l t)`` on the logical
+    index, the gauge phase ``exp(i u t)`` and a gauge v-translation.
     """
-    return np.exp(-2j * alpha * (ell_sum // 2) * v)
+    return to_ssd(operators.apply_Z(from_ssd(state), t), state.code)
 
 
 def apply_X_ssd(state, t):
-    """Position shift in SSD form.
+    """Position shift in SSD form: :func:`operators.apply_X` on the full mode,
+    seen through the change of basis.
 
     The fractional part translates the gauge mode; gauge points pushed
     past the half-patch boundary flip the logical index (the entangling
-    factor), and the integer part applies logical flips, with all
-    quasi-periodicity phases assigned analytically.
+    factor), and the integer part applies logical flips.  The full mode's
+    quasi-periodicity supplies every wrap phase.
     """
-    code = state.code
-    alpha = code.alpha
-    frac, n_alpha = modular.split(t, alpha, alpha / 2)
-
-    if isinstance(state, IdealSSDState):
-        sectors = ({}, {})
-        for ell, gamma in enumerate(state.gamma):
-            for (gu, gv), w in gamma.items():
-                g_new, wrap = modular.split(gu + frac, alpha, alpha / 2)
-                m = ell + wrap
-                w = w * _x_wrap_phase(m, alpha, gv)
-                m2 = (m % 2) + n_alpha
-                w = w * _x_wrap_phase(m2, alpha, gv)
-                ell_new = m2 % 2
-                key = (g_new, gv)
-                sectors[ell_new][key] = sectors[ell_new].get(key, 0j) + w
-        return IdealSSDState(code, *sectors)
-
-    grid = state.gauge_grid
-    cols = grid.u_steps(frac)
-    v = grid.v_values()
-    nu = grid.nu
-    shifted = [np.roll(state.gamma[ell].samples, cols, axis=0) for ell in (0, 1)]
-    if cols >= 0:
-        wrapped = slice(0, cols)
-        wrap_sign = 1
-    else:
-        wrapped = slice(nu + cols, nu)
-        wrap_sign = -1
-    frac_parts = []
-    for ell_new in (0, 1):
-        ell_old = 1 - ell_new
-        part = shifted[ell_new].copy()
-        # wrapped columns arrive from the other sector with the transition phase
-        part[wrapped, :] = (
-            shifted[ell_old][wrapped, :]
-            * _x_wrap_phase(ell_old + wrap_sign, alpha, v)[None, :]
-        )
-        frac_parts.append(part)
-    new_gamma = []
-    for ell_new in (0, 1):
-        ell_mid = (ell_new - n_alpha) % 2
-        phase = _x_wrap_phase(ell_mid + n_alpha, alpha, v)
-        new_gamma.append(
-            ModularWavefunction(grid, _frozen(frac_parts[ell_mid] * phase[None, :]))
-        )
-    return SSDState(code, new_gamma[0], new_gamma[1])
+    return to_ssd(operators.apply_X(from_ssd(state), t), state.code)
 
 
 @dataclass(frozen=True)
@@ -340,21 +263,33 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
 
 
 def save_ssd(state: SSDState, base_path):
-    """Write both gauge grids in the binary grid format plus a one-line manifest."""
+    """Write both gauge grids in the binary grid format plus a one-line manifest.
+
+    The manifest ``<base_path>.manifest`` names the grid files by basename,
+    and :func:`load_ssd` looks for them next to it, so the three files can
+    be loaded from any working directory and moved together.
+    """
     paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
     for ell, path in enumerate(paths):
         gridio.save_grid_binary(state.gamma[ell], path)
-    line = (
-        f"alpha={gridio.format_float(state.code.alpha)} "
-        f"gamma0={paths[0]} gamma1={paths[1]}\n"
-    )
+    names = [os.path.basename(path) for path in paths]
+    line = f"alpha={gridio.format_float(state.code.alpha)} gamma0={names[0]} gamma1={names[1]}\n"
     gridio.atomic_write_text(f"{base_path}.manifest", line)
 
 
 def load_ssd(base_path) -> SSDState:
-    with open(f"{base_path}.manifest", encoding="ascii") as fh:
-        fields = dict(item.split("=", 1) for item in fh.read().split())
+    manifest = f"{base_path}.manifest"
+    with open(manifest, encoding="ascii") as fh:
+        items = fh.read().split()
+    bad = [item for item in items if "=" not in item]
+    if bad:
+        raise ValueError(f"{manifest}: expected key=value items, got {bad[0]!r}")
+    fields = dict(item.split("=", 1) for item in items)
+    missing = [key for key in ("alpha", "gamma0", "gamma1") if key not in fields]
+    if missing:
+        raise ValueError(f"{manifest}: missing {', '.join(missing)}")
+    folder = os.path.dirname(manifest)
     code = GKPCode(alpha=float(fields["alpha"]))
-    gamma0 = gridio.load_grid_binary(fields["gamma0"])
-    gamma1 = gridio.load_grid_binary(fields["gamma1"])
+    gamma0 = gridio.load_grid_binary(os.path.join(folder, fields["gamma0"]))
+    gamma1 = gridio.load_grid_binary(os.path.join(folder, fields["gamma1"]))
     return SSDState(code, gamma0, gamma1)

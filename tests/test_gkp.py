@@ -308,6 +308,23 @@ def test_foreign_patch_rejected(code, extract, representation):
         extract(state, code)
 
 
+@pytest.mark.parametrize("representation", ["ideal", "grid"])
+@pytest.mark.parametrize(
+    "extract",
+    [ssd.to_ssd, logical_from_overlap, ec_channel_logical],
+    ids=["to_ssd", "logical_from_overlap", "ec_channel_logical"],
+)
+def test_non_qubit_code_rejected(extract, representation):
+    # the split into two logical sectors exists only for qubit codes
+    qutrit = GKPCode(dim=3)
+    if representation == "ideal":
+        state = codeword(qutrit, 1)
+    else:
+        state = zak_transform(approx_codeword(qutrit, 1, 0.4), qutrit.grid(32, 32), 16)
+    with pytest.raises(ValueError, match="dim=2"):
+        extract(state, qutrit)
+
+
 def test_mixture_validation(code):
     with pytest.raises(NormalizationError):
         MixtureState([(0.5, codeword(code, 0))])

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,11 +134,12 @@ def test_product_state_traces_to_pure_qubit(code):
 
 
 def test_gauge_trace_matches_overlap_route(code, corpus_256):
-    for psi in corpus_256.values():
+    # one split and one Gram kernel: the two routes agree bit for bit
+    for psi in [*corpus_256.values(), codeword(code, 0), codeword(code, 1)]:
         q_trace = gauge_trace(to_ssd(psi, code))
         q_overlap = logical_from_overlap(psi, code)
-        assert np.max(np.abs(q_trace.matrix - q_overlap.matrix)) < 1e-10
-        assert q_trace.raw_trace == pytest.approx(q_overlap.raw_trace, rel=1e-12)
+        assert np.array_equal(q_trace.matrix, q_overlap.matrix)
+        assert q_trace.raw_trace == q_overlap.raw_trace
 
 
 def test_ec_gauge_trace_equals_plain_on_diagonal_states(code):
@@ -174,10 +176,11 @@ def test_plain_trace_shows_rotated_off_diagonals(code):
 
 
 def test_ec_gauge_trace_matches_channel(code, corpus_256):
-    psi = corpus_256["gkp-approx:0.2:0"]
-    q1 = ec_gauge_trace(to_ssd(psi, code))
-    q2 = ec_channel_logical(psi, code)
-    assert np.max(np.abs(q1.matrix - q2.matrix)) < 1e-10
+    for psi in (corpus_256["gkp-approx:0.2:0"], codeword(code, 0), codeword(code, 1)):
+        q1 = ec_gauge_trace(to_ssd(psi, code))
+        q2 = ec_channel_logical(psi, code)
+        assert np.array_equal(q1.matrix, q2.matrix)
+        assert q1.raw_trace == q2.raw_trace
 
 
 # --- shifts in the decomposed picture ---------------------------------------
@@ -233,6 +236,23 @@ def test_ssd_shifts_match_full_mode_route_ideal(code, grid64):
         direct = apply_X(state, t)
         for point, w in direct.items():
             assert via_ssd.value_at(*point) == pytest.approx(w, abs=1e-10)
+
+
+@pytest.mark.parametrize("steps", [3, -5, 300])
+def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
+    # a shift within one period costs the full-mode copy and the shifted result
+    grid = code.grid(512, 512)
+    s = to_ssd(random_state(grid, 61), code)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        shifted = apply_X_ssd(s, steps * grid.du)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    nbytes = 512 * 512 * 16
+    assert shifted.gamma[0].samples.nbytes + shifted.gamma[1].samples.nbytes == nbytes
+    assert peak <= 2.2 * nbytes
 
 
 def test_small_shift_law_is_exact(code, grid64):
@@ -358,7 +378,39 @@ def test_ssd_save_load_roundtrip(code, tmp_path):
     assert np.array_equal(loaded.gamma[0].samples, s.gamma[0].samples)
     assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
     manifest = (tmp_path / "state.manifest").read_text()
-    assert manifest.count("\n") == 1 and "gamma0=" in manifest
+    assert manifest.count("\n") == 1 and "gamma0=state.g0.bin " in manifest
+
+
+def test_ssd_load_from_any_directory(code, tmp_path, monkeypatch):
+    # the manifest names the grids by basename, relative to the manifest itself
+    s = gauge_state(code, 62)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    save_ssd(s, "out/state")
+    for cwd, base in [("out", "state"), ("elsewhere", "../out/state"), (".", tmp_path / "out/state")]:
+        monkeypatch.chdir(tmp_path / cwd)
+        loaded = load_ssd(base)
+        assert np.array_equal(loaded.gamma[0].samples, s.gamma[0].samples)
+        assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ("alpha=1.5 gamma0=state.g0.bin gamma1 state.g1.bin\n", "key=value"),
+        ("gamma0=state.g0.bin gamma1=state.g1.bin\n", "missing alpha"),
+        ("alpha=1.5 gamma0=state.g0.bin\n", "missing gamma1"),
+        ("", "missing alpha, gamma0, gamma1"),
+    ],
+    ids=["no-equals", "no-alpha", "no-gamma1", "empty"],
+)
+def test_ssd_load_rejects_malformed_manifest(tmp_path, text, problem):
+    manifest = tmp_path / "state.manifest"
+    manifest.write_text(text)
+    with pytest.raises(ValueError, match=problem) as info:
+        load_ssd(tmp_path / "state")
+    assert str(manifest) in str(info.value)
 
 
 @pytest.mark.parametrize("alpha,nu,nv", [(0.8, 64, 128), (2.5, 128, 64)])
