@@ -244,9 +244,11 @@ def cmd_shift_array(cfg):
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     ext = ".csv" if kind == "ideal" or cfg["format"] == "csv" else ".bin"
-    for j in range(cfg["jmax"] + 1):
-        for k in range(cfg["kmax"] + 1):
-            panel = operators.apply_X(operators.apply_Z(state, k * dy), j * dx)
+    # one Z panel at a time, X-shifted for every j
+    for k in range(cfg["kmax"] + 1):
+        kicked = operators.apply_Z(state, k * dy)
+        for j in range(cfg["jmax"] + 1):
+            panel = operators.apply_X(kicked, j * dx)
             path = os.path.join(out_dir, f"panel_j{j}_k{k}{ext}")
             if kind == "ideal":
                 gridio.save_point_list_csv(panel, path)
@@ -303,6 +305,7 @@ def cmd_sweep(cfg):
         r1, r2 = stabilizer_residual(psi, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))
+        del psi  # freed before the next delta's transform
     gridio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("sweep", cfg))
     return 0

@@ -132,12 +132,7 @@ class ZakPatch:
     def __eq__(self, other):
         if not isinstance(other, ZakPatch):
             return NotImplemented
-        return (self.a, self.b, self.u_min, self.v_min) == (
-            other.a,
-            other.b,
-            other.u_min,
-            other.v_min,
-        )
+        return (self.a, self.b, self.u_min, self.v_min) == (other.a, other.b, other.u_min, other.v_min)
 
     def __hash__(self):
         return hash((self.a, self.b, self.u_min, self.v_min))
@@ -184,42 +179,38 @@ class ZakGrid:
         """Index of the (0, 0) node on a default-centered patch."""
         return (self.nu // 4, self.nv // 2)
 
-    def u_index(self, u):
-        t = (u - self.patch.u_min) / self.du
+    @staticmethod
+    def _node(name, x, start, step, count, unit):
+        t = (x - start) / step
         j = round(t)
         if abs(t - j) > NODE_TOL:
-            raise OffGridError(f"u={u!r} is not a grid node (offset {t - j:.3e} columns)")
-        if not 0 <= j < self.nu:
-            raise OffGridError(f"u={u!r} lies outside the patch")
+            raise OffGridError(f"{name}={x!r} is not a grid node (offset {t - j:.3e} {unit})")
+        if not 0 <= j < count:
+            raise OffGridError(f"{name}={x!r} lies outside the patch")
         return j
 
+    def u_index(self, u):
+        return self._node("u", u, self.patch.u_min, self.du, self.nu, "columns")
+
     def v_index(self, v):
-        t = (v - self.patch.v_min) / self.dv
-        k = round(t)
-        if abs(t - k) > NODE_TOL:
-            raise OffGridError(f"v={v!r} is not a grid node (offset {t - k:.3e} rows)")
-        if not 0 <= k < self.nv:
-            raise OffGridError(f"v={v!r} lies outside the patch")
-        return k
+        return self._node("v", v, self.patch.v_min, self.dv, self.nv, "rows")
+
+    @staticmethod
+    def _steps(t, step, name):
+        """Number of cells of width ``step`` spanned by the shift ``t`` (must be exact)."""
+        n = round(t / step)
+        if abs(t - n * step) > NODE_TOL * step:
+            raise OffGridError(
+                f"shift {t!r} is not an integer multiple of {name}={step!r}; "
+                "pass interpolate=True to allow off-grid shifts"
+            )
+        return n
 
     def u_steps(self, t):
-        """Number of columns spanned by a horizontal shift ``t`` (must be exact)."""
-        n = round(t / self.du)
-        if abs(t - n * self.du) > NODE_TOL * self.du:
-            raise OffGridError(
-                f"shift {t!r} is not an integer multiple of du={self.du!r}; "
-                "pass interpolate=True to allow off-grid shifts"
-            )
-        return n
+        return self._steps(t, self.du, "du")
 
     def v_steps(self, t):
-        n = round(t / self.dv)
-        if abs(t - n * self.dv) > NODE_TOL * self.dv:
-            raise OffGridError(
-                f"shift {t!r} is not an integer multiple of dv={self.dv!r}; "
-                "pass interpolate=True to allow off-grid shifts"
-            )
-        return n
+        return self._steps(t, self.dv, "dv")
 
     def compatible(self, other):
         return (
@@ -293,8 +284,19 @@ class ModularWavefunction:
         """Sample at a canonical point; raises OffGridError unless it is a grid node."""
         return self.samples[self.grid.u_index(u), self.grid.v_index(v)]
 
+    def _parts(self):
+        """The samples as reals, real and imaginary parts interleaved along v (a view if C-contiguous)."""
+        return np.ascontiguousarray(self.samples).view(np.float64)
+
+    def marginals(self):
+        """Sums of ``|psi|^2`` over v for each u and over u for each v, with no full-grid temporary."""
+        parts = self._parts()
+        cols = np.einsum("ij,ij->j", parts, parts)
+        return np.einsum("ij,ij->i", parts, parts), cols[0::2] + cols[1::2]
+
     def norm_squared(self):
-        return float(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_area)
+        parts = self._parts()
+        return float(np.einsum("ij,ij->i", parts, parts).sum()) * self.grid.cell_area
 
     def norm(self):
         return math.sqrt(self.norm_squared())

@@ -224,34 +224,29 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     )
 
 
-def _difference_norm(s1: IdealZakState, s2: IdealZakState):
-    keys = set(s1.points) | set(s2.points)
-    return math.sqrt(sum(abs(s1.points.get(k, 0j) - s2.points.get(k, 0j)) ** 2 for k in keys))
-
-
-def _defect_norm(psi: ModularWavefunction, phased):
-    """Norm of ``phased - psi.samples``, formed in the buffer of the new array ``phased``."""
-    phased -= psi.samples
-    weights = np.abs(phased)
-    weights **= 2
-    return math.sqrt(float(np.sum(weights)) * psi.grid.cell_area)
+def _defect(weights, theta):
+    """``||(exp(i theta) - 1) psi||`` from the weights ``|psi|^2`` at the phases ``theta``."""
+    return math.sqrt(float(np.dot(weights, 4 * np.sin(theta / 2) ** 2)))
 
 
 def stabilizer_residual(state, code: GKPCode):
     """Norms of ``(S - 1) psi`` for the two stabilizer generators.
 
     Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi dim / a)``; both
-    vanish exactly on codewords.  Ideal states use the Dirac-comb norm.
+    vanish exactly on codewords.  Both are phases in one variable and
+    ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so a grid state needs
+    only the marginals of ``|psi|^2``; ideal states use the Dirac-comb norm.
     """
     a = code.period
     tv, tu = -a, 2 * math.pi * code.dim / a
     if isinstance(state, IdealZakState):
-        r1 = _difference_norm(operators.apply_phase_v(state, tv), state)
-        r2 = _difference_norm(operators.apply_phase_u(state, tu), state)
-        return r1, r2
-    r1 = _defect_norm(state, operators._phase_v_samples(state, tv))
-    r2 = _defect_norm(state, operators._phase_u_samples(state, tu))
-    return r1, r2
+        points = np.array([p for p, _ in state.items()], dtype=float).reshape(-1, 2)
+        weights = np.array([abs(w) ** 2 for _, w in state.items()])
+        return _defect(weights, tv * points[:, 1]), _defect(weights, tu * points[:, 0])
+    grid = state.grid
+    rows, cols = state.marginals()
+    area = grid.cell_area
+    return _defect(cols * area, tv * grid.v_values()), _defect(rows * area, tu * grid.u_values())
 
 
 def _require_qubit_patch(state, code: GKPCode):
@@ -308,21 +303,44 @@ def _gram(gamma, alpha, ec_phase: bool):
 
     With ``ec_phase`` each ``gamma_l`` is first counter-rotated by
     ``exp(-i alpha l v)``, which turns the Gram matrix into the syndrome
-    average of the outer products of :func:`ec_kraus_amplitudes`.  Grid
-    components are summed by the left-Riemann rule (the correctable-patch
-    boundaries are grid-aligned); ideal components pair point masses
-    exactly, with no measure.
+    average of the outer products of :func:`ec_kraus_amplitudes`; the phase
+    cancels on the diagonal.  Grid components are summed by the left-Riemann
+    rule (the correctable-patch boundaries are grid-aligned), the diagonal
+    from the ``|psi|^2`` marginals and the cross entry in row blocks;
+    ideal components pair point masses exactly, with no measure.
     """
-    if ec_phase:
-        gamma = [operators.apply_phase_v(g, -alpha * ell) for ell, g in enumerate(gamma)]
-    mat = np.zeros((2, 2), dtype=np.complex128)
-    for ell, f in enumerate(gamma):
-        for ellp, g in enumerate(gamma):
-            if isinstance(f, IdealZakState):
-                mat[ell, ellp] = sum(w * g.value_at(u, v).conjugate() for (u, v), w in f.items())
-            else:
-                mat[ell, ellp] = (f.samples * g.samples.conj()).sum() * f.grid.cell_area
+    f, g = gamma
+    if isinstance(f, IdealZakState):
+        if ec_phase:
+            gamma = [operators.apply_phase_v(x, -alpha * ell) for ell, x in enumerate(gamma)]
+
+        def pair(x, y):
+            return sum(w * y.value_at(u, v).conjugate() for (u, v), w in x.items())
+
+        return np.array([[pair(x, y) for y in gamma] for x in gamma], dtype=np.complex128)
+    mat = np.empty((2, 2), dtype=np.complex128)
+    weight = np.exp(1j * alpha * f.grid.v_values()) if ec_phase else None
+    mat[0, 0], mat[1, 1] = f.norm_squared(), g.norm_squared()
+    mat[0, 1] = _cross_sum(f.samples, g.samples, weight) * f.grid.cell_area
+    mat[1, 0] = mat[0, 1].conjugate()
     return mat
+
+
+def _cross_sum(f, g, weight):
+    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
+
+    The products are formed in row blocks in one reused buffer of at most
+    8192 samples, and the row sums are added pairwise.
+    """
+    step = max(1, 8192 // f.shape[1])
+    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
+    rows = np.empty(len(f), dtype=np.complex128)
+    for i in range(0, len(f), step):
+        g_rows = g[i:i + step]
+        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
+        block *= f[i:i + step]
+        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
+    return rows.sum()
 
 
 def _mixture_logical(rho, gram):

@@ -85,20 +85,9 @@ def atomic_write_bytes(path, data: bytes):
 
 def save_grid_csv(psi: ModularWavefunction, path):
     grid = psi.grid
-    lines = [
-        "u_min,du,Nu,v_min,dv,Nv",
-        ",".join(
-            [
-                format_float(grid.patch.u_min),
-                format_float(grid.du),
-                str(grid.nu),
-                format_float(grid.patch.v_min),
-                format_float(grid.dv),
-                str(grid.nv),
-            ]
-        ),
-        "j,k,re,im",
-    ]
+    head = (format_float(grid.patch.u_min), format_float(grid.du), str(grid.nu),
+            format_float(grid.patch.v_min), format_float(grid.dv), str(grid.nv))
+    lines = ["u_min,du,Nu,v_min,dv,Nv", ",".join(head), "j,k,re,im"]
     samples = psi.samples
     for j in range(grid.nu):
         row = samples[j]
@@ -151,16 +140,8 @@ def load_grid_csv(path) -> ModularWavefunction:
 
 def save_grid_binary(psi: ModularWavefunction, path):
     grid = psi.grid
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        grid.nu,
-        grid.nv,
-        grid.patch.a,
-        grid.patch.b,
-        grid.patch.u_min,
-        grid.patch.v_min,
-    )
+    patch = grid.patch
+    header = _HEADER.pack(MAGIC, VERSION, grid.nu, grid.nv, patch.a, patch.b, patch.u_min, patch.v_min)
     # complex128 memory layout is exactly (re, im) f64 pairs, row-major; the
     # array is written through its buffer, with no bytes copy of the samples
     body = np.ascontiguousarray(psi.samples, dtype="<c16")
@@ -202,21 +183,9 @@ def logical_report_csv(qubit) -> str:
     """Two-line CSV report for a logical qubit."""
     r = qubit.matrix
     x, y, z = qubit.bloch
-    values = [
-        r[0, 0].real,
-        r[0, 0].imag,
-        r[0, 1].real,
-        r[0, 1].imag,
-        r[1, 0].real,
-        r[1, 0].imag,
-        r[1, 1].real,
-        r[1, 1].imag,
-        x,
-        y,
-        z,
-        qubit.purity,
-        qubit.raw_trace,
-    ]
+    # rho00, rho01, rho10, rho11 as (re, im) pairs, then the Bloch vector
+    values = [part for entry in r.ravel() for part in (entry.real, entry.imag)]
+    values += [x, y, z, qubit.purity, qubit.raw_trace]
     return LOGICAL_REPORT_COLUMNS + "\n" + ",".join(format_float(v) for v in values) + "\n"
 
 

@@ -40,78 +40,70 @@ def apply_phase_u(state, t):
     """P_U(t): multiply by ``exp(i u t)``."""
     if isinstance(state, IdealZakState):
         return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[0] * t)))
-    return state.with_samples(_frozen(_phase_u_samples(state, t)))
+    return state.with_samples(_frozen(state.samples * np.exp(1j * t * state.grid.u_values())[:, None]))
 
 
 def apply_phase_v(state, t):
     """P_V(t): multiply by ``exp(i v t)``."""
     if isinstance(state, IdealZakState):
         return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[1] * t)))
-    return state.with_samples(_frozen(_phase_v_samples(state, t)))
-
-
-def _phase_u_samples(psi: ModularWavefunction, t) -> np.ndarray:
-    """A new writeable array of ``psi``'s samples times ``exp(i u t)``."""
-    return psi.samples * np.exp(1j * t * psi.grid.u_values())[:, None]
-
-
-def _phase_v_samples(psi: ModularWavefunction, t) -> np.ndarray:
-    """A new writeable array of ``psi``'s samples times ``exp(i v t)``."""
-    return psi.samples * np.exp(1j * t * psi.grid.v_values())[None, :]
+    return state.with_samples(_frozen(state.samples * np.exp(1j * t * state.grid.v_values())[None, :]))
 
 
 def _shift_columns(psi: ModularWavefunction, n: int) -> np.ndarray:
-    """Cyclic u shift by ``n`` columns with analytic wrap phases.
+    """Cyclic u shift by ``n`` columns with analytic wrap phases, in one new array.
 
     Full-grid revolutions become the phase ``exp(-i b k v)`` in one
-    multiplication; the residual roll phases only the columns that wrap.
+    multiplication; the columns that wrap in the residual roll are written
+    already multiplied by the wrap phase ``exp(-i b v)``.
     """
-    grid = psi.grid
-    b = grid.patch.b
-    v = grid.v_values()
-    k, r = divmod(n, grid.nu)
-    out = np.roll(psi.samples, r, axis=0)
-    if r:
-        out[:r, :] *= np.exp(-1j * b * v)[None, :]
+    s, b, v = psi.samples, psi.grid.patch.b, psi.grid.v_values()
+    k, r = divmod(n, len(s))
+    out = np.empty_like(s)
+    np.multiply(s[len(s) - r:, :], np.exp(-1j * b * v)[None, :], out=out[:r, :])
+    out[r:, :] = s[:len(s) - r, :]
     if k:
         out *= np.exp(-1j * b * k * v)[None, :]
     return out
+
+
+def _kick_rows(psi: ModularWavefunction, n: int, t) -> np.ndarray:
+    """Samples rolled by ``n`` rows along v and multiplied by ``exp(i u t)``, in one new array."""
+    s, nv = psi.samples, psi.grid.nv
+    r = n % nv
+    phase = np.exp(1j * t * psi.grid.u_values())[:, None]
+    out = np.empty_like(s)
+    np.multiply(s[:, nv - r:], phase, out=out[:, :r])
+    np.multiply(s[:, :nv - r], phase, out=out[:, r:])
+    return out
+
+
+def _grid_shift(state, t, step, steps, kernel, interpolate):
+    """``kernel(steps(t))``, or off the grid with ``interpolate`` the blend of the two neighbors."""
+    if abs(t / step - round(t / step)) <= 1e-9 or not interpolate:
+        return state.with_samples(_frozen(kernel(steps(t))))
+    n0 = math.floor(t / step)
+    w = t / step - n0
+    return state.with_samples(_frozen((1 - w) * kernel(n0) + w * kernel(n0 + 1)))
 
 
 def apply_translate_u(state, t, interpolate=False):
     """T_U(t): shift the first argument by ``t`` (u-wraps cost ``exp(-i b v)``)."""
     if isinstance(state, IdealZakState):  # construction canonicalizes, wrap phase included
         return state.map_points(lambda p, w: ((p[0] + t, p[1]), w))
-
     grid = state.grid
-    exact = round(t / grid.du)
-    offset = t / grid.du - exact
-    if abs(offset) <= 1e-9 or not interpolate:
-        n = grid.u_steps(t)  # raises OffGridError when off-grid and not interpolating
-        return state.with_samples(_frozen(_shift_columns(state, n)))
-    n0 = math.floor(t / grid.du)
-    w = t / grid.du - n0
-    blended = (1 - w) * _shift_columns(state, n0) + w * _shift_columns(state, n0 + 1)
-    return state.with_samples(_frozen(blended))
+    return _grid_shift(state, t, grid.du, grid.u_steps, lambda n: _shift_columns(state, n), interpolate)
 
 
 def apply_translate_v(state, t, interpolate=False):
     """T_V(t): shift the second argument by ``t`` (v-wraps are free)."""
     if isinstance(state, IdealZakState):  # construction canonicalizes
         return state.map_points(lambda p, w: ((p[0], p[1] + t), w))
-
     grid = state.grid
-    exact = round(t / grid.dv)
-    offset = t / grid.dv - exact
-    if abs(offset) <= 1e-9 or not interpolate:
-        n = grid.v_steps(t)
-        return state.with_samples(_frozen(np.roll(state.samples, n % grid.nv, axis=1)))
-    n0 = math.floor(t / grid.dv)
-    w = t / grid.dv - n0
-    blended = (1 - w) * np.roll(state.samples, n0 % grid.nv, axis=1) + w * np.roll(
-        state.samples, (n0 + 1) % grid.nv, axis=1
+    return _grid_shift(
+        state, t, grid.dv, grid.v_steps,
+        lambda n: np.roll(state.samples, n % grid.nv, axis=1), interpolate,
     )
-    return state.with_samples(_frozen(blended))
 
 
 def apply_X(state, t, interpolate=False):
@@ -120,8 +112,11 @@ def apply_X(state, t, interpolate=False):
 
 
 def apply_Z(state, t, interpolate=False):
-    """Momentum kick ``Z(t) = P_U(t) T_V(t)`` (translation first)."""
-    return apply_phase_u(apply_translate_v(state, t, interpolate=interpolate), t)
+    """Momentum kick ``Z(t) = P_U(t) T_V(t)`` (translation first, one result array on a grid)."""
+    if isinstance(state, IdealZakState):
+        return apply_phase_u(apply_translate_v(state, t), t)
+    grid = state.grid
+    return _grid_shift(state, t, grid.dv, grid.v_steps, lambda n: _kick_rows(state, n, t), interpolate)
 
 
 def apply_phase_u_unrestricted(state: IdealZakState, t):
@@ -145,11 +140,10 @@ def modular_expectations(psi: ModularWavefunction, norm_tol=1e-8):
     Left-Riemann quadrature of ``u |psi|^2`` and ``v |psi|^2`` over the
     patch.  The state must be normalized to within ``norm_tol``.
     """
-    norm = psi.norm()
+    grid = psi.grid
+    rows, cols = psi.marginals()
+    norm = math.sqrt(float(rows.sum()) * grid.cell_area)
     if abs(norm - 1) > norm_tol:
         raise NormalizationError(norm, f"modular_expectations requires a normalized state, got norm {norm!r}")
-    grid = psi.grid
-    weights = np.abs(psi.samples) ** 2 * grid.cell_area
-    eu = float(np.sum(grid.u_values()[:, None] * weights))
-    ev = float(np.sum(grid.v_values()[None, :] * weights))
-    return eu, ev
+    area = grid.cell_area
+    return float(grid.u_values() @ rows) * area, float(grid.v_values() @ cols) * area

@@ -267,8 +267,12 @@ def save_ssd(state: SSDState, base_path):
 
     The manifest ``<base_path>.manifest`` names the grid files by basename,
     and :func:`load_ssd` looks for them next to it, so the three files can
-    be loaded from any working directory and moved together.
+    be loaded from any working directory and moved together.  The manifest
+    is space-separated, so a basename holding whitespace raises ValueError
+    before any file is written.
     """
+    if any(ch.isspace() for ch in os.path.basename(os.fspath(base_path))):
+        raise ValueError(f"SSD base name {os.fspath(base_path)!r} holds whitespace")
     paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
     for ell, path in enumerate(paths):
         gridio.save_grid_binary(state.gamma[ell], path)

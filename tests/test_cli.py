@@ -138,6 +138,24 @@ def test_shift_array_panels(tmp_path):
         )
 
 
+def test_shift_array_kicks_once_per_z_panel(tmp_path, monkeypatch):
+    # (kmax + 1) Z panels, each X-shifted for every j; the files do not depend on the order
+    from zakgkp import operators
+
+    calls = []
+    apply_z = operators.apply_Z
+    monkeypatch.setattr(operators, "apply_Z", lambda *a, **kw: calls.append(a[1]) or apply_z(*a, **kw))
+    out = tmp_path / "panels"
+    assert run("shift-array", "--state", "gkp-approx:0.3:0", "--grid", "48x48", "--format", "bin",
+               "--jmax", 2, "--kmax", 3, "--out", out) == 0
+    assert len(calls) == 4
+    assert len(list(out.glob("panel_*.bin"))) == 12
+    dy = math.pi / (2 * ALPHA)
+    kicked = operators.apply_Z(load_grid_binary(out / "panel_j0_k0.bin"), 2 * dy)
+    shifted = operators.apply_X(kicked, 2 * ALPHA / 3)
+    assert np.array_equal(load_grid_binary(out / "panel_j2_k2.bin").samples, shifted.samples)
+
+
 def test_exit_codes(tmp_path):
     out = tmp_path / "x.csv"
     assert run("zakplot", "--state", "nonsense", "--out", out) == 2

@@ -1,9 +1,11 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA
+from conftest import ALPHA, random_state
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
@@ -24,9 +26,10 @@ from zakgkp import (
     logical_from_overlap,
     stabilizer_residual,
     syndrome_reduce,
+    vacuum,
     zak_transform,
 )
-from zakgkp import ssd
+from zakgkp import gkp, ssd
 
 A = 2 * ALPHA
 
@@ -249,8 +252,9 @@ def test_ec_channel_grid_diag_matches_overlap(code, corpus_256):
     psi = corpus_256["gkp-approx:0.2:0"]
     q_ec = ec_channel_logical(psi, code)
     q_plain = logical_from_overlap(psi, code)
-    assert q_ec.matrix[0, 0] == pytest.approx(q_plain.matrix[0, 0], abs=1e-10)
-    assert q_ec.matrix[1, 1] == pytest.approx(q_plain.matrix[1, 1], abs=1e-10)
+    # the counter-rotation cancels on the diagonal: the same reduction
+    assert q_ec.matrix[0, 0] == q_plain.matrix[0, 0]
+    assert q_ec.matrix[1, 1] == q_plain.matrix[1, 1]
 
 
 def test_monotone_fidelity_and_purity(code):
@@ -359,3 +363,97 @@ def test_stabilizers_commute_and_fix_codewords(code, grid64):
         word = codeword(code, ell)
         assert X(word, sx).value_at(ALPHA * ell, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert Z(word, sz).value_at(ALPHA * ell, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- quadratic statistics against their direct formulas -----------------------
+
+
+def _reference_gram(psi, code, ec_phase):
+    """Per-entry ``sum f conj(g) du dv`` of the (counter-rotated) half columns."""
+    half, v = psi.grid.nu // 2, psi.grid.v_values()
+    gamma = [psi.samples[:half], psi.samples[half:]]
+    if ec_phase:
+        gamma = [g * np.exp(-1j * ALPHA * ell * v)[None, :] for ell, g in enumerate(gamma)]
+    return np.array(
+        [[np.sum(f * g.conj()) * psi.grid.cell_area for g in gamma] for f in gamma]
+    )
+
+
+def _statistics_corpus(code):
+    for n in (64, 256):
+        grid = code.grid(n, n)
+        for name, descriptor in [
+            ("vacuum", vacuum()),
+            ("displaced vacuum", vacuum(offset=0.7)),
+            ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
+        ]:
+            yield f"{name} {n}x{n}", zak_transform(descriptor, grid, 16)
+
+
+@pytest.mark.parametrize("ec_phase", [False, True], ids=["plain", "ec"])
+def test_gram_matches_per_entry_products(code, ec_phase):
+    for label, psi in _statistics_corpus(code):
+        gram = gkp._gram(gkp._sectors(psi, code), ALPHA, ec_phase)
+        reference = _reference_gram(psi, code, ec_phase)
+        err = np.max(np.abs(gram - reference))
+        assert err <= 1e-15 * np.max(np.abs(reference)), label
+        # the counter-rotation cancels on the diagonal, which is real
+        assert np.array_equal(np.diag(gram).imag, [0.0, 0.0]), label
+
+
+def test_ec_gram_diagonal_equals_plain_diagonal(code):
+    for label, psi in _statistics_corpus(code):
+        sectors = gkp._sectors(psi, code)
+        plain = gkp._gram(sectors, ALPHA, ec_phase=False)
+        ec = gkp._gram(sectors, ALPHA, ec_phase=True)
+        assert np.array_equal(np.diag(plain), np.diag(ec)), label
+        assert ec[1, 0] == ec[0, 1].conjugate() and plain[1, 0] == plain[0, 1].conjugate()
+
+
+def test_residuals_match_phased_differences(code):
+    grid = code.grid(48, 80)  # non-square, so a swapped marginal cannot line up
+    states = list(_statistics_corpus(code)) + [("random 48x80", random_state(grid, 5))]
+    for label, psi in states:
+        area = psi.grid.cell_area
+        phases = (
+            np.exp(-1j * A * psi.grid.v_values())[None, :],
+            np.exp(2j * math.pi * 2 / A * psi.grid.u_values())[:, None],
+        )
+        for got, phase in zip(stabilizer_residual(psi, code), phases):
+            expected = math.sqrt(np.sum(np.abs(phase * psi.samples - psi.samples) ** 2) * area)
+            assert abs(got - expected) <= 1e-15 * expected, label
+
+
+def test_ideal_residuals_match_phased_differences(code):
+    state = IdealZakState(code.full_patch(), {(0.3, -0.4): 0.6, (-0.2, 0.9): 0.8j, (1.1, 0.1): 0.5})
+    for got, (axis, t) in zip(stabilizer_residual(state, code), ((1, -A), (0, 2 * math.pi * 2 / A))):
+        expected = math.sqrt(sum(abs(w * cmath.exp(1j * t * p[axis]) - w) ** 2 for p, w in state.items()))
+        assert got == pytest.approx(expected, rel=1e-14)
+
+
+def _peak_multiple(fn, nbytes):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gauge_trace", "logical_from_overlap", "ec_gauge_trace", "ec_channel_logical", "stabilizer_residual"],
+)
+def test_quadratic_statistics_form_no_grid_temporary(code, name):
+    # the Gram entries and the residuals are reductions: no full-grid copy
+    psi = random_state(code.grid(512, 512), 63)
+    s = ssd.to_ssd(psi, code)
+    calls = {
+        "gauge_trace": lambda: ssd.gauge_trace(s),
+        "logical_from_overlap": lambda: logical_from_overlap(psi, code),
+        "ec_gauge_trace": lambda: ssd.ec_gauge_trace(s),
+        "ec_channel_logical": lambda: ec_channel_logical(psi, code),
+        "stabilizer_residual": lambda: stabilizer_residual(psi, code),
+    }
+    assert _peak_multiple(calls[name], psi.samples.nbytes) <= 0.05

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,3 +304,54 @@ def test_translate_v_interpolation_blend(grid64):
     half = apply_translate_v(psi, 0.5 * grid64.dv, interpolate=True)
     blend = 0.5 * (psi.samples + apply_translate_v(psi, grid64.dv).samples)
     assert np.allclose(half.samples, blend, atol=1e-15)
+
+
+# --- the shift kernels against roll-then-phase ---------------------------------
+
+
+def _shift_counts(n):
+    return [0, 1, -1, n - 1, -(n - 1), n, -n, 3 * n + 5, -(2 * n + 3)]
+
+
+def test_z_is_roll_then_phase_bit_for_bit(code):
+    grid = code.grid(24, 40)
+    psi = random_state(grid, 91)
+    u = grid.u_values()
+    for m in _shift_counts(grid.nv):
+        t = m * grid.dv
+        expected = np.roll(psi.samples, m % grid.nv, axis=1) * np.exp(1j * t * u)[:, None]
+        assert np.array_equal(apply_Z(psi, t).samples, expected), m
+
+
+def test_x_is_roll_then_wrap_phase_bit_for_bit(code):
+    grid = code.grid(24, 40)
+    psi = random_state(grid, 92)
+    b, v = grid.patch.b, grid.v_values()
+    for m in _shift_counts(grid.nu):
+        k, r = divmod(m, grid.nu)
+        expected = np.roll(psi.samples, r, axis=0)
+        if r:
+            expected[:r, :] *= np.exp(-1j * b * v)[None, :]
+        if k:
+            expected *= np.exp(-1j * b * k * v)[None, :]
+        assert np.array_equal(apply_X(psi, m * grid.du).samples, expected), m
+
+
+def test_z_interpolation_is_the_phased_translation_blend(grid64):
+    psi = random_state(grid64, 17)
+    t = 2.25 * grid64.dv
+    kicked = apply_Z(psi, t, interpolate=True)
+    blend = apply_phase_u(apply_translate_v(psi, t, interpolate=True), t)
+    assert np.allclose(kicked.samples, blend.samples, rtol=0, atol=1e-15)
+
+
+def test_apply_z_allocates_only_its_result(code):
+    psi = random_state(code.grid(512, 512), 93)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kicked = apply_Z(psi, -5 * psi.grid.dv)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * kicked.samples.nbytes

@@ -255,6 +255,23 @@ def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
     assert peak <= 2.2 * nbytes
 
 
+@pytest.mark.parametrize("steps", [3, -5, 700])
+def test_apply_z_ssd_allocates_little_beyond_its_result(code, steps):
+    # the full-mode copy and the kicked result, phased as it is written
+    grid = code.grid(512, 512)
+    s = to_ssd(random_state(grid, 64), code)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kicked = apply_Z_ssd(s, steps * grid.dv)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    nbytes = 512 * 512 * 16
+    assert kicked.gamma[0].samples.nbytes + kicked.gamma[1].samples.nbytes == nbytes
+    assert peak <= 2.2 * nbytes
+
+
 def test_small_shift_law_is_exact(code, grid64):
     # X(u~) Z(v~) (|l> (x) |0,0>) = exp(i alpha l v~) |l> (x) |u~, v~>
     ut, vt = grid64.u_values()[25], grid64.v_values()[45]
@@ -379,6 +396,19 @@ def test_ssd_save_load_roundtrip(code, tmp_path):
     assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
     manifest = (tmp_path / "state.manifest").read_text()
     assert manifest.count("\n") == 1 and "gamma0=state.g0.bin " in manifest
+
+
+def test_ssd_save_rejects_whitespace_base_name(code, tmp_path):
+    # the manifest is space-separated, so such a name could not be loaded back
+    s = gauge_state(code, 65)
+    for name in ("my state", "tab\tstate", "line\nstate"):
+        with pytest.raises(ValueError, match="whitespace") as err:
+            save_ssd(s, tmp_path / name)
+        assert repr(str(tmp_path / name)) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+    save_ssd(s, tmp_path / "my_state-1.v2")
+    loaded = load_ssd(tmp_path / "my_state-1.v2")
+    assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
 
 
 def test_ssd_load_from_any_directory(code, tmp_path, monkeypatch):
