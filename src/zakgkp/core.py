@@ -669,7 +669,24 @@ def inner_product(phi: ModularWavefunction, psi: ModularWavefunction) -> complex
     """Patch inner product ``<phi|psi>`` (conjugate on the first argument)."""
     if not phi.grid.compatible(psi.grid):
         raise GridMismatchError(f"grids differ: {phi.grid!r} vs {psi.grid!r}")
-    return complex(np.vdot(phi.samples, psi.samples) * phi.grid.cell_area)
+    return complex(_cross_sum(psi.samples, phi.samples, None) * phi.grid.cell_area)
+
+
+def _cross_sum(f, g, weight):
+    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
+
+    The products are formed in row blocks in one reused buffer of at most
+    8192 samples, and the row sums are added pairwise.
+    """
+    step = max(1, 8192 // f.shape[1])
+    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
+    rows = np.empty(len(f), dtype=np.complex128)
+    for i in range(0, len(f), step):
+        g_rows = g[i:i + step]
+        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
+        block *= f[i:i + step]
+        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
+    return rows.sum()
 
 
 def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:

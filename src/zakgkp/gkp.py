@@ -32,6 +32,7 @@ from .core import (
     ModularWavefunction,
     ZakGrid,
     ZakPatch,
+    _cross_sum,
     _finite,
     gaussian_comb,
 )
@@ -324,23 +325,6 @@ def _gram(gamma, alpha, ec_phase: bool):
     mat[0, 1] = _cross_sum(f.samples, g.samples, weight) * f.grid.cell_area
     mat[1, 0] = mat[0, 1].conjugate()
     return mat
-
-
-def _cross_sum(f, g, weight):
-    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
-
-    The products are formed in row blocks in one reused buffer of at most
-    8192 samples, and the row sums are added pairwise.
-    """
-    step = max(1, 8192 // f.shape[1])
-    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
-    rows = np.empty(len(f), dtype=np.complex128)
-    for i in range(0, len(f), step):
-        g_rows = g[i:i + step]
-        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
-        block *= f[i:i + step]
-        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
-    return rows.sum()
 
 
 def _mixture_logical(rho, gram):

@@ -118,6 +118,9 @@ def to_ssd(state, code: GKPCode | None = None):
 def from_ssd(state):
     """Inverse change of basis back to the full mode.
 
+    Grid components that are the top and bottom halves of one array (the
+    ``to_ssd`` split of a computed state, any SSD shift result) give a state
+    that adopts that array without a copy; others are stacked into a new one.
     For ideal states whose gauge points were supplied outside the gauge
     patch, canonicalization at construction already folded in the
     ``exp(-i 2 alpha n v)`` wrap phases, so this composition realizes the
@@ -133,8 +136,14 @@ def from_ssd(state):
 
     gauge_grid = state.gauge_grid
     full_grid = code.grid(2 * gauge_grid.nu, gauge_grid.nv)
-    samples = np.vstack([state.gamma[0].samples, state.gamma[1].samples])
-    return ModularWavefunction(full_grid, _frozen(samples))
+    top, bottom = (gamma.samples for gamma in state.gamma)
+    parent, half = top.base, gauge_grid.nu
+    if isinstance(parent, np.ndarray) and all(
+        view.__array_interface__ == part.__array_interface__
+        for view, part in zip((top, bottom), (parent[:half], parent[half:]))
+    ):
+        return ModularWavefunction(full_grid, parent)
+    return ModularWavefunction(full_grid, _frozen(np.vstack([top, bottom])))
 
 
 def gauge_trace(rho) -> LogicalQubit:
@@ -201,21 +210,24 @@ def pp_bridge(state: SSDState) -> PPGaugeModes:
 
     and the series over ``m_values = -nv/2 .. nv/2-1`` is one length-nv DFT
     per gauge column: O(nv log nv) per column, frequency ``m`` read from
-    FFT bin ``m mod nv``.  ``coeffs[l]`` is C-contiguous ``(nv, nu)``.
+    FFT bin ``m mod nv``.  ``coeffs[l]`` is C-contiguous ``(nv, nu)``: the
+    DFT fills a scratch array in bin order, whose two row halves are
+    weighted into ``coeffs[l]`` swapped, in ``m`` order.
     """
     code = state.code
     grid = state.gauge_grid
-    m = np.arange(-grid.nv // 2, grid.nv // 2)
-    weights = (
-        math.sqrt(code.alpha / math.pi)
-        * grid.dv
-        * np.exp(-1j * grid.patch.b * grid.patch.v_min * m)
-    )
-    bins = m % grid.nv
+    half = grid.nv // 2
+    m = np.arange(-half, half)
+    scale = math.sqrt(code.alpha / math.pi) * grid.dv
+    weights = scale * np.exp(-1j * grid.patch.b * grid.patch.v_min * m)
+    spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)
     coeffs = []
     for gamma in state.gamma:
-        coeff = np.fft.fft(gamma.samples, axis=1).T.take(bins, axis=0)
-        coeff *= weights[:, None]
+        np.fft.fft(gamma.samples, axis=1, out=spectrum.T)
+        coeff = np.empty_like(spectrum)
+        # bins half.. hold m = -nv/2 .. -1, bins ..half hold m = 0 .. nv/2-1
+        np.multiply(spectrum[half:], weights[:half, None], out=coeff[:half])
+        np.multiply(spectrum[:half], weights[half:, None], out=coeff[half:])
         coeffs.append(coeff)
     return PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=tuple(coeffs))
 
@@ -229,8 +241,9 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     ``m mod nv`` and one unnormalized length-nv inverse DFT per gauge column
     gives the samples, O(nv log nv) per column.  Any integer ``m_values``
     is accepted, including repeats and values outside ``[-nv/2, nv/2)``;
-    the result equals the direct sum over ``m``.  Samples are C-contiguous
-    ``(nu, nv)``.
+    the result equals the direct sum over ``m``.  The bins fill a scratch
+    ``(nv, nu)`` array, whose inverse DFT is written straight into the
+    samples, C-contiguous ``(nu, nv)``.
     """
     code = modes.code
     grid = modes.gauge_grid
@@ -239,26 +252,22 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
         raise ValueError(f"m_values must be a 1-d integer array, got {m.dtype} {m.shape}")
     # the same phase argument as in pp_bridge, so the factors are exact conjugates
     weights = math.sqrt(code.alpha / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
-    bins = m % grid.nv
-    # rows with pairwise distinct bins, so that each layer is one scatter-add;
-    # pp_bridge's m_values make a single layer
-    layers = []
-    pending = np.arange(m.size)
-    while pending.size:
-        first = np.unique(bins[pending], return_index=True)[1]
-        layers.append(pending[first])
-        pending = np.delete(pending, first)
+    half = grid.nv // 2
+    swap = np.array_equal(m, np.arange(-half, half))
+    spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)
     gammas = []
     for coeff in modes.coeffs:
         if coeff.shape != (m.size, grid.nu):
             raise ValueError(f"coeffs shape {coeff.shape} does not match ({m.size}, {grid.nu})")
-        terms = coeff * weights[:, None]
-        folded = np.zeros((grid.nv, grid.nu), dtype=np.complex128)
-        for rows in layers:
-            folded[bins[rows]] += terms[rows]
-        gammas.append(ModularWavefunction(
-            grid, _frozen(np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward"))
-        ))
+        if swap:  # pp_bridge's own m_values: one weighted write per row half
+            np.multiply(coeff[:half], weights[:half, None], out=spectrum[half:])
+            np.multiply(coeff[half:], weights[half:, None], out=spectrum[:half])
+        else:  # rows are added in order, so repeats fold as the direct sum does
+            spectrum.fill(0)
+            np.add.at(spectrum, m % grid.nv, coeff * weights[:, None])
+        samples = np.empty((grid.nu, grid.nv), dtype=np.complex128)
+        np.fft.ifft(spectrum, axis=0, norm="forward", out=samples.T)
+        gammas.append(ModularWavefunction(grid, _frozen(samples)))
     return SSDState(code, gammas[0], gammas[1])
 
 

@@ -12,6 +12,7 @@ from zakgkp import (
     IdealZakState,
     ModularWavefunction,
     OffGridError,
+    SSDState,
     TruncationError,
     ZakGrid,
     ZakPatch,
@@ -158,6 +159,23 @@ def test_inner_product_overlap_of_displaced_vacua(code):
     assert overlap == pytest.approx(math.exp(-(A**2) / 4), abs=1e-9)
     assert inner_product(psi0, psi0) == pytest.approx(1.0, abs=1e-9)
     assert inner_product(psi1, psi0) == pytest.approx(overlap.conjugate(), abs=1e-12)
+
+
+def exact_inner_product(phi, psi):
+    """``<phi|psi>`` from math.fsum of the real products, exact up to their rounding."""
+    a, b = phi.samples.ravel(), psi.samples.ravel()
+    re = math.fsum(np.concatenate([a.real * b.real, a.imag * b.imag]))
+    im = math.fsum(np.concatenate([a.real * b.imag, -a.imag * b.real]))
+    return complex(re, im) * psi.grid.cell_area
+
+
+def test_inner_product_matches_exact_sum(code):
+    # a sequential sum (BLAS zdotc) drifts by more than 1e-15 already at 256x256
+    grid = code.grid(256, 256)
+    psi = zak_transform(approx_codeword(code, 0, 0.1), grid, 16)
+    for phi in (psi, apply_X(psi, 5 * grid.du)):
+        exact = exact_inner_product(phi, psi)
+        assert abs(inner_product(phi, psi) - exact) <= 1e-15 * abs(exact)
 
 
 def test_inner_product_grid_mismatch(code, vac64):
@@ -391,7 +409,37 @@ def test_to_ssd_shares_memory_with_the_state(code):
     split = to_ssd(psi, code)
     for gamma in split.gamma:
         assert np.shares_memory(gamma.samples, psi.samples)
-    assert np.array_equal(from_ssd(split).samples, psi.samples)
+    # and from_ssd adopts the array whose halves they are
+    back = from_ssd(split)
+    assert np.shares_memory(back.samples, psi.samples)
+    assert not back.samples.flags.writeable
+    assert np.array_equal(back.samples, psi.samples)
+
+
+def test_from_ssd_copies_components_it_cannot_adopt(code):
+    gauge = code.gauge_grid(32, 64)
+    rng = np.random.default_rng(23)
+    raw = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    # independent frozen arrays, one half of a split beside an independent
+    # array, a split's halves in swapped order, and one half twice
+    top, bottom = np.array(raw[:32]), np.array(raw[32:])
+    top.flags.writeable = bottom.flags.writeable = False
+    psi = ModularWavefunction(code.grid(64, 64), raw)
+    split = [gamma.samples for gamma in to_ssd(psi, code).gamma]
+    cases = [(top, bottom), (split[0], bottom), (top, split[1]), split[::-1], [split[1]] * 2]
+    for first, second in cases:
+        gamma = [ModularWavefunction(gauge, half) for half in (first, second)]
+        back = from_ssd(SSDState(code, *gamma))
+        assert np.array_equal(back.samples, np.vstack([first, second]))
+        assert not any(np.shares_memory(back.samples, half) for half in (first, second))
+    # the halves of a caller's writeable array, even behind a read-only view, are never adopted
+    view = raw.view()
+    view.flags.writeable = False
+    for parent in (raw, view):
+        gamma = [ModularWavefunction(gauge, half) for half in (parent[:32], parent[32:])]
+        back = from_ssd(SSDState(code, *gamma))
+        assert not np.shares_memory(back.samples, raw)
+        assert np.array_equal(back.samples, raw)
 
 
 def test_zak_transform_allocates_little_beyond_its_result(code):

@@ -238,38 +238,45 @@ def test_ssd_shifts_match_full_mode_route_ideal(code, grid64):
             assert via_ssd.value_at(*point) == pytest.approx(w, abs=1e-10)
 
 
-@pytest.mark.parametrize("steps", [3, -5, 300])
-def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
-    # a shift within one period costs the full-mode copy and the shifted result
-    grid = code.grid(512, 512)
-    s = to_ssd(random_state(grid, 61), code)
+def allocation_peak(f):
+    """``f()`` and the peak of the memory it allocated, as tracemalloc counts it."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        shifted = apply_X_ssd(s, steps * grid.du)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def test_from_ssd_of_a_split_allocates_nothing(code):
+    psi = random_state(code.grid(512, 512), 62)
+    split = to_ssd(psi, code)
+    back, peak = allocation_peak(lambda: from_ssd(split))
+    assert np.array_equal(back.samples, psi.samples)
+    assert peak <= 0.01 * psi.samples.nbytes
+
+
+@pytest.mark.parametrize("steps", [3, -5, 300])
+def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
+    # the full mode is the split's own array, so only the shifted result is new
+    grid = code.grid(512, 512)
+    s = to_ssd(random_state(grid, 61), code)
+    shifted, peak = allocation_peak(lambda: apply_X_ssd(s, steps * grid.du))
     nbytes = 512 * 512 * 16
     assert shifted.gamma[0].samples.nbytes + shifted.gamma[1].samples.nbytes == nbytes
-    assert peak <= 2.2 * nbytes
+    assert peak <= 1.1 * nbytes
 
 
 @pytest.mark.parametrize("steps", [3, -5, 700])
 def test_apply_z_ssd_allocates_little_beyond_its_result(code, steps):
-    # the full-mode copy and the kicked result, phased as it is written
+    # only the kicked result, phased as it is written
     grid = code.grid(512, 512)
     s = to_ssd(random_state(grid, 64), code)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        kicked = apply_Z_ssd(s, steps * grid.dv)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    kicked, peak = allocation_peak(lambda: apply_Z_ssd(s, steps * grid.dv))
     nbytes = 512 * 512 * 16
     assert kicked.gamma[0].samples.nbytes + kicked.gamma[1].samples.nbytes == nbytes
-    assert peak <= 2.2 * nbytes
+    assert peak <= 1.2 * nbytes
 
 
 def test_small_shift_law_is_exact(code, grid64):
@@ -381,6 +388,76 @@ def test_pp_bridge_inverse_folds_aliased_frequencies(code):
         assert_close_relative(gamma.samples, want)
     with pytest.raises(ValueError, match="integer"):
         pp_bridge_inverse(dataclasses.replace(modes, m_values=m + 0.5))
+
+
+def gather_analysis(state):
+    """Reference pp_bridge: the FFT transposed, gathered into m order, then weighted."""
+    grid = state.gauge_grid
+    m = np.arange(-grid.nv // 2, grid.nv // 2)
+    weights = (
+        math.sqrt(ALPHA / math.pi) * grid.dv * np.exp(-1j * grid.patch.b * grid.patch.v_min * m)
+    )
+    coeffs = []
+    for gamma in state.gamma:
+        coeff = np.fft.fft(gamma.samples, axis=1).T.take(m % grid.nv, axis=0)
+        coeff *= weights[:, None]
+        coeffs.append(coeff)
+    return coeffs
+
+
+def layered_synthesis(modes):
+    """Reference pp_bridge_inverse: layered scatter-add into zeroed bins, then the ifft.
+
+    Each layer holds rows with pairwise distinct bins; the folded bins are
+    transposed into a contiguous copy before the ifft along v.
+    """
+    grid, m = modes.gauge_grid, modes.m_values
+    weights = math.sqrt(ALPHA / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
+    bins = m % grid.nv
+    layers, pending = [], np.arange(m.size)
+    while pending.size:
+        first = np.unique(bins[pending], return_index=True)[1]
+        layers.append(pending[first])
+        pending = np.delete(pending, first)
+    samples = []
+    for coeff in modes.coeffs:
+        terms = coeff * weights[:, None]
+        folded = np.zeros((grid.nv, grid.nu), dtype=np.complex128)
+        for rows in layers:
+            folded[bins[rows]] += terms[rows]
+        samples.append(np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward"))
+    return samples
+
+
+@pytest.mark.parametrize("nu,nv", [(64, 64), (96, 90), (512, 512)])
+def test_pp_bridge_is_bitwise_the_reference_formulas(code, nu, nv):
+    s = gauge_state(code, 58, nu, nv)
+    modes = pp_bridge(s)
+    for got, want in zip(modes.coeffs, gather_analysis(s)):
+        assert np.array_equal(got, want)
+    # pp_bridge's own m_values, then repeated and aliased ones
+    m = np.array([-nv // 2 - nv, -3, 0, 1, 1, 7 + nv, nv // 2 - 1, 2 * nv, -nv, 1])
+    rng = np.random.default_rng(59)
+    coeffs = tuple(
+        rng.normal(size=(m.size, nu // 2)) + 1j * rng.normal(size=(m.size, nu // 2))
+        for _ in (0, 1)
+    )
+    for modes in (modes, dataclasses.replace(modes, m_values=m, coeffs=coeffs)):
+        back = pp_bridge_inverse(modes)
+        for gamma, want in zip(back.gamma, layered_synthesis(modes)):
+            assert np.array_equal(gamma.samples, want)
+
+
+def test_pp_bridge_allocates_little_beyond_its_result(code):
+    # each direction: its result plus one component's scratch spectrum
+    s = to_ssd(random_state(code.grid(512, 512), 63), code)
+    nbytes = 512 * 512 * 16
+    modes, peak = allocation_peak(lambda: pp_bridge(s))
+    assert sum(coeff.nbytes for coeff in modes.coeffs) == nbytes
+    assert peak <= 1.6 * nbytes
+    back, peak = allocation_peak(lambda: pp_bridge_inverse(modes))
+    assert back.gamma[0].samples.nbytes + back.gamma[1].samples.nbytes == nbytes
+    assert peak <= 1.6 * nbytes
 
 
 # --- export -------------------------------------------------------------------
