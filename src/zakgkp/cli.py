@@ -163,29 +163,40 @@ def _load_table(path):
     return tabulated(np.array(xs), np.array(values))
 
 
+def _parse_state(spec):
+    """``(ell, delta)`` of a checked state spec: the codeword index it targets
+    (0 for vacuum and tabulated) and, for gkp-approx only, its delta."""
+    if spec in ("gkp0", "gkp1"):
+        return int(spec[-1]), None
+    if spec == "vacuum" or spec.startswith("tabulated:"):
+        return 0, None
+    if not spec.startswith("gkp-approx:"):
+        raise ConfigError(f"unknown state spec {spec!r}")
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL")
+    try:
+        delta, ell = float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL") from exc
+    if ell not in (0, 1) or not 0 < delta < math.inf:
+        raise ConfigError(f"state {spec!r} needs a finite delta > 0 and ell in {{0, 1}}")
+    return ell, delta
+
+
 def _build_state(cfg, code):
     """Returns ('ideal', IdealZakState) or ('grid', ModularWavefunction)."""
     spec = cfg["state"]
+    ell, delta = _parse_state(spec)
     if spec in ("gkp0", "gkp1"):
-        return "ideal", codeword(code, int(spec[-1]))
+        return "ideal", codeword(code, ell)
     grid = code.grid(cfg["nu"], cfg["nv"])
-    if spec == "vacuum":
-        descriptor = vacuum()
-    elif spec.startswith("gkp-approx:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL")
-        try:
-            delta, ell = float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL") from exc
-        if ell not in (0, 1) or not 0 < delta < math.inf:
-            raise ConfigError(f"state {spec!r} needs a finite delta > 0 and ell in {{0, 1}}")
+    if delta is not None:
         descriptor = approx_codeword(code, ell, delta)
-    elif spec.startswith("tabulated:"):
-        descriptor = _load_table(spec.split(":", 1)[1])
+    elif spec == "vacuum":
+        descriptor = vacuum()
     else:
-        raise ConfigError(f"unknown state spec {spec!r}")
+        descriptor = _load_table(spec.split(":", 1)[1])
     return "grid", zak_transform(descriptor, grid, cfg["mmax"])
 
 
@@ -279,16 +290,7 @@ def cmd_logical(cfg):
 
 def cmd_sweep(cfg):
     code = GKPCode(alpha=cfg["alpha"])
-    spec = cfg["state"]
-    if spec in ("gkp0", "gkp1"):
-        target = int(spec[-1])
-    elif spec.startswith("gkp-approx:"):
-        parts = spec.split(":")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL")
-        target = int(parts[2])
-    else:
-        target = 0
+    target, _ = _parse_state(cfg["state"])
     try:
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
     except ValueError as exc:

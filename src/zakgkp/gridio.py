@@ -102,24 +102,28 @@ def load_grid_csv(path) -> ModularWavefunction:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "u_min,du,Nu,v_min,dv,Nv":
-            raise ValueError(f"unrecognized grid CSV header: {header!r}")
-        u_min, du, nu, v_min, dv, nv = fh.readline().strip().split(",")
-        nu, nv = int(nu), int(nv)
-        du, dv, u_min, v_min = float(du), float(dv), float(u_min), float(v_min)
-        patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
-        grid = ZakGrid(patch, nu, nv)
+            raise ValueError(f"{path}: unrecognized grid CSV header: {header!r}")
+        grid_line = fh.readline().strip()
+        try:
+            u_min, du, nu, v_min, dv, nv = grid_line.split(",")
+            nu, nv = int(nu), int(nv)
+            du, dv, u_min, v_min = float(du), float(dv), float(u_min), float(v_min)
+            patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
+            grid = ZakGrid(patch, nu, nv)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}: bad grid line {grid_line!r}: {exc}") from None
         if fh.readline().strip() != "j,k,re,im":
-            raise ValueError("missing j,k,re,im data header")
+            raise ValueError(f"{path}: missing j,k,re,im data header")
         # row-major slots; None marks a sample no row has supplied yet
         values = [None] * (nu * nv)
         for line in fh:
             try:
                 j, k, re, im = line.split(",")
+                j, k, value = int(j), int(k), complex(float(re), float(im))
             except ValueError:
                 if line.strip():
                     raise ValueError(f"{path}: expected j,k,re,im, got {line!r}") from None
                 continue
-            j, k = int(j), int(k)
             if not (0 <= j < nu and 0 <= k < nv):
                 raise ValueError(
                     f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid"
@@ -127,7 +131,7 @@ def load_grid_csv(path) -> ModularWavefunction:
             i = j * nv + k
             if values[i] is not None:
                 raise ValueError(f"{path}: sample ({j}, {k}) appears more than once")
-            values[i] = complex(float(re), float(im))
+            values[i] = value
     missing = values.count(None)
     if missing:
         first = values.index(None)

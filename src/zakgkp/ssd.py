@@ -50,100 +50,84 @@ __all__ = [
 
 
 class SSDState:
-    """Pure state as a pair of gauge wavefunctions labeled by the logical index."""
+    """Pure state in the (qubit) x (gauge mode) tensor-product structure.
 
-    __slots__ = ("code", "gamma")
+    The SSD is a new tensor-product structure on the same Hilbert space, so
+    the state is its full-mode state ``mode`` (a ModularWavefunction or an
+    IdealZakState); ``gamma = gkp._sectors(mode, code)``, views of a grid
+    mode's samples or an ideal mode's points moved onto the gauge patch.
+    ``SSDState(code, gamma0, gamma1)`` joins two separate components into a
+    new mode: a grid pair is stacked, an ideal pair's points are placed at
+    ``(u + alpha*l, v)``.  :func:`to_ssd` wraps a mode without a copy.
+    """
 
-    def __init__(self, code: GKPCode, gamma0: ModularWavefunction, gamma1: ModularWavefunction):
-        if not gamma0.grid.compatible(gamma1.grid):
-            raise GridMismatchError("gauge components live on different grids")
-        if not gamma0.grid.patch.approx_equal(code.gauge_patch()):
-            raise GridMismatchError("gauge grid does not match the code's gauge patch")
-        self.code = code
-        self.gamma = (gamma0, gamma1)
+    __slots__ = ("code", "mode", "gamma")
+
+    def __init__(self, code: GKPCode, gamma0, gamma1):
+        if type(gamma0) is not type(gamma1):
+            raise TypeError("gauge components must both be grid states or both ideal states")
+        patch = code.gauge_patch()
+        if not (gamma0.patch.approx_equal(patch) and gamma1.patch.approx_equal(patch)):
+            raise GridMismatchError("gauge component does not live on the code's gauge patch")
+        if isinstance(gamma0, IdealZakState):
+            points = [((u + code.alpha * ell, v), w)
+                      for ell, gamma in enumerate((gamma0, gamma1)) for (u, v), w in gamma.items()]
+            mode = IdealZakState(code.full_patch(), points)
+        else:
+            if not gamma0.grid.compatible(gamma1.grid):
+                raise GridMismatchError("gauge components live on different grids")
+            grid = code.grid(2 * gamma0.grid.nu, gamma0.grid.nv)
+            mode = ModularWavefunction(grid, _frozen(np.vstack([gamma0.samples, gamma1.samples])))
+        self._wrap(code, mode)
+
+    def _wrap(self, code, mode):
+        self.code, self.mode, self.gamma = code, mode, _sectors(mode, code)
 
     @property
     def gauge_grid(self) -> ZakGrid:
         return self.gamma[0].grid
 
-    def norm_squared(self):
-        return self.gamma[0].norm_squared() + self.gamma[1].norm_squared()
-
-    def norm(self):
-        return math.sqrt(self.norm_squared())
-
-
-class IdealSSDState:
-    """Ideal variant: one IdealZakState per logical index on the gauge patch.
-
-    Gauge coordinates are canonicalized into the gauge patch on
-    construction, wrapping with the gauge quasi-periodicity phase
-    ``exp(-i 2 alpha n v)``.  ``points`` holds the two sectors' point dicts.
-    """
-
-    __slots__ = ("code", "gamma")
-
-    def __init__(self, code: GKPCode, points0, points1):
-        patch = code.gauge_patch()
-        self.code = code
-        self.gamma = (IdealZakState(patch, points0), IdealZakState(patch, points1))
-
     @property
     def points(self):
+        """The point dicts of an ideal state's two gauge components."""
         return (self.gamma[0].points, self.gamma[1].points)
 
     def norm_squared(self):
-        return self.gamma[0].norm_squared() + self.gamma[1].norm_squared()
+        return self.mode.norm_squared()
 
     def norm(self):
-        return math.sqrt(self.norm_squared())
+        return self.mode.norm()
 
 
-def to_ssd(state, code: GKPCode | None = None):
+class IdealSSDState(SSDState):
+    """An ideal SSD state from its gauge components' point dicts, canonicalized into
+    the gauge patch with the wrap phase ``exp(-i 2 alpha n v)``."""
+
+    __slots__ = ()
+
+    def __init__(self, code: GKPCode, points0, points1):
+        patch = code.gauge_patch()
+        super().__init__(code, IdealZakState(patch, points0), IdealZakState(patch, points1))
+
+
+def to_ssd(state, code: GKPCode | None = None) -> SSDState:
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
-    Grid states split into left/right half columns re-indexed onto the
-    gauge patch (no phases; the unphased form of the change of basis); the
-    gauge components are views of the state's samples, not copies.  Ideal
-    states split their point masses by sector.
+    The result wraps ``state`` without a copy.  Its gauge components are
+    the unphased split: a grid state's left and right half columns (views
+    of its samples) re-indexed onto the gauge patch, an ideal state's
+    point masses by sector.
     """
     if code is None:
         code = GKPCode(alpha=state.patch.a / 2)
-    gamma = _sectors(state, code)
-    if isinstance(state, IdealZakState):
-        return IdealSSDState(code, *gamma)
-    return SSDState(code, *gamma)
+    split = SSDState.__new__(SSDState)
+    split._wrap(code, state)
+    return split
 
 
-def from_ssd(state):
-    """Inverse change of basis back to the full mode.
-
-    Grid components that are the top and bottom halves of one array (the
-    ``to_ssd`` split of a computed state, any SSD shift result) give a state
-    that adopts that array without a copy; others are stacked into a new one.
-    For ideal states whose gauge points were supplied outside the gauge
-    patch, canonicalization at construction already folded in the
-    ``exp(-i 2 alpha n v)`` wrap phases, so this composition realizes the
-    phased alternate form of the change of basis as well.
-    """
-    code = state.code
-    if isinstance(state, IdealSSDState):
-        points = []
-        for ell, gamma in enumerate(state.gamma):
-            for (gu, gv), w in gamma.items():
-                points.append(((gu + code.alpha * ell, gv), w))
-        return IdealZakState(code.full_patch(), points)
-
-    gauge_grid = state.gauge_grid
-    full_grid = code.grid(2 * gauge_grid.nu, gauge_grid.nv)
-    top, bottom = (gamma.samples for gamma in state.gamma)
-    parent, half = top.base, gauge_grid.nu
-    if isinstance(parent, np.ndarray) and all(
-        view.__array_interface__ == part.__array_interface__
-        for view, part in zip((top, bottom), (parent[:half], parent[half:]))
-    ):
-        return ModularWavefunction(full_grid, parent)
-    return ModularWavefunction(full_grid, _frozen(np.vstack([top, bottom])))
+def from_ssd(state: SSDState):
+    """Inverse change of basis back to the full mode: the state's own ``mode``."""
+    return state.mode
 
 
 def gauge_trace(rho) -> LogicalQubit:
@@ -169,7 +153,7 @@ def apply_Z_ssd(state, t):
     On the gauge components this is ``exp(i alpha l t)`` on the logical
     index, the gauge phase ``exp(i u t)`` and a gauge v-translation.
     """
-    return to_ssd(operators.apply_Z(from_ssd(state), t), state.code)
+    return to_ssd(operators.apply_Z(state.mode, t), state.code)
 
 
 def apply_X_ssd(state, t):
@@ -181,7 +165,7 @@ def apply_X_ssd(state, t):
     factor), and the integer part applies logical flips.  The full mode's
     quasi-periodicity supplies every wrap phase.
     """
-    return to_ssd(operators.apply_X(from_ssd(state), t), state.code)
+    return to_ssd(operators.apply_X(state.mode, t), state.code)
 
 
 @dataclass(frozen=True)
@@ -241,34 +225,37 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     ``m mod nv`` and one unnormalized length-nv inverse DFT per gauge column
     gives the samples, O(nv log nv) per column.  Any integer ``m_values``
     is accepted, including repeats and values outside ``[-nv/2, nv/2)``;
-    the result equals the direct sum over ``m``.  The bins fill a scratch
-    ``(nv, nu)`` array, whose inverse DFT is written straight into the
-    samples, C-contiguous ``(nu, nv)``.
+    the result equals the direct sum over ``m``.  ``coeffs`` must hold
+    exactly two arrays, one per logical index.  The bins fill a scratch
+    ``(nv, nu)`` array, whose inverse DFT is written straight into one half
+    of the full mode's samples, C-contiguous ``(2 nu, nv)``.
     """
     code = modes.code
     grid = modes.gauge_grid
     m = np.asarray(modes.m_values)
     if m.ndim != 1 or m.dtype.kind not in "iu":
         raise ValueError(f"m_values must be a 1-d integer array, got {m.dtype} {m.shape}")
+    if len(modes.coeffs) != 2:
+        raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
+    for coeff in modes.coeffs:
+        if coeff.shape != (m.size, grid.nu):
+            raise ValueError(f"coeffs shape {coeff.shape} does not match ({m.size}, {grid.nu})")
     # the same phase argument as in pp_bridge, so the factors are exact conjugates
     weights = math.sqrt(code.alpha / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
     half = grid.nv // 2
     swap = np.array_equal(m, np.arange(-half, half))
     spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)
-    gammas = []
-    for coeff in modes.coeffs:
-        if coeff.shape != (m.size, grid.nu):
-            raise ValueError(f"coeffs shape {coeff.shape} does not match ({m.size}, {grid.nu})")
+    samples = np.empty((2 * grid.nu, grid.nv), dtype=np.complex128)
+    for ell, coeff in enumerate(modes.coeffs):
         if swap:  # pp_bridge's own m_values: one weighted write per row half
             np.multiply(coeff[:half], weights[:half, None], out=spectrum[half:])
             np.multiply(coeff[half:], weights[half:, None], out=spectrum[:half])
         else:  # rows are added in order, so repeats fold as the direct sum does
             spectrum.fill(0)
             np.add.at(spectrum, m % grid.nv, coeff * weights[:, None])
-        samples = np.empty((grid.nu, grid.nv), dtype=np.complex128)
-        np.fft.ifft(spectrum, axis=0, norm="forward", out=samples.T)
-        gammas.append(ModularWavefunction(grid, _frozen(samples)))
-    return SSDState(code, gammas[0], gammas[1])
+        gamma = samples[ell * grid.nu:(ell + 1) * grid.nu]
+        np.fft.ifft(spectrum, axis=0, norm="forward", out=gamma.T)
+    return to_ssd(ModularWavefunction(code.grid(2 * grid.nu, grid.nv), _frozen(samples)), code)
 
 
 def save_ssd(state: SSDState, base_path):
@@ -302,7 +289,10 @@ def load_ssd(base_path) -> SSDState:
     if missing:
         raise ValueError(f"{manifest}: missing {', '.join(missing)}")
     folder = os.path.dirname(manifest)
-    code = GKPCode(alpha=float(fields["alpha"]))
+    try:
+        code = GKPCode(alpha=float(fields["alpha"]))
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: bad alpha {fields['alpha']!r}: {exc}") from None
     gamma0 = gridio.load_grid_binary(os.path.join(folder, fields["gamma0"]))
     gamma1 = gridio.load_grid_binary(os.path.join(folder, fields["gamma1"]))
     return SSDState(code, gamma0, gamma1)

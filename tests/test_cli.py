@@ -204,6 +204,19 @@ def test_sweep_rejects_bad_specs(tmp_path):
                "--deltas", "0.3,-0.1", "--out", out) == 2
     assert run("sweep", "--state", "gkp0", "--grid", "64x64",
                "--deltas", "abc", "--out", out) == 2
+    # the state spec is checked as zakplot, shift-array and logical check it
+    for spec in ("foo", "gkp-approx:abc:1", "gkp-approx:nan:0", "gkp-approx:-1:0",
+                 "gkp-approx:inf:1", "gkp-approx:0.3:2", "gkp-approx:0.3"):
+        assert run("sweep", "--state", spec, "--grid", "32x32",
+                   "--deltas", "0.3", "--out", out) == 2, spec
+    assert not out.exists()
+    # a valid spec only picks the target codeword: 0 unless it names 1
+    tables = {}
+    for spec in ("vacuum", "gkp0", "gkp-approx:0.2:0", "gkp1", "gkp-approx:0.2:1"):
+        assert run("sweep", "--state", spec, "--grid", "32x32", "--deltas", "0.3", "--out", out) == 0
+        tables[spec] = out.read_text()
+    assert tables["vacuum"] == tables["gkp0"] == tables["gkp-approx:0.2:0"]
+    assert tables["gkp1"] == tables["gkp-approx:0.2:1"] != tables["gkp0"]
 
 
 def test_unwritable_output_path(tmp_path):

@@ -132,6 +132,35 @@ def test_csv_rejects_row_without_four_fields(code, tmp_path):
         load_grid_csv(path)
 
 
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("0.0,0.1,8", "not enough values"),
+        ("0.0,0.1,8,0.0,0.2,8,9", "too many values"),
+        ("0.0,abc,8,0.0,0.2,8", "could not convert"),
+        ("0.0,0.1,eight,0.0,0.2,8", "invalid literal"),
+        ("0.0,0.1,8,0.0,0.0,8", "division by zero"),
+        ("0.0,nan,8,0.0,0.2,8", "positive and finite"),
+    ],
+    ids=["short", "long", "float", "int", "zero-dv", "nan"],
+)
+def test_csv_rejects_bad_grid_line_naming_the_file(code, tmp_path, line, problem):
+    path, lines = csv_lines(code, tmp_path)
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=problem) as info:
+        load_grid_csv(path)
+    assert str(info.value).startswith(f"{path}: bad grid line {line!r}")
+
+
+def test_csv_rejects_non_numeric_sample_naming_the_file(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    lines[4] = "0,1,0.5,x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '0,1,0\.5,x"):
+        load_grid_csv(path)
+
+
 def test_csv_rejects_repeated_sample(code, tmp_path):
     path, lines = csv_lines(code, tmp_path)
     path.write_text("\n".join(lines + [lines[5]]) + "\n")

@@ -20,6 +20,7 @@ from zakgkp import (
     apply_X_ssd,
     apply_Z,
     apply_Z_ssd,
+    GKPCode,
     codeword,
     ec_channel_logical,
     ec_gauge_trace,
@@ -32,6 +33,7 @@ from zakgkp import (
     save_ssd,
     to_ssd,
 )
+from zakgkp.gridio import load_grid_binary, save_grid_binary
 
 A = 2 * ALPHA
 
@@ -98,6 +100,44 @@ def test_alternate_form_of_change_of_basis(code):
             direct.value_at(u, v), abs=1e-12
         )
         assert len(via_alternate) == 1
+
+
+def test_ssd_state_is_its_full_mode_state(code, grid64):
+    # to_ssd wraps the state itself, so from_ssd hands back that very state
+    psi = random_state(grid64, 24)
+    ideal = IdealZakState(code.full_patch(), {(ALPHA + 0.1, 0.2): 1.0, (-0.3, 0.1): 0.5j})
+    for state in (psi, ideal, codeword(code, 1)):
+        s = to_ssd(state, code)
+        assert type(s) is SSDState and s.mode is state and from_ssd(s) is state
+        assert s.norm_squared() == state.norm_squared()
+
+
+def test_from_ssd_of_an_ideal_split_keeps_its_points_bit_for_bit(code):
+    # the split moves no point of the mode, and from_ssd returns the mode
+    rng = np.random.default_rng(25)
+    points = {(float(u), float(v)): complex(w)
+              for u, v, w in zip(rng.uniform(-ALPHA / 2, 3 * ALPHA / 2, 40),
+                                 rng.uniform(-math.pi / ALPHA, math.pi / ALPHA, 40),
+                                 rng.normal(size=40))}
+    state = IdealZakState(code.full_patch(), points)
+    assert from_ssd(to_ssd(state, code)).points == state.points
+
+
+def test_ssd_components_must_match_in_kind_and_patch(code):
+    grid = code.gauge_grid(16, 32)
+    wave = ModularWavefunction(grid, np.ones((16, 32)))
+    ideal = IdealZakState(code.gauge_patch(), {(0.0, 0.0): 1.0})
+    for pair in ((wave, ideal), (ideal, wave)):
+        with pytest.raises(TypeError, match="both be grid states or both ideal states"):
+            SSDState(code, *pair)
+    # either component on a foreign patch is refused, grid or ideal
+    foreign = IdealZakState(code.full_patch(), {(0.0, 0.0): 1.0})
+    other = ModularWavefunction(GKPCode(alpha=1.0).gauge_grid(16, 32), np.ones((16, 32)))
+    for pair in ((ideal, foreign), (foreign, ideal), (wave, other), (other, wave)):
+        with pytest.raises(GridMismatchError):
+            SSDState(code, *pair)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        SSDState(code, wave, ModularWavefunction(code.gauge_grid(16, 16), np.ones((16, 16))))
 
 
 def test_to_ssd_rejects_foreign_patch(code):
@@ -257,6 +297,28 @@ def test_from_ssd_of_a_split_allocates_nothing(code):
     assert peak <= 0.01 * psi.samples.nbytes
 
 
+def test_ssd_state_joins_its_components_in_one_array(code):
+    # the components constructor stacks once: no allocation beyond the mode
+    gauge = code.gauge_grid(256, 512)
+    top, bottom = (random_state(gauge, seed) for seed in (66, 67))
+    s, peak = allocation_peak(lambda: SSDState(code, top, bottom))
+    assert np.array_equal(s.mode.samples, np.vstack([top.samples, bottom.samples]))
+    assert all(np.shares_memory(g.samples, s.mode.samples) for g in s.gamma)
+    assert peak <= 1.1 * s.mode.samples.nbytes
+
+
+def test_bridge_and_loaded_splits_are_views_of_one_mode(code, tmp_path):
+    # neither the bridge's resynthesis nor the split of a loaded state is copied back
+    psi = random_state(code.grid(64, 64), 68)
+    save_grid_binary(psi, tmp_path / "psi.bin")
+    loaded = load_grid_binary(tmp_path / "psi.bin")
+    for x in (pp_bridge_inverse(pp_bridge(to_ssd(psi, code))), to_ssd(loaded, code)):
+        full = from_ssd(x).samples
+        assert all(np.shares_memory(full, gamma.samples) for gamma in x.gamma)
+        assert not full.flags.writeable
+    assert np.shares_memory(from_ssd(to_ssd(loaded, code)).samples, loaded.samples)
+
+
 @pytest.mark.parametrize("steps", [3, -5, 300])
 def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
     # the full mode is the split's own array, so only the shifted result is new
@@ -390,6 +452,14 @@ def test_pp_bridge_inverse_folds_aliased_frequencies(code):
         pp_bridge_inverse(dataclasses.replace(modes, m_values=m + 0.5))
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_pp_bridge_inverse_needs_two_coefficient_arrays(code, count):
+    modes = pp_bridge(gauge_state(code, 69))
+    coeffs = (modes.coeffs * 2)[:count]
+    with pytest.raises(ValueError, match=rf"coeffs must hold two arrays, got {count}$"):
+        pp_bridge_inverse(dataclasses.replace(modes, coeffs=coeffs))
+
+
 def gather_analysis(state):
     """Reference pp_bridge: the FFT transposed, gathered into m order, then weighted."""
     grid = state.gauge_grid
@@ -518,6 +588,16 @@ def test_ssd_load_rejects_malformed_manifest(tmp_path, text, problem):
     with pytest.raises(ValueError, match=problem) as info:
         load_ssd(tmp_path / "state")
     assert str(manifest) in str(info.value)
+
+
+@pytest.mark.parametrize("alpha", ["abc", "nan", "-1.5", ""])
+def test_ssd_load_rejects_bad_alpha_naming_the_manifest(code, tmp_path, alpha):
+    save_ssd(gauge_state(code, 70), tmp_path / "state")
+    manifest = tmp_path / "state.manifest"
+    manifest.write_text(f"alpha={alpha} gamma0=state.g0.bin gamma1=state.g1.bin\n")
+    with pytest.raises(ValueError, match="bad alpha") as info:
+        load_ssd(tmp_path / "state")
+    assert str(info.value).startswith(f"{manifest}: bad alpha {alpha!r}")
 
 
 @pytest.mark.parametrize("alpha,nu,nv", [(0.8, 64, 128), (2.5, 128, 64)])
