@@ -48,7 +48,6 @@ from .gkp import (
 from .modular import frac_part
 from .operators import (
     apply_phase_u,
-    apply_phase_u_unrestricted,
     apply_phase_v,
     apply_translate_u,
     apply_translate_v,

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,36 +40,31 @@ from .gkp import (
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "alpha": DEFAULT_ALPHA,
-    "grid": "256x256",
-    "mmax": 16,
-    "state": "vacuum",
-    "format": "csv",
-    "method": "trace",
-    "seed": None,
-    "out": None,
-    "jmax": 3,
-    "kmax": 3,
-    "dx": None,
-    "dy": None,
-    "deltas": "0.5,0.4,0.3,0.2,0.1",
-}
 
-_CONFIG_PARSERS = {
-    "alpha": float,
-    "grid": str,
-    "mmax": int,
-    "state": str,
-    "format": str,
-    "method": str,
-    "seed": int,
-    "out": str,
-    "jmax": int,
-    "kmax": int,
-    "dx": float,
-    "dy": float,
-    "deltas": str,
+class _Key(NamedTuple):
+    """One configuration key: read from a config file or, for ``commands``, a flag."""
+
+    parse: type
+    default: object
+    help: str
+    choices: tuple | None = None
+    commands: tuple | None = None  # None: every command
+
+
+_KEYS = {
+    "alpha": _Key(float, DEFAULT_ALPHA, "GKP half-period (default sqrt(pi))"),
+    "grid": _Key(str, "256x256", "samples as NUxNV (default 256x256)"),
+    "mmax": _Key(int, 16, "comb truncation order (default 16)"),
+    "state": _Key(str, "vacuum", "vacuum | gkp0 | gkp1 | gkp-approx:DELTA:ELL | tabulated:PATH"),
+    "out": _Key(str, None, "output path (a directory for shift-array)"),
+    "format": _Key(str, "csv", "grid file format", ("csv", "bin")),
+    "seed": _Key(int, None, "seed echoed into the manifest"),
+    "method": _Key(str, "trace", "logical map", ("trace", "ec-trace", "overlap"), ("logical",)),
+    "jmax": _Key(int, 3, "largest X panel index (default 3)", commands=("shift-array",)),
+    "kmax": _Key(int, 3, "largest Z panel index (default 3)", commands=("shift-array",)),
+    "dx": _Key(float, None, "X step (default alpha/3)", commands=("shift-array",)),
+    "dy": _Key(float, None, "Z step (default pi/(2 alpha))", commands=("shift-array",)),
+    "deltas": _Key(str, "0.5,0.4,0.3,0.2,0.1", "comma-separated delta list", commands=("sweep",)),
 }
 
 
@@ -94,10 +90,10 @@ def _load_config_file(path):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_PARSERS:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_PARSERS[key](value)
+                    values[key] = _KEYS[key].parse(value)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     except OSError as exc:
@@ -106,12 +102,13 @@ def _load_config_file(path):
 
 
 def _resolve_config(args):
-    cfg = dict(DEFAULTS)
+    """The configuration (defaults, then the config file, then flags), its code and its grid."""
+    cfg = {key: spec.default for key, spec in _KEYS.items()}
     cfg["config_file"] = args.config or ""
     if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in _CONFIG_PARSERS:
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in _KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     for key in ("alpha", "dx", "dy"):
@@ -121,16 +118,17 @@ def _resolve_config(args):
         raise ConfigError(f"alpha must be positive, got {cfg['alpha']!r}")
     if cfg["mmax"] <= 0:
         raise ConfigError(f"mmax must be positive, got {cfg['mmax']!r}")
-    if cfg["format"] not in ("csv", "bin"):
-        raise ConfigError(f"format must be csv or bin, got {cfg['format']!r}")
-    if cfg["method"] not in ("trace", "ec-trace", "overlap"):
-        raise ConfigError(f"method must be trace, ec-trace or overlap, got {cfg['method']!r}")
+    for key, spec in _KEYS.items():
+        if spec.choices and cfg[key] not in spec.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(spec.choices)}, got {cfg[key]!r}")
     if not cfg["out"]:
         raise ConfigError("--out is required")
     if cfg["jmax"] < 0 or cfg["kmax"] < 0:
         raise ConfigError("--jmax and --kmax must be nonnegative")
-    cfg["nu"], cfg["nv"] = _parse_grid(cfg["grid"])
-    return cfg
+    code = GKPCode(alpha=cfg["alpha"])
+    if not math.isfinite(code.period):
+        raise ConfigError(f"alpha={cfg['alpha']!r} makes the period 2*alpha overflow")
+    return cfg, code, code.grid(*_parse_grid(cfg["grid"]))
 
 
 def _load_table(path):
@@ -184,15 +182,22 @@ def _parse_state(spec):
     return ell, delta
 
 
-def _build_state(cfg, code):
+def _approx_codeword(code, ell, delta):
+    """:func:`approx_codeword`, a delta whose variances leave the float range a ConfigError."""
+    try:
+        return approx_codeword(code, ell, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_state(cfg, code, grid):
     """Returns ('ideal', IdealZakState) or ('grid', ModularWavefunction)."""
     spec = cfg["state"]
     ell, delta = _parse_state(spec)
     if spec in ("gkp0", "gkp1"):
         return "ideal", codeword(code, ell)
-    grid = code.grid(cfg["nu"], cfg["nv"])
     if delta is not None:
-        descriptor = approx_codeword(code, ell, delta)
+        descriptor = _approx_codeword(code, ell, delta)
     elif spec == "vacuum":
         descriptor = vacuum()
     else:
@@ -203,8 +208,6 @@ def _build_state(cfg, code):
 def _manifest_text(command, cfg):
     lines = [f"command={command}"]
     for key in sorted(cfg):
-        if key in ("nu", "nv"):
-            continue
         value = cfg[key]
         if isinstance(value, float):
             value = gridio.format_float(value)
@@ -224,9 +227,8 @@ def _save_grid(psi, path, fmt):
         gridio.save_grid_csv(psi, path)
 
 
-def cmd_zakplot(cfg):
-    code = GKPCode(alpha=cfg["alpha"])
-    kind, state = _build_state(cfg, code)
+def cmd_zakplot(cfg, code, grid):
+    kind, state = _build_state(cfg, code, grid)
     out = cfg["out"]
     if kind == "ideal":
         gridio.save_point_list_csv(state, out)
@@ -241,11 +243,13 @@ def cmd_zakplot(cfg):
     return 0
 
 
-def cmd_shift_array(cfg):
-    code = GKPCode(alpha=cfg["alpha"])
-    dx = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
-    dy = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
-    kind, state = _build_state(cfg, code)
+def cmd_shift_array(cfg, code, grid):
+    # the manifest echoes the steps used
+    dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
+    dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
+    if not (math.isfinite(cfg["jmax"] * dx) and math.isfinite(cfg["kmax"] * dy)):
+        raise ConfigError("the largest panel shifts jmax*dx and kmax*dy must be finite")
+    kind, state = _build_state(cfg, code, grid)
     if kind == "grid":
         try:
             state.grid.u_steps(dx)
@@ -265,17 +269,12 @@ def cmd_shift_array(cfg):
                 gridio.save_point_list_csv(panel, path)
             else:
                 _save_grid(panel, path, cfg["format"])
-    extra = dict(cfg)
-    extra["dx"], extra["dy"] = dx, dy
-    gridio.atomic_write_text(
-        os.path.join(out_dir, "manifest"), _manifest_text("shift-array", extra)
-    )
+    gridio.atomic_write_text(os.path.join(out_dir, "manifest"), _manifest_text("shift-array", cfg))
     return 0
 
 
-def cmd_logical(cfg):
-    code = GKPCode(alpha=cfg["alpha"])
-    _, state = _build_state(cfg, code)
+def cmd_logical(cfg, code, grid):
+    _, state = _build_state(cfg, code, grid)
     method = cfg["method"]
     if method == "overlap":
         qubit = logical_from_overlap(state, code)
@@ -288,8 +287,7 @@ def cmd_logical(cfg):
     return 0
 
 
-def cmd_sweep(cfg):
-    code = GKPCode(alpha=cfg["alpha"])
+def cmd_sweep(cfg, code, grid):
     target, _ = _parse_state(cfg["state"])
     try:
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
@@ -299,10 +297,9 @@ def cmd_sweep(cfg):
         raise ConfigError("--deltas must list at least one value")
     if not all(0 < d < math.inf for d in deltas):
         raise ConfigError(f"--deltas values must be positive and finite, got {cfg['deltas']!r}")
-    grid = code.grid(cfg["nu"], cfg["nv"])
     lines = ["delta,fidelity,purity,raw_trace,residual_pv,residual_pu"]
     for delta in deltas:
-        psi = zak_transform(approx_codeword(code, target, delta), grid, cfg["mmax"])
+        psi = zak_transform(_approx_codeword(code, target, delta), grid, cfg["mmax"])
         qubit = ssd.gauge_trace(ssd.to_ssd(psi, code))
         r1, r2 = stabilizer_residual(psi, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
@@ -314,10 +311,10 @@ def cmd_sweep(cfg):
 
 
 _COMMANDS = {
-    "zakplot": cmd_zakplot,
-    "shift-array": cmd_shift_array,
-    "logical": cmd_logical,
-    "sweep": cmd_sweep,
+    "zakplot": (cmd_zakplot, "write magnitude and phase grids of a state"),
+    "shift-array": (cmd_shift_array, "write a panel array of displaced states"),
+    "logical": (cmd_logical, "write a logical-qubit report"),
+    "sweep": (cmd_sweep, "write an approximation-quality table over delta values"),
 }
 
 
@@ -327,43 +324,20 @@ def _build_parser():
         description="Zak-domain numerics for the GKP code",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("zakplot", "write magnitude and phase grids of a state"),
-        ("shift-array", "write a panel array of displaced states"),
-        ("logical", "write a logical-qubit report"),
-        ("sweep", "write an approximation-quality table over delta values"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--alpha", type=float, help="GKP half-period (default sqrt(pi))")
-        p.add_argument("--grid", help="samples as NUxNV (default 256x256)")
-        p.add_argument("--mmax", type=int, help="comb truncation order (default 16)")
-        p.add_argument(
-            "--state",
-            help="vacuum | gkp0 | gkp1 | gkp-approx:DELTA:ELL | tabulated:PATH",
-        )
-        p.add_argument("--out", help="output path (a directory for shift-array)")
-        p.add_argument("--format", choices=("csv", "bin"), help="grid file format")
-        p.add_argument("--seed", type=int, help="seed echoed into the manifest")
-        if name == "logical":
-            p.add_argument(
-                "--method", choices=("trace", "ec-trace", "overlap"), help="logical map"
-            )
-        if name == "shift-array":
-            p.add_argument("--jmax", type=int, help="largest X panel index (default 3)")
-            p.add_argument("--kmax", type=int, help="largest Z panel index (default 3)")
-            p.add_argument("--dx", type=float, help="X step (default alpha/3)")
-            p.add_argument("--dy", type=float, help="Z step (default pi/(2 alpha))")
-        if name == "sweep":
-            p.add_argument("--deltas", help="comma-separated delta list")
+        for key, spec in _KEYS.items():
+            if spec.commands is None or name in spec.commands:
+                p.add_argument(f"--{key}", type=spec.parse, choices=spec.choices, help=spec.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        cfg, code, grid = _resolve_config(args)
+        return _COMMANDS[args.command][0](cfg, code, grid)
     except ConfigError as exc:
         print(f"zakgkp: config error: {exc}", file=sys.stderr)
         return 2

@@ -101,15 +101,6 @@ class ZakPatch:
     def area(self):
         return self.a * self.height
 
-    @property
-    def is_standard(self):
-        return self.a == self.b
-
-    def contains(self, u, v):
-        return (self.u_min <= u < self.u_min + self.a) and (
-            self.v_min <= v < self.v_min + self.height
-        )
-
     def reduce(self, x, y):
         """Canonicalize ``(x, y)`` into the patch; returns ``(u, v, wraps)``.
 
@@ -120,7 +111,8 @@ class ZakPatch:
         v, _ = modular.split(y, self.height, -self.v_min)
         return u, v, n
 
-    def approx_equal(self, other, rtol=1e-12):
+    def approx_equal(self, other):
+        rtol = 1e-12
         scale = max(abs(self.a), abs(other.a))
         return (
             math.isclose(self.a, other.a, rel_tol=rtol, abs_tol=rtol * scale)
@@ -276,10 +268,6 @@ class ModularWavefunction:
     def with_samples(self, samples):
         return ModularWavefunction(self.grid, samples, tail_bound=self.tail_bound)
 
-    def scaled(self, c):
-        """The state multiplied by the constant ``c``."""
-        return self.with_samples(_frozen(c * self.samples))
-
     def value_at(self, u, v):
         """Sample at a canonical point; raises OffGridError unless it is a grid node."""
         return self.samples[self.grid.u_index(u), self.grid.v_index(v)]
@@ -321,18 +309,13 @@ class IdealZakState:
 
     __slots__ = ("patch", "points")
 
-    def __init__(self, patch: ZakPatch, points, canonicalize=True):
+    def __init__(self, patch: ZakPatch, points):
         items = points.items() if hasattr(points, "items") else points
         merged: dict[tuple[float, float], complex] = {}
         for (x, y), w in items:
-            w = complex(w)
-            if canonicalize:
-                u, v, n = patch.reduce(x, y)
-                w *= cmath.exp(-1j * patch.b * n * v)
-            else:
-                u, v = float(x), float(y)
-            key = (u, v)
-            merged[key] = merged.get(key, 0j) + w
+            u, v, n = patch.reduce(x, y)
+            w = complex(w) * cmath.exp(-1j * patch.b * n * v)
+            merged[(u, v)] = merged.get((u, v), 0j) + w
         self.patch = patch
         self.points = merged
 
@@ -348,16 +331,9 @@ class IdealZakState:
     def norm(self):
         return math.sqrt(self.norm_squared())
 
-    def scaled(self, c):
-        """The state with every weight multiplied by the constant ``c``."""
-        return IdealZakState(
-            self.patch, {p: c * w for p, w in self.points.items()}, canonicalize=False
-        )
-
-    def value_at(self, u, v, atol=None):
-        """Delta-paired value at a canonical point (sum of weights within ``atol``)."""
-        if atol is None:
-            atol = NODE_TOL * max(self.patch.a, self.patch.height)
+    def value_at(self, u, v):
+        """Delta-paired value at a canonical point (sum of weights within ``NODE_TOL`` of the patch size)."""
+        atol = NODE_TOL * max(self.patch.a, self.patch.height)
         total = 0j
         for (pu, pv), w in self.points.items():
             if abs(pu - u) <= atol and abs(pv - v) <= atol:

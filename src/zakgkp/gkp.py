@@ -133,12 +133,12 @@ class LogicalQubit:
         self.raw_trace = float(raw_trace)
 
     @classmethod
-    def from_unnormalized(cls, matrix, herm_tol=1e-10, psd_tol=1e-10):
+    def from_unnormalized(cls, matrix):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if not np.isfinite(matrix).all():
             raise ZakError(f"logical matrix has non-finite entries: {matrix.tolist()!r}")
         herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if herm > herm_tol:
+        if herm > 1e-10:
             raise ZakError(f"logical matrix fails Hermiticity by {herm:.3e}")
         trace = float(matrix.trace().real)
         if trace <= 1e-14:
@@ -147,7 +147,7 @@ class LogicalQubit:
             )
         rho = matrix / trace
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if eigs.min() < -psd_tol:
+        if eigs.min() < -1e-10:
             raise ZakError(f"logical matrix fails positivity by {eigs.min():.3e}")
         return cls(rho, trace)
 
@@ -198,12 +198,6 @@ class MixtureState:
         return len(self.components)
 
 
-def _as_mixture(rho):
-    if isinstance(rho, MixtureState):
-        return rho
-    return MixtureState.pure(rho)
-
-
 def codeword(code: GKPCode, ell: int) -> IdealZakState:
     """Ideal codeword: the single Zak point mass at ``(spacing * ell, 0)``."""
     if not 0 <= ell < code.dim:
@@ -213,16 +207,16 @@ def codeword(code: GKPCode, ell: int) -> IdealZakState:
 
 def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     """Finite-energy codeword: Gaussian comb with tooth variance delta^2
-    under an envelope of variance delta^-2, normalized."""
+    under an envelope of variance delta^-2, normalized.  Raises ValueError
+    unless both variances are positive finite floats."""
     _finite("delta", delta, positive=True)
     if not 0 <= ell < code.dim:
         raise ValueError(f"ell must lie in [0, {code.dim}), got {ell}")
-    return gaussian_comb(
-        spacing=code.period,
-        tooth_variance=delta**2,
-        envelope_variance=delta**-2,
-        offset=code.spacing * ell,
-    )
+    try:
+        tooth_variance, envelope_variance = delta**2, delta**-2
+    except OverflowError:
+        raise ValueError(f"delta={delta!r} puts delta^2 or delta^-2 past the float range") from None
+    return gaussian_comb(code.period, tooth_variance, envelope_variance, offset=code.spacing * ell)
 
 
 def _defect(weights, theta):
@@ -330,7 +324,7 @@ def _gram(gamma, alpha, ec_phase: bool):
 def _mixture_logical(rho, gram):
     """Trace-normalized logical qubit of ``sum_i p_i gram(component_i)``."""
     mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in _as_mixture(rho):
+    for p, component in rho if isinstance(rho, MixtureState) else MixtureState.pure(rho):
         mat += p * gram(component)
     return LogicalQubit.from_unnormalized(mat)
 

@@ -35,7 +35,6 @@ from .core import IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _frozen
 __all__ = [
     "format_float",
     "atomic_write_text",
-    "atomic_write_bytes",
     "save_grid_csv",
     "load_grid_csv",
     "save_grid_binary",
@@ -79,8 +78,12 @@ def atomic_write_text(path, text: str):
     _atomic_write(path, (text,), "w")
 
 
-def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, (data,), "wb")
+def _finite_samples(path, samples):
+    """``samples``; ValueError naming ``path`` and the first bad sample unless all are finite."""
+    if not np.isfinite(samples.view(np.float64)).all():
+        j, k = np.argwhere(~np.isfinite(samples))[0]
+        raise ValueError(f"{path}: sample ({j}, {k}) is not finite: {samples[j, k]!r}")
+    return samples
 
 
 def save_grid_csv(psi: ModularWavefunction, path):
@@ -139,7 +142,8 @@ def load_grid_csv(path) -> ModularWavefunction:
             f"{path}: {missing} of {nu * nv} samples missing, "
             f"the first at ({first // nv}, {first % nv})"
         )
-    return ModularWavefunction(grid, _frozen(np.array(values, dtype=np.complex128)).reshape(nu, nv))
+    samples = _frozen(np.array(values, dtype=np.complex128)).reshape(nu, nv)
+    return ModularWavefunction(grid, _finite_samples(path, samples))
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
@@ -167,10 +171,13 @@ def load_grid_binary(path) -> ModularWavefunction:
     expected = _HEADER.size + 16 * nu * nv
     if len(raw) != expected:
         raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} for a {nu}x{nv} grid")
+    try:
+        grid = ZakGrid(ZakPatch(a, b, u_min=u_min, v_min=v_min), nu, nv)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad grid header: {exc}") from None
     # read-only over the bytes just read, so the state adopts it without a copy
     samples = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nu, nv)
-    grid = ZakGrid(ZakPatch(a, b, u_min=u_min, v_min=v_min), nu, nv)
-    return ModularWavefunction(grid, samples)
+    return ModularWavefunction(grid, _finite_samples(path, samples))
 
 
 def save_point_list_csv(state: IdealZakState, path):

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from . import modular
 from .core import IdealZakState, ModularWavefunction, _frozen
 from .errors import NormalizationError
 
@@ -31,7 +30,6 @@ __all__ = [
     "apply_translate_v",
     "apply_X",
     "apply_Z",
-    "apply_phase_u_unrestricted",
     "modular_expectations",
 ]
 
@@ -119,31 +117,16 @@ def apply_Z(state, t, interpolate=False):
     return _grid_shift(state, t, grid.dv, grid.v_steps, lambda n: _kick_rows(state, n, t), interpolate)
 
 
-def apply_phase_u_unrestricted(state: IdealZakState, t):
-    """P_U(t) on a possibly uncanonicalized ideal state.
-
-    The phase uses the fractional part of the raw first coordinate, which
-    is what the modular position operator sees; the result is returned in
-    canonical form.
-    """
-    patch = state.patch
-    out = {}
-    for (x, y), w in state.items():
-        frac = modular.frac_part(x, patch.a, -patch.u_min)
-        out[(x, y)] = w * cmath.exp(1j * t * frac)
-    return IdealZakState(patch, out, canonicalize=True)
-
-
-def modular_expectations(psi: ModularWavefunction, norm_tol=1e-8):
+def modular_expectations(psi: ModularWavefunction):
     """Expectation values of the modular position and momentum operators.
 
     Left-Riemann quadrature of ``u |psi|^2`` and ``v |psi|^2`` over the
-    patch.  The state must be normalized to within ``norm_tol``.
+    patch.  The state must be normalized to within 1e-8.
     """
     grid = psi.grid
     rows, cols = psi.marginals()
     norm = math.sqrt(float(rows.sum()) * grid.cell_area)
-    if abs(norm - 1) > norm_tol:
+    if abs(norm - 1) > 1e-8:
         raise NormalizationError(norm, f"modular_expectations requires a normalized state, got norm {norm!r}")
     area = grid.cell_area
     return float(grid.u_values() @ rows) * area, float(grid.v_values() @ cols) * area

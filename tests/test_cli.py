@@ -1,9 +1,11 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
 from conftest import ALPHA
+from zakgkp import cli
 from zakgkp.cli import main
 from zakgkp.gridio import load_grid_binary, load_grid_csv
 
@@ -240,6 +242,73 @@ def test_delta_is_not_an_option(tmp_path, capsys):
     assert "state=gkp0" in manifest and "delta=" not in manifest
 
 
+def test_manifest_echoes_every_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 64x64\nmethod = ec-trace\njmax = 2\n")
+    out = tmp_path / "r.csv"
+    assert run("logical", "--config", cfg, "--state", "vacuum", "--out", out) == 0
+    assert (tmp_path / "r.csv.manifest").read_text() == (
+        "command=logical\n"
+        "alpha=1.7724538509055159\n"
+        f"config_file={cfg}\n"
+        "deltas=0.5,0.4,0.3,0.2,0.1\n"
+        "dx=None\n"
+        "dy=None\n"
+        "format=csv\n"
+        "grid=64x64\n"
+        "jmax=2\n"
+        "kmax=3\n"
+        "method=ec-trace\n"
+        "mmax=16\n"
+        f"out={out}\n"
+        "seed=None\n"
+        "state=vacuum\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("format = xml", "format must be one of csv, bin, got 'xml'"),
+        ("method = foo", "method must be one of trace, ec-trace, overlap, got 'foo'"),
+    ],
+)
+def test_config_file_values_must_be_allowed_choices(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "r.csv"
+    assert run("logical", "--config", cfg, "--state", "gkp0", "--out", out) == 2
+    assert capsys.readouterr().err == f"zakgkp: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_shift_array_manifest_echoes_the_steps_used(tmp_path):
+    out = tmp_path / "panels"
+    assert run("shift-array", "--state", "gkp0", "--jmax", 1, "--kmax", 0, "--out", out) == 0
+    manifest = (out / "manifest").read_text()
+    assert f"dx={ALPHA / 3!r}\n" in manifest and f"dy={math.pi / (2 * ALPHA)!r}\n" in manifest
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--alpha", "--grid", "--mmax", "--state", "--out",
+                "--format", "--seed"}
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("zakplot", set()),
+        ("shift-array", {"--jmax", "--kmax", "--dx", "--dy"}),
+        ("logical", {"--method"}),
+        ("sweep", {"--deltas"}),
+    ],
+)
+def test_command_flags(command, extra):
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in commands.choices[command]._actions for flag in action.option_strings}
+    assert flags == COMMON_FLAGS | extra
+
+
 def test_manifest_records_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 64x64\n")
@@ -268,6 +337,12 @@ TABLE = "tabulated:{table}"
         pytest.param(("logical", "--alpha", "nan"), None, id="nan-alpha"),
         pytest.param(("shift-array", "--dx", "nan"), None, id="nan-dx"),
         pytest.param(("shift-array", "--dy", "inf"), None, id="inf-dy"),
+        # finite but extreme: the period, a variance or a panel shift overflows
+        pytest.param(("logical", "--alpha", "1e308"), None, id="huge-alpha"),
+        pytest.param(("logical", "--state", "gkp-approx:1e-300:0"), None, id="tiny-approx-delta"),
+        pytest.param(("logical", "--state", "gkp-approx:1e300:0"), None, id="huge-approx-delta"),
+        pytest.param(("sweep", "--deltas", "1e-300"), None, id="tiny-deltas"),
+        pytest.param(("shift-array", "--state", "gkp0", "--dx", "1e308"), None, id="huge-dx"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):

@@ -1,15 +1,19 @@
 import cmath
+import importlib
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import zakgkp
 from conftest import ALPHA
 from zakgkp import (
     GKPCode,
     GridMismatchError,
     IdealZakState,
+    LogicalQubit,
     ModularWavefunction,
     OffGridError,
     SSDState,
@@ -32,6 +36,7 @@ from zakgkp import (
     ideal_state_overlap,
     inner_product,
     inverse_zak_transform,
+    modular_expectations,
     pp_bridge,
     pp_bridge_inverse,
     stretch_rescale,
@@ -390,7 +395,6 @@ def test_library_results_are_read_only(code, tmp_path):
         "apply_translate_v": apply_translate_v(psi, 0.25 * grid.dv, interpolate=True),
         "apply_X": apply_X(psi, 5 * grid.du),
         "apply_Z": apply_Z(psi, 5 * grid.dv),
-        "scaled": psi.scaled(2j),
         "normalized": psi.normalized(),
         "stretch_rescale": stretch_rescale(psi, 2 * psi.patch.b),
         "to_ssd": split.gamma[0],
@@ -461,6 +465,9 @@ def test_zak_transform_allocates_little_beyond_its_result(code):
     [
         pytest.param(lambda: GKPCode(alpha=math.inf), "alpha", id="code-inf-alpha"),
         pytest.param(lambda: approx_codeword(GKPCode(), 0, math.nan), "delta", id="nan-delta"),
+        # finite deltas whose variance delta^2 or delta^-2 overflows
+        pytest.param(lambda: approx_codeword(GKPCode(), 0, 1e300), "delta", id="huge-delta"),
+        pytest.param(lambda: approx_codeword(GKPCode(), 1, 1e-300), "delta", id="tiny-delta"),
         pytest.param(lambda: ZakPatch(math.nan), "period a", id="patch-nan-a"),
         pytest.param(lambda: ZakPatch(1.0, b=math.inf), "period parameter b", id="patch-inf-b"),
         pytest.param(lambda: ZakPatch(1.0, u_min=math.inf), "u_min", id="patch-inf-u-min"),
@@ -480,3 +487,38 @@ def test_zak_transform_allocates_little_beyond_its_result(code):
 def test_constructors_reject_non_finite_input(build, name):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        ("zakgkp", "apply_phase_u_unrestricted"),
+        ("zakgkp.operators", "apply_phase_u_unrestricted"),
+        ("zakgkp.gridio", "atomic_write_bytes"),
+        ("zakgkp.gkp", "_as_mixture"),
+        ("ModularWavefunction", "scaled"),
+        ("IdealZakState", "scaled"),
+        ("ZakPatch", "contains"),
+        ("ZakPatch", "is_standard"),
+    ],
+)
+def test_removed_names_are_gone(owner, name):
+    target = getattr(zakgkp, owner) if owner[0].isupper() else importlib.import_module(owner)
+    assert not hasattr(target, name)
+    assert not hasattr(zakgkp, name)
+    assert name not in getattr(target, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "function,option",
+    [
+        (IdealZakState, "canonicalize"),
+        (IdealZakState.value_at, "atol"),
+        (ZakPatch.approx_equal, "rtol"),
+        (LogicalQubit.from_unnormalized, "herm_tol"),
+        (LogicalQubit.from_unnormalized, "psd_tol"),
+        (modular_expectations, "norm_tol"),
+    ],
+)
+def test_removed_options_are_gone(function, option):
+    assert option not in inspect.signature(function).parameters

@@ -285,6 +285,17 @@ def test_logical_qubit_validation():
     assert q.purity == pytest.approx(np.trace(q.matrix @ q.matrix).real)
 
 
+@pytest.mark.parametrize(
+    "defect,problem",
+    [(lambda e: [[1, e], [0, 1]], "Hermiticity"), (lambda e: [[1, 0], [0, -e]], "positivity")],
+    ids=["hermiticity", "positivity"],
+)
+def test_logical_qubit_tolerances_are_1e_10(defect, problem):
+    LogicalQubit.from_unnormalized(np.array(defect(0.5e-10), dtype=complex))
+    with pytest.raises(ZakError, match=problem):
+        LogicalQubit.from_unnormalized(np.array(defect(2e-10), dtype=complex))
+
+
 def test_degenerate_logical_error(code, grid64):
     # all support on the second v half, none anywhere: zero everywhere
     psi = ModularWavefunction(grid64, np.zeros((64, 64)))

@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from zakgkp import IdealZakState, LogicalQubit, codeword
+from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, codeword
 from zakgkp.gridio import (
+    _HEADER,
+    MAGIC,
     VERSION,
     load_grid_binary,
     load_grid_csv,
@@ -23,7 +26,7 @@ def test_csv_roundtrip(code, tmp_path):
     loaded = load_grid_csv(path)
     assert np.array_equal(loaded.samples, psi.samples)
     assert loaded.grid.nu == 16 and loaded.grid.nv == 16
-    assert loaded.grid.patch.approx_equal(psi.grid.patch, rtol=1e-12)
+    assert loaded.grid.patch.approx_equal(psi.grid.patch)
 
 
 def test_csv_is_deterministic(code, tmp_path):
@@ -184,3 +187,41 @@ def test_binary_rejects_short_header(tmp_path):
     path.write_bytes(b"ZAKG")
     with pytest.raises(ValueError, match=r"grid\.bin: 4 bytes is shorter"):
         load_grid_binary(path)
+
+
+def test_csv_rejects_non_finite_sample_naming_the_file(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    lines[3] = "0,0,nan,inf"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: sample \(0, 0\) is not finite"):
+        load_grid_csv(path)
+
+
+def test_binary_rejects_non_finite_sample_naming_the_file(code, tmp_path):
+    samples = random_state(code.grid(8, 8), 75).samples.copy()
+    samples[2, 5] = complex(0.5, np.nan)
+    path = tmp_path / "grid.bin"
+    save_grid_binary(ModularWavefunction(code.grid(8, 8), samples), path)
+    with pytest.raises(ValueError, match=r"grid\.bin: sample \(2, 5\) is not finite"):
+        load_grid_binary(path)
+
+
+@pytest.mark.parametrize(
+    "field,value,problem",
+    [
+        (2, 6, "nu must be a positive multiple of 4"),
+        (3, 7, "nv must be a positive even integer"),
+        (4, math.nan, "period a must be positive and finite"),
+        (5, -1.0, "period parameter b must be positive and finite"),
+    ],
+    ids=["nu", "nv", "a", "b"],
+)
+def test_binary_rejects_bad_header_naming_the_file(tmp_path, field, value, problem):
+    header = [MAGIC, VERSION, 8, 8, 1.0, 1.0, 0.0, 0.0]
+    header[field] = value
+    nu, nv = header[2], header[3]
+    path = tmp_path / "grid.bin"
+    path.write_bytes(_HEADER.pack(*header) + bytes(16 * nu * nv))
+    with pytest.raises(ValueError, match=problem) as info:
+        load_grid_binary(path)
+    assert str(info.value).startswith(f"{path}: bad grid header")

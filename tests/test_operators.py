@@ -12,7 +12,6 @@ from zakgkp import (
     NormalizationError,
     OffGridError,
     apply_phase_u,
-    apply_phase_u_unrestricted,
     apply_phase_v,
     apply_translate_u,
     apply_translate_v,
@@ -198,26 +197,6 @@ def test_z_matches_its_decomposition(grid64):
     assert max_diff(apply_Z(psi, t), apply_phase_u(apply_translate_v(psi, t), t)) == 0.0
 
 
-# --- unrestricted modular phases ------------------------------------------
-
-
-def test_phase_u_unrestricted(code):
-    patch = code.full_patch()
-    t = 1.234
-    raw = IdealZakState(patch, {(A + 0.1, 0.2): 1.0}, canonicalize=False)
-    out = apply_phase_u_unrestricted(raw, t)
-    # phase uses the fractional part of the raw coordinate (0.1), and the
-    # result is canonicalized
-    expected = cmath.exp(1j * t * 0.1) * cmath.exp(-1j * A * 0.2)
-    assert out.value_at((A + 0.1) - A, 0.2) == pytest.approx(expected, abs=1e-9)
-
-    canon = codeword(code, 1)
-    assert apply_phase_u_unrestricted(canon, t).value_at(ALPHA, 0.0) == pytest.approx(
-        apply_phase_u(canon, t).value_at(ALPHA, 0.0), abs=1e-12
-    )
-    assert apply_phase_u_unrestricted(canon, 0.0).value_at(ALPHA, 0.0) == 1.0
-
-
 # --- stretched operators ----------------------------------------------------
 
 
@@ -286,6 +265,13 @@ def test_expectations_require_normalization(grid64):
     with pytest.raises(NormalizationError) as err:
         modular_expectations(bad)
     assert err.value.norm == pytest.approx(2.0, rel=1e-9)
+
+
+def test_expectations_accept_norms_within_1e_8(grid64):
+    psi = random_state(grid64, 16)
+    modular_expectations(psi.with_samples((1 + 0.5e-8) * psi.samples))
+    with pytest.raises(NormalizationError):
+        modular_expectations(psi.with_samples((1 + 2e-8) * psi.samples))
 
 
 def test_z_grid_rule_moves_and_phases(grid64):
