@@ -6,7 +6,6 @@ decomposition with logical-qubit extraction.
 """
 
 from .core import (
-    ExtendedValue,
     IdealZakState,
     ModularWavefunction,
     ZakGrid,

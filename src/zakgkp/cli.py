@@ -126,9 +126,11 @@ def _resolve_config(args):
     if cfg["jmax"] < 0 or cfg["kmax"] < 0:
         raise ConfigError("--jmax and --kmax must be nonnegative")
     code = GKPCode(alpha=cfg["alpha"])
-    if not math.isfinite(code.period):
-        raise ConfigError(f"alpha={cfg['alpha']!r} makes the period 2*alpha overflow")
-    return cfg, code, code.grid(*_parse_grid(cfg["grid"]))
+    nu, nv = _parse_grid(cfg["grid"])
+    try:
+        return cfg, code, code.grid(nu, nv)
+    except ValueError as exc:  # the period 2*alpha or v_min = -pi/(2 alpha) overflows
+        raise ConfigError(f"alpha={cfg['alpha']!r} gives no finite patch: {exc}") from exc
 
 
 def _load_table(path):

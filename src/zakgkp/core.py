@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "zak_transform",
     "inverse_zak_transform",
     "evaluate_extended",
-    "ExtendedValue",
     "inner_product",
     "stretch_rescale",
     "convention_phase",
@@ -51,6 +49,10 @@ NODE_TOL = 1e-9
 #: a comb tooth left out of the window sits below exp(-WINDOW_EXPONENT)
 #: (about 3e-33) times the tooth nearest to the evaluation point
 WINDOW_EXPONENT = 75.0
+
+#: most teeth a GaussianComb may hold: its norm sums pairwise integrals in
+#: (teeth x teeth) float arrays, whose peak is about 46 MB at the cap
+MAX_TEETH = 1201
 
 
 def _finite(name, value, positive=False):
@@ -91,7 +93,7 @@ class ZakPatch:
         self.a = _finite("period a", a, positive=True)
         self.b = _finite("period parameter b", a if b is None else b, positive=True)
         self.u_min = -self.a / 4 if u_min is None else _finite("u_min", u_min)
-        self.v_min = -math.pi / self.b if v_min is None else _finite("v_min", v_min)
+        self.v_min = _finite("v_min", -math.pi / self.b if v_min is None else v_min)
 
     @property
     def height(self):
@@ -192,10 +194,7 @@ class ZakGrid:
         """Number of cells of width ``step`` spanned by the shift ``t`` (must be exact)."""
         n = round(t / step)
         if abs(t - n * step) > NODE_TOL * step:
-            raise OffGridError(
-                f"shift {t!r} is not an integer multiple of {name}={step!r}; "
-                "pass interpolate=True to allow off-grid shifts"
-            )
+            raise OffGridError(f"shift {t!r} is not an integer multiple of {name}={step!r}")
         return n
 
     def u_steps(self, t):
@@ -380,8 +379,9 @@ class GaussianComb:
     Teeth sit at ``offset + spacing * n`` for ``|n| <= N``, the range the
     envelope leaves above ~1e-80 of its peak, with wavefunction variance
     ``tooth_variance``; the envelope has variance ``envelope_variance``.
-    The amplitude is fixed analytically (pairwise Gaussian integrals) so
-    that the position-space norm is exactly 1.
+    ``2N + 1`` may not exceed :data:`MAX_TEETH`.  The amplitude is fixed
+    analytically (pairwise Gaussian integrals) so that the position-space
+    norm is exactly 1.
 
     Evaluation is windowed: at each ``x`` only the teeth ``n0 - K .. n0 + K``
     are summed, with ``n0`` the tooth nearest to ``x`` (clipped to
@@ -412,9 +412,15 @@ class GaussianComb:
         self.offset = _finite("offset", offset)
         # teeth beyond the envelope's ~1e-80 amplitude contribute nothing
         reach = math.sqrt(370.0 * self.envelope_variance) + abs(self.offset)
+        if not reach / self.spacing <= (MAX_TEETH - 3) // 2:  # also an infinite reach
+            raise ValueError(f"envelope_variance={self.envelope_variance!r} and offset={self.offset!r} "
+                             f"need more than MAX_TEETH={MAX_TEETH} teeth of spacing {self.spacing!r}")
         n = int(math.ceil(reach / self.spacing)) + 1
-        self._centers = self.offset + self.spacing * np.arange(-n, n + 1)
         r = self.spacing**2 / (2 * self.tooth_variance)
+        if r == 0:
+            raise ValueError(f"tooth_variance={self.tooth_variance!r} is too wide for spacing "
+                             f"{self.spacing!r}: spacing^2 / (2 tooth_variance) is 0")
+        self._centers = self.offset + self.spacing * np.arange(-n, n + 1)
         k = max(1, math.ceil((math.sqrt(1 + 4 * WINDOW_EXPONENT / r) - 1) / 2))
         if k >= 2 * n:  # the window holds every tooth
             k, ratio = 2 * n, 0.0
@@ -588,57 +594,29 @@ def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex
     return complex(math.sqrt(grid.patch.b / (2 * math.pi)) * total)
 
 
-class ExtendedValue(NamedTuple):
-    value: complex
-    interpolated: bool
-
-
-def evaluate_extended(psi: ModularWavefunction, x: float, y: float) -> ExtendedValue:
-    """Value of the quasi-periodic extension of ``psi`` at an arbitrary point.
+def evaluate_extended(psi: ModularWavefunction, x: float, y: float) -> complex:
+    """Value of the quasi-periodic extension of ``psi`` at a point that reduces to a grid node.
 
     The point is reduced into the patch; the wavefunction convention gives
     the analytic extension phase ``exp(+i b n v)`` for ``n`` horizontal
-    wraps and no phase for vertical wraps.  Off-node reduced points are
-    bilinearly interpolated on the torus and flagged.
+    wraps and no phase for vertical wraps.  Raises OffGridError unless the
+    reduced point is a grid node.
     """
     grid = psi.grid
     patch = grid.patch
     u, v, n = patch.reduce(x, y)
-    ext_phase = cmath.exp(1j * patch.b * n * v)
-
     tu = (u - patch.u_min) / grid.du
     tv = (v - patch.v_min) / grid.dv
     ju, kv = round(tu), round(tv)
-    if abs(tu - ju) <= NODE_TOL and abs(tv - kv) <= NODE_TOL:
-        phase = 1.0 + 0j
-        if ju == grid.nu:  # node at u_min + a is the phased image of column 0
-            ju = 0
-            phase *= cmath.exp(1j * patch.b * v)
-        if kv == grid.nv:
-            kv = 0
-        return ExtendedValue(complex(ext_phase * phase * psi.samples[ju, kv]), False)
-
-    j0 = math.floor(tu)
-    k0 = math.floor(tv)
-    wu = tu - j0
-    wv = tv - k0
-
-    def corner(j, k):
-        phase = 1.0 + 0j
-        if j == grid.nu:
-            j = 0
-            phase = cmath.exp(1j * patch.b * (patch.v_min + k * grid.dv))
-        if k == grid.nv:
-            k = 0
-        return phase * psi.samples[j, k]
-
-    value = (
-        (1 - wu) * (1 - wv) * corner(j0, k0)
-        + wu * (1 - wv) * corner(j0 + 1, k0)
-        + (1 - wu) * wv * corner(j0, k0 + 1)
-        + wu * wv * corner(j0 + 1, k0 + 1)
-    )
-    return ExtendedValue(complex(ext_phase * value), True)
+    if abs(tu - ju) > NODE_TOL or abs(tv - kv) > NODE_TOL:
+        raise OffGridError(f"({x!r}, {y!r}) does not reduce to a grid node")
+    phase = cmath.exp(1j * patch.b * n * v)
+    if ju == grid.nu:  # node at u_min + a is the phased image of column 0
+        ju = 0
+        phase *= cmath.exp(1j * patch.b * v)
+    if kv == grid.nv:
+        kv = 0
+    return complex(phase * psi.samples[ju, kv])
 
 
 def inner_product(phi: ModularWavefunction, psi: ModularWavefunction) -> complex:

@@ -58,25 +58,17 @@ DEFAULT_ALPHA = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class GKPCode:
-    """Rectangular GKP code with half-period ``alpha`` and logical dimension ``dim``."""
+    """Rectangular qubit GKP code with half-period ``alpha``; codewords sit at ``alpha * ell``."""
 
     alpha: float = DEFAULT_ALPHA
-    dim: int = 2
 
     def __post_init__(self):
         _finite("alpha", self.alpha, positive=True)
-        if self.dim < 2:
-            raise ValueError(f"logical dimension must be at least 2, got {self.dim}")
 
     @property
     def period(self):
         """Horizontal Zak period ``a = 2 alpha``; the stabilizer pair satisfies a * 2piK/a = 2piK."""
         return 2 * self.alpha
-
-    @property
-    def spacing(self):
-        """Codeword spacing in modular position, ``a / dim``."""
-        return self.period / self.dim
 
     def full_patch(self) -> ZakPatch:
         return ZakPatch(self.period)
@@ -199,10 +191,10 @@ class MixtureState:
 
 
 def codeword(code: GKPCode, ell: int) -> IdealZakState:
-    """Ideal codeword: the single Zak point mass at ``(spacing * ell, 0)``."""
-    if not 0 <= ell < code.dim:
-        raise ValueError(f"ell must lie in [0, {code.dim}), got {ell}")
-    return IdealZakState(code.full_patch(), {(code.spacing * ell, 0.0): 1.0 + 0j})
+    """Ideal codeword: the single Zak point mass at ``(alpha * ell, 0)``."""
+    if ell not in (0, 1):
+        raise ValueError(f"ell must be 0 or 1, got {ell}")
+    return IdealZakState(code.full_patch(), {(code.alpha * ell, 0.0): 1.0 + 0j})
 
 
 def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
@@ -210,13 +202,13 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     under an envelope of variance delta^-2, normalized.  Raises ValueError
     unless both variances are positive finite floats."""
     _finite("delta", delta, positive=True)
-    if not 0 <= ell < code.dim:
-        raise ValueError(f"ell must lie in [0, {code.dim}), got {ell}")
+    if ell not in (0, 1):
+        raise ValueError(f"ell must be 0 or 1, got {ell}")
     try:
         tooth_variance, envelope_variance = delta**2, delta**-2
     except OverflowError:
         raise ValueError(f"delta={delta!r} puts delta^2 or delta^-2 past the float range") from None
-    return gaussian_comb(code.period, tooth_variance, envelope_variance, offset=code.spacing * ell)
+    return gaussian_comb(code.period, tooth_variance, envelope_variance, offset=code.alpha * ell)
 
 
 def _defect(weights, theta):
@@ -227,13 +219,12 @@ def _defect(weights, theta):
 def stabilizer_residual(state, code: GKPCode):
     """Norms of ``(S - 1) psi`` for the two stabilizer generators.
 
-    Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi dim / a)``; both
+    Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both
     vanish exactly on codewords.  Both are phases in one variable and
     ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so a grid state needs
     only the marginals of ``|psi|^2``; ideal states use the Dirac-comb norm.
     """
-    a = code.period
-    tv, tu = -a, 2 * math.pi * code.dim / a
+    tv, tu = -code.period, 2 * math.pi / code.alpha
     if isinstance(state, IdealZakState):
         points = np.array([p for p, _ in state.items()], dtype=float).reshape(-1, 2)
         weights = np.array([abs(w) ** 2 for _, w in state.items()])
@@ -245,8 +236,6 @@ def stabilizer_residual(state, code: GKPCode):
 
 
 def _require_qubit_patch(state, code: GKPCode):
-    if code.dim != 2:
-        raise ValueError(f"error correction and the SSD need a qubit code (dim=2), got dim={code.dim}")
     if not state.patch.approx_equal(code.full_patch()):
         raise GridMismatchError("state patch does not match the code's fundamental patch")
 

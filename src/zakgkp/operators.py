@@ -8,9 +8,7 @@ the identity.  The quadrature shifts decompose as ``Z(t) = P_U(t) T_V(t)``
 and ``X(t) = T_U(t)``; operator products are read right-to-left.
 
 Grid states translate by exact cyclic index shifts with analytic wrap
-phases.  Shifts that are not grid multiples raise unless
-``interpolate=True``, in which case the result is a flagged linear blend
-of the two neighboring exact shifts.
+phases.  Shifts that are not grid multiples raise OffGridError.
 """
 
 from __future__ import annotations
@@ -76,45 +74,31 @@ def _kick_rows(psi: ModularWavefunction, n: int, t) -> np.ndarray:
     return out
 
 
-def _grid_shift(state, t, step, steps, kernel, interpolate):
-    """``kernel(steps(t))``, or off the grid with ``interpolate`` the blend of the two neighbors."""
-    if abs(t / step - round(t / step)) <= 1e-9 or not interpolate:
-        return state.with_samples(_frozen(kernel(steps(t))))
-    n0 = math.floor(t / step)
-    w = t / step - n0
-    return state.with_samples(_frozen((1 - w) * kernel(n0) + w * kernel(n0 + 1)))
-
-
-def apply_translate_u(state, t, interpolate=False):
+def apply_translate_u(state, t):
     """T_U(t): shift the first argument by ``t`` (u-wraps cost ``exp(-i b v)``)."""
     if isinstance(state, IdealZakState):  # construction canonicalizes, wrap phase included
         return state.map_points(lambda p, w: ((p[0] + t, p[1]), w))
-    grid = state.grid
-    return _grid_shift(state, t, grid.du, grid.u_steps, lambda n: _shift_columns(state, n), interpolate)
+    return state.with_samples(_frozen(_shift_columns(state, state.grid.u_steps(t))))
 
 
-def apply_translate_v(state, t, interpolate=False):
+def apply_translate_v(state, t):
     """T_V(t): shift the second argument by ``t`` (v-wraps are free)."""
     if isinstance(state, IdealZakState):  # construction canonicalizes
         return state.map_points(lambda p, w: ((p[0], p[1] + t), w))
     grid = state.grid
-    return _grid_shift(
-        state, t, grid.dv, grid.v_steps,
-        lambda n: np.roll(state.samples, n % grid.nv, axis=1), interpolate,
-    )
+    return state.with_samples(_frozen(np.roll(state.samples, grid.v_steps(t) % grid.nv, axis=1)))
 
 
-def apply_X(state, t, interpolate=False):
+def apply_X(state, t):
     """Position shift ``X(t) = T_U(t)``."""
-    return apply_translate_u(state, t, interpolate=interpolate)
+    return apply_translate_u(state, t)
 
 
-def apply_Z(state, t, interpolate=False):
+def apply_Z(state, t):
     """Momentum kick ``Z(t) = P_U(t) T_V(t)`` (translation first, one result array on a grid)."""
     if isinstance(state, IdealZakState):
         return apply_phase_u(apply_translate_v(state, t), t)
-    grid = state.grid
-    return _grid_shift(state, t, grid.dv, grid.v_steps, lambda n: _kick_rows(state, n, t), interpolate)
+    return state.with_samples(_frozen(_kick_rows(state, state.grid.v_steps(t), t)))
 
 
 def modular_expectations(psi: ModularWavefunction):

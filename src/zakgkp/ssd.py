@@ -110,7 +110,7 @@ class IdealSSDState(SSDState):
         super().__init__(code, IdealZakState(patch, points0), IdealZakState(patch, points1))
 
 
-def to_ssd(state, code: GKPCode | None = None) -> SSDState:
+def to_ssd(state, code: GKPCode) -> SSDState:
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
     The result wraps ``state`` without a copy.  Its gauge components are
@@ -118,8 +118,6 @@ def to_ssd(state, code: GKPCode | None = None) -> SSDState:
     of its samples) re-indexed onto the gauge patch, an ideal state's
     point masses by sector.
     """
-    if code is None:
-        code = GKPCode(alpha=state.patch.a / 2)
     split = SSDState.__new__(SSDState)
     split._wrap(code, state)
     return split
@@ -220,39 +218,34 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     """Resynthesize the gauge wavefunctions from partitioned-position coefficients.
 
     The synthesis sum over ``m`` is the inverse of :func:`pp_bridge`'s DFT:
-    after the factor ``exp(+i b m v_min)``, frequencies that agree modulo
-    ``nv`` sample identically on the grid, so terms are accumulated into bin
-    ``m mod nv`` and one unnormalized length-nv inverse DFT per gauge column
-    gives the samples, O(nv log nv) per column.  Any integer ``m_values``
-    is accepted, including repeats and values outside ``[-nv/2, nv/2)``;
-    the result equals the direct sum over ``m``.  ``coeffs`` must hold
-    exactly two arrays, one per logical index.  The bins fill a scratch
-    ``(nv, nu)`` array, whose inverse DFT is written straight into one half
-    of the full mode's samples, C-contiguous ``(2 nu, nv)``.
+    after the factor ``exp(+i b m v_min)``, frequency ``m`` fills bin
+    ``m mod nv``, and one unnormalized length-nv inverse DFT per gauge
+    column gives the samples, O(nv log nv) per column.  ``m_values`` must
+    be :func:`pp_bridge`'s own ``-nv/2 .. nv/2-1`` and ``coeffs`` exactly
+    two arrays, one per logical index; anything else raises ValueError.
+    The two row halves of each coefficient array are weighted into a
+    scratch ``(nv, nu)`` array swapped, in bin order, and its inverse DFT
+    is written straight into one half of the full mode's samples,
+    C-contiguous ``(2 nu, nv)``.
     """
     code = modes.code
     grid = modes.gauge_grid
-    m = np.asarray(modes.m_values)
-    if m.ndim != 1 or m.dtype.kind not in "iu":
-        raise ValueError(f"m_values must be a 1-d integer array, got {m.dtype} {m.shape}")
+    half = grid.nv // 2
+    m = np.arange(-half, half)
+    if not np.array_equal(modes.m_values, m):
+        raise ValueError(f"m_values must be pp_bridge's {-half} .. {half - 1}, got {modes.m_values!r}")
     if len(modes.coeffs) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
     for coeff in modes.coeffs:
-        if coeff.shape != (m.size, grid.nu):
-            raise ValueError(f"coeffs shape {coeff.shape} does not match ({m.size}, {grid.nu})")
+        if coeff.shape != (grid.nv, grid.nu):
+            raise ValueError(f"coeffs shape {coeff.shape} does not match ({grid.nv}, {grid.nu})")
     # the same phase argument as in pp_bridge, so the factors are exact conjugates
     weights = math.sqrt(code.alpha / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
-    half = grid.nv // 2
-    swap = np.array_equal(m, np.arange(-half, half))
     spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)
     samples = np.empty((2 * grid.nu, grid.nv), dtype=np.complex128)
     for ell, coeff in enumerate(modes.coeffs):
-        if swap:  # pp_bridge's own m_values: one weighted write per row half
-            np.multiply(coeff[:half], weights[:half, None], out=spectrum[half:])
-            np.multiply(coeff[half:], weights[half:, None], out=spectrum[:half])
-        else:  # rows are added in order, so repeats fold as the direct sum does
-            spectrum.fill(0)
-            np.add.at(spectrum, m % grid.nv, coeff * weights[:, None])
+        np.multiply(coeff[:half], weights[:half, None], out=spectrum[half:])
+        np.multiply(coeff[half:], weights[half:, None], out=spectrum[:half])
         gamma = samples[ell * grid.nu:(ell + 1) * grid.nu]
         np.fft.ifft(spectrum, axis=0, norm="forward", out=gamma.T)
     return to_ssd(ModularWavefunction(code.grid(2 * grid.nu, grid.nv), _frozen(samples)), code)

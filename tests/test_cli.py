@@ -343,6 +343,13 @@ TABLE = "tabulated:{table}"
         pytest.param(("logical", "--state", "gkp-approx:1e300:0"), None, id="huge-approx-delta"),
         pytest.param(("sweep", "--deltas", "1e-300"), None, id="tiny-deltas"),
         pytest.param(("shift-array", "--state", "gkp0", "--dx", "1e308"), None, id="huge-dx"),
+        # finite variances a comb cannot use, a default v_min -pi/b that overflows,
+        # and a delta that needs more teeth than the cap
+        pytest.param(("logical", "--state", "gkp-approx:1e154:0"), None, id="wide-tooth-delta"),
+        pytest.param(("logical", "--state", "gkp-approx:1e-154:0"), None, id="unbounded-envelope-delta"),
+        pytest.param(("sweep", "--deltas", "0.3,1e154"), None, id="wide-tooth-deltas"),
+        pytest.param(("logical", "--alpha", "1e-320"), None, id="tiny-alpha"),
+        pytest.param(("sweep", "--deltas", "0.3,0.001"), None, id="below-cap-deltas"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):

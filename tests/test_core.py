@@ -45,6 +45,7 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
+from zakgkp.core import MAX_TEETH
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
@@ -136,24 +137,14 @@ def test_evaluate_extended_laws(vac64, grid64):
     u = grid64.u_values()[9]
     v = grid64.v_values()[31]
     base = evaluate_extended(vac64, u, v)
-    assert not base.interpolated
-    assert base.value == vac64.samples[9, 31]
+    assert base == vac64.samples[9, 31]
 
     up = evaluate_extended(vac64, u + A, v)
-    assert up.value == pytest.approx(cmath.exp(1j * A * v) * base.value, abs=1e-15)
+    assert up == pytest.approx(cmath.exp(1j * A * v) * base, abs=1e-15)
     down = evaluate_extended(vac64, u - 2 * A, v)
-    assert down.value == pytest.approx(cmath.exp(-2j * A * v) * base.value, abs=1e-15)
+    assert down == pytest.approx(cmath.exp(-2j * A * v) * base, abs=1e-15)
     wrapped_v = evaluate_extended(vac64, u, v + 2 * math.pi / A)
-    assert wrapped_v.value == pytest.approx(base.value, abs=1e-15)
-
-
-def test_evaluate_extended_interpolates_and_flags(vac64, grid64):
-    u = grid64.u_values()[9] + 0.5 * grid64.du
-    v = grid64.v_values()[31]
-    out = evaluate_extended(vac64, u, v)
-    assert out.interpolated
-    expected = 0.5 * (vac64.samples[9, 31] + vac64.samples[10, 31])
-    assert out.value == pytest.approx(expected, abs=1e-12)
+    assert wrapped_v == pytest.approx(base, abs=1e-15)
 
 
 def test_inner_product_overlap_of_displaced_vacua(code):
@@ -208,7 +199,7 @@ def test_stretch_rescale(code, vac64):
     v = stretched.grid.v_values()[17]
     base = evaluate_extended(stretched, u, v)
     up = evaluate_extended(stretched, u + A, v)
-    assert up.value == pytest.approx(cmath.exp(1j * b * v) * base.value, abs=1e-15)
+    assert up == pytest.approx(cmath.exp(1j * b * v) * base, abs=1e-15)
 
 
 def test_convention_phase():
@@ -284,27 +275,6 @@ def test_zak_transform_on_stretched_patch(code):
             )
         direct *= math.sqrt(patch.b / (2 * math.pi))
         assert psi.samples[j, k] == pytest.approx(direct, abs=1e-13)
-
-
-def test_evaluate_extended_interpolates_across_seams(vac64, grid64):
-    a = grid64.patch.a
-    # u seam: the right neighbor of the last column is the phased image of
-    # column 0
-    u = grid64.u_values()[-1] + 0.25 * grid64.du
-    v = grid64.v_values()[10]
-    out = evaluate_extended(vac64, u, v)
-    assert out.interpolated
-    neighbor = cmath.exp(1j * a * v) * vac64.samples[0, 10]
-    expected = 0.75 * vac64.samples[-1, 10] + 0.25 * neighbor
-    assert out.value == pytest.approx(expected, abs=1e-12)
-
-    # v seam: wrapping the row index is free
-    u = grid64.u_values()[5]
-    v = grid64.v_values()[-1] + 0.5 * grid64.dv
-    out = evaluate_extended(vac64, u, v)
-    assert out.interpolated
-    expected = 0.5 * (vac64.samples[5, -1] + vac64.samples[5, 0])
-    assert out.value == pytest.approx(expected, abs=1e-12)
 
 
 def dense_comb_terms(comb, x):
@@ -391,8 +361,8 @@ def test_library_results_are_read_only(code, tmp_path):
         "zak_transform": psi,
         "apply_phase_u": apply_phase_u(psi, 0.3),
         "apply_phase_v": apply_phase_v(psi, 0.3),
-        "apply_translate_u": apply_translate_u(psi, 0.25 * grid.du, interpolate=True),
-        "apply_translate_v": apply_translate_v(psi, 0.25 * grid.dv, interpolate=True),
+        "apply_translate_u": apply_translate_u(psi, 3 * grid.du),
+        "apply_translate_v": apply_translate_v(psi, -2 * grid.dv),
         "apply_X": apply_X(psi, 5 * grid.du),
         "apply_Z": apply_Z(psi, 5 * grid.dv),
         "normalized": psi.normalized(),
@@ -468,6 +438,14 @@ def test_zak_transform_allocates_little_beyond_its_result(code):
         # finite deltas whose variance delta^2 or delta^-2 overflows
         pytest.param(lambda: approx_codeword(GKPCode(), 0, 1e300), "delta", id="huge-delta"),
         pytest.param(lambda: approx_codeword(GKPCode(), 1, 1e-300), "delta", id="tiny-delta"),
+        # finite variances that leave no tooth ratio, an infinite reach or too many teeth
+        pytest.param(lambda: approx_codeword(GKPCode(), 0, 1e154), "tooth_variance", id="wide-teeth"),
+        pytest.param(lambda: approx_codeword(GKPCode(), 1, 1e-154), "envelope_variance",
+                     id="unbounded-envelope"),
+        pytest.param(lambda: approx_codeword(GKPCode(), 0, 0.009), "MAX_TEETH", id="below-cap-delta"),
+        # the default v_min -pi/b overflows
+        pytest.param(lambda: ZakPatch(1e-320), "v_min", id="patch-tiny-a"),
+        pytest.param(lambda: GKPCode(alpha=1e-320).full_patch(), "v_min", id="code-tiny-alpha"),
         pytest.param(lambda: ZakPatch(math.nan), "period a", id="patch-nan-a"),
         pytest.param(lambda: ZakPatch(1.0, b=math.inf), "period parameter b", id="patch-inf-b"),
         pytest.param(lambda: ZakPatch(1.0, u_min=math.inf), "u_min", id="patch-inf-u-min"),
@@ -489,6 +467,20 @@ def test_constructors_reject_non_finite_input(build, name):
         build()
 
 
+def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
+    for ell in (0, 1):
+        assert approx_codeword(code, ell, 0.01)._centers.size <= MAX_TEETH
+        assert approx_codeword(code, ell, 0.0091)._centers.size <= MAX_TEETH
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_TEETH"):
+            approx_codeword(code, 1, 1e-6)  # about 1e7 teeth
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize(
     "owner,name",
     [
@@ -500,6 +492,9 @@ def test_constructors_reject_non_finite_input(build, name):
         ("IdealZakState", "scaled"),
         ("ZakPatch", "contains"),
         ("ZakPatch", "is_standard"),
+        ("zakgkp.core", "ExtendedValue"),
+        ("GKPCode", "dim"),
+        ("GKPCode", "spacing"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
@@ -518,6 +513,11 @@ def test_removed_names_are_gone(owner, name):
         (LogicalQubit.from_unnormalized, "herm_tol"),
         (LogicalQubit.from_unnormalized, "psd_tol"),
         (modular_expectations, "norm_tol"),
+        (apply_translate_u, "interpolate"),
+        (apply_translate_v, "interpolate"),
+        (apply_X, "interpolate"),
+        (apply_Z, "interpolate"),
+        (GKPCode, "dim"),
     ],
 )
 def test_removed_options_are_gone(function, option):

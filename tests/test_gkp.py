@@ -46,9 +46,6 @@ def test_codewords(code):
     one = codeword(code, 1)
     assert zero.points == {(0.0, 0.0): 1 + 0j}
     assert one.points == {(ALPHA, 0.0): 1 + 0j}
-    qutrit = GKPCode(alpha=ALPHA, dim=3)
-    two = codeword(qutrit, 2)
-    assert two.value_at(2 * qutrit.period / 3, 0.0) == 1
     with pytest.raises(ValueError):
         codeword(code, 2)
 
@@ -323,23 +320,6 @@ def test_foreign_patch_rejected(code, extract, representation):
         extract(state, code)
 
 
-@pytest.mark.parametrize("representation", ["ideal", "grid"])
-@pytest.mark.parametrize(
-    "extract",
-    [ssd.to_ssd, logical_from_overlap, ec_channel_logical],
-    ids=["to_ssd", "logical_from_overlap", "ec_channel_logical"],
-)
-def test_non_qubit_code_rejected(extract, representation):
-    # the split into two logical sectors exists only for qubit codes
-    qutrit = GKPCode(dim=3)
-    if representation == "ideal":
-        state = codeword(qutrit, 1)
-    else:
-        state = zak_transform(approx_codeword(qutrit, 1, 0.4), qutrit.grid(32, 32), 16)
-    with pytest.raises(ValueError, match="dim=2"):
-        extract(state, qutrit)
-
-
 def test_mixture_validation(code):
     with pytest.raises(NormalizationError):
         MixtureState([(0.5, codeword(code, 0))])
@@ -350,14 +330,6 @@ def test_mixture_validation(code):
     )
     q = logical_from_overlap(mixed_repr, code)
     assert q.matrix[0, 0].real == pytest.approx(0.25)
-
-
-@pytest.mark.parametrize("dim", [3, 4, 5])
-def test_qudit_codeword_residuals(dim):
-    qudit = GKPCode(alpha=1.3, dim=dim)
-    for ell in range(dim):
-        r1, r2 = stabilizer_residual(codeword(qudit, ell), qudit)
-        assert r1 < 1e-12 and r2 < 1e-12
 
 
 def test_stabilizers_commute_and_fix_codewords(code, grid64):

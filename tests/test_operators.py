@@ -18,6 +18,7 @@ from zakgkp import (
     apply_X,
     apply_Z,
     codeword,
+    evaluate_extended,
     gaussian_comb,
     modular_expectations,
     stretch_rescale,
@@ -129,15 +130,22 @@ def test_translate_v_ideal_moves_point(code, grid64):
     assert out.value_at(0.0, v0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_off_grid_translation_raises_and_interpolates(grid64):
-    psi = random_state(grid64, 3)
+@pytest.mark.parametrize(
+    "off_grid",
+    [
+        pytest.param(lambda psi, g: apply_translate_u(psi, 0.37 * g.du), id="apply_translate_u"),
+        pytest.param(lambda psi, g: apply_translate_v(psi, 0.5 * g.dv), id="apply_translate_v"),
+        pytest.param(lambda psi, g: apply_X(psi, 2.5 * g.du), id="apply_X"),
+        pytest.param(lambda psi, g: apply_Z(psi, -0.25 * g.dv), id="apply_Z"),
+        pytest.param(
+            lambda psi, g: evaluate_extended(psi, g.u_values()[9] + 0.5 * g.du, g.v_values()[31] + A),
+            id="evaluate_extended",
+        ),
+    ],
+)
+def test_off_grid_translation_raises(grid64, off_grid):
     with pytest.raises(OffGridError):
-        apply_translate_u(psi, 0.37 * grid64.du)
-    half = apply_translate_u(psi, 0.5 * grid64.du, interpolate=True)
-    blend = 0.5 * (psi.samples + apply_translate_u(psi, grid64.du).samples)
-    assert np.allclose(half.samples, blend, atol=1e-15)
-    with pytest.raises(OffGridError):
-        apply_translate_v(psi, 0.37 * grid64.dv)
+        off_grid(random_state(grid64, 3), grid64)
 
 
 def test_whole_period_components_are_analytic_phases(grid64):
@@ -285,13 +293,6 @@ def test_z_grid_rule_moves_and_phases(grid64):
     assert np.allclose(out.samples, expected, atol=1e-15)
 
 
-def test_translate_v_interpolation_blend(grid64):
-    psi = random_state(grid64, 16)
-    half = apply_translate_v(psi, 0.5 * grid64.dv, interpolate=True)
-    blend = 0.5 * (psi.samples + apply_translate_v(psi, grid64.dv).samples)
-    assert np.allclose(half.samples, blend, atol=1e-15)
-
-
 # --- the shift kernels against roll-then-phase ---------------------------------
 
 
@@ -321,14 +322,6 @@ def test_x_is_roll_then_wrap_phase_bit_for_bit(code):
         if k:
             expected *= np.exp(-1j * b * k * v)[None, :]
         assert np.array_equal(apply_X(psi, m * grid.du).samples, expected), m
-
-
-def test_z_interpolation_is_the_phased_translation_blend(grid64):
-    psi = random_state(grid64, 17)
-    t = 2.25 * grid64.dv
-    kicked = apply_Z(psi, t, interpolate=True)
-    blend = apply_phase_u(apply_translate_v(psi, t, interpolate=True), t)
-    assert np.allclose(kicked.samples, blend.samples, rtol=0, atol=1e-15)
 
 
 def test_apply_z_allocates_only_its_result(code):

@@ -14,7 +14,6 @@ from zakgkp import (
     IdealZakState,
     MixtureState,
     ModularWavefunction,
-    PPGaugeModes,
     apply_phase_u,
     apply_X,
     apply_X_ssd,
@@ -432,24 +431,20 @@ def test_pp_bridge_matches_dense_sums(code, nu, nv):
         assert_close_relative(gamma.samples, want)
 
 
-def test_pp_bridge_inverse_folds_aliased_frequencies(code):
-    # frequencies shifted by +-nv and a repeated one must synthesize as the
-    # direct sum does: on the grid they alias onto bin m mod nv
-    grid = code.gauge_grid(48, 90)
-    nv = grid.nv
-    m = np.array([-nv // 2 - nv, -3, 0, 1, 1, 7 + nv, nv // 2 - 1, 2 * nv, -nv])
-    rng = np.random.default_rng(57)
-    coeffs = tuple(
-        rng.normal(size=(m.size, grid.nu)) + 1j * rng.normal(size=(m.size, grid.nu))
-        for _ in (0, 1)
-    )
-    modes = PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=coeffs)
-    back = pp_bridge_inverse(modes)
-    for gamma, want in zip(back.gamma, dense_synthesis(modes)):
-        assert gamma.samples.flags.c_contiguous
-        assert_close_relative(gamma.samples, want)
-    with pytest.raises(ValueError, match="integer"):
-        pp_bridge_inverse(dataclasses.replace(modes, m_values=m + 0.5))
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        pytest.param(lambda m, nv: m + nv, id="shifted-by-nv"),
+        pytest.param(lambda m, nv: np.where(m == 1, 0, m), id="repeated"),
+        pytest.param(lambda m, nv: m + 0.5, id="non-integer"),
+    ],
+)
+def test_pp_bridge_inverse_accepts_only_its_own_m_values(code, foreign):
+    # any other frequencies were never produced by pp_bridge
+    modes = pp_bridge(gauge_state(code, 57))
+    m_values = foreign(modes.m_values, modes.gauge_grid.nv)
+    with pytest.raises(ValueError, match="m_values must be pp_bridge's"):
+        pp_bridge_inverse(dataclasses.replace(modes, m_values=m_values))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -475,27 +470,18 @@ def gather_analysis(state):
     return coeffs
 
 
-def layered_synthesis(modes):
-    """Reference pp_bridge_inverse: layered scatter-add into zeroed bins, then the ifft.
+def scattered_synthesis(modes):
+    """Reference pp_bridge_inverse: weighted rows scattered into bin order, then the ifft.
 
-    Each layer holds rows with pairwise distinct bins; the folded bins are
-    transposed into a contiguous copy before the ifft along v.
+    The bins are transposed into a contiguous copy before the ifft along v.
     """
     grid, m = modes.gauge_grid, modes.m_values
     weights = math.sqrt(ALPHA / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
-    bins = m % grid.nv
-    layers, pending = [], np.arange(m.size)
-    while pending.size:
-        first = np.unique(bins[pending], return_index=True)[1]
-        layers.append(pending[first])
-        pending = np.delete(pending, first)
     samples = []
     for coeff in modes.coeffs:
-        terms = coeff * weights[:, None]
-        folded = np.zeros((grid.nv, grid.nu), dtype=np.complex128)
-        for rows in layers:
-            folded[bins[rows]] += terms[rows]
-        samples.append(np.fft.ifft(np.ascontiguousarray(folded.T), axis=1, norm="forward"))
+        bins = np.empty((grid.nv, grid.nu), dtype=np.complex128)
+        bins[m % grid.nv] = coeff * weights[:, None]
+        samples.append(np.fft.ifft(np.ascontiguousarray(bins.T), axis=1, norm="forward"))
     return samples
 
 
@@ -505,17 +491,9 @@ def test_pp_bridge_is_bitwise_the_reference_formulas(code, nu, nv):
     modes = pp_bridge(s)
     for got, want in zip(modes.coeffs, gather_analysis(s)):
         assert np.array_equal(got, want)
-    # pp_bridge's own m_values, then repeated and aliased ones
-    m = np.array([-nv // 2 - nv, -3, 0, 1, 1, 7 + nv, nv // 2 - 1, 2 * nv, -nv, 1])
-    rng = np.random.default_rng(59)
-    coeffs = tuple(
-        rng.normal(size=(m.size, nu // 2)) + 1j * rng.normal(size=(m.size, nu // 2))
-        for _ in (0, 1)
-    )
-    for modes in (modes, dataclasses.replace(modes, m_values=m, coeffs=coeffs)):
-        back = pp_bridge_inverse(modes)
-        for gamma, want in zip(back.gamma, layered_synthesis(modes)):
-            assert np.array_equal(gamma.samples, want)
+    back = pp_bridge_inverse(modes)
+    for gamma, want in zip(back.gamma, scattered_synthesis(modes)):
+        assert np.array_equal(gamma.samples, want)
 
 
 def test_pp_bridge_allocates_little_beyond_its_result(code):
