@@ -11,10 +11,7 @@ from .core import (
     ZakGrid,
     ZakPatch,
     convention_phase,
-    evaluate_extended,
     gaussian_comb,
-    ideal_state_overlap,
-    inner_product,
     inverse_zak_transform,
     stretch_rescale,
     tabulated,
@@ -52,7 +49,6 @@ from .operators import (
     apply_translate_v,
     apply_X,
     apply_Z,
-    modular_expectations,
 )
 from .ssd import (
     IdealSSDState,

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import modular
-from .errors import GridMismatchError, OffGridError, TruncationError
+from .errors import OffGridError, TruncationError
 
 __all__ = [
     "ZakPatch",
@@ -36,11 +36,8 @@ __all__ = [
     "tabulated",
     "zak_transform",
     "inverse_zak_transform",
-    "evaluate_extended",
-    "inner_product",
     "stretch_rescale",
     "convention_phase",
-    "ideal_state_overlap",
 ]
 
 #: relative slack used when matching coordinates to grid nodes
@@ -53,6 +50,9 @@ WINDOW_EXPONENT = 75.0
 #: most teeth a GaussianComb may hold: its norm sums pairwise integrals in
 #: (teeth x teeth) float arrays, whose peak is about 46 MB at the cap
 MAX_TEETH = 1201
+
+#: largest relative truncation bound :func:`zak_transform` accepts
+TAIL_TOL = 1e-12
 
 
 def _finite(name, value, positive=False):
@@ -381,7 +381,8 @@ class GaussianComb:
     ``tooth_variance``; the envelope has variance ``envelope_variance``.
     ``2N + 1`` may not exceed :data:`MAX_TEETH`.  The amplitude is fixed
     analytically (pairwise Gaussian integrals) so that the position-space
-    norm is exactly 1.
+    norm is exactly 1; a comb whose tooth ratio or pairwise sum leaves the
+    positive float range raises ValueError.
 
     Evaluation is windowed: at each ``x`` only the teeth ``n0 - K .. n0 + K``
     are summed, with ``n0`` the tooth nearest to ``x`` (clipped to
@@ -416,10 +417,13 @@ class GaussianComb:
             raise ValueError(f"envelope_variance={self.envelope_variance!r} and offset={self.offset!r} "
                              f"need more than MAX_TEETH={MAX_TEETH} teeth of spacing {self.spacing!r}")
         n = int(math.ceil(reach / self.spacing)) + 1
-        r = self.spacing**2 / (2 * self.tooth_variance)
-        if r == 0:
-            raise ValueError(f"tooth_variance={self.tooth_variance!r} is too wide for spacing "
-                             f"{self.spacing!r}: spacing^2 / (2 tooth_variance) is 0")
+        try:
+            r = self.spacing**2 / (2 * self.tooth_variance)
+        except OverflowError:
+            r = math.inf
+        if not 0 < r < math.inf:
+            raise ValueError(f"spacing={self.spacing!r} and tooth_variance={self.tooth_variance!r} "
+                             f"put spacing^2 / (2 tooth_variance) outside the float range ({r!r})")
         self._centers = self.offset + self.spacing * np.arange(-n, n + 1)
         k = max(1, math.ceil((math.sqrt(1 + 4 * WINDOW_EXPONENT / r) - 1) / 2))
         if k >= 2 * n:  # the window holds every tooth
@@ -432,7 +436,12 @@ class GaussianComb:
             ratio = 2 * math.exp(-r * k * (k + 1)) / -math.expm1(-2 * r * (k + 1))
         self._window = k
         self._window_ratio = ratio
-        self.amplitude = 1.0 / math.sqrt(self._raw_norm_squared())
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum outside the float range is refused below
+            norm_squared = self._raw_norm_squared()
+        if not 0 < norm_squared < math.inf:  # also NaN
+            raise ValueError(f"spacing={self.spacing!r} and offset={self.offset!r} put the teeth's "
+                             f"pairwise norm integrals outside the float range (sum {norm_squared!r})")
+        self.amplitude = 1.0 / math.sqrt(norm_squared)
 
     def _raw_norm_squared(self):
         c = self._centers
@@ -487,17 +496,17 @@ class GaussianComb:
 class TabulatedState:
     """State known only at discrete sample points, zero elsewhere.
 
-    ``step`` is the sampling cell width used for the counting-measure norm
-    ``sum |value|^2 * step``; it defaults to the smallest gap between
-    consecutive points.  Evaluation matches points within ``NODE_TOL`` of a
-    tabulated abscissa, so the table should be built on the same comb
+    ``step``, the smallest gap between consecutive points (1 for a single
+    point), is the sampling cell width of the counting-measure norm
+    ``sum |value|^2 * step``.  Evaluation matches points within ``NODE_TOL``
+    of a tabulated abscissa, so the table should be built on the same comb
     ``u_j + a*m`` that the transform probes.
     """
 
     kind = "tabulated"
     __slots__ = ("xs", "values", "step")
 
-    def __init__(self, xs, values, step=None):
+    def __init__(self, xs, values):
         xs = np.asarray(xs, dtype=float)
         values = np.asarray(values, dtype=np.complex128)
         if xs.ndim != 1 or xs.shape != values.shape:
@@ -508,10 +517,8 @@ class TabulatedState:
         order = np.argsort(xs)
         self.xs = xs[order]
         self.values = values[order]
-        if step is None:
-            gaps = np.diff(self.xs)
-            step = float(gaps.min()) if len(gaps) else 1.0
-        self.step = _finite("step", step, positive=True)
+        gaps = np.diff(self.xs)
+        self.step = _finite("step", gaps.min() if len(gaps) else 1.0, positive=True)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -539,15 +546,15 @@ def gaussian_comb(spacing, tooth_variance, envelope_variance, offset=0.0):
     return GaussianComb(spacing, tooth_variance, envelope_variance, offset)
 
 
-def tabulated(xs, values, step=None):
-    return TabulatedState(xs, values, step)
+def tabulated(xs, values):
+    return TabulatedState(xs, values)
 
 
 # ---------------------------------------------------------------------------
 # the transform and its companions
 
 
-def zak_transform(state, grid: ZakGrid, m_max: int, tail_tol: float = 1e-12) -> ModularWavefunction:
+def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
     """Discretized Zak transform of a position-space state.
 
     Sums the comb over ``m in [-m_max, m_max]`` in a fixed order and
@@ -556,7 +563,7 @@ def zak_transform(state, grid: ZakGrid, m_max: int, tail_tol: float = 1e-12) -> 
     For a :class:`GaussianComb` that mass includes the teeth its windowed
     evaluation leaves out, each below ``exp(-WINDOW_EXPONENT)`` of the
     tooth nearest to the sample.  Raises :class:`TruncationError` when the
-    bound exceeds ``tail_tol``.  The result owns the one array it allocates
+    bound exceeds :data:`TAIL_TOL`.  The result owns the one array it allocates
     at full grid size.
     """
     if m_max <= 0:
@@ -571,8 +578,8 @@ def zak_transform(state, grid: ZakGrid, m_max: int, tail_tol: float = 1e-12) -> 
     lo = (patch.u_min + patch.a - grid.du) - patch.a * m_max
     hi = patch.u_min + patch.a * m_max
     tail = min(state.tail_mass(lo, hi) / state.norm_squared(), 1.0)
-    if tail > tail_tol:
-        raise TruncationError(tail, tail_tol)
+    if tail > TAIL_TOL:
+        raise TruncationError(tail, TAIL_TOL)
 
     values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]), dtype=np.complex128)
     phases = np.exp(-1j * patch.b * np.outer(m, v))
@@ -592,55 +599,6 @@ def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex
     row = psi.samples[j, :]
     total = np.sum(np.exp(1j * grid.patch.b * n * v) * row) * grid.dv
     return complex(math.sqrt(grid.patch.b / (2 * math.pi)) * total)
-
-
-def evaluate_extended(psi: ModularWavefunction, x: float, y: float) -> complex:
-    """Value of the quasi-periodic extension of ``psi`` at a point that reduces to a grid node.
-
-    The point is reduced into the patch; the wavefunction convention gives
-    the analytic extension phase ``exp(+i b n v)`` for ``n`` horizontal
-    wraps and no phase for vertical wraps.  Raises OffGridError unless the
-    reduced point is a grid node.
-    """
-    grid = psi.grid
-    patch = grid.patch
-    u, v, n = patch.reduce(x, y)
-    tu = (u - patch.u_min) / grid.du
-    tv = (v - patch.v_min) / grid.dv
-    ju, kv = round(tu), round(tv)
-    if abs(tu - ju) > NODE_TOL or abs(tv - kv) > NODE_TOL:
-        raise OffGridError(f"({x!r}, {y!r}) does not reduce to a grid node")
-    phase = cmath.exp(1j * patch.b * n * v)
-    if ju == grid.nu:  # node at u_min + a is the phased image of column 0
-        ju = 0
-        phase *= cmath.exp(1j * patch.b * v)
-    if kv == grid.nv:
-        kv = 0
-    return complex(phase * psi.samples[ju, kv])
-
-
-def inner_product(phi: ModularWavefunction, psi: ModularWavefunction) -> complex:
-    """Patch inner product ``<phi|psi>`` (conjugate on the first argument)."""
-    if not phi.grid.compatible(psi.grid):
-        raise GridMismatchError(f"grids differ: {phi.grid!r} vs {psi.grid!r}")
-    return complex(_cross_sum(psi.samples, phi.samples, None) * phi.grid.cell_area)
-
-
-def _cross_sum(f, g, weight):
-    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
-
-    The products are formed in row blocks in one reused buffer of at most
-    8192 samples, and the row sums are added pairwise.
-    """
-    step = max(1, 8192 // f.shape[1])
-    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
-    rows = np.empty(len(f), dtype=np.complex128)
-    for i in range(0, len(f), step):
-        g_rows = g[i:i + step]
-        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
-        block *= f[i:i + step]
-        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
-    return rows.sum()
 
 
 def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
@@ -668,17 +626,3 @@ def convention_phase(u: float, v: float, convention: str) -> complex:
     if convention == "symmetric":
         return cmath.exp(-1j * u * v / 2)
     raise ValueError(f"unknown convention {convention!r}")
-
-
-def ideal_state_overlap(state: IdealZakState, psi: ModularWavefunction) -> complex:
-    """Delta-paired overlap ``<state|psi>``: sum of conj(weight) * psi(point).
-
-    No du*dv measure enters; point masses pair with samples directly.
-    Every point must land on a grid node.
-    """
-    if not state.patch.approx_equal(psi.patch):
-        raise GridMismatchError("ideal state and wavefunction live on different patches")
-    total = 0j
-    for (u, v), w in state.items():
-        total += w.conjugate() * psi.value_at(u, v)
-    return complex(total)

@@ -32,7 +32,6 @@ from .core import (
     ModularWavefunction,
     ZakGrid,
     ZakPatch,
-    _cross_sum,
     _finite,
     gaussian_comb,
 )
@@ -280,6 +279,23 @@ def _sectors(state, code: GKPCode):
         ModularWavefunction(gauge_grid, state.samples[:half, :]),
         ModularWavefunction(gauge_grid, state.samples[half:, :]),
     )
+
+
+def _cross_sum(f, g, weight):
+    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
+
+    The products are formed in row blocks in one reused buffer of at most
+    8192 samples, and the row sums are added pairwise.
+    """
+    step = max(1, 8192 // f.shape[1])
+    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
+    rows = np.empty(len(f), dtype=np.complex128)
+    for i in range(0, len(f), step):
+        g_rows = g[i:i + step]
+        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
+        block *= f[i:i + step]
+        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
+    return rows.sum()
 
 
 def _gram(gamma, alpha, ec_phase: bool):

@@ -14,12 +14,10 @@ phases.  Shifts that are not grid multiples raise OffGridError.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from .core import IdealZakState, ModularWavefunction, _frozen
-from .errors import NormalizationError
 
 __all__ = [
     "apply_phase_u",
@@ -28,7 +26,6 @@ __all__ = [
     "apply_translate_v",
     "apply_X",
     "apply_Z",
-    "modular_expectations",
 ]
 
 
@@ -99,18 +96,3 @@ def apply_Z(state, t):
     if isinstance(state, IdealZakState):
         return apply_phase_u(apply_translate_v(state, t), t)
     return state.with_samples(_frozen(_kick_rows(state, state.grid.v_steps(t), t)))
-
-
-def modular_expectations(psi: ModularWavefunction):
-    """Expectation values of the modular position and momentum operators.
-
-    Left-Riemann quadrature of ``u |psi|^2`` and ``v |psi|^2`` over the
-    patch.  The state must be normalized to within 1e-8.
-    """
-    grid = psi.grid
-    rows, cols = psi.marginals()
-    norm = math.sqrt(float(rows.sum()) * grid.cell_area)
-    if abs(norm - 1) > 1e-8:
-        raise NormalizationError(norm, f"modular_expectations requires a normalized state, got norm {norm!r}")
-    area = grid.cell_area
-    return float(grid.u_values() @ rows) * area, float(grid.v_values() @ cols) * area

@@ -350,6 +350,14 @@ TABLE = "tabulated:{table}"
         pytest.param(("sweep", "--deltas", "0.3,1e154"), None, id="wide-tooth-deltas"),
         pytest.param(("logical", "--alpha", "1e-320"), None, id="tiny-alpha"),
         pytest.param(("sweep", "--deltas", "0.3,0.001"), None, id="below-cap-deltas"),
+        # a period whose comb spacing^2 or pairwise norm integrals overflow
+        pytest.param(("logical", "--alpha", "1e200", "--state", "gkp-approx:0.3:0"), None,
+                     id="huge-alpha-approx"),
+        pytest.param(("logical", "--alpha", "6e153", "--state", "gkp-approx:0.3:0"), None,
+                     id="huge-alpha-tooth-ratio"),
+        pytest.param(("zakplot", "--alpha", "2.5e153", "--state", "gkp-approx:0.3:1"), None,
+                     id="huge-alpha-comb-norm"),
+        pytest.param(("sweep", "--alpha", "1e200", "--deltas", "0.3"), None, id="huge-alpha-sweep"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):

@@ -11,7 +11,6 @@ import zakgkp
 from conftest import ALPHA
 from zakgkp import (
     GKPCode,
-    GridMismatchError,
     IdealZakState,
     LogicalQubit,
     ModularWavefunction,
@@ -30,13 +29,9 @@ from zakgkp import (
     apply_Z_ssd,
     approx_codeword,
     convention_phase,
-    evaluate_extended,
     from_ssd,
     gaussian_comb,
-    ideal_state_overlap,
-    inner_product,
     inverse_zak_transform,
-    modular_expectations,
     pp_bridge,
     pp_bridge_inverse,
     stretch_rescale,
@@ -45,7 +40,8 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
-from zakgkp.core import MAX_TEETH
+from zakgkp.core import MAX_TEETH, TabulatedState
+from zakgkp.gkp import _gram, _sectors
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
@@ -93,7 +89,7 @@ def test_isometry_tabulated_is_exact(code):
     rng = np.random.default_rng(3)
     xs = np.concatenate([grid.u_values() + A * m for m in (-1, 0, 1)])
     values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-    state = tabulated(xs, values, step=grid.du)
+    state = tabulated(xs, values)
     psi = zak_transform(state, grid, 4)
     assert psi.norm_squared() == pytest.approx(state.norm_squared(), rel=1e-12)
 
@@ -105,11 +101,9 @@ def test_truncation_bound_reported_and_enforced(code):
     comb = gaussian_comb(A, 0.4**2, 0.4**-2)
     with pytest.raises(TruncationError) as err:
         zak_transform(comb, grid, 4)
-    assert err.value.tail > 1e-12
-    # loosening the tolerance admits the same truncation, and the reported
-    # bound sits between the two thresholds
-    loose = zak_transform(comb, grid, 4, tail_tol=1e-3)
-    assert 1e-12 < loose.tail_bound < 1e-3
+    # the refused bound is reported: past the tolerance, yet far below 1
+    assert err.value.tolerance == 1e-12
+    assert 1e-12 < err.value.tail < 1e-3
 
 
 def test_inverse_zak_vacuum_values(vac64):
@@ -125,7 +119,7 @@ def test_inverse_zak_roundtrip_tabulated(code):
     rng = np.random.default_rng(11)
     xs = np.concatenate([grid.u_values() + A * m for m in (-2, -1, 0, 1, 2)])
     values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-    state = tabulated(xs, values, step=grid.du)
+    state = tabulated(xs, values)
     psi = zak_transform(state, grid, 8)
     for idx in range(xs.size):
         m, j = divmod(idx, grid.nu)
@@ -133,28 +127,23 @@ def test_inverse_zak_roundtrip_tabulated(code):
         assert recovered == pytest.approx(values[idx], abs=1e-10)
 
 
-def test_evaluate_extended_laws(vac64, grid64):
-    u = grid64.u_values()[9]
-    v = grid64.v_values()[31]
-    base = evaluate_extended(vac64, u, v)
-    assert base == vac64.samples[9, 31]
+def gauge_gram(code, psi, phi):
+    """Gram matrix of the full mode whose gauge components are ``psi`` and ``phi``.
 
-    up = evaluate_extended(vac64, u + A, v)
-    assert up == pytest.approx(cmath.exp(1j * A * v) * base, abs=1e-15)
-    down = evaluate_extended(vac64, u - 2 * A, v)
-    assert down == pytest.approx(cmath.exp(-2j * A * v) * base, abs=1e-15)
-    wrapped_v = evaluate_extended(vac64, u, v + 2 * math.pi / A)
-    assert wrapped_v == pytest.approx(base, abs=1e-15)
+    Its cross entry ``[0, 1]`` is the inner product ``<phi|psi>``.
+    """
+    mode = SSDState(code, psi, phi).mode
+    return _gram(_sectors(mode, code), code.alpha, ec_phase=False)
 
 
 def test_inner_product_overlap_of_displaced_vacua(code):
-    grid = code.grid(256, 256)
+    grid = code.gauge_grid(256, 256)
     psi0 = zak_transform(vacuum(), grid, 16)
     psi1 = zak_transform(vacuum(offset=A), grid, 16)
-    overlap = inner_product(psi0, psi1)
-    assert overlap == pytest.approx(math.exp(-(A**2) / 4), abs=1e-9)
-    assert inner_product(psi0, psi0) == pytest.approx(1.0, abs=1e-9)
-    assert inner_product(psi1, psi0) == pytest.approx(overlap.conjugate(), abs=1e-12)
+    gram = gauge_gram(code, psi0, psi1)
+    assert gram[0, 1] == pytest.approx(math.exp(-(A**2) / 4), abs=1e-9)
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert gram[1, 1] == pytest.approx(1.0, abs=1e-9)
 
 
 def exact_inner_product(phi, psi):
@@ -166,18 +155,12 @@ def exact_inner_product(phi, psi):
 
 
 def test_inner_product_matches_exact_sum(code):
-    # a sequential sum (BLAS zdotc) drifts by more than 1e-15 already at 256x256
-    grid = code.grid(256, 256)
-    psi = zak_transform(approx_codeword(code, 0, 0.1), grid, 16)
+    # a sequential sum (BLAS zdotc) drifts by 5e-15 to 7e-15 here
+    grid = code.gauge_grid(512, 512)
+    psi = zak_transform(approx_codeword(code, 0, 0.1), grid, 32)
     for phi in (psi, apply_X(psi, 5 * grid.du)):
         exact = exact_inner_product(phi, psi)
-        assert abs(inner_product(phi, psi) - exact) <= 1e-15 * abs(exact)
-
-
-def test_inner_product_grid_mismatch(code, vac64):
-    other = zak_transform(vacuum(), code.grid(128, 64), 16)
-    with pytest.raises(GridMismatchError):
-        inner_product(vac64, other)
+        assert abs(gauge_gram(code, psi, phi)[0, 1] - exact) <= 1e-15 * abs(exact)
 
 
 def test_vacuum_mirror_symmetry(vac64, grid64):
@@ -194,12 +177,23 @@ def test_stretch_rescale(code, vac64):
     assert stretched.norm_squared() == pytest.approx(vac64.norm_squared(), rel=1e-12)
     assert stretched.grid.patch.b == b
     assert stretched.grid.patch.v_min == pytest.approx(-math.pi / b)
-    # modified quasi-periodicity: wrapping in u now costs exp(i b v)
-    u = stretched.grid.u_values()[5]
-    v = stretched.grid.v_values()[17]
-    base = evaluate_extended(stretched, u, v)
-    up = evaluate_extended(stretched, u + A, v)
-    assert up == pytest.approx(cmath.exp(1j * b * v) * base, abs=1e-15)
+
+
+@pytest.mark.parametrize("b", [2 * A, A / 2, 3.1])
+@pytest.mark.parametrize(
+    "descriptor",
+    [vacuum(offset=0.7), approx_codeword(GKPCode(), 0, 0.3)],
+    ids=["displaced-vacuum", "codeword-0.3"],
+)
+def test_stretch_rescale_matches_direct_transform(code, b, descriptor):
+    grid = code.grid(64, 64)
+    rescaled = stretch_rescale(zak_transform(descriptor, grid, 16), b)
+    old = grid.patch
+    patch = ZakPatch(old.a, b, old.u_min, old.v_min * old.b / b)
+    direct = zak_transform(descriptor, ZakGrid(patch, grid.nu, grid.nv), 16)
+    assert rescaled.grid.patch.approx_equal(patch)
+    scale = np.max(np.abs(direct.samples))
+    assert np.max(np.abs(rescaled.samples - direct.samples)) <= 1e-14 * scale
 
 
 def test_convention_phase():
@@ -212,20 +206,18 @@ def test_convention_phase():
         convention_phase(0.0, 0.0, "sideways")
 
 
-def test_ideal_state_overlap(vac64, grid64, code):
-    patch = code.full_patch()
-    point = IdealZakState(patch, {(0.0, 0.0): 1.0})
-    assert ideal_state_overlap(point, vac64) == pytest.approx(VAC_AT_ORIGIN, abs=1e-12)
-
-    zero = ModularWavefunction(grid64, np.zeros((64, 64)))
-    assert ideal_state_overlap(point, zero) == 0
-
-    c0, c1 = 0.6 + 0.2j, -0.3 + 0.7j
-    two = IdealZakState(patch, {(0.0, 0.0): c0, (ALPHA, 0.0): c1})
-    j, k = grid64.origin_index
-    ja = grid64.u_index(ALPHA)
-    expected = c0.conjugate() * vac64.samples[j, k] + c1.conjugate() * vac64.samples[ja, k]
-    assert ideal_state_overlap(two, vac64) == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize("u,v", [(0.3, -1.1), (-2.2, 0.7), (ALPHA, math.pi / ALPHA)])
+def test_convention_phase_matches_displacement_orderings(u, v):
+    # the three orderings of a position shift by u and a momentum kick by v,
+    # acting on a wavefunction in position space
+    f = vacuum(offset=0.4).evaluate
+    x = np.linspace(-6.0, 6.0, 241)
+    translate_then_multiply = np.exp(1j * v * x) * f(x - u)
+    multiply_then_translate = np.exp(1j * v * (x - u)) * f(x - u)
+    weyl = np.exp(1j * v * (x - u / 2)) * f(x - u)
+    for variant, convention in [(multiply_then_translate, "opposite"), (weyl, "symmetric")]:
+        expected = convention_phase(u, v, convention) * translate_then_multiply
+        assert np.max(np.abs(variant - expected)) <= 1e-15 * np.max(np.abs(variant))
 
 
 def test_ideal_state_canonicalization_merges_and_phases():
@@ -453,8 +445,17 @@ def test_zak_transform_allocates_little_beyond_its_result(code):
         pytest.param(lambda: vacuum(math.nan), "offset", id="vacuum-nan-offset"),
         pytest.param(lambda: tabulated([0.0, math.nan], [1.0, 1.0]), "xs", id="table-nan-x"),
         pytest.param(lambda: tabulated([0.0, 1.0], [1.0, math.nan]), "values", id="table-nan-value"),
-        pytest.param(lambda: tabulated([0.0, 1.0], [1.0, 1.0], step=math.nan), "step",
-                     id="table-nan-step"),
+        # a period so long that spacing^2 / (2 tooth_variance) overflows, or the
+        # norm's pairwise integrals overflow or (every tooth far out in the
+        # envelope) underflow to 0
+        pytest.param(lambda: approx_codeword(GKPCode(alpha=1e200), 0, 0.3), "spacing",
+                     id="comb-spacing-squared-overflows"),
+        pytest.param(lambda: approx_codeword(GKPCode(alpha=6e153), 0, 0.3), "spacing",
+                     id="comb-tooth-ratio-overflows"),
+        pytest.param(lambda: approx_codeword(GKPCode(alpha=2.5e153), 1, 0.3), "spacing",
+                     id="comb-norm-overflows"),
+        pytest.param(lambda: approx_codeword(GKPCode(alpha=100.0), 1, 0.3), "spacing",
+                     id="comb-norm-underflows"),
         pytest.param(lambda: gaussian_comb(math.nan, 0.04, 25.0), "spacing", id="comb-nan-spacing"),
         pytest.param(lambda: gaussian_comb(A, 0.04, math.inf), "envelope_variance",
                      id="comb-inf-envelope"),
@@ -495,6 +496,10 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
         ("zakgkp.core", "ExtendedValue"),
         ("GKPCode", "dim"),
         ("GKPCode", "spacing"),
+        ("zakgkp.core", "inner_product"),
+        ("zakgkp.core", "ideal_state_overlap"),
+        ("zakgkp.core", "evaluate_extended"),
+        ("zakgkp.operators", "modular_expectations"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
@@ -512,12 +517,14 @@ def test_removed_names_are_gone(owner, name):
         (ZakPatch.approx_equal, "rtol"),
         (LogicalQubit.from_unnormalized, "herm_tol"),
         (LogicalQubit.from_unnormalized, "psd_tol"),
-        (modular_expectations, "norm_tol"),
         (apply_translate_u, "interpolate"),
         (apply_translate_v, "interpolate"),
         (apply_X, "interpolate"),
         (apply_Z, "interpolate"),
         (GKPCode, "dim"),
+        (zak_transform, "tail_tol"),
+        (tabulated, "step"),
+        (TabulatedState, "step"),
     ],
 )
 def test_removed_options_are_gone(function, option):

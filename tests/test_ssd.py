@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -521,6 +522,30 @@ def test_ssd_save_load_roundtrip(code, tmp_path):
     assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
     manifest = (tmp_path / "state.manifest").read_text()
     assert manifest.count("\n") == 1 and "gamma0=state.g0.bin " in manifest
+
+
+def test_ssd_save_writes_the_documented_layout(tmp_path):
+    # read back with struct and np.frombuffer from the documented layout alone
+    code = GKPCode(alpha=1.3)
+    s = to_ssd(random_state(code.grid(32, 48), 61), code)
+    save_ssd(s, tmp_path / "state")
+    patch = code.gauge_patch()
+    for ell in (0, 1):
+        raw = (tmp_path / f"state.g{ell}.bin").read_bytes()
+        magic, _, nu, nv, a, b, u_min, v_min = struct.unpack_from("<4sIIIdddd", raw)
+        assert magic == b"ZAKG" and (nu, nv) == (16, 48)
+        assert (a, b, u_min, v_min) == (patch.a, patch.b, patch.u_min, patch.v_min)
+        assert len(raw) == 48 + 16 * nu * nv
+        # (re, im) f64 pairs, row-major in j then k, compared as bit patterns
+        pairs = np.frombuffer(raw, dtype="<u8", offset=48).reshape(nu, nv, 2)
+        samples = s.gamma[ell].samples
+        expected = np.stack([samples.real, samples.imag], axis=-1).astype("<f8").view("<u8")
+        assert np.array_equal(pairs, expected)
+    manifest = (tmp_path / "state.manifest").read_text(encoding="ascii")
+    assert manifest.endswith("\n") and manifest.count("\n") == 1
+    fields = dict(item.split("=", 1) for item in manifest.split())
+    assert fields == {"alpha": fields["alpha"], "gamma0": "state.g0.bin", "gamma1": "state.g1.bin"}
+    assert float(fields["alpha"]) == code.alpha
 
 
 def test_ssd_save_rejects_whitespace_base_name(code, tmp_path):
