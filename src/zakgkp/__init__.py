@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DegenerateLogicalError,
     GridMismatchError,
+    NonFiniteError,
     NormalizationError,
     OffGridError,
     TruncationError,

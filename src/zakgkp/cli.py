@@ -15,13 +15,23 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from . import gridio, operators, ssd
-from .core import ModularWavefunction, tabulated, vacuum, zak_transform
+from . import gridio, operators
+from .core import (
+    BLOCK_ROWS,
+    IdealZakState,
+    ModularWavefunction,
+    _frozen,
+    comb_matrix,
+    tabulated,
+    vacuum,
+    zak_transform,
+)
 from .errors import (
     ConfigError,
     DegenerateLogicalError,
@@ -34,6 +44,7 @@ from .gkp import (
     GKPCode,
     approx_codeword,
     codeword,
+    ec_channel_logical,
     logical_from_overlap,
     stabilizer_residual,
 )
@@ -192,19 +203,23 @@ def _approx_codeword(code, ell, delta):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_state(cfg, code, grid):
-    """Returns ('ideal', IdealZakState) or ('grid', ModularWavefunction)."""
+def _build_state(cfg, code):
+    """The ideal state (an IdealZakState) or the position-space descriptor the spec names."""
     spec = cfg["state"]
     ell, delta = _parse_state(spec)
     if spec in ("gkp0", "gkp1"):
-        return "ideal", codeword(code, ell)
+        return codeword(code, ell)
     if delta is not None:
-        descriptor = _approx_codeword(code, ell, delta)
-    elif spec == "vacuum":
-        descriptor = vacuum()
-    else:
-        descriptor = _load_table(spec.split(":", 1)[1])
-    return "grid", zak_transform(descriptor, grid, cfg["mmax"])
+        return _approx_codeword(code, ell, delta)
+    if spec == "vacuum":
+        return vacuum()
+    return _load_table(spec.split(":", 1)[1])
+
+
+def _build_comb(cfg, code, grid):
+    """The ideal state, or the comb matrix of the transform of the described state."""
+    state = _build_state(cfg, code)
+    return state if isinstance(state, IdealZakState) else comb_matrix(state, grid, cfg["mmax"])
 
 
 def _manifest_text(command, cfg):
@@ -229,18 +244,26 @@ def _save_grid(psi, path, fmt):
         gridio.save_grid_csv(psi, path)
 
 
+def _derived(psi, derive):
+    """The state whose samples are the real ``derive(psi.samples)``, filled one
+    block of rows at a time, so no real full-grid temporary is made."""
+    samples = np.zeros_like(psi.samples)
+    for j in range(0, psi.grid.nu, BLOCK_ROWS):
+        samples.real[j:j + BLOCK_ROWS] = derive(psi.samples[j:j + BLOCK_ROWS])
+    return ModularWavefunction(psi.grid, _frozen(samples))
+
+
 def cmd_zakplot(cfg, code, grid):
-    kind, state = _build_state(cfg, code, grid)
+    state = _build_state(cfg, code)
     out = cfg["out"]
-    if kind == "ideal":
+    if isinstance(state, IdealZakState):
         gridio.save_point_list_csv(state, out)
     else:
-        _save_grid(state, out, cfg["format"])
+        psi = zak_transform(state, grid, cfg["mmax"])
+        _save_grid(psi, out, cfg["format"])
         # each derived grid is saved and freed before the next one is made
         for suffix, derive in (("_abs", np.abs), ("_arg", np.angle)):
-            derived = ModularWavefunction(state.grid, derive(state.samples))
-            _save_grid(derived, _with_suffix(out, suffix), cfg["format"])
-            del derived
+            _save_grid(_derived(psi, derive), _with_suffix(out, suffix), cfg["format"])
     gridio.atomic_write_text(out + ".manifest", _manifest_text("zakplot", cfg))
     return 0
 
@@ -251,39 +274,56 @@ def cmd_shift_array(cfg, code, grid):
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
     if not (math.isfinite(cfg["jmax"] * dx) and math.isfinite(cfg["kmax"] * dy)):
         raise ConfigError("the largest panel shifts jmax*dx and kmax*dy must be finite")
-    kind, state = _build_state(cfg, code, grid)
-    if kind == "grid":
+    state = _build_state(cfg, code)
+    ideal = isinstance(state, IdealZakState)
+    if not ideal:
+        state = zak_transform(state, grid, cfg["mmax"])
         try:
             state.grid.u_steps(dx)
             state.grid.v_steps(dy)
         except OffGridError as exc:
             raise ConfigError(f"panel steps must be grid multiples: {exc}") from exc
     out_dir = cfg["out"]
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    ext = ".csv" if kind == "ideal" or cfg["format"] == "csv" else ".bin"
-    # one Z panel at a time, X-shifted for every j
-    for k in range(cfg["kmax"] + 1):
-        kicked = operators.apply_Z(state, k * dy)
-        for j in range(cfg["jmax"] + 1):
-            panel = operators.apply_X(kicked, j * dx)
-            path = os.path.join(out_dir, f"panel_j{j}_k{k}{ext}")
-            if kind == "ideal":
-                gridio.save_point_list_csv(panel, path)
-            else:
-                _save_grid(panel, path, cfg["format"])
+    ext = ".csv" if ideal or cfg["format"] == "csv" else ".bin"
+    try:
+        # one Z panel at a time, X-shifted for every j
+        for k in range(cfg["kmax"] + 1):
+            kicked = operators.apply_Z(state, k * dy)
+            for j in range(cfg["jmax"] + 1):
+                panel = operators.apply_X(kicked, j * dx)
+                path = os.path.join(out_dir, f"panel_j{j}_k{k}{ext}")
+                if ideal:
+                    gridio.save_point_list_csv(panel, path)
+                else:
+                    _save_grid(panel, path, cfg["format"])
+    except BaseException:
+        if created:  # everything in it is this run's
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     gridio.atomic_write_text(os.path.join(out_dir, "manifest"), _manifest_text("shift-array", cfg))
     return 0
 
 
+def _gauge_split(command, grid, fn, *args):
+    """``fn(*args)``, a map that splits a grid state into its gauge halves; the
+    ValueError of a grid whose ``Nu/2 x Nv`` halves are no grid is a ConfigError."""
+    try:
+        return fn(*args)
+    except ZakError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{command} needs a grid whose halves Nu/2 x Nv are grids; "
+                          f"{grid.nu}x{grid.nv} is not: {exc}") from exc
+
+
 def cmd_logical(cfg, code, grid):
-    _, state = _build_state(cfg, code, grid)
-    method = cfg["method"]
-    if method == "overlap":
-        qubit = logical_from_overlap(state, code)
-    elif method == "trace":
-        qubit = ssd.gauge_trace(ssd.to_ssd(state, code))
-    else:
-        qubit = ssd.ec_gauge_trace(ssd.to_ssd(state, code))
+    state = _build_comb(cfg, code, grid)
+    # trace and overlap are one map (ssd.gauge_trace equals logical_from_overlap
+    # bit for bit), and ec-trace is the error-correction channel
+    logical = ec_channel_logical if cfg["method"] == "ec-trace" else logical_from_overlap
+    qubit = _gauge_split("logical", grid, logical, state, code)
     gridio.save_logical_report(qubit, cfg["out"])
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("logical", cfg))
     return 0
@@ -301,12 +341,11 @@ def cmd_sweep(cfg, code, grid):
         raise ConfigError(f"--deltas values must be positive and finite, got {cfg['deltas']!r}")
     lines = ["delta,fidelity,purity,raw_trace,residual_pv,residual_pu"]
     for delta in deltas:
-        psi = zak_transform(_approx_codeword(code, target, delta), grid, cfg["mmax"])
-        qubit = ssd.gauge_trace(ssd.to_ssd(psi, code))
-        r1, r2 = stabilizer_residual(psi, code)
+        comb = comb_matrix(_approx_codeword(code, target, delta), grid, cfg["mmax"])
+        qubit = _gauge_split("sweep", grid, logical_from_overlap, comb, code)
+        r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))
-        del psi  # freed before the next delta's transform
     gridio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("sweep", cfg))
     return 0

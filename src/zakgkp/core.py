@@ -34,6 +34,8 @@ __all__ = [
     "vacuum",
     "gaussian_comb",
     "tabulated",
+    "CombMatrix",
+    "comb_matrix",
     "zak_transform",
     "inverse_zak_transform",
     "stretch_rescale",
@@ -53,6 +55,9 @@ MAX_TEETH = 1201
 
 #: largest relative truncation bound :func:`zak_transform` accepts
 TAIL_TOL = 1e-12
+
+#: grid rows per block: contracted in one matrix product, checked and written at once
+BLOCK_ROWS = 64
 
 
 def _finite(name, value, positive=False):
@@ -554,23 +559,44 @@ def tabulated(xs, values):
 # the transform and its companions
 
 
-def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
-    """Discretized Zak transform of a position-space state.
+class CombMatrix:
+    """A Zak transform before its sum over ``m``.
 
-    Sums the comb over ``m in [-m_max, m_max]`` in a fixed order and
-    attaches the relative truncation bound (position-space mass the sum
-    cannot see, over the state's norm) as ``tail_bound`` on the result.
+    Row ``j`` of the transform is ``sqrt(b/2pi) values[j] @ phases``, with
+    ``values[j, m] = psi_x(u_j + a m)`` and ``phases[m, k] = exp(-i b m v_k)``
+    over the ``m`` that :func:`comb_matrix` kept.  ``values`` is float64
+    for a real descriptor and complex128 otherwise.
+    """
+
+    __slots__ = ("grid", "values", "phases", "tail_bound")
+
+    def __init__(self, grid: ZakGrid, values, phases, tail_bound):
+        self.grid = grid
+        self.values = values
+        self.phases = phases
+        self.tail_bound = tail_bound
+
+    @property
+    def patch(self):
+        return self.grid.patch
+
+
+def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
+    """The comb matrix of the transform of ``state``, summed over ``m in [-m_max, m_max]``.
+
+    Values below ``np.finfo(float).tiny`` are flushed to zero (BLAS is slow
+    on subnormals) and the ``m`` columns left all zero are dropped; neither
+    changes a transform value.  ``tail_bound`` is the relative truncation
+    bound (position-space mass the sum cannot see, over the state's norm).
     For a :class:`GaussianComb` that mass includes the teeth its windowed
     evaluation leaves out, each below ``exp(-WINDOW_EXPONENT)`` of the
     tooth nearest to the sample.  Raises :class:`TruncationError` when the
-    bound exceeds :data:`TAIL_TOL`.  The result owns the one array it allocates
-    at full grid size.
+    bound exceeds :data:`TAIL_TOL`.
     """
     if m_max <= 0:
         raise ValueError(f"m_max must be positive, got {m_max}")
     patch = grid.patch
     u = grid.u_values()
-    v = grid.v_values()
     m = np.arange(-m_max, m_max + 1)
 
     # every row j sees at least [u_max - a*m_max, u_min + a*m_max]; the
@@ -581,11 +607,37 @@ def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
     if tail > TAIL_TOL:
         raise TruncationError(tail, TAIL_TOL)
 
-    values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]), dtype=np.complex128)
-    phases = np.exp(-1j * patch.b * np.outer(m, v))
-    samples = values @ phases
-    samples *= math.sqrt(patch.b / (2 * math.pi))
-    return ModularWavefunction(grid, _frozen(samples), tail_bound=tail)
+    values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]))
+    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64, copy=False)
+    parts = values.view(np.float64)
+    parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
+    keep = values.any(axis=0)
+    if not keep.all():
+        values, m = values[:, keep], m[keep]
+    phases = np.exp(-1j * patch.b * np.outer(m, grid.v_values()))
+    return CombMatrix(grid, values, phases, tail)
+
+
+def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
+    """Discretized Zak transform of a position-space state.
+
+    Contracts :func:`comb_matrix` (which raises :class:`TruncationError`
+    when its bound exceeds :data:`TAIL_TOL`) :data:`BLOCK_ROWS` rows at a
+    time into the one array it allocates at full grid size, and attaches
+    the relative truncation bound as ``tail_bound`` on the result.  Real
+    values take one real matrix product against the phases' (re, im)
+    pairs, half the flops of a complex one.
+    """
+    comb = comb_matrix(state, grid, m_max)
+    samples = np.empty((grid.nu, grid.nv), dtype=np.complex128)
+    real = comb.values.dtype == np.float64
+    phases = comb.phases.view(np.float64) if real else comb.phases
+    scale = math.sqrt(grid.patch.b / (2 * math.pi))
+    for j in range(0, grid.nu, BLOCK_ROWS):
+        rows = samples[j:j + BLOCK_ROWS]
+        np.matmul(comb.values[j:j + BLOCK_ROWS], phases, out=rows.view(np.float64) if real else rows)
+        rows *= scale
+    return ModularWavefunction(grid, _frozen(samples), tail_bound=comb.tail_bound)
 
 
 def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex:

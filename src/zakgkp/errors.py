@@ -39,3 +39,7 @@ class DegenerateLogicalError(ZakError):
 
 class ConfigError(ZakError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+class NonFiniteError(ZakError, ValueError):
+    """A grid sample that is written or read is not finite (CLI exit code 3)."""

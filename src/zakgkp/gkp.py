@@ -27,6 +27,7 @@ import numpy as np
 
 from . import modular, operators
 from .core import (
+    CombMatrix,
     GaussianComb,
     IdealZakState,
     ModularWavefunction,
@@ -221,7 +222,8 @@ def stabilizer_residual(state, code: GKPCode):
     Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both
     vanish exactly on codewords.  Both are phases in one variable and
     ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so a grid state needs
-    only the marginals of ``|psi|^2``; ideal states use the Dirac-comb norm.
+    only the marginals of ``|psi|^2``; a :class:`CombMatrix` gives them per
+    row from its comb matrix, and ideal states use the Dirac-comb norm.
     """
     tv, tu = -code.period, 2 * math.pi / code.alpha
     if isinstance(state, IdealZakState):
@@ -229,6 +231,12 @@ def stabilizer_residual(state, code: GKPCode):
         weights = np.array([abs(w) ** 2 for _, w in state.items()])
         return _defect(weights, tv * points[:, 1]), _defect(weights, tu * points[:, 0])
     grid = state.grid
+    if isinstance(state, CombMatrix):
+        # the v phase's defect weights each row's v sum of |psi|^2; the u phase's weights the plain sums
+        values = state.values
+        defect_v = _comb_forms(state, values, values, 4 * np.sin(tv * grid.v_values() / 2) ** 2)
+        rows = _comb_forms(state, values, values).real * grid.du
+        return math.sqrt(float(defect_v.real.sum()) * grid.du), _defect(rows, tu * grid.u_values())
     rows, cols = state.marginals()
     area = grid.cell_area
     return _defect(cols * area, tv * grid.v_values()), _defect(rows * area, tu * grid.u_values())
@@ -326,6 +334,45 @@ def _gram(gamma, alpha, ec_phase: bool):
     return mat
 
 
+def _comb_forms(comb: CombMatrix, f, g, weight=None):
+    """``sum_k psi_f[j, k] conj(psi_g[j, k]) w(v_k) dv`` for each row ``j`` of two
+    transforms that share ``comb``'s phases and have comb rows ``f`` and ``g``.
+
+    Row ``j`` of a transform is ``sqrt(b/2pi) f[j] @ Phi``, so the sum is
+    ``f[j] T_w g[j]^H`` with the ``m x m`` kernel
+    ``T_w = (b/2pi) dv Phi diag(w) Phi^H`` (``w`` is 1 when ``weight`` is
+    None), computed over the grid's own ``v`` nodes, so an aliased grid
+    (``nv <= 2 m_max``) is exact too.  No ``nu x nv`` array is formed.
+    """
+    phases = comb.phases
+    grid = comb.grid
+    kernel = (phases if weight is None else phases * weight) @ phases.conj().T
+    kernel *= grid.patch.b / (2 * math.pi) * grid.dv
+    return np.einsum("jm,jm->j", f @ kernel, g.conj())
+
+
+def _comb_gram(comb: CombMatrix, code: GKPCode, ec_phase: bool):
+    """:func:`_gram` of the gauge components of the transform that ``comb`` holds, from
+    its comb matrix: the same left-Riemann sums, with no grid formed."""
+    _require_qubit_patch(comb, code)
+    grid = comb.grid
+    code.gauge_grid(grid.nu // 2, grid.nv)  # the ValueError the materialized split raises
+    f, g = np.split(comb.values, 2)
+    weight = np.exp(1j * code.alpha * grid.v_values()) if ec_phase else None
+    mat = np.empty((2, 2), dtype=np.complex128)
+    mat[0, 0] = _comb_forms(comb, f, f).real.sum() * grid.du
+    mat[1, 1] = _comb_forms(comb, g, g).real.sum() * grid.du
+    mat[0, 1] = _comb_forms(comb, f, g, weight).sum() * grid.du
+    mat[1, 0] = mat[0, 1].conjugate()
+    return mat
+
+
+def _pure_gram(state, code: GKPCode, ec_phase: bool):
+    if isinstance(state, CombMatrix):
+        return _comb_gram(state, code, ec_phase)
+    return _gram(_sectors(state, code), code.alpha, ec_phase)
+
+
 def _mixture_logical(rho, gram):
     """Trace-normalized logical qubit of ``sum_i p_i gram(component_i)``."""
     mat = np.zeros((2, 2), dtype=np.complex128)
@@ -341,10 +388,11 @@ def logical_from_overlap(rho, code: GKPCode) -> LogicalQubit:
     over the correctable patch, i.e. the Gram matrix of the gauge
     components, so this equals :func:`zakgkp.ssd.gauge_trace` of
     :func:`zakgkp.ssd.to_ssd` bit for bit.  Accepts a :class:`MixtureState`
-    or a bare pure state.  The returned matrix is trace-normalized; the raw
+    or a bare pure state; a :class:`CombMatrix` takes the same sums from
+    its comb matrix, with no grid formed.  The returned matrix is trace-normalized; the raw
     trace is the correctable-patch mass.
     """
-    return _mixture_logical(rho, lambda s: _gram(_sectors(s, code), code.alpha, ec_phase=False))
+    return _mixture_logical(rho, lambda s: _pure_gram(s, code, ec_phase=False))
 
 
 def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
@@ -354,5 +402,6 @@ def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
     phase ``exp(-i alpha (l - l') v~)``, equal to the syndrome average of
     the outer products of :func:`ec_kraus_amplitudes`, and to
     :func:`zakgkp.ssd.ec_gauge_trace` of :func:`zakgkp.ssd.to_ssd` bit for bit.
+    A :class:`CombMatrix` takes the comb route, as in :func:`logical_from_overlap`.
     """
-    return _mixture_logical(rho, lambda s: _gram(_sectors(s, code), code.alpha, ec_phase=True))
+    return _mixture_logical(rho, lambda s: _pure_gram(s, code, ec_phase=True))

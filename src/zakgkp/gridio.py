@@ -19,6 +19,9 @@ followed by two f64 per sample (re, im), row-major in j then k.  The
 binary format round-trips the patch parameters bit-exactly.
 
 All writers are atomic (temp file in the target directory, then rename).
+Grids are written in blocks of ``core.BLOCK_ROWS`` rows; a block holding a
+non-finite sample is refused before it is written, and no file is left
+behind.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import tempfile
 
 import numpy as np
 
-from .core import IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _frozen
+from .core import BLOCK_ROWS, IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _frozen
+from .errors import NonFiniteError
 
 __all__ = [
     "format_float",
@@ -78,26 +82,66 @@ def atomic_write_text(path, text: str):
     _atomic_write(path, (text,), "w")
 
 
-def _finite_samples(path, samples):
-    """``samples``; ValueError naming ``path`` and the first bad sample unless all are finite."""
-    if not np.isfinite(samples.view(np.float64)).all():
-        j, k = np.argwhere(~np.isfinite(samples))[0]
-        raise ValueError(f"{path}: sample ({j}, {k}) is not finite: {samples[j, k]!r}")
-    return samples
+def _finite_rows(path, rows, j=0):
+    """``rows``, the grid rows from ``j`` on; NonFiniteError naming ``path``
+    and the first bad sample unless all are finite."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"{path}: sample ({j + i}, {k}) is not finite: {rows[i, k]!r}")
+    return rows
+
+
+def _csv_header(grid):
+    head = (format_float(grid.patch.u_min), format_float(grid.du), str(grid.nu),
+            format_float(grid.patch.v_min), format_float(grid.dv), str(grid.nv))
+    return "u_min,du,Nu,v_min,dv,Nv\n" + ",".join(head) + "\nj,k,re,im\n"
+
+
+def _csv_rows(j, rows):
+    """The CSV lines of grid rows ``j ..``, one string per row; ``tolist()``'s floats
+    format as :func:`format_float` does."""
+    ks = [f",{k}," for k in range(rows.shape[1])]
+    # an imaginary part whose bits are all zero is +0.0, whose repr is "0.0"
+    zero_imag = ~rows.imag.view(np.uint64).any(axis=1)
+    for i in range(len(rows)):
+        prefix = str(j + i)
+        if zero_imag[i]:
+            yield "".join([f"{prefix}{k}{x!r},0.0\n" for k, x in zip(ks, rows[i].real.tolist())])
+        else:
+            re, im = rows[i].real.tolist(), rows[i].imag.tolist()
+            yield "".join([f"{prefix}{k}{x!r},{y!r}\n" for k, x, y in zip(ks, re, im)])
+
+
+def _binary_header(grid):
+    patch = grid.patch
+    return _HEADER.pack(MAGIC, VERSION, grid.nu, grid.nv, patch.a, patch.b, patch.u_min, patch.v_min)
+
+
+def _binary_rows(j, rows):
+    # complex128 memory layout is exactly (re, im) f64 pairs, row-major; the
+    # block is written through its buffer, with no bytes copy
+    return (np.ascontiguousarray(rows, dtype="<c16"),)
+
+
+def _save_grid(psi: ModularWavefunction, path, mode, header, encode):
+    """Write ``header(grid)``, then ``encode(j, rows)`` of each block of rows
+    ``j ..``.  Each block is checked first: a non-finite sample raises
+    :class:`NonFiniteError` naming the file and ``(j, k)``, and leaves no
+    file behind."""
+    path = os.fspath(path)
+    samples = psi.samples
+
+    def chunks():
+        yield header(psi.grid)
+        for j in range(0, psi.grid.nu, BLOCK_ROWS):
+            yield from encode(j, _finite_rows(path, samples[j:j + BLOCK_ROWS], j))
+
+    _atomic_write(path, chunks(), mode)
 
 
 def save_grid_csv(psi: ModularWavefunction, path):
-    grid = psi.grid
-    head = (format_float(grid.patch.u_min), format_float(grid.du), str(grid.nu),
-            format_float(grid.patch.v_min), format_float(grid.dv), str(grid.nv))
-    lines = ["u_min,du,Nu,v_min,dv,Nv", ",".join(head), "j,k,re,im"]
-    samples = psi.samples
-    for j in range(grid.nu):
-        row = samples[j]
-        for k in range(grid.nv):
-            z = row[k]
-            lines.append(f"{j},{k},{format_float(z.real)},{format_float(z.imag)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _save_grid(psi, path, "w", _csv_header, _csv_rows)
 
 
 def load_grid_csv(path) -> ModularWavefunction:
@@ -143,17 +187,11 @@ def load_grid_csv(path) -> ModularWavefunction:
             f"the first at ({first // nv}, {first % nv})"
         )
     samples = _frozen(np.array(values, dtype=np.complex128)).reshape(nu, nv)
-    return ModularWavefunction(grid, _finite_samples(path, samples))
+    return ModularWavefunction(grid, _finite_rows(path, samples))
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
-    grid = psi.grid
-    patch = grid.patch
-    header = _HEADER.pack(MAGIC, VERSION, grid.nu, grid.nv, patch.a, patch.b, patch.u_min, patch.v_min)
-    # complex128 memory layout is exactly (re, im) f64 pairs, row-major; the
-    # array is written through its buffer, with no bytes copy of the samples
-    body = np.ascontiguousarray(psi.samples, dtype="<c16")
-    _atomic_write(path, (header, body), "wb")
+    _save_grid(psi, path, "wb", _binary_header, _binary_rows)
 
 
 def load_grid_binary(path) -> ModularWavefunction:
@@ -177,7 +215,7 @@ def load_grid_binary(path) -> ModularWavefunction:
         raise ValueError(f"{path}: bad grid header: {exc}") from None
     # read-only over the bytes just read, so the state adopts it without a copy
     samples = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nu, nv)
-    return ModularWavefunction(grid, _finite_samples(path, samples))
+    return ModularWavefunction(grid, _finite_rows(path, samples))
 
 
 def save_point_list_csv(state: IdealZakState, path):

@@ -39,3 +39,14 @@ def corpus_256(code):
             key = f"gkp-approx:{delta}:{ell}"
             states[key] = zak_transform(approx_codeword(code, ell, delta), grid, 16)
     return states
+
+
+def comb_table(grid, seed, m_range=3):
+    """A complex tabulated state on the comb ``u_j + a m`` (``|m| <= m_range``) that the
+    transform on ``grid`` probes: a Gaussian bump with seeded phases, about a fifth of
+    the points left out."""
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([grid.u_values() + grid.patch.a * m for m in range(-m_range, m_range + 1)])
+    xs = xs[rng.random(xs.size) < 0.8]
+    values = np.exp(-xs * xs / 2 + 2j * math.pi * rng.random(xs.size))
+    return xs, values

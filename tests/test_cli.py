@@ -1,13 +1,16 @@
 import argparse
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA
-from zakgkp import cli
+from conftest import ALPHA, comb_table
+from zakgkp import ModularWavefunction, cli, tabulated, vacuum, zak_transform
 from zakgkp.cli import main
-from zakgkp.gridio import load_grid_binary, load_grid_csv
+from zakgkp.gkp import approx_codeword
+from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
 
@@ -76,6 +79,16 @@ def test_logical_report_gkp0_all_methods(tmp_path):
         report = read_report(out)
         assert report["bloch_z"] == 1.0
         assert report["purity"] == 1.0
+
+
+def test_ideal_logical_needs_no_gauge_halves(tmp_path):
+    # an ideal state never takes the grid, so Nu/2 need not be a multiple of 4
+    reports = []
+    for grid in ("256x256", "100x100", "68x16"):
+        out = tmp_path / f"{grid}.csv"
+        assert run("logical", "--state", "gkp1", "--grid", grid, "--out", out) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_logical_trace_and_overlap_agree(tmp_path):
@@ -358,6 +371,9 @@ TABLE = "tabulated:{table}"
         pytest.param(("zakplot", "--alpha", "2.5e153", "--state", "gkp-approx:0.3:1"), None,
                      id="huge-alpha-comb-norm"),
         pytest.param(("sweep", "--alpha", "1e200", "--deltas", "0.3"), None, id="huge-alpha-sweep"),
+        # a grid whose gauge halves Nu/2 x Nv are no grid (Nu/2 not a multiple of 4)
+        pytest.param(("logical", "--grid", "68x16"), None, id="logical-no-gauge-grid"),
+        pytest.param(("sweep", "--grid", "100x100"), None, id="sweep-no-gauge-grid"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
@@ -366,7 +382,8 @@ def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
         path.write_text(table)
         args = tuple(a.format(table=path) for a in args)
     out = tmp_path / "out.csv"
-    assert run(*args, "--grid", "96x96", "--out", out) == 2
+    # a --grid in args comes later, so it overrides the default 96x96
+    assert run(args[0], "--grid", "96x96", *args[1:], "--out", out) == 2
     assert "zakgkp: config error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -382,3 +399,83 @@ def test_non_finite_logical_state_is_a_numerical_failure(tmp_path, capsys):
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _save_reference(psi, path, fmt):
+    (save_grid_binary if fmt == "bin" else save_grid_csv)(psi, path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("nu,nv", [(68, 16), (260, 20)])
+def test_zakplot_writes_the_bytes_of_the_saved_transform(tmp_path, code, fmt, nu, nv):
+    grid = code.grid(nu, nv)
+    xs, values = comb_table(grid, nu)
+    table = tmp_path / "table.csv"
+    rows = zip(xs.tolist(), values.real.tolist(), values.imag.tolist())
+    table.write_text("".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
+    states = [("vacuum", vacuum()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
+              (f"tabulated:{table}", tabulated(xs, values))]
+    for spec, descriptor in states:
+        out = tmp_path / f"z.{fmt}"
+        assert run("zakplot", "--state", spec, "--grid", f"{nu}x{nv}", "--format", fmt, "--out", out) == 0
+        psi = zak_transform(descriptor, grid, 16)
+        for suffix, samples in (("", psi.samples), ("_abs", np.abs(psi.samples)),
+                                ("_arg", np.angle(psi.samples))):
+            reference = tmp_path / f"reference.{fmt}"
+            _save_reference(ModularWavefunction(grid, samples), reference, fmt)
+            assert (tmp_path / f"z{suffix}.{fmt}").read_bytes() == reference.read_bytes(), (spec, suffix)
+
+
+# finite values whose comb sums overflow: rows of NaN samples
+OVERFLOWING_TABLE = "0.0,1e308,0\n3.5449077018110318,1e308,0\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("command,grid", [("zakplot", "64x64"), ("shift-array", "96x96")])
+def test_non_finite_samples_are_a_numerical_failure(tmp_path, capsys, fmt, command, grid):
+    table = tmp_path / "table.csv"
+    table.write_text(OVERFLOWING_TABLE)
+    out = tmp_path / ("panels" if command == "shift-array" else f"z.{fmt}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(command, "--state", f"tabulated:{table}", "--grid", grid, "--format", fmt,
+                   "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "sample (" in err
+    # no grid file, temporary file or manifest is left behind
+    left = sorted(os.listdir(tmp_path)) + (sorted(os.listdir(out)) if out.is_dir() else [])
+    assert left == ["table.csv"]
+
+
+def _peak_grids(args, tmp_path, nu=512, nv=512):
+    """tracemalloc peak of one in-process command on an nu x nv grid, in units of that grid."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(*args, "--grid", f"{nu}x{nv}", "--out", tmp_path / "out") == 0
+        return (tracemalloc.get_traced_memory()[1] - start) / (nu * nv * 16)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *(pytest.param(("logical", "--state", "gkp-approx:0.2:0", "--method", method), id=f"logical-{method}")
+          for method in ("trace", "ec-trace", "overlap")),
+        pytest.param(("sweep", "--state", "gkp-approx:0.2:0"), id="sweep"),
+    ],
+)
+def test_logical_and_sweep_never_hold_the_grid(tmp_path, args):
+    # they contract the comb matrix
+    assert _peak_grids(args, tmp_path) <= 0.5
+
+
+@pytest.mark.parametrize("fmt,nu", [("bin", 512), ("csv", 256)])
+def test_zakplot_holds_the_grid_and_one_derived_grid(tmp_path, fmt, nu):
+    # the transform, one derived grid and a block of rows (2.12 and 2.18 grids
+    # measured); holding a real copy of each derived grid, and every CSV line,
+    # took 2.55 grids in bin and about 14 in csv.  csv at 256x256, because
+    # tracemalloc slows the per-sample formatting fourfold
+    args = ("zakplot", "--state", "gkp-approx:0.3:0", "--format", fmt)
+    assert _peak_grids(args, tmp_path, nu, nu) <= 2.25

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zakgkp
-from conftest import ALPHA
+from conftest import ALPHA, comb_table
 from zakgkp import (
     GKPCode,
     IdealZakState,
@@ -40,7 +40,7 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
-from zakgkp.core import MAX_TEETH, TabulatedState
+from zakgkp.core import MAX_TEETH, TabulatedState, comb_matrix
 from zakgkp.gkp import _gram, _sectors
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
@@ -420,6 +420,28 @@ def test_zak_transform_allocates_little_beyond_its_result(code):
         tracemalloc.stop()
     assert psi.samples.nbytes == 512 * 512 * 16
     assert peak <= 1.5 * psi.samples.nbytes
+
+
+@pytest.mark.parametrize("nu,nv", [(64, 64), (68, 16), (260, 100)])
+def test_blocked_contraction_matches_one_complex_product(code, nu, nv):
+    # the reference: every m column, no flush, one complex product over all rows
+    grid = code.grid(nu, nv)
+    m = np.arange(-16, 17)
+    phases = np.exp(-1j * grid.patch.b * np.outer(m, grid.v_values()))
+    x = grid.u_values()[:, None] + grid.patch.a * m[None, :]
+    table = tabulated(*comb_table(grid, nu))
+    for descriptor in (vacuum(), vacuum(0.7), approx_codeword(code, 0, 0.3),
+                       approx_codeword(code, 1, 0.5), table):
+        reference = np.asarray(descriptor.evaluate(x), dtype=np.complex128) @ phases
+        reference *= math.sqrt(grid.patch.b / (2 * math.pi))
+        got = zak_transform(descriptor, grid, 16).samples
+        # a few ulp of the largest sample: the BLAS may order the sums differently
+        assert np.max(np.abs(got - reference)) <= 4 * np.finfo(float).eps * np.max(np.abs(reference))
+    # the vacuum's outer teeth underflow: their columns are flushed and dropped
+    comb = comb_matrix(vacuum(), grid, 16)
+    assert comb.values.dtype == np.float64 and comb.values.shape[1] < 33
+    assert comb.phases.shape == (comb.values.shape[1], nv)
+    assert comb_matrix(table, grid, 16).values.dtype == np.complex128
 
 
 @pytest.mark.parametrize(

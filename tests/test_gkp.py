@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ALPHA, random_state
+from conftest import ALPHA, comb_table, random_state
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
@@ -26,10 +26,12 @@ from zakgkp import (
     logical_from_overlap,
     stabilizer_residual,
     syndrome_reduce,
+    tabulated,
     vacuum,
     zak_transform,
 )
 from zakgkp import gkp, ssd
+from zakgkp.core import comb_matrix
 
 A = 2 * ALPHA
 
@@ -412,6 +414,42 @@ def test_ideal_residuals_match_phased_differences(code):
     for got, (axis, t) in zip(stabilizer_residual(state, code), ((1, -A), (0, 2 * math.pi * 2 / A))):
         expected = math.sqrt(sum(abs(w * cmath.exp(1j * t * p[axis]) - w) ** 2 for p, w in state.items()))
         assert got == pytest.approx(expected, rel=1e-14)
+
+
+def _comb_corpus(code):
+    """(label, descriptor, grid): the states the CLI transforms, a complex table, and an
+    aliased grid (nv = 16 <= 2 m_max) on which the v sums do not separate the m terms."""
+    grid = code.grid(128, 128)
+    descriptors = [("vacuum", vacuum()), ("vacuum displaced 0.7", vacuum(0.7))]
+    descriptors += [(f"gkp-approx:{d}:{ell}", approx_codeword(code, ell, d))
+                    for d in (0.5, 0.3, 0.1) for ell in (0, 1)]
+    for label, descriptor in descriptors + [("complex table", tabulated(*comb_table(grid, 3)))]:
+        yield f"{label} 128x128", descriptor, grid
+    aliased = code.grid(64, 16)
+    for label, descriptor in [("vacuum", vacuum()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
+                              ("complex table", tabulated(*comb_table(aliased, 4)))]:
+        yield f"{label} 64x16", descriptor, aliased
+
+
+@pytest.mark.parametrize("ec_phase", [False, True], ids=["plain", "ec"])
+def test_comb_route_matches_the_materialized_grid(code, ec_phase):
+    logical = ec_channel_logical if ec_phase else logical_from_overlap
+    for label, descriptor, grid in _comb_corpus(code):
+        comb = comb_matrix(descriptor, grid, 16)
+        psi = zak_transform(descriptor, grid, 16)
+        gram = gkp._comb_gram(comb, code, ec_phase)
+        assert np.max(np.abs(gram - gkp._gram(gkp._sectors(psi, code), ALPHA, ec_phase))) <= 1e-14, label
+        assert np.array_equal(np.diag(gram).imag, [0.0, 0.0]), label
+        assert np.max(np.abs(logical(comb, code).matrix - logical(psi, code).matrix)) <= 1e-14, label
+        for got, want in zip(stabilizer_residual(comb, code), stabilizer_residual(psi, code)):
+            assert abs(got - want) <= 1e-14, label
+
+
+def test_comb_route_refuses_a_grid_without_gauge_halves(code):
+    grid = code.grid(68, 16)  # Nu/2 = 34 is not a multiple of 4
+    for state in (comb_matrix(vacuum(), grid, 16), zak_transform(vacuum(), grid, 16)):
+        with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 34"):
+            logical_from_overlap(state, code)
 
 
 def _peak_multiple(fn, nbytes):

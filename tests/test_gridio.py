@@ -1,15 +1,17 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, codeword
+from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword
 from zakgkp.gridio import (
     _HEADER,
     MAGIC,
     VERSION,
+    format_float,
     load_grid_binary,
     load_grid_csv,
     logical_report_csv,
@@ -92,6 +94,42 @@ def test_logical_report_row():
     assert values["bloch_z"] == 0.5
     assert values["raw_trace"] == 4.0
     assert values["rho01_im"] == 0.0
+
+
+def test_csv_formats_each_sample_as_format_float(code, tmp_path):
+    # the reference: one format_float call per part of each complex sample
+    grid = code.grid(68, 6)  # 68 rows: a short last block
+    samples = random_state(grid, 74).samples.copy()
+    samples[0, :3] = [-0.0, complex(1e-300, -5e-324), complex(3.0, -0.0)]
+    # rows 1 and 2 are real, but row 2 holds one imaginary part -0.0
+    samples[1:3] = samples[1:3].real
+    samples[2, 4] = complex(samples[2, 4].real, -0.0)
+    psi = ModularWavefunction(grid, samples)
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    head = (format_float(grid.patch.u_min), format_float(grid.du), "68",
+            format_float(grid.patch.v_min), format_float(grid.dv), "6")
+    lines = ["u_min,du,Nu,v_min,dv,Nv", ",".join(head), "j,k,re,im"]
+    for j in range(grid.nu):
+        for k in range(grid.nv):
+            z = samples[j, k]
+            lines.append(f"{j},{k},{format_float(z.real)},{format_float(z.imag)}")
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_writers_refuse_non_finite_samples_and_leave_no_file(code, tmp_path, fmt):
+    grid = code.grid(136, 8)
+    samples = random_state(grid, 76).samples.copy()
+    samples[70, 3] = complex(np.inf, 0.0)  # in the second row block
+    psi = ModularWavefunction(grid, samples)
+    save = save_grid_binary if fmt == "bin" else save_grid_csv
+    path = tmp_path / f"grid.{fmt}"
+    path.write_text("kept")
+    with pytest.raises(NonFiniteError, match=rf"grid\.{fmt}: sample \(70, 3\) is not finite"):
+        save(psi, path)
+    assert path.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"grid.{fmt}"]
 
 
 def test_atomic_write_replaces_existing(code, tmp_path):
@@ -198,10 +236,12 @@ def test_csv_rejects_non_finite_sample_naming_the_file(code, tmp_path):
 
 
 def test_binary_rejects_non_finite_sample_naming_the_file(code, tmp_path):
-    samples = random_state(code.grid(8, 8), 75).samples.copy()
-    samples[2, 5] = complex(0.5, np.nan)
     path = tmp_path / "grid.bin"
-    save_grid_binary(ModularWavefunction(code.grid(8, 8), samples), path)
+    save_grid_binary(random_state(code.grid(8, 8), 75), path)
+    # the writer refuses a NaN, so plant one in the imaginary part of sample (2, 5)
+    raw = bytearray(path.read_bytes())
+    raw[48 + 16 * (2 * 8 + 5) + 8:48 + 16 * (2 * 8 + 5) + 16] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=r"grid\.bin: sample \(2, 5\) is not finite"):
         load_grid_binary(path)
 
