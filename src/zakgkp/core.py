@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import modular
-from .errors import OffGridError, TruncationError
+from .errors import NonFiniteError, OffGridError, TruncationError
 
 __all__ = [
     "ZakPatch",
@@ -73,6 +73,16 @@ def _frozen(samples):
     """Mark a freshly computed array read-only, so that a ModularWavefunction adopts it."""
     samples.flags.writeable = False
     return samples
+
+
+def _finite_rows(where, rows, j=0):
+    """``rows``, the grid rows from ``j`` on; NonFiniteError naming ``where``
+    and the first bad sample unless all are finite."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"{where}: sample ({j + i}, {k}) is not finite: {rows[i, k]!r}")
+    return rows
 
 
 def _is_frozen(samples):
@@ -505,11 +515,13 @@ class TabulatedState:
     point), is the sampling cell width of the counting-measure norm
     ``sum |value|^2 * step``.  Evaluation matches points within ``NODE_TOL``
     of a tabulated abscissa, so the table should be built on the same comb
-    ``u_j + a*m`` that the transform probes.
+    ``u_j + a*m`` that the transform probes.  The masses are summed over
+    ``|value|^2`` scaled by the largest real or imaginary part, so that
+    :meth:`tail_mass`, a share of the norm, is exact for any finite table.
     """
 
     kind = "tabulated"
-    __slots__ = ("xs", "values", "step")
+    __slots__ = ("xs", "values", "step", "_scale", "_weights")
 
     def __init__(self, xs, values):
         xs = np.asarray(xs, dtype=float)
@@ -524,6 +536,10 @@ class TabulatedState:
         self.values = values[order]
         gaps = np.diff(self.xs)
         self.step = _finite("step", gaps.min() if len(gaps) else 1.0, positive=True)
+        parts = np.abs(self.values.view(np.float64)).reshape(-1, 2)
+        self._scale = float(parts.max(initial=0.0)) or 1.0
+        # |value / scale|^2, each at most 2: no square or sum leaves the float range
+        self._weights = np.square(parts / self._scale).sum(axis=1)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -536,11 +552,14 @@ class TabulatedState:
         return out
 
     def norm_squared(self):
-        return float(np.sum(np.abs(self.values) ** 2) * self.step)
+        # Python floats: a norm past the float range is inf, without a warning
+        return self._scale * self._scale * float(self._weights.sum()) * self.step
 
     def tail_mass(self, lo, hi):
+        """The share of the norm outside ``[lo, hi]`` (0 for an all-zero table)."""
         outside = (self.xs < lo) | (self.xs > hi)
-        return float(np.sum(np.abs(self.values[outside]) ** 2) * self.step)
+        total = float(self._weights.sum())
+        return float(self._weights[outside].sum()) / total if total else 0.0
 
 
 def vacuum(offset=0.0):
@@ -587,11 +606,12 @@ def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     Values below ``np.finfo(float).tiny`` are flushed to zero (BLAS is slow
     on subnormals) and the ``m`` columns left all zero are dropped; neither
     changes a transform value.  ``tail_bound`` is the relative truncation
-    bound (position-space mass the sum cannot see, over the state's norm).
+    bound: ``state.tail_mass``, the share of the state's position-space norm
+    that the sum cannot see.
     For a :class:`GaussianComb` that mass includes the teeth its windowed
     evaluation leaves out, each below ``exp(-WINDOW_EXPONENT)`` of the
     tooth nearest to the sample.  Raises :class:`TruncationError` when the
-    bound exceeds :data:`TAIL_TOL`.
+    bound exceeds :data:`TAIL_TOL` or is NaN.
     """
     if m_max <= 0:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -603,8 +623,8 @@ def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     # bound is a mass fraction, so anything past 1 carries no information
     lo = (patch.u_min + patch.a - grid.du) - patch.a * m_max
     hi = patch.u_min + patch.a * m_max
-    tail = min(state.tail_mass(lo, hi) / state.norm_squared(), 1.0)
-    if tail > TAIL_TOL:
+    tail = min(state.tail_mass(lo, hi), 1.0)
+    if not tail <= TAIL_TOL:  # also NaN
         raise TruncationError(tail, TAIL_TOL)
 
     values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]))
@@ -626,17 +646,20 @@ def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
     time into the one array it allocates at full grid size, and attaches
     the relative truncation bound as ``tail_bound`` on the result.  Real
     values take one real matrix product against the phases' (re, im)
-    pairs, half the flops of a complex one.
+    pairs, half the flops of a complex one.  A block whose sums leave the
+    float range raises :class:`NonFiniteError`, naming the first such sample.
     """
     comb = comb_matrix(state, grid, m_max)
     samples = np.empty((grid.nu, grid.nv), dtype=np.complex128)
     real = comb.values.dtype == np.float64
     phases = comb.phases.view(np.float64) if real else comb.phases
     scale = math.sqrt(grid.patch.b / (2 * math.pi))
-    for j in range(0, grid.nu, BLOCK_ROWS):
-        rows = samples[j:j + BLOCK_ROWS]
-        np.matmul(comb.values[j:j + BLOCK_ROWS], phases, out=rows.view(np.float64) if real else rows)
-        rows *= scale
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused below
+        for j in range(0, grid.nu, BLOCK_ROWS):
+            rows = samples[j:j + BLOCK_ROWS]
+            np.matmul(comb.values[j:j + BLOCK_ROWS], phases, out=rows.view(np.float64) if real else rows)
+            rows *= scale
+            _finite_rows("Zak transform", rows, j)
     return ModularWavefunction(grid, _frozen(samples), tail_bound=comb.tail_bound)
 
 

@@ -9,7 +9,10 @@ CSV grid layout (numbers in shortest round-trip decimal form):
     ...
 
 The loader reconstructs the patch from ``a = du*Nu`` and
-``b = 2*pi/(dv*Nv)``, exact for power-of-two sample counts.
+``b = 2*pi/(dv*Nv)``, exact for power-of-two sample counts.  It reads the
+rows ``core.BLOCK_ROWS * Nv`` lines at a time with numpy's C parser and
+scatters each block into the one result array; a block that parser refuses
+is read again line by line, so the first bad line is named.
 
 Binary grid layout: a 48-byte little-endian header
 
@@ -26,6 +29,8 @@ behind.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import struct
@@ -33,8 +38,7 @@ import tempfile
 
 import numpy as np
 
-from .core import BLOCK_ROWS, IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _frozen
-from .errors import NonFiniteError
+from .core import BLOCK_ROWS, IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _finite_rows, _frozen
 
 __all__ = [
     "format_float",
@@ -51,6 +55,11 @@ __all__ = [
 MAGIC = b"ZAKG"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIdddd")
+
+_CSV_ROW = np.dtype([("j", np.int64), ("k", np.int64), ("re", np.float64), ("im", np.float64)])
+# the separators 0x1C-0x1F, which numpy's parser strips as whitespace but int()
+# and float() refuse
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 LOGICAL_REPORT_COLUMNS = (
     "rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,"
@@ -80,16 +89,6 @@ def _atomic_write(path, chunks, mode):
 
 def atomic_write_text(path, text: str):
     _atomic_write(path, (text,), "w")
-
-
-def _finite_rows(path, rows, j=0):
-    """``rows``, the grid rows from ``j`` on; NonFiniteError naming ``path``
-    and the first bad sample unless all are finite."""
-    finite = np.isfinite(rows)
-    if not finite.all():
-        i, k = np.argwhere(~finite)[0]
-        raise NonFiniteError(f"{path}: sample ({j + i}, {k}) is not finite: {rows[i, k]!r}")
-    return rows
 
 
 def _csv_header(grid):
@@ -144,50 +143,136 @@ def save_grid_csv(psi: ModularWavefunction, path):
     _save_grid(psi, path, "w", _csv_header, _csv_rows)
 
 
+@functools.cache
+def _numpy_refuses_float_ints():
+    """Whether ``np.loadtxt`` refuses ``3.0`` for an integer field, as ``int()``
+    does; numpy versions that parse it through a float only warn."""
+    try:
+        np.loadtxt(["3.0"], dtype=np.int64)
+    except ValueError:
+        return True
+    return False
+
+
+def _numpy_parses_as_python(path):
+    """Whether numpy's parser reads the ASCII file exactly as ``int()`` and ``float()`` do."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+                return False
+    return _numpy_refuses_float_ints()
+
+
+def _outside(path, j, k, nu, nv):
+    return ValueError(f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid")
+
+
+def _repeated(path, j, k):
+    return ValueError(f"{path}: sample ({j}, {k}) appears more than once")
+
+
+def _scan_rows(path, lines, samples, seen):
+    """Parse ``lines`` one at a time into ``samples``, marking ``seen``; the
+    first bad line raises ValueError naming ``path``.  Blank lines are skipped."""
+    nu, nv = samples.shape
+    flat = samples.reshape(-1)
+    for line in lines:
+        try:
+            j, k, re, im = line.split(",")
+            j, k, value = int(j), int(k), complex(float(re), float(im))
+        except ValueError:
+            if line.strip():
+                raise ValueError(f"{path}: expected j,k,re,im, got {line!r}") from None
+            continue
+        if not (0 <= j < nu and 0 <= k < nv):
+            raise _outside(path, j, k, nu, nv)
+        i = j * nv + k
+        if seen[i]:
+            raise _repeated(path, j, k)
+        seen[i] = True
+        flat[i] = value
+
+
+def _scatter_rows(path, rows, samples, seen):
+    """:func:`_scan_rows` for rows numpy has parsed: the first row, in file
+    order, whose index lies outside the grid or was seen before is refused."""
+    nu, nv = samples.shape
+    j, k = rows["j"], rows["k"]
+    outside = (j < 0) | (j >= nu) | (k < 0) | (k >= nv)
+    n = int(outside.argmax()) if outside.any() else len(rows)
+    index = j[:n] * nv + k[:n]
+    repeat = seen[index]
+    # a stable sort keeps equal indices in file order: each after the first repeats
+    order = np.argsort(index, kind="stable")
+    repeat[order[1:]] |= index[order[1:]] == index[order[:-1]]
+    if repeat.any():
+        i = int(repeat.argmax())
+        raise _repeated(path, j[i], k[i])
+    if n < len(rows):
+        raise _outside(path, j[n], k[n], nu, nv)
+    seen[index] = True
+    flat = samples.reshape(-1)
+    flat.real[index] = rows["re"]
+    flat.imag[index] = rows["im"]
+
+
+def _read_blocks(path, fh, samples, seen):
+    """Parse the rest of ``fh`` into ``samples``, ``BLOCK_ROWS * Nv`` lines at a time."""
+    size = BLOCK_ROWS * samples.shape[1]
+    before = 3  # the file's lines before the current block
+    for first in fh:
+        if not first.strip():  # numpy warns on a block without data, so none starts blank
+            before += 1
+            continue
+        block = itertools.chain((first,), itertools.islice(fh, size - 1))
+        try:
+            rows = np.loadtxt(block, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            fh.seek(0)
+            _scan_rows(path, itertools.islice(fh, before, before + size), samples, seen)
+        else:
+            _scatter_rows(path, rows, samples, seen)
+        before += size
+
+
 def load_grid_csv(path) -> ModularWavefunction:
     """Read a CSV grid; every sample must appear exactly once."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "u_min,du,Nu,v_min,dv,Nv":
-            raise ValueError(f"{path}: unrecognized grid CSV header: {header!r}")
-        grid_line = fh.readline().strip()
-        try:
-            u_min, du, nu, v_min, dv, nv = grid_line.split(",")
-            nu, nv = int(nu), int(nv)
-            du, dv, u_min, v_min = float(du), float(dv), float(u_min), float(v_min)
-            patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
-            grid = ZakGrid(patch, nu, nv)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}: bad grid line {grid_line!r}: {exc}") from None
-        if fh.readline().strip() != "j,k,re,im":
-            raise ValueError(f"{path}: missing j,k,re,im data header")
-        # row-major slots; None marks a sample no row has supplied yet
-        values = [None] * (nu * nv)
-        for line in fh:
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = fh.readline().strip()
+            if header != "u_min,du,Nu,v_min,dv,Nv":
+                raise ValueError(f"{path}: unrecognized grid CSV header: {header!r}")
+            grid_line = fh.readline().strip()
             try:
-                j, k, re, im = line.split(",")
-                j, k, value = int(j), int(k), complex(float(re), float(im))
-            except ValueError:
-                if line.strip():
-                    raise ValueError(f"{path}: expected j,k,re,im, got {line!r}") from None
-                continue
-            if not (0 <= j < nu and 0 <= k < nv):
-                raise ValueError(
-                    f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid"
-                )
-            i = j * nv + k
-            if values[i] is not None:
-                raise ValueError(f"{path}: sample ({j}, {k}) appears more than once")
-            values[i] = value
-    missing = values.count(None)
-    if missing:
-        first = values.index(None)
+                u_min, du, nu, v_min, dv, nv = grid_line.split(",")
+                nu, nv = int(nu), int(nv)
+                du, dv, u_min, v_min = float(du), float(dv), float(u_min), float(v_min)
+                patch = ZakPatch(du * nu, 2 * math.pi / (dv * nv), u_min=u_min, v_min=v_min)
+                grid = ZakGrid(patch, nu, nv)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}: bad grid line {grid_line!r}: {exc}") from None
+            if fh.readline().strip() != "j,k,re,im":
+                raise ValueError(f"{path}: missing j,k,re,im data header")
+            # a row takes at least 8 bytes ("0,0,0,0\n"), the last one 7
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < 8 * nu * nv - 1:
+                raise ValueError(f"{path}: {left} bytes after the headers cannot hold "
+                                 f"the {nu * nv} samples of a {nu}x{nv} grid")
+            samples = np.empty((nu, nv), dtype=np.complex128)
+            seen = np.zeros(nu * nv, dtype=bool)
+            if _numpy_parses_as_python(path):
+                _read_blocks(path, fh, samples, seen)
+            else:
+                _scan_rows(path, fh, samples, seen)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII file: {exc}") from None
+    if not seen.all():
+        first = int(seen.argmin())
         raise ValueError(
-            f"{path}: {missing} of {nu * nv} samples missing, "
+            f"{path}: {seen.size - np.count_nonzero(seen)} of {nu * nv} samples missing, "
             f"the first at ({first // nv}, {first % nv})"
         )
-    samples = _frozen(np.array(values, dtype=np.complex128)).reshape(nu, nv)
-    return ModularWavefunction(grid, _finite_rows(path, samples))
+    return ModularWavefunction(grid, _finite_rows(path, _frozen(samples)))
 
 
 def save_grid_binary(psi: ModularWavefunction, path):

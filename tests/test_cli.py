@@ -447,6 +447,17 @@ def test_non_finite_samples_are_a_numerical_failure(tmp_path, capsys, fmt, comma
     assert left == ["table.csv"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_huge_table_outside_the_window_is_a_truncation_failure(tmp_path, capsys, fmt):
+    # squares of 1e200 overflow; the truncation share is still the 0.5 of a unit table
+    table = tmp_path / "huge.csv"
+    table.write_text("0.0,1e200,0\n100.0,1e200,0\n")
+    out = tmp_path / f"h.{fmt}"
+    assert run("zakplot", "--state", f"tabulated:{table}", "--grid", "64x64", "--format", fmt, "--out", out) == 3
+    assert "estimated truncation tail 5.000e-01 exceeds tolerance" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["huge.csv"]
+
+
 def _peak_grids(args, tmp_path, nu=512, nv=512):
     """tracemalloc peak of one in-process command on an nu x nv grid, in units of that grid."""
     tracemalloc.start()

@@ -14,6 +14,7 @@ from zakgkp import (
     IdealZakState,
     LogicalQubit,
     ModularWavefunction,
+    NonFiniteError,
     OffGridError,
     SSDState,
     TruncationError,
@@ -104,6 +105,36 @@ def test_truncation_bound_reported_and_enforced(code):
     # the refused bound is reported: past the tolerance, yet far below 1
     assert err.value.tolerance == 1e-12
     assert 1e-12 < err.value.tail < 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_table_half_outside_the_window_is_refused_at_any_scale(code, scale):
+    # the point at x = 100 lies past every comb tooth the sum sees; squares of 1e200
+    # overflow and those of 1e-200 underflow, yet the share of the norm is exact
+    state = tabulated([0.0, 100.0], [scale, scale])
+    with pytest.raises(TruncationError) as err:
+        comb_matrix(state, code.grid(64, 64), 16)
+    assert err.value.tail == 0.5
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**1000])
+def test_tail_bound_of_a_table_does_not_depend_on_its_scale(code, scale):
+    grid = code.grid(64, 64)
+    xs, values = comb_table(grid, 5)
+    state, scaled = tabulated(xs, values), tabulated(xs, values * scale)
+    assert comb_matrix(scaled, grid, 16).tail_bound == comb_matrix(state, grid, 16).tail_bound == 0.0
+    # a window that leaves part of the table out: the same share of the norm
+    lo, hi = -1.0, 2.0
+    assert 0.0 < state.tail_mass(lo, hi) < 1.0
+    assert scaled.tail_mass(lo, hi) == pytest.approx(state.tail_mass(lo, hi), rel=1e-15)
+    assert scaled.norm_squared() == pytest.approx(state.norm_squared() * scale * scale, rel=1e-14)
+
+
+def test_zak_transform_refuses_sums_past_the_float_range(code):
+    # two teeth of 1e308 on one comb row sum past the largest float
+    state = tabulated([0.0, A], [1e308, 1e308])
+    with pytest.raises(NonFiniteError, match=r"Zak transform: sample \(\d+, \d+\) is not finite"):
+        zak_transform(state, code.grid(64, 64), 16)
 
 
 def test_inverse_zak_vacuum_values(vac64):

@@ -1,6 +1,8 @@
 import math
+import random
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,3 +267,176 @@ def test_binary_rejects_bad_header_naming_the_file(tmp_path, field, value, probl
     with pytest.raises(ValueError, match=problem) as info:
         load_grid_binary(path)
     assert str(info.value).startswith(f"{path}: bad grid header")
+
+
+def special_samples(grid, seed):
+    """Seeded samples holding signed zeros, subnormals and +-1e+-300 among random values."""
+    samples = random_state(grid, seed).samples.copy()
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-310, 1e300, -1e300, 1e-300, -1e-300]
+    rng = np.random.default_rng(seed)
+    flat = samples.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, 40), replace=False)
+    for n, i in enumerate(picks):
+        flat[i] = complex(specials[n % len(specials)], specials[(3 * n + 1) % len(specials)])
+    samples[1] = samples[1].real  # a row whose imaginary parts are all +0.0
+    return ModularWavefunction(grid, samples)
+
+
+def bits(samples):
+    return samples.view(np.uint64)
+
+
+@pytest.mark.parametrize("nu,nv", [(8, 8), (68, 16), (260, 20)])
+def test_csv_round_trip_is_bitwise_across_row_blocks(code, tmp_path, nu, nv):
+    # 68 and 260 rows leave a short last block of 64-row blocks; 8 rows are less than one block
+    psi = special_samples(code.grid(nu, nv), nu)
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    assert np.array_equal(bits(load_grid_csv(path).samples), bits(psi.samples))
+
+
+def test_csv_loads_shuffled_rows_and_blank_lines(code, tmp_path):
+    psi = special_samples(code.grid(68, 4), 3)  # 272 rows, blocks of 256 lines
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    lines = path.read_text().splitlines()
+    head, body = lines[:3], lines[3:]
+    random.Random(4).shuffle(body)
+    # blank lines inside the first block, at a block start, and a trailing run
+    body[10:10] = [""] * 3
+    body[256:256] = ["", "  ", "\t"]
+    path.write_text("\n".join(head + body + [""] * 300) + "\n")
+    assert np.array_equal(bits(load_strict(path).samples), bits(psi.samples))
+
+
+def load_strict(path):
+    """load_grid_csv with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_grid_csv(path)
+
+
+def test_csv_body_without_rows_is_missing_every_sample_without_a_numpy_warning(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    head = "\n".join(lines[:3]) + "\n"
+    path.write_text(head)
+    with pytest.raises(ValueError, match=r"grid\.csv: 0 bytes after the headers cannot hold the 64 samples"):
+        load_strict(path)
+    # enough blank lines to pass the size check: numpy would warn on a block without data
+    path.write_text(head + "\n" * 600)
+    with pytest.raises(ValueError, match=r"grid\.csv: 64 of 64 samples missing, the first at \(0, 0\)"):
+        load_strict(path)
+
+
+def block_lines(code, tmp_path):
+    """A 136x4 grid file: its 544 rows are two full 256-line blocks and a short one."""
+    path = tmp_path / "grid.csv"
+    save_grid_csv(random_state(code.grid(136, 4), 77), path)
+    return path, path.read_text().splitlines()
+
+
+def _with_row(lines, n, row):
+    """``lines`` with body row ``n`` replaced by ``row``."""
+    return lines[:3 + n] + [row] + lines[4 + n:]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # body row 300, sample (75, 0), lies in the second block
+        (lambda lines: _with_row(lines, 300, lines[3 + 300] + "#note"), r"expected j,k,re,im, got '75,0,.*#note"),
+        (lambda lines: _with_row(lines, 300, "75.0" + lines[3 + 300][2:]), r"expected j,k,re,im, got '75\.0,0,"),
+        (lambda lines: _with_row(lines, 300, lines[3 + 300] + ",0.5"), r"expected j,k,re,im, got '75,0,.*,0\.5"),
+        # row 255 ends the first block, row 256 opens the second
+        (lambda lines: _with_row(lines, 256, lines[3 + 255]), r"sample \(63, 3\) appears more than once"),
+        (lambda lines: _with_row(lines, 540, "136," + lines[3 + 540].split(",", 1)[1]), r"sample index \(136, 0\) lies outside the 136x4 grid"),
+    ],
+    ids=["comment", "float-index", "five-fields", "repeat-across-blocks", "outside-in-last-block"],
+)
+def test_csv_refuses_malformed_rows_in_any_block_naming_the_file(code, tmp_path, edit, message):
+    path, lines = block_lines(code, tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_grid_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "first,later,message",
+    [
+        ("0,9,0.5,0.5", "x", r"sample index \(0, 9\) lies outside"),
+        ("0,1,0.5,0.5", "0,9,0.5,0.5", r"sample \(0, 1\) appears more than once"),
+        ("0,9,0.5,0.5", "0,1,0.5,0.5", r"sample index \(0, 9\) lies outside"),
+    ],
+    ids=["outside-then-unparsable", "repeat-then-outside", "outside-then-repeat"],
+)
+def test_csv_reports_the_first_bad_line_of_a_block_whatever_its_kind(code, tmp_path, first, later, message):
+    path, lines = block_lines(code, tmp_path)
+    lines = _with_row(_with_row(lines, 270, first), 280, later)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_grid_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row,loads",
+    [
+        ("0,0,1_0.5,2", True),   # float() reads the underscore, numpy does not
+        ("0,0,1.5\x1c,2", False),  # numpy strips the separator, float() does not
+    ],
+    ids=["underscore", "separator"],
+)
+def test_csv_reads_fields_as_int_and_float_do(code, tmp_path, row, loads):
+    path, lines = csv_lines(code, tmp_path)
+    path.write_text("\n".join([*lines[:3], row, *lines[4:]]) + "\n")
+    if loads:
+        assert load_grid_csv(path).samples[0, 0] == complex(10.5, 2.0)
+    else:
+        with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '0,0,1\.5\\x1c,2"):
+            load_grid_csv(path)
+
+
+def test_csv_refuses_a_non_ascii_file_naming_it(code, tmp_path):
+    path, lines = csv_lines(code, tmp_path)
+    path.write_text("\n".join([*lines[:3], "0,0,1.5,2\u00e9", *lines[4:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"grid\.csv: not an ASCII file"):
+        load_grid_csv(path)
+
+
+def test_csv_refuses_a_grid_line_the_file_is_too_short_for(tmp_path):
+    # the grid line claims 4000000 x 4000000 samples (256 TB as complex128) for one row;
+    # every row takes at least 8 bytes, so the file is refused before any allocation
+    path = tmp_path / "grid.csv"
+    path.write_text("u_min,du,Nu,v_min,dv,Nv\n0.0,1.0,4000000,0.0,1.0,4000000\nj,k,re,im\n0,0,1.0,0.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"grid\.csv: 12 bytes after the headers cannot hold "
+                                             r"the 16000000000000 samples of a 4000000x4000000 grid"):
+            load_grid_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_csv_size_check_admits_minimal_rows(tmp_path):
+    # "0,0,0,0" rows of 8 bytes, the last one without its newline: 8 * Nu * Nv - 1 bytes
+    rows = [f"{j},{k},0,0" for j in range(4) for k in range(2)]
+    path = tmp_path / "grid.csv"
+    path.write_text("u_min,du,Nu,v_min,dv,Nv\n0.0,1.0,4,0.0,1.0,2\nj,k,re,im\n" + "\n".join(rows))
+    assert not load_grid_csv(path).samples.any()
+
+
+def test_csv_load_peak_is_at_most_three_grids(code, tmp_path):
+    psi = random_state(code.grid(256, 256), 78)
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_grid_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.samples, psi.samples)
+    assert peak <= 3 * psi.samples.nbytes
