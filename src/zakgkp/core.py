@@ -78,10 +78,14 @@ def _frozen(samples):
 def _finite_rows(where, rows, j=0):
     """``rows``, the grid rows from ``j`` on; NonFiniteError naming ``where``
     and the first bad sample unless all are finite."""
-    finite = np.isfinite(rows)
-    if not finite.all():
-        i, k = np.argwhere(~finite)[0]
-        raise NonFiniteError(f"{where}: sample ({j + i}, {k}) is not finite: {rows[i, k]!r}")
+    for i in range(0, len(rows), BLOCK_ROWS):
+        block = rows[i:i + BLOCK_ROWS]
+        # the (re, im) float64 view tests about a third faster than the complex
+        # array; a block at a time keeps the mask small
+        flat = block.view(np.float64) if block.strides[-1] == block.itemsize else block
+        if not np.isfinite(flat).all():
+            r, k = np.argwhere(~np.isfinite(block))[0]
+            raise NonFiniteError(f"{where}: sample ({j + i + r}, {k}) is not finite: {block[r, k]!r}")
     return rows
 
 
@@ -655,11 +659,17 @@ def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
     phases = comb.phases.view(np.float64) if real else comb.phases
     scale = math.sqrt(grid.patch.b / (2 * math.pi))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused below
+        # no part of a finite phase exceeds 1, so no partial sum of row j exceeds
+        # sqrt(2) * scale * sum |values[j]|: a bound well inside the float range
+        # proves every sample finite, at the cost of the comb matrix
+        bound = scale * float(np.abs(comb.values).sum(axis=1).max(initial=0.0))
+        check = not (bound <= np.finfo(np.float64).max / 8 and np.isfinite(phases).all())
         for j in range(0, grid.nu, BLOCK_ROWS):
             rows = samples[j:j + BLOCK_ROWS]
             np.matmul(comb.values[j:j + BLOCK_ROWS], phases, out=rows.view(np.float64) if real else rows)
             rows *= scale
-            _finite_rows("Zak transform", rows, j)
+            if check:
+                _finite_rows("Zak transform", rows, j)
     return ModularWavefunction(grid, _frozen(samples), tail_bound=comb.tail_bound)
 
 

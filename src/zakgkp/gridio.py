@@ -29,12 +29,13 @@ behind.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 import struct
 import tempfile
+import threading
+import warnings
 
 import numpy as np
 
@@ -60,6 +61,7 @@ _CSV_ROW = np.dtype([("j", np.int64), ("k", np.int64), ("re", np.float64), ("im"
 # the separators 0x1C-0x1F, which numpy's parser strips as whitespace but int()
 # and float() refuse
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_WARNINGS_LOCK = threading.Lock()
 
 LOGICAL_REPORT_COLUMNS = (
     "rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,rho11_re,rho11_im,"
@@ -143,24 +145,24 @@ def save_grid_csv(psi: ModularWavefunction, path):
     _save_grid(psi, path, "w", _csv_header, _csv_rows)
 
 
-@functools.cache
-def _numpy_refuses_float_ints():
-    """Whether ``np.loadtxt`` refuses ``3.0`` for an integer field, as ``int()``
-    does; numpy versions that parse it through a float only warn."""
-    try:
-        np.loadtxt(["3.0"], dtype=np.int64)
-    except ValueError:
-        return True
-    return False
-
-
 def _numpy_parses_as_python(path):
-    """Whether numpy's parser reads the ASCII file exactly as ``int()`` and ``float()`` do."""
+    """Whether the file is ASCII and holds none of the separators numpy's parser
+    strips as whitespace, so that numpy reads it as ``int()`` and ``float()`` do."""
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
                 return False
-    return _numpy_refuses_float_ints()
+    return True
+
+
+def _load_block(lines):
+    """``np.loadtxt`` of the CSV rows ``lines``.  numpy versions that parse an
+    integer field such as ``3.0`` through a float only warn; here the warning
+    is raised, so the block is refused, as ``int()`` refuses the field."""
+    # the lock keeps two loads from restoring each other's warning filters
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
 
 
 def _outside(path, j, k, nu, nv):
@@ -226,8 +228,8 @@ def _read_blocks(path, fh, samples, seen):
             continue
         block = itertools.chain((first,), itertools.islice(fh, size - 1))
         try:
-            rows = np.loadtxt(block, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
+            rows = _load_block(block)
+        except (ValueError, DeprecationWarning):
             fh.seek(0)
             _scan_rows(path, itertools.islice(fh, before, before + size), samples, seen)
         else:

@@ -134,6 +134,21 @@ def test_writers_refuse_non_finite_samples_and_leave_no_file(code, tmp_path, fmt
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"grid.{fmt}"]
 
 
+def test_writers_check_a_state_adopted_from_a_column_strided_view(code, tmp_path):
+    # a read-only view is adopted without a copy; its rows have no float64 view
+    base = random_state(code.grid(8, 16), 78).samples.copy()
+    base.flags.writeable = False
+    psi = ModularWavefunction(code.grid(8, 8), base[:, ::2])
+    assert np.shares_memory(psi.samples, base)
+    save_grid_binary(psi, tmp_path / "grid.bin")
+    assert np.array_equal(load_grid_binary(tmp_path / "grid.bin").samples, base[:, ::2])
+    base = base.copy()
+    base[5, 6] = complex(0.0, np.nan)
+    base.flags.writeable = False
+    with pytest.raises(NonFiniteError, match=r"grid\.bin: sample \(5, 3\) is not finite"):
+        save_grid_binary(ModularWavefunction(code.grid(8, 8), base[:, ::2]), tmp_path / "grid.bin")
+
+
 def test_atomic_write_replaces_existing(code, tmp_path):
     psi = random_state(code.grid(16, 16), 73)
     path = tmp_path / "grid.csv"
@@ -245,6 +260,17 @@ def test_binary_rejects_non_finite_sample_naming_the_file(code, tmp_path):
     raw[48 + 16 * (2 * 8 + 5) + 8:48 + 16 * (2 * 8 + 5) + 16] = struct.pack("<d", np.nan)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=r"grid\.bin: sample \(2, 5\) is not finite"):
+        load_grid_binary(path)
+
+
+def test_binary_names_a_non_finite_sample_past_the_first_row_block(code, tmp_path):
+    path = tmp_path / "grid.bin"
+    save_grid_binary(random_state(code.grid(136, 8), 75), path)
+    at = 48 + 16 * (70 * 8 + 5)  # the real part of sample (70, 5), in the second row block
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 8] = struct.pack("<d", -np.inf)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"grid\.bin: sample \(70, 5\) is not finite"):
         load_grid_binary(path)
 
 
@@ -394,6 +420,42 @@ def test_csv_reads_fields_as_int_and_float_do(code, tmp_path, row, loads):
     else:
         with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '0,0,1\.5\\x1c,2"):
             load_grid_csv(path)
+
+
+@pytest.mark.parametrize("start", [0, 256], ids=["first-block", "second-block"])
+def test_csv_block_read_line_by_line_leaves_the_other_blocks_in_place(code, tmp_path, start):
+    # numpy refuses the underscore (body row start + 100) and the whitespace-only line
+    # (before row start + 200), so that block is read again line by line; the blocks
+    # after it must start where they did, one row later
+    path, lines = block_lines(code, tmp_path)
+    expected = load_grid_csv(path).samples
+    j, k, re, im = lines[3 + start + 100].split(",")
+    cut = next(i for i in range(1, len(re)) if re[i - 1].isdigit() and re[i].isdigit())
+    lines = _with_row(lines, start + 100, f"{j},{k},{re[:cut]}_{re[cut:]},{im}")
+    lines.insert(3 + start + 200, "  ")
+    path.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(bits(load_strict(path).samples), bits(expected))
+
+
+def test_csv_refuses_an_index_numpy_reads_through_a_float_with_a_warning(code, tmp_path, monkeypatch):
+    # numpy versions that parse "75.0" for an integer field warn and go on
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(lines, **kwargs):
+        lines = list(lines)
+        if any("." in line.split(",", 1)[0] for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            lines = [line.replace(".0,", ",", 1) for line in lines]
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path, lines = block_lines(code, tmp_path)
+    path.write_text("\n".join(_with_row(lines, 300, "75.0" + lines[3 + 300][2:])) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '75\.0,0,"):
+            load_grid_csv(path)
+    assert caught == []
 
 
 def test_csv_refuses_a_non_ascii_file_naming_it(code, tmp_path):
