@@ -70,7 +70,8 @@ _KEYS = {
     "out": _Key(str, None, "output path (a directory for shift-array)"),
     "format": _Key(str, "csv", "grid file format", ("csv", "bin")),
     "seed": _Key(int, None, "seed echoed into the manifest"),
-    "method": _Key(str, "trace", "logical map", ("trace", "ec-trace", "overlap"), ("logical",)),
+    "method": _Key(str, "trace", "logical map (overlap is an alias of trace)",
+                   ("trace", "ec-trace", "overlap"), ("logical",)),
     "jmax": _Key(int, 3, "largest X panel index (default 3)", commands=("shift-array",)),
     "kmax": _Key(int, 3, "largest Z panel index (default 3)", commands=("shift-array",)),
     "dx": _Key(float, None, "X step (default alpha/3)", commands=("shift-array",)),
@@ -216,10 +217,23 @@ def _build_state(cfg, code):
     return _load_table(spec.split(":", 1)[1])
 
 
+def _require_gauge_halves(command, code, grid):
+    """The logical maps split a grid state into its ``Nu/2 x Nv`` gauge halves: a
+    ConfigError unless the library's gauge-grid rule admits them."""
+    try:
+        code.gauge_grid(grid.nu // 2, grid.nv)
+    except ValueError as exc:
+        raise ConfigError(f"{command} needs a grid whose halves Nu/2 x Nv are grids; "
+                          f"{grid.nu}x{grid.nv} is not: {exc}") from exc
+
+
 def _build_comb(cfg, code, grid):
     """The ideal state, or the comb matrix of the transform of the described state."""
     state = _build_state(cfg, code)
-    return state if isinstance(state, IdealZakState) else comb_matrix(state, grid, cfg["mmax"])
+    if isinstance(state, IdealZakState):
+        return state
+    _require_gauge_halves("logical", code, grid)
+    return comb_matrix(state, grid, cfg["mmax"])
 
 
 def _manifest_text(command, cfg):
@@ -306,24 +320,11 @@ def cmd_shift_array(cfg, code, grid):
     return 0
 
 
-def _gauge_split(command, grid, fn, *args):
-    """``fn(*args)``, a map that splits a grid state into its gauge halves; the
-    ValueError of a grid whose ``Nu/2 x Nv`` halves are no grid is a ConfigError."""
-    try:
-        return fn(*args)
-    except ZakError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{command} needs a grid whose halves Nu/2 x Nv are grids; "
-                          f"{grid.nu}x{grid.nv} is not: {exc}") from exc
-
-
 def cmd_logical(cfg, code, grid):
     state = _build_comb(cfg, code, grid)
-    # trace and overlap are one map (ssd.gauge_trace equals logical_from_overlap
-    # bit for bit), and ec-trace is the error-correction channel
+    # overlap is an alias of trace: ssd.gauge_trace equals logical_from_overlap by construction
     logical = ec_channel_logical if cfg["method"] == "ec-trace" else logical_from_overlap
-    qubit = _gauge_split("logical", grid, logical, state, code)
+    qubit = logical(state, code)
     gridio.save_logical_report(qubit, cfg["out"])
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("logical", cfg))
     return 0
@@ -339,10 +340,11 @@ def cmd_sweep(cfg, code, grid):
         raise ConfigError("--deltas must list at least one value")
     if not all(0 < d < math.inf for d in deltas):
         raise ConfigError(f"--deltas values must be positive and finite, got {cfg['deltas']!r}")
+    _require_gauge_halves("sweep", code, grid)
     lines = ["delta,fidelity,purity,raw_trace,residual_pv,residual_pu"]
     for delta in deltas:
         comb = comb_matrix(_approx_codeword(code, target, delta), grid, cfg["mmax"])
-        qubit = _gauge_split("sweep", grid, logical_from_overlap, comb, code)
+        qubit = logical_from_overlap(comb, code)
         r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))

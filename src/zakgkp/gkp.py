@@ -20,12 +20,13 @@ trace is kept alongside as the success weight.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modular, operators
+from . import modular
 from .core import (
     CombMatrix,
     GaussianComb,
@@ -211,35 +212,19 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     return gaussian_comb(code.period, tooth_variance, envelope_variance, offset=code.alpha * ell)
 
 
-def _defect(weights, theta):
-    """``||(exp(i theta) - 1) psi||`` from the weights ``|psi|^2`` at the phases ``theta``."""
-    return math.sqrt(float(np.dot(weights, 4 * np.sin(theta / 2) ** 2)))
-
-
 def stabilizer_residual(state, code: GKPCode):
     """Norms of ``(S - 1) psi`` for the two stabilizer generators.
 
     Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both
     vanish exactly on codewords.  Both are phases in one variable and
-    ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so a grid state needs
-    only the marginals of ``|psi|^2``; a :class:`CombMatrix` gives them per
-    row from its comb matrix, and ideal states use the Dirac-comb norm.
+    ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so each squared norm is
+    the pairing of the state with itself under that weight.
     """
     tv, tu = -code.period, 2 * math.pi / code.alpha
-    if isinstance(state, IdealZakState):
-        points = np.array([p for p, _ in state.items()], dtype=float).reshape(-1, 2)
-        weights = np.array([abs(w) ** 2 for _, w in state.items()])
-        return _defect(weights, tv * points[:, 1]), _defect(weights, tu * points[:, 0])
-    grid = state.grid
-    if isinstance(state, CombMatrix):
-        # the v phase's defect weights each row's v sum of |psi|^2; the u phase's weights the plain sums
-        values = state.values
-        defect_v = _comb_forms(state, values, values, 4 * np.sin(tv * grid.v_values() / 2) ** 2)
-        rows = _comb_forms(state, values, values).real * grid.du
-        return math.sqrt(float(defect_v.real.sum()) * grid.du), _defect(rows, tu * grid.u_values())
-    rows, cols = state.marginals()
-    area = grid.cell_area
-    return _defect(cols * area, tv * grid.v_values()), _defect(rows * area, tu * grid.u_values())
+    rows, pair = _pairing(state)
+    r1 = pair(rows, rows, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2)
+    r2 = pair(rows, rows, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2)
+    return math.sqrt(r1.real), math.sqrt(r2.real)
 
 
 def _require_qubit_patch(state, code: GKPCode):
@@ -289,12 +274,49 @@ def _sectors(state, code: GKPCode):
     )
 
 
-def _cross_sum(f, g, weight):
-    """``sum f conj(g) weight`` over the grid, ``weight`` a function of v (or 1).
+def _pairing(state):
+    """The rows of ``state`` and its ``pair(f, g, wu=None, wv=None) = <g| wu(U) wv(V) |f>``.
 
-    The products are formed in row blocks in one reused buffer of at most
-    8192 samples, and the row sums are added pairwise.
+    ``f`` and ``g`` are sets of rows: two halves, or all rows when ``wu`` is
+    given; ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and
+    None is 1.  Ideal rows are point masses, paired exactly with no
+    measure; grid sample rows and comb rows are summed by the left-Riemann
+    rule, since the correctable-patch boundaries are grid-aligned.
     """
+    if isinstance(state, IdealZakState):
+        return state, _point_pair
+    if isinstance(state, CombMatrix):
+        return state.values, functools.partial(_comb_pair, state)
+    return state.samples, functools.partial(_sample_pair, state.grid)
+
+
+def _point_pair(f, g, wu=None, wv=None):
+    """``sum w conj(g(u, v)) wu(u) wv(v)`` over the points ``(u, v)`` of ``f`` with weights ``w``."""
+    terms = [(w, g.value_at(u, v).conjugate()) for (u, v), w in f.items()]
+    if wu is not None or wv is not None:
+        u, v = np.array(list(f.points), dtype=float).reshape(-1, 2).T
+        weight = wu(u) if wv is None else wv(v) if wu is None else wu(u) * wv(v)
+        terms = [(w, h * c) for (w, h), c in zip(terms, weight.tolist())]
+    return sum(w * h for w, h in terms)
+
+
+def _sample_pair(grid, f, g, wu=None, wv=None):
+    """``sum f conj(g) wu(u) wv(v) du dv`` over sample rows ``f`` and ``g`` of ``grid``.
+
+    Rows paired with themselves (``f is g``, with at most one weight) read
+    the marginals of ``|psi|^2``.  Other pairs are multiplied in row blocks
+    in one reused buffer of at most 8192 samples, and the row sums are
+    added pairwise.  No full-grid temporary is formed.
+    """
+    area = grid.cell_area
+    if f is g:
+        parts = np.ascontiguousarray(f).view(np.float64)
+        if wv is not None:
+            cols = np.einsum("ij,ij->j", parts, parts)
+            return float(np.dot((cols[0::2] + cols[1::2]) * area, wv(grid.v_values())))
+        rows = np.einsum("ij,ij->i", parts, parts)
+        return float(rows.sum()) * area if wu is None else float(np.dot(rows * area, wu(grid.u_values())))
+    weight = None if wv is None else wv(grid.v_values())
     step = max(1, 8192 // f.shape[1])
     buf = np.empty((step, f.shape[1]), dtype=np.complex128)
     rows = np.empty(len(f), dtype=np.complex128)
@@ -303,81 +325,56 @@ def _cross_sum(f, g, weight):
         block = np.conjugate(g_rows, out=buf[:len(g_rows)])
         block *= f[i:i + step]
         rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
-    return rows.sum()
+    return (rows.sum() if wu is None else rows @ wu(grid.u_values())) * area
 
 
-def _gram(gamma, alpha, ec_phase: bool):
-    """Unnormalized 2x2 Gram matrix ``G[l, l'] = <gamma_l'|gamma_l>`` of two gauge components.
+def _comb_pair(comb: CombMatrix, f, g, wu=None, wv=None):
+    """``sum_j wu(u_j) sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) du dv`` for comb rows ``f`` and ``g``.
 
-    With ``ec_phase`` each ``gamma_l`` is first counter-rotated by
-    ``exp(-i alpha l v)``, which turns the Gram matrix into the syndrome
-    average of the outer products of :func:`ec_kraus_amplitudes`; the phase
-    cancels on the diagonal.  Grid components are summed by the left-Riemann
-    rule (the correctable-patch boundaries are grid-aligned), the diagonal
-    from the ``|psi|^2`` marginals and the cross entry in row blocks;
-    ideal components pair point masses exactly, with no measure.
+    Row ``j`` of a transform is ``sqrt(b/2pi) f[j] @ Phi``, so the inner sum
+    is ``f[j] T_w g[j]^H`` with the ``m x m`` kernel
+    ``T_w = (b/2pi) dv Phi diag(wv) Phi^H``, computed over the grid's own
+    ``v`` nodes, so an aliased grid (``nv <= 2 m_max``) is exact too.
     """
-    f, g = gamma
-    if isinstance(f, IdealZakState):
-        if ec_phase:
-            gamma = [operators.apply_phase_v(x, -alpha * ell) for ell, x in enumerate(gamma)]
-
-        def pair(x, y):
-            return sum(w * y.value_at(u, v).conjugate() for (u, v), w in x.items())
-
-        return np.array([[pair(x, y) for y in gamma] for x in gamma], dtype=np.complex128)
-    mat = np.empty((2, 2), dtype=np.complex128)
-    weight = np.exp(1j * alpha * f.grid.v_values()) if ec_phase else None
-    mat[0, 0], mat[1, 1] = f.norm_squared(), g.norm_squared()
-    mat[0, 1] = _cross_sum(f.samples, g.samples, weight) * f.grid.cell_area
-    mat[1, 0] = mat[0, 1].conjugate()
-    return mat
-
-
-def _comb_forms(comb: CombMatrix, f, g, weight=None):
-    """``sum_k psi_f[j, k] conj(psi_g[j, k]) w(v_k) dv`` for each row ``j`` of two
-    transforms that share ``comb``'s phases and have comb rows ``f`` and ``g``.
-
-    Row ``j`` of a transform is ``sqrt(b/2pi) f[j] @ Phi``, so the sum is
-    ``f[j] T_w g[j]^H`` with the ``m x m`` kernel
-    ``T_w = (b/2pi) dv Phi diag(w) Phi^H`` (``w`` is 1 when ``weight`` is
-    None), computed over the grid's own ``v`` nodes, so an aliased grid
-    (``nv <= 2 m_max``) is exact too.  No ``nu x nv`` array is formed.
-    """
-    phases = comb.phases
-    grid = comb.grid
-    kernel = (phases if weight is None else phases * weight) @ phases.conj().T
+    phases, grid = comb.phases, comb.grid
+    kernel = (phases if wv is None else phases * wv(grid.v_values())) @ phases.conj().T
     kernel *= grid.patch.b / (2 * math.pi) * grid.dv
-    return np.einsum("jm,jm->j", f @ kernel, g.conj())
+    rows = np.einsum("jm,jm->j", f @ kernel, g.conj())
+    if f is g:
+        rows = rows.real
+    return rows.sum() * grid.du if wu is None else np.dot(rows * grid.du, wu(grid.u_values()))
 
 
-def _comb_gram(comb: CombMatrix, code: GKPCode, ec_phase: bool):
-    """:func:`_gram` of the gauge components of the transform that ``comb`` holds, from
-    its comb matrix: the same left-Riemann sums, with no grid formed."""
-    _require_qubit_patch(comb, code)
-    grid = comb.grid
-    code.gauge_grid(grid.nu // 2, grid.nv)  # the ValueError the materialized split raises
-    f, g = np.split(comb.values, 2)
-    weight = np.exp(1j * code.alpha * grid.v_values()) if ec_phase else None
+def _gram(state, code: GKPCode, ec_phase: bool):
+    """Unnormalized 2x2 Gram matrix ``G[l, l'] = <gamma_l'|gamma_l>`` of a pure state's gauge components.
+
+    The components are an ideal state's sectors, or the two row halves of
+    any other state.  With ``ec_phase`` each ``gamma_l`` is first
+    counter-rotated by ``exp(-i alpha l v)``, which turns the Gram matrix
+    into the syndrome average of the outer products of
+    :func:`ec_kraus_amplitudes`: the cross entry takes the weight
+    ``exp(i alpha v)``, and the phase cancels on the diagonal.
+    """
+    _require_qubit_patch(state, code)
+    rows, pair = _pairing(state)
+    if rows is state:  # point masses split by sector, not by rows
+        f, g = _sectors(state, code)
+    else:
+        half = code.gauge_grid(len(rows) // 2, state.grid.nv).nu  # a ValueError unless the halves are grids
+        f, g = rows[:half], rows[half:]
     mat = np.empty((2, 2), dtype=np.complex128)
-    mat[0, 0] = _comb_forms(comb, f, f).real.sum() * grid.du
-    mat[1, 1] = _comb_forms(comb, g, g).real.sum() * grid.du
-    mat[0, 1] = _comb_forms(comb, f, g, weight).sum() * grid.du
+    mat[0, 0], mat[1, 1] = pair(f, f), pair(g, g)
+    mat[0, 1] = pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
     mat[1, 0] = mat[0, 1].conjugate()
     return mat
-
-
-def _pure_gram(state, code: GKPCode, ec_phase: bool):
-    if isinstance(state, CombMatrix):
-        return _comb_gram(state, code, ec_phase)
-    return _gram(_sectors(state, code), code.alpha, ec_phase)
 
 
 def _mixture_logical(rho, gram):
     """Trace-normalized logical qubit of ``sum_i p_i gram(component_i)``."""
     mat = np.zeros((2, 2), dtype=np.complex128)
-    for p, component in rho if isinstance(rho, MixtureState) else MixtureState.pure(rho):
-        mat += p * gram(component)
+    with np.errstate(over="ignore", invalid="ignore"):  # from_unnormalized refuses a non-finite sum
+        for p, component in rho if isinstance(rho, MixtureState) else MixtureState.pure(rho):
+            mat += p * gram(component)
     return LogicalQubit.from_unnormalized(mat)
 
 
@@ -392,7 +389,7 @@ def logical_from_overlap(rho, code: GKPCode) -> LogicalQubit:
     its comb matrix, with no grid formed.  The returned matrix is trace-normalized; the raw
     trace is the correctable-patch mass.
     """
-    return _mixture_logical(rho, lambda s: _pure_gram(s, code, ec_phase=False))
+    return _mixture_logical(rho, lambda s: _gram(s, code, ec_phase=False))
 
 
 def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
@@ -404,4 +401,4 @@ def ec_channel_logical(rho, code: GKPCode) -> LogicalQubit:
     :func:`zakgkp.ssd.ec_gauge_trace` of :func:`zakgkp.ssd.to_ssd` bit for bit.
     A :class:`CombMatrix` takes the comb route, as in :func:`logical_from_overlap`.
     """
-    return _mixture_logical(rho, lambda s: _pure_gram(s, code, ec_phase=True))
+    return _mixture_logical(rho, lambda s: _gram(s, code, ec_phase=True))

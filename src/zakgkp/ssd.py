@@ -11,12 +11,12 @@ with the gauge wavefunctions living on the stretched half-width patch
 change of basis is a pure re-indexing of samples and exactly unitary.
 Gauge u-wraps cost ``exp(-i 2 alpha v)`` on kets.
 
-The split is ``gkp._sectors``, the one the overlap maps use, so tracing
-out the gauge mode yields the overlap map's logical qubit bit for bit;
-preceding the trace with the entangling counter-rotation
-(gamma_l -> exp(-i alpha l v) gamma_l) yields the error-correction
-logical state instead.  The SSD shifts are the full-mode operators
-conjugated by the change of basis.
+Tracing out the gauge mode is the Gram matrix of the two components,
+the very ``gkp._gram`` call the overlap maps make on the full mode, so it
+yields the overlap map's logical qubit bit for bit; preceding the trace
+with the entangling counter-rotation (gamma_l -> exp(-i alpha l v)
+gamma_l) yields the error-correction logical state instead.  The SSD
+shifts are the full-mode operators conjugated by the change of basis.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def from_ssd(state: SSDState):
 
 def gauge_trace(rho) -> LogicalQubit:
     """Partial trace over the gauge mode, trace-normalized with raw trace kept."""
-    return _mixture_logical(rho, lambda s: _gram(s.gamma, s.code.alpha, ec_phase=False))
+    return _mixture_logical(rho, lambda s: _gram(s.mode, s.code, ec_phase=False))
 
 
 def ec_gauge_trace(rho) -> LogicalQubit:
@@ -141,7 +141,7 @@ def ec_gauge_trace(rho) -> LogicalQubit:
     small-shifted codewords this undoes the shift-induced logical rotation
     exactly.
     """
-    return _mixture_logical(rho, lambda s: _gram(s.gamma, s.code.alpha, ec_phase=True))
+    return _mixture_logical(rho, lambda s: _gram(s.mode, s.code, ec_phase=True))
 
 
 def apply_Z_ssd(state, t):

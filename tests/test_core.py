@@ -42,7 +42,7 @@ from zakgkp import (
     zak_transform,
 )
 from zakgkp.core import MAX_TEETH, TabulatedState, comb_matrix
-from zakgkp.gkp import _gram, _sectors
+from zakgkp.gkp import _gram
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
@@ -164,7 +164,7 @@ def gauge_gram(code, psi, phi):
     Its cross entry ``[0, 1]`` is the inner product ``<phi|psi>``.
     """
     mode = SSDState(code, psi, phi).mode
-    return _gram(_sectors(mode, code), code.alpha, ec_phase=False)
+    return _gram(mode, code, ec_phase=False)
 
 
 def test_inner_product_overlap_of_displaced_vacua(code):

@@ -378,7 +378,7 @@ def _statistics_corpus(code):
 @pytest.mark.parametrize("ec_phase", [False, True], ids=["plain", "ec"])
 def test_gram_matches_per_entry_products(code, ec_phase):
     for label, psi in _statistics_corpus(code):
-        gram = gkp._gram(gkp._sectors(psi, code), ALPHA, ec_phase)
+        gram = gkp._gram(psi, code, ec_phase)
         reference = _reference_gram(psi, code, ec_phase)
         err = np.max(np.abs(gram - reference))
         assert err <= 1e-15 * np.max(np.abs(reference)), label
@@ -387,10 +387,11 @@ def test_gram_matches_per_entry_products(code, ec_phase):
 
 
 def test_ec_gram_diagonal_equals_plain_diagonal(code):
-    for label, psi in _statistics_corpus(code):
-        sectors = gkp._sectors(psi, code)
-        plain = gkp._gram(sectors, ALPHA, ec_phase=False)
-        ec = gkp._gram(sectors, ALPHA, ec_phase=True)
+    plus = IdealZakState(code.full_patch(), {(0.0, 0.0): 1 / math.sqrt(2), (ALPHA, 0.0): 1 / math.sqrt(2)})
+    shifted = ("shifted ideal |+>", apply_X(apply_Z(plus, 0.21), 0.3 * ALPHA))
+    for label, psi in [*_statistics_corpus(code), shifted]:
+        plain = gkp._gram(psi, code, ec_phase=False)
+        ec = gkp._gram(psi, code, ec_phase=True)
         assert np.array_equal(np.diag(plain), np.diag(ec)), label
         assert ec[1, 0] == ec[0, 1].conjugate() and plain[1, 0] == plain[0, 1].conjugate()
 
@@ -437,8 +438,8 @@ def test_comb_route_matches_the_materialized_grid(code, ec_phase):
     for label, descriptor, grid in _comb_corpus(code):
         comb = comb_matrix(descriptor, grid, 16)
         psi = zak_transform(descriptor, grid, 16)
-        gram = gkp._comb_gram(comb, code, ec_phase)
-        assert np.max(np.abs(gram - gkp._gram(gkp._sectors(psi, code), ALPHA, ec_phase))) <= 1e-14, label
+        gram = gkp._gram(comb, code, ec_phase)
+        assert np.max(np.abs(gram - gkp._gram(psi, code, ec_phase))) <= 1e-14, label
         assert np.array_equal(np.diag(gram).imag, [0.0, 0.0]), label
         assert np.max(np.abs(logical(comb, code).matrix - logical(psi, code).matrix)) <= 1e-14, label
         for got, want in zip(stabilizer_residual(comb, code), stabilizer_residual(psi, code)):
@@ -450,6 +451,15 @@ def test_comb_route_refuses_a_grid_without_gauge_halves(code):
     for state in (comb_matrix(vacuum(), grid, 16), zak_transform(vacuum(), grid, 16)):
         with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 34"):
             logical_from_overlap(state, code)
+
+
+def test_overflowing_comb_gram_is_refused_without_a_warning(code):
+    # finite table values whose comb sums overflow: the Gram entries are inf and NaN
+    table = tabulated([0.0, 3.5449077018110318], [1e308, 1e308])
+    comb = comb_matrix(table, code.grid(64, 64), 16)
+    for logical in (logical_from_overlap, ec_channel_logical):
+        with pytest.raises(ZakError, match="logical matrix has non-finite entries"):
+            logical(comb, code)
 
 
 def _peak_multiple(fn, nbytes):

@@ -174,12 +174,15 @@ def test_product_state_traces_to_pure_qubit(code):
 
 
 def test_gauge_trace_matches_overlap_route(code, corpus_256):
-    # one split and one Gram kernel: the two routes agree bit for bit
-    for psi in [*corpus_256.values(), codeword(code, 0), codeword(code, 1)]:
-        q_trace = gauge_trace(to_ssd(psi, code))
-        q_overlap = logical_from_overlap(psi, code)
-        assert np.array_equal(q_trace.matrix, q_overlap.matrix)
-        assert q_trace.raw_trace == q_overlap.raw_trace
+    # one Gram kernel: each trace and its overlap map agree bit for bit
+    pairs = [(psi, to_ssd(psi, code)) for psi in [*corpus_256.values(), codeword(code, 0), codeword(code, 1)]]
+    mix = [(0.3, corpus_256["vacuum"]), (0.7, corpus_256["gkp-approx:0.3:1"])]
+    pairs.append((MixtureState(mix), MixtureState([(p, to_ssd(psi, code)) for p, psi in mix])))
+    for rho, split in pairs:
+        for trace, overlap in ((gauge_trace, logical_from_overlap), (ec_gauge_trace, ec_channel_logical)):
+            q_trace, q_overlap = trace(split), overlap(rho, code)
+            assert np.array_equal(q_trace.matrix, q_overlap.matrix)
+            assert q_trace.raw_trace == q_overlap.raw_trace
 
 
 def test_ec_gauge_trace_equals_plain_on_diagonal_states(code):
