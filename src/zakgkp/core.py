@@ -85,7 +85,7 @@ def _finite_rows(where, rows, j=0):
         flat = block.view(np.float64) if block.strides[-1] == block.itemsize else block
         if not np.isfinite(flat).all():
             r, k = np.argwhere(~np.isfinite(block))[0]
-            raise NonFiniteError(f"{where}: sample ({j + i + r}, {k}) is not finite: {block[r, k]!r}")
+            raise NonFiniteError(f"{where}: sample ({j + i + r}, {k}) is not finite: {complex(block[r, k])}")
     return rows
 
 

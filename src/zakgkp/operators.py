@@ -17,7 +17,7 @@ import cmath
 
 import numpy as np
 
-from .core import IdealZakState, ModularWavefunction, _frozen
+from .core import IdealZakState, _frozen
 
 __all__ = [
     "apply_phase_u",
@@ -29,70 +29,65 @@ __all__ = [
 ]
 
 
+def _displace(state, pu=None, pv=None, su=None, sv=None):
+    """``P_U(pu) P_V(pv) T_U(su) T_V(sv) state``, the displacement every operator is; None skips a factor.
+
+    Ideal points are mapped once for the shift (construction canonicalizes, with the u-wrap phase) and
+    once per phase.  A grid is rolled into one new array, each block written already multiplied by its
+    factors: ``exp(-i b v)`` on wrapped rows, ``exp(-i b k v)`` for ``k`` full turns, then the phases.
+    No operator shifts both arguments or phases the one it shifts; the grid branch handles neither.
+    """
+    if isinstance(state, IdealZakState):
+        for t, fn in ((sv, lambda p, w: ((p[0], p[1] + sv), w)), (su, lambda p, w: ((p[0] + su, p[1]), w)),
+                      (pv, lambda p, w: (p, w * cmath.exp(1j * p[1] * pv))),
+                      (pu, lambda p, w: (p, w * cmath.exp(1j * p[0] * pu)))):
+            if t is not None:
+                state = state.map_points(fn)
+        return state
+    grid, s = state.grid, state.samples
+    u, v = grid.u_values()[:, None], grid.v_values()[None, :]
+    phases = [np.exp(1j * t * x) for t, x in ((pv, v), (pu, u)) if t is not None]
+    out = np.empty_like(s)
+    blocks = [(out, s, phases)]
+    if su is not None:
+        (k, r), b = divmod(grid.u_steps(su), grid.nu), grid.patch.b
+        turns = ([np.exp(-1j * b * k * v)] if k else []) + phases
+        blocks = [(out[:r], s[len(s) - r:], [np.exp(-1j * b * v)] + turns), (out[r:], s[:len(s) - r], turns)]
+    elif sv is not None:
+        r = grid.v_steps(sv) % grid.nv
+        blocks = [(out[:, :r], s[:, grid.nv - r:], phases), (out[:, r:], s[:, :grid.nv - r], phases)]
+    for dst, src, factors in blocks:
+        np.multiply(src, factors[0], out=dst) if factors else np.copyto(dst, src)
+        for factor in factors[1:]:
+            dst *= factor
+    return state.with_samples(_frozen(out))
+
+
 def apply_phase_u(state, t):
     """P_U(t): multiply by ``exp(i u t)``."""
-    if isinstance(state, IdealZakState):
-        return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[0] * t)))
-    return state.with_samples(_frozen(state.samples * np.exp(1j * t * state.grid.u_values())[:, None]))
+    return _displace(state, pu=t)
 
 
 def apply_phase_v(state, t):
     """P_V(t): multiply by ``exp(i v t)``."""
-    if isinstance(state, IdealZakState):
-        return state.map_points(lambda p, w: (p, w * cmath.exp(1j * p[1] * t)))
-    return state.with_samples(_frozen(state.samples * np.exp(1j * t * state.grid.v_values())[None, :]))
-
-
-def _shift_columns(psi: ModularWavefunction, n: int) -> np.ndarray:
-    """Cyclic u shift by ``n`` columns with analytic wrap phases, in one new array.
-
-    Full-grid revolutions become the phase ``exp(-i b k v)`` in one
-    multiplication; the columns that wrap in the residual roll are written
-    already multiplied by the wrap phase ``exp(-i b v)``.
-    """
-    s, b, v = psi.samples, psi.grid.patch.b, psi.grid.v_values()
-    k, r = divmod(n, len(s))
-    out = np.empty_like(s)
-    np.multiply(s[len(s) - r:, :], np.exp(-1j * b * v)[None, :], out=out[:r, :])
-    out[r:, :] = s[:len(s) - r, :]
-    if k:
-        out *= np.exp(-1j * b * k * v)[None, :]
-    return out
-
-
-def _kick_rows(psi: ModularWavefunction, n: int, t) -> np.ndarray:
-    """Samples rolled by ``n`` rows along v and multiplied by ``exp(i u t)``, in one new array."""
-    s, nv = psi.samples, psi.grid.nv
-    r = n % nv
-    phase = np.exp(1j * t * psi.grid.u_values())[:, None]
-    out = np.empty_like(s)
-    np.multiply(s[:, nv - r:], phase, out=out[:, :r])
-    np.multiply(s[:, :nv - r], phase, out=out[:, r:])
-    return out
+    return _displace(state, pv=t)
 
 
 def apply_translate_u(state, t):
     """T_U(t): shift the first argument by ``t`` (u-wraps cost ``exp(-i b v)``)."""
-    if isinstance(state, IdealZakState):  # construction canonicalizes, wrap phase included
-        return state.map_points(lambda p, w: ((p[0] + t, p[1]), w))
-    return state.with_samples(_frozen(_shift_columns(state, state.grid.u_steps(t))))
+    return _displace(state, su=t)
 
 
 def apply_translate_v(state, t):
     """T_V(t): shift the second argument by ``t`` (v-wraps are free)."""
-    if isinstance(state, IdealZakState):  # construction canonicalizes
-        return state.map_points(lambda p, w: ((p[0], p[1] + t), w))
-    grid = state.grid
-    return state.with_samples(_frozen(np.roll(state.samples, grid.v_steps(t) % grid.nv, axis=1)))
+    return _displace(state, sv=t)
 
 
 def apply_X(state, t):
     """Position shift ``X(t) = T_U(t)``."""
-    return apply_translate_u(state, t)
+    return _displace(state, su=t)
 
 
 def apply_Z(state, t):
     """Momentum kick ``Z(t) = P_U(t) T_V(t)`` (translation first, one result array on a grid)."""
-    if isinstance(state, IdealZakState):
-        return apply_phase_u(apply_translate_v(state, t), t)
-    return state.with_samples(_frozen(_kick_rows(state, state.grid.v_steps(t), t)))
+    return _displace(state, pu=t, sv=t)

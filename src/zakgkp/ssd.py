@@ -30,7 +30,7 @@ import numpy as np
 from . import gridio, operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
-from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _sectors
+from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _require_qubit_patch, _sectors
 
 __all__ = [
     "SSDState",
@@ -54,14 +54,13 @@ class SSDState:
 
     The SSD is a new tensor-product structure on the same Hilbert space, so
     the state is its full-mode state ``mode`` (a ModularWavefunction or an
-    IdealZakState); ``gamma = gkp._sectors(mode, code)``, views of a grid
-    mode's samples or an ideal mode's points moved onto the gauge patch.
+    IdealZakState); ``gamma`` is computed from ``mode`` on access, not stored.
     ``SSDState(code, gamma0, gamma1)`` joins two separate components into a
     new mode: a grid pair is stacked, an ideal pair's points are placed at
     ``(u + alpha*l, v)``.  :func:`to_ssd` wraps a mode without a copy.
     """
 
-    __slots__ = ("code", "mode", "gamma")
+    __slots__ = ("code", "mode")
 
     def __init__(self, code: GKPCode, gamma0, gamma1):
         if type(gamma0) is not type(gamma1):
@@ -78,10 +77,12 @@ class SSDState:
                 raise GridMismatchError("gauge components live on different grids")
             grid = code.grid(2 * gamma0.grid.nu, gamma0.grid.nv)
             mode = ModularWavefunction(grid, _frozen(np.vstack([gamma0.samples, gamma1.samples])))
-        self._wrap(code, mode)
+        self.code, self.mode = code, mode
 
-    def _wrap(self, code, mode):
-        self.code, self.mode, self.gamma = code, mode, _sectors(mode, code)
+    @property
+    def gamma(self):
+        """``gkp._sectors(mode, code)``, split from ``mode`` on each access."""
+        return _sectors(self.mode, self.code)
 
     @property
     def gauge_grid(self) -> ZakGrid:
@@ -90,7 +91,7 @@ class SSDState:
     @property
     def points(self):
         """The point dicts of an ideal state's two gauge components."""
-        return (self.gamma[0].points, self.gamma[1].points)
+        return tuple(gamma.points for gamma in self.gamma)
 
     def norm_squared(self):
         return self.mode.norm_squared()
@@ -113,13 +114,16 @@ class IdealSSDState(SSDState):
 def to_ssd(state, code: GKPCode) -> SSDState:
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
-    The result wraps ``state`` without a copy.  Its gauge components are
-    the unphased split: a grid state's left and right half columns (views
-    of its samples) re-indexed onto the gauge patch, an ideal state's
-    point masses by sector.
+    The result wraps ``state`` without a copy.  Its gauge components are the unphased
+    split: a grid state's left and right half columns (views of its samples) re-indexed
+    onto the gauge patch, an ideal state's point masses by sector.  GridMismatchError (a
+    foreign patch) and ValueError (a grid whose halves are not grids) are raised here.
     """
+    _require_qubit_patch(state, code)
+    if not isinstance(state, IdealZakState):
+        code.gauge_grid(state.grid.nu // 2, state.grid.nv)
     split = SSDState.__new__(SSDState)
-    split._wrap(code, state)
+    split.code, split.mode = code, state
     return split
 
 
@@ -196,15 +200,15 @@ def pp_bridge(state: SSDState) -> PPGaugeModes:
     DFT fills a scratch array in bin order, whose two row halves are
     weighted into ``coeffs[l]`` swapped, in ``m`` order.
     """
-    code = state.code
-    grid = state.gauge_grid
+    code, gammas = state.code, state.gamma
+    grid = gammas[0].grid
     half = grid.nv // 2
     m = np.arange(-half, half)
     scale = math.sqrt(code.alpha / math.pi) * grid.dv
     weights = scale * np.exp(-1j * grid.patch.b * grid.patch.v_min * m)
     spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)
     coeffs = []
-    for gamma in state.gamma:
+    for gamma in gammas:
         np.fft.fft(gamma.samples, axis=1, out=spectrum.T)
         coeff = np.empty_like(spectrum)
         # bins half.. hold m = -nv/2 .. -1, bins ..half hold m = 0 .. nv/2-1
@@ -263,8 +267,8 @@ def save_ssd(state: SSDState, base_path):
     if any(ch.isspace() for ch in os.path.basename(os.fspath(base_path))):
         raise ValueError(f"SSD base name {os.fspath(base_path)!r} holds whitespace")
     paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
-    for ell, path in enumerate(paths):
-        gridio.save_grid_binary(state.gamma[ell], path)
+    for gamma, path in zip(state.gamma, paths):
+        gridio.save_grid_binary(gamma, path)
     names = [os.path.basename(path) for path in paths]
     line = f"alpha={gridio.format_float(state.code.alpha)} gamma0={names[0]} gamma1={names[1]}\n"
     gridio.atomic_write_text(f"{base_path}.manifest", line)

@@ -441,6 +441,7 @@ def test_non_finite_samples_are_a_numerical_failure(tmp_path, capsys, fmt, comma
     assert code == 3
     err = capsys.readouterr().err
     assert "is not finite" in err and "sample (" in err
+    assert "nan+nanj)" in err and "np.complex128" not in err
     # no grid file, temporary file or manifest is left behind
     left = sorted(os.listdir(tmp_path)) + (sorted(os.listdir(out)) if out.is_dir() else [])
     assert left == ["table.csv"]

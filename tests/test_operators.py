@@ -286,28 +286,64 @@ def _shift_counts(n):
     return [0, 1, -1, n - 1, -(n - 1), n, -n, 3 * n + 5, -(2 * n + 3)]
 
 
+def _ideal_states(code):
+    spread = [((0.3, -0.2), 0.6 - 0.8j), ((2.9, 1.1), -1j), ((-0.4, 0.0), 0.5), ((3.4, -1.7), 1.0)]
+    return [codeword(code, 0), codeword(code, 1), IdealZakState(code.full_patch(), spread)]
+
+
+# operator: (shifts v by t, phase exp(i t u), phase exp(i t v))
+V_SHIFTS_AND_PHASES = {
+    apply_Z: (True, True, False),
+    apply_translate_v: (True, False, False),
+    apply_phase_u: (False, True, False),
+    apply_phase_v: (False, False, True),
+}
+
+
 def test_z_is_roll_then_phase_bit_for_bit(code):
+    # with every operator that shares its v-roll or a phase: grids against np.roll and
+    # broadcast phases, ideal states against the moved and phased point list
     grid = code.grid(24, 40)
     psi = random_state(grid, 91)
-    u = grid.u_values()
-    for m in _shift_counts(grid.nv):
-        t = m * grid.dv
-        expected = np.roll(psi.samples, m % grid.nv, axis=1) * np.exp(1j * t * u)[:, None]
-        assert np.array_equal(apply_Z(psi, t).samples, expected), m
+    u, v = grid.u_values(), grid.v_values()
+    for op, (shifts, phase_u, phase_v) in V_SHIFTS_AND_PHASES.items():
+        for m in _shift_counts(grid.nv):
+            t = m * grid.dv
+            expected = np.roll(psi.samples, m % grid.nv, axis=1) if shifts else psi.samples
+            if phase_u:
+                expected = expected * np.exp(1j * t * u)[:, None]
+            if phase_v:
+                expected = expected * np.exp(1j * t * v)[None, :]
+            assert np.array_equal(op(psi, t).samples, expected), (op.__name__, m)
+            for state in _ideal_states(code):
+                points = []
+                for (x, y), w in state.items():
+                    if phase_u:
+                        w *= cmath.exp(1j * t * x)
+                    if phase_v:
+                        w *= cmath.exp(1j * t * y)
+                    points.append(((x, y + t) if shifts else (x, y), w))
+                expected_points = IdealZakState(state.patch, points).points
+                assert op(state, t).points == expected_points, (op.__name__, m, state)
 
 
 def test_x_is_roll_then_wrap_phase_bit_for_bit(code):
     grid = code.grid(24, 40)
     psi = random_state(grid, 92)
     b, v = grid.patch.b, grid.v_values()
-    for m in _shift_counts(grid.nu):
-        k, r = divmod(m, grid.nu)
-        expected = np.roll(psi.samples, r, axis=0)
-        if r:
-            expected[:r, :] *= np.exp(-1j * b * v)[None, :]
-        if k:
-            expected *= np.exp(-1j * b * k * v)[None, :]
-        assert np.array_equal(apply_X(psi, m * grid.du).samples, expected), m
+    for op in (apply_X, apply_translate_u):
+        for m in _shift_counts(grid.nu):
+            k, r = divmod(m, grid.nu)
+            expected = np.roll(psi.samples, r, axis=0)
+            if r:
+                expected[:r, :] *= np.exp(-1j * b * v)[None, :]
+            if k:
+                expected *= np.exp(-1j * b * k * v)[None, :]
+            t = m * grid.du
+            assert np.array_equal(op(psi, t).samples, expected), (op.__name__, m)
+            for state in _ideal_states(code):
+                expected_points = IdealZakState(state.patch, [((x + t, y), w) for (x, y), w in state.items()]).points
+                assert op(state, t).points == expected_points, (op.__name__, m, state)
 
 
 def test_apply_z_allocates_only_its_result(code):

@@ -148,6 +148,13 @@ def test_to_ssd_rejects_foreign_patch(code):
         to_ssd(psi, GKPCode(alpha=1.0))
 
 
+def test_to_ssd_rejects_a_grid_whose_halves_are_not_grids(code):
+    # refused by to_ssd itself, before anything reads the gauge components
+    psi = ModularWavefunction(code.grid(12, 8), np.ones((12, 8)))
+    with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 6"):
+        to_ssd(psi, code)
+
+
 # --- gauge traces ------------------------------------------------------------
 
 
