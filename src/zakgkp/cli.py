@@ -23,7 +23,6 @@ import numpy as np
 
 from . import gridio, operators
 from .core import (
-    BLOCK_ROWS,
     IdealZakState,
     ModularWavefunction,
     _frozen,
@@ -258,12 +257,10 @@ def _save_grid(psi, path, fmt):
         gridio.save_grid_csv(psi, path)
 
 
-def _derived(psi, derive):
-    """The state whose samples are the real ``derive(psi.samples)``, filled one
-    block of rows at a time, so no real full-grid temporary is made."""
+def _derived(psi, ufunc, *inputs):
+    """The state whose samples' real parts one ``ufunc(*inputs, out=...)`` call fills."""
     samples = np.zeros_like(psi.samples)
-    for j in range(0, psi.grid.nu, BLOCK_ROWS):
-        samples.real[j:j + BLOCK_ROWS] = derive(psi.samples[j:j + BLOCK_ROWS])
+    ufunc(*inputs, out=samples.real)
     return ModularWavefunction(psi.grid, _frozen(samples))
 
 
@@ -275,9 +272,10 @@ def cmd_zakplot(cfg, code, grid):
     else:
         psi = zak_transform(state, grid, cfg["mmax"])
         _save_grid(psi, out, cfg["format"])
-        # each derived grid is saved and freed before the next one is made
-        for suffix, derive in (("_abs", np.abs), ("_arg", np.angle)):
-            _save_grid(_derived(psi, derive), _with_suffix(out, suffix), cfg["format"])
+        # each derived grid is saved and freed before the next; arctan2(imag, real) is np.angle
+        z = psi.samples
+        for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
+            _save_grid(_derived(psi, ufunc, *inputs), _with_suffix(out, suffix), cfg["format"])
     gridio.atomic_write_text(out + ".manifest", _manifest_text("zakplot", cfg))
     return 0
 
@@ -390,8 +388,9 @@ def main(argv=None) -> int:
     except ZakError as exc:
         print(f"zakgkp: error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"zakgkp: cannot write output: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        what = "allocate" if isinstance(exc, MemoryError) else "write output"
+        print(f"zakgkp: cannot {what}: {exc}", file=sys.stderr)
         return 2
 
 

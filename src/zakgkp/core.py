@@ -211,7 +211,7 @@ class ZakGrid:
     @staticmethod
     def _steps(t, step, name):
         """Number of cells of width ``step`` spanned by the shift ``t`` (must be exact)."""
-        n = round(t / step)
+        n = round(t / step) if math.isfinite(t / step) else 0  # a count past the float range: refused
         if abs(t - n * step) > NODE_TOL * step:
             raise OffGridError(f"shift {t!r} is not an integer multiple of {name}={step!r}")
         return n
@@ -375,7 +375,6 @@ class IdealZakState:
 class VacuumState:
     """Ground state of the oscillator, optionally displaced in position."""
 
-    kind = "vacuum"
     __slots__ = ("offset",)
 
     def __init__(self, offset=0.0):
@@ -413,7 +412,6 @@ class GaussianComb:
     :meth:`tail_mass` adds a rigorous bound on the mass this omits.
     """
 
-    kind = "gaussian_comb"
     __slots__ = (
         "spacing",
         "tooth_variance",
@@ -444,8 +442,8 @@ class GaussianComb:
             raise ValueError(f"spacing={self.spacing!r} and tooth_variance={self.tooth_variance!r} "
                              f"put spacing^2 / (2 tooth_variance) outside the float range ({r!r})")
         self._centers = self.offset + self.spacing * np.arange(-n, n + 1)
-        k = max(1, math.ceil((math.sqrt(1 + 4 * WINDOW_EXPONENT / r) - 1) / 2))
-        if k >= 2 * n:  # the window holds every tooth
+        k = max(1, math.ceil(min((math.sqrt(1 + 4 * WINDOW_EXPONENT / r) - 1) / 2, 2 * n)))
+        if k >= 2 * n:  # the window holds every tooth (capped first: the root is inf for r near 0)
             k, ratio = 2 * n, 0.0
         else:
             # at |x - nearest tooth| <= spacing/2, the j-th omitted tooth on
@@ -524,7 +522,6 @@ class TabulatedState:
     :meth:`tail_mass`, a share of the norm, is exact for any finite table.
     """
 
-    kind = "tabulated"
     __slots__ = ("xs", "values", "step", "_scale", "_weights")
 
     def __init__(self, xs, values):
@@ -627,11 +624,11 @@ def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     # bound is a mass fraction, so anything past 1 carries no information
     lo = (patch.u_min + patch.a - grid.du) - patch.a * m_max
     hi = patch.u_min + patch.a * m_max
-    tail = min(state.tail_mass(lo, hi), 1.0)
-    if not tail <= TAIL_TOL:  # also NaN
-        raise TruncationError(tail, TAIL_TOL)
-
-    values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]))
+    with np.errstate(over="ignore"):  # a squared exponent overflows only where its exponential is 0
+        tail = min(state.tail_mass(lo, hi), 1.0)
+        if not tail <= TAIL_TOL:  # also NaN
+            raise TruncationError(tail, TAIL_TOL)
+        values = np.asarray(state.evaluate(u[:, None] + patch.a * m[None, :]))
     values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64, copy=False)
     parts = values.view(np.float64)
     parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0

@@ -177,13 +177,22 @@ class PPGaugeModes:
     ``coeffs[l][i, j]`` pairs frequency ``m_values[i]`` with the gauge
     column ``u_j``.  Synthesis direction: gamma_l(u, v) =
     sqrt(alpha/pi) sum_m exp(+i 2 alpha m v) psi_l(m, u); the analysis
-    direction therefore carries ``exp(-i 2 alpha m v)``.
+    direction therefore carries ``exp(-i 2 alpha m v)``.  ``gauge_grid`` and
+    ``m_values`` follow from ``code`` and the ``(nv, nu)`` shape of ``coeffs``.
     """
 
     code: GKPCode
-    gauge_grid: ZakGrid
-    m_values: np.ndarray
     coeffs: tuple
+
+    @property
+    def gauge_grid(self) -> ZakGrid:
+        nv, nu = self.coeffs[0].shape
+        return self.code.gauge_grid(nu, nv)
+
+    @property
+    def m_values(self) -> np.ndarray:
+        half = self.coeffs[0].shape[0] // 2
+        return np.arange(-half, half)
 
 
 def pp_bridge(state: SSDState) -> PPGaugeModes:
@@ -215,34 +224,27 @@ def pp_bridge(state: SSDState) -> PPGaugeModes:
         np.multiply(spectrum[half:], weights[:half, None], out=coeff[:half])
         np.multiply(spectrum[:half], weights[half:, None], out=coeff[half:])
         coeffs.append(coeff)
-    return PPGaugeModes(code=code, gauge_grid=grid, m_values=m, coeffs=tuple(coeffs))
+    return PPGaugeModes(code=code, coeffs=tuple(coeffs))
 
 
 def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     """Resynthesize the gauge wavefunctions from partitioned-position coefficients.
 
-    The synthesis sum over ``m`` is the inverse of :func:`pp_bridge`'s DFT:
-    after the factor ``exp(+i b m v_min)``, frequency ``m`` fills bin
-    ``m mod nv``, and one unnormalized length-nv inverse DFT per gauge
-    column gives the samples, O(nv log nv) per column.  ``m_values`` must
-    be :func:`pp_bridge`'s own ``-nv/2 .. nv/2-1`` and ``coeffs`` exactly
-    two arrays, one per logical index; anything else raises ValueError.
-    The two row halves of each coefficient array are weighted into a
-    scratch ``(nv, nu)`` array swapped, in bin order, and its inverse DFT
-    is written straight into one half of the full mode's samples,
-    C-contiguous ``(2 nu, nv)``.
+    The synthesis sum over ``m`` inverts :func:`pp_bridge`'s DFT: after the
+    factor ``exp(+i b m v_min)``, frequency ``m`` fills bin ``m mod nv``, and
+    one unnormalized length-nv inverse DFT per gauge column, O(nv log nv),
+    writes the samples straight into one half of the full mode's C-contiguous
+    ``(2 nu, nv)`` array.  ``coeffs`` must be two arrays of one ``(nv, nu)``
+    shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
     """
     code = modes.code
-    grid = modes.gauge_grid
-    half = grid.nv // 2
-    m = np.arange(-half, half)
-    if not np.array_equal(modes.m_values, m):
-        raise ValueError(f"m_values must be pp_bridge's {-half} .. {half - 1}, got {modes.m_values!r}")
     if len(modes.coeffs) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
-    for coeff in modes.coeffs:
-        if coeff.shape != (grid.nv, grid.nu):
-            raise ValueError(f"coeffs shape {coeff.shape} does not match ({grid.nv}, {grid.nu})")
+    if modes.coeffs[0].ndim != 2 or modes.coeffs[0].shape != modes.coeffs[1].shape:
+        raise ValueError(f"coeffs must share one (nv, nu) shape, got {[c.shape for c in modes.coeffs]}")
+    grid = modes.gauge_grid
+    half = grid.nv // 2
+    m = modes.m_values
     # the same phase argument as in pp_bridge, so the factors are exact conjugates
     weights = math.sqrt(code.alpha / math.pi) * np.exp(1j * grid.patch.b * grid.patch.v_min * m)
     spectrum = np.empty((grid.nv, grid.nu), dtype=np.complex128)

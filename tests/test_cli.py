@@ -1,13 +1,16 @@
 import argparse
 import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALPHA, comb_table
-from zakgkp import ModularWavefunction, cli, tabulated, vacuum, zak_transform
+from zakgkp import ModularWavefunction, cli, gridio, tabulated, vacuum, zak_transform
 from zakgkp.cli import main
 from zakgkp.gkp import approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
@@ -356,6 +359,8 @@ TABLE = "tabulated:{table}"
         pytest.param(("logical", "--state", "gkp-approx:1e300:0"), None, id="huge-approx-delta"),
         pytest.param(("sweep", "--deltas", "1e-300"), None, id="tiny-deltas"),
         pytest.param(("shift-array", "--state", "gkp0", "--dx", "1e308"), None, id="huge-dx"),
+        # no panel shift overflows, but dx / du does
+        pytest.param(("shift-array", "--dx", "1e308", "--jmax", "0"), None, id="huge-dx-step-count"),
         # finite variances a comb cannot use, a default v_min -pi/b that overflows,
         # and a delta that needs more teeth than the cap
         pytest.param(("logical", "--state", "gkp-approx:1e154:0"), None, id="wide-tooth-delta"),
@@ -490,3 +495,120 @@ def test_zakplot_holds_the_grid_and_one_derived_grid(tmp_path, fmt, nu):
     # tracemalloc slows the per-sample formatting fourfold
     args = ("zakplot", "--state", "gkp-approx:0.3:0", "--format", fmt)
     assert _peak_grids(args, tmp_path, nu, nu) <= 2.25
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        pytest.param(("zakplot", "--grid", "64x64", "--format", "bin"), "zak_transform", id="zakplot"),
+        pytest.param(("shift-array", "--state", "gkp-approx:0.3:0", "--grid", "96x96"), "zak_transform",
+                     id="shift-array"),
+        pytest.param(("logical", "--grid", "64x64"), "comb_matrix", id="logical"),
+        pytest.param(("sweep", "--grid", "64x64"), "comb_matrix", id="sweep"),
+    ],
+)
+def test_an_allocation_the_machine_cannot_make_exits_2(tmp_path, capsys, monkeypatch, args, name):
+    # what numpy raises for, say, --grid 65536x65536 or --mmax 20000000 under a memory limit
+    def refuse(*_):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (65536, 65536)")
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert run(*args, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zakgkp: cannot allocate: Unable to allocate 64.0 GiB") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def _non_finite_numbers(folder):
+    """Paths under ``folder`` of the files that hold a NaN or an infinity: a binary grid's
+    samples, or any comma-, colon-, equals- or space-separated token of a text file."""
+    bad = []
+    for root, _, names in os.walk(folder):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            if raw.startswith(gridio.MAGIC):
+                if not np.isfinite(load_grid_binary(path).samples).all():
+                    bad.append(path)
+                continue
+            tokens = raw.decode("ascii").replace(",", " ").replace("=", " ").replace(":", " ").split()
+            for token in tokens:
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    bad.append(path)
+                    break
+    return bad
+
+
+def _mostly(ordinary, odd):
+    """``ordinary`` three times in four and ``odd`` otherwise, so that many runs get past the checks."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 3 else ordinary)
+
+
+_EXTREME = [0.0, -1.0, 1e-320, 1e-300, 1e-5, 1e5, 2.5e153, 1e200, 1e308, math.inf, -math.inf, math.nan]
+_numbers = st.one_of(st.sampled_from(_EXTREME), st.floats(-10, 10), st.floats())
+_alphas = _mostly(st.floats(1.0, 2.5), st.sampled_from(_EXTREME))
+_deltas = _mostly(st.floats(0.2, 1.0), st.sampled_from(_EXTREME))
+_states = _mostly(
+    st.one_of(st.sampled_from(["vacuum", "gkp0", "gkp1"]),
+              st.builds("gkp-approx:{}:{}".format, _deltas, st.sampled_from([0, 1]))),
+    st.one_of(st.sampled_from(["nonsense", "gkp-approx:0.3", "gkp-approx:x:0", "gkp-approx:0.3:2"]),
+              st.lists(st.tuples(_numbers, _numbers, _numbers), max_size=4)),  # a table: tabulated:PATH
+)
+_grids = _mostly(
+    st.sampled_from(["8x8", "16x16", "24x24", "32x32", "48x48", "64x64", "48x16", "16x64"]),
+    st.one_of(st.builds("{}x{}".format, st.integers(0, 64), st.integers(0, 64)),
+              st.sampled_from(["x", "64", "-8x8", "8x8x8"])),
+)
+
+
+@st.composite
+def _cli_configs(draw):
+    """A command and its flags, each left out about a third of the time, but for ``--grid``:
+    the default 256x256 would be slow."""
+    command = draw(st.sampled_from(["zakplot", "shift-array", "logical", "sweep"]))
+    flags = {
+        "state": _states,
+        "grid": _grids,
+        "mmax": _mostly(st.integers(4, 32), st.sampled_from([-2, 0, 1, 2, "x"])),
+        "alpha": _alphas,
+        "format": _mostly(st.sampled_from(["csv", "bin"]), st.just("xml")),
+    }
+    if command == "logical":
+        flags["method"] = st.sampled_from(["trace", "ec-trace", "overlap"])
+    if command == "shift-array":
+        flags.update(dx=_numbers, dy=_numbers, jmax=st.integers(-1, 2), kmax=st.integers(-1, 2))
+    if command == "sweep":
+        deltas = _mostly(st.lists(_deltas, min_size=1, max_size=3), st.lists(_numbers, max_size=3))
+        flags["deltas"] = _mostly(deltas.map(lambda ds: ",".join(map(repr, ds))),
+                                  st.sampled_from(["", "abc", "0.3,,0.2"]))
+    chosen = {key: draw(value) for key, value in flags.items() if key == "grid" or draw(st.integers(0, 2))}
+    return command, chosen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cli_configs())
+def test_cli_contract_holds_for_any_config(config):
+    # exit 0, 2 or 3 (or argparse's SystemExit(2)), no other exception, and no NaN
+    # or infinity in any file a run leaves behind
+    command, flags = config
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(flags.get("state"), list):
+            table = os.path.join(tmp, "table.csv")
+            with open(table, "w", encoding="ascii") as fh:
+                fh.writelines(f"{x!r},{re!r},{im!r}\n" for x, re, im in flags["state"])
+            flags["state"] = f"tabulated:{table}"
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
+        out = os.path.join(out_dir, "panels" if command == "shift-array" else "result")
+        args = [command, *(f"--{key}={value}" for key, value in flags.items()), "--out", out]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+        assert code in (0, 2, 3, ("argparse", 2)), args
+        assert _non_finite_numbers(out_dir) == [], args

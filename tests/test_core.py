@@ -4,6 +4,7 @@ import inspect
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,6 +65,43 @@ def test_vacuum_value_at_origin(vac64, grid64):
     j, k = grid64.origin_index
     assert theta_sum(0.0, 0.0) == pytest.approx(VAC_AT_ORIGIN, abs=1e-15)
     assert vac64.samples[j, k] == pytest.approx(VAC_AT_ORIGIN, abs=1e-12)
+
+
+def test_vacuum_transform_matches_the_jacobi_theta_closed_form(vac64, grid64):
+    # DLMF 20.2: sum_m q^(m^2) e^(2imz) is theta_3(z, q); with q = e^(-a^2/2) and
+    # z = (i a u - b v)/2 it is the vacuum's comb sum over m, times e^(u^2/2)
+    a, b = grid64.patch.a, grid64.patch.b
+    q = mpmath.fp.exp(-a * a / 2)
+    want = np.array([[complex(mpmath.fp.exp(-u * u / 2) * mpmath.fp.jtheta(3, (1j * a * u - b * v) / 2, q))
+                      for v in grid64.v_values()] for u in grid64.u_values()])
+    want *= math.sqrt(b / (2 * math.pi)) * math.pi**-0.25
+    assert np.max(np.abs(vac64.samples - want)) <= 1e-13
+
+
+def relative_error_squared(psi, reference):
+    """``||psi - reference||^2 / ||reference||^2`` over the grid samples."""
+    return float(np.sum(np.abs(psi.samples - reference.samples) ** 2) / np.sum(np.abs(reference.samples) ** 2))
+
+
+def test_tail_bound_is_the_error_of_a_table_with_one_point_past_the_window(code):
+    # the bulk of the table lies inside the window [u_max - 3a, u_min + 3a] that every
+    # row sees at m_max = 3; the one point at m = 4 is seen by no row, so the bound,
+    # its share of the norm, is exactly the error that truncation makes
+    grid, m_max = code.grid(64, 64), 3
+    xs, values = comb_table(grid, 8, m_range=m_max - 1)
+    far = grid.u_values()[5] + grid.patch.a * (m_max + 1)
+    state = tabulated(np.append(xs, far), np.append(values, 1e-6j))
+    truncated = zak_transform(state, grid, m_max)
+    assert 1e-16 < truncated.tail_bound < 1e-12
+    error2 = relative_error_squared(truncated, zak_transform(state, grid, m_max + 1))
+    assert error2 == pytest.approx(truncated.tail_bound, rel=0.01)
+
+
+def test_tail_bound_bounds_the_truncation_error_of_a_displaced_vacuum(code):
+    grid = code.grid(64, 64)
+    truncated = zak_transform(vacuum(offset=4.5), grid, 3)
+    assert truncated.tail_bound == pytest.approx(5.7e-14, rel=0.01)
+    assert relative_error_squared(truncated, zak_transform(vacuum(offset=4.5), grid, 16)) <= truncated.tail_bound
 
 
 def test_comb_mass_peaks_at_origin(code):
@@ -342,6 +380,28 @@ def test_windowed_comb_matches_dense_sum(code, delta, ell):
     assert psi.tail_bound < 1e-12
     if delta == 1.0:  # wide teeth under a wide envelope: the check is not vacuous
         assert omitted_mass > 0
+
+
+def test_comb_whose_window_root_overflows_holds_every_tooth(code):
+    # delta = 2.5e153: the tooth ratio r is about 2e-306, so 4 * WINDOW_EXPONENT / r
+    # overflows; the window then holds every tooth rather than raising OverflowError
+    comb = approx_codeword(code, 0, 2.5e153)
+    assert comb._window == comb._centers.size - 1 and comb._window_ratio == 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha,delta",
+    [(2.5e153, None), (ALPHA, 2.5e153), (2.5e153, 2.5e153)],
+    ids=["vacuum-huge-alpha", "comb-huge-delta", "comb-huge-alpha-and-delta"],
+)
+def test_far_out_values_are_zero_without_an_overflow_warning(alpha, delta):
+    # (u + a m)^2 of the vacuum at alpha = 2.5e153, x^2 / (2 delta^-2) of the comb at
+    # delta = 2.5e153, and the comb's squared tooth distances in tail_mass at both,
+    # overflow only where the exponential is 0
+    code = GKPCode(alpha)
+    descriptor = vacuum() if delta is None else approx_codeword(code, 1, delta)
+    comb = comb_matrix(descriptor, code.grid(8, 8), 16)
+    assert np.isfinite(comb.values).all()
 
 
 def test_windowed_comb_evaluates_scalars_and_far_points():

@@ -15,6 +15,7 @@ from zakgkp import (
     IdealZakState,
     MixtureState,
     ModularWavefunction,
+    PPGaugeModes,
     apply_phase_u,
     apply_X,
     apply_X_ssd,
@@ -442,20 +443,14 @@ def test_pp_bridge_matches_dense_sums(code, nu, nv):
         assert_close_relative(gamma.samples, want)
 
 
-@pytest.mark.parametrize(
-    "foreign",
-    [
-        pytest.param(lambda m, nv: m + nv, id="shifted-by-nv"),
-        pytest.param(lambda m, nv: np.where(m == 1, 0, m), id="repeated"),
-        pytest.param(lambda m, nv: m + 0.5, id="non-integer"),
-    ],
-)
-def test_pp_bridge_inverse_accepts_only_its_own_m_values(code, foreign):
-    # any other frequencies were never produced by pp_bridge
-    modes = pp_bridge(gauge_state(code, 57))
-    m_values = foreign(modes.m_values, modes.gauge_grid.nv)
-    with pytest.raises(ValueError, match="m_values must be pp_bridge's"):
-        pp_bridge_inverse(dataclasses.replace(modes, m_values=m_values))
+def test_pp_gauge_modes_store_only_code_and_coeffs(code):
+    # gauge_grid and m_values follow from code and the (nv, nu) coefficient shape
+    s = gauge_state(code, 57, 32, 64)
+    modes = pp_bridge(s)
+    assert [f.name for f in dataclasses.fields(modes)] == ["code", "coeffs"]
+    assert modes.gauge_grid == s.gauge_grid == code.gauge_grid(16, 64)
+    assert modes.m_values.dtype == np.arange(1).dtype
+    assert list(modes.m_values) == list(range(-32, 32))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
@@ -464,6 +459,28 @@ def test_pp_bridge_inverse_needs_two_coefficient_arrays(code, count):
     coeffs = (modes.coeffs * 2)[:count]
     with pytest.raises(ValueError, match=rf"coeffs must hold two arrays, got {count}$"):
         pp_bridge_inverse(dataclasses.replace(modes, coeffs=coeffs))
+
+
+SHAPE = r"coeffs must share one \(nv, nu\) shape"
+
+
+@pytest.mark.parametrize(
+    "shapes,message",
+    [
+        pytest.param([(64, 16), (64, 20)], SHAPE, id="two-nu"),
+        pytest.param([(64, 16), (32, 16)], SHAPE, id="two-nv"),
+        pytest.param([(1024,), (1024,)], SHAPE, id="one-dimensional"),
+        pytest.param([(2, 64, 16), (2, 64, 16)], SHAPE, id="three-dimensional"),
+        pytest.param([(64, 18), (64, 18)], "nu must be a positive multiple of 4", id="nu-18"),
+        pytest.param([(63, 16), (63, 16)], "nv must be a positive even integer", id="odd-nv"),
+        pytest.param([(0, 16), (0, 16)], "nv must be a positive even integer", id="empty"),
+    ],
+)
+def test_pp_bridge_inverse_needs_two_arrays_of_one_gauge_grid_shape(code, shapes, message):
+    # the shape is all that fixes gauge_grid and m_values, so it is the one thing checked
+    coeffs = tuple(np.zeros(shape, dtype=np.complex128) for shape in shapes)
+    with pytest.raises(ValueError, match=message):
+        pp_bridge_inverse(PPGaugeModes(code=code, coeffs=coeffs))
 
 
 def gather_analysis(state):
