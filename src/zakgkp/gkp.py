@@ -20,7 +20,6 @@ trace is kept alongside as the success weight.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -220,10 +219,10 @@ def stabilizer_residual(state, code: GKPCode):
     ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so each squared norm is
     the pairing of the state with itself under that weight.
     """
+    _require_qubit_patch(state, code)
     tv, tu = -code.period, 2 * math.pi / code.alpha
-    rows, pair = _pairing(state)
-    r1 = pair(rows, rows, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2)
-    r2 = pair(rows, rows, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2)
+    r1 = _pair(state, state, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2)
+    r2 = _pair(state, state, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2)
     return math.sqrt(r1.real), math.sqrt(r2.real)
 
 
@@ -254,9 +253,12 @@ def _sectors(state, code: GKPCode):
 
     This is the unphased change of basis to (qubit) x (gauge mode), a pure
     re-indexing: the left half-patch is logical 0, the right half logical
-    1.  A grid state yields its left and right half columns on the gauge
-    grid (views of its samples, not copies); an ideal state yields its
-    points ``(u - alpha*l, v)`` on the gauge patch.
+    1.  An ideal state yields its points ``(u - alpha*l, v)`` on the gauge
+    patch; a grid state or comb matrix, its two row halves (views) on
+    ``code.gauge_grid(nu // 2, nv)``, which has the full grid's ``b``,
+    ``v_min``, ``du`` and ``dv``, so a comb half keeps ``phases`` and
+    ``tail_bound``.  A foreign patch raises GridMismatchError, and halves
+    that are not grids raise ValueError.
     """
     _require_qubit_patch(state, code)
     if isinstance(state, IdealZakState):
@@ -268,26 +270,27 @@ def _sectors(state, code: GKPCode):
         return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
     half = state.grid.nu // 2
     gauge_grid = code.gauge_grid(half, state.grid.nv)
-    return (
-        ModularWavefunction(gauge_grid, state.samples[:half, :]),
-        ModularWavefunction(gauge_grid, state.samples[half:, :]),
-    )
-
-
-def _pairing(state):
-    """The rows of ``state`` and its ``pair(f, g, wu=None, wv=None) = <g| wu(U) wv(V) |f>``.
-
-    ``f`` and ``g`` are sets of rows: two halves, or all rows when ``wu`` is
-    given; ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and
-    None is 1.  Ideal rows are point masses, paired exactly with no
-    measure; grid sample rows and comb rows are summed by the left-Riemann
-    rule, since the correctable-patch boundaries are grid-aligned.
-    """
-    if isinstance(state, IdealZakState):
-        return state, _point_pair
     if isinstance(state, CombMatrix):
-        return state.values, functools.partial(_comb_pair, state)
-    return state.samples, functools.partial(_sample_pair, state.grid)
+        return tuple(CombMatrix(gauge_grid, rows, state.phases, state.tail_bound)
+                     for rows in (state.values[:half], state.values[half:]))
+    return tuple(ModularWavefunction(gauge_grid, rows)
+                 for rows in (state.samples[:half], state.samples[half:]))
+
+
+def _pair(f, g, wu=None, wv=None):
+    """``<g| wu(U) wv(V) |f>`` for two states of one representation on one patch or grid.
+
+    ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and None is
+    1.  Ideal states are point masses, paired exactly with no measure; grid
+    states and comb matrices are summed by the left-Riemann rule, since the
+    correctable-patch boundaries are grid-aligned.  A state paired with
+    itself (``f is g``) reads the marginals of ``|psi|^2``.
+    """
+    if isinstance(f, IdealZakState):
+        return _point_pair(f, g, wu, wv)
+    if isinstance(f, CombMatrix):
+        return _comb_pair(f, g, wu, wv)
+    return _sample_pair(f, g, wu, wv)
 
 
 def _point_pair(f, g, wu=None, wv=None):
@@ -300,22 +303,23 @@ def _point_pair(f, g, wu=None, wv=None):
     return sum(w * h for w, h in terms)
 
 
-def _sample_pair(grid, f, g, wu=None, wv=None):
-    """``sum f conj(g) wu(u) wv(v) du dv`` over sample rows ``f`` and ``g`` of ``grid``.
+def _sample_pair(f, g, wu=None, wv=None):
+    """``sum f conj(g) wu(u) wv(v) du dv`` over the samples of grid states ``f`` and ``g``.
 
-    Rows paired with themselves (``f is g``, with at most one weight) read
-    the marginals of ``|psi|^2``.  Other pairs are multiplied in row blocks
-    in one reused buffer of at most 8192 samples, and the row sums are
-    added pairwise.  No full-grid temporary is formed.
+    A state paired with itself, with at most one weight, reads the
+    marginals of ``|psi|^2``.  Other pairs are multiplied in row blocks in
+    one reused buffer of at most 8192 samples, and the row sums are added
+    pairwise.  No full-grid temporary is formed.
     """
-    area = grid.cell_area
+    grid, area = f.grid, f.grid.cell_area
     if f is g:
-        parts = np.ascontiguousarray(f).view(np.float64)
+        parts = np.ascontiguousarray(f.samples).view(np.float64)
         if wv is not None:
             cols = np.einsum("ij,ij->j", parts, parts)
             return float(np.dot((cols[0::2] + cols[1::2]) * area, wv(grid.v_values())))
         rows = np.einsum("ij,ij->i", parts, parts)
         return float(rows.sum()) * area if wu is None else float(np.dot(rows * area, wu(grid.u_values())))
+    f, g = f.samples, g.samples
     weight = None if wv is None else wv(grid.v_values())
     step = max(1, 8192 // f.shape[1])
     buf = np.empty((step, f.shape[1]), dtype=np.complex128)
@@ -328,18 +332,18 @@ def _sample_pair(grid, f, g, wu=None, wv=None):
     return (rows.sum() if wu is None else rows @ wu(grid.u_values())) * area
 
 
-def _comb_pair(comb: CombMatrix, f, g, wu=None, wv=None):
-    """``sum_j wu(u_j) sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) du dv`` for comb rows ``f`` and ``g``.
+def _comb_pair(f: CombMatrix, g: CombMatrix, wu=None, wv=None):
+    """``sum_j wu(u_j) sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) du dv`` for comb matrices ``f`` and ``g``.
 
-    Row ``j`` of a transform is ``sqrt(b/2pi) f[j] @ Phi``, so the inner sum
-    is ``f[j] T_w g[j]^H`` with the ``m x m`` kernel
+    Row ``j`` of a transform is ``sqrt(b/2pi) values[j] @ Phi``, so the
+    inner sum is ``f.values[j] T_w g.values[j]^H`` with the ``m x m`` kernel
     ``T_w = (b/2pi) dv Phi diag(wv) Phi^H``, computed over the grid's own
     ``v`` nodes, so an aliased grid (``nv <= 2 m_max``) is exact too.
     """
-    phases, grid = comb.phases, comb.grid
+    phases, grid = f.phases, f.grid
     kernel = (phases if wv is None else phases * wv(grid.v_values())) @ phases.conj().T
     kernel *= grid.patch.b / (2 * math.pi) * grid.dv
-    rows = np.einsum("jm,jm->j", f @ kernel, g.conj())
+    rows = np.einsum("jm,jm->j", f.values @ kernel, g.values.conj())
     if f is g:
         rows = rows.real
     return rows.sum() * grid.du if wu is None else np.dot(rows * grid.du, wu(grid.u_values()))
@@ -348,23 +352,16 @@ def _comb_pair(comb: CombMatrix, f, g, wu=None, wv=None):
 def _gram(state, code: GKPCode, ec_phase: bool):
     """Unnormalized 2x2 Gram matrix ``G[l, l'] = <gamma_l'|gamma_l>`` of a pure state's gauge components.
 
-    The components are an ideal state's sectors, or the two row halves of
-    any other state.  With ``ec_phase`` each ``gamma_l`` is first
-    counter-rotated by ``exp(-i alpha l v)``, which turns the Gram matrix
-    into the syndrome average of the outer products of
-    :func:`ec_kraus_amplitudes`: the cross entry takes the weight
+    The components are :func:`_sectors`.  With ``ec_phase`` each
+    ``gamma_l`` is first counter-rotated by ``exp(-i alpha l v)``, which
+    turns the Gram matrix into the syndrome average of the outer products
+    of :func:`ec_kraus_amplitudes`: the cross entry takes the weight
     ``exp(i alpha v)``, and the phase cancels on the diagonal.
     """
-    _require_qubit_patch(state, code)
-    rows, pair = _pairing(state)
-    if rows is state:  # point masses split by sector, not by rows
-        f, g = _sectors(state, code)
-    else:
-        half = code.gauge_grid(len(rows) // 2, state.grid.nv).nu  # a ValueError unless the halves are grids
-        f, g = rows[:half], rows[half:]
+    f, g = _sectors(state, code)
     mat = np.empty((2, 2), dtype=np.complex128)
-    mat[0, 0], mat[1, 1] = pair(f, f), pair(g, g)
-    mat[0, 1] = pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
+    mat[0, 0], mat[1, 1] = _pair(f, f), _pair(g, g)
+    mat[0, 1] = _pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
     mat[1, 0] = mat[0, 1].conjugate()
     return mat
 

@@ -21,7 +21,8 @@ __all__ = ["split", "frac_part"]
 def split(x: float, period: float, centering: float) -> tuple[float, int]:
     """Return ``(frac, n)`` with ``frac = x - n*period`` in ``[-centering, period-centering)``.
 
-    Raises ValueError for non-positive periods.  For ``|x|`` much larger
+    Raises ValueError for non-positive periods and for an ``x`` that is
+    not finite or has too many periods to count.  For ``|x|`` much larger
     than the period the fractional part carries the usual floating-point
     cancellation error.  The left-closed bound is authoritative: when the
     centering is so small relative to the period that the two boundaries
@@ -30,7 +31,10 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {period!r}")
-    n = math.floor((x + centering) / period)
+    try:
+        n = math.floor((x + centering) / period)
+    except (OverflowError, ValueError):  # an infinite or NaN quotient
+        raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {period!r}") from None
     frac = x - n * period
     # The rounded quotient can land one cell off when x sits within an ulp
     # of a boundary; repair deterministically instead of tolerating it.

@@ -30,7 +30,7 @@ import numpy as np
 from . import gridio, operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
-from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _require_qubit_patch, _sectors
+from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _sectors
 
 __all__ = [
     "SSDState",
@@ -86,6 +86,7 @@ class SSDState:
 
     @property
     def gauge_grid(self) -> ZakGrid:
+        """The gauge grid of a grid state; an ideal state has none, and raises AttributeError."""
         return self.gamma[0].grid
 
     @property
@@ -115,13 +116,10 @@ def to_ssd(state, code: GKPCode) -> SSDState:
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
     The result wraps ``state`` without a copy.  Its gauge components are the unphased
-    split: a grid state's left and right half columns (views of its samples) re-indexed
-    onto the gauge patch, an ideal state's point masses by sector.  GridMismatchError (a
-    foreign patch) and ValueError (a grid whose halves are not grids) are raised here.
+    split ``gkp._sectors``, which runs once here so that its GridMismatchError (a foreign
+    patch) and ValueError (a grid whose halves are not grids) are raised here.
     """
-    _require_qubit_patch(state, code)
-    if not isinstance(state, IdealZakState):
-        code.gauge_grid(state.grid.nu // 2, state.grid.nv)
+    _sectors(state, code)
     split = SSDState.__new__(SSDState)
     split.code, split.mode = code, state
     return split

@@ -189,6 +189,39 @@ def test_logical_from_overlap_vacuum_golden(code):
     assert q256.matrix[0, 1].real == pytest.approx(VACUUM_RHO01, abs=2e-3)
 
 
+def _oracle_rho(descriptor, code):
+    """Continuum ``rho`` from the position wavefunction alone, independent of the pairing kernels.
+
+    By Parseval in ``v`` each Gram entry is a 1-D integral over the half
+    window, ``G[l, l'] = int sum_m f(u + alpha l + a m) conj f(u + alpha l' + a m) du``,
+    taken here by 200-node Gauss-Legendre quadrature with ``|m| <= 40``.
+    """
+    x, w = np.polynomial.legendre.leggauss(200)
+    u, w = code.alpha / 2 * x, code.alpha / 2 * w
+    m = np.arange(-40, 41)
+    f = [np.asarray(descriptor.evaluate(u[:, None] + code.alpha * ell + code.period * m)) for ell in (0, 1)]
+    gram = np.array([[np.sum(w[:, None] * f[i] * np.conj(f[j])) for j in (0, 1)] for i in (0, 1)])
+    return gram / gram.trace().real
+
+
+@pytest.mark.parametrize(
+    "make, entry, errors",
+    [
+        (lambda code: vacuum(), (0, 1), {64: 6.5e-3, 256: 1.6e-3}),
+        (lambda code: vacuum(0.7), (0, 0), {64: 1.4e-2, 256: 3.4e-3}),
+        (lambda code: approx_codeword(code, 0, 0.3), (0, 0), {64: 3.0e-6, 256: 1.9e-7}),
+    ],
+    ids=["vacuum-rho01", "vacuum-0.7-rho00", "delta-0.3-rho00"],
+)
+def test_riemann_error_against_gauss_legendre_oracle(code, make, entry, errors):
+    # the half-window left-Riemann rule is first order in du: README's error table
+    descriptor = make(code)
+    exact = _oracle_rho(descriptor, code)[entry]
+    for n, error in errors.items():
+        got = logical_from_overlap(comb_matrix(descriptor, code.grid(n, n), 16), code).matrix[entry]
+        assert abs(got - exact) == pytest.approx(error, rel=0.1), n
+
+
 def test_logical_hermitian_psd_across_corpus(code, corpus_256):
     for psi in corpus_256.values():
         q = logical_from_overlap(psi, code)
@@ -302,24 +335,41 @@ def test_degenerate_logical_error(code, grid64):
         logical_from_overlap(psi, code)
 
 
-@pytest.mark.parametrize("representation", ["ideal", "grid"])
+@pytest.mark.parametrize("representation", ["ideal", "grid", "comb"])
 @pytest.mark.parametrize(
     "extract",
     [
         lambda state, code: ec_kraus_amplitudes(state, code, syndrome_reduce(code, 0.0, 0.0)),
         logical_from_overlap,
         ec_channel_logical,
+        stabilizer_residual,
     ],
-    ids=["ec_kraus_amplitudes", "logical_from_overlap", "ec_channel_logical"],
+    ids=["ec_kraus_amplitudes", "logical_from_overlap", "ec_channel_logical", "stabilizer_residual"],
 )
 def test_foreign_patch_rejected(code, extract, representation):
     foreign = GKPCode(alpha=2.0)
     if representation == "ideal":
         state = codeword(foreign, 1)
     else:
-        state = zak_transform(approx_codeword(foreign, 1, 0.4), foreign.grid(32, 32), 16)
+        to_grid = zak_transform if representation == "grid" else comb_matrix
+        state = to_grid(approx_codeword(foreign, 1, 0.4), foreign.grid(32, 32), 16)
     with pytest.raises(GridMismatchError):
         extract(state, code)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda code: syndrome_reduce(code, math.inf, 0.0),
+        lambda code: syndrome_reduce(code, 0.0, math.nan),
+        lambda code: apply_X(codeword(code, 0), math.inf),
+        lambda code: apply_Z(codeword(code, 1), math.nan),
+    ],
+    ids=["syndrome-inf", "syndrome-nan", "ideal-X-inf", "ideal-Z-nan"],
+)
+def test_non_finite_coordinate_is_a_value_error(code, make):
+    with pytest.raises(ValueError, match=r"coordinate (inf|nan) is not finite"):
+        make(code)
 
 
 def test_mixture_validation(code):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -57,6 +58,12 @@ def test_non_positive_period_rejected():
         frac_part(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         frac_part(1.0, -2.0, 0.5)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
+def test_non_finite_coordinate_is_a_value_error(x):
+    with pytest.raises(ValueError, match=re.escape(f"coordinate {x!r} is not finite, or too large to count")):
+        split(x, 1e-10, 0.5e-10)
 
 
 def _away_from_wrap(x, period, centering):

@@ -30,6 +30,9 @@ RUNS = [
     (0, "logical --state gkp-approx:0.2:0 --grid 128x128 --method trace --out trace.csv"),
     (0, "logical --state gkp-approx:0.2:1 --grid 128x128 --method ec-trace --out ec_trace.csv"),
     (0, "sweep --state gkp-approx:0.5:0 --grid 128x128 --deltas 0.5,0.3,0.1 --out sweep.csv"),
+    (0, "logical --state gkp1 --method ec-trace --out ideal_ec_trace.csv"),
+    (0, "logical --state gkp0 --grid 68x16 --out ideal_68x16.csv"),  # an ideal state ignores the grid
+    (0, "logical --state vacuum --grid 128x128 --method trace --out vacuum_trace.csv"),  # complex cross entry
     (2, "logical --grid 68x16 --out refused.csv"),  # halves that are not grids: no file
 ]
 
