@@ -8,11 +8,14 @@ Flags override values from an optional ``key=value`` config file; the
 resolved configuration is echoed into a ``.manifest`` next to each output.
 All commands are deterministic functions of the configuration.  Exit
 codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
+The library states the rules for a grid, alpha, delta and panel step;
+``_refused`` maps its refusal of a configuration value to exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import shutil
@@ -31,13 +34,7 @@ from .core import (
     vacuum,
     zak_transform,
 )
-from .errors import (
-    ConfigError,
-    DegenerateLogicalError,
-    OffGridError,
-    TruncationError,
-    ZakError,
-)
+from .errors import ConfigError, OffGridError, ZakError
 from .gkp import (
     DEFAULT_ALPHA,
     GKPCode,
@@ -79,14 +76,21 @@ _KEYS = {
 }
 
 
-def _parse_grid(text):
+@contextlib.contextmanager
+def _refused(context):
+    """The library's refusal of a configuration value (ValueError or OffGridError) as a
+    ConfigError that starts with ``context``: the flag, key or file line at fault.  Wrap
+    parsing and construction only: a NonFiniteError out of a computation is a ValueError too."""
     try:
-        nu_text, nv_text = text.lower().split("x")
-        nu, nv = int(nu_text), int(nv_text)
-    except ValueError as exc:
-        raise ConfigError(f"--grid expects NUxNV, got {text!r}") from exc
-    if nu <= 0 or nu % 4 != 0 or nv <= 0 or nv % 2 != 0:
-        raise ConfigError(f"grid {text!r} must have Nu divisible by 4 and Nv even")
+        yield
+    except (ValueError, OffGridError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _parse_grid(text):
+    """``(nu, nv)`` of ``NUxNV``; the grid rule is ``ZakGrid``'s."""
+    with _refused(f"--grid expects NUxNV, got {text!r}"):
+        nu, nv = (int(n) for n in text.lower().split("x"))
     return nu, nv
 
 
@@ -98,15 +102,12 @@ def _load_config_file(path):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
+                with _refused(f"{path}:{lineno}: expected key=value, got {line!r}"):
+                    key, value = (part.strip() for part in line.split("=", 1))
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
+                with _refused(f"{path}:{lineno}: bad value for {key}: {value!r}"):
                     values[key] = _KEYS[key].parse(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -122,11 +123,9 @@ def _resolve_config(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    for key in ("alpha", "dx", "dy"):
+    for key in ("dx", "dy"):
         if cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    if cfg["alpha"] <= 0:
-        raise ConfigError(f"alpha must be positive, got {cfg['alpha']!r}")
     if cfg["mmax"] <= 0:
         raise ConfigError(f"mmax must be positive, got {cfg['mmax']!r}")
     for key, spec in _KEYS.items():
@@ -135,13 +134,12 @@ def _resolve_config(args):
     if not cfg["out"]:
         raise ConfigError("--out is required")
     if cfg["jmax"] < 0 or cfg["kmax"] < 0:
-        raise ConfigError("--jmax and --kmax must be nonnegative")
-    code = GKPCode(alpha=cfg["alpha"])
+        raise ConfigError(f"--jmax and --kmax must be nonnegative, got {cfg['jmax']} and {cfg['kmax']}")
     nu, nv = _parse_grid(cfg["grid"])
-    try:
+    # alpha's rule, the grid's, or a period 2*alpha or v_min = -pi/(2 alpha) that overflows
+    with _refused(f"alpha={cfg['alpha']!r}, grid={cfg['grid']!r}"):
+        code = GKPCode(alpha=cfg["alpha"])
         return cfg, code, code.grid(nu, nv)
-    except ValueError as exc:  # the period 2*alpha or v_min = -pi/(2 alpha) overflows
-        raise ConfigError(f"alpha={cfg['alpha']!r} gives no finite patch: {exc}") from exc
 
 
 def _load_table(path):
@@ -152,13 +150,8 @@ def _load_table(path):
                 line = raw.strip()
                 if not line or line.startswith("#") or line.lower().startswith("x,"):
                     continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}:{lineno}: expected x,re,im rows")
-                try:
-                    x, re, im = (float(p) for p in parts)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad number: {line!r}") from exc
+                with _refused(f"{path}:{lineno}: expected x,re,im, got {line!r}"):
+                    x, re, im = (float(p) for p in line.split(","))
                 if not all(map(math.isfinite, (x, re, im))):
                     raise ConfigError(f"{path}:{lineno}: non-finite number: {line!r}")
                 xs.append(x)
@@ -183,24 +176,12 @@ def _parse_state(spec):
         return 0, None
     if not spec.startswith("gkp-approx:"):
         raise ConfigError(f"unknown state spec {spec!r}")
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL")
-    try:
-        delta, ell = float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"state {spec!r} must be gkp-approx:DELTA:ELL") from exc
+    with _refused(f"state {spec!r} must be gkp-approx:DELTA:ELL"):
+        _, delta, ell = spec.split(":")
+        delta, ell = float(delta), int(ell)
     if ell not in (0, 1) or not 0 < delta < math.inf:
         raise ConfigError(f"state {spec!r} needs a finite delta > 0 and ell in {{0, 1}}")
     return ell, delta
-
-
-def _approx_codeword(code, ell, delta):
-    """:func:`approx_codeword`, a delta whose variances leave the float range a ConfigError."""
-    try:
-        return approx_codeword(code, ell, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _build_state(cfg, code):
@@ -210,7 +191,8 @@ def _build_state(cfg, code):
     if spec in ("gkp0", "gkp1"):
         return codeword(code, ell)
     if delta is not None:
-        return _approx_codeword(code, ell, delta)
+        with _refused(f"state {spec!r}"):
+            return approx_codeword(code, ell, delta)
     if spec == "vacuum":
         return vacuum()
     return _load_table(spec.split(":", 1)[1])
@@ -219,11 +201,8 @@ def _build_state(cfg, code):
 def _require_gauge_halves(command, code, grid):
     """The logical maps split a grid state into its ``Nu/2 x Nv`` gauge halves: a
     ConfigError unless the library's gauge-grid rule admits them."""
-    try:
+    with _refused(f"{command} needs a grid whose halves Nu/2 x Nv are grids; {grid.nu}x{grid.nv} is not"):
         code.gauge_grid(grid.nu // 2, grid.nv)
-    except ValueError as exc:
-        raise ConfigError(f"{command} needs a grid whose halves Nu/2 x Nv are grids; "
-                          f"{grid.nu}x{grid.nv} is not: {exc}") from exc
 
 
 def _build_comb(cfg, code, grid):
@@ -285,16 +264,17 @@ def cmd_shift_array(cfg, code, grid):
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
     if not (math.isfinite(cfg["jmax"] * dx) and math.isfinite(cfg["kmax"] * dy)):
-        raise ConfigError("the largest panel shifts jmax*dx and kmax*dy must be finite")
+        raise ConfigError(f"panel shifts jmax*dx and kmax*dy must be finite (dx={dx!r}, dy={dy!r})")
     state = _build_state(cfg, code)
     ideal = isinstance(state, IdealZakState)
     if not ideal:
         state = zak_transform(state, grid, cfg["mmax"])
-        try:
+    with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):
+        if ideal:  # the largest panel: a shift or phase past what the patch can count is refused
+            operators.apply_X(operators.apply_Z(state, cfg["kmax"] * dy), cfg["jmax"] * dx)
+        else:  # steps must be grid multiples
             state.grid.u_steps(dx)
             state.grid.v_steps(dy)
-        except OffGridError as exc:
-            raise ConfigError(f"panel steps must be grid multiples: {exc}") from exc
     out_dir = cfg["out"]
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -330,18 +310,15 @@ def cmd_logical(cfg, code, grid):
 
 def cmd_sweep(cfg, code, grid):
     target, _ = _parse_state(cfg["state"])
-    try:
+    with _refused(f"bad --deltas list {cfg['deltas']!r}"):
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --deltas list {cfg['deltas']!r}") from exc
+        states = [approx_codeword(code, target, delta) for delta in deltas]
     if not deltas:
-        raise ConfigError("--deltas must list at least one value")
-    if not all(0 < d < math.inf for d in deltas):
-        raise ConfigError(f"--deltas values must be positive and finite, got {cfg['deltas']!r}")
+        raise ConfigError(f"--deltas must list at least one value, got {cfg['deltas']!r}")
     _require_gauge_halves("sweep", code, grid)
     lines = ["delta,fidelity,purity,raw_trace,residual_pv,residual_pu"]
-    for delta in deltas:
-        comb = comb_matrix(_approx_codeword(code, target, delta), grid, cfg["mmax"])
+    for delta, state in zip(deltas, states):
+        comb = comb_matrix(state, grid, cfg["mmax"])
         qubit = logical_from_overlap(comb, code)
         r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
@@ -382,11 +359,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"zakgkp: config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, DegenerateLogicalError, OffGridError) as exc:
-        print(f"zakgkp: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except ZakError as exc:
-        print(f"zakgkp: error: {exc}", file=sys.stderr)
+        print(f"zakgkp: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, MemoryError) as exc:
         what = "allocate" if isinstance(exc, MemoryError) else "write output"

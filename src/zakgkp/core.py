@@ -195,6 +195,8 @@ class ZakGrid:
     @staticmethod
     def _node(name, x, start, step, count, unit):
         t = (x - start) / step
+        if not math.isfinite(t):  # round() cannot count an infinite or NaN offset
+            raise OffGridError(f"{name}={x!r} is not a grid node")
         j = round(t)
         if abs(t - j) > NODE_TOL:
             raise OffGridError(f"{name}={x!r} is not a grid node (offset {t - j:.3e} {unit})")

@@ -379,6 +379,11 @@ TABLE = "tabulated:{table}"
         # a grid whose gauge halves Nu/2 x Nv are no grid (Nu/2 not a multiple of 4)
         pytest.param(("logical", "--grid", "68x16"), None, id="logical-no-gauge-grid"),
         pytest.param(("sweep", "--grid", "100x100"), None, id="sweep-no-gauge-grid"),
+        # an ideal panel the patch cannot count: a shift of 3e10 periods of 3e-300, or a phase u*t
+        pytest.param(("shift-array", "--state", "gkp0", "--alpha", "1e300", "--dy", "1e10"), None,
+                     id="ideal-panel-shift-past-count"),
+        pytest.param(("shift-array", "--state", "gkp1", "--alpha", "1e300", "--dy", "2e8", "--kmax", "1",
+                      "--jmax", "0"), None, id="ideal-panel-phase-overflow"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):

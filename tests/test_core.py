@@ -179,8 +179,14 @@ def test_inverse_zak_vacuum_values(vac64):
     assert inverse_zak_transform(vac64, 0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-9)
     expected = math.pi**-0.25 * math.exp(-(A**2) / 2)
     assert inverse_zak_transform(vac64, 1, 0.0) == pytest.approx(expected, abs=1e-9)
-    with pytest.raises(OffGridError):
-        inverse_zak_transform(vac64, 0, 0.1234567)
+    # off the nodes, or past the float range
+    for u in (0.1234567, math.inf, math.nan, 1e308):
+        with pytest.raises(OffGridError):
+            inverse_zak_transform(vac64, 0, u)
+        with pytest.raises(OffGridError):
+            vac64.value_at(u, 0.0)
+        with pytest.raises(OffGridError):
+            vac64.value_at(0.0, u)
 
 
 def test_inverse_zak_roundtrip_tabulated(code):

@@ -204,6 +204,19 @@ def _oracle_rho(descriptor, code):
     return gram / gram.trace().real
 
 
+@pytest.mark.parametrize("c", [0.0, 0.7])
+def test_gauss_legendre_oracle_against_vacuum_erf_sums(code, c):
+    # for f(x) = pi^-1/4 exp(-(x - c)^2 / 2) each Gram entry is a sum of erf differences:
+    # f(x) f(x + alpha) = pi^-1/2 exp(-alpha^2/4) exp(-(x - c + alpha/2)^2)
+    alpha = code.alpha
+    xs = [code.period * m - c for m in range(-40, 41)]
+    g00, g11 = (sum(math.erf(x + alpha * (ell + 0.5)) - math.erf(x + alpha * (ell - 0.5)) for x in xs) / 2
+                for ell in (0, 1))
+    g01 = math.exp(-alpha**2 / 4) * sum(math.erf(x + alpha) - math.erf(x) for x in xs) / 2
+    gram = np.array([[g00, g01], [g01, g11]])
+    assert np.max(np.abs(_oracle_rho(vacuum(c), code) - gram / gram.trace())) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "make, entry, errors",
     [

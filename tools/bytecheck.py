@@ -34,6 +34,13 @@ RUNS = [
     (0, "logical --state gkp0 --grid 68x16 --out ideal_68x16.csv"),  # an ideal state ignores the grid
     (0, "logical --state vacuum --grid 128x128 --method trace --out vacuum_trace.csv"),  # complex cross entry
     (2, "logical --grid 68x16 --out refused.csv"),  # halves that are not grids: no file
+    # the library's rules, each a refusal with no file
+    (2, "logical --grid 10x10 --out refused_grid.csv"),  # Nu not a multiple of 4
+    (2, "logical --alpha -1 --out refused_alpha.csv"),
+    (2, "logical --alpha 1e308 --out refused_patch.csv"),  # the period 2*alpha overflows
+    (2, "logical --state gkp-approx:0.3 --out refused_spec.csv"),
+    (2, "sweep --deltas 0.3,-1 --out refused_deltas.csv"),
+    (2, "shift-array --state gkp-approx:0.3:0 --grid 64x64 --out refused_steps"),  # dx not a grid step
 ]
 
 
