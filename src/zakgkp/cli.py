@@ -8,7 +8,7 @@ Flags override values from an optional ``key=value`` config file; the
 resolved configuration is echoed into a ``.manifest`` next to each output.
 All commands are deterministic functions of the configuration.  Exit
 codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
-The library states the rules for a grid, alpha, delta and panel step;
+The library states the rules for a table, grid, alpha, delta and panel step;
 ``_refused`` maps its refusal of a configuration value to exit 2.
 """
 
@@ -87,13 +87,6 @@ def _refused(context):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_grid(text):
-    """``(nu, nv)`` of ``NUxNV``; the grid rule is ``ZakGrid``'s."""
-    with _refused(f"--grid expects NUxNV, got {text!r}"):
-        nu, nv = (int(n) for n in text.lower().split("x"))
-    return nu, nv
-
-
 def _load_config_file(path):
     values = {}
     try:
@@ -135,7 +128,8 @@ def _resolve_config(args):
         raise ConfigError("--out is required")
     if cfg["jmax"] < 0 or cfg["kmax"] < 0:
         raise ConfigError(f"--jmax and --kmax must be nonnegative, got {cfg['jmax']} and {cfg['kmax']}")
-    nu, nv = _parse_grid(cfg["grid"])
+    with _refused(f"--grid expects NUxNV, got {cfg['grid']!r}"):  # the grid rule is ZakGrid's
+        nu, nv = (int(n) for n in cfg["grid"].lower().split("x"))
     # alpha's rule, the grid's, or a period 2*alpha or v_min = -pi/(2 alpha) that overflows
     with _refused(f"alpha={cfg['alpha']!r}, grid={cfg['grid']!r}"):
         code = GKPCode(alpha=cfg["alpha"])
@@ -152,50 +146,35 @@ def _load_table(path):
                     continue
                 with _refused(f"{path}:{lineno}: expected x,re,im, got {line!r}"):
                     x, re, im = (float(p) for p in line.split(","))
-                if not all(map(math.isfinite, (x, re, im))):
-                    raise ConfigError(f"{path}:{lineno}: non-finite number: {line!r}")
                 xs.append(x)
                 values.append(complex(re, im))
     except OSError as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
-    if not xs:
-        raise ConfigError(f"table {path} is empty")
-    if len(set(xs)) != len(xs):
-        raise ConfigError(f"table {path} lists an abscissa more than once")
-    if not any(values):
-        raise ConfigError(f"table {path} has only zero values")
-    return tabulated(np.array(xs), np.array(values))
+    with _refused(f"table {path}"):
+        return tabulated(xs, values)
 
 
-def _parse_state(spec):
-    """``(ell, delta)`` of a checked state spec: the codeword index it targets
-    (0 for vacuum and tabulated) and, for gkp-approx only, its delta."""
+def _parse_state(spec, code):
+    """``(ell, state)`` of a state spec: the codeword index it targets (0 for vacuum and
+    tabulated) and the state it names, but None for a table, which only ``_build_state``
+    reads.  A ``gkp-approx`` spec's rules are ``approx_codeword``'s."""
     if spec in ("gkp0", "gkp1"):
-        return int(spec[-1]), None
+        return int(spec[-1]), codeword(code, int(spec[-1]))
     if spec == "vacuum" or spec.startswith("tabulated:"):
-        return 0, None
+        return 0, vacuum() if spec == "vacuum" else None
     if not spec.startswith("gkp-approx:"):
         raise ConfigError(f"unknown state spec {spec!r}")
     with _refused(f"state {spec!r} must be gkp-approx:DELTA:ELL"):
         _, delta, ell = spec.split(":")
         delta, ell = float(delta), int(ell)
-    if ell not in (0, 1) or not 0 < delta < math.inf:
-        raise ConfigError(f"state {spec!r} needs a finite delta > 0 and ell in {{0, 1}}")
-    return ell, delta
+    with _refused(f"state {spec!r}"):
+        return ell, approx_codeword(code, ell, delta)
 
 
 def _build_state(cfg, code):
     """The ideal state (an IdealZakState) or the position-space descriptor the spec names."""
-    spec = cfg["state"]
-    ell, delta = _parse_state(spec)
-    if spec in ("gkp0", "gkp1"):
-        return codeword(code, ell)
-    if delta is not None:
-        with _refused(f"state {spec!r}"):
-            return approx_codeword(code, ell, delta)
-    if spec == "vacuum":
-        return vacuum()
-    return _load_table(spec.split(":", 1)[1])
+    state = _parse_state(cfg["state"], code)[1]
+    return state if state is not None else _load_table(cfg["state"].split(":", 1)[1])
 
 
 def _require_gauge_halves(command, code, grid):
@@ -263,18 +242,18 @@ def cmd_shift_array(cfg, code, grid):
     # the manifest echoes the steps used
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
-    if not (math.isfinite(cfg["jmax"] * dx) and math.isfinite(cfg["kmax"] * dy)):
-        raise ConfigError(f"panel shifts jmax*dx and kmax*dy must be finite (dx={dx!r}, dy={dy!r})")
     state = _build_state(cfg, code)
     ideal = isinstance(state, IdealZakState)
+    steps = f"panel steps dx={dx!r}, dy={dy!r}"
+    with _refused(steps):  # before anything is computed: the patch must count the largest shifts
+        grid.patch.reduce(cfg["jmax"] * dx, cfg["kmax"] * dy)
+        if ideal:  # and the largest panel's phase must not overflow
+            operators.apply_X(operators.apply_Z(state, cfg["kmax"] * dy), cfg["jmax"] * dx)
     if not ideal:
         state = zak_transform(state, grid, cfg["mmax"])
-    with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):
-        if ideal:  # the largest panel: a shift or phase past what the patch can count is refused
-            operators.apply_X(operators.apply_Z(state, cfg["kmax"] * dy), cfg["jmax"] * dx)
-        else:  # steps must be grid multiples
-            state.grid.u_steps(dx)
-            state.grid.v_steps(dy)
+        with _refused(steps):  # the steps and largest shifts: grid multiples whose counts a float holds
+            grid.u_steps(dx), grid.u_steps(cfg["jmax"] * dx)
+            grid.v_steps(dy), grid.v_steps(cfg["kmax"] * dy)
     out_dir = cfg["out"]
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -309,7 +288,7 @@ def cmd_logical(cfg, code, grid):
 
 
 def cmd_sweep(cfg, code, grid):
-    target, _ = _parse_state(cfg["state"])
+    target, _ = _parse_state(cfg["state"], code)
     with _refused(f"bad --deltas list {cfg['deltas']!r}"):
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
         states = [approx_codeword(code, target, delta) for delta in deltas]

@@ -103,7 +103,8 @@ class ZakPatch:
     """Fundamental rectangle of a (possibly stretched) Zak basis.
 
     ``a`` is the horizontal period, the vertical extent is ``2pi/b``.  The
-    default centering is ``[-a/4, 3a/4) x [-pi/b, pi/b)``.
+    default centering is ``[-a/4, 3a/4) x [-pi/b, pi/b)``.  Each edge must be
+    finite: ValueError otherwise.
     """
 
     __slots__ = ("a", "b", "u_min", "v_min")
@@ -113,6 +114,8 @@ class ZakPatch:
         self.b = _finite("period parameter b", a if b is None else b, positive=True)
         self.u_min = -self.a / 4 if u_min is None else _finite("u_min", u_min)
         self.v_min = _finite("v_min", -math.pi / self.b if v_min is None else v_min)
+        for name, edge in (("u_min + a", self.u_min + self.a), ("v_min + 2pi/b", self.v_min + self.height)):
+            _finite(name, edge)
 
     @property
     def height(self):
@@ -214,7 +217,7 @@ class ZakGrid:
     def _steps(t, step, name):
         """Number of cells of width ``step`` spanned by the shift ``t`` (must be exact)."""
         n = round(t / step) if math.isfinite(t / step) else 0  # a count past the float range: refused
-        if abs(t - n * step) > NODE_TOL * step:
+        if not abs(t - n * step) <= NODE_TOL * step:  # NaN too
             raise OffGridError(f"shift {t!r} is not an integer multiple of {name}={step!r}")
         return n
 
@@ -324,7 +327,8 @@ class IdealZakState:
     patch on construction (folding reduction phases into the weights) and
     duplicates are merged by weight addition.  The squared Dirac-comb norm
     proxy is ``sum |weight|^2``.  ``points`` is a dict, another state or
-    an iterable of ``((x, y), weight)`` pairs.
+    an iterable of ``((x, y), weight)`` pairs.  A point the patch cannot
+    count or a weight that is not finite raises ValueError.
     """
 
     __slots__ = ("patch", "points")
@@ -334,8 +338,9 @@ class IdealZakState:
         merged: dict[tuple[float, float], complex] = {}
         for (x, y), w in items:
             u, v, n = patch.reduce(x, y)
-            w = complex(w) * cmath.exp(-1j * patch.b * n * v)
-            merged[(u, v)] = merged.get((u, v), 0j) + w
+            w = merged[(u, v)] = merged.get((u, v), 0j) + complex(w) * cmath.exp(-1j * patch.b * n * v)
+            if not cmath.isfinite(w):
+                raise ValueError(f"the weight at ({float(x)!r}, {float(y)!r}), in the patch, is not finite: {w}")
         self.patch = patch
         self.points = merged
 
@@ -522,6 +527,8 @@ class TabulatedState:
     ``u_j + a*m`` that the transform probes.  The masses are summed over
     ``|value|^2`` scaled by the largest real or imaginary part, so that
     :meth:`tail_mass`, a share of the norm, is exact for any finite table.
+    An empty table, a non-finite entry, a repeated abscissa, a gap past the
+    float range and an all-zero table each raise a ValueError that says so.
     """
 
     __slots__ = ("xs", "values", "step", "_scale", "_weights")
@@ -531,17 +538,24 @@ class TabulatedState:
         values = np.asarray(values, dtype=np.complex128)
         if xs.ndim != 1 or xs.shape != values.shape:
             raise ValueError("xs and values must be 1-d arrays of equal length")
+        if not len(xs):
+            raise ValueError("the table is empty")
         for name, array in (("xs", xs), ("values", values)):
-            if not np.isfinite(array).all():
-                raise ValueError(f"{name} must be finite")
+            for i in np.flatnonzero(~np.isfinite(array))[:1]:  # the first entry that is not finite
+                raise ValueError(f"{name}[{i}] is not finite: {array[i].item()}")
         order = np.argsort(xs)
         self.xs = xs[order]
         self.values = values[order]
-        gaps = np.diff(self.xs)
+        with np.errstate(over="ignore"):  # a gap past the float range: refused as the step below
+            gaps = np.diff(self.xs)
+        if len(gaps) and not gaps.min():
+            raise ValueError(f"abscissa {float(self.xs[gaps.argmin()])!r} is listed more than once")
         self.step = _finite("step", gaps.min() if len(gaps) else 1.0, positive=True)
         parts = np.abs(self.values.view(np.float64)).reshape(-1, 2)
-        self._scale = float(parts.max(initial=0.0)) or 1.0
-        # |value / scale|^2, each at most 2: no square or sum leaves the float range
+        self._scale = float(parts.max())
+        if not self._scale:
+            raise ValueError("the table holds only zero values")
+        # |value / scale|^2, each at most 2 and the largest at least 1: no square or sum leaves the float range
         self._weights = np.square(parts / self._scale).sum(axis=1)
 
     def evaluate(self, x):
@@ -559,10 +573,9 @@ class TabulatedState:
         return self._scale * self._scale * float(self._weights.sum()) * self.step
 
     def tail_mass(self, lo, hi):
-        """The share of the norm outside ``[lo, hi]`` (0 for an all-zero table)."""
+        """The share of the norm outside ``[lo, hi]``."""
         outside = (self.xs < lo) | (self.xs > hi)
-        total = float(self._weights.sum())
-        return float(self._weights[outside].sum()) / total if total else 0.0
+        return float(self._weights[outside].sum()) / float(self._weights.sum())
 
 
 def vacuum(offset=0.0):

@@ -36,7 +36,7 @@ from .core import (
     _finite,
     gaussian_comb,
 )
-from .errors import DegenerateLogicalError, GridMismatchError, NormalizationError, ZakError
+from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -172,8 +172,8 @@ class MixtureState:
     def __init__(self, components):
         components = [(float(p), state) for p, state in components]
         for p, _ in components:
-            if p < 0:
-                raise ValueError(f"mixture probability {p!r} is negative")
+            if not p >= 0:  # NaN too
+                raise ValueError(f"mixture probability {p!r} is not a nonnegative number")
         total = sum(p for p, _ in components)
         if abs(total - 1) > 1e-12:
             raise NormalizationError(total, f"mixture probabilities sum to {total!r}, expected 1")
@@ -217,13 +217,17 @@ def stabilizer_residual(state, code: GKPCode):
     Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both
     vanish exactly on codewords.  Both are phases in one variable and
     ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so each squared norm is
-    the pairing of the state with itself under that weight.
+    the pairing of the state with itself under that weight.  A squared
+    norm past the float range raises NonFiniteError.
     """
     _require_qubit_patch(state, code)
     tv, tu = -code.period, 2 * math.pi / code.alpha
-    r1 = _pair(state, state, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2)
-    r2 = _pair(state, state, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2)
-    return math.sqrt(r1.real), math.sqrt(r2.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused below
+        r1 = float(_pair(state, state, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2).real)
+        r2 = float(_pair(state, state, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2).real)
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise NonFiniteError(f"squared stabilizer residuals {r1} and {r2} are not both finite")
+    return math.sqrt(r1), math.sqrt(r2)
 
 
 def _require_qubit_patch(state, code: GKPCode):

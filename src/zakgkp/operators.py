@@ -8,7 +8,9 @@ the identity.  The quadrature shifts decompose as ``Z(t) = P_U(t) T_V(t)``
 and ``X(t) = T_U(t)``; operator products are read right-to-left.
 
 Grid states translate by exact cyclic index shifts with analytic wrap
-phases.  Shifts that are not grid multiples raise OffGridError.
+phases.  Shifts that are not grid multiples, NaN and infinity included,
+raise OffGridError; a non-finite phase raises ValueError, and a finite one
+whose argument ``t*x`` overflows gives NaN samples, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import cmath
 
 import numpy as np
 
-from .core import IdealZakState, _frozen
+from .core import IdealZakState, _finite, _frozen
 
 __all__ = [
     "apply_phase_u",
@@ -29,6 +31,8 @@ __all__ = [
 ]
 
 
+# a grid phase argument t*x past the float range: NaN samples, which the writers and logical maps refuse
+@np.errstate(over="ignore", invalid="ignore")
 def _displace(state, pu=None, pv=None, su=None, sv=None):
     """``P_U(pu) P_V(pv) T_U(su) T_V(sv) state``, the displacement every operator is; None skips a factor.
 
@@ -46,7 +50,7 @@ def _displace(state, pu=None, pv=None, su=None, sv=None):
         return state
     grid, s = state.grid, state.samples
     u, v = grid.u_values()[:, None], grid.v_values()[None, :]
-    phases = [np.exp(1j * t * x) for t, x in ((pv, v), (pu, u)) if t is not None]
+    phases = [np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None]
     out = np.empty_like(s)
     blocks = [(out, s, phases)]
     if su is not None:

@@ -10,12 +10,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA, comb_table
-from zakgkp import ModularWavefunction, cli, gridio, tabulated, vacuum, zak_transform
+from zakgkp import (
+    IdealZakState,
+    MixtureState,
+    ModularWavefunction,
+    NonFiniteError,
+    OffGridError,
+    ZakError,
+    ZakGrid,
+    ZakPatch,
+    apply_phase_u,
+    apply_phase_v,
+    apply_translate_u,
+    apply_translate_v,
+    apply_X,
+    apply_Z,
+    cli,
+    codeword,
+    gaussian_comb,
+    gridio,
+    logical_from_overlap,
+    stabilizer_residual,
+    syndrome_reduce,
+    tabulated,
+    vacuum,
+    zak_transform,
+)
 from zakgkp.cli import main
-from zakgkp.gkp import approx_codeword
+from zakgkp.core import comb_matrix
+from zakgkp.gkp import GKPCode, approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
 A = 2 * ALPHA
+GRID16 = GKPCode().grid(16, 16)
 
 
 def run(*args):
@@ -224,7 +251,8 @@ def test_sweep_rejects_bad_specs(tmp_path):
                "--deltas", "abc", "--out", out) == 2
     # the state spec is checked as zakplot, shift-array and logical check it
     for spec in ("foo", "gkp-approx:abc:1", "gkp-approx:nan:0", "gkp-approx:-1:0",
-                 "gkp-approx:inf:1", "gkp-approx:0.3:2", "gkp-approx:0.3"):
+                 "gkp-approx:inf:1", "gkp-approx:0.3:2", "gkp-approx:0.3",
+                 "gkp-approx:1e-300:0", "gkp-approx:1e200:1", "gkp-approx:1e-5:0"):
         assert run("sweep", "--state", spec, "--grid", "32x32",
                    "--deltas", "0.3", "--out", out) == 2, spec
     assert not out.exists()
@@ -361,6 +389,9 @@ TABLE = "tabulated:{table}"
         pytest.param(("shift-array", "--state", "gkp0", "--dx", "1e308"), None, id="huge-dx"),
         # no panel shift overflows, but dx / du does
         pytest.param(("shift-array", "--dx", "1e308", "--jmax", "0"), None, id="huge-dx-step-count"),
+        # dy/dv is 2^1023, but the largest shift kmax*dy counts 2^1024 steps
+        pytest.param(("shift-array", "--grid", "16x16", "--dx", repr(GRID16.du), "--dy", repr(GRID16.dv * 2.0**1023),
+                      "--kmax", "2", "--jmax", "0"), None, id="largest-shift-step-count"),
         # finite variances a comb cannot use, a default v_min -pi/b that overflows,
         # and a delta that needs more teeth than the cap
         pytest.param(("logical", "--state", "gkp-approx:1e154:0"), None, id="wide-tooth-delta"),
@@ -455,6 +486,39 @@ def test_non_finite_samples_are_a_numerical_failure(tmp_path, capsys, fmt, comma
     # no grid file, temporary file or manifest is left behind
     left = sorted(os.listdir(tmp_path)) + (sorted(os.listdir(out)) if out.is_dir() else [])
     assert left == ["table.csv"]
+
+
+def test_overflowing_panel_phase_is_a_numerical_failure_without_a_warning(tmp_path, capsys):
+    # Z(dy) multiplies by exp(i u dy), and u*dy overflows: NaN samples, which the writer refuses
+    grid = GKPCode().grid(16, 2)
+    out = tmp_path / "panels"
+    assert run("shift-array", "--state", "vacuum", "--grid", "16x2", "--dx", repr(grid.du),
+               "--dy", repr(grid.dv * 2.0**1023), "--kmax", 1, "--jmax", 0, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "is not finite: (nan+nanj)" in err
+    assert "Warning" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "table,rule",
+    [
+        pytest.param("x,re,im\n", "the table is empty", id="empty"),
+        pytest.param("0.0,1.0,0\n1.0,0.5,0\n0.0,0.5,0\n", "abscissa 0.0 is listed more than once",
+                     id="repeated-abscissa"),
+        pytest.param("0.0,0,0\n1.0,-0.0,0\n", "the table holds only zero values", id="all-zero"),
+        pytest.param("0.0,1.0,0\n1.0,nan,0\n", "values[1] is not finite: (nan+0j)", id="nan-value"),
+        pytest.param("0.0,1.0,0\n-inf,1.0,0\n", "xs[1] is not finite: -inf", id="inf-abscissa"),
+        pytest.param("-1e308,1.0,0\n1e308,1.0,0\n", "step must be positive and finite, got inf",
+                     id="gap-overflows"),
+    ],
+)
+def test_table_refusal_names_the_path_and_the_rule(tmp_path, capsys, table, rule):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    assert run("logical", "--state", f"tabulated:{path}", "--grid", "32x32", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == f"zakgkp: config error: table {path}: {rule}\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
@@ -617,3 +681,198 @@ def test_cli_contract_holds_for_any_config(config):
             code = ("argparse", exc.code)
         assert code in (0, 2, 3, ("argparse", 2)), args
         assert _non_finite_numbers(out_dir) == [], args
+
+
+# ---------------------------------------------------------------------------
+# the library's own contract: a call raises a ValueError or a ZakError, or returns
+# finite numbers.  The one documented exception is a grid phase whose argument t*x
+# overflows: its samples are NaN, and the writers and the logical maps refuse them.
+
+_CODE = GKPCode()
+_GRID = _CODE.grid(16, 16)
+_GRID_STATES = {"vacuum": zak_transform(vacuum(), _GRID, 16),
+                "gkp-approx": zak_transform(approx_codeword(_CODE, 1, 0.4), _GRID, 16)}
+# the coordinate a phase multiplies, by operator: Z(t) = P_U(t) T_V(t)
+_PHASED = {apply_Z: "u", apply_phase_u: "u", apply_phase_v: "v"}
+_OPERATORS = [apply_X, apply_Z, apply_phase_u, apply_phase_v, apply_translate_u, apply_translate_v]
+# a number, or n 2^e grid steps: a shift the grid can count up to e = 1023
+_ts = st.one_of(_numbers, st.builds(lambda n, e, step: n * 2.0**e * step, st.integers(-3, 3),
+                                    st.integers(0, 1023), st.sampled_from([_GRID.du, _GRID.dv])))
+_points = st.lists(st.tuples(st.tuples(_numbers, _numbers), st.builds(complex, _numbers, _numbers)), max_size=3)
+
+
+def _refused_or(fn, *args):
+    """``fn(*args)``, or None when it raises a ValueError or a ZakError.  Any other
+    exception, and any numpy warning (an error under pytest), fails the test."""
+    try:
+        return fn(*args)
+    except (ValueError, ZakError):
+        return None
+
+
+def _finite(*values):
+    return all(np.isfinite(np.asarray(v)).all() for v in values)
+
+
+def _check_maps(state):
+    """The logical map and, for a pure state, the stabilizer residuals refuse or give finite numbers."""
+    qubit = _refused_or(logical_from_overlap, state, _CODE)
+    assert qubit is None or _finite(qubit.matrix, qubit.raw_trace)
+    if not isinstance(state, MixtureState):
+        residuals = _refused_or(stabilizer_residual, state, _CODE)
+        assert residuals is None or _finite(residuals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(sorted(_GRID_STATES)), _points),
+       st.lists(st.tuples(st.sampled_from(_OPERATORS), _ts), max_size=4))
+def test_library_contract_holds_for_any_operator_word(start, word):
+    # a grid state, or the ideal state of drawn points; then each operator of the word in turn
+    if isinstance(start, str):
+        state = _GRID_STATES[start]
+    else:
+        state = _refused_or(IdealZakState, _CODE.full_patch(), start)
+    overflowed = False
+    for op, t in word:
+        if state is None:
+            return
+        if op in _PHASED and isinstance(state, ModularWavefunction):
+            x = _GRID.u_values() if _PHASED[op] == "u" else _GRID.v_values()
+            overflowed |= math.isfinite(t) and not math.isfinite(t * float(np.abs(x).max()))
+        state = _refused_or(op, state, t)
+    if state is None:
+        return
+    if isinstance(state, IdealZakState):
+        assert _finite(list(state.points), list(state.points.values()))
+    elif not _finite(state.samples):
+        assert overflowed, word
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(NonFiniteError):
+            save_grid_binary(state, os.path.join(tmp, "nan.bin"))
+        assert _refused_or(logical_from_overlap, state, _CODE) is None
+        return
+    _check_maps(state)
+
+
+_BUILDERS = {
+    "ZakPatch": lambda x, ell, rows: ZakGrid(ZakPatch(*x), 8, 8),
+    "GKPCode.grid": lambda x, ell, rows: GKPCode(alpha=x[0]).grid(16, 8),
+    "vacuum": lambda x, ell, rows: vacuum(x[0]),
+    "gaussian_comb": lambda x, ell, rows: gaussian_comb(*x),
+    "approx_codeword": lambda x, ell, rows: approx_codeword(_CODE, ell, x[0]),
+    "tabulated": lambda x, ell, rows: tabulated([r[0] for r in rows], [complex(*r[1:]) for r in rows]),
+    "IdealZakState": lambda x, ell, rows: IdealZakState(_CODE.full_patch(), {(x[0], x[1]): complex(*x[2:])}),
+    "MixtureState": lambda x, ell, rows: MixtureState([(x[0], codeword(_CODE, ell)), (x[1], codeword(_CODE, 1))]),
+    "syndrome_reduce": lambda x, ell, rows: syndrome_reduce(_CODE, x[0], x[1]),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_BUILDERS)), st.lists(_numbers, min_size=4, max_size=4), st.sampled_from([0, 1]),
+       st.lists(st.tuples(_numbers, _numbers, _numbers), max_size=4), st.sampled_from([1, 4, 16]))
+def test_library_contract_holds_for_any_constructor(name, x, ell, rows, m_max):
+    # a refusal, or an object whose numbers are finite; a descriptor's transform and
+    # comb-route maps then refuse or give finite numbers too
+    built = _refused_or(_BUILDERS[name], x, ell, rows)
+    if built is None:
+        return
+    if isinstance(built, ZakGrid):
+        assert _finite(built.u_values(), built.v_values(), built.patch.height)
+    elif name == "syndrome_reduce":
+        assert _finite([built.u_tilde, built.v_tilde])
+    elif hasattr(built, "evaluate"):
+        psi = _refused_or(zak_transform, built, _GRID, m_max)
+        assert psi is None or _finite(psi.samples)
+        comb = _refused_or(comb_matrix, built, _GRID, m_max)
+        if comb is not None:
+            _check_maps(comb)
+    else:
+        _check_maps(built)
+
+
+def _saved_bytes(fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"grid.{fmt}")
+        (save_grid_binary if fmt == "bin" else save_grid_csv)(zak_transform(vacuum(), _CODE.grid(8, 4), 8), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_SAVED = {fmt: _saved_bytes(fmt) for fmt in ("csv", "bin")}
+_edits = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 1 << 20),
+                            st.one_of(st.integers(0, 255), st.sampled_from(list(b",\n.-+e0123456789nainf\x1c ")))),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SAVED)), _edits)
+def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
+    # a few bytes set, inserted or deleted: the loader refuses the file or reads a state
+    # with finite samples, which a binary file holds byte for byte
+    raw = bytearray(_SAVED[fmt])
+    for edit, at, byte in edits:
+        at %= len(raw) + (edit == "insert")
+        if edit == "set":
+            raw[at] = byte
+        elif edit == "insert":
+            raw.insert(at, byte)
+        elif len(raw) > 1:
+            del raw[at]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"edited.{fmt}")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        psi = _refused_or(load_grid_binary if fmt == "bin" else load_grid_csv, path)
+        if psi is None:
+            return
+        assert _finite(psi.samples)
+        if fmt == "bin":
+            save_grid_binary(psi, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == raw
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        pytest.param(lambda psi, ideal: apply_X(psi, math.nan), OffGridError, "shift nan", id="grid-X-nan"),
+        *(pytest.param(lambda psi, ideal, op=op, t=t: op(psi, t), ValueError, f"phase must be finite, got {t}",
+                       id=f"grid-{op.__name__}-{t}")
+          for op in (apply_Z, apply_phase_u, apply_phase_v) for t in (math.nan, math.inf)),
+        *(pytest.param(lambda psi, ideal, op=op, t=t: op(ideal, t), ValueError, "weight at", id=f"ideal-{op.__name__}-{t}")
+          for op in (apply_phase_u, apply_phase_v) for t in (math.nan, math.inf)),
+        pytest.param(lambda psi, ideal: IdealZakState(ideal.patch, {(0.0, 0.0): math.nan}), ValueError,
+                     r"weight at \(0.0, 0.0\), in the patch, is not finite: \(nan\+nanj\)", id="ideal-nan-weight"),
+        pytest.param(lambda psi, ideal: MixtureState([(math.nan, ideal)]), ValueError,
+                     "probability nan is not a nonnegative number", id="mixture-nan-probability"),
+        pytest.param(lambda psi, ideal: tabulated([], []), ValueError, "the table is empty", id="empty-table"),
+        pytest.param(lambda psi, ideal: tabulated(np.zeros(2) + [0, 1], np.zeros(2)), ValueError,
+                     "the table holds only zero values", id="all-zero-table"),
+        pytest.param(lambda psi, ideal: tabulated(np.array([1.5, 0.0, 1.5]), np.ones(3)), ValueError,
+                     r"abscissa 1.5 is listed more than once$", id="repeated-abscissa"),
+        pytest.param(lambda psi, ideal: tabulated(np.array([0.0, np.nan]), np.ones(2)), ValueError,
+                     r"xs\[1\] is not finite: nan$", id="nan-abscissa"),
+        # found by the contract tests above: a patch whose far edge overflows, and residuals whose
+        # sums overflow (a numpy warning and NaN from a comb matrix, inf from an ideal weight)
+        pytest.param(lambda psi, ideal: ZakPatch(1e308, u_min=1e308), ValueError, "u_min \\+ a", id="patch-u-edge"),
+        pytest.param(lambda psi, ideal: ZakPatch(1.0, b=1e-320, v_min=0.0), ValueError, "v_min \\+ 2pi/b",
+                     id="patch-v-edge"),
+        pytest.param(lambda psi, ideal: stabilizer_residual(comb_matrix(tabulated([0.0], [1e200j]), _GRID, 1), _CODE),
+                     NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual"),
+        pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
+                     NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual"),
+    ],
+)
+def test_library_refuses_each_input_it_once_passed_on(build, error, message):
+    # a NaN grid shift once left the state unshifted, a NaN or infinite grid phase gave NaN
+    # samples or a numpy warning, and the rest were accepted or failed later on
+    psi = _GRID_STATES["vacuum"]
+    with pytest.raises(error, match=message) as exc:
+        build(psi, codeword(_CODE, 0))
+    assert "np." not in str(exc.value)
+
+
+def test_an_overflowing_grid_phase_gives_nan_samples_without_a_warning():
+    # documented: the writers and the logical maps refuse them
+    psi = apply_phase_u(_GRID_STATES["vacuum"], 1e308)
+    assert np.isnan(psi.samples).any()
+    assert _refused_or(logical_from_overlap, psi, _CODE) is None
