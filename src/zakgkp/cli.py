@@ -244,16 +244,14 @@ def cmd_shift_array(cfg, code, grid):
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
     state = _build_state(cfg, code)
     ideal = isinstance(state, IdealZakState)
-    steps = f"panel steps dx={dx!r}, dy={dy!r}"
-    with _refused(steps):  # before anything is computed: the patch must count the largest shifts
-        grid.patch.reduce(cfg["jmax"] * dx, cfg["kmax"] * dy)
-        if ideal:  # and the largest panel's phase must not overflow
+    with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):  # before the transform and the output directory
+        if ideal:  # the patch counts the largest panel's shifts, and its phase does not overflow
             operators.apply_X(operators.apply_Z(state, cfg["kmax"] * dy), cfg["jmax"] * dx)
-    if not ideal:
-        state = zak_transform(state, grid, cfg["mmax"])
-        with _refused(steps):  # the steps and largest shifts: grid multiples whose counts a float holds
+        else:  # each step and largest shift is a grid multiple whose count a float holds
             grid.u_steps(dx), grid.u_steps(cfg["jmax"] * dx)
             grid.v_steps(dy), grid.v_steps(cfg["kmax"] * dy)
+    if not ideal:
+        state = zak_transform(state, grid, cfg["mmax"])
     out_dir = cfg["out"]
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)

@@ -196,36 +196,29 @@ class ZakGrid:
         return (self.nu // 4, self.nv // 2)
 
     @staticmethod
-    def _node(name, x, start, step, count, unit):
-        t = (x - start) / step
-        if not math.isfinite(t):  # round() cannot count an infinite or NaN offset
-            raise OffGridError(f"{name}={x!r} is not a grid node")
-        j = round(t)
-        if abs(t - j) > NODE_TOL:
-            raise OffGridError(f"{name}={x!r} is not a grid node (offset {t - j:.3e} {unit})")
-        if not 0 <= j < count:
-            raise OffGridError(f"{name}={x!r} lies outside the patch")
-        return j
-
-    def u_index(self, u):
-        return self._node("u", u, self.patch.u_min, self.du, self.nu, "columns")
-
-    def v_index(self, v):
-        return self._node("v", v, self.patch.v_min, self.dv, self.nv, "rows")
-
-    @staticmethod
-    def _steps(t, step, name):
-        """Number of cells of width ``step`` spanned by the shift ``t`` (must be exact)."""
+    def _steps(what, t, step, name, count=None):
+        """The whole number of cells of width ``step`` in ``t``, and below ``count`` if one is
+        given: the one grid-multiple rule, for a shift and for a coordinate's offset from the
+        patch edge.  OffGridError naming ``what`` unless ``t`` is finite and within ``NODE_TOL``
+        cells of a whole number."""
         n = round(t / step) if math.isfinite(t / step) else 0  # a count past the float range: refused
         if not abs(t - n * step) <= NODE_TOL * step:  # NaN too
-            raise OffGridError(f"shift {t!r} is not an integer multiple of {name}={step!r}")
+            raise OffGridError(f"{what} is not an integer multiple of {name}={step!r}")
+        if count is not None and not 0 <= n < count:
+            raise OffGridError(f"{what} lies outside the patch")
         return n
 
+    def u_index(self, u):
+        return self._steps(f"u={u!r} (from u_min)", u - self.patch.u_min, self.du, "du", self.nu)
+
+    def v_index(self, v):
+        return self._steps(f"v={v!r} (from v_min)", v - self.patch.v_min, self.dv, "dv", self.nv)
+
     def u_steps(self, t):
-        return self._steps(t, self.du, "du")
+        return self._steps(f"shift {t!r}", t, self.du, "du")
 
     def v_steps(self, t):
-        return self._steps(t, self.dv, "dv")
+        return self._steps(f"shift {t!r}", t, self.dv, "dv")
 
     def compatible(self, other):
         return (

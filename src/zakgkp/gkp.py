@@ -231,6 +231,9 @@ def stabilizer_residual(state, code: GKPCode):
 
 
 def _require_qubit_patch(state, code: GKPCode):
+    """ValueError for a mixture; GridMismatchError unless a pure state's patch is the code's."""
+    if isinstance(state, MixtureState):
+        raise ValueError("this function takes a pure state, not a MixtureState; pass each component")
     if not state.patch.approx_equal(code.full_patch()):
         raise GridMismatchError("state patch does not match the code's fundamental patch")
 

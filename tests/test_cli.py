@@ -27,12 +27,14 @@ from zakgkp import (
     apply_Z,
     cli,
     codeword,
+    ec_kraus_amplitudes,
     gaussian_comb,
     gridio,
     logical_from_overlap,
     stabilizer_residual,
     syndrome_reduce,
     tabulated,
+    to_ssd,
     vacuum,
     zak_transform,
 )
@@ -415,6 +417,9 @@ TABLE = "tabulated:{table}"
                      id="ideal-panel-shift-past-count"),
         pytest.param(("shift-array", "--state", "gkp1", "--alpha", "1e300", "--dy", "2e8", "--kmax", "1",
                       "--jmax", "0"), None, id="ideal-panel-phase-overflow"),
+        # an off-grid step whose transform would also fail (a truncation past the tolerance)
+        pytest.param(("shift-array", "--state", "gkp-approx:0.2:0", "--grid", "8x8", "--mmax", "4"), None,
+                     id="off-grid-step-before-a-failing-transform"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
@@ -426,6 +431,24 @@ def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
     # a --grid in args comes later, so it overrides the default 96x96
     assert run(args[0], "--grid", "96x96", *args[1:], "--out", out) == 2
     assert "zakgkp: config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--grid", "8x8", "--mmax", "4"), id="default-dx-at-8x8"),
+    *(pytest.param(("--grid", "16x16", "--dx", repr(dx), "--dy", repr(dy)), id=name) for name, dx, dy in (
+        ("dx", 0.3, GRID16.dv), ("dy", GRID16.du, 0.3), ("largest-x-shift", GRID16.du * 2.0**1023, GRID16.dv),
+        ("largest-z-shift", GRID16.du, GRID16.dv * 2.0**1023))),
+])
+def test_a_refused_panel_step_never_reaches_the_transform(tmp_path, capsys, monkeypatch, args):
+    # each step, and the largest shift 3*dx or 3*dy (past the float range), is checked before any work
+    def transform(*args):
+        raise AssertionError("zak_transform called")
+
+    monkeypatch.setattr(cli, "zak_transform", transform)
+    out = tmp_path / "panels"
+    assert run("shift-array", "--state", "gkp-approx:0.2:0", *args, "--out", out) == 2
+    assert "panel steps" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -715,12 +738,11 @@ def _finite(*values):
 
 
 def _check_maps(state):
-    """The logical map and, for a pure state, the stabilizer residuals refuse or give finite numbers."""
+    """The logical map and the stabilizer residuals refuse or give finite numbers."""
     qubit = _refused_or(logical_from_overlap, state, _CODE)
     assert qubit is None or _finite(qubit.matrix, qubit.raw_trace)
-    if not isinstance(state, MixtureState):
-        residuals = _refused_or(stabilizer_residual, state, _CODE)
-        assert residuals is None or _finite(residuals)
+    residuals = _refused_or(stabilizer_residual, state, _CODE)
+    assert residuals is None or _finite(residuals)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -860,6 +882,12 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                      NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual"),
         pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
                      NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual"),
+        # a mixture has no one patch: each once ended in an AttributeError
+        *(pytest.param(lambda psi, ideal, f=f: f(MixtureState([(0.5, ideal), (0.5, codeword(_CODE, 1))])),
+                       ValueError, "takes a pure state, not a MixtureState", id=f"mixture-{name}")
+          for name, f in (("stabilizer_residual", lambda m: stabilizer_residual(m, _CODE)),
+                          ("ec_kraus_amplitudes", lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda m: to_ssd(m, _CODE)))),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):

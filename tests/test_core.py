@@ -42,7 +42,7 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
-from zakgkp.core import MAX_TEETH, TabulatedState, comb_matrix
+from zakgkp.core import MAX_TEETH, NODE_TOL, TabulatedState, comb_matrix
 from zakgkp.gkp import _gram
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
@@ -187,6 +187,27 @@ def test_inverse_zak_vacuum_values(vac64):
             vac64.value_at(u, 0.0)
         with pytest.raises(OffGridError):
             vac64.value_at(0.0, u)
+
+
+@pytest.mark.parametrize("method,start", [("u_index", "u_min"), ("v_index", "v_min"), ("u_steps", None),
+                                          ("v_steps", None)])
+@pytest.mark.parametrize("offset,value", [
+    pytest.param(0.0, None, id="node"),
+    pytest.param(0.5e-9, None, id="half-tol"),
+    pytest.param(2e-9, None, id="twice-tol"),
+    *(pytest.param(None, x, id=repr(x)) for x in (math.nan, math.inf, -math.inf, 1e308)),
+])
+def test_one_cell_count_rule_for_nodes_and_shifts(code, method, start, offset, value):
+    # within NODE_TOL of a whole number of cells, counted from the patch edge for a coordinate
+    grid = code.grid(64, 32)
+    step = grid.du if method[0] == "u" else grid.dv
+    if value is None:
+        value = (getattr(grid.patch, start) if start else 0.0) + (3 + offset) * step
+    if offset is not None and offset <= NODE_TOL:
+        assert getattr(grid, method)(value) == 3
+    else:
+        with pytest.raises(OffGridError):
+            getattr(grid, method)(value)
 
 
 def test_inverse_zak_roundtrip_tabulated(code):
