@@ -247,6 +247,10 @@ class ModularWavefunction:
     across threads is safe.  ``tail_bound`` records the relative comb-sum
     truncation bound when the state came out of :func:`zak_transform`.
 
+    Quadratic statistics (:meth:`marginals`, ``gkp``'s Gram matrices) are
+    computed once per state, on first use, and memoized read-only; threads
+    racing to fill an entry compute the same value from the same samples.
+
     Ownership: ``samples`` is adopted without a copy when it is a
     complex128 array that nothing can write to: it and every array it is a
     view of are read-only, and its memory is their own or a ``bytes``
@@ -256,10 +260,11 @@ class ModularWavefunction:
     bytes it read.  Anything else, in particular a caller's writeable
     array or a read-only view of one, is copied, so no state aliases memory
     that a caller can write through (short of setting a read-only array's
-    writeable flag back, which numpy allows for an array owning its data).
+    writeable flag back, which numpy allows for an array owning its data;
+    samples changed that way void the memo, which keeps the old statistics).
     """
 
-    __slots__ = ("grid", "samples", "tail_bound")
+    __slots__ = ("grid", "samples", "tail_bound", "_memo")
 
     def __init__(self, grid: ZakGrid, samples, tail_bound=None):
         if not (
@@ -276,6 +281,7 @@ class ModularWavefunction:
         self.grid = grid
         self.samples = samples
         self.tail_bound = tail_bound
+        self._memo = {}
 
     @property
     def patch(self):
@@ -292,15 +298,28 @@ class ModularWavefunction:
         """The samples as reals, real and imaginary parts interleaved along v (a view if C-contiguous)."""
         return np.ascontiguousarray(self.samples).view(np.float64)
 
+    def _memoized(self, key, compute):
+        """``compute()``, a read-only statistic of the samples, run once per ``key``."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+    def _marginal(self, axis):
+        """``|psi|^2`` summed over v for each u (``axis=1``) or over u for each v (``axis=0``),
+        with no full-grid temporary: read-only, computed once per state and axis."""
+        def compute():
+            parts = self._parts()
+            sums = np.einsum("ij,ij->i" if axis else "ij,ij->j", parts, parts)
+            return _frozen(sums if axis else sums[0::2] + sums[1::2])
+        return self._memoized(("marginal", axis), compute)
+
     def marginals(self):
-        """Sums of ``|psi|^2`` over v for each u and over u for each v, with no full-grid temporary."""
-        parts = self._parts()
-        cols = np.einsum("ij,ij->j", parts, parts)
-        return np.einsum("ij,ij->i", parts, parts), cols[0::2] + cols[1::2]
+        """Sums of ``|psi|^2`` over v for each u and over u for each v: read-only, each computed once."""
+        return self._marginal(1), self._marginal(0)
 
     def norm_squared(self):
-        parts = self._parts()
-        return float(np.einsum("ij,ij->i", parts, parts).sum()) * self.grid.cell_area
+        return float(self._marginal(1).sum()) * self.grid.cell_area
 
     def norm(self):
         return math.sqrt(self.norm_squared())

@@ -34,6 +34,7 @@ from .core import (
     ZakGrid,
     ZakPatch,
     _finite,
+    _frozen,
     gaussian_comb,
 )
 from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError
@@ -290,8 +291,9 @@ def _pair(f, g, wu=None, wv=None):
     ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and None is
     1.  Ideal states are point masses, paired exactly with no measure; grid
     states and comb matrices are summed by the left-Riemann rule, since the
-    correctable-patch boundaries are grid-aligned.  A state paired with
-    itself (``f is g``) reads the marginals of ``|psi|^2``.
+    correctable-patch boundaries are grid-aligned.  A grid state is paired
+    only with itself (``f is g``), from the marginals of ``|psi|^2``; its
+    cross sums are :func:`_grid_grams`.
     """
     if isinstance(f, IdealZakState):
         return _point_pair(f, g, wu, wv)
@@ -311,32 +313,16 @@ def _point_pair(f, g, wu=None, wv=None):
 
 
 def _sample_pair(f, g, wu=None, wv=None):
-    """``sum f conj(g) wu(u) wv(v) du dv`` over the samples of grid states ``f`` and ``g``.
-
-    A state paired with itself, with at most one weight, reads the
-    marginals of ``|psi|^2``.  Other pairs are multiplied in row blocks in
-    one reused buffer of at most 8192 samples, and the row sums are added
-    pairwise.  No full-grid temporary is formed.
-    """
+    """``sum |f|^2 wu(u) wv(v) du dv`` over the samples of grid state ``f``, with at most
+    one weight, read from its memoized marginals of ``|psi|^2``.  ``g`` must be ``f``: the
+    cross sums of two grid states are :func:`_grid_grams`."""
+    if f is not g:
+        raise TypeError("a grid state is paired only with itself; cross sums are _grid_grams")
     grid, area = f.grid, f.grid.cell_area
-    if f is g:
-        parts = np.ascontiguousarray(f.samples).view(np.float64)
-        if wv is not None:
-            cols = np.einsum("ij,ij->j", parts, parts)
-            return float(np.dot((cols[0::2] + cols[1::2]) * area, wv(grid.v_values())))
-        rows = np.einsum("ij,ij->i", parts, parts)
-        return float(rows.sum()) * area if wu is None else float(np.dot(rows * area, wu(grid.u_values())))
-    f, g = f.samples, g.samples
-    weight = None if wv is None else wv(grid.v_values())
-    step = max(1, 8192 // f.shape[1])
-    buf = np.empty((step, f.shape[1]), dtype=np.complex128)
-    rows = np.empty(len(f), dtype=np.complex128)
-    for i in range(0, len(f), step):
-        g_rows = g[i:i + step]
-        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
-        block *= f[i:i + step]
-        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
-    return (rows.sum() if wu is None else rows @ wu(grid.u_values())) * area
+    if wv is not None:
+        return float(np.dot(f._marginal(0) * area, wv(grid.v_values())))
+    rows = f._marginal(1)
+    return float(rows.sum()) * area if wu is None else float(np.dot(rows * area, wu(grid.u_values())))
 
 
 def _comb_pair(f: CombMatrix, g: CombMatrix, wu=None, wv=None):
@@ -363,14 +349,44 @@ def _gram(state, code: GKPCode, ec_phase: bool):
     ``gamma_l`` is first counter-rotated by ``exp(-i alpha l v)``, which
     turns the Gram matrix into the syndrome average of the outer products
     of :func:`ec_kraus_amplitudes`: the cross entry takes the weight
-    ``exp(i alpha v)``, and the phase cancels on the diagonal.
+    ``exp(i alpha v)``, and the phase cancels on the diagonal.  A grid
+    state's two matrices are :func:`_grid_grams`, memoized on the state per
+    ``alpha`` and read-only.
     """
+    if isinstance(state, ModularWavefunction):
+        return state._memoized(("gram", code.alpha), lambda: _grid_grams(state, code))[ec_phase]
     f, g = _sectors(state, code)
-    mat = np.empty((2, 2), dtype=np.complex128)
-    mat[0, 0], mat[1, 1] = _pair(f, f), _pair(g, g)
-    mat[0, 1] = _pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
-    mat[1, 0] = mat[0, 1].conjugate()
-    return mat
+    cross = _pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
+    return _hermitian(_pair(f, f), _pair(g, g), cross)
+
+
+def _hermitian(diag0, diag1, cross):
+    """The 2x2 matrix with diagonal ``(diag0, diag1)`` and upper entry ``cross``."""
+    return np.array([[diag0, cross], [np.conjugate(cross), diag1]], dtype=np.complex128)
+
+
+def _grid_grams(psi: ModularWavefunction, code: GKPCode):
+    """The plain and the EC Gram matrix of a grid state, from one pass over its samples.
+
+    The diagonal sums the halves of the row marginal.  Each block of ``f conj(g)`` is formed
+    once, in a reused buffer of at most 8192 samples, then both summed over v and contracted
+    with ``exp(i alpha v)``; the row sums are added pairwise.  No full-grid temporary is formed.
+    """
+    f, g = _sectors(psi, code)
+    grid, area = f.grid, f.grid.cell_area
+    rows = psi._marginal(1)
+    diag = (float(rows[:grid.nu].sum()) * area, float(rows[grid.nu:].sum()) * area)
+    weight = np.exp(1j * code.alpha * grid.v_values())
+    f, g = f.samples, g.samples
+    step = max(1, 8192 // grid.nv)
+    buf = np.empty((step, grid.nv), dtype=np.complex128)
+    plain, ec = np.empty((2, grid.nu), dtype=np.complex128)
+    for i in range(0, grid.nu, step):
+        g_rows = g[i:i + step]
+        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
+        block *= f[i:i + step]
+        plain[i:i + step], ec[i:i + step] = block.sum(axis=1), block @ weight
+    return tuple(_frozen(_hermitian(*diag, sums.sum() * area)) for sums in (plain, ec))
 
 
 def _mixture_logical(rho, gram):

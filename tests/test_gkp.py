@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -525,23 +527,33 @@ def test_overflowing_comb_gram_is_refused_without_a_warning(code):
             logical(comb, code)
 
 
-def _peak_multiple(fn, nbytes):
+def _peak_and_retained(fn, nbytes):
+    """The peak of the memory ``fn()`` allocated, as a multiple of ``nbytes``, and the bytes it left."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         fn()
-        return (tracemalloc.get_traced_memory()[1] - start) / nbytes
+        current, peak = tracemalloc.get_traced_memory()
+        return (peak - start) / nbytes, current - start
     finally:
         tracemalloc.stop()
 
 
+def _chain(psi, code):
+    s = ssd.to_ssd(psi, code)
+    return (ssd.gauge_trace(s), logical_from_overlap(psi, code), ssd.ec_gauge_trace(s),
+            ec_channel_logical(psi, code), stabilizer_residual(psi, code))
+
+
 @pytest.mark.parametrize(
     "name",
-    ["gauge_trace", "logical_from_overlap", "ec_gauge_trace", "ec_channel_logical", "stabilizer_residual"],
+    ["gauge_trace", "logical_from_overlap", "ec_gauge_trace", "ec_channel_logical", "stabilizer_residual", "chain"],
 )
 def test_quadratic_statistics_form_no_grid_temporary(code, name):
-    # the Gram entries and the residuals are reductions: no full-grid copy
-    psi = random_state(code.grid(512, 512), 63)
+    # the Gram entries and the residuals are reductions: no full-grid copy, and
+    # the memo they leave on the state is O(nu + nv) floats and two 2x2 matrices
+    grid = code.grid(512, 512)
+    psi = random_state(grid, 63)
     s = ssd.to_ssd(psi, code)
     calls = {
         "gauge_trace": lambda: ssd.gauge_trace(s),
@@ -549,5 +561,152 @@ def test_quadratic_statistics_form_no_grid_temporary(code, name):
         "ec_gauge_trace": lambda: ssd.ec_gauge_trace(s),
         "ec_channel_logical": lambda: ec_channel_logical(psi, code),
         "stabilizer_residual": lambda: stabilizer_residual(psi, code),
+        "chain": lambda: _chain(psi, code),
     }
-    assert _peak_multiple(calls[name], psi.samples.nbytes) <= 0.05
+    peak, retained = _peak_and_retained(calls[name], psi.samples.nbytes)
+    assert peak <= 0.05
+    assert retained <= 16 * (grid.nu + grid.nv) + 4096
+
+
+# --- the memo of quadratic statistics -----------------------------------------
+
+
+def _unfused_gram(psi, code, ec_phase):
+    """The Gram matrix entry by entry, each half's own ``|psi|^2`` row sums and one block
+    loop per cross entry: the reference that the fused pass matches bit for bit."""
+    f, g = gkp._sectors(psi, code)
+    mat = np.empty((2, 2), dtype=np.complex128)
+    for ell, gamma in enumerate((f, g)):
+        parts = np.ascontiguousarray(gamma.samples).view(np.float64)
+        mat[ell, ell] = float(np.einsum("ij,ij->i", parts, parts).sum()) * gamma.grid.cell_area
+    grid, area = f.grid, f.grid.cell_area
+    weight = np.exp(1j * code.alpha * grid.v_values()) if ec_phase else None
+    f, g = f.samples, g.samples
+    step = max(1, 8192 // f.shape[1])
+    rows = np.empty(len(f), dtype=np.complex128)
+    for i in range(0, len(f), step):
+        block = np.conjugate(g[i:i + step]) * f[i:i + step]
+        rows[i:i + step] = block.sum(axis=1) if weight is None else block @ weight
+    mat[0, 1] = rows.sum() * area
+    mat[1, 0] = mat[0, 1].conjugate()
+    return mat
+
+
+def _fresh(psi):
+    """A new state on ``psi``'s (frozen) samples, with an empty memo."""
+    return ModularWavefunction(psi.grid, psi.samples)
+
+
+def _memo_corpus(code):
+    yield "random 512x512", random_state(code.grid(512, 512), 11)
+    grid = code.grid(96, 90)
+    yield "gkp-approx:0.3:1 96x90", apply_X(zak_transform(approx_codeword(code, 1, 0.3), grid, 16), 3 * grid.du)
+    yield "vacuum 96x90", zak_transform(vacuum(), grid, 16)
+
+
+def _four_maps(psi, code, ec_first):
+    s = ssd.to_ssd(psi, code)
+    maps = [("trace", lambda: ssd.gauge_trace(s)), ("overlap", lambda: logical_from_overlap(psi, code)),
+            ("ec-trace", lambda: ssd.ec_gauge_trace(s)), ("ec-channel", lambda: ec_channel_logical(psi, code))]
+    return {name: fn() for name, fn in (maps[2:] + maps[:2] if ec_first else maps)}
+
+
+def test_memoized_maps_are_bitwise_equal_in_either_order(code):
+    for label, psi in _memo_corpus(code):
+        plain_first, ec_first = _four_maps(_fresh(psi), code, False), _four_maps(_fresh(psi), code, True)
+        for ec_phase, names in ((False, ("trace", "overlap")), (True, ("ec-trace", "ec-channel"))):
+            reference = LogicalQubit.from_unnormalized(_unfused_gram(psi, code, ec_phase))
+            for q in [results[name] for results in (plain_first, ec_first) for name in names]:
+                assert np.array_equal(q.matrix, reference.matrix), label
+                assert q.raw_trace == reference.raw_trace, label
+        parts = np.ascontiguousarray(psi.samples).view(np.float64)
+        unfused = float(np.einsum("ij,ij->i", parts, parts).sum()) * psi.grid.cell_area
+        assert _fresh(psi).norm_squared() == psi.norm_squared() == unfused, label
+
+
+def test_refused_grid_is_refused_in_either_order_and_memoizes_no_gram(code):
+    psi = zak_transform(vacuum(), code.grid(68, 16), 16)  # Nu/2 = 34 is not a multiple of 4
+    for ec_first in (False, True, False):
+        with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 34"):
+            _four_maps(psi, code, ec_first)
+    assert not any(key[0] == "gram" for key in psi._memo)
+
+
+def test_one_cross_sum_pass_per_state_and_alpha(code, monkeypatch):
+    passes = []
+    grid_grams = gkp._grid_grams
+    monkeypatch.setattr(gkp, "_grid_grams", lambda psi, c: passes.append(c.alpha) or grid_grams(psi, c))
+    psi = _fresh(random_state(code.grid(64, 64), 3))
+    near = GKPCode(code.alpha * (1 + 5e-13))  # a patch that approx_equal accepts
+    assert near.full_patch().approx_equal(code.full_patch()) and near.alpha != code.alpha
+    for _ in range(2):
+        _chain(psi, code)
+    assert passes == [code.alpha]
+    ec_near = ec_channel_logical(psi, near)
+    assert passes == [code.alpha, near.alpha]
+    _chain(psi, near)
+    assert passes == [code.alpha, near.alpha]
+    # each alpha has its own EC Gram, the one a fresh state computes
+    assert not np.array_equal(gkp._gram(psi, code, True), gkp._gram(psi, near, True))
+    assert np.array_equal(ec_near.matrix, ec_channel_logical(_fresh(psi), near).matrix)
+    assert np.array_equal(ec_channel_logical(psi, code).matrix, ec_channel_logical(_fresh(psi), code).matrix)
+
+
+def test_memoized_statistics_are_read_only(code):
+    psi = _fresh(random_state(code.grid(64, 64), 4))
+    arrays = [*psi.marginals(), gkp._gram(psi, code, False), gkp._gram(psi, code, True)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert psi.marginals()[0] is arrays[0] and gkp._gram(psi, code, True) is arrays[3]
+
+
+def test_each_statistic_memoizes_only_the_passes_it_reads(code):
+    # a lone norm or Gram reads the row marginal only; the column pass is the residual's
+    base = random_state(code.grid(64, 64), 5)
+    psi = _fresh(base)
+    psi.norm_squared()
+    assert set(psi._memo) == {("marginal", 1)}
+    psi = _fresh(base)
+    logical_from_overlap(psi, code)
+    assert set(psi._memo) == {("marginal", 1), ("gram", code.alpha)}
+    stabilizer_residual(psi, code)
+    assert set(psi._memo) == {("marginal", 1), ("marginal", 0), ("gram", code.alpha)}
+
+
+def test_grid_states_pair_only_with_themselves(code):
+    f, g = gkp._sectors(random_state(code.grid(64, 64), 6), code)
+    assert gkp._pair(f, f) == f.norm_squared()
+    with pytest.raises(TypeError, match="paired only with itself"):
+        gkp._pair(f, g)
+
+
+def test_racing_threads_fill_the_memo_with_the_same_bits(code):
+    # states are shared across threads: a racing fill computes the same value
+    def results(psi):
+        return [*((q.matrix.tobytes(), q.raw_trace) for q in _four_maps(psi, code, False).values()),
+                stabilizer_residual(psi, code), psi.norm_squared()]
+
+    base = random_state(code.grid(256, 256), 8)
+    expected = results(_fresh(base))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            psi, start = _fresh(base), threading.Barrier(4)
+            got = [None] * 4
+
+            def work(k):
+                start.wait(timeout=10)
+                got[k] = results(psi)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,11 +1,13 @@
-"""Check that two source trees give byte-identical CLI results.
+"""Check that two source trees give byte-identical CLI and library results.
 
     python tools/bytecheck.py OLD_SRC NEW_SRC
 
 Runs a fixed set of ``zakgkp`` command lines (``zakplot``, ``shift-array``,
-``logical`` and ``sweep``, on grid and ideal states, in csv and bin) once with
-each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
-directory.  Every output file and manifest is compared byte for byte, and so
+``logical`` and ``sweep``, on grid and ideal states, in csv and bin) and
+``libruns.py``, which writes the bits of in-process results the CLI never
+reaches (a grid state's logical maps, residuals, norm and ``pp_bridge`` round
+trip).  Each runs once with each ``src`` tree first on ``PYTHONPATH``, each
+tree in its own temporary directory.  Every output file and manifest is compared byte for byte, and so
 is each exit code, which must also be the one listed, so that a tree that
 cannot run fails rather than matching another that cannot; stderr is not
 compared.  Exits 1 on any difference, 0 when everything is identical.  With
@@ -43,14 +45,19 @@ RUNS = [
     (2, "shift-array --state gkp-approx:0.3:0 --grid 64x64 --out refused_steps"),  # dx not a grid step
 ]
 
+#: the CLI runs, then the library runs, as (expected exit code, label, interpreter arguments)
+COMMANDS = [(code, args, ["-m", "zakgkp.cli", *args.split()]) for code, args in RUNS] + [
+    (0, "libruns.py library.txt", [os.path.join(os.path.dirname(os.path.abspath(__file__)), "libruns.py"), "library.txt"]),
+]
+
 
 def run_all(src, workdir):
-    """Exit codes of RUNS under ``src`` and the bytes of every file they wrote."""
+    """Exit codes of COMMANDS under ``src`` and the bytes of every file they wrote."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     codes = [
-        subprocess.run([sys.executable, "-m", "zakgkp.cli", *args.split()], cwd=workdir, env=env,
+        subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-        for _, args in RUNS
+        for _, _, argv in COMMANDS
     ]
     files = {}
     for folder, _, names in os.walk(workdir):
@@ -72,13 +79,13 @@ def main(argv):
             results.append(run_all(src, os.path.join(tmp, side)))
     (old_codes, old_files), (new_codes, new_files) = results
     differ = [f"exit codes {a}, {b} (expected {code}): {args}"
-              for (code, args), a, b in zip(RUNS, old_codes, new_codes) if not code == a == b]
+              for (code, args, _), a, b in zip(COMMANDS, old_codes, new_codes) if not code == a == b]
     differ += [f"{name}: {'differs' if name in old_files and name in new_files else 'only one side'}"
                for name in sorted(old_files.keys() | new_files.keys())
                if old_files.get(name) != new_files.get(name)]
     for line in differ:
         print(line)
-    print(f"{len(RUNS)} runs, {len(old_files | new_files)} files: "
+    print(f"{len(COMMANDS)} runs, {len(old_files | new_files)} files: "
           + (f"{len(differ)} differences" if differ else "byte-identical, exit codes as expected"))
     return 1 if differ else 0
 
