@@ -9,10 +9,11 @@ CSV grid layout (numbers in shortest round-trip decimal form):
     ...
 
 The loader reconstructs the patch from ``a = du*Nu`` and
-``b = 2*pi/(dv*Nv)``, exact for power-of-two sample counts.  It reads the
-rows ``core.BLOCK_ROWS * Nv`` lines at a time with numpy's C parser and
-scatters each block into the one result array; a block that parser refuses
-is read again line by line, so the first bad line is named.
+``b = 2*pi/(dv*Nv)``, exact for power-of-two sample counts.  The line reader
+defines a row.  numpy reads a file it accepts ``core.BLOCK_ROWS * Nv`` rows at
+a time from the file; on any refusal the line reader reads the body again from
+the data header and names the first bad line in file order.  A load peaks at
+no more than three grids.
 
 Binary grid layout: a 48-byte little-endian header
 
@@ -29,7 +30,6 @@ behind.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -155,22 +155,15 @@ def _numpy_parses_as_python(path):
     return True
 
 
-def _load_block(lines):
-    """``np.loadtxt`` of the CSV rows ``lines``.  numpy versions that parse an
-    integer field such as ``3.0`` through a float only warn; here the warning
-    is raised, so the block is refused, as ``int()`` refuses the field."""
+def _load_block(fh, rows):
+    """``np.loadtxt`` of the next ``rows`` CSV rows of ``fh``; blank lines are not
+    rows.  numpy versions that parse an integer field such as ``3.0`` through a
+    float only warn; here that refuses the block, as ``int()`` refuses the field."""
     # the lock keeps two loads from restoring each other's warning filters
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
-
-
-def _outside(path, j, k, nu, nv):
-    return ValueError(f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid")
-
-
-def _repeated(path, j, k):
-    return ValueError(f"{path}: sample ({j}, {k}) appears more than once")
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1, max_rows=rows)
 
 
 def _scan_rows(path, lines, samples, seen):
@@ -187,54 +180,42 @@ def _scan_rows(path, lines, samples, seen):
                 raise ValueError(f"{path}: expected j,k,re,im, got {line!r}") from None
             continue
         if not (0 <= j < nu and 0 <= k < nv):
-            raise _outside(path, j, k, nu, nv)
+            raise ValueError(f"{path}: sample index ({j}, {k}) lies outside the {nu}x{nv} grid")
         i = j * nv + k
         if seen[i]:
-            raise _repeated(path, j, k)
+            raise ValueError(f"{path}: sample ({j}, {k}) appears more than once")
         seen[i] = True
         flat[i] = value
 
 
-def _scatter_rows(path, rows, samples, seen):
-    """:func:`_scan_rows` for rows numpy has parsed: the first row, in file
-    order, whose index lies outside the grid or was seen before is refused."""
+def _scatter_rows(rows, samples, seen):
+    """Write rows numpy parsed into ``samples``, marking ``seen``; an index outside
+    the grid or seen before raises a bare ValueError, for :func:`_scan_rows` to name."""
     nu, nv = samples.shape
     j, k = rows["j"], rows["k"]
-    outside = (j < 0) | (j >= nu) | (k < 0) | (k >= nv)
-    n = int(outside.argmax()) if outside.any() else len(rows)
-    index = j[:n] * nv + k[:n]
-    repeat = seen[index]
-    # a stable sort keeps equal indices in file order: each after the first repeats
-    order = np.argsort(index, kind="stable")
-    repeat[order[1:]] |= index[order[1:]] == index[order[:-1]]
-    if repeat.any():
-        i = int(repeat.argmax())
-        raise _repeated(path, j[i], k[i])
-    if n < len(rows):
-        raise _outside(path, j[n], k[n], nu, nv)
+    if j.min() < 0 or j.max() >= nu or k.min() < 0 or k.max() >= nv:
+        raise ValueError
+    index = j * nv + k
+    count = np.count_nonzero(seen)
     seen[index] = True
+    if np.count_nonzero(seen) - count != len(index):
+        raise ValueError
     flat = samples.reshape(-1)
     flat.real[index] = rows["re"]
     flat.imag[index] = rows["im"]
 
 
-def _read_blocks(path, fh, samples, seen):
-    """Parse the rest of ``fh`` into ``samples``, ``BLOCK_ROWS * Nv`` lines at a time."""
-    size = BLOCK_ROWS * samples.shape[1]
-    before = 3  # the file's lines before the current block
-    for first in fh:
-        if not first.strip():  # numpy warns on a block without data, so none starts blank
-            before += 1
-            continue
-        block = itertools.chain((first,), itertools.islice(fh, size - 1))
-        try:
-            rows = _load_block(block)
-        except (ValueError, DeprecationWarning):
-            fh.seek(0)
-            _scan_rows(path, itertools.islice(fh, before, before + size), samples, seen)
-        else:
-            _scatter_rows(path, rows, samples, seen)
-        before += size
+def _numpy_reads(fh, body, samples, seen):
+    """Whether numpy read the rest of ``fh`` into ``samples``, ``BLOCK_ROWS * Nv`` rows
+    at a time; a refusal clears ``seen`` and seeks back to the data header ``body``."""
+    try:
+        while len(rows := _load_block(fh, BLOCK_ROWS * samples.shape[1])):
+            _scatter_rows(rows, samples, seen)
+    except (ValueError, DeprecationWarning):
+        fh.seek(body)
+        seen[:] = False
+        return False
+    return True
 
 
 def load_grid_csv(path) -> ModularWavefunction:
@@ -255,16 +236,15 @@ def load_grid_csv(path) -> ModularWavefunction:
                 raise ValueError(f"{path}: bad grid line {grid_line!r}: {exc}") from None
             if fh.readline().strip() != "j,k,re,im":
                 raise ValueError(f"{path}: missing j,k,re,im data header")
+            body = fh.tell()
             # a row takes at least 8 bytes ("0,0,0,0\n"), the last one 7
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            left = os.fstat(fh.fileno()).st_size - body
             if left < 8 * nu * nv - 1:
                 raise ValueError(f"{path}: {left} bytes after the headers cannot hold "
                                  f"the {nu * nv} samples of a {nu}x{nv} grid")
             samples = np.empty((nu, nv), dtype=np.complex128)
             seen = np.zeros(nu * nv, dtype=bool)
-            if _numpy_parses_as_python(path):
-                _read_blocks(path, fh, samples, seen)
-            else:
+            if not (_numpy_parses_as_python(path) and _numpy_reads(fh, body, samples, seen)):
                 _scan_rows(path, fh, samples, seen)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not an ASCII file: {exc}") from None

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 import warnings
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword
+from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword, gridio
 from zakgkp.gridio import (
     _HEADER,
     MAGIC,
@@ -423,10 +425,9 @@ def test_csv_reads_fields_as_int_and_float_do(code, tmp_path, row, loads):
 
 
 @pytest.mark.parametrize("start", [0, 256], ids=["first-block", "second-block"])
-def test_csv_block_read_line_by_line_leaves_the_other_blocks_in_place(code, tmp_path, start):
+def test_csv_numpy_refusal_in_either_block_loads_through_the_line_reader(code, tmp_path, monkeypatch, start):
     # numpy refuses the underscore (body row start + 100) and the whitespace-only line
-    # (before row start + 200), so that block is read again line by line; the blocks
-    # after it must start where they did, one row later
+    # (before row start + 200); the line reader reads both, so the file loads bit for bit
     path, lines = block_lines(code, tmp_path)
     expected = load_grid_csv(path).samples
     j, k, re, im = lines[3 + start + 100].split(",")
@@ -434,19 +435,23 @@ def test_csv_block_read_line_by_line_leaves_the_other_blocks_in_place(code, tmp_
     lines = _with_row(lines, start + 100, f"{j},{k},{re[:cut]}_{re[cut:]},{im}")
     lines.insert(3 + start + 200, "  ")
     path.write_text("\n".join(lines) + "\n")
+    scans = []
+    scan_rows = gridio._scan_rows
+    monkeypatch.setattr(gridio, "_scan_rows", lambda *args: scans.append(scan_rows(*args)))
     assert np.array_equal(bits(load_strict(path).samples), bits(expected))
+    assert len(scans) == 1
 
 
 def test_csv_refuses_an_index_numpy_reads_through_a_float_with_a_warning(code, tmp_path, monkeypatch):
     # numpy versions that parse "75.0" for an integer field warn and go on
     loadtxt = np.loadtxt
 
-    def warning_loadtxt(lines, **kwargs):
-        lines = list(lines)
+    def warning_loadtxt(fh, max_rows, **kwargs):
+        lines = list(itertools.islice(fh, max_rows))
         if any("." in line.split(",", 1)[0] for line in lines):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
             lines = [line.replace(".0,", ",", 1) for line in lines]
-        return loadtxt(lines, **kwargs)
+        return loadtxt(lines, max_rows=max_rows, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     path, lines = block_lines(code, tmp_path)
@@ -456,6 +461,49 @@ def test_csv_refuses_an_index_numpy_reads_through_a_float_with_a_warning(code, t
         with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '75\.0,0,"):
             load_grid_csv(path)
     assert caught == []
+
+
+# edits of a saved 96x96 grid, whose 9216 body rows are a block of 6144 and one of
+# 3072, each with the outcome the line reader gives it (None: the file loads)
+DIFFERENTIAL_EDITS = {
+    "non-ascii-early": (lambda lines: _with_row(lines, 10, lines[3 + 10] + "\u00e9"), r"not an ASCII file"),
+    "non-ascii-late": (lambda lines: _with_row(lines, 9000, lines[3 + 9000] + "\u00e9"), r"not an ASCII file"),
+    "repeat-across-blocks": (lambda lines: _with_row(lines, 6144, lines[3 + 6143]),
+                             r"sample \(63, 95\) appears more than once"),
+    "outside-then-malformed": (lambda lines: _with_row(_with_row(lines, 100, "96" + lines[3 + 100][1:]), 200, "0,1,2"),
+                               r"sample index \(96, 4\) lies outside the 96x96 grid"),
+    "malformed-then-outside": (lambda lines: _with_row(_with_row(lines, 100, "0,1,2"), 7000, "-1" + lines[3 + 7000][2:]),
+                               r"expected j,k,re,im, got '0,1,2\\n'"),
+    "underscore": (lambda lines: _with_row(lines, 5000, "52,8,1_0.5,2"), None),
+    "separator": (lambda lines: _with_row(lines, 8000, lines[3 + 8000] + "\x1c"), r"expected j,k,re,im, got '83,32,"),
+    "extra-row": (lambda lines: lines + [lines[3 + 1234]], r"sample \(12, 82\) appears more than once"),
+    "missing-rows": (lambda lines: lines[:-10], r"10 of 9216 samples missing, the first at \(95, 86\)"),
+    "blank-lines": (lambda lines: lines[:3] + [""] * 3 + lines[3:6147] + ["", ""] + lines[6147:] + [""] * 5, None),
+    "float-index": (lambda lines: _with_row(lines, 7000, "72.0" + lines[3 + 7000][2:]), r"expected j,k,re,im, got '72\.0,"),
+}
+
+
+@pytest.mark.parametrize("edit", DIFFERENTIAL_EDITS)
+def test_csv_load_matches_the_line_reader_alone(code, tmp_path, monkeypatch, edit):
+    # load_grid_csv gives the bits or the message of _scan_rows over the whole body
+    change, message = DIFFERENTIAL_EDITS[edit]
+    path = tmp_path / "grid.csv"
+    save_grid_csv(random_state(code.grid(96, 96), 79), path)
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n", encoding="utf-8")
+
+    def outcome():
+        try:
+            return bits(load_strict(path).samples).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(gridio, "_numpy_parses_as_python", lambda path: False)
+    assert outcome() == got
+    if message is None:
+        assert isinstance(got, bytes)
+    else:
+        assert re.match(rf"{re.escape(str(path))}: {message}", got)
 
 
 def test_csv_refuses_a_non_ascii_file_naming_it(code, tmp_path):
@@ -489,10 +537,8 @@ def test_csv_size_check_admits_minimal_rows(tmp_path):
     assert not load_grid_csv(path).samples.any()
 
 
-def test_csv_load_peak_is_at_most_three_grids(code, tmp_path):
-    psi = random_state(code.grid(256, 256), 78)
-    path = tmp_path / "grid.csv"
-    save_grid_csv(psi, path)
+def load_peak(path):
+    """The samples ``load_grid_csv`` reads from ``path`` and its traced peak in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -500,5 +546,27 @@ def test_csv_load_peak_is_at_most_three_grids(code, tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert np.array_equal(loaded.samples, psi.samples)
+    return loaded.samples, peak
+
+
+def test_csv_load_peak_is_at_most_three_grids(code, tmp_path):
+    psi = random_state(code.grid(256, 256), 78)
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    samples, peak = load_peak(path)
+    assert np.array_equal(samples, psi.samples)
+    assert peak <= 3 * psi.samples.nbytes
+
+
+def test_csv_load_peak_is_at_most_three_grids_when_the_last_block_is_refused(code, tmp_path):
+    # numpy refuses a whitespace-only line in the last block, so the line reader reads
+    # the whole body again into the same samples and seen mask
+    psi = random_state(code.grid(256, 256), 78)
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)
+    lines = path.read_text().splitlines()
+    lines.insert(len(lines) - 10, "  ")
+    path.write_text("\n".join(lines) + "\n")
+    samples, peak = load_peak(path)
+    assert np.array_equal(samples, psi.samples)
     assert peak <= 3 * psi.samples.nbytes

@@ -6,8 +6,9 @@ Runs a fixed set of ``zakgkp`` command lines (``zakplot``, ``shift-array``,
 ``logical`` and ``sweep``, on grid and ideal states, in csv and bin) and
 ``libruns.py``, which writes the bits of in-process results the CLI never
 reaches (a grid state's logical maps, residuals, norm and ``pp_bridge`` round
-trip).  Each runs once with each ``src`` tree first on ``PYTHONPATH``, each
-tree in its own temporary directory.  Every output file and manifest is compared byte for byte, and so
+trip, and what ``load_grid_csv`` reads from edited CSV files).  Each runs once
+with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
+directory.  Every output file and manifest is compared byte for byte, and so
 is each exit code, which must also be the one listed, so that a tree that
 cannot run fails rather than matching another that cannot; stderr is not
 compared.  Exits 1 on any difference, 0 when everything is identical.  With

@@ -7,17 +7,23 @@ shifted off its nodes, a seeded random state, at 64x64, 96x90, 128x256 and
 512x512) and ideal states (both codewords and a shifted |+>), writes one line
 per result to OUT: ``gauge_trace``, ``ec_gauge_trace``,
 ``logical_from_overlap``, ``ec_channel_logical``, ``stabilizer_residual``,
-``norm_squared`` and a ``pp_bridge`` round trip.  Floats are written with
-``float.hex`` and arrays as the SHA-256 of their bytes, so two trees agree on
-a line only when they agree bit for bit.  Every second state takes its EC
-maps before its plain ones.  :mod:`bytecheck` runs this under each tree: the
-CLI reaches none of these grid results.
+``norm_squared`` and a ``pp_bridge`` round trip.  It also writes a saved
+96x90 grid into the current directory as CSV files under relative names, one
+with its rows shuffled among blank lines and four edits of it (a repeat across
+row blocks, an underscore, a separator and a malformed line late in the file),
+and writes what ``load_grid_csv`` reads from each: its samples or its exact
+message.  Floats are written with ``float.hex`` and arrays as the SHA-256 of
+their bytes, so two trees agree on a line only when they agree bit for bit.
+Every second state takes its EC maps before its plain ones.  :mod:`bytecheck`
+runs this under each tree: the CLI reaches none of these grid results, and
+reads no grid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 import sys
 
 import numpy as np
@@ -36,6 +42,7 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
+from zakgkp.gridio import load_grid_csv, save_grid_csv
 from zakgkp.ssd import ec_gauge_trace, gauge_trace, pp_bridge, pp_bridge_inverse, to_ssd
 
 
@@ -66,6 +73,33 @@ def ideal_states(code):
     yield "gkp0", codeword(code, 0)
     yield "gkp1", codeword(code, 1)
     yield "shifted |+>", apply_X(apply_Z(plus, 0.21), 0.3 * code.alpha)
+
+
+def csv_files(code):
+    """``(name, lines)`` of CSV grid files: a saved 96x90 grid, whose 8640 rows are
+    a block of 5760 and one of 2880, with its rows shuffled among blank lines, and
+    four edits of the saved rows."""
+    save_grid_csv(zak_transform(approx_codeword(code, 1, 0.3), code.grid(96, 90), 16), "grid96x90.csv")
+    with open("grid96x90.csv", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    head, rows = lines[:3], lines[3:]
+    shuffled = rows[:]
+    random.Random(24).shuffle(shuffled)
+    for at in (8640, 5760, 100, 0):
+        shuffled[at:at] = ["", "  "]
+    yield "shuffled.csv", head + shuffled
+    yield "repeat-across-blocks.csv", head + rows[:5760] + [rows[5759]] + rows[5761:]
+    yield "underscore.csv", head + rows[:4000] + ["44,40,1_0.5,2"] + rows[4001:]
+    yield "separator.csv", head + rows[:7000] + [rows[7000] + "\x1c"] + rows[7001:]
+    yield "malformed-late.csv", head + rows[:8500] + ["94,40,0.5"] + rows[8501:]
+
+
+def loaded(name):
+    """The bits of the samples ``load_grid_csv`` reads from ``name``, or its message."""
+    try:
+        return bits(load_grid_csv(name).samples)
+    except ValueError as exc:
+        return repr(str(exc))
 
 
 def results(label, state, code, ec_first):
@@ -99,6 +133,10 @@ def main(argv):
         for index, (label, state) in enumerate(states):
             for line in results(label, state, code, ec_first=index % 2 == 1):
                 fh.write("  ".join(line) + "\n")
+        for name, lines in csv_files(code):
+            with open(name, "w", encoding="ascii") as out:
+                out.write("\n".join(lines) + "\n")
+            fh.write(f"{name}  load_grid_csv  {loaded(name)}\n")
     return 0
 
 
