@@ -28,6 +28,7 @@ from . import gridio, operators
 from .core import (
     IdealZakState,
     ModularWavefunction,
+    _comb_rule,
     _frozen,
     comb_matrix,
     tabulated,
@@ -119,8 +120,6 @@ def _resolve_config(args):
     for key in ("dx", "dy"):
         if cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    if cfg["mmax"] <= 0:
-        raise ConfigError(f"mmax must be positive, got {cfg['mmax']!r}")
     for key, spec in _KEYS.items():
         if spec.choices and cfg[key] not in spec.choices:
             raise ConfigError(f"{key} must be one of {', '.join(spec.choices)}, got {cfg[key]!r}")
@@ -133,7 +132,10 @@ def _resolve_config(args):
     # alpha's rule, the grid's, or a period 2*alpha or v_min = -pi/(2 alpha) that overflows
     with _refused(f"alpha={cfg['alpha']!r}, grid={cfg['grid']!r}"):
         code = GKPCode(alpha=cfg["alpha"])
-        return cfg, code, code.grid(nu, nv)
+        grid = code.grid(nu, nv)
+    with _refused(f"mmax={cfg['mmax']!r}"):
+        _comb_rule(grid, cfg["mmax"])
+    return cfg, code, grid
 
 
 def _load_table(path):
@@ -156,12 +158,12 @@ def _load_table(path):
 
 def _parse_state(spec, code):
     """``(ell, state)`` of a state spec: the codeword index it targets (0 for vacuum and
-    tabulated) and the state it names, but None for a table, which only ``_build_state``
-    reads.  A ``gkp-approx`` spec's rules are ``approx_codeword``'s."""
+    tabulated) and the ideal state (an IdealZakState) or position-space descriptor it names.
+    A table's rules are ``tabulated``'s, and a ``gkp-approx`` spec's ``approx_codeword``'s."""
     if spec in ("gkp0", "gkp1"):
         return int(spec[-1]), codeword(code, int(spec[-1]))
     if spec == "vacuum" or spec.startswith("tabulated:"):
-        return 0, vacuum() if spec == "vacuum" else None
+        return 0, vacuum() if spec == "vacuum" else _load_table(spec.split(":", 1)[1])
     if not spec.startswith("gkp-approx:"):
         raise ConfigError(f"unknown state spec {spec!r}")
     with _refused(f"state {spec!r} must be gkp-approx:DELTA:ELL"):
@@ -169,12 +171,6 @@ def _parse_state(spec, code):
         delta, ell = float(delta), int(ell)
     with _refused(f"state {spec!r}"):
         return ell, approx_codeword(code, ell, delta)
-
-
-def _build_state(cfg, code):
-    """The ideal state (an IdealZakState) or the position-space descriptor the spec names."""
-    state = _parse_state(cfg["state"], code)[1]
-    return state if state is not None else _load_table(cfg["state"].split(":", 1)[1])
 
 
 def _require_gauge_halves(command, code, grid):
@@ -186,7 +182,7 @@ def _require_gauge_halves(command, code, grid):
 
 def _build_comb(cfg, code, grid):
     """The ideal state, or the comb matrix of the transform of the described state."""
-    state = _build_state(cfg, code)
+    state = _parse_state(cfg["state"], code)[1]
     if isinstance(state, IdealZakState):
         return state
     _require_gauge_halves("logical", code, grid)
@@ -223,7 +219,7 @@ def _derived(psi, ufunc, *inputs):
 
 
 def cmd_zakplot(cfg, code, grid):
-    state = _build_state(cfg, code)
+    state = _parse_state(cfg["state"], code)[1]
     out = cfg["out"]
     if isinstance(state, IdealZakState):
         gridio.save_point_list_csv(state, out)
@@ -242,7 +238,7 @@ def cmd_shift_array(cfg, code, grid):
     # the manifest echoes the steps used
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
-    state = _build_state(cfg, code)
+    state = _parse_state(cfg["state"], code)[1]
     ideal = isinstance(state, IdealZakState)
     with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):  # before the transform and the output directory
         if ideal:  # the patch counts the largest panel's shifts, and its phase does not overflow

@@ -56,13 +56,24 @@ MAX_TEETH = 1201
 #: largest relative truncation bound :func:`zak_transform` accepts
 TAIL_TOL = 1e-12
 
+#: most complex samples numpy can index in one array
+MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
 #: grid rows per block: contracted in one matrix product, checked and written at once
 BLOCK_ROWS = 64
 
 
+def _float(value, kind=float):
+    """``kind(value)``, a float or a complex, but an int past the float range is the infinity of its sign."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return kind(math.inf if value > 0 else -math.inf)
+
+
 def _finite(name, value, positive=False):
     """``value`` as a float; ValueError naming ``name`` unless it is finite (and positive)."""
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value) or (positive and value <= 0):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
@@ -138,12 +149,8 @@ class ZakPatch:
     def approx_equal(self, other):
         rtol = 1e-12
         scale = max(abs(self.a), abs(other.a))
-        return (
-            math.isclose(self.a, other.a, rel_tol=rtol, abs_tol=rtol * scale)
-            and math.isclose(self.b, other.b, rel_tol=rtol, abs_tol=rtol * scale)
-            and math.isclose(self.u_min, other.u_min, rel_tol=rtol, abs_tol=rtol * scale)
-            and math.isclose(self.v_min, other.v_min, rel_tol=rtol, abs_tol=rtol * scale)
-        )
+        return all(math.isclose(getattr(self, name), getattr(other, name), rel_tol=rtol, abs_tol=rtol * scale)
+                   for name in ("a", "b", "u_min", "v_min"))
 
     def __eq__(self, other):
         if not isinstance(other, ZakPatch):
@@ -164,7 +171,8 @@ class ZakGrid:
     """Uniform discretization of a patch with ``nu`` by ``nv`` samples.
 
     ``nu`` must be divisible by 4 and ``nv`` even so that (0, 0) and
-    (a/2, 0) fall on grid nodes for default-centered patches.
+    (a/2, 0) fall on grid nodes for default-centered patches, and numpy
+    must be able to index ``nu x nv`` complex samples.
     """
 
     __slots__ = ("patch", "nu", "nv", "du", "dv")
@@ -174,6 +182,8 @@ class ZakGrid:
             raise ValueError(f"nu must be a positive multiple of 4, got {nu}")
         if nv <= 0 or nv % 2 != 0:
             raise ValueError(f"nv must be a positive even integer, got {nv}")
+        if nu * nv > MAX_SAMPLES:
+            raise ValueError(f"a {nu}x{nv} grid is past numpy's size limit of {MAX_SAMPLES} complex samples")
         self.patch = patch
         self.nu = int(nu)
         self.nv = int(nv)
@@ -196,36 +206,33 @@ class ZakGrid:
         return (self.nu // 4, self.nv // 2)
 
     @staticmethod
-    def _steps(what, t, step, name, count=None):
-        """The whole number of cells of width ``step`` in ``t``, and below ``count`` if one is
-        given: the one grid-multiple rule, for a shift and for a coordinate's offset from the
-        patch edge.  OffGridError naming ``what`` unless ``t`` is finite and within ``NODE_TOL``
-        cells of a whole number."""
+    def _steps(what, x, step, name, start=0.0, count=None):
+        """The whole number of cells of width ``step`` in ``t = x - start``, and below ``count`` if
+        one is given: the one grid-multiple rule, for a shift and for a coordinate's offset from
+        the patch edge.  OffGridError naming ``what``, formatted with ``x`` as a float, unless
+        ``t`` is finite and within ``NODE_TOL`` cells of a whole number."""
+        t = (x := _float(x)) - start
         n = round(t / step) if math.isfinite(t / step) else 0  # a count past the float range: refused
         if not abs(t - n * step) <= NODE_TOL * step:  # NaN too
-            raise OffGridError(f"{what} is not an integer multiple of {name}={step!r}")
+            raise OffGridError(f"{what.format(x)} is not an integer multiple of {name}={step!r}")
         if count is not None and not 0 <= n < count:
-            raise OffGridError(f"{what} lies outside the patch")
+            raise OffGridError(f"{what.format(x)} lies outside the patch")
         return n
 
     def u_index(self, u):
-        return self._steps(f"u={u!r} (from u_min)", u - self.patch.u_min, self.du, "du", self.nu)
+        return self._steps("u={!r} (from u_min)", u, self.du, "du", self.patch.u_min, self.nu)
 
     def v_index(self, v):
-        return self._steps(f"v={v!r} (from v_min)", v - self.patch.v_min, self.dv, "dv", self.nv)
+        return self._steps("v={!r} (from v_min)", v, self.dv, "dv", self.patch.v_min, self.nv)
 
     def u_steps(self, t):
-        return self._steps(f"shift {t!r}", t, self.du, "du")
+        return self._steps("shift {!r}", t, self.du, "du")
 
     def v_steps(self, t):
-        return self._steps(f"shift {t!r}", t, self.dv, "dv")
+        return self._steps("shift {!r}", t, self.dv, "dv")
 
     def compatible(self, other):
-        return (
-            self.nu == other.nu
-            and self.nv == other.nv
-            and self.patch.approx_equal(other.patch)
-        )
+        return (self.nu, self.nv) == (other.nu, other.nv) and self.patch.approx_equal(other.patch)
 
     def __eq__(self, other):
         if not isinstance(other, ZakGrid):
@@ -350,7 +357,7 @@ class IdealZakState:
         merged: dict[tuple[float, float], complex] = {}
         for (x, y), w in items:
             u, v, n = patch.reduce(x, y)
-            w = merged[(u, v)] = merged.get((u, v), 0j) + complex(w) * cmath.exp(-1j * patch.b * n * v)
+            w = merged[(u, v)] = merged.get((u, v), 0j) + _float(w, complex) * cmath.exp(-1j * patch.b * n * v)
             if not cmath.isfinite(w):
                 raise ValueError(f"the weight at ({float(x)!r}, {float(y)!r}), in the patch, is not finite: {w}")
         self.patch = patch
@@ -546,8 +553,10 @@ class TabulatedState:
     __slots__ = ("xs", "values", "step", "_scale", "_weights")
 
     def __init__(self, xs, values):
-        xs = np.asarray(xs, dtype=float)
-        values = np.asarray(values, dtype=np.complex128)
+        try:
+            xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=np.complex128)
+        except OverflowError:  # an int past the float range: an infinity, refused below with its index
+            xs, values = np.array([_float(x) for x in xs]), np.array([_float(w, complex) for w in values])
         if xs.ndim != 1 or xs.shape != values.shape:
             raise ValueError("xs and values must be 1-d arrays of equal length")
         if not len(xs):
@@ -628,6 +637,12 @@ class CombMatrix:
         return self.grid.patch
 
 
+def _comb_rule(grid, m_max):
+    """ValueError unless ``m_max`` is positive and numpy can index the ``Nu x (2 m_max + 1)`` comb matrix."""
+    if not 0 < m_max <= (MAX_SAMPLES // grid.nu - 1) // 2:
+        raise ValueError(f"m_max must be positive, with a {grid.nu} x (2 m_max + 1) comb numpy can index, got {m_max}")
+
+
 def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     """The comb matrix of the transform of ``state``, summed over ``m in [-m_max, m_max]``.
 
@@ -641,8 +656,7 @@ def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     tooth nearest to the sample.  Raises :class:`TruncationError` when the
     bound exceeds :data:`TAIL_TOL` or is NaN.
     """
-    if m_max <= 0:
-        raise ValueError(f"m_max must be positive, got {m_max}")
+    _comb_rule(grid, m_max)
     patch = grid.patch
     u = grid.u_values()
     m = np.arange(-m_max, m_max + 1)
@@ -700,13 +714,13 @@ def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
 def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex:
     """Recover ``psi_x(u + a*n)`` from the v grid line at ``u`` (a Riemann sum).
 
-    ``u`` must be a grid node; this operation never interpolates.
+    ``u`` must be a grid node; this operation never interpolates.  An
+    ``n`` whose phase ``b n v`` leaves the float range raises ValueError.
     """
-    grid = psi.grid
-    j = grid.u_index(u)
+    grid, n = psi.grid, _float(n)
     v = grid.v_values()
-    row = psi.samples[j, :]
-    total = np.sum(np.exp(1j * grid.patch.b * n * v) * row) * grid.dv
+    _finite(f"the largest phase b n v for n={n!r}", grid.patch.b * n * float(np.abs(v).max()))
+    total = np.sum(np.exp(1j * grid.patch.b * n * v) * psi.samples[grid.u_index(u)]) * grid.dv
     return complex(math.sqrt(grid.patch.b / (2 * math.pi)) * total)
 
 

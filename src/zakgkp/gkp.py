@@ -34,6 +34,7 @@ from .core import (
     ZakGrid,
     ZakPatch,
     _finite,
+    _float,
     _frozen,
     gaussian_comb,
 )
@@ -171,7 +172,7 @@ class MixtureState:
     __slots__ = ("components",)
 
     def __init__(self, components):
-        components = [(float(p), state) for p, state in components]
+        components = [(_float(p), state) for p, state in components]
         for p, _ in components:
             if not p >= 0:  # NaN too
                 raise ValueError(f"mixture probability {p!r} is not a nonnegative number")

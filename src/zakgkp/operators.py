@@ -19,7 +19,7 @@ import cmath
 
 import numpy as np
 
-from .core import IdealZakState, _finite, _frozen
+from .core import IdealZakState, _finite, _float, _frozen
 
 __all__ = [
     "apply_phase_u",
@@ -36,11 +36,12 @@ __all__ = [
 def _displace(state, pu=None, pv=None, su=None, sv=None):
     """``P_U(pu) P_V(pv) T_U(su) T_V(sv) state``, the displacement every operator is; None skips a factor.
 
-    Ideal points are mapped once for the shift (construction canonicalizes, with the u-wrap phase) and
-    once per phase.  A grid is rolled into one new array, each block written already multiplied by its
-    factors: ``exp(-i b v)`` on wrapped rows, ``exp(-i b k v)`` for ``k`` full turns, then the phases.
-    No operator shifts both arguments or phases the one it shifts; the grid branch handles neither.
+    No operator shifts both arguments, phases the one it shifts or applies two phases.  Ideal points are
+    mapped once for the shift (construction canonicalizes, with the u-wrap phase) and once for the phase.
+    A grid is rolled into one new array, each block written once with at most one factor: a u-shift by
+    ``(k Nu + r) du`` turns its ``r`` wrapped rows ``k + 1`` times by ``exp(-i b v)`` and the rest ``k``.
     """
+    pu, pv, su, sv = (None if t is None else _float(t) for t in (pu, pv, su, sv))
     if isinstance(state, IdealZakState):
         for t, fn in ((sv, lambda p, w: ((p[0], p[1] + sv), w)), (su, lambda p, w: ((p[0] + su, p[1]), w)),
                       (pv, lambda p, w: (p, w * cmath.exp(1j * p[1] * pv))),
@@ -50,20 +51,18 @@ def _displace(state, pu=None, pv=None, su=None, sv=None):
         return state
     grid, s = state.grid, state.samples
     u, v = grid.u_values()[:, None], grid.v_values()[None, :]
-    phases = [np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None]
+    phase = next((np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None), None)
     out = np.empty_like(s)
-    blocks = [(out, s, phases)]
+    blocks = [(out, s, phase)]
     if su is not None:
         (k, r), b = divmod(grid.u_steps(su), grid.nu), grid.patch.b
-        turns = ([np.exp(-1j * b * k * v)] if k else []) + phases
-        blocks = [(out[:r], s[len(s) - r:], [np.exp(-1j * b * v)] + turns), (out[r:], s[:len(s) - r], turns)]
+        blocks = [(dst, src, np.exp(-1j * (b * n) * v) if n else None)
+                  for dst, src, n in ((out[:r], s[len(s) - r:], k + 1), (out[r:], s[:len(s) - r], k))]
     elif sv is not None:
         r = grid.v_steps(sv) % grid.nv
-        blocks = [(out[:, :r], s[:, grid.nv - r:], phases), (out[:, r:], s[:, :grid.nv - r], phases)]
-    for dst, src, factors in blocks:
-        np.multiply(src, factors[0], out=dst) if factors else np.copyto(dst, src)
-        for factor in factors[1:]:
-            dst *= factor
+        blocks = [(out[:, :r], s[:, grid.nv - r:], phase), (out[:, r:], s[:, :grid.nv - r], phase)]
+    for dst, src, factor in blocks:
+        np.copyto(dst, src) if factor is None else np.multiply(src, factor, out=dst)
     return state.with_samples(_frozen(out))
 
 

@@ -39,7 +39,7 @@ from zakgkp import (
     zak_transform,
 )
 from zakgkp.cli import main
-from zakgkp.core import comb_matrix
+from zakgkp.core import comb_matrix, inverse_zak_transform
 from zakgkp.gkp import GKPCode, approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
@@ -420,13 +420,22 @@ TABLE = "tabulated:{table}"
         # an off-grid step whose transform would also fail (a truncation past the tolerance)
         pytest.param(("shift-array", "--state", "gkp-approx:0.2:0", "--grid", "8x8", "--mmax", "4"), None,
                      id="off-grid-step-before-a-failing-transform"),
+        # sweep reads the table it never transforms, and refuses what the other commands refuse
+        pytest.param(("sweep", "--state", TABLE, "--grid", "64x64", "--deltas", "0.3"), None,
+                     id="sweep-missing-table"),
+        pytest.param(("sweep", "--state", TABLE, "--grid", "64x64", "--deltas", "0.3"), "0.0,0,0\n",
+                     id="sweep-all-zero-table"),
+        # a grid, or a Nu x (2 mmax + 1) comb, of complex samples past numpy's size limit
+        pytest.param(("logical", "--grid", "400000000000000000000x8"), None, id="grid-past-numpy-size"),
+        pytest.param(("logical", "--mmax", "1000000000000000000000000"), None, id="mmax-past-numpy-size"),
     ],
 )
 def test_invalid_input_is_a_config_error(tmp_path, capsys, args, table):
+    # a table spec names tmp_path/table.csv, which holds ``table`` or is missing
+    path = tmp_path / "table.csv"
     if table is not None:
-        path = tmp_path / "table.csv"
         path.write_text(table)
-        args = tuple(a.format(table=path) for a in args)
+    args = tuple(a.format(table=path) for a in args)
     out = tmp_path / "out.csv"
     # a --grid in args comes later, so it overrides the default 96x96
     assert run(args[0], "--grid", "96x96", *args[1:], "--out", out) == 2
@@ -641,7 +650,9 @@ def _mostly(ordinary, odd):
     return st.integers(0, 3).flatmap(lambda i: odd if i == 3 else ordinary)
 
 
-_EXTREME = [0.0, -1.0, 1e-320, 1e-300, 1e-5, 1e5, 2.5e153, 1e200, 1e308, math.inf, -math.inf, math.nan]
+# ints past the float range, which the library takes as infinities of their sign
+_EXTREME = [0.0, -1.0, 1e-320, 1e-300, 1e-5, 1e5, 2.5e153, 1e200, 1e308, math.inf, -math.inf, math.nan,
+            10**400, -10**400]
 _numbers = st.one_of(st.sampled_from(_EXTREME), st.floats(-10, 10), st.floats())
 _alphas = _mostly(st.floats(1.0, 2.5), st.sampled_from(_EXTREME))
 _deltas = _mostly(st.floats(0.2, 1.0), st.sampled_from(_EXTREME))
@@ -713,6 +724,7 @@ def test_cli_contract_holds_for_any_config(config):
 
 _CODE = GKPCode()
 _GRID = _CODE.grid(16, 16)
+HUGE = 10**400
 _GRID_STATES = {"vacuum": zak_transform(vacuum(), _GRID, 16),
                 "gkp-approx": zak_transform(approx_codeword(_CODE, 1, 0.4), _GRID, 16)}
 # the coordinate a phase multiplies, by operator: Z(t) = P_U(t) T_V(t)
@@ -721,7 +733,15 @@ _OPERATORS = [apply_X, apply_Z, apply_phase_u, apply_phase_v, apply_translate_u,
 # a number, or n 2^e grid steps: a shift the grid can count up to e = 1023
 _ts = st.one_of(_numbers, st.builds(lambda n, e, step: n * 2.0**e * step, st.integers(-3, 3),
                                     st.integers(0, 1023), st.sampled_from([_GRID.du, _GRID.dv])))
-_points = st.lists(st.tuples(st.tuples(_numbers, _numbers), st.builds(complex, _numbers, _numbers)), max_size=3)
+
+
+def _weight(re, im):
+    """``complex(re, im)``, or a drawn int itself: Python has no complex past the float range."""
+    ints = [part for part in (re, im) if isinstance(part, int)]
+    return ints[0] if ints else complex(re, im)
+
+
+_points = st.lists(st.tuples(st.tuples(_numbers, _numbers), st.builds(_weight, _numbers, _numbers)), max_size=3)
 
 
 def _refused_or(fn, *args):
@@ -760,7 +780,8 @@ def test_library_contract_holds_for_any_operator_word(start, word):
             return
         if op in _PHASED and isinstance(state, ModularWavefunction):
             x = _GRID.u_values() if _PHASED[op] == "u" else _GRID.v_values()
-            overflowed |= math.isfinite(t) and not math.isfinite(t * float(np.abs(x).max()))
+            # an int past the float range is refused as an infinite phase
+            overflowed |= isinstance(t, float) and math.isfinite(t) and not math.isfinite(t * float(np.abs(x).max()))
         state = _refused_or(op, state, t)
     if state is None:
         return
@@ -781,8 +802,8 @@ _BUILDERS = {
     "vacuum": lambda x, ell, rows: vacuum(x[0]),
     "gaussian_comb": lambda x, ell, rows: gaussian_comb(*x),
     "approx_codeword": lambda x, ell, rows: approx_codeword(_CODE, ell, x[0]),
-    "tabulated": lambda x, ell, rows: tabulated([r[0] for r in rows], [complex(*r[1:]) for r in rows]),
-    "IdealZakState": lambda x, ell, rows: IdealZakState(_CODE.full_patch(), {(x[0], x[1]): complex(*x[2:])}),
+    "tabulated": lambda x, ell, rows: tabulated([r[0] for r in rows], [_weight(*r[1:]) for r in rows]),
+    "IdealZakState": lambda x, ell, rows: IdealZakState(_CODE.full_patch(), {(x[0], x[1]): _weight(*x[2:])}),
     "MixtureState": lambda x, ell, rows: MixtureState([(x[0], codeword(_CODE, ell)), (x[1], codeword(_CODE, 1))]),
     "syndrome_reduce": lambda x, ell, rows: syndrome_reduce(_CODE, x[0], x[1]),
 }
@@ -888,6 +909,31 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
           for name, f in (("stabilizer_residual", lambda m: stabilizer_residual(m, _CODE)),
                           ("ec_kraus_amplitudes", lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda m: to_ssd(m, _CODE)))),
+        # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
+        # with a numpy warning: each is refused as the infinity of its sign
+        *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (
+            ("ZakPatch", lambda psi, ideal: ZakPatch(HUGE), ValueError, "period a must be .*, got inf"),
+            ("GKPCode", lambda psi, ideal: GKPCode(alpha=HUGE), ValueError, "alpha must be .*, got inf"),
+            ("vacuum", lambda psi, ideal: vacuum(-HUGE), ValueError, "offset must be finite, got -inf"),
+            ("approx_codeword", lambda psi, ideal: approx_codeword(_CODE, 0, HUGE), ValueError,
+             "delta must be positive and finite, got inf"),
+            ("tabulated-xs", lambda psi, ideal: tabulated([0.0, HUGE], [1.0, 1.0]), ValueError,
+             r"xs\[1\] is not finite: inf$"),
+            ("tabulated-values", lambda psi, ideal: tabulated([0.0, 1.0], [1.0, -HUGE]), ValueError,
+             r"values\[1\] is not finite: \(-inf\+0j\)$"),
+            ("u_index", lambda psi, ideal: psi.grid.u_index(HUGE), OffGridError, r"u=inf \(from u_min\)"),
+            ("apply_phase_u", lambda psi, ideal: apply_phase_u(psi, HUGE), ValueError, "phase must be finite, got inf"),
+            ("apply_X-grid", lambda psi, ideal: apply_X(psi, -HUGE), OffGridError, "shift -inf is not"),
+            ("apply_X-ideal", lambda psi, ideal: apply_X(ideal, HUGE), ValueError, "coordinate inf is not finite"),
+            ("apply_Z", lambda psi, ideal: apply_Z(psi, HUGE), ValueError, "phase must be finite, got inf"),
+            ("inverse_zak_transform", lambda psi, ideal: inverse_zak_transform(psi, 2**1023, 0.0), ValueError,
+             r"the largest phase b n v for n=8.98846567431158e\+307 must be finite, got inf"))),
+        # sizes past numpy's limit once raised its own ValueError, from inside np.arange
+        pytest.param(lambda psi, ideal: ZakGrid(ideal.patch, 4 * 10**20, 8), ValueError,
+                     "a 400000000000000000000x8 grid is past numpy's size limit", id="grid-size"),
+        pytest.param(lambda psi, ideal: comb_matrix(vacuum(), _GRID, 10**24), ValueError,
+                     r"with a 16 x \(2 m_max \+ 1\) comb numpy can index, got 1000000000000000000000000$",
+                     id="comb-size"),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):

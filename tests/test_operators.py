@@ -328,19 +328,20 @@ def test_z_is_roll_then_phase_bit_for_bit(code):
 
 
 def test_x_is_roll_then_wrap_phase_bit_for_bit(code):
+    # a shift by (k Nu + r) du turns the r wrapped rows k + 1 times by exp(-i b v) and the
+    # others k times, one net factor per block; a block with no net turn is the exact roll
     grid = code.grid(24, 40)
     psi = random_state(grid, 92)
     b, v = grid.patch.b, grid.v_values()
     for op in (apply_X, apply_translate_u):
         for m in _shift_counts(grid.nu):
             k, r = divmod(m, grid.nu)
-            expected = np.roll(psi.samples, r, axis=0)
-            if r:
-                expected[:r, :] *= np.exp(-1j * b * v)[None, :]
-            if k:
-                expected *= np.exp(-1j * b * k * v)[None, :]
             t = m * grid.du
-            assert np.array_equal(op(psi, t).samples, expected), (op.__name__, m)
+            shifted = op(psi, t).samples
+            rolled = np.roll(psi.samples, m, axis=0)
+            for rows, n in ((slice(None, r), k + 1), (slice(r, None), k)):
+                expected = rolled[rows] * np.exp(-1j * (b * n) * v)[None, :] if n else rolled[rows]
+                assert np.array_equal(shifted[rows], expected), (op.__name__, m, n)
             for state in _ideal_states(code):
                 expected_points = IdealZakState(state.patch, [((x + t, y), w) for (x, y), w in state.items()]).points
                 assert op(state, t).points == expected_points, (op.__name__, m, state)

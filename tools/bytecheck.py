@@ -11,12 +11,16 @@ with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
 directory.  Every output file and manifest is compared byte for byte, and so
 is each exit code, which must also be the one listed, so that a tree that
 cannot run fails rather than matching another that cannot; stderr is not
-compared.  Exits 1 on any difference, 0 when everything is identical.  With
+compared.  For each text file that differs, up to 20 differing lines are
+printed with their line numbers on each side and their first two fields
+(``label  name`` in ``library.txt``).  Exits 1 on any difference, 0 when
+everything is identical.  With
 the same tree on both sides it checks that reruns are deterministic.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import subprocess
 import sys
@@ -69,6 +73,31 @@ def run_all(src, workdir):
     return codes, files
 
 
+def differing_lines(old, new, limit=20):
+    """``line OLD -> NEW: FIELDS`` for up to ``limit`` lines that differ between two texts, and how
+    many more do: the first two fields of the line (split on two spaces, cut to 80 characters) and
+    its line number on each side, ``-`` on a side without a line of those fields in the same
+    differing stretch."""
+    a, b = old.splitlines(), new.splitlines()
+    fields = lambda line: "  ".join(line.split("  ")[:2])[:80]  # noqa: E731
+    entries = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            unpaired = {fields(a[i]): i + 1 for i in range(i1, i2)}
+            pairs = [(unpaired.pop(fields(b[j]), "-"), j + 1, fields(b[j])) for j in range(j1, j2)]
+            pairs += [(i, "-", key) for key, i in unpaired.items()]
+            entries += [f"line {i} -> {j}: {key}" for i, j, key in pairs]
+    return entries[:limit] + [f"and {len(entries) - limit} more lines"] * (len(entries) > limit)
+
+
+def text(data):
+    """``data`` decoded, or None for a file that is not text."""
+    try:
+        return None if b"\0" in data else data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
 def main(argv):
     if len(argv) != 2 or not all(os.path.isfile(os.path.join(src, "zakgkp", "cli.py")) for src in argv):
         print("usage: python tools/bytecheck.py OLD_SRC NEW_SRC (each a tree holding zakgkp/)", file=sys.stderr)
@@ -79,13 +108,19 @@ def main(argv):
             os.mkdir(os.path.join(tmp, side))
             results.append(run_all(src, os.path.join(tmp, side)))
     (old_codes, old_files), (new_codes, new_files) = results
-    differ = [f"exit codes {a}, {b} (expected {code}): {args}"
+    # (difference, differing lines of a text file)
+    differ = [(f"exit codes {a}, {b} (expected {code}): {args}", [])
               for (code, args, _), a, b in zip(COMMANDS, old_codes, new_codes) if not code == a == b]
-    differ += [f"{name}: {'differs' if name in old_files and name in new_files else 'only one side'}"
-               for name in sorted(old_files.keys() | new_files.keys())
-               if old_files.get(name) != new_files.get(name)]
-    for line in differ:
+    for name in sorted(old_files.keys() | new_files.keys()):
+        old, new = old_files.get(name), new_files.get(name)
+        if old != new:
+            texts = [text(old), text(new)] if old is not None and new is not None else [None]
+            differ.append((f"{name}: {'differs' if len(texts) == 2 else 'only one side'}",
+                           [] if None in texts else differing_lines(*texts)))
+    for line, lines in differ:
         print(line)
+        for entry in lines:
+            print(f"  {entry}")
     print(f"{len(COMMANDS)} runs, {len(old_files | new_files)} files: "
           + (f"{len(differ)} differences" if differ else "byte-identical, exit codes as expected"))
     return 1 if differ else 0

@@ -4,10 +4,11 @@
 
 For fixed grid states (the vacuum, an approximate codeword, the codeword
 shifted off its nodes, a seeded random state, at 64x64, 96x90, 128x256 and
-512x512) and ideal states (both codewords and a shifted |+>), writes one line
-per result to OUT: ``gauge_trace``, ``ec_gauge_trace``,
-``logical_from_overlap``, ``ec_channel_logical``, ``stabilizer_residual``,
-``norm_squared`` and a ``pp_bridge`` round trip.  It also writes a saved
+512x512, and the 64x64 codeword shifted past one period each way, by
+``(Nu + 5) du`` and ``-(2 Nu + 3) du``) and ideal states (both codewords and
+a shifted |+>), writes one line per result to OUT: ``gauge_trace``,
+``ec_gauge_trace``, ``logical_from_overlap``, ``ec_channel_logical``,
+``stabilizer_residual``, ``norm_squared`` and a ``pp_bridge`` round trip.  It also writes a saved
 96x90 grid into the current directory as CSV files under relative names, one
 with its rows shuffled among blank lines and four edits of it (a repeat across
 row blocks, an underscore, a separator and a malformed line late in the file),
@@ -62,6 +63,11 @@ def grid_states(code):
         yield f"vacuum {nu}x{nv}", zak_transform(vacuum(), grid, 16)
         yield f"gkp-approx:0.3:1 {nu}x{nv}", word
         yield f"gkp-approx:0.3:1 shifted {nu}x{nv}", apply_X(apply_Z(word, 3 * grid.dv), -5 * grid.du)
+    # past one period each way (k >= 1 and k <= -2 full turns); two states, so each later one keeps its map order
+    grid = code.grid(64, 64)
+    word = zak_transform(approx_codeword(code, 1, 0.3), grid, 16)
+    for steps, m in (("(Nu+5)", grid.nu + 5), ("-(2Nu+3)", -(2 * grid.nu + 3))):
+        yield f"gkp-approx:0.3:1 shifted {steps}du 64x64", apply_X(word, m * grid.du)
     grid = code.grid(512, 512)
     rng = np.random.default_rng(23)
     raw = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
