@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from . import modular
+from .modular import _float, _shown
 from .errors import NonFiniteError, OffGridError, TruncationError
 
 __all__ = [
@@ -61,14 +62,6 @@ MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 #: grid rows per block: contracted in one matrix product, checked and written at once
 BLOCK_ROWS = 64
-
-
-def _float(value, kind=float):
-    """``kind(value)``, a float or a complex, but an int past the float range is the infinity of its sign."""
-    try:
-        return kind(value)
-    except OverflowError:
-        return kind(math.inf if value > 0 else -math.inf)
 
 
 def _finite(name, value, positive=False):
@@ -179,11 +172,11 @@ class ZakGrid:
 
     def __init__(self, patch: ZakPatch, nu: int, nv: int):
         if nu <= 0 or nu % 4 != 0:
-            raise ValueError(f"nu must be a positive multiple of 4, got {nu}")
+            raise ValueError(f"nu must be a positive multiple of 4, got {_shown(nu)}")
         if nv <= 0 or nv % 2 != 0:
-            raise ValueError(f"nv must be a positive even integer, got {nv}")
+            raise ValueError(f"nv must be a positive even integer, got {_shown(nv)}")
         if nu * nv > MAX_SAMPLES:
-            raise ValueError(f"a {nu}x{nv} grid is past numpy's size limit of {MAX_SAMPLES} complex samples")
+            raise ValueError(f"a {_shown(nu)}x{_shown(nv)} grid is past numpy's size limit of {MAX_SAMPLES} complex samples")
         self.patch = patch
         self.nu = int(nu)
         self.nv = int(nv)
@@ -254,7 +247,7 @@ class ModularWavefunction:
     across threads is safe.  ``tail_bound`` records the relative comb-sum
     truncation bound when the state came out of :func:`zak_transform`.
 
-    Quadratic statistics (:meth:`marginals`, ``gkp``'s Gram matrices) are
+    Quadratic statistics (:meth:`marginals`, ``gkp``'s Gram cross rows) are
     computed once per state, on first use, and memoized read-only; threads
     racing to fill an entry compute the same value from the same samples.
 
@@ -640,7 +633,7 @@ class CombMatrix:
 def _comb_rule(grid, m_max):
     """ValueError unless ``m_max`` is positive and numpy can index the ``Nu x (2 m_max + 1)`` comb matrix."""
     if not 0 < m_max <= (MAX_SAMPLES // grid.nu - 1) // 2:
-        raise ValueError(f"m_max must be positive, with a {grid.nu} x (2 m_max + 1) comb numpy can index, got {m_max}")
+        raise ValueError(f"m_max must be positive, with a {grid.nu} x (2 m_max + 1) comb numpy can index, got {_shown(m_max)}")
 
 
 def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:

@@ -36,6 +36,7 @@ from .core import (
     _finite,
     _float,
     _frozen,
+    _shown,
     gaussian_comb,
 )
 from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError
@@ -195,7 +196,7 @@ class MixtureState:
 def codeword(code: GKPCode, ell: int) -> IdealZakState:
     """Ideal codeword: the single Zak point mass at ``(alpha * ell, 0)``."""
     if ell not in (0, 1):
-        raise ValueError(f"ell must be 0 or 1, got {ell}")
+        raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
     return IdealZakState(code.full_patch(), {(code.alpha * ell, 0.0): 1.0 + 0j})
 
 
@@ -205,7 +206,7 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     unless both variances are positive finite floats."""
     _finite("delta", delta, positive=True)
     if ell not in (0, 1):
-        raise ValueError(f"ell must be 0 or 1, got {ell}")
+        raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
     try:
         tooth_variance, envelope_variance = delta**2, delta**-2
     except OverflowError:
@@ -232,12 +233,15 @@ def stabilizer_residual(state, code: GKPCode):
     return math.sqrt(r1), math.sqrt(r2)
 
 
-def _require_qubit_patch(state, code: GKPCode):
-    """ValueError for a mixture; GridMismatchError unless a pure state's patch is the code's."""
+def _require_qubit_patch(state, code: GKPCode, comb=True):
+    """ValueError for a mixture; GridMismatchError unless a pure state's patch is the code's;
+    then ValueError for a comb matrix unless ``comb``."""
     if isinstance(state, MixtureState):
         raise ValueError("this function takes a pure state, not a MixtureState; pass each component")
     if not state.patch.approx_equal(code.full_patch()):
         raise GridMismatchError("state patch does not match the code's fundamental patch")
+    if not comb and isinstance(state, CombMatrix):
+        raise ValueError("this function takes a grid or ideal state, not a CombMatrix; pass its zak_transform")
 
 
 def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
@@ -247,14 +251,9 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     points are interior to the fundamental patch, so no extension phases
     enter.  Grid states require the points to be grid nodes.
     """
-    _require_qubit_patch(state, code)
-    alpha = code.alpha
-    out = []
-    for ell in (0, 1):
-        v = syn.v_tilde
-        value = state.value_at(syn.u_tilde + alpha * ell, v)
-        out.append(cmath.exp(-1j * alpha * ell * v) * value)
-    return complex(out[0]), complex(out[1])
+    _require_qubit_patch(state, code, comb=False)
+    u, v, alpha = syn.u_tilde, syn.v_tilde, code.alpha
+    return tuple(complex(cmath.exp(-1j * alpha * ell * v) * state.value_at(u + alpha * ell, v)) for ell in (0, 1))
 
 
 def _sectors(state, code: GKPCode):
@@ -286,21 +285,33 @@ def _sectors(state, code: GKPCode):
                  for rows in (state.samples[:half], state.samples[half:]))
 
 
+def _u_sum(rows, scale, weight=None):
+    """The u rule: the left-Riemann sum of per-row sums ``F(u_j)`` with measure ``scale`` and ``weight``
+    on the u nodes if given.  The correctable-patch boundaries are grid-aligned: a half window is a slice."""
+    return rows.sum() * scale if weight is None else np.dot(rows * scale, weight)
+
+
 def _pair(f, g, wu=None, wv=None):
     """``<g| wu(U) wv(V) |f>`` for two states of one representation on one patch or grid.
 
-    ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and None is
-    1.  Ideal states are point masses, paired exactly with no measure; grid
-    states and comb matrices are summed by the left-Riemann rule, since the
-    correctable-patch boundaries are grid-aligned.  A grid state is paired
-    only with itself (``f is g``), from the marginals of ``|psi|^2``; its
-    cross sums are :func:`_grid_grams`.
+    ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and None is 1.
+    Ideal states are point masses, paired exactly.  Other states are summed
+    over v into per-row sums, which :func:`_u_sum` reduces.  A grid state is
+    paired only with itself, from its memoized ``|psi|^2`` row sums, but for
+    ``wv`` (the ``P_V`` residual) from its column sums: that weight is
+    periodic over the full patch, so every u rule gives the same sum.
     """
     if isinstance(f, IdealZakState):
         return _point_pair(f, g, wu, wv)
     if isinstance(f, CombMatrix):
-        return _comb_pair(f, g, wu, wv)
-    return _sample_pair(f, g, wu, wv)
+        rows, scale = _comb_rows(f, g, wv)
+    elif f is not g:
+        raise TypeError("a grid state is paired only with itself; its cross rows are _cross_rows")
+    elif wv is not None:
+        return np.dot(f._marginal(0) * f.grid.cell_area, wv(f.grid.v_values()))
+    else:
+        rows, scale = f._marginal(1), f.grid.cell_area
+    return _u_sum(rows, scale, None if wu is None else wu(f.grid.u_values()))
 
 
 def _point_pair(f, g, wu=None, wv=None):
@@ -313,81 +324,61 @@ def _point_pair(f, g, wu=None, wv=None):
     return sum(w * h for w, h in terms)
 
 
-def _sample_pair(f, g, wu=None, wv=None):
-    """``sum |f|^2 wu(u) wv(v) du dv`` over the samples of grid state ``f``, with at most
-    one weight, read from its memoized marginals of ``|psi|^2``.  ``g`` must be ``f``: the
-    cross sums of two grid states are :func:`_grid_grams`."""
-    if f is not g:
-        raise TypeError("a grid state is paired only with itself; cross sums are _grid_grams")
-    grid, area = f.grid, f.grid.cell_area
-    if wv is not None:
-        return float(np.dot(f._marginal(0) * area, wv(grid.v_values())))
-    rows = f._marginal(1)
-    return float(rows.sum()) * area if wu is None else float(np.dot(rows * area, wu(grid.u_values())))
-
-
-def _comb_pair(f: CombMatrix, g: CombMatrix, wu=None, wv=None):
-    """``sum_j wu(u_j) sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) du dv`` for comb matrices ``f`` and ``g``.
-
-    Row ``j`` of a transform is ``sqrt(b/2pi) values[j] @ Phi``, so the
-    inner sum is ``f.values[j] T_w g.values[j]^H`` with the ``m x m`` kernel
-    ``T_w = (b/2pi) dv Phi diag(wv) Phi^H``, computed over the grid's own
-    ``v`` nodes, so an aliased grid (``nv <= 2 m_max``) is exact too.
-    """
-    phases, grid = f.phases, f.grid
+def _comb_rows(f: CombMatrix, g: CombMatrix, wv=None, grid=None):
+    """``(rows, du)``, ``rows[j] = sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) dv`` for comb matrices,
+    real when ``f is g``, on ``grid`` (by default ``f``'s).  Row ``j`` of a transform is
+    ``sqrt(b/2pi) values[j] @ Phi``, so this is ``f.values[j] T_w g.values[j]^H``, with the kernel
+    ``T_w = (b/2pi) dv Phi diag(wv) Phi^H`` over the grid's own ``v`` nodes, exact on an aliased
+    grid (``nv <= 2 m_max``) too."""
+    phases, grid = f.phases, f.grid if grid is None else grid
     kernel = (phases if wv is None else phases * wv(grid.v_values())) @ phases.conj().T
     kernel *= grid.patch.b / (2 * math.pi) * grid.dv
     rows = np.einsum("jm,jm->j", f.values @ kernel, g.values.conj())
-    if f is g:
-        rows = rows.real
-    return rows.sum() * grid.du if wu is None else np.dot(rows * grid.du, wu(grid.u_values()))
+    return (rows.real if f is g else rows), grid.du
+
+
+def _cross_rows(f: ModularWavefunction, g: ModularWavefunction, code: GKPCode):
+    """``(plain, ec, cell_area)``: the rows ``sum_k f conj(g)`` of two gauge components, plain and
+    weighted by ``exp(i alpha v_k)``, read-only, and their measure.  One pass forms each block of
+    ``f conj(g)`` once, in a reused buffer of at most 8192 samples, with no full-grid temporary."""
+    grid, f, g = f.grid, f.samples, g.samples
+    weight = np.exp(1j * code.alpha * grid.v_values())
+    step = max(1, 8192 // grid.nv)
+    buf = np.empty((step, grid.nv), dtype=np.complex128)
+    rows = np.empty((2, grid.nu), dtype=np.complex128)
+    for i in range(0, grid.nu, step):
+        block = np.conjugate(g[i:i + step], out=buf[:min(step, grid.nu - i)])
+        block *= f[i:i + step]
+        rows[0, i:i + step], rows[1, i:i + step] = block.sum(axis=1), block @ weight
+    return (*_frozen(rows), grid.cell_area)
 
 
 def _gram(state, code: GKPCode, ec_phase: bool):
     """Unnormalized 2x2 Gram matrix ``G[l, l'] = <gamma_l'|gamma_l>`` of a pure state's gauge components.
 
-    The components are :func:`_sectors`.  With ``ec_phase`` each
-    ``gamma_l`` is first counter-rotated by ``exp(-i alpha l v)``, which
-    turns the Gram matrix into the syndrome average of the outer products
-    of :func:`ec_kraus_amplitudes`: the cross entry takes the weight
-    ``exp(i alpha v)``, and the phase cancels on the diagonal.  A grid
-    state's two matrices are :func:`_grid_grams`, memoized on the state per
-    ``alpha`` and read-only.
+    The components are :func:`_sectors`.  With ``ec_phase`` each ``gamma_l`` is first
+    counter-rotated by ``exp(-i alpha l v)``, which turns the Gram matrix into the syndrome
+    average of the outer products of :func:`ec_kraus_amplitudes`: the cross entry takes the
+    weight ``exp(i alpha v)``, and the phase cancels on the diagonal.  Ideal states are paired
+    exactly; otherwise :func:`_u_sum` reduces the halves of the whole state's ``|psi|^2`` row
+    sums and the cross entry's rows, a grid state's memoized per ``alpha`` (:func:`_cross_rows`).
     """
+    ec = (lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None
     if isinstance(state, ModularWavefunction):
-        return state._memoized(("gram", code.alpha), lambda: _grid_grams(state, code))[ec_phase]
-    f, g = _sectors(state, code)
-    cross = _pair(f, g, wv=(lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None)
-    return _hermitian(_pair(f, f), _pair(g, g), cross)
+        memo = state._memoized(("gram", code.alpha), lambda: _cross_rows(*_sectors(state, code), code))
+        rows, cross, scale = state._marginal(1), memo[int(ec_phase)], memo[2]
+    else:
+        f, g = _sectors(state, code)
+        if isinstance(state, IdealZakState):
+            return _hermitian(_point_pair(f, f), _point_pair(g, g), _point_pair(f, g, wv=ec))
+        (rows, scale), cross = _comb_rows(state, state, grid=f.grid), _comb_rows(f, g, ec)[0]
+    half = len(rows) // 2
+    return _hermitian(_u_sum(rows[:half], scale), _u_sum(rows[half:], scale), _u_sum(cross, scale))
 
 
 def _hermitian(diag0, diag1, cross):
     """The 2x2 matrix with diagonal ``(diag0, diag1)`` and upper entry ``cross``."""
     return np.array([[diag0, cross], [np.conjugate(cross), diag1]], dtype=np.complex128)
-
-
-def _grid_grams(psi: ModularWavefunction, code: GKPCode):
-    """The plain and the EC Gram matrix of a grid state, from one pass over its samples.
-
-    The diagonal sums the halves of the row marginal.  Each block of ``f conj(g)`` is formed
-    once, in a reused buffer of at most 8192 samples, then both summed over v and contracted
-    with ``exp(i alpha v)``; the row sums are added pairwise.  No full-grid temporary is formed.
-    """
-    f, g = _sectors(psi, code)
-    grid, area = f.grid, f.grid.cell_area
-    rows = psi._marginal(1)
-    diag = (float(rows[:grid.nu].sum()) * area, float(rows[grid.nu:].sum()) * area)
-    weight = np.exp(1j * code.alpha * grid.v_values())
-    f, g = f.samples, g.samples
-    step = max(1, 8192 // grid.nv)
-    buf = np.empty((step, grid.nv), dtype=np.complex128)
-    plain, ec = np.empty((2, grid.nu), dtype=np.complex128)
-    for i in range(0, grid.nu, step):
-        g_rows = g[i:i + step]
-        block = np.conjugate(g_rows, out=buf[:len(g_rows)])
-        block *= f[i:i + step]
-        plain[i:i + step], ec[i:i + step] = block.sum(axis=1), block @ weight
-    return tuple(_frozen(_hermitian(*diag, sums.sum() * area)) for sums in (plain, ec))
 
 
 def _mixture_logical(rho, gram):

@@ -18,6 +18,19 @@ import math
 __all__ = ["split", "frac_part"]
 
 
+def _float(value, kind=float):
+    """``kind(value)``, a float or a complex, but an int past the float range is the infinity of its sign."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return kind(math.inf if value > 0 else -math.inf)
+
+
+def _shown(n):
+    """A number for a message: itself, but an int past the float range is the infinity of its sign."""
+    return n if math.isfinite(_float(n)) else _float(n)
+
+
 def split(x: float, period: float, centering: float) -> tuple[float, int]:
     """Return ``(frac, n)`` with ``frac = x - n*period`` in ``[-centering, period-centering)``.
 
@@ -30,11 +43,12 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
     the lower bound.
     """
     if period <= 0:
-        raise ValueError(f"period must be positive, got {period!r}")
+        raise ValueError(f"period must be positive, got {_shown(period)!r}")
+    x = _float(x)  # an int past the float range is refused below as an infinity
     try:
         n = math.floor((x + centering) / period)
     except (OverflowError, ValueError):  # an infinite or NaN quotient
-        raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {period!r}") from None
+        raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {_shown(period)!r}") from None
     frac = x - n * period
     # The rounded quotient can land one cell off when x sits within an ulp
     # of a boundary; repair deterministically instead of tolerating it.

@@ -30,7 +30,7 @@ import numpy as np
 from . import gridio, operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
-from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _sectors
+from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _require_qubit_patch, _sectors
 
 __all__ = [
     "SSDState",
@@ -117,8 +117,10 @@ def to_ssd(state, code: GKPCode) -> SSDState:
 
     The result wraps ``state`` without a copy.  Its gauge components are the unphased
     split ``gkp._sectors``, which runs once here so that its GridMismatchError (a foreign
-    patch) and ValueError (a grid whose halves are not grids) are raised here.
+    patch) and ValueError (a grid whose halves are not grids) are raised here.  A
+    ``CombMatrix`` has no samples for the SSD operations to read: ValueError.
     """
+    _require_qubit_patch(state, code, comb=False)
     _sectors(state, code)
     split = SSDState.__new__(SSDState)
     split.code, split.mode = code, state

@@ -42,6 +42,7 @@ from zakgkp.cli import main
 from zakgkp.core import comb_matrix, inverse_zak_transform
 from zakgkp.gkp import GKPCode, approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
+from zakgkp.modular import split
 
 A = 2 * ALPHA
 GRID16 = GKPCode().grid(16, 16)
@@ -725,6 +726,7 @@ def test_cli_contract_holds_for_any_config(config):
 _CODE = GKPCode()
 _GRID = _CODE.grid(16, 16)
 HUGE = 10**400
+LONG = 10**5000
 _GRID_STATES = {"vacuum": zak_transform(vacuum(), _GRID, 16),
                 "gkp-approx": zak_transform(approx_codeword(_CODE, 1, 0.4), _GRID, 16)}
 # the coordinate a phase multiplies, by operator: Z(t) = P_U(t) T_V(t)
@@ -909,6 +911,12 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
           for name, f in (("stabilizer_residual", lambda m: stabilizer_residual(m, _CODE)),
                           ("ec_kraus_amplitudes", lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda m: to_ssd(m, _CODE)))),
+        # a comb matrix has no samples to read: each once ended in an AttributeError, to_ssd's
+        # in a later norm, pp_bridge or apply_X_ssd
+        *(pytest.param(lambda psi, ideal, f=f: f(comb_matrix(vacuum(), _GRID, 4)), ValueError,
+                       "takes a grid or ideal state, not a CombMatrix", id=f"comb-{name}")
+          for name, f in (("ec_kraus_amplitudes", lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda c: to_ssd(c, _CODE)))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (
@@ -934,6 +942,16 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         pytest.param(lambda psi, ideal: comb_matrix(vacuum(), _GRID, 10**24), ValueError,
                      r"with a 16 x \(2 m_max \+ 1\) comb numpy can index, got 1000000000000000000000000$",
                      id="comb-size"),
+        # an int of more than 4300 digits once made Python's own int-to-text limit the message
+        *(pytest.param(build, ValueError, message, id=f"long-int-{name}") for name, build, message in (
+            ("syndrome_reduce", lambda psi, ideal: syndrome_reduce(_CODE, LONG, 0), "coordinate inf is not finite"),
+            ("ideal-point", lambda psi, ideal: IdealZakState(ideal.patch, {(-LONG, 0.0): 1}),
+             "coordinate -inf is not finite"),
+            ("grid-nv", lambda psi, ideal: _CODE.grid(8, LONG), "a 8xinf grid is past numpy's size limit"),
+            ("grid-nu", lambda psi, ideal: _CODE.grid(4 * LONG, 8), "a infx8 grid is past numpy's size limit"),
+            ("comb", lambda psi, ideal: comb_matrix(vacuum(), _GRID, LONG), "comb numpy can index, got inf$"),
+            ("codeword", lambda psi, ideal: codeword(_CODE, -LONG), "ell must be 0 or 1, got -inf$"),
+            ("split-period", lambda psi, ideal: split(1.0, LONG, 0.5), "too large to count in periods of inf$"))),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):

@@ -206,6 +206,55 @@ def _oracle_rho(descriptor, code):
     return gram / gram.trace().real
 
 
+def _parseval_kernel(n):
+    """``c_n = (b/2pi) int exp(i alpha v) exp(-i b n v) dv`` over a v period, with ``b = 2 alpha``."""
+    return 2 * (-1.0) ** (n + 1) / (math.pi * (2 * n - 1))
+
+
+def _oracle_ec_rho(descriptor, code):
+    """Continuum error-correction ``rho`` from the position wavefunction alone.
+
+    The diagonal is :func:`_oracle_rho`'s.  By Parseval in ``v`` the cross
+    entry's weight ``exp(i alpha v)`` couples the comb terms through
+    :func:`_parseval_kernel`:
+    ``G[0, 1] = int sum_{m,m'} c_{m-m'} f(u + a m) conj f(u + alpha + a m') du``,
+    taken by 300-node Gauss-Legendre quadrature with ``|m| <= 40``.
+    """
+    x, w = np.polynomial.legendre.leggauss(300)
+    u, w = code.alpha / 2 * x, code.alpha / 2 * w
+    m = np.arange(-40, 41)
+    f0, f1 = (np.asarray(descriptor.evaluate(u[:, None] + code.alpha * ell + code.period * m)) for ell in (0, 1))
+    kernel = _parseval_kernel(m[:, None] - m[None, :])
+    g00, g11 = (np.sum(w[:, None] * np.abs(f) ** 2) for f in (f0, f1))
+    g01 = np.sum(w * np.einsum("jm,mn,jn->j", f0, kernel, np.conj(f1)))
+    gram = np.array([[g00, g01], [np.conj(g01), g11]])
+    return gram / gram.trace().real
+
+
+def test_parseval_kernel_against_its_defining_integral(code):
+    mpmath = pytest.importorskip("mpmath")
+    alpha = mpmath.mpf(code.alpha)
+    b = 2 * alpha
+    for n in range(-5, 6):
+        exact = b / (2 * mpmath.pi) * mpmath.quad(
+            lambda v: mpmath.exp(1j * alpha * v) * mpmath.exp(-1j * b * n * v), [-mpmath.pi / b, mpmath.pi / b])
+        assert abs(complex(exact) - _parseval_kernel(n)) <= 1e-15, n
+
+
+@pytest.mark.parametrize(
+    "offset, errors",
+    [(0.0, {16: 9.3e-4, 64: 5.8e-5, 256: 3.7e-6}), (0.7, {16: 1.6e-2, 64: 3.9e-3, 256: 9.8e-4})],
+    ids=["vacuum", "vacuum-0.7"],
+)
+def test_ec_riemann_error_against_gauss_legendre_oracle(code, offset, errors):
+    # the EC cross weight exp(i alpha v) is anti-periodic over the v period, so the v sum is
+    # only algebraically accurate: at nu = 4096 the u error is small and the error is dv's
+    exact = _oracle_ec_rho(vacuum(offset), code)
+    for nv, error in errors.items():
+        got = ec_channel_logical(comb_matrix(vacuum(offset), code.grid(4096, nv), 16), code).matrix
+        assert np.max(np.abs(got - exact)) == pytest.approx(error, rel=0.1), nv
+
+
 @pytest.mark.parametrize("c", [0.0, 0.7])
 def test_gauss_legendre_oracle_against_vacuum_erf_sums(code, c):
     # for f(x) = pi^-1/4 exp(-(x - c)^2 / 2) each Gram entry is a sum of erf differences:
@@ -551,7 +600,7 @@ def _chain(psi, code):
 )
 def test_quadratic_statistics_form_no_grid_temporary(code, name):
     # the Gram entries and the residuals are reductions: no full-grid copy, and
-    # the memo they leave on the state is O(nu + nv) floats and two 2x2 matrices
+    # the memo they leave on the state is O(nu + nv) floats and the two cross-row vectors
     grid = code.grid(512, 512)
     psi = random_state(grid, 63)
     s = ssd.to_ssd(psi, code)
@@ -634,8 +683,8 @@ def test_refused_grid_is_refused_in_either_order_and_memoizes_no_gram(code):
 
 def test_one_cross_sum_pass_per_state_and_alpha(code, monkeypatch):
     passes = []
-    grid_grams = gkp._grid_grams
-    monkeypatch.setattr(gkp, "_grid_grams", lambda psi, c: passes.append(c.alpha) or grid_grams(psi, c))
+    cross_rows = gkp._cross_rows
+    monkeypatch.setattr(gkp, "_cross_rows", lambda f, g, c: passes.append(c.alpha) or cross_rows(f, g, c))
     psi = _fresh(random_state(code.grid(64, 64), 3))
     near = GKPCode(code.alpha * (1 + 5e-13))  # a patch that approx_equal accepts
     assert near.full_patch().approx_equal(code.full_patch()) and near.alpha != code.alpha
@@ -654,12 +703,14 @@ def test_one_cross_sum_pass_per_state_and_alpha(code, monkeypatch):
 
 def test_memoized_statistics_are_read_only(code):
     psi = _fresh(random_state(code.grid(64, 64), 4))
-    arrays = [*psi.marginals(), gkp._gram(psi, code, False), gkp._gram(psi, code, True)]
+    logical_from_overlap(psi, code)
+    arrays = [*psi.marginals(), *psi._memo[("gram", code.alpha)][:2]]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert psi.marginals()[0] is arrays[0] and gkp._gram(psi, code, True) is arrays[3]
+    ec_channel_logical(psi, code)
+    assert psi.marginals()[0] is arrays[0] and psi._memo[("gram", code.alpha)][1] is arrays[3]
 
 
 def test_each_statistic_memoizes_only_the_passes_it_reads(code):

@@ -8,7 +8,11 @@ shifted off its nodes, a seeded random state, at 64x64, 96x90, 128x256 and
 ``(Nu + 5) du`` and ``-(2 Nu + 3) du``) and ideal states (both codewords and
 a shifted |+>), writes one line per result to OUT: ``gauge_trace``,
 ``ec_gauge_trace``, ``logical_from_overlap``, ``ec_channel_logical``,
-``stabilizer_residual``, ``norm_squared`` and a ``pp_bridge`` round trip.  It also writes a saved
+``stabilizer_residual``, ``norm_squared`` and a ``pp_bridge`` round trip.  For
+comb matrices (the vacuum and an approximate codeword at 128x128, the codeword
+on the aliased 64x16 grid, where ``Nv <= 2 m_max``, and a complex table at
+128x128, whose complex128 values the CLI never builds) it writes
+``logical_from_overlap``, ``ec_channel_logical`` and ``stabilizer_residual``.  It also writes a saved
 96x90 grid into the current directory as CSV files under relative names, one
 with its rows shuffled among blank lines and four edits of it (a repeat across
 row blocks, an underscore, a separator and a malformed line late in the file),
@@ -40,9 +44,11 @@ from zakgkp import (
     ec_channel_logical,
     logical_from_overlap,
     stabilizer_residual,
+    tabulated,
     vacuum,
     zak_transform,
 )
+from zakgkp.core import comb_matrix
 from zakgkp.gridio import load_grid_csv, save_grid_csv
 from zakgkp.ssd import ec_gauge_trace, gauge_trace, pp_bridge, pp_bridge_inverse, to_ssd
 
@@ -79,6 +85,18 @@ def ideal_states(code):
     yield "gkp0", codeword(code, 0)
     yield "gkp1", codeword(code, 1)
     yield "shifted |+>", apply_X(apply_Z(plus, 0.21), 0.3 * code.alpha)
+
+
+def comb_states(code):
+    grid, aliased = code.grid(128, 128), code.grid(64, 16)
+    yield "comb vacuum 128x128", comb_matrix(vacuum(), grid, 16)
+    yield "comb gkp-approx:0.3:1 128x128", comb_matrix(approx_codeword(code, 1, 0.3), grid, 16)
+    yield "comb gkp-approx:0.3:1 64x16", comb_matrix(approx_codeword(code, 1, 0.3), aliased, 16)
+    # a Gaussian bump with seeded phases on the comb u_j + a m, |m| <= 3: complex128 values
+    rng = np.random.default_rng(26)
+    xs = np.concatenate([grid.u_values() + grid.patch.a * m for m in range(-3, 4)])
+    table = tabulated(xs, np.exp(-xs * xs / 2 + 2j * math.pi * rng.random(xs.size)))
+    yield "comb complex table 128x128", comb_matrix(table, grid, 16)
 
 
 def csv_files(code):
@@ -129,6 +147,14 @@ def results(label, state, code, ec_first):
         yield label, "pp_bridge_inverse", bits(back.mode.samples)
 
 
+def comb_results(label, comb, code):
+    """``(label, name, bits)`` of the statistics a comb matrix takes."""
+    for name, logical in (("logical_from_overlap", logical_from_overlap), ("ec_channel_logical", ec_channel_logical)):
+        q = logical(comb, code)
+        yield label, name, f"{bits(q.matrix)} {bits(q.raw_trace)}"
+    yield label, "stabilizer_residual", " ".join(bits(r) for r in stabilizer_residual(comb, code))
+
+
 def main(argv):
     if len(argv) != 1:
         print("usage: PYTHONPATH=SRC python tools/libruns.py OUT", file=sys.stderr)
@@ -138,6 +164,9 @@ def main(argv):
     with open(argv[0], "w", encoding="ascii") as fh:
         for index, (label, state) in enumerate(states):
             for line in results(label, state, code, ec_first=index % 2 == 1):
+                fh.write("  ".join(line) + "\n")
+        for label, comb in comb_states(code):
+            for line in comb_results(label, comb, code):
                 fh.write("  ".join(line) + "\n")
         for name, lines in csv_files(code):
             with open(name, "w", encoding="ascii") as out:
