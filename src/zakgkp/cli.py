@@ -48,6 +48,8 @@ from .gkp import (
 
 __all__ = ["main"]
 
+NORM_DEFECT_TOL = 1e-6  # |raw_trace - 1| past which logical and sweep refuse a state of norm 1 (README)
+
 
 class _Key(NamedTuple):
     """One configuration key: read from a config file or, for ``commands``, a flag."""
@@ -117,9 +119,6 @@ def _resolve_config(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    for key in ("dx", "dy"):
-        if cfg[key] is not None and not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     for key, spec in _KEYS.items():
         if spec.choices and cfg[key] not in spec.choices:
             raise ConfigError(f"{key} must be one of {', '.join(spec.choices)}, got {cfg[key]!r}")
@@ -271,11 +270,20 @@ def cmd_shift_array(cfg, code, grid):
     return 0
 
 
+def _require_unit_mass(qubit, what):
+    """ZakError unless the sampled mass ``raw_trace`` of a state of norm 1 is 1 to within NORM_DEFECT_TOL."""
+    if not abs(qubit.raw_trace - 1) <= NORM_DEFECT_TOL:
+        raise ZakError(f"{what}: the grid does not resolve the state: its sampled mass (raw_trace) is "
+                       f"{qubit.raw_trace!r} for a state of norm 1, off by more than {NORM_DEFECT_TOL}")
+
+
 def cmd_logical(cfg, code, grid):
     state = _build_comb(cfg, code, grid)
     # overlap is an alias of trace: ssd.gauge_trace equals logical_from_overlap by construction
     logical = ec_channel_logical if cfg["method"] == "ec-trace" else logical_from_overlap
     qubit = logical(state, code)
+    if not cfg["state"].startswith("tabulated:"):  # a table's counting norm depends on its spacing
+        _require_unit_mass(qubit, f"state {cfg['state']!r}")
     gridio.save_logical_report(qubit, cfg["out"])
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("logical", cfg))
     return 0
@@ -293,6 +301,7 @@ def cmd_sweep(cfg, code, grid):
     for delta, state in zip(deltas, states):
         comb = comb_matrix(state, grid, cfg["mmax"])
         qubit = logical_from_overlap(comb, code)
+        _require_unit_mass(qubit, f"delta {delta!r}")
         r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))

@@ -217,17 +217,26 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
 def stabilizer_residual(state, code: GKPCode):
     """Norms of ``(S - 1) psi`` for the two stabilizer generators.
 
-    Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both
-    vanish exactly on codewords.  Both are phases in one variable and
-    ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``, so each squared norm is
-    the pairing of the state with itself under that weight.  A squared
-    norm past the float range raises NonFiniteError.
+    Returns ``(r1, r2)`` for ``P_V(-a)`` and ``P_U(2 pi / alpha)``; both vanish exactly on
+    codewords.  Both are phases in one variable and ``|exp(i theta) - 1|^2 = 4 sin^2(theta / 2)``,
+    so each squared norm pairs the state with itself under that weight: exactly for an ideal state,
+    else as per-row v sums that :func:`_u_sum` reduces, but a grid state's ``P_V`` residual is read
+    from its column sums (that weight is periodic over the full patch, so every u rule gives the
+    same sum).  A squared norm past the float range raises NonFiniteError.
     """
     _require_qubit_patch(state, code)
     tv, tu = -code.period, 2 * math.pi / code.alpha
+    wv, wu = (lambda v: 4 * np.sin(tv * v / 2) ** 2), (lambda u: 4 * np.sin(tu * u / 2) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused below
-        r1 = float(_pair(state, state, wv=lambda v: 4 * np.sin(tv * v / 2) ** 2).real)
-        r2 = float(_pair(state, state, wu=lambda u: 4 * np.sin(tu * u / 2) ** 2).real)
+        if isinstance(state, IdealZakState):
+            r1, r2 = _point_pair(state, state, wv=wv), _point_pair(state, state, wu=wu)
+        elif isinstance(state, CombMatrix):
+            r1 = _u_sum(*_comb_rows(state, state, wv))
+            r2 = _u_sum(*_comb_rows(state, state), wu(state.grid.u_values()))
+        else:
+            r1 = np.dot(state._marginal(0) * state.grid.cell_area, wv(state.grid.v_values()))
+            r2 = _u_sum(state._marginal(1), state.grid.cell_area, wu(state.grid.u_values()))
+        r1, r2 = float(r1.real), float(r2.real)
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise NonFiniteError(f"squared stabilizer residuals {r1} and {r2} are not both finite")
     return math.sqrt(r1), math.sqrt(r2)
@@ -291,46 +300,22 @@ def _u_sum(rows, scale, weight=None):
     return rows.sum() * scale if weight is None else np.dot(rows * scale, weight)
 
 
-def _pair(f, g, wu=None, wv=None):
-    """``<g| wu(U) wv(V) |f>`` for two states of one representation on one patch or grid.
-
-    ``wu`` and ``wv`` map arrays of ``u`` and ``v`` to weights, and None is 1.
-    Ideal states are point masses, paired exactly.  Other states are summed
-    over v into per-row sums, which :func:`_u_sum` reduces.  A grid state is
-    paired only with itself, from its memoized ``|psi|^2`` row sums, but for
-    ``wv`` (the ``P_V`` residual) from its column sums: that weight is
-    periodic over the full patch, so every u rule gives the same sum.
-    """
-    if isinstance(f, IdealZakState):
-        return _point_pair(f, g, wu, wv)
-    if isinstance(f, CombMatrix):
-        rows, scale = _comb_rows(f, g, wv)
-    elif f is not g:
-        raise TypeError("a grid state is paired only with itself; its cross rows are _cross_rows")
-    elif wv is not None:
-        return np.dot(f._marginal(0) * f.grid.cell_area, wv(f.grid.v_values()))
-    else:
-        rows, scale = f._marginal(1), f.grid.cell_area
-    return _u_sum(rows, scale, None if wu is None else wu(f.grid.u_values()))
-
-
 def _point_pair(f, g, wu=None, wv=None):
-    """``sum w conj(g(u, v)) wu(u) wv(v)`` over the points ``(u, v)`` of ``f`` with weights ``w``."""
+    """``sum w conj(g(u, v)) c`` over the points ``(u, v)`` of ``f`` with weights ``w``: ``c`` is ``wu(u)``, ``wv(v)`` or 1."""
     terms = [(w, g.value_at(u, v).conjugate()) for (u, v), w in f.items()]
     if wu is not None or wv is not None:
         u, v = np.array(list(f.points), dtype=float).reshape(-1, 2).T
-        weight = wu(u) if wv is None else wv(v) if wu is None else wu(u) * wv(v)
-        terms = [(w, h * c) for (w, h), c in zip(terms, weight.tolist())]
+        terms = [(w, h * c) for (w, h), c in zip(terms, (wu(u) if wv is None else wv(v)).tolist())]
     return sum(w * h for w, h in terms)
 
 
-def _comb_rows(f: CombMatrix, g: CombMatrix, wv=None, grid=None):
+def _comb_rows(f: CombMatrix, g: CombMatrix, wv=None):
     """``(rows, du)``, ``rows[j] = sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) dv`` for comb matrices,
-    real when ``f is g``, on ``grid`` (by default ``f``'s).  Row ``j`` of a transform is
-    ``sqrt(b/2pi) values[j] @ Phi``, so this is ``f.values[j] T_w g.values[j]^H``, with the kernel
-    ``T_w = (b/2pi) dv Phi diag(wv) Phi^H`` over the grid's own ``v`` nodes, exact on an aliased
-    grid (``nv <= 2 m_max``) too."""
-    phases, grid = f.phases, f.grid if grid is None else grid
+    real when ``f is g``.  Row ``j`` of a transform is ``sqrt(b/2pi) values[j] @ Phi``, so this is
+    ``f.values[j] T_w g.values[j]^H``, with the kernel ``T_w = (b/2pi) dv Phi diag(wv) Phi^H`` over
+    the grid's own ``v`` nodes, exact on an aliased grid (``nv <= 2 m_max``) too.  A code's full and
+    gauge grids share ``b``, ``dv``, ``du`` and ``v``: a whole comb's rows are its halves' rows."""
+    phases, grid = f.phases, f.grid
     kernel = (phases if wv is None else phases * wv(grid.v_values())) @ phases.conj().T
     kernel *= grid.patch.b / (2 * math.pi) * grid.dv
     rows = np.einsum("jm,jm->j", f.values @ kernel, g.values.conj())
@@ -338,9 +323,9 @@ def _comb_rows(f: CombMatrix, g: CombMatrix, wv=None, grid=None):
 
 
 def _cross_rows(f: ModularWavefunction, g: ModularWavefunction, code: GKPCode):
-    """``(plain, ec, cell_area)``: the rows ``sum_k f conj(g)`` of two gauge components, plain and
-    weighted by ``exp(i alpha v_k)``, read-only, and their measure.  One pass forms each block of
-    ``f conj(g)`` once, in a reused buffer of at most 8192 samples, with no full-grid temporary."""
+    """``(plain, ec)``: the rows ``sum_k f conj(g)`` of two gauge components, plain and weighted by
+    ``exp(i alpha v_k)``, read-only.  One pass forms each block of ``f conj(g)`` once, in a reused
+    buffer of at most 8192 samples, with no full-grid temporary."""
     grid, f, g = f.grid, f.samples, g.samples
     weight = np.exp(1j * code.alpha * grid.v_values())
     step = max(1, 8192 // grid.nv)
@@ -350,7 +335,7 @@ def _cross_rows(f: ModularWavefunction, g: ModularWavefunction, code: GKPCode):
         block = np.conjugate(g[i:i + step], out=buf[:min(step, grid.nu - i)])
         block *= f[i:i + step]
         rows[0, i:i + step], rows[1, i:i + step] = block.sum(axis=1), block @ weight
-    return (*_frozen(rows), grid.cell_area)
+    return tuple(_frozen(rows))
 
 
 def _gram(state, code: GKPCode, ec_phase: bool):
@@ -366,12 +351,12 @@ def _gram(state, code: GKPCode, ec_phase: bool):
     ec = (lambda v: np.exp(1j * code.alpha * v)) if ec_phase else None
     if isinstance(state, ModularWavefunction):
         memo = state._memoized(("gram", code.alpha), lambda: _cross_rows(*_sectors(state, code), code))
-        rows, cross, scale = state._marginal(1), memo[int(ec_phase)], memo[2]
+        rows, scale, cross = state._marginal(1), state.grid.cell_area, memo[int(ec_phase)]
     else:
         f, g = _sectors(state, code)
         if isinstance(state, IdealZakState):
             return _hermitian(_point_pair(f, f), _point_pair(g, g), _point_pair(f, g, wv=ec))
-        (rows, scale), cross = _comb_rows(state, state, grid=f.grid), _comb_rows(f, g, ec)[0]
+        (rows, scale), cross = _comb_rows(state, state), _comb_rows(f, g, ec)[0]
     half = len(rows) // 2
     return _hermitian(_u_sum(rows[:half], scale), _u_sum(rows[half:], scale), _u_sum(cross, scale))
 

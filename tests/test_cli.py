@@ -384,6 +384,8 @@ TABLE = "tabulated:{table}"
         pytest.param(("logical", "--alpha", "nan"), None, id="nan-alpha"),
         pytest.param(("shift-array", "--dx", "nan"), None, id="nan-dx"),
         pytest.param(("shift-array", "--dy", "inf"), None, id="inf-dy"),
+        pytest.param(("shift-array", "--state", "gkp0", "--dx", "inf"), None, id="ideal-inf-dx"),
+        pytest.param(("shift-array", "--state", "gkp1", "--dy", "nan"), None, id="ideal-nan-dy"),
         # finite but extreme: the period, a variance or a panel shift overflows
         pytest.param(("logical", "--alpha", "1e308"), None, id="huge-alpha"),
         pytest.param(("logical", "--state", "gkp-approx:1e-300:0"), None, id="tiny-approx-delta"),
@@ -472,6 +474,34 @@ def test_non_finite_logical_state_is_a_numerical_failure(tmp_path, capsys):
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,mass", [
+    pytest.param(("logical", "--state", "gkp-approx:0.2:0", "--grid", "8x8"), "1.269", id="logical-delta-0.2-8x8"),
+    pytest.param(("sweep", "--grid", "16x16", "--deltas", "0.1"), "1.269", id="sweep-delta-0.1-16x16"),
+    pytest.param(("sweep", "--grid", "32x32", "--deltas", "2.5e153"), "1.5625e+152", id="sweep-huge-delta"),
+    pytest.param(("sweep", "--grid", "32x32", "--alpha", "1e150", "--deltas", "0.3"), "1.18",
+                 id="sweep-huge-alpha"),
+    pytest.param(("logical", "--state", "gkp-approx:0.5:0", "--grid", "8x8"), "1.0000118",
+                 id="boundary-delta-0.5-8x8"),
+])
+def test_an_unresolved_state_is_a_numerical_failure(tmp_path, capsys, args, mass):
+    # a state of norm 1 whose sampled mass is off by more than NORM_DEFECT_TOL: no output, no manifest
+    assert run(*args, "--out", tmp_path / "out.csv") == 3
+    assert f"sampled mass (raw_trace) is {mass}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_norm_gate_passes_a_resolved_state_and_any_table(tmp_path):
+    out = tmp_path / "resolved.csv"
+    assert run("logical", "--state", "gkp-approx:0.3:0", "--grid", "16x16", "--out", out) == 0
+    assert 1e-9 < abs(read_report(out)["raw_trace"] - 1) <= cli.NORM_DEFECT_TOL  # the boundary pair's pass
+    # a table's counting norm depends on its spacing, so its mass is not gated
+    table = tmp_path / "table.csv"
+    table.write_text("0.0,1.0,0\n0.5,2.0,0\n")
+    out = tmp_path / "table_report.csv"
+    assert run("logical", "--state", f"tabulated:{table}", "--grid", "64x64", "--out", out) == 0
+    assert abs(read_report(out)["raw_trace"] - 1) > 0.9
 
 
 def _save_reference(psi, path, fmt):

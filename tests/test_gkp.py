@@ -704,7 +704,7 @@ def test_one_cross_sum_pass_per_state_and_alpha(code, monkeypatch):
 def test_memoized_statistics_are_read_only(code):
     psi = _fresh(random_state(code.grid(64, 64), 4))
     logical_from_overlap(psi, code)
-    arrays = [*psi.marginals(), *psi._memo[("gram", code.alpha)][:2]]
+    arrays = [*psi.marginals(), *psi._memo[("gram", code.alpha)]]  # the memo holds the two cross rows only
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -726,11 +726,17 @@ def test_each_statistic_memoizes_only_the_passes_it_reads(code):
     assert set(psi._memo) == {("marginal", 1), ("marginal", 0), ("gram", code.alpha)}
 
 
-def test_grid_states_pair_only_with_themselves(code):
-    f, g = gkp._sectors(random_state(code.grid(64, 64), 6), code)
-    assert gkp._pair(f, f) == f.norm_squared()
-    with pytest.raises(TypeError, match="paired only with itself"):
-        gkp._pair(f, g)
+@pytest.mark.parametrize("alpha", [ALPHA, 1e-3, 0.1, 0.7, 1.3, 2.5, 123.456])
+def test_full_and_gauge_grids_share_the_v_stage_bit_for_bit(alpha):
+    # a comb's Gram diagonal is its whole rows on the full grid, halved: the gauge grid's measure
+    code = GKPCode(alpha)
+    for nu in (8, 64, 128, 1024, 4096):
+        for nv in (2, 16, 64, 90, 256, 1024):
+            full, gauge = code.grid(nu, nv), code.gauge_grid(nu // 2, nv)
+            for name in ("dv", "du", "cell_area"):
+                assert getattr(full, name) == getattr(gauge, name), (nu, nv, name)
+            assert full.patch.b == gauge.patch.b, (nu, nv)
+            assert full.v_values().tobytes() == gauge.v_values().tobytes(), (nu, nv)
 
 
 def test_racing_threads_fill_the_memo_with_the_same_bits(code):
