@@ -42,7 +42,6 @@ from .gkp import (
     stabilizer_residual,
     syndrome_reduce,
 )
-from .modular import frac_part
 from .operators import (
     apply_phase_u,
     apply_phase_v,

@@ -8,8 +8,9 @@ interior.  Its stabilizers are the modular phases ``P_V(-2 alpha)`` and
 
     P_G = [-alpha/2, alpha/2) x [-pi/2alpha, pi/2alpha)
 
-of area pi, half the fundamental patch.  Error correction applied to a
-state with modular wavefunction psi leaves the codespace amplitudes
+of area pi, half the fundamental patch: ``GKPCode.gauge_patch()``.  Error
+correction applied to a state with modular wavefunction psi leaves the
+codespace amplitudes
 
     c_l = exp(-i alpha l v~) psi(u~ + alpha l, v~).
 
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import modular
 from .core import (
     CombMatrix,
     GaussianComb,
@@ -87,34 +88,28 @@ class GKPCode:
         return ZakGrid(self.gauge_patch(), nu_gauge, nv)
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    """Homodyne outcomes together with their reductions into the correctable patch."""
+class Syndrome(NamedTuple):
+    """Homodyne outcomes, their reductions into the correctable patch and the reducing code's ``alpha``."""
 
     s: float
     t: float
-    u_tilde: float = field(init=False)
-    v_tilde: float = field(init=False)
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        a = self.alpha
-        object.__setattr__(self, "u_tilde", modular.frac_part(self.s, a, a / 2))
-        object.__setattr__(
-            self, "v_tilde", modular.frac_part(self.t, math.pi / a, math.pi / (2 * a))
-        )
+    u_tilde: float
+    v_tilde: float
+    alpha: float
 
 
 def syndrome_reduce(code: GKPCode, s: float, t: float) -> Syndrome:
-    """Map raw measurement outcomes to the correctable patch P_G."""
-    return Syndrome(s=s, t=t, alpha=code.alpha)
+    """Map raw measurement outcomes to the correctable patch P_G, which is ``code.gauge_patch()``."""
+    u, v, _ = code.gauge_patch().reduce(s, t)
+    return Syndrome(s, t, u, v, code.alpha)
 
 
 class LogicalQubit:
     """Trace-normalized 2x2 logical density matrix plus the raw trace.
 
-    Finite entries, Hermiticity to 1e-10 and positivity to -1e-10 are
-    enforced at construction; violations indicate an inconsistent extraction.
+    Construction refuses non-finite entries and a raw trace that is not positive and finite
+    (ValueError); :meth:`from_unnormalized` also enforces Hermiticity to 1e-10 and positivity
+    to -1e-10 (ZakError), whose violations indicate an inconsistent extraction.
     """
 
     __slots__ = ("matrix", "raw_trace")
@@ -123,26 +118,31 @@ class LogicalQubit:
         matrix = np.array(matrix, dtype=np.complex128)
         if matrix.shape != (2, 2):
             raise ValueError("logical matrix must be 2x2")
+        raw_trace = _float(raw_trace)
+        if not (np.isfinite(matrix).all() and 0 < raw_trace < math.inf):
+            raise ValueError(f"logical matrix {matrix.tolist()!r} needs finite entries and a positive finite raw_trace, "
+                             f"got {raw_trace!r}")
         matrix.flags.writeable = False
         self.matrix = matrix
-        self.raw_trace = float(raw_trace)
+        self.raw_trace = raw_trace
 
     @classmethod
     def from_unnormalized(cls, matrix):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if not np.isfinite(matrix).all():
             raise ZakError(f"logical matrix has non-finite entries: {matrix.tolist()!r}")
-        herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if herm > 1e-10:
-            raise ZakError(f"logical matrix fails Hermiticity by {herm:.3e}")
-        trace = float(matrix.trace().real)
-        if trace <= 1e-14:
-            raise DegenerateLogicalError(
-                "state has no support on the correctable-patch translates"
-            )
-        rho = matrix / trace
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if eigs.min() < -1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # a result past the float range is refused below
+            herm = float(np.max(np.abs(matrix - matrix.conj().T)))
+            if herm > 1e-10:
+                raise ZakError(f"logical matrix fails Hermiticity by {herm:.3e}")
+            trace = float(matrix.trace().real)
+            if trace <= 1e-14:
+                raise DegenerateLogicalError("state has no support on the correctable-patch translates")
+            rho = matrix / trace
+            if not (math.isfinite(trace) and np.isfinite(rho).all()):
+                raise ZakError(f"logical matrix {matrix.tolist()!r} does not normalize to finite entries")
+            eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+        if not eigs.min() >= -1e-10:  # NaN too
             raise ZakError(f"logical matrix fails positivity by {eigs.min():.3e}")
         return cls(rho, trace)
 
@@ -258,9 +258,12 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
 
     ``c_l = exp(-i alpha l v~) psi(u~ + alpha l, v~)``; the evaluation
     points are interior to the fundamental patch, so no extension phases
-    enter.  Grid states require the points to be grid nodes.
+    enter.  Grid states require the points to be grid nodes.  A syndrome
+    reduced for another ``alpha`` raises GridMismatchError.
     """
     _require_qubit_patch(state, code, comb=False)
+    if syn.alpha != code.alpha:
+        raise GridMismatchError(f"syndrome was reduced for alpha={syn.alpha!r}, not the code's {code.alpha!r}")
     u, v, alpha = syn.u_tilde, syn.v_tilde, code.alpha
     return tuple(complex(cmath.exp(-1j * alpha * ell * v) * state.value_at(u + alpha * ell, v)) for ell in (0, 1))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["split", "frac_part"]
+__all__ = ["split"]
 
 
 def _float(value, kind=float):
@@ -61,8 +61,3 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
             n += 1
             frac = candidate
     return frac, n
-
-
-def frac_part(x: float, period: float, centering: float) -> float:
-    """Centered fractional part of ``x``, in ``[-centering, period - centering)``."""
-    return split(x, period, centering)[0]

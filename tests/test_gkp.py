@@ -34,6 +34,7 @@ from zakgkp import (
 )
 from zakgkp import gkp, ssd
 from zakgkp.core import comb_matrix
+from zakgkp.modular import split
 
 A = 2 * ALPHA
 
@@ -114,6 +115,33 @@ def test_syndrome_reduce(code):
         syn = syndrome_reduce(code, s, t)
         assert -ALPHA / 2 <= syn.u_tilde < ALPHA / 2
         assert -math.pi / (2 * ALPHA) <= syn.v_tilde < math.pi / (2 * ALPHA)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, 1e-3, 0.1, 0.7, 1.3, 2.5, 123.456, 1e-150, 1e150, 3e-300])
+def test_syndrome_reduce_is_the_gauge_patch_reduction(alpha):
+    # bit for bit, sign of zero included, with the gauge patch and with the rectangle
+    # [-alpha/2, alpha/2) x [-pi/2alpha, pi/2alpha) written out, at whole-period boundaries +-1 ulp
+    code, rng = GKPCode(alpha), np.random.default_rng(29)
+    coords = []
+    for period, centering in ((alpha, alpha / 2), (math.pi / alpha, math.pi / (2 * alpha))):
+        edges = [k * period + sign * centering for k in range(-3, 4) for sign in (-1, 1)] + [0.0, -0.0]
+        near = [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+        coords.append(edges + near + list(period * rng.uniform(-10, 10, 20)))
+    for shift in range(4):
+        for s, t in zip(coords[0], np.roll(coords[1], 11 * shift).tolist()):
+            syn = syndrome_reduce(code, s, t)
+            u, v, _ = code.gauge_patch().reduce(s, t)
+            rect = split(s, alpha, alpha / 2)[0], split(t, math.pi / alpha, math.pi / (2 * alpha))[0]
+            got = (syn.u_tilde.hex(), syn.v_tilde.hex())
+            assert got == (u.hex(), v.hex()) == (rect[0].hex(), rect[1].hex()), (s, t)
+            assert syn == (s, t, syn.u_tilde, syn.v_tilde, alpha)
+
+
+def test_kraus_refuses_a_syndrome_of_another_code():
+    code = GKPCode(1.3)
+    with pytest.raises(GridMismatchError, match=r"syndrome was reduced for alpha=1\.77.*, not the code's 1\.3"):
+        ec_kraus_amplitudes(codeword(code, 1), code, syndrome_reduce(GKPCode(), 1.3, 0.0))
+    assert ec_kraus_amplitudes(codeword(code, 1), code, syndrome_reduce(code, 1.3, 0.0)) == (0j, 1 + 0j)
 
 
 def test_kraus_on_codeword(code):
@@ -374,6 +402,15 @@ def test_logical_qubit_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ZakError, match="non-finite"):
             LogicalQubit.from_unnormalized(np.array([[1, 0], [0, bad]], dtype=complex))
+    # finite entries whose normalization or symmetrization overflows: refused, with no numpy warning
+    with pytest.raises(ZakError, match="does not normalize to finite entries"):
+        LogicalQubit.from_unnormalized([[1e-13, 1e300], [1e300, 1e-13]])
+    with pytest.raises(ZakError, match="fails positivity by nan"):
+        LogicalQubit.from_unnormalized([[5e-9, 1.5e300], [1.5e300, 5e-9]])
+    for matrix, raw_trace in (([[np.nan, 0], [0, 1]], 1.0), (np.eye(2) / 2, math.inf), (np.eye(2) / 2, -1.0),
+                              (np.eye(2) / 2, 0.0), (np.eye(2) / 2, math.nan), (np.eye(2) / 2, 10**400)):
+        with pytest.raises(ValueError, match="needs finite entries and a positive finite raw_trace"):
+            LogicalQubit(matrix, raw_trace)
     q = LogicalQubit.from_unnormalized(np.array([[3, 1], [1, 1]], dtype=complex))
     assert q.raw_trace == 4.0
     x, y, z = q.bloch

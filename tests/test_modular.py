@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zakgkp import ZakPatch, frac_part
+from zakgkp import ZakPatch
 from zakgkp.modular import split
 
 A = 2 * math.sqrt(math.pi)
@@ -34,9 +34,9 @@ reals = st.floats(-1e6, 1e6)
 
 
 def test_frac_part_examples():
-    assert frac_part(0.3, 1.0, 0.5) == 0.3
-    assert frac_part(5.0, 2.0, 1.0) == -1.0
-    assert frac_part(A, A, A / 4) == 0.0
+    assert split(0.3, 1.0, 0.5)[0] == 0.3
+    assert split(5.0, 2.0, 1.0)[0] == -1.0
+    assert split(A, A, A / 4)[0] == 0.0
 
 
 def test_closest_int_multiple_examples():
@@ -50,14 +50,14 @@ def test_closest_int_multiple_examples():
 )
 def test_half_open_boundary_wraps_exactly(period, centering):
     # inputs chosen so that period - centering is exactly representable
-    assert frac_part(period - centering, period, centering) == -centering
+    assert split(period - centering, period, centering)[0] == -centering
 
 
 def test_non_positive_period_rejected():
     with pytest.raises(ValueError):
-        frac_part(1.0, 0.0, 0.5)
+        split(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        frac_part(1.0, -2.0, 0.5)
+        split(1.0, -2.0, 0.5)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
@@ -77,22 +77,22 @@ def _away_from_wrap(x, period, centering):
 def test_range_invariant(x, period, fraction):
     centering = fraction * period
     assume(_away_from_wrap(x, period, centering))
-    f = frac_part(x, period, centering)
+    f = split(x, period, centering)[0]
     assert -centering <= f < period - centering
 
 
 def test_range_at_exact_boundaries():
-    assert frac_part(0.0, 1.0, 0.0) == 0.0
-    assert frac_part(1.0, 1.0, 0.0) == 0.0
-    assert frac_part(-0.25, 1.0, 0.25) == -0.25
+    assert split(0.0, 1.0, 0.0)[0] == 0.0
+    assert split(1.0, 1.0, 0.0)[0] == 0.0
+    assert split(-0.25, 1.0, 0.25)[0] == -0.25
 
 
 @given(x=reals, period=periods, fraction=centering_fractions)
 def test_idempotent(x, period, fraction):
     centering = fraction * period
     assume(_away_from_wrap(x, period, centering))
-    f = frac_part(x, period, centering)
-    assert frac_part(f, period, centering) == f
+    f = split(x, period, centering)[0]
+    assert split(f, period, centering)[0] == f
 
 
 @given(x=reals, period=periods, fraction=centering_fractions)
@@ -112,11 +112,11 @@ def test_decomposition_reconstructs(x, period, fraction):
     c=st.floats(1e-3, 1e3),
 )
 def test_scale_identity(x, period, centering, c):
-    f = frac_part(x, period, centering)
+    f = split(x, period, centering)[0]
     # stay away from the wrap boundary, where a scaled quotient may
     # legitimately round onto the other side
     assume(min(f + centering, period - centering - f) > 1e-6 * period)
-    scaled = frac_part(c * x, c * period, c * centering)
+    scaled = split(c * x, c * period, c * centering)[0]
     # both routes are float-exact relative to the magnitudes they cancel
     tol = 1e-12 * max(1.0, c * period, abs(c * x))
     assert c * f == pytest.approx(scaled, abs=tol)
@@ -153,5 +153,5 @@ def test_canonicalize_composition(x, y, a):
     u, v, phase = canonicalize(x + a, y, a)
     assert u == pytest.approx(base_u, abs=1e-9 * a)
     assert v == pytest.approx(base_v, abs=1e-9)
-    expected = base_phase * cmath.exp(-1j * a * frac_part(y, 2 * math.pi / a, math.pi / a))
+    expected = base_phase * cmath.exp(-1j * a * split(y, 2 * math.pi / a, math.pi / a)[0])
     assert phase == pytest.approx(expected, abs=1e-9)

@@ -5,8 +5,8 @@
 Runs a fixed set of ``zakgkp`` command lines (``zakplot``, ``shift-array``,
 ``logical`` and ``sweep``, on grid and ideal states, in csv and bin) and
 ``libruns.py``, which writes the bits of in-process results the CLI never
-reaches (a grid state's logical maps, residuals, norm and ``pp_bridge`` round
-trip, the maps and residuals of comb matrices the CLI never builds, and what
+reaches (a grid state's logical maps, residuals, norm, Kraus amplitudes and
+``pp_bridge`` round trip, the maps and residuals of comb matrices the CLI never builds, and what
 ``load_grid_csv`` reads from edited CSV files).  Each runs once
 with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
 directory.  Every output file and manifest is compared byte for byte, and so

@@ -8,7 +8,10 @@ shifted off its nodes, a seeded random state, at 64x64, 96x90, 128x256 and
 ``(Nu + 5) du`` and ``-(2 Nu + 3) du``) and ideal states (both codewords and
 a shifted |+>), writes one line per result to OUT: ``gauge_trace``,
 ``ec_gauge_trace``, ``logical_from_overlap``, ``ec_channel_logical``,
-``stabilizer_residual``, ``norm_squared`` and a ``pp_bridge`` round trip.  For
+``stabilizer_residual``, ``norm_squared``, ``ec_kraus_amplitudes`` at two syndromes
+(a grid node inside the correctable patch, or an ideal state's first point, and
+the same outcome shifted by 2 periods in u and -3 in v) and a ``pp_bridge``
+round trip.  For
 comb matrices (the vacuum and an approximate codeword at 128x128, the codeword
 on the aliased 64x16 grid, where ``Nv <= 2 m_max``, and a complex table at
 128x128, whose complex128 values the CLI never builds) it writes
@@ -42,8 +45,10 @@ from zakgkp import (
     approx_codeword,
     codeword,
     ec_channel_logical,
+    ec_kraus_amplitudes,
     logical_from_overlap,
     stabilizer_residual,
+    syndrome_reduce,
     tabulated,
     vacuum,
     zak_transform,
@@ -140,6 +145,14 @@ def results(label, state, code, ec_first):
         yield label, name, f"{bits(q.matrix)} {bits(q.raw_trace)}"
     yield label, "stabilizer_residual", " ".join(bits(r) for r in stabilizer_residual(state, code))
     yield label, "norm_squared", bits(state.norm_squared())
+    if isinstance(state, IdealZakState):
+        s, t = next(iter(state.points))
+    else:
+        s, t = state.grid.u_values()[state.grid.nu // 4 + 3], state.grid.v_values()[state.grid.nv // 2 - 5]
+    for name, outcome in (("ec_kraus_amplitudes", (s, t)),
+                          ("ec_kraus_amplitudes shifted", (s + 2 * code.alpha, t - 3 * math.pi / code.alpha))):
+        amplitudes = ec_kraus_amplitudes(state, code, syndrome_reduce(code, *outcome))
+        yield label, name, " ".join(bits(c) for c in amplitudes)
     if isinstance(state, ModularWavefunction):
         modes = pp_bridge(to_ssd(state, code))
         back = pp_bridge_inverse(modes)
