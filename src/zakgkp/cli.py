@@ -179,15 +179,6 @@ def _require_gauge_halves(command, code, grid):
         code.gauge_grid(grid.nu // 2, grid.nv)
 
 
-def _build_comb(cfg, code, grid):
-    """The ideal state, or the comb matrix of the transform of the described state."""
-    state = _parse_state(cfg["state"], code)[1]
-    if isinstance(state, IdealZakState):
-        return state
-    _require_gauge_halves("logical", code, grid)
-    return comb_matrix(state, grid, cfg["mmax"])
-
-
 def _manifest_text(command, cfg):
     lines = [f"command={command}"]
     for key in sorted(cfg):
@@ -196,11 +187,6 @@ def _manifest_text(command, cfg):
             value = gridio.format_float(value)
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
-
-
-def _with_suffix(path, suffix):
-    stem, ext = os.path.splitext(path)
-    return f"{stem}{suffix}{ext}"
 
 
 def _save_grid(psi, path, fmt):
@@ -226,9 +212,9 @@ def cmd_zakplot(cfg, code, grid):
         psi = zak_transform(state, grid, cfg["mmax"])
         _save_grid(psi, out, cfg["format"])
         # each derived grid is saved and freed before the next; arctan2(imag, real) is np.angle
-        z = psi.samples
+        z, (stem, ext) = psi.samples, os.path.splitext(out)
         for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
-            _save_grid(_derived(psi, ufunc, *inputs), _with_suffix(out, suffix), cfg["format"])
+            _save_grid(_derived(psi, ufunc, *inputs), f"{stem}{suffix}{ext}", cfg["format"])
     gridio.atomic_write_text(out + ".manifest", _manifest_text("zakplot", cfg))
     return 0
 
@@ -278,13 +264,16 @@ def _require_unit_mass(qubit, what):
 
 
 def cmd_logical(cfg, code, grid):
-    state = _build_comb(cfg, code, grid)
+    state = _parse_state(cfg["state"], code)[1]
+    if not isinstance(state, IdealZakState):
+        _require_gauge_halves("logical", code, grid)
+        state = comb_matrix(state, grid, cfg["mmax"])
     # overlap is an alias of trace: ssd.gauge_trace equals logical_from_overlap by construction
     logical = ec_channel_logical if cfg["method"] == "ec-trace" else logical_from_overlap
     qubit = logical(state, code)
     if not cfg["state"].startswith("tabulated:"):  # a table's counting norm depends on its spacing
         _require_unit_mass(qubit, f"state {cfg['state']!r}")
-    gridio.save_logical_report(qubit, cfg["out"])
+    gridio.atomic_write_text(cfg["out"], gridio.logical_report_csv(qubit))
     gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("logical", cfg))
     return 0
 

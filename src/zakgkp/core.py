@@ -377,12 +377,6 @@ class IdealZakState:
                 total += w
         return total
 
-    def map_points(self, fn):
-        """New state from ``fn((u, v), w) -> ((x, y), w')`` applied to every point."""
-        return IdealZakState(
-            self.patch, [fn(point, w) for point, w in self.points.items()]
-        )
-
     def __repr__(self):
         return f"IdealZakState({len(self.points)} points on {self.patch!r})"
 

@@ -182,10 +182,6 @@ class MixtureState:
             raise NormalizationError(total, f"mixture probabilities sum to {total!r}, expected 1")
         self.components = components
 
-    @classmethod
-    def pure(cls, state):
-        return cls([(1.0, state)])
-
     def __iter__(self):
         return iter(self.components)
 
@@ -373,7 +369,7 @@ def _mixture_logical(rho, gram):
     """Trace-normalized logical qubit of ``sum_i p_i gram(component_i)``."""
     mat = np.zeros((2, 2), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # from_unnormalized refuses a non-finite sum
-        for p, component in rho if isinstance(rho, MixtureState) else MixtureState.pure(rho):
+        for p, component in rho if isinstance(rho, MixtureState) else [(1.0, rho)]:
             mat += p * gram(component)
     return LogicalQubit.from_unnormalized(mat)
 

@@ -50,7 +50,6 @@ __all__ = [
     "load_grid_binary",
     "save_point_list_csv",
     "logical_report_csv",
-    "save_logical_report",
 ]
 
 MAGIC = b"ZAKG"
@@ -303,7 +302,3 @@ def logical_report_csv(qubit) -> str:
     values = [part for entry in r.ravel() for part in (entry.real, entry.imag)]
     values += [x, y, z, qubit.purity, qubit.raw_trace]
     return LOGICAL_REPORT_COLUMNS + "\n" + ",".join(format_float(v) for v in values) + "\n"
-
-
-def save_logical_report(qubit, path):
-    atomic_write_text(path, logical_report_csv(qubit))

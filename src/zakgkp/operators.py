@@ -11,6 +11,7 @@ Grid states translate by exact cyclic index shifts with analytic wrap
 phases.  Shifts that are not grid multiples, NaN and infinity included,
 raise OffGridError; a non-finite phase raises ValueError, and a finite one
 whose argument ``t*x`` overflows gives NaN samples, with no numpy warning.
+Any other state, a ``CombMatrix`` or a ``MixtureState``, raises ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cmath
 
 import numpy as np
 
-from .core import IdealZakState, _finite, _float, _frozen
+from .core import IdealZakState, ModularWavefunction, _finite, _float, _frozen
 
 __all__ = [
     "apply_phase_u",
@@ -47,8 +48,11 @@ def _displace(state, pu=None, pv=None, su=None, sv=None):
                       (pv, lambda p, w: (p, w * cmath.exp(1j * p[1] * pv))),
                       (pu, lambda p, w: (p, w * cmath.exp(1j * p[0] * pu)))):
             if t is not None:
-                state = state.map_points(fn)
+                state = IdealZakState(state.patch, [fn(p, w) for p, w in state.items()])
         return state
+    if not isinstance(state, ModularWavefunction):
+        raise ValueError(f"the operators take a grid or ideal state, not a {type(state).__name__}; "
+                         "pass a CombMatrix's zak_transform, or each component of a MixtureState")
     grid, s = state.grid, state.samples
     u, v = grid.u_values()[:, None], grid.v_values()[None, :]
     phase = next((np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None), None)

@@ -27,6 +27,7 @@ from zakgkp import (
     apply_Z,
     cli,
     codeword,
+    ec_channel_logical,
     ec_kraus_amplitudes,
     gaussian_comb,
     gridio,
@@ -133,6 +134,24 @@ def test_logical_trace_and_overlap_agree(tmp_path):
                    "--method", method, "--out", out) == 0
         reports[method] = out.read_bytes()
     assert reports["trace"] == reports["overlap"]
+
+
+@pytest.mark.parametrize(
+    "spec, method",
+    [("gkp-approx:0.3:1", "trace"), ("gkp-approx:0.3:1", "ec-trace"), ("gkp-approx:0.3:1", "overlap"),
+     ("gkp1", "trace")],
+)
+def test_logical_report_is_the_library_map(tmp_path, spec, method):
+    # the report is logical_report_csv of the library map of the comb matrix (or the ideal state)
+    code = GKPCode()
+    if spec == "gkp1":
+        state = codeword(code, 1)
+    else:
+        state = comb_matrix(approx_codeword(code, 1, 0.3), code.grid(64, 64), 16)
+    logical = ec_channel_logical if method == "ec-trace" else logical_from_overlap
+    out = tmp_path / "report.csv"
+    assert run("logical", "--state", spec, "--grid", "64x64", "--method", method, "--out", out) == 0
+    assert out.read_bytes() == gridio.logical_report_csv(logical(state, code)).encode()
 
 
 def test_sweep_monotone_and_deterministic(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from conftest import ALPHA, random_state
 from zakgkp import (
     IdealZakState,
+    MixtureState,
     ModularWavefunction,
     OffGridError,
     apply_phase_u,
@@ -22,6 +23,7 @@ from zakgkp import (
     vacuum,
     zak_transform,
 )
+from zakgkp.core import comb_matrix
 
 A = 2 * ALPHA
 
@@ -147,6 +149,17 @@ def test_translate_v_ideal_moves_point(code, grid64):
 def test_off_grid_translation_raises(grid64, off_grid):
     with pytest.raises(OffGridError):
         off_grid(random_state(grid64, 3), grid64)
+
+
+@pytest.mark.parametrize(
+    "op", [apply_phase_u, apply_phase_v, apply_translate_u, apply_translate_v, apply_X, apply_Z]
+)
+@pytest.mark.parametrize("kind", ["comb", "mixture"])
+def test_operators_refuse_comb_and_mixture(grid64, vac64, op, kind):
+    # neither has samples to shift: a ValueError naming the state to pass, not an AttributeError
+    state = comb_matrix(vacuum(), grid64, 4) if kind == "comb" else MixtureState([(1.0, vac64)])
+    with pytest.raises(ValueError, match="zak_transform, or each component"):
+        op(state, grid64.du)
 
 
 def test_whole_period_components_are_analytic_phases(grid64):
