@@ -606,17 +606,18 @@ class CombMatrix:
     """A Zak transform before its sum over ``m``.
 
     Row ``j`` of the transform is ``sqrt(b/2pi) values[j] @ phases``, with
-    ``values[j, m] = psi_x(u_j + a m)`` and ``phases[m, k] = exp(-i b m v_k)``
-    over the ``m`` that :func:`comb_matrix` kept.  ``values`` is float64
-    for a real descriptor and complex128 otherwise.
+    ``values[j, k] = psi_x(u_j + a m[k])`` over the ``m`` that :func:`comb_matrix`
+    kept and ``phases[k, i] = exp(-i b m[k] v_i)``, formed once here.  ``values``
+    is float64 for a real descriptor and complex128 otherwise.
     """
 
-    __slots__ = ("grid", "values", "phases", "tail_bound")
+    __slots__ = ("grid", "values", "m", "phases", "tail_bound")
 
-    def __init__(self, grid: ZakGrid, values, phases, tail_bound):
+    def __init__(self, grid: ZakGrid, values, m, tail_bound):
         self.grid = grid
         self.values = values
-        self.phases = phases
+        self.m = m
+        self.phases = np.exp(-1j * grid.patch.b * np.outer(m, grid.v_values()))
         self.tail_bound = tail_bound
 
     @property
@@ -663,8 +664,7 @@ def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:
     keep = values.any(axis=0)
     if not keep.all():
         values, m = values[:, keep], m[keep]
-    phases = np.exp(-1j * patch.b * np.outer(m, grid.v_values()))
-    return CombMatrix(grid, values, phases, tail)
+    return CombMatrix(grid, values, m, tail)
 
 
 def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:

@@ -227,8 +227,8 @@ def stabilizer_residual(state, code: GKPCode):
         if isinstance(state, IdealZakState):
             r1, r2 = _point_pair(state, state, wv=wv), _point_pair(state, state, wu=wu)
         elif isinstance(state, CombMatrix):
-            r1 = _u_sum(*_comb_rows(state, state, wv))
-            r2 = _u_sum(*_comb_rows(state, state), wu(state.grid.u_values()))
+            r1 = _u_sum(*_comb_rows(state, state.values, state.values, wv))
+            r2 = _u_sum(*_comb_rows(state, state.values, state.values), wu(state.grid.u_values()))
         else:
             r1 = np.dot(state._marginal(0) * state.grid.cell_area, wv(state.grid.v_values()))
             r2 = _u_sum(state._marginal(1), state.grid.cell_area, wu(state.grid.u_values()))
@@ -239,10 +239,13 @@ def stabilizer_residual(state, code: GKPCode):
 
 
 def _require_qubit_patch(state, code: GKPCode, comb=True):
-    """ValueError for a mixture; GridMismatchError unless a pure state's patch is the code's;
-    then ValueError for a comb matrix unless ``comb``."""
+    """ValueError for anything but a grid state, an ideal state or a comb matrix; GridMismatchError
+    unless the state's patch is the code's; then ValueError for a comb matrix unless ``comb``."""
     if isinstance(state, MixtureState):
         raise ValueError("this function takes a pure state, not a MixtureState; pass each component")
+    if not isinstance(state, (ModularWavefunction, IdealZakState, CombMatrix)):
+        raise ValueError(f"this function takes a grid, ideal or comb state, not a {type(state).__name__}; "
+                         "pass an SSDState's mode")
     if not state.patch.approx_equal(code.full_patch()):
         raise GridMismatchError("state patch does not match the code's fundamental patch")
     if not comb and isinstance(state, CombMatrix):
@@ -270,11 +273,11 @@ def _sectors(state, code: GKPCode):
     This is the unphased change of basis to (qubit) x (gauge mode), a pure
     re-indexing: the left half-patch is logical 0, the right half logical
     1.  An ideal state yields its points ``(u - alpha*l, v)`` on the gauge
-    patch; a grid state or comb matrix, its two row halves (views) on
+    patch; a grid state, its two row halves (views) on
     ``code.gauge_grid(nu // 2, nv)``, which has the full grid's ``b``,
-    ``v_min``, ``du`` and ``dv``, so a comb half keeps ``phases`` and
-    ``tail_bound``.  A foreign patch raises GridMismatchError, and halves
-    that are not grids raise ValueError.
+    ``v_min``, ``du`` and ``dv``; a comb matrix, the two row blocks of its
+    ``values`` (views), which share its ``m`` and ``phases``.  A foreign
+    patch raises GridMismatchError, and halves that are not grids raise ValueError.
     """
     _require_qubit_patch(state, code)
     if isinstance(state, IdealZakState):
@@ -285,10 +288,9 @@ def _sectors(state, code: GKPCode):
             sectors[ell].append(((u - alpha * ell, v), w))
         return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
     half = state.grid.nu // 2
-    gauge_grid = code.gauge_grid(half, state.grid.nv)
+    gauge_grid = code.gauge_grid(half, state.grid.nv)  # refuses halves that are not grids, a comb's too
     if isinstance(state, CombMatrix):
-        return tuple(CombMatrix(gauge_grid, rows, state.phases, state.tail_bound)
-                     for rows in (state.values[:half], state.values[half:]))
+        return state.values[:half], state.values[half:]
     return tuple(ModularWavefunction(gauge_grid, rows)
                  for rows in (state.samples[:half], state.samples[half:]))
 
@@ -308,16 +310,16 @@ def _point_pair(f, g, wu=None, wv=None):
     return sum(w * h for w, h in terms)
 
 
-def _comb_rows(f: CombMatrix, g: CombMatrix, wv=None):
-    """``(rows, du)``, ``rows[j] = sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) dv`` for comb matrices,
-    real when ``f is g``.  Row ``j`` of a transform is ``sqrt(b/2pi) values[j] @ Phi``, so this is
-    ``f.values[j] T_w g.values[j]^H``, with the kernel ``T_w = (b/2pi) dv Phi diag(wv) Phi^H`` over
-    the grid's own ``v`` nodes, exact on an aliased grid (``nv <= 2 m_max``) too.  A code's full and
-    gauge grids share ``b``, ``dv``, ``du`` and ``v``: a whole comb's rows are its halves' rows."""
-    phases, grid = f.phases, f.grid
+def _comb_rows(comb: CombMatrix, f, g, wv=None):
+    """``(rows, du)``, ``rows[j] = sum_k psi_f[j, k] conj(psi_g[j, k]) wv(v_k) dv`` for two row blocks
+    ``f`` and ``g`` of ``comb.values``, real when ``f is g``.  Row ``j`` of a transform is
+    ``sqrt(b/2pi) values[j] @ Phi``, so this is ``f[j] T_w g[j]^H``, with the kernel
+    ``T_w = (b/2pi) dv Phi diag(wv) Phi^H`` over the comb grid's own ``v`` nodes, exact on an
+    aliased grid (``nv <= 2 m_max``) too."""
+    phases, grid = comb.phases, comb.grid
     kernel = (phases if wv is None else phases * wv(grid.v_values())) @ phases.conj().T
     kernel *= grid.patch.b / (2 * math.pi) * grid.dv
-    rows = np.einsum("jm,jm->j", f.values @ kernel, g.values.conj())
+    rows = np.einsum("jm,jm->j", f @ kernel, g.conj())
     return (rows.real if f is g else rows), grid.du
 
 
@@ -355,7 +357,7 @@ def _gram(state, code: GKPCode, ec_phase: bool):
         f, g = _sectors(state, code)
         if isinstance(state, IdealZakState):
             return _hermitian(_point_pair(f, f), _point_pair(g, g), _point_pair(f, g, wv=ec))
-        (rows, scale), cross = _comb_rows(state, state), _comb_rows(f, g, ec)[0]
+        (rows, scale), cross = _comb_rows(state, state.values, state.values), _comb_rows(state, f, g, ec)[0]
     half = len(rows) // 2
     return _hermitian(_u_sum(rows[:half], scale), _u_sum(rows[half:], scale), _u_sum(cross, scale))
 

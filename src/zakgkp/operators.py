@@ -11,7 +11,7 @@ Grid states translate by exact cyclic index shifts with analytic wrap
 phases.  Shifts that are not grid multiples, NaN and infinity included,
 raise OffGridError; a non-finite phase raises ValueError, and a finite one
 whose argument ``t*x`` overflows gives NaN samples, with no numpy warning.
-Any other state, a ``CombMatrix`` or a ``MixtureState``, raises ValueError.
+Any other state, an ``SSDState``, a ``CombMatrix`` or a ``MixtureState``, raises ValueError.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _displace(state, pu=None, pv=None, su=None, sv=None):
         return state
     if not isinstance(state, ModularWavefunction):
         raise ValueError(f"the operators take a grid or ideal state, not a {type(state).__name__}; "
-                         "pass a CombMatrix's zak_transform, or each component of a MixtureState")
+                         "pass an SSDState's mode, a CombMatrix's zak_transform, or each component of a MixtureState")
     grid, s = state.grid, state.samples
     u, v = grid.u_values()[:, None], grid.v_values()[None, :]
     phase = next((np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None), None)

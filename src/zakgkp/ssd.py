@@ -112,13 +112,21 @@ class IdealSSDState(SSDState):
         super().__init__(code, IdealZakState(patch, points0), IdealZakState(patch, points1))
 
 
+def _ssd_state(state) -> SSDState:
+    """``state``; ValueError unless it is an SSDState, naming the change of basis that makes one."""
+    if not isinstance(state, SSDState):
+        raise ValueError(f"this function takes an SSDState, not a {type(state).__name__}; pass to_ssd(state, code)")
+    return state
+
+
 def to_ssd(state, code: GKPCode) -> SSDState:
     """Change of basis from the full mode to (qubit) x (gauge mode).
 
     The result wraps ``state`` without a copy.  Its gauge components are the unphased
     split ``gkp._sectors``, which runs once here so that its GridMismatchError (a foreign
     patch) and ValueError (a grid whose halves are not grids) are raised here.  A
-    ``CombMatrix`` has no samples for the SSD operations to read: ValueError.
+    ``CombMatrix`` has no samples for the SSD operations to read, and an ``SSDState``
+    is split already: ValueError.
     """
     _require_qubit_patch(state, code, comb=False)
     _sectors(state, code)
@@ -129,12 +137,12 @@ def to_ssd(state, code: GKPCode) -> SSDState:
 
 def from_ssd(state: SSDState):
     """Inverse change of basis back to the full mode: the state's own ``mode``."""
-    return state.mode
+    return _ssd_state(state).mode
 
 
 def gauge_trace(rho) -> LogicalQubit:
     """Partial trace over the gauge mode, trace-normalized with raw trace kept."""
-    return _mixture_logical(rho, lambda s: _gram(s.mode, s.code, ec_phase=False))
+    return _mixture_logical(rho, lambda s: _gram(_ssd_state(s).mode, s.code, ec_phase=False))
 
 
 def ec_gauge_trace(rho) -> LogicalQubit:
@@ -145,7 +153,7 @@ def ec_gauge_trace(rho) -> LogicalQubit:
     small-shifted codewords this undoes the shift-induced logical rotation
     exactly.
     """
-    return _mixture_logical(rho, lambda s: _gram(s.mode, s.code, ec_phase=True))
+    return _mixture_logical(rho, lambda s: _gram(_ssd_state(s).mode, s.code, ec_phase=True))
 
 
 def apply_Z_ssd(state, t):
@@ -155,7 +163,7 @@ def apply_Z_ssd(state, t):
     On the gauge components this is ``exp(i alpha l t)`` on the logical
     index, the gauge phase ``exp(i u t)`` and a gauge v-translation.
     """
-    return to_ssd(operators.apply_Z(state.mode, t), state.code)
+    return to_ssd(operators.apply_Z(_ssd_state(state).mode, t), state.code)
 
 
 def apply_X_ssd(state, t):
@@ -167,7 +175,7 @@ def apply_X_ssd(state, t):
     factor), and the integer part applies logical flips.  The full mode's
     quasi-periodicity supplies every wrap phase.
     """
-    return to_ssd(operators.apply_X(state.mode, t), state.code)
+    return to_ssd(operators.apply_X(_ssd_state(state).mode, t), state.code)
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,7 @@ def pp_bridge(state: SSDState) -> PPGaugeModes:
     DFT fills a scratch array in bin order, whose two row halves are
     weighted into ``coeffs[l]`` swapped, in ``m`` order.
     """
-    code, gammas = state.code, state.gamma
+    code, gammas = _ssd_state(state).code, state.gamma
     grid = gammas[0].grid
     half = grid.nv // 2
     m = np.arange(-half, half)
@@ -269,7 +277,7 @@ def save_ssd(state: SSDState, base_path):
     if any(ch.isspace() for ch in os.path.basename(os.fspath(base_path))):
         raise ValueError(f"SSD base name {os.fspath(base_path)!r} holds whitespace")
     paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
-    for gamma, path in zip(state.gamma, paths):
+    for gamma, path in zip(_ssd_state(state).gamma, paths):
         gridio.save_grid_binary(gamma, path)
     names = [os.path.basename(path) for path in paths]
     line = f"alpha={gridio.format_float(state.code.alpha)} gamma0={names[0]} gamma1={names[1]}\n"

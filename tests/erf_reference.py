@@ -1,0 +1,65 @@
+"""Closed-form Gram matrices of sums of Gaussians: a reference for the logical maps.
+
+It imports nothing from ``zakgkp``, so a fault in the library's Gaussian comb (its
+window, its tooth range or its amplitude) cannot move this reference along with it.
+A wavefunction here is ``psi(x) = sum_i w_i exp(-(x - mu_i)^2 / 2 sigma^2)``, given as
+``(w, mu, sigma)``.  The product of two such Gaussians is one Gaussian,
+
+    exp(-(x - mu_i)^2 / 2 sigma^2) exp(-(x + s - mu_j)^2 / 2 sigma^2)
+        = exp(-(mu_i - mu_j + s)^2 / 4 sigma^2) exp(-(x - x0)^2 / sigma^2),
+    x0 = (mu_i + mu_j - s) / 2,
+
+so each Gram entry is a sum of erf differences.
+"""
+
+import math
+
+import numpy as np
+
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def codeword_gaussians(alpha, ell, delta):
+    """``(w, mu, sigma)`` of the approximate codeword ``|ell>``, unnormalized.
+
+    Its teeth have variance ``delta^2`` and sit at ``alpha ell + 2 alpha n``, under an
+    envelope of variance ``delta^-2``.  Each tooth times the envelope is one Gaussian, of
+    weight ``exp(-c^2 / 2 (vt + ve))`` for a tooth at ``c``.  Teeth of weight below
+    1e-30 are left out.
+    """
+    vt, ve = delta**2, delta**-2
+    sigma2 = 1 / (1 / vt + 1 / ve)
+    reach = math.sqrt(2 * (vt + ve) * 30 * math.log(10))
+    last = math.ceil(reach / (2 * alpha)) + 1
+    c = alpha * ell + 2 * alpha * np.arange(-last, last + 1)
+    return np.exp(-c * c / (2 * (vt + ve))), c * sigma2 / vt, math.sqrt(sigma2)
+
+
+def vacuum_gaussians(offset=0.0):
+    """``(w, mu, sigma)`` of the vacuum ``pi^-1/4 exp(-(x - offset)^2 / 2)``."""
+    return np.array([math.pi**-0.25]), np.array([float(offset)]), 1.0
+
+
+def erf_gram(alpha, w, mu, sigma):
+    """The plain Gram matrix of ``psi`` over the correctable windows, normalized by ``int psi^2``.
+
+    ``G[l, l'] = sum_m int psi(x) psi(x + alpha (l' - l)) dx`` over
+    ``[alpha l - alpha/2 + 2 alpha m, alpha l + alpha/2 + 2 alpha m)``; these windows tile
+    the line, so the trace is 1.  For each pair of Gaussians only the windows within
+    ``10 sigma`` of its centre ``x0`` are summed; the rest hold less than ``erfc(10)`` of it.
+    """
+    i, j = np.meshgrid(np.arange(w.size), np.arange(w.size), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+    norm = np.sum(w[i] * w[j] * np.exp(-(mu[i] - mu[j]) ** 2 / (4 * sigma**2))) * sigma * math.sqrt(math.pi)
+    period = 2 * alpha
+    k = np.arange(-math.ceil(10 * sigma / period) - 1, math.ceil(10 * sigma / period) + 2)
+    out = np.empty((2, 2))
+    for ell in (0, 1):
+        for ell_ in (0, 1):
+            s = alpha * (ell_ - ell)
+            weight = w[i] * w[j] * np.exp(-(mu[i] - mu[j] + s) ** 2 / (4 * sigma**2))
+            x0 = (mu[i] + mu[j] - s) / 2
+            lo = alpha * ell - alpha / 2 + period * (np.rint((x0 - alpha * ell) / period)[:, None] + k[None, :])
+            erfs = _erf((lo + alpha - x0[:, None]) / sigma) - _erf((lo - x0[:, None]) / sigma)
+            out[ell, ell_] = np.sum(weight * erfs.astype(float).sum(axis=1)) * sigma * math.sqrt(math.pi) / 2
+    return out / norm

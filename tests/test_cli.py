@@ -24,14 +24,21 @@ from zakgkp import (
     apply_translate_u,
     apply_translate_v,
     apply_X,
+    apply_X_ssd,
     apply_Z,
+    apply_Z_ssd,
     cli,
     codeword,
     ec_channel_logical,
+    ec_gauge_trace,
     ec_kraus_amplitudes,
+    from_ssd,
+    gauge_trace,
     gaussian_comb,
     gridio,
     logical_from_overlap,
+    pp_bridge,
+    save_ssd,
     stabilizer_residual,
     syndrome_reduce,
     tabulated,
@@ -966,6 +973,25 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                        "takes a grid or ideal state, not a CombMatrix", id=f"comb-{name}")
           for name, f in (("ec_kraus_amplitudes", lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda c: to_ssd(c, _CODE)))),
+        # an SSD function given a full-mode state, and a full-mode function given an SSDState:
+        # each once ended in an AttributeError, the operators' refusal named no SSDState
+        *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal)), ValueError,
+                       r"takes an SSDState, not a \w+; pass to_ssd\(state, code\)", id=f"{kind}-{name}")
+          for kind, pick in (("grid", lambda psi, ideal: psi), ("ideal", lambda psi, ideal: ideal),
+                             ("mixture", lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
+          for name, f in (("gauge_trace", gauge_trace), ("ec_gauge_trace", ec_gauge_trace),
+                          ("apply_Z_ssd", lambda s: apply_Z_ssd(s, 0.0)), ("apply_X_ssd", lambda s: apply_X_ssd(s, 0.0)),
+                          ("pp_bridge", pp_bridge), ("from_ssd", from_ssd),
+                          ("save_ssd", lambda s: save_ssd(s, os.path.join("no-such-folder", "ssd"))))
+          if kind != "mixture" or name.endswith("gauge_trace")),
+        *(pytest.param(lambda psi, ideal, f=f, kind=kind: f(to_ssd(psi if kind == "grid" else ideal, _CODE)),
+                       ValueError, "not a SSDState; pass an SSDState's mode", id=f"ssd-{kind}-{name}")
+          for kind in ("grid", "ideal")
+          for name, f in (("logical_from_overlap", lambda s: logical_from_overlap(s, _CODE)),
+                          ("ec_channel_logical", lambda s: ec_channel_logical(s, _CODE)),
+                          ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
+                          ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (

@@ -22,6 +22,7 @@ from zakgkp import (
     apply_Z,
     apply_Z_ssd,
     GKPCode,
+    approx_codeword,
     codeword,
     ec_channel_logical,
     ec_gauge_trace,
@@ -33,7 +34,10 @@ from zakgkp import (
     pp_bridge_inverse,
     save_ssd,
     to_ssd,
+    vacuum,
+    zak_transform,
 )
+from zakgkp.core import comb_matrix
 from zakgkp.gridio import load_grid_binary, save_grid_binary
 
 A = 2 * ALPHA
@@ -441,6 +445,22 @@ def test_pp_bridge_matches_dense_sums(code, nu, nv):
     for gamma, want in zip(back.gamma, dense_synthesis(modes)):
         assert gamma.samples.shape == (nu // 2, nv) and gamma.samples.flags.c_contiguous
         assert_close_relative(gamma.samples, want)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("kind", ["vacuum", "gkp-approx:0.3:1"])
+def test_comb_matrix_is_the_partitioned_position_representation(code, kind, n):
+    # gauge half l's coefficient at frequency -m[k] is column k of the comb's row block l,
+    # and every frequency the comb did not keep is empty: nv > 2 m_max, so nothing aliases
+    state = vacuum(0.3) if kind == "vacuum" else approx_codeword(code, 1, 0.3)
+    grid = code.grid(n, n)
+    comb = comb_matrix(state, grid, 16)
+    modes = pp_bridge(to_ssd(zak_transform(state, grid, 16), code))
+    kept = -comb.m - modes.m_values[0]
+    half = n // 2
+    for ell, coeff in enumerate(modes.coeffs):
+        assert np.max(np.abs(coeff[kept] - comb.values[ell * half:(ell + 1) * half].T)) <= 1e-15
+        assert np.max(np.abs(np.delete(coeff, kept, axis=0))) <= 1e-15
 
 
 def test_pp_gauge_modes_store_only_code_and_coeffs(code):

@@ -38,6 +38,9 @@ RUNS = [
     (0, "logical --state gkp-approx:0.2:0 --grid 128x128 --method trace --out trace.csv"),
     (0, "logical --state gkp-approx:0.2:1 --grid 128x128 --method ec-trace --out ec_trace.csv"),
     (0, "sweep --state gkp-approx:0.5:0 --grid 128x128 --deltas 0.5,0.3,0.1 --out sweep.csv"),
+    # non-square comb routes: a gauge split along v instead of u would differ here
+    (0, "logical --state gkp-approx:0.3:1 --grid 128x64 --method ec-trace --out ec_trace_128x64.csv"),
+    (0, "sweep --state gkp-approx:0.3:0 --grid 64x128 --deltas 0.4,0.3 --out sweep_64x128.csv"),
     (0, "logical --state gkp1 --method ec-trace --out ideal_ec_trace.csv"),
     (0, "logical --state gkp0 --grid 68x16 --out ideal_68x16.csv"),  # an ideal state ignores the grid
     (0, "logical --state vacuum --grid 128x128 --method trace --out vacuum_trace.csv"),  # complex cross entry
