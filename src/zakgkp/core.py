@@ -84,10 +84,8 @@ def _finite_rows(where, rows, j=0):
     and the first bad sample unless all are finite."""
     for i in range(0, len(rows), BLOCK_ROWS):
         block = rows[i:i + BLOCK_ROWS]
-        # the (re, im) float64 view tests about a third faster than the complex
-        # array; a block at a time keeps the mask small
-        flat = block.view(np.float64) if block.strides[-1] == block.itemsize else block
-        if not np.isfinite(flat).all():
+        # the (re, im) float64 view tests faster than the complex array; a strided block is copied
+        if not np.isfinite(np.ascontiguousarray(block).view(np.float64)).all():
             r, k = np.argwhere(~np.isfinite(block))[0]
             raise NonFiniteError(f"{where}: sample ({j + i + r}, {k}) is not finite: {complex(block[r, k])}")
     return rows
@@ -294,10 +292,6 @@ class ModularWavefunction:
         """Sample at a canonical point; raises OffGridError unless it is a grid node."""
         return self.samples[self.grid.u_index(u), self.grid.v_index(v)]
 
-    def _parts(self):
-        """The samples as reals, real and imaginary parts interleaved along v (a view if C-contiguous)."""
-        return np.ascontiguousarray(self.samples).view(np.float64)
-
     def _memoized(self, key, compute):
         """``compute()``, a read-only statistic of the samples, run once per ``key``."""
         value = self._memo.get(key)
@@ -309,7 +303,8 @@ class ModularWavefunction:
         """``|psi|^2`` summed over v for each u (``axis=1``) or over u for each v (``axis=0``),
         with no full-grid temporary: read-only, computed once per state and axis."""
         def compute():
-            parts = self._parts()
+            # real and imaginary parts interleaved along v (a view if C-contiguous)
+            parts = np.ascontiguousarray(self.samples).view(np.float64)
             sums = np.einsum("ij,ij->i" if axis else "ij,ij->j", parts, parts)
             return _frozen(sums if axis else sums[0::2] + sums[1::2])
         return self._memoized(("marginal", axis), compute)
@@ -493,8 +488,7 @@ class GaussianComb:
             index = nearest + k
             d = flat - centers.take(index, mode="clip")
             term = np.exp(-(d * d) / (2 * self.tooth_variance))
-            if k:  # the nearest tooth always exists; the others may lie past +-N
-                term[(index < 0) | (index > 2 * n)] = 0.0
+            term[(index < 0) | (index > 2 * n)] = 0.0  # a tooth past +-N; never the nearest one
             total += term
         return total.reshape(x.shape)
 

@@ -112,10 +112,13 @@ class IdealSSDState(SSDState):
         super().__init__(code, IdealZakState(patch, points0), IdealZakState(patch, points1))
 
 
-def _ssd_state(state) -> SSDState:
-    """``state``; ValueError unless it is an SSDState, naming the change of basis that makes one."""
+def _ssd_state(state, grid=False) -> SSDState:
+    """``state``; ValueError unless it is an SSDState, naming the change of basis that makes
+    one, and with ``grid`` unless its mode is a grid state."""
     if not isinstance(state, SSDState):
         raise ValueError(f"this function takes an SSDState, not a {type(state).__name__}; pass to_ssd(state, code)")
+    if grid and not isinstance(state.mode, ModularWavefunction):
+        raise ValueError(f"this function takes an SSDState of a grid state, not of a {type(state.mode).__name__}")
     return state
 
 
@@ -217,7 +220,7 @@ def pp_bridge(state: SSDState) -> PPGaugeModes:
     DFT fills a scratch array in bin order, whose two row halves are
     weighted into ``coeffs[l]`` swapped, in ``m`` order.
     """
-    code, gammas = _ssd_state(state).code, state.gamma
+    code, gammas = _ssd_state(state, grid=True).code, state.gamma
     grid = gammas[0].grid
     half = grid.nv // 2
     m = np.arange(-half, half)
@@ -272,12 +275,13 @@ def save_ssd(state: SSDState, base_path):
     and :func:`load_ssd` looks for them next to it, so the three files can
     be loaded from any working directory and moved together.  The manifest
     is space-separated, so a basename holding whitespace raises ValueError
-    before any file is written.
+    before any file is written, as does an ideal state.
     """
+    _ssd_state(state, grid=True)
     if any(ch.isspace() for ch in os.path.basename(os.fspath(base_path))):
         raise ValueError(f"SSD base name {os.fspath(base_path)!r} holds whitespace")
     paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
-    for gamma, path in zip(_ssd_state(state).gamma, paths):
+    for gamma, path in zip(state.gamma, paths):
         gridio.save_grid_binary(gamma, path)
     names = [os.path.basename(path) for path in paths]
     line = f"alpha={gridio.format_float(state.code.alpha)} gamma0={names[0]} gamma1={names[1]}\n"

@@ -40,26 +40,51 @@ def vacuum_gaussians(offset=0.0):
     return np.array([math.pi**-0.25]), np.array([float(offset)]), 1.0
 
 
-def erf_gram(alpha, w, mu, sigma):
-    """The plain Gram matrix of ``psi`` over the correctable windows, normalized by ``int psi^2``.
+def _pair_integral(alpha, w, mu, sigma):
+    """``(P, norm)`` of ``psi``: ``norm = int psi^2``, and ``P(s, ell) = sum_m int psi(x) psi(x + s) dx``
+    over ``[alpha ell - alpha/2 + 2 alpha m, alpha ell + alpha/2 + 2 alpha m)``.
 
-    ``G[l, l'] = sum_m int psi(x) psi(x + alpha (l' - l)) dx`` over
-    ``[alpha l - alpha/2 + 2 alpha m, alpha l + alpha/2 + 2 alpha m)``; these windows tile
-    the line, so the trace is 1.  For each pair of Gaussians only the windows within
-    ``10 sigma`` of its centre ``x0`` are summed; the rest hold less than ``erfc(10)`` of it.
+    For each pair of Gaussians only the windows within ``10 sigma`` of its centre ``x0``
+    are summed; the rest hold less than ``erfc(10)`` of it.
     """
     i, j = np.meshgrid(np.arange(w.size), np.arange(w.size), indexing="ij")
     i, j = i.ravel(), j.ravel()
     norm = np.sum(w[i] * w[j] * np.exp(-(mu[i] - mu[j]) ** 2 / (4 * sigma**2))) * sigma * math.sqrt(math.pi)
     period = 2 * alpha
     k = np.arange(-math.ceil(10 * sigma / period) - 1, math.ceil(10 * sigma / period) + 2)
-    out = np.empty((2, 2))
-    for ell in (0, 1):
-        for ell_ in (0, 1):
-            s = alpha * (ell_ - ell)
-            weight = w[i] * w[j] * np.exp(-(mu[i] - mu[j] + s) ** 2 / (4 * sigma**2))
-            x0 = (mu[i] + mu[j] - s) / 2
-            lo = alpha * ell - alpha / 2 + period * (np.rint((x0 - alpha * ell) / period)[:, None] + k[None, :])
-            erfs = _erf((lo + alpha - x0[:, None]) / sigma) - _erf((lo - x0[:, None]) / sigma)
-            out[ell, ell_] = np.sum(weight * erfs.astype(float).sum(axis=1)) * sigma * math.sqrt(math.pi) / 2
-    return out / norm
+
+    def P(s, ell):
+        weight = w[i] * w[j] * np.exp(-(mu[i] - mu[j] + s) ** 2 / (4 * sigma**2))
+        x0 = (mu[i] + mu[j] - s) / 2
+        lo = alpha * ell - alpha / 2 + period * (np.rint((x0 - alpha * ell) / period)[:, None] + k[None, :])
+        erfs = _erf((lo + alpha - x0[:, None]) / sigma) - _erf((lo - x0[:, None]) / sigma)
+        return np.sum(weight * erfs.astype(float).sum(axis=1)) * sigma * math.sqrt(math.pi) / 2
+
+    return P, norm
+
+
+def erf_gram(alpha, w, mu, sigma):
+    """The plain Gram matrix of ``psi`` over the correctable windows, normalized by ``int psi^2``.
+
+    ``G[l, l'] = P(alpha (l' - l), l)``: the windows of ``l = 0`` and ``l = 1`` tile the
+    line, so the trace is 1.
+    """
+    P, norm = _pair_integral(alpha, w, mu, sigma)
+    return np.array([[P(alpha * (ell_ - ell), ell) for ell_ in (0, 1)] for ell in (0, 1)]) / norm
+
+
+def erf_ec_gram(alpha, w, mu, sigma):
+    """The error-correction Gram matrix of ``psi``, normalized by ``int psi^2``.
+
+    Its diagonal is :func:`erf_gram`'s.  The cross weight ``exp(i alpha v)`` couples the
+    comb terms ``n`` periods apart through its Fourier coefficients over a v period
+    (``b = 2 alpha``), ``c_n = 2 (-1)^(n+1) / (pi (2n - 1))``, so that
+    ``G[0, 1] = sum_n c_{-n} P(alpha + 2 alpha n, 0)``.  The sum runs over every shift
+    that brings two of the Gaussians within ``12 sigma`` of each other.
+    """
+    P, norm = _pair_integral(alpha, w, mu, sigma)
+    reach = 12 * sigma + np.ptp(mu)
+    n = np.arange(math.floor((-reach - alpha) / (2 * alpha)), math.ceil((reach - alpha) / (2 * alpha)) + 1)
+    c = 2 * (-1.0) ** (1 - n) / (math.pi * (-2 * n - 1))
+    cross = sum(cn * P(alpha + 2 * alpha * m, 0) for m, cn in zip(n, c))
+    return np.array([[P(0.0, 0), cross], [cross, P(0.0, 1)]]) / norm

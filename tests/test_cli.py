@@ -992,6 +992,12 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                           ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
                           ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
+        # an ideal SSD state has no grid to bridge or write: each once ended in an AttributeError,
+        # and the refusal comes before any file is opened (the folder does not exist)
+        *(pytest.param(lambda psi, ideal, f=f: f(to_ssd(ideal, _CODE)), ValueError,
+                       "takes an SSDState of a grid state, not of a IdealZakState", id=f"ideal-ssd-{name}")
+          for name, f in (("pp_bridge", pp_bridge),
+                          ("save_ssd", lambda s: save_ssd(s, os.path.join("no-such-folder", "ssd"))))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (

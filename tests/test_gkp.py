@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA, comb_table, random_state
-from erf_reference import codeword_gaussians, erf_gram, vacuum_gaussians
+from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, vacuum_gaussians
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
@@ -296,29 +296,36 @@ def test_gauss_legendre_oracle_against_vacuum_erf_sums(code, c):
     gram = np.array([[g00, g01], [g01, g11]])
     assert np.max(np.abs(_oracle_rho(vacuum(c), code) - gram / gram.trace())) <= 1e-13
     assert np.max(np.abs(erf_gram(alpha, *vacuum_gaussians(c)) - gram)) <= 1e-15
+    assert np.max(np.abs(erf_ec_gram(alpha, *vacuum_gaussians(c)) - _oracle_ec_rho(vacuum(c), code))) <= 1e-14
 
 
 @pytest.mark.parametrize(
     "delta, ell, errors",
     [
-        (0.5, 0, {64: 1.79e-4, 256: 4.48e-5}),
-        (0.5, 1, {64: 2.06e-4, 256: 5.16e-5}),
-        (0.3, 0, {64: 3.02e-6, 256: 1.92e-7}),
-        (0.3, 1, {64: 3.02e-6, 256: 1.92e-7}),
-        (0.2, 0, {64: 1.74e-10, 256: 1.18e-11}),
-        (0.2, 1, {64: 1.74e-10, 256: 1.18e-11}),
+        (0.5, 0, {64: (1.79e-4, 1.68e-4), 256: (4.48e-5, 1.05e-5)}),
+        (0.5, 1, {64: (2.06e-4, 1.86e-4), 256: (5.16e-5, 1.16e-5)}),
+        (0.3, 0, {64: (3.02e-6, 3.02e-6), 256: (1.92e-7, 1.92e-7)}),
+        (0.3, 1, {64: (3.02e-6, 3.02e-6), 256: (1.92e-7, 1.92e-7)}),
+        (0.2, 0, {64: (1.74e-10, 1.74e-10), 256: (1.18e-11, 1.18e-11)}),
+        (0.2, 1, {64: (1.74e-10, 1.74e-10), 256: (1.18e-11, 1.18e-11)}),
     ],
 )
 def test_comb_route_error_against_erf_reference(code, delta, ell, errors):
-    # the closed form shares no code with the library's comb, so it also checks the oracle,
+    # the closed forms share no code with the library's comb, so they also check the oracles,
     # whose integrand is the library's own GaussianComb; the pins are today's left-Riemann u
-    # errors, and an error below 1e-13 (rounding, not the rule) would not be pinned
-    exact = erf_gram(code.alpha, *codeword_gaussians(code.alpha, ell, delta))
-    assert abs(exact.trace() - 1) <= 1e-15
-    assert np.max(np.abs(exact - _oracle_rho(approx_codeword(code, ell, delta), code))) <= 1e-14
-    for n, error in errors.items():
-        got = logical_from_overlap(comb_matrix(approx_codeword(code, ell, delta), code.grid(n, n), 16), code).matrix
-        assert np.max(np.abs(got - exact)) == pytest.approx(error, rel=0.1), n
+    # errors of the plain and the EC map, and an error below 1e-13 (rounding, not the rule)
+    # would not be pinned.  The maps are normalized by their trace, so the raw trace (the
+    # reference's is 1) pins the comb's amplitude
+    descriptor, gaussians = approx_codeword(code, ell, delta), codeword_gaussians(code.alpha, ell, delta)
+    for route, (reference, oracle, logical) in enumerate(((erf_gram, _oracle_rho, logical_from_overlap),
+                                                          (erf_ec_gram, _oracle_ec_rho, ec_channel_logical))):
+        exact = reference(code.alpha, *gaussians)
+        assert abs(exact.trace() - 1) <= 1e-15
+        assert np.max(np.abs(exact - oracle(descriptor, code))) <= 1e-14
+        for n, error in errors.items():
+            got = logical(comb_matrix(descriptor, code.grid(n, n), 16), code)
+            assert np.max(np.abs(got.matrix - exact)) == pytest.approx(error[route], rel=0.1), (logical.__name__, n)
+            assert abs(got.raw_trace - 1) <= 1e-13, (logical.__name__, n)
 
 
 @pytest.mark.parametrize(

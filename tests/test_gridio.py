@@ -137,7 +137,7 @@ def test_writers_refuse_non_finite_samples_and_leave_no_file(code, tmp_path, fmt
 
 
 def test_writers_check_a_state_adopted_from_a_column_strided_view(code, tmp_path):
-    # a read-only view is adopted without a copy; its rows have no float64 view
+    # a read-only view is adopted without a copy; the finiteness check copies each strided block
     base = random_state(code.grid(8, 16), 78).samples.copy()
     base.flags.writeable = False
     psi = ModularWavefunction(code.grid(8, 8), base[:, ::2])
