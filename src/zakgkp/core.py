@@ -123,10 +123,6 @@ class ZakPatch:
     def height(self):
         return 2 * math.pi / self.b
 
-    @property
-    def area(self):
-        return self.a * self.height
-
     def reduce(self, x, y):
         """Canonicalize ``(x, y)`` into the patch; returns ``(u, v, wraps)``.
 
@@ -353,9 +349,6 @@ class IdealZakState:
 
     def items(self):
         return self.points.items()
-
-    def __len__(self):
-        return len(self.points)
 
     def norm_squared(self):
         return float(sum(abs(w) ** 2 for w in self.points.values()))
@@ -695,9 +688,11 @@ def zak_transform(state, grid: ZakGrid, m_max: int) -> ModularWavefunction:
 def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex:
     """Recover ``psi_x(u + a*n)`` from the v grid line at ``u`` (a Riemann sum).
 
-    ``u`` must be a grid node; this operation never interpolates.  An
-    ``n`` whose phase ``b n v`` leaves the float range raises ValueError.
+    ``psi`` must be a grid state and ``u`` a grid node; this operation never interpolates.
+    Another state, or an ``n`` whose phase ``b n v`` leaves the float range, raises ValueError.
     """
+    if not isinstance(psi, ModularWavefunction):
+        raise ValueError(f"inverse_zak_transform takes a grid state, not a {type(psi).__name__}")
     grid, n = psi.grid, _float(n)
     v = grid.v_values()
     _finite(f"the largest phase b n v for n={n!r}", grid.patch.b * n * float(np.abs(v).max()))

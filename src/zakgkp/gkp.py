@@ -185,9 +185,6 @@ class MixtureState:
     def __iter__(self):
         return iter(self.components)
 
-    def __len__(self):
-        return len(self.components)
-
 
 def codeword(code: GKPCode, ell: int) -> IdealZakState:
     """Ideal codeword: the single Zak point mass at ``(alpha * ell, 0)``."""

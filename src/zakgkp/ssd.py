@@ -84,22 +84,6 @@ class SSDState:
         """``gkp._sectors(mode, code)``, split from ``mode`` on each access."""
         return _sectors(self.mode, self.code)
 
-    @property
-    def gauge_grid(self) -> ZakGrid:
-        """The gauge grid of a grid state; an ideal state has none, and raises AttributeError."""
-        return self.gamma[0].grid
-
-    @property
-    def points(self):
-        """The point dicts of an ideal state's two gauge components."""
-        return tuple(gamma.points for gamma in self.gamma)
-
-    def norm_squared(self):
-        return self.mode.norm_squared()
-
-    def norm(self):
-        return self.mode.norm()
-
 
 class IdealSSDState(SSDState):
     """An ideal SSD state from its gauge components' point dicts, canonicalized into
@@ -245,9 +229,11 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     factor ``exp(+i b m v_min)``, frequency ``m`` fills bin ``m mod nv``, and
     one unnormalized length-nv inverse DFT per gauge column, O(nv log nv),
     writes the samples straight into one half of the full mode's C-contiguous
-    ``(2 nu, nv)`` array.  ``coeffs`` must be two arrays of one ``(nv, nu)``
-    shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
+    ``(2 nu, nv)`` array.  ``modes`` is a PPGaugeModes whose ``coeffs`` are two arrays of one
+    ``(nv, nu)`` shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
     """
+    if not isinstance(modes, PPGaugeModes):
+        raise ValueError(f"pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns, not a {type(modes).__name__}")
     code = modes.code
     if len(modes.coeffs) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")

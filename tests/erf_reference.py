@@ -88,3 +88,25 @@ def erf_ec_gram(alpha, w, mu, sigma):
     c = 2 * (-1.0) ** (1 - n) / (math.pi * (-2 * n - 1))
     cross = sum(cn * P(alpha + 2 * alpha * m, 0) for m, cn in zip(n, c))
     return np.array([[P(0.0, 0), cross], [cross, P(0.0, 1)]]) / norm
+
+
+def erf_residuals(alpha, w, mu, sigma):
+    """``(r1, r2)``, the norms of ``(S - 1) psi`` for ``psi`` normalized and the stabilizers
+    ``P_V(-2 alpha)``, the position shift by ``2 alpha``, and ``P_U(k) = exp(i k x)``, ``k = 2 pi / alpha``.
+
+    With ``S(s) = sum_ij w_i w_j exp(-(mu_i - mu_j + s)^2 / 4 sigma^2)``, the overlap
+    ``int psi(x) psi(x + s) dx`` is ``sigma sqrt(pi) S(s)``.  Under ``exp(i k x)`` the product
+    Gaussian of a pair, centred on ``(mu_i + mu_j) / 2``, gives its characteristic function, so
+
+        r1^2 = 2 - 2 S(2 alpha) / S(0)
+        r2^2 = 2 - 2 exp(-k^2 sigma^2 / 4) sum_ij w_i w_j exp(-(mu_i - mu_j)^2 / 4 sigma^2)
+                     cos(k (mu_i + mu_j) / 2) / S(0)
+    """
+    ww, diff, mean = np.outer(w, w), np.subtract.outer(mu, mu), np.add.outer(mu, mu) / 2
+
+    def S(s):
+        return np.sum(ww * np.exp(-(diff + s) ** 2 / (4 * sigma**2)))
+
+    k = 2 * math.pi / alpha
+    cos = math.exp(-(k * sigma) ** 2 / 4) * np.sum(ww * np.exp(-diff**2 / (4 * sigma**2)) * np.cos(k * mean))
+    return math.sqrt(2 - 2 * S(2 * alpha) / S(0.0)), math.sqrt(2 - 2 * cos / S(0.0))

@@ -168,7 +168,7 @@ def test_criterion_06_ec_cross_route(code, corpus_128):
     with criterion(6, "Kraus amplitudes vs SSD form < 1e-10; syndrome-averaged outer products < 1e-6"):
         for psi in corpus_128.values():
             state = to_ssd(psi, code)
-            gauge = state.gauge_grid
+            gauge = state.gamma[0].grid
             u_vals, v_vals = gauge.u_values(), gauge.v_values()
             for j in range(0, gauge.nu, 4):
                 for k in range(0, gauge.nv, 4):
@@ -205,7 +205,7 @@ def test_criterion_07_povm_completeness(code, corpus_128):
     with criterion(7, "EC POVM completeness: syndrome integral equals the norm < 1e-6"):
         for psi in corpus_128.values():
             state = to_ssd(psi, code)
-            gauge = state.gauge_grid
+            gauge = state.gamma[0].grid
             v = gauge.v_values()
             mass = 0.0
             for ell in (0, 1):
@@ -217,7 +217,7 @@ def test_criterion_07_povm_completeness(code, corpus_128):
 def test_criterion_08_counter_rotation(code):
     with criterion(8, "EC trace undoes small shifts exactly; plain trace shows e^{i alpha l v}"):
         grid = code.grid(64, 64)
-        gauge = to_ssd(zak_transform(vacuum(), grid, 16), code).gauge_grid
+        gauge = to_ssd(zak_transform(vacuum(), grid, 16), code).gamma[0].grid
         nodes = [
             (gauge.u_values()[j], gauge.v_values()[k])
             for j in (0, 7, 16, 31)
@@ -260,9 +260,9 @@ def test_criterion_09_ssd_consistency(code):
         start = IdealSSDState(code, {(3 * ALPHA / 8, 0.25): 1.0}, {})
         moved = apply_X_ssd(start, ALPHA / 4)
         direct = to_ssd(apply_X(from_ssd(start), ALPHA / 4), code)
-        assert moved.points[0] == {}
-        for (gu, gv), w in direct.points[1].items():
-            assert moved.points[1][(gu, gv)] == pytest.approx(w, abs=1e-12)
+        assert moved.gamma[0].points == {}
+        for (gu, gv), w in direct.gamma[1].points.items():
+            assert moved.gamma[1].points[(gu, gv)] == pytest.approx(w, abs=1e-12)
 
 
 def test_criterion_10_pp_bridge_roundtrip(code):

@@ -38,6 +38,7 @@ from zakgkp import (
     gridio,
     logical_from_overlap,
     pp_bridge,
+    pp_bridge_inverse,
     save_ssd,
     stabilizer_residual,
     syndrome_reduce,
@@ -998,6 +999,13 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                        "takes an SSDState of a grid state, not of a IdealZakState", id=f"ideal-ssd-{name}")
           for name, f in (("pp_bridge", pp_bridge),
                           ("save_ssd", lambda s: save_ssd(s, os.path.join("no-such-folder", "ssd"))))),
+        # each once ended in an AttributeError on a member the input does not have
+        pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
+                     "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
+        *(pytest.param(lambda psi, ideal, pick=pick: inverse_zak_transform(pick(psi, ideal), 0, 0.0), ValueError,
+                       f"takes a grid state, not a {kind}$", id=f"{kind}-inverse_zak_transform")
+          for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (

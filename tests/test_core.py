@@ -322,7 +322,7 @@ def test_ideal_state_canonicalization_merges_and_phases():
     patch = ZakPatch(4.0)
     v0 = 0.375
     state = IdealZakState(patch, [((0.25, v0), 1.0), ((0.25 + 4.0, v0), 1.0)])
-    assert len(state) == 1
+    assert len(state.points) == 1
     weight = next(iter(state.points.values()))
     assert weight == pytest.approx(1.0 + cmath.exp(-1j * 4.0 * v0), abs=1e-12)
     assert state.norm() == pytest.approx(abs(weight))
@@ -640,6 +640,13 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
         ("zakgkp.core", "ideal_state_overlap"),
         ("zakgkp.core", "evaluate_extended"),
         ("zakgkp.operators", "modular_expectations"),
+        ("SSDState", "gauge_grid"),
+        ("SSDState", "points"),
+        ("SSDState", "norm"),
+        ("SSDState", "norm_squared"),
+        ("ZakPatch", "area"),
+        ("IdealZakState", "__len__"),
+        ("MixtureState", "__len__"),
     ],
 )
 def test_removed_names_are_gone(owner, name):

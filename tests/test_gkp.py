@@ -1,14 +1,16 @@
+import ast
 import cmath
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ALPHA, comb_table, random_state
-from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, vacuum_gaussians
+from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, erf_residuals, vacuum_gaussians
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
@@ -65,8 +67,8 @@ def test_code_geometry(code):
     assert gauge.a == ALPHA
     assert gauge.b == 2 * ALPHA
     # correctable patch has area pi, half the fundamental area 2 pi
-    assert gauge.area == pytest.approx(math.pi)
-    assert patch.area == pytest.approx(2 * math.pi)
+    assert gauge.a * gauge.height == pytest.approx(math.pi)
+    assert patch.a * patch.height == pytest.approx(2 * math.pi)
 
 
 def test_approx_codeword_normalization_and_peaks(code):
@@ -180,7 +182,7 @@ def test_povm_completeness(code):
     grid = code.grid(128, 128)
     psi = zak_transform(approx_codeword(code, 1, 0.3), grid, 16)
     state = ssd.to_ssd(psi, code)
-    gauge = state.gauge_grid
+    gauge = state.gamma[0].grid
     total = 0.0
     for j in range(0, gauge.nu, 8):
         for k in range(0, gauge.nv, 8):
@@ -313,9 +315,10 @@ def test_gauss_legendre_oracle_against_vacuum_erf_sums(code, c):
 def test_comb_route_error_against_erf_reference(code, delta, ell, errors):
     # the closed forms share no code with the library's comb, so they also check the oracles,
     # whose integrand is the library's own GaussianComb; the pins are today's left-Riemann u
-    # errors of the plain and the EC map, and an error below 1e-13 (rounding, not the rule)
-    # would not be pinned.  The maps are normalized by their trace, so the raw trace (the
-    # reference's is 1) pins the comb's amplitude
+    # errors of the plain and the EC map, on the comb route and on the grid route (its
+    # transform), and an error below 1e-13 (rounding, not the rule) would not be pinned.  The
+    # maps are normalized by their trace, so the raw trace (the reference's is 1) pins the
+    # comb's amplitude
     descriptor, gaussians = approx_codeword(code, ell, delta), codeword_gaussians(code.alpha, ell, delta)
     for route, (reference, oracle, logical) in enumerate(((erf_gram, _oracle_rho, logical_from_overlap),
                                                           (erf_ec_gram, _oracle_ec_rho, ec_channel_logical))):
@@ -323,9 +326,43 @@ def test_comb_route_error_against_erf_reference(code, delta, ell, errors):
         assert abs(exact.trace() - 1) <= 1e-15
         assert np.max(np.abs(exact - oracle(descriptor, code))) <= 1e-14
         for n, error in errors.items():
-            got = logical(comb_matrix(descriptor, code.grid(n, n), 16), code)
-            assert np.max(np.abs(got.matrix - exact)) == pytest.approx(error[route], rel=0.1), (logical.__name__, n)
-            assert abs(got.raw_trace - 1) <= 1e-13, (logical.__name__, n)
+            for make in (comb_matrix, zak_transform):
+                got = logical(make(descriptor, code.grid(n, n), 16), code)
+                label = (logical.__name__, make.__name__, n)
+                assert np.max(np.abs(got.matrix - exact)) == pytest.approx(error[route], rel=0.1), label
+                assert abs(got.raw_trace - 1) <= 1e-13, label
+
+
+def test_erf_reference_imports_nothing_from_the_library():
+    # a reference that imported zakgkp, directly or through conftest, could move along with
+    # the code under test, so it may import only the standard library and numpy
+    tree = ast.parse(Path(__file__).with_name("erf_reference.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert {name.split(".")[0] for name in imported} <= set(sys.stdlib_module_names) | {"numpy"}, imported
+
+
+@pytest.mark.parametrize(
+    "delta, which",
+    [(None, 0.0), (None, 0.7), *((delta, ell) for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+    ids=["vacuum", "vacuum-0.7", *(f"delta-{delta}-ell-{ell}" for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+)
+def test_stabilizer_residuals_against_erf_reference(code, delta, which):
+    # both residuals have closed forms in the Gaussians' pair sums, and on both routes the
+    # library meets them up to rounding (8.8e-15 at most), so the pin is rounding's
+    if delta is None:
+        descriptor, gaussians = vacuum(which), vacuum_gaussians(which)
+    else:
+        descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
+    exact = erf_residuals(code.alpha, *gaussians)
+    for n in (64, 256):
+        for make in (comb_matrix, zak_transform):
+            got = stabilizer_residual(make(descriptor, code.grid(n, n), 16), code)
+            assert max(abs(r - ref) for r, ref in zip(got, exact)) <= 1e-13, (make.__name__, n)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +414,7 @@ def test_logical_pauli_covariance_grid(code, corpus_256):
         q_flipped = logical_from_overlap(apply_translate_u(psi, ALPHA), code)
         assert q_flipped.matrix[0, 0] == pytest.approx(q.matrix[1, 1], abs=1e-10)
         assert q_flipped.matrix[1, 1] == pytest.approx(q.matrix[0, 0], abs=1e-10)
-        gauge = state.gauge_grid
+        gauge = state.gamma[0].grid
         phase = np.exp(-2j * ALPHA * gauge.v_values())[None, :]
         expected_01 = (
             np.sum(phase * state.gamma[1].samples * state.gamma[0].samples.conj())
