@@ -81,31 +81,34 @@ _KEYS = {
 
 @contextlib.contextmanager
 def _refused(context):
-    """The library's refusal of a configuration value (ValueError or OffGridError) as a
-    ConfigError that starts with ``context``: the flag, key or file line at fault.  Wrap
-    parsing and construction only: a NonFiniteError out of a computation is a ValueError too."""
+    """The library's refusal of a configuration value (ValueError or OffGridError) or an unreadable
+    file (OSError) as a ConfigError that starts with ``context``: the flag, key or file line at
+    fault.  Wrap parsing, construction and reading only: a NonFiniteError is a ValueError too."""
     try:
         yield
-    except (ValueError, OffGridError) as exc:
+    except (ValueError, OffGridError, OSError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _lines(path, what):
+    """``(lineno, line)`` pairs of the text file ``path``; ConfigError naming ``what`` and
+    ``path`` unless it opens and decodes as UTF-8."""
+    with _refused(f"cannot read {what} {path}"), open(path, encoding="utf-8") as fh:
+        return list(enumerate(fh, 1))
 
 
 def _load_config_file(path):
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                with _refused(f"{path}:{lineno}: expected key=value, got {line!r}"):
-                    key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                with _refused(f"{path}:{lineno}: bad value for {key}: {value!r}"):
-                    values[key] = _KEYS[key].parse(value)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in _lines(path, "config file"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        with _refused(f"{path}:{lineno}: expected key=value, got {line!r}"):
+            key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        with _refused(f"{path}:{lineno}: bad value for {key}: {value!r}"):
+            values[key] = _KEYS[key].parse(value)
     return values
 
 
@@ -139,18 +142,14 @@ def _resolve_config(args):
 
 def _load_table(path):
     xs, values = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#") or line.lower().startswith("x,"):
-                    continue
-                with _refused(f"{path}:{lineno}: expected x,re,im, got {line!r}"):
-                    x, re, im = (float(p) for p in line.split(","))
-                xs.append(x)
-                values.append(complex(re, im))
-    except OSError as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
+    for lineno, raw in _lines(path, "table"):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.lower().startswith("x,"):
+            continue
+        with _refused(f"{path}:{lineno}: expected x,re,im, got {line!r}"):
+            x, re, im = (float(p) for p in line.split(","))
+        xs.append(x)
+        values.append(complex(re, im))
     with _refused(f"table {path}"):
         return tabulated(xs, values)
 

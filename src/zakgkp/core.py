@@ -133,19 +133,14 @@ class ZakPatch:
         v, _ = modular.split(y, self.height, -self.v_min)
         return u, v, n
 
-    def approx_equal(self, other):
+    def __eq__(self, other):
+        """Each of ``a, b, u_min, v_min`` within 1e-12 of the larger ``a``, relative or absolute."""
+        if not isinstance(other, ZakPatch):
+            return NotImplemented
         rtol = 1e-12
         scale = max(abs(self.a), abs(other.a))
         return all(math.isclose(getattr(self, name), getattr(other, name), rel_tol=rtol, abs_tol=rtol * scale)
                    for name in ("a", "b", "u_min", "v_min"))
-
-    def __eq__(self, other):
-        if not isinstance(other, ZakPatch):
-            return NotImplemented
-        return (self.a, self.b, self.u_min, self.v_min) == (other.a, other.b, other.u_min, other.v_min)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.u_min, self.v_min))
 
     def __repr__(self):
         return (
@@ -218,16 +213,10 @@ class ZakGrid:
     def v_steps(self, t):
         return self._steps("shift {!r}", t, self.dv, "dv")
 
-    def compatible(self, other):
-        return (self.nu, self.nv) == (other.nu, other.nv) and self.patch.approx_equal(other.patch)
-
     def __eq__(self, other):
         if not isinstance(other, ZakGrid):
             return NotImplemented
-        return self.patch == other.patch and self.nu == other.nu and self.nv == other.nv
-
-    def __hash__(self):
-        return hash((self.patch, self.nu, self.nv))
+        return (self.nu, self.nv) == (other.nu, other.nv) and self.patch == other.patch
 
     def __repr__(self):
         return f"ZakGrid({self.patch!r}, nu={self.nu}, nv={self.nv})"
@@ -613,9 +602,9 @@ class CombMatrix:
 
 
 def _comb_rule(grid, m_max):
-    """ValueError unless ``m_max`` is positive and numpy can index the ``Nu x (2 m_max + 1)`` comb matrix."""
-    if not 0 < m_max <= (MAX_SAMPLES // grid.nu - 1) // 2:
-        raise ValueError(f"m_max must be positive, with a {grid.nu} x (2 m_max + 1) comb numpy can index, got {_shown(m_max)}")
+    """ValueError unless ``m_max`` is a positive whole number whose ``Nu x (2 m_max + 1)`` comb numpy can index."""
+    if not (0 < m_max <= (MAX_SAMPLES // grid.nu - 1) // 2 and m_max == int(m_max)):
+        raise ValueError(f"m_max must be a positive whole number, with a {grid.nu} x (2 m_max + 1) comb numpy can index, got {_shown(m_max)}")
 
 
 def comb_matrix(state, grid: ZakGrid, m_max: int) -> CombMatrix:

@@ -243,7 +243,7 @@ def _require_qubit_patch(state, code: GKPCode, comb=True):
     if not isinstance(state, (ModularWavefunction, IdealZakState, CombMatrix)):
         raise ValueError(f"this function takes a grid, ideal or comb state, not a {type(state).__name__}; "
                          "pass an SSDState's mode")
-    if not state.patch.approx_equal(code.full_patch()):
+    if state.patch != code.full_patch():
         raise GridMismatchError("state patch does not match the code's fundamental patch")
     if not comb and isinstance(state, CombMatrix):
         raise ValueError("this function takes a grid or ideal state, not a CombMatrix; pass its zak_transform")

@@ -66,14 +66,14 @@ class SSDState:
         if type(gamma0) is not type(gamma1):
             raise TypeError("gauge components must both be grid states or both ideal states")
         patch = code.gauge_patch()
-        if not (gamma0.patch.approx_equal(patch) and gamma1.patch.approx_equal(patch)):
+        if not gamma0.patch == patch == gamma1.patch:
             raise GridMismatchError("gauge component does not live on the code's gauge patch")
         if isinstance(gamma0, IdealZakState):
             points = [((u + code.alpha * ell, v), w)
                       for ell, gamma in enumerate((gamma0, gamma1)) for (u, v), w in gamma.items()]
             mode = IdealZakState(code.full_patch(), points)
         else:
-            if not gamma0.grid.compatible(gamma1.grid):
+            if gamma0.grid != gamma1.grid:
                 raise GridMismatchError("gauge components live on different grids")
             grid = code.grid(2 * gamma0.grid.nu, gamma0.grid.nv)
             mode = ModularWavefunction(grid, _frozen(np.vstack([gamma0.samples, gamma1.samples])))
@@ -276,8 +276,11 @@ def save_ssd(state: SSDState, base_path):
 
 def load_ssd(base_path) -> SSDState:
     manifest = f"{base_path}.manifest"
-    with open(manifest, encoding="ascii") as fh:
-        items = fh.read().split()
+    try:
+        with open(manifest, encoding="ascii") as fh:
+            items = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{manifest}: not an ASCII file: {exc}") from None
     bad = [item for item in items if "=" not in item]
     if bad:
         raise ValueError(f"{manifest}: expected key=value items, got {bad[0]!r}")

@@ -611,6 +611,18 @@ def test_table_refusal_names_the_path_and_the_rule(tmp_path, capsys, table, rule
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+@pytest.mark.parametrize("what,flags", [("config file", ("--config", "{path}")),
+                                        ("table", ("--state", "tabulated:{path}"))])
+def test_undecodable_config_file_or_table_is_a_config_error(tmp_path, capsys, what, flags):
+    # each reader once let the UnicodeDecodeError out of main as a traceback
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"x,re,im\n0.0,1.0,0\n\xff\n")
+    assert run("logical", *(f.format(path=path) for f in flags), "--grid", "32x32", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == (f"zakgkp: config error: cannot read {what} {path}: "
+                                       "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n")
+    assert os.listdir(tmp_path) == ["input.txt"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_huge_table_outside_the_window_is_a_truncation_failure(tmp_path, capsys, fmt):
     # squares of 1e200 overflow; the truncation share is still the 0.5 of a unit table
@@ -1031,6 +1043,11 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         pytest.param(lambda psi, ideal: comb_matrix(vacuum(), _GRID, 10**24), ValueError,
                      r"with a 16 x \(2 m_max \+ 1\) comb numpy can index, got 1000000000000000000000000$",
                      id="comb-size"),
+        # a half-integer m_max once gave half-integer teeth and a wrong transform with no error
+        *(pytest.param(lambda psi, ideal, f=f: f(vacuum(), _GRID, 8.5), ValueError,
+                       r"m_max must be a positive whole number, .* comb numpy can index, got 8\.5$",
+                       id=f"half-m_max-{f.__name__}")
+          for f in (comb_matrix, zak_transform)),
         # an int of more than 4300 digits once made Python's own int-to-text limit the message
         *(pytest.param(build, ValueError, message, id=f"long-int-{name}") for name, build, message in (
             ("syndrome_reduce", lambda psi, ideal: syndrome_reduce(_CODE, LONG, 0), "coordinate inf is not finite"),

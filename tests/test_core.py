@@ -287,7 +287,7 @@ def test_stretch_rescale_matches_direct_transform(code, b, descriptor):
     old = grid.patch
     patch = ZakPatch(old.a, b, old.u_min, old.v_min * old.b / b)
     direct = zak_transform(descriptor, ZakGrid(patch, grid.nu, grid.nv), 16)
-    assert rescaled.grid.patch.approx_equal(patch)
+    assert rescaled.grid.patch == patch
     scale = np.max(np.abs(direct.samples))
     assert np.max(np.abs(rescaled.samples - direct.samples)) <= 1e-14 * scale
 
@@ -326,6 +326,17 @@ def test_ideal_state_canonicalization_merges_and_phases():
     weight = next(iter(state.points.values()))
     assert weight == pytest.approx(1.0 + cmath.exp(-1j * 4.0 * v0), abs=1e-12)
     assert state.norm() == pytest.approx(abs(weight))
+
+
+def test_patches_and_grids_match_within_1e_12_and_do_not_hash(code):
+    patch = code.full_patch()
+    assert patch == ZakPatch(patch.a * (1 + 5e-13), patch.b, patch.u_min, patch.v_min)
+    assert patch != ZakPatch(patch.a * (1 + 5e-12), patch.b, patch.u_min, patch.v_min)
+    assert patch != code.gauge_patch() and patch != patch.a
+    assert code.grid(64, 64) == ZakGrid(patch, 64, 64) != code.grid(64, 32)
+    assert ZakPatch.__hash__ is None and ZakGrid.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(patch)
 
 
 def test_grid_validation(code):
@@ -647,6 +658,8 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
         ("ZakPatch", "area"),
         ("IdealZakState", "__len__"),
         ("MixtureState", "__len__"),
+        ("ZakPatch", "approx_equal"),
+        ("ZakGrid", "compatible"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
@@ -661,7 +674,7 @@ def test_removed_names_are_gone(owner, name):
     [
         (IdealZakState, "canonicalize"),
         (IdealZakState.value_at, "atol"),
-        (ZakPatch.approx_equal, "rtol"),
+        (ZakPatch.__eq__, "rtol"),
         (LogicalQubit.from_unnormalized, "herm_tol"),
         (LogicalQubit.from_unnormalized, "psd_tol"),
         (apply_translate_u, "interpolate"),

@@ -792,8 +792,8 @@ def test_one_cross_sum_pass_per_state_and_alpha(code, monkeypatch):
     cross_rows = gkp._cross_rows
     monkeypatch.setattr(gkp, "_cross_rows", lambda f, g, c: passes.append(c.alpha) or cross_rows(f, g, c))
     psi = _fresh(random_state(code.grid(64, 64), 3))
-    near = GKPCode(code.alpha * (1 + 5e-13))  # a patch that approx_equal accepts
-    assert near.full_patch().approx_equal(code.full_patch()) and near.alpha != code.alpha
+    near = GKPCode(code.alpha * (1 + 5e-13))  # a patch that == accepts
+    assert near.full_patch() == code.full_patch() and near.alpha != code.alpha
     for _ in range(2):
         _chain(psi, code)
     assert passes == [code.alpha]

@@ -32,7 +32,15 @@ def test_csv_roundtrip(code, tmp_path):
     loaded = load_grid_csv(path)
     assert np.array_equal(loaded.samples, psi.samples)
     assert loaded.grid.nu == 16 and loaded.grid.nv == 16
-    assert loaded.grid.patch.approx_equal(psi.grid.patch)
+    assert loaded.grid.patch == psi.grid.patch
+
+
+def test_csv_roundtrip_grid_equals_the_codes_grid(code, tmp_path):
+    # the header's b reads back one bit off at 128x20; == is the 1e-12 match every map uses
+    psi = random_state(code.grid(128, 20), 74)
+    save_grid_csv(psi, tmp_path / "grid.csv")
+    loaded = load_grid_csv(tmp_path / "grid.csv")
+    assert loaded.grid == code.grid(128, 20)
 
 
 def test_csv_is_deterministic(code, tmp_path):
@@ -49,7 +57,8 @@ def test_binary_roundtrip_is_exact(code, tmp_path):
     save_grid_binary(psi, path)
     loaded = load_grid_binary(path)
     assert np.array_equal(loaded.samples, psi.samples)
-    assert loaded.grid.patch == psi.grid.patch
+    p, q = loaded.grid.patch, psi.grid.patch
+    assert (p.a, p.b, p.u_min, p.v_min) == (q.a, q.b, q.u_min, q.v_min)  # exact, not the 1e-12 ==
     assert path.stat().st_size == 48 + 16 * 32 * 16
 
 

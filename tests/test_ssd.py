@@ -54,7 +54,7 @@ def test_to_from_ssd_is_bitwise_identity(code, grid64):
     psi = random_state(grid64, 21)
     back = from_ssd(to_ssd(psi, code))
     assert np.array_equal(back.samples, psi.samples)
-    assert back.grid.compatible(psi.grid)
+    assert back.grid == psi.grid
 
 
 def test_to_ssd_norm_split(code, grid64):
@@ -629,12 +629,14 @@ def test_ssd_load_from_any_directory(code, tmp_path, monkeypatch):
         ("gamma0=state.g0.bin gamma1=state.g1.bin\n", "missing alpha"),
         ("alpha=1.5 gamma0=state.g0.bin\n", "missing gamma1"),
         ("", "missing alpha, gamma0, gamma1"),
+        # once a bare UnicodeDecodeError that did not name the file
+        ("alpha=1.5 gamma0=\xe9.bin gamma1=state.g1.bin\n", "not an ASCII file: 'ascii' codec can't decode byte 0xc3"),
     ],
-    ids=["no-equals", "no-alpha", "no-gamma1", "empty"],
+    ids=["no-equals", "no-alpha", "no-gamma1", "empty", "not-ascii"],
 )
 def test_ssd_load_rejects_malformed_manifest(tmp_path, text, problem):
     manifest = tmp_path / "state.manifest"
-    manifest.write_text(text)
+    manifest.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=problem) as info:
         load_ssd(tmp_path / "state")
     assert str(manifest) in str(info.value)
