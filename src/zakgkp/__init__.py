@@ -51,7 +51,6 @@ from .operators import (
     apply_Z,
 )
 from .ssd import (
-    IdealSSDState,
     PPGaugeModes,
     SSDState,
     apply_X_ssd,
@@ -59,10 +58,8 @@ from .ssd import (
     ec_gauge_trace,
     from_ssd,
     gauge_trace,
-    load_ssd,
     pp_bridge,
     pp_bridge_inverse,
-    save_ssd,
     to_ssd,
 )
 

@@ -696,6 +696,8 @@ def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
     an unchanged row count the rescaled v grid maps node-to-node, so this
     is a pure rescaling of samples and preserves the norm exactly.
     """
+    if not isinstance(psi, ModularWavefunction):
+        raise ValueError(f"stretch_rescale takes a grid state, not a {type(psi).__name__}")
     b = _finite("b", b, positive=True)
     old = psi.grid.patch
     ratio = old.b / b

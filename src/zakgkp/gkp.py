@@ -67,7 +67,7 @@ class GKPCode:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        _finite("alpha", self.alpha, positive=True)
+        object.__setattr__(self, "alpha", _finite("alpha", self.alpha, positive=True))
 
     @property
     def period(self):
@@ -161,7 +161,9 @@ class LogicalQubit:
 
     def fidelity(self, ell: int) -> float:
         """Overlap with the ideal codeword ``|ell><ell|``."""
-        return float(self.matrix[ell, ell].real)
+        if ell not in (0, 1):
+            raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
+        return float(self.matrix[int(ell), int(ell)].real)
 
     def __repr__(self):
         return f"LogicalQubit(matrix={self.matrix!r}, raw_trace={self.raw_trace!r})"
@@ -258,6 +260,8 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     reduced for another ``alpha`` raises GridMismatchError.
     """
     _require_qubit_patch(state, code, comb=False)
+    if not isinstance(syn, Syndrome):
+        raise ValueError(f"ec_kraus_amplitudes takes a Syndrome, not a {type(syn).__name__}; pass syndrome_reduce(code, s, t)")
     if syn.alpha != code.alpha:
         raise GridMismatchError(f"syndrome was reduced for alpha={syn.alpha!r}, not the code's {code.alpha!r}")
     u, v, alpha = syn.u_tilde, syn.v_tilde, code.alpha

@@ -129,6 +129,8 @@ def _save_grid(psi: ModularWavefunction, path, mode, header, encode):
     ``j ..``.  Each block is checked first: a non-finite sample raises
     :class:`NonFiniteError` naming the file and ``(j, k)``, and leaves no
     file behind."""
+    if not isinstance(psi, ModularWavefunction):
+        raise ValueError(f"the grid writers take a grid state, not a {type(psi).__name__}")
     path = os.fspath(path)
     samples = psi.samples
 
@@ -286,6 +288,8 @@ def load_grid_binary(path) -> ModularWavefunction:
 
 def save_point_list_csv(state: IdealZakState, path):
     """Point-mass list for ideal states: rows of u,v,re,im."""
+    if not isinstance(state, IdealZakState):
+        raise ValueError(f"save_point_list_csv takes an ideal state, not a {type(state).__name__}")
     lines = ["u,v,re,im"]
     for (u, v), w in sorted(state.items()):
         lines.append(

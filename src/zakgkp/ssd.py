@@ -22,19 +22,17 @@ shifts are the full-mode operators conjugated by the change of basis.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gridio, operators
+from . import operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
 from .errors import GridMismatchError
 from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _require_qubit_patch, _sectors
 
 __all__ = [
     "SSDState",
-    "IdealSSDState",
     "to_ssd",
     "from_ssd",
     "gauge_trace",
@@ -44,8 +42,6 @@ __all__ = [
     "PPGaugeModes",
     "pp_bridge",
     "pp_bridge_inverse",
-    "save_ssd",
-    "load_ssd",
 ]
 
 
@@ -63,6 +59,9 @@ class SSDState:
     __slots__ = ("code", "mode")
 
     def __init__(self, code: GKPCode, gamma0, gamma1):
+        for gamma in (gamma0, gamma1):
+            if not isinstance(gamma, (ModularWavefunction, IdealZakState)):
+                raise ValueError(f"SSDState takes grid or ideal gauge components, not a {type(gamma).__name__}")
         if type(gamma0) is not type(gamma1):
             raise TypeError("gauge components must both be grid states or both ideal states")
         patch = code.gauge_patch()
@@ -83,17 +82,6 @@ class SSDState:
     def gamma(self):
         """``gkp._sectors(mode, code)``, split from ``mode`` on each access."""
         return _sectors(self.mode, self.code)
-
-
-class IdealSSDState(SSDState):
-    """An ideal SSD state from its gauge components' point dicts, canonicalized into
-    the gauge patch with the wrap phase ``exp(-i 2 alpha n v)``."""
-
-    __slots__ = ()
-
-    def __init__(self, code: GKPCode, points0, points1):
-        patch = code.gauge_patch()
-        super().__init__(code, IdealZakState(patch, points0), IdealZakState(patch, points1))
 
 
 def _ssd_state(state, grid=False) -> SSDState:
@@ -252,47 +240,3 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
         gamma = samples[ell * grid.nu:(ell + 1) * grid.nu]
         np.fft.ifft(spectrum, axis=0, norm="forward", out=gamma.T)
     return to_ssd(ModularWavefunction(code.grid(2 * grid.nu, grid.nv), _frozen(samples)), code)
-
-
-def save_ssd(state: SSDState, base_path):
-    """Write both gauge grids in the binary grid format plus a one-line manifest.
-
-    The manifest ``<base_path>.manifest`` names the grid files by basename,
-    and :func:`load_ssd` looks for them next to it, so the three files can
-    be loaded from any working directory and moved together.  The manifest
-    is space-separated, so a basename holding whitespace raises ValueError
-    before any file is written, as does an ideal state.
-    """
-    _ssd_state(state, grid=True)
-    if any(ch.isspace() for ch in os.path.basename(os.fspath(base_path))):
-        raise ValueError(f"SSD base name {os.fspath(base_path)!r} holds whitespace")
-    paths = [f"{base_path}.g{ell}.bin" for ell in (0, 1)]
-    for gamma, path in zip(state.gamma, paths):
-        gridio.save_grid_binary(gamma, path)
-    names = [os.path.basename(path) for path in paths]
-    line = f"alpha={gridio.format_float(state.code.alpha)} gamma0={names[0]} gamma1={names[1]}\n"
-    gridio.atomic_write_text(f"{base_path}.manifest", line)
-
-
-def load_ssd(base_path) -> SSDState:
-    manifest = f"{base_path}.manifest"
-    try:
-        with open(manifest, encoding="ascii") as fh:
-            items = fh.read().split()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{manifest}: not an ASCII file: {exc}") from None
-    bad = [item for item in items if "=" not in item]
-    if bad:
-        raise ValueError(f"{manifest}: expected key=value items, got {bad[0]!r}")
-    fields = dict(item.split("=", 1) for item in items)
-    missing = [key for key in ("alpha", "gamma0", "gamma1") if key not in fields]
-    if missing:
-        raise ValueError(f"{manifest}: missing {', '.join(missing)}")
-    folder = os.path.dirname(manifest)
-    try:
-        code = GKPCode(alpha=float(fields["alpha"]))
-    except ValueError as exc:
-        raise ValueError(f"{manifest}: bad alpha {fields['alpha']!r}: {exc}") from None
-    gamma0 = gridio.load_grid_binary(os.path.join(folder, fields["gamma0"]))
-    gamma1 = gridio.load_grid_binary(os.path.join(folder, fields["gamma1"]))
-    return SSDState(code, gamma0, gamma1)

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import ALPHA, random_state
 from zakgkp import (
-    IdealSSDState,
     IdealZakState,
+    SSDState,
     apply_phase_u,
     apply_phase_v,
     apply_translate_u,
@@ -257,7 +257,8 @@ def test_criterion_09_ssd_consistency(code):
                 diff = from_ssd(apply_Z_ssd(s, t)).samples - apply_Z(psi, t).samples
                 assert np.max(np.abs(diff)) < 1e-10
         # ideal wrap case: the entangling factor flips the logical index
-        start = IdealSSDState(code, {(3 * ALPHA / 8, 0.25): 1.0}, {})
+        gauge = code.gauge_patch()
+        start = SSDState(code, IdealZakState(gauge, {(3 * ALPHA / 8, 0.25): 1.0}), IdealZakState(gauge, {}))
         moved = apply_X_ssd(start, ALPHA / 4)
         direct = to_ssd(apply_X(from_ssd(start), ALPHA / 4), code)
         assert moved.gamma[0].points == {}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import ALPHA, comb_table
 from zakgkp import (
     IdealZakState,
+    SSDState,
     MixtureState,
     ModularWavefunction,
     NonFiniteError,
@@ -39,8 +40,8 @@ from zakgkp import (
     logical_from_overlap,
     pp_bridge,
     pp_bridge_inverse,
-    save_ssd,
     stabilizer_residual,
+    stretch_rescale,
     syndrome_reduce,
     tabulated,
     to_ssd,
@@ -994,8 +995,7 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                              ("mixture", lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
           for name, f in (("gauge_trace", gauge_trace), ("ec_gauge_trace", ec_gauge_trace),
                           ("apply_Z_ssd", lambda s: apply_Z_ssd(s, 0.0)), ("apply_X_ssd", lambda s: apply_X_ssd(s, 0.0)),
-                          ("pp_bridge", pp_bridge), ("from_ssd", from_ssd),
-                          ("save_ssd", lambda s: save_ssd(s, os.path.join("no-such-folder", "ssd"))))
+                          ("pp_bridge", pp_bridge), ("from_ssd", from_ssd))
           if kind != "mixture" or name.endswith("gauge_trace")),
         *(pytest.param(lambda psi, ideal, f=f, kind=kind: f(to_ssd(psi if kind == "grid" else ideal, _CODE)),
                        ValueError, "not a SSDState; pass an SSDState's mode", id=f"ssd-{kind}-{name}")
@@ -1005,12 +1005,9 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                           ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
                           ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
-        # an ideal SSD state has no grid to bridge or write: each once ended in an AttributeError,
-        # and the refusal comes before any file is opened (the folder does not exist)
-        *(pytest.param(lambda psi, ideal, f=f: f(to_ssd(ideal, _CODE)), ValueError,
-                       "takes an SSDState of a grid state, not of a IdealZakState", id=f"ideal-ssd-{name}")
-          for name, f in (("pp_bridge", pp_bridge),
-                          ("save_ssd", lambda s: save_ssd(s, os.path.join("no-such-folder", "ssd"))))),
+        # an ideal SSD state has no grid to bridge: this once ended in an AttributeError
+        pytest.param(lambda psi, ideal: pp_bridge(to_ssd(ideal, _CODE)), ValueError,
+                     "takes an SSDState of a grid state, not of a IdealZakState", id="ideal-ssd-pp_bridge"),
         # each once ended in an AttributeError on a member the input does not have
         pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
                      "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
@@ -1018,6 +1015,27 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                        f"takes a grid state, not a {kind}$", id=f"{kind}-inverse_zak_transform")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+        # each once ended in an AttributeError, and a writer's refusal comes before any file
+        # is opened (the folder does not exist)
+        *(pytest.param(lambda psi, ideal, pick=pick: SSDState(_CODE, pick(psi, ideal), pick(psi, ideal)), ValueError,
+                       f"SSDState takes grid or ideal gauge components, not a {kind}$", id=f"{kind}-SSDState")
+          for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)),
+                             ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])),
+                             ("NoneType", lambda psi, ideal: None))),
+        *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal), os.path.join("no-such-folder", "grid")),
+                       ValueError, f"the grid writers take a grid state, not a {kind}$", id=f"{kind}-{f.__name__}")
+          for f in (save_grid_csv, save_grid_binary)
+          for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+        pytest.param(lambda psi, ideal: gridio.save_point_list_csv(psi, os.path.join("no-such-folder", "points.csv")),
+                     ValueError, "save_point_list_csv takes an ideal state, not a ModularWavefunction$",
+                     id="grid-save_point_list_csv"),
+        *(pytest.param(lambda psi, ideal, pick=pick: stretch_rescale(pick(psi, ideal), 1.0), ValueError,
+                       f"stretch_rescale takes a grid state, not a {kind}$", id=f"{kind}-stretch_rescale")
+          for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+        pytest.param(lambda psi, ideal: ec_kraus_amplitudes(psi, _CODE, (0.0, 0.0)), ValueError,
+                     r"takes a Syndrome, not a tuple; pass syndrome_reduce\(code, s, t\)$", id="tuple-ec_kraus_amplitudes"),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (

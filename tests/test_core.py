@@ -660,6 +660,9 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
         ("MixtureState", "__len__"),
         ("ZakPatch", "approx_equal"),
         ("ZakGrid", "compatible"),
+        ("zakgkp.ssd", "save_ssd"),
+        ("zakgkp.ssd", "load_ssd"),
+        ("zakgkp.ssd", "IdealSSDState"),
     ],
 )
 def test_removed_names_are_gone(owner, name):

@@ -71,6 +71,14 @@ def test_code_geometry(code):
     assert patch.a * patch.height == pytest.approx(2 * math.pi)
 
 
+def test_code_stores_alpha_as_the_float_it_checks():
+    # a string alpha was once kept as given: GKPCode("1").period was "11"
+    assert GKPCode("1.5") == GKPCode(1.5)
+    assert GKPCode("1.5").period == 3.0
+    assert GKPCode("1").full_patch().a == 2.0
+    assert type(GKPCode(1).alpha) is float
+
+
 def test_approx_codeword_normalization_and_peaks(code):
     grid = code.grid(128, 128)
     for ell in (0, 1):
@@ -485,6 +493,15 @@ def test_logical_qubit_validation():
     x, y, z = q.bloch
     assert (x, y, z) == pytest.approx((0.5, 0.0, 0.5))
     assert q.purity == pytest.approx(np.trace(q.matrix @ q.matrix).real)
+
+
+def test_fidelity_takes_the_codeword_index_codeword_takes():
+    # fidelity(-1) once read rho11, and fidelity(2) raised IndexError
+    q = LogicalQubit(np.diag([0.9, 0.1]).astype(complex), 1.0)
+    assert (q.fidelity(0), q.fidelity(1), q.fidelity(1.0), q.fidelity(True)) == (0.9, 0.1, 0.1, 0.1)
+    for ell in (-1, 2, 0.5):
+        with pytest.raises(ValueError, match=f"ell must be 0 or 1, got {ell}$"):
+            q.fidelity(ell)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from zakgkp import IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword, gridio
+from zakgkp import GKPCode, IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword, gridio, to_ssd
 from zakgkp.gridio import (
     _HEADER,
     MAGIC,
@@ -60,6 +60,27 @@ def test_binary_roundtrip_is_exact(code, tmp_path):
     p, q = loaded.grid.patch, psi.grid.patch
     assert (p.a, p.b, p.u_min, p.v_min) == (q.a, q.b, q.u_min, q.v_min)  # exact, not the 1e-12 ==
     assert path.stat().st_size == 48 + 16 * 32 * 16
+
+
+def test_binary_save_writes_the_documented_layout_on_a_stretched_patch(tmp_path):
+    # read back with struct and np.frombuffer from the documented layout alone; a gauge
+    # component's patch has b = 2 a
+    code = GKPCode(alpha=1.3)
+    s = to_ssd(random_state(code.grid(32, 48), 61), code)
+    patch = code.gauge_patch()
+    for ell in (0, 1):
+        path = tmp_path / f"g{ell}.bin"
+        save_grid_binary(s.gamma[ell], path)
+        raw = path.read_bytes()
+        magic, _, nu, nv, a, b, u_min, v_min = struct.unpack_from("<4sIIIdddd", raw)
+        assert magic == b"ZAKG" and (nu, nv) == (16, 48)
+        assert (a, b, u_min, v_min) == (patch.a, patch.b, patch.u_min, patch.v_min)
+        assert len(raw) == 48 + 16 * nu * nv
+        # (re, im) f64 pairs, row-major in j then k, compared as bit patterns
+        pairs = np.frombuffer(raw, dtype="<u8", offset=48).reshape(nu, nv, 2)
+        samples = s.gamma[ell].samples
+        expected = np.stack([samples.real, samples.imag], axis=-1).astype("<f8").view("<u8")
+        assert np.array_equal(pairs, expected)
 
 
 def test_binary_save_writes_samples_without_a_copy(code, tmp_path):

@@ -1,7 +1,6 @@
 import cmath
 import dataclasses
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,6 @@ from conftest import ALPHA, random_state
 from zakgkp import (
     GridMismatchError,
     SSDState,
-    IdealSSDState,
     IdealZakState,
     MixtureState,
     ModularWavefunction,
@@ -28,11 +26,9 @@ from zakgkp import (
     ec_gauge_trace,
     from_ssd,
     gauge_trace,
-    load_ssd,
     logical_from_overlap,
     pp_bridge,
     pp_bridge_inverse,
-    save_ssd,
     to_ssd,
     vacuum,
     zak_transform,
@@ -45,6 +41,10 @@ A = 2 * ALPHA
 
 def gauge_state(code, seed, nu=32, nv=64):
     return to_ssd(random_state(code.grid(nu, nv), seed), code)
+
+
+def ideal_gauge(code, points):
+    return IdealZakState(code.gauge_patch(), points)
 
 
 # --- change of basis ---------------------------------------------------------
@@ -80,11 +80,11 @@ def test_ideal_codeword_splits_as_product(code):
 
 def test_from_ssd_places_gauge_points(code):
     v0 = 0.3
-    s = IdealSSDState(code, {}, {(0.0, v0): 1.0})
+    s = SSDState(code, ideal_gauge(code, {}), ideal_gauge(code, {(0.0, v0): 1.0}))
     full = from_ssd(s)
     assert full.value_at(ALPHA, v0) == 1
 
-    s = IdealSSDState(code, {(0.125, v0): 0.5j}, {})
+    s = SSDState(code, ideal_gauge(code, {(0.125, v0): 0.5j}), ideal_gauge(code, {}))
     assert from_ssd(s).value_at(0.125, v0) == 0.5j
 
 
@@ -99,7 +99,7 @@ def test_alternate_form_of_change_of_basis(code):
         phase = cmath.exp(2j * v * ALPHA * ell)
         sectors = [{}, {}]
         sectors[ell] = {(u, v): phase}
-        via_alternate = from_ssd(IdealSSDState(code, sectors[0], sectors[1]))
+        via_alternate = from_ssd(SSDState(code, ideal_gauge(code, sectors[0]), ideal_gauge(code, sectors[1])))
         direct = IdealZakState(code.full_patch(), {(u, v): 1.0})
         assert via_alternate.value_at(u, v) == pytest.approx(
             direct.value_at(u, v), abs=1e-12
@@ -177,7 +177,7 @@ def test_product_state_traces_to_pure_qubit(code):
     for v_g, prob in [(0.0, 0.3), (0.25, 0.7)]:
         pts0 = {(0.0, v_g): c0}
         pts1 = {(0.0, v_g): c1}
-        components.append((prob, IdealSSDState(code, pts0, pts1)))
+        components.append((prob, SSDState(code, ideal_gauge(code, pts0), ideal_gauge(code, pts1))))
     q = gauge_trace(MixtureState(components))
     expected = np.array([[c0 * c0.conjugate(), c0 * c1.conjugate()],
                          [c1 * c0.conjugate(), c1 * c1.conjugate()]], dtype=complex)
@@ -260,7 +260,7 @@ def test_apply_x_ssd_examples(code):
     assert small.gamma[1].points == {}
 
     # wrap: gauge point at 3 alpha / 8 pushed past the half-patch boundary
-    start = IdealSSDState(code, {(3 * ALPHA / 8, 0.0): 1.0}, {})
+    start = SSDState(code, ideal_gauge(code, {(3 * ALPHA / 8, 0.0): 1.0}), ideal_gauge(code, {}))
     wrapped = apply_X_ssd(start, ALPHA / 4)
     assert wrapped.gamma[0].points == {}
     assert wrapped.gamma[1].points[(-3 * ALPHA / 8, 0.0)] == pytest.approx(1.0, abs=1e-12)
@@ -556,100 +556,31 @@ def test_pp_bridge_allocates_little_beyond_its_result(code):
     assert peak <= 1.6 * nbytes
 
 
-# --- export -------------------------------------------------------------------
+# --- stored as grid files -----------------------------------------------------
 
 
-def test_ssd_save_load_roundtrip(code, tmp_path):
-    s = gauge_state(code, 60)
-    base = tmp_path / "state"
-    save_ssd(s, base)
-    loaded = load_ssd(base)
-    assert loaded.code.alpha == code.alpha
-    assert np.array_equal(loaded.gamma[0].samples, s.gamma[0].samples)
-    assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
-    manifest = (tmp_path / "state.manifest").read_text()
-    assert manifest.count("\n") == 1 and "gamma0=state.g0.bin " in manifest
+def _bits(samples):
+    return samples.view(np.uint64)
 
 
-def test_ssd_save_writes_the_documented_layout(tmp_path):
-    # read back with struct and np.frombuffer from the documented layout alone
-    code = GKPCode(alpha=1.3)
-    s = to_ssd(random_state(code.grid(32, 48), 61), code)
-    save_ssd(s, tmp_path / "state")
-    patch = code.gauge_patch()
+@pytest.mark.parametrize("alpha", [ALPHA, 1.3])
+def test_ssd_state_rebuilds_bit_for_bit_from_grid_files(alpha, tmp_path):
+    # the mode's file holds a = 2 alpha, and a gauge component's file a = alpha, both exactly
+    code = GKPCode(alpha=alpha)
+    s = to_ssd(random_state(code.grid(32, 48), 60), code)
+    save_grid_binary(s.mode, tmp_path / "mode.bin")
+    m = load_grid_binary(tmp_path / "mode.bin")
+    via_mode = to_ssd(m, GKPCode(m.patch.a / 2))
     for ell in (0, 1):
-        raw = (tmp_path / f"state.g{ell}.bin").read_bytes()
-        magic, _, nu, nv, a, b, u_min, v_min = struct.unpack_from("<4sIIIdddd", raw)
-        assert magic == b"ZAKG" and (nu, nv) == (16, 48)
-        assert (a, b, u_min, v_min) == (patch.a, patch.b, patch.u_min, patch.v_min)
-        assert len(raw) == 48 + 16 * nu * nv
-        # (re, im) f64 pairs, row-major in j then k, compared as bit patterns
-        pairs = np.frombuffer(raw, dtype="<u8", offset=48).reshape(nu, nv, 2)
-        samples = s.gamma[ell].samples
-        expected = np.stack([samples.real, samples.imag], axis=-1).astype("<f8").view("<u8")
-        assert np.array_equal(pairs, expected)
-    manifest = (tmp_path / "state.manifest").read_text(encoding="ascii")
-    assert manifest.endswith("\n") and manifest.count("\n") == 1
-    fields = dict(item.split("=", 1) for item in manifest.split())
-    assert fields == {"alpha": fields["alpha"], "gamma0": "state.g0.bin", "gamma1": "state.g1.bin"}
-    assert float(fields["alpha"]) == code.alpha
-
-
-def test_ssd_save_rejects_whitespace_base_name(code, tmp_path):
-    # the manifest is space-separated, so such a name could not be loaded back
-    s = gauge_state(code, 65)
-    for name in ("my state", "tab\tstate", "line\nstate"):
-        with pytest.raises(ValueError, match="whitespace") as err:
-            save_ssd(s, tmp_path / name)
-        assert repr(str(tmp_path / name)) in str(err.value)
-    assert list(tmp_path.iterdir()) == []
-    save_ssd(s, tmp_path / "my_state-1.v2")
-    loaded = load_ssd(tmp_path / "my_state-1.v2")
-    assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
-
-
-def test_ssd_load_from_any_directory(code, tmp_path, monkeypatch):
-    # the manifest names the grids by basename, relative to the manifest itself
-    s = gauge_state(code, 62)
-    (tmp_path / "out").mkdir()
-    (tmp_path / "elsewhere").mkdir()
-    monkeypatch.chdir(tmp_path)
-    save_ssd(s, "out/state")
-    for cwd, base in [("out", "state"), ("elsewhere", "../out/state"), (".", tmp_path / "out/state")]:
-        monkeypatch.chdir(tmp_path / cwd)
-        loaded = load_ssd(base)
-        assert np.array_equal(loaded.gamma[0].samples, s.gamma[0].samples)
-        assert np.array_equal(loaded.gamma[1].samples, s.gamma[1].samples)
-
-
-@pytest.mark.parametrize(
-    "text,problem",
-    [
-        ("alpha=1.5 gamma0=state.g0.bin gamma1 state.g1.bin\n", "key=value"),
-        ("gamma0=state.g0.bin gamma1=state.g1.bin\n", "missing alpha"),
-        ("alpha=1.5 gamma0=state.g0.bin\n", "missing gamma1"),
-        ("", "missing alpha, gamma0, gamma1"),
-        # once a bare UnicodeDecodeError that did not name the file
-        ("alpha=1.5 gamma0=\xe9.bin gamma1=state.g1.bin\n", "not an ASCII file: 'ascii' codec can't decode byte 0xc3"),
-    ],
-    ids=["no-equals", "no-alpha", "no-gamma1", "empty", "not-ascii"],
-)
-def test_ssd_load_rejects_malformed_manifest(tmp_path, text, problem):
-    manifest = tmp_path / "state.manifest"
-    manifest.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=problem) as info:
-        load_ssd(tmp_path / "state")
-    assert str(manifest) in str(info.value)
-
-
-@pytest.mark.parametrize("alpha", ["abc", "nan", "-1.5", ""])
-def test_ssd_load_rejects_bad_alpha_naming_the_manifest(code, tmp_path, alpha):
-    save_ssd(gauge_state(code, 70), tmp_path / "state")
-    manifest = tmp_path / "state.manifest"
-    manifest.write_text(f"alpha={alpha} gamma0=state.g0.bin gamma1=state.g1.bin\n")
-    with pytest.raises(ValueError, match="bad alpha") as info:
-        load_ssd(tmp_path / "state")
-    assert str(info.value).startswith(f"{manifest}: bad alpha {alpha!r}")
+        save_grid_binary(s.gamma[ell], tmp_path / f"g{ell}.bin")
+    g0, g1 = (load_grid_binary(tmp_path / f"g{ell}.bin") for ell in (0, 1))
+    via_gauge = SSDState(GKPCode(g0.patch.a), g0, g1)
+    for loaded in (via_mode, via_gauge):
+        assert loaded.code.alpha == code.alpha
+        assert np.array_equal(_bits(loaded.mode.samples), _bits(s.mode.samples))
+        for got, want in zip(loaded.gamma, s.gamma):
+            assert np.array_equal(_bits(got.samples), _bits(want.samples))
+        assert gauge_trace(loaded).matrix.tobytes() == gauge_trace(s).matrix.tobytes()
 
 
 @pytest.mark.parametrize("alpha,nu,nv", [(0.8, 64, 128), (2.5, 128, 64)])
