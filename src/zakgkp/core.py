@@ -22,7 +22,7 @@ import numpy as np
 
 from . import modular
 from .modular import _float, _shown
-from .errors import NonFiniteError, OffGridError, TruncationError
+from .errors import NonFiniteError, OffGridError, TruncationError, _kind
 
 __all__ = [
     "ZakPatch",
@@ -71,6 +71,16 @@ def _finite(name, value, positive=False):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def _array(values, kind=float):
+    """``values`` as a new float64 array, or complex128 for ``kind=complex``, with an int past the
+    float range the infinity of its sign, as :func:`_float` gives it."""
+    dtype = np.complex128 if kind is complex else np.float64
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return np.array(np.frompyfunc(lambda x: _float(x, kind), 1, 1)(np.array(values, dtype=object)), dtype=dtype)
 
 
 def _frozen(samples):
@@ -255,7 +265,7 @@ class ModularWavefunction:
             and samples.dtype == np.complex128
             and _is_frozen(samples)
         ):
-            samples = np.array(samples, dtype=np.complex128)
+            samples = _array(samples, complex)
         if samples.shape != (grid.nu, grid.nv):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid ({grid.nu}, {grid.nv})"
@@ -516,10 +526,7 @@ class TabulatedState:
     __slots__ = ("xs", "values", "step", "_scale", "_weights")
 
     def __init__(self, xs, values):
-        try:
-            xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=np.complex128)
-        except OverflowError:  # an int past the float range: an infinity, refused below with its index
-            xs, values = np.array([_float(x) for x in xs]), np.array([_float(w, complex) for w in values])
+        xs, values = _array(xs), _array(values, complex)  # an int past the float range is refused below
         if xs.ndim != 1 or xs.shape != values.shape:
             raise ValueError("xs and values must be 1-d arrays of equal length")
         if not len(xs):
@@ -590,6 +597,8 @@ class CombMatrix:
     __slots__ = ("grid", "values", "m", "phases", "tail_bound")
 
     def __init__(self, grid: ZakGrid, values, m, tail_bound):
+        if not np.isfinite(m).all():
+            raise ValueError(f"the comb's m must be finite, got {m!r}")
         self.grid = grid
         self.values = values
         self.m = m
@@ -678,13 +687,14 @@ def inverse_zak_transform(psi: ModularWavefunction, n: int, u: float) -> complex
     """Recover ``psi_x(u + a*n)`` from the v grid line at ``u`` (a Riemann sum).
 
     ``psi`` must be a grid state and ``u`` a grid node; this operation never interpolates.
-    Another state, or an ``n`` whose phase ``b n v`` leaves the float range, raises ValueError.
+    Another state, an ``n`` that is not a whole number, or one whose phase ``b n v`` leaves the
+    float range, raises ValueError.
     """
-    if not isinstance(psi, ModularWavefunction):
-        raise ValueError(f"inverse_zak_transform takes a grid state, not a {type(psi).__name__}")
-    grid, n = psi.grid, _float(n)
+    grid, n = _kind(psi, ModularWavefunction, "inverse_zak_transform takes a grid state").grid, _float(n)
     v = grid.v_values()
     _finite(f"the largest phase b n v for n={n!r}", grid.patch.b * n * float(np.abs(v).max()))
+    if n != int(n):  # n is finite here; the comb holds psi_x only at whole periods from u
+        raise ValueError(f"n must be a whole number of periods, got {n!r}")
     total = np.sum(np.exp(1j * grid.patch.b * n * v) * psi.samples[grid.u_index(u)]) * grid.dv
     return complex(math.sqrt(grid.patch.b / (2 * math.pi)) * total)
 
@@ -696,8 +706,7 @@ def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
     an unchanged row count the rescaled v grid maps node-to-node, so this
     is a pure rescaling of samples and preserves the norm exactly.
     """
-    if not isinstance(psi, ModularWavefunction):
-        raise ValueError(f"stretch_rescale takes a grid state, not a {type(psi).__name__}")
+    _kind(psi, ModularWavefunction, "stretch_rescale takes a grid state")
     b = _finite("b", b, positive=True)
     old = psi.grid.patch
     ratio = old.b / b
@@ -708,7 +717,9 @@ def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
 
 
 def convention_phase(u: float, v: float, convention: str) -> complex:
-    """Overlap of the momentum-first Zak ket with its alternatively ordered variants."""
+    """Overlap of the momentum-first Zak ket with its alternatively ordered variants; ValueError
+    unless ``u`` and ``v`` are finite."""
+    u, v = _finite("u", u), _finite("v", v)
     if convention == "momentum_first":
         return 1.0 + 0j
     if convention == "opposite":

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one wording of a refused kind of argument."""
+
+
+def _kind(value, kinds, what, hint=""):
+    """``value``; ValueError ``"<what>, not a <type>[; <hint>]"`` unless it is one of ``kinds``."""
+    if isinstance(value, kinds):
+        return value
+    raise ValueError(f"{what}, not a {type(value).__name__}" + (f"; {hint}" if hint else ""))
 
 
 class ZakError(Exception):

@@ -34,13 +34,14 @@ from .core import (
     ModularWavefunction,
     ZakGrid,
     ZakPatch,
+    _array,
     _finite,
     _float,
     _frozen,
     _shown,
     gaussian_comb,
 )
-from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError
+from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError, _kind
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -115,7 +116,7 @@ class LogicalQubit:
     __slots__ = ("matrix", "raw_trace")
 
     def __init__(self, matrix, raw_trace):
-        matrix = np.array(matrix, dtype=np.complex128)
+        matrix = _array(matrix, complex)  # an int past the float range is refused below
         if matrix.shape != (2, 2):
             raise ValueError("logical matrix must be 2x2")
         raw_trace = _float(raw_trace)
@@ -238,17 +239,17 @@ def stabilizer_residual(state, code: GKPCode):
 
 
 def _require_qubit_patch(state, code: GKPCode, comb=True):
-    """ValueError for anything but a grid state, an ideal state or a comb matrix; GridMismatchError
-    unless the state's patch is the code's; then ValueError for a comb matrix unless ``comb``."""
-    if isinstance(state, MixtureState):
-        raise ValueError("this function takes a pure state, not a MixtureState; pass each component")
-    if not isinstance(state, (ModularWavefunction, IdealZakState, CombMatrix)):
-        raise ValueError(f"this function takes a grid, ideal or comb state, not a {type(state).__name__}; "
-                         "pass an SSDState's mode")
+    """ValueError for anything but a grid state, an ideal state or a comb matrix (a mixture is told to
+    pass each component); GridMismatchError unless the state's patch is the code's; then ValueError
+    for a comb matrix unless ``comb``."""
+    pure = (ModularWavefunction, IdealZakState, CombMatrix)
+    _kind(state, (*pure, MixtureState), "this function takes a grid, ideal or comb state", "pass an SSDState's mode")
+    _kind(state, pure, "this function takes a pure state", "pass each component")
     if state.patch != code.full_patch():
         raise GridMismatchError("state patch does not match the code's fundamental patch")
-    if not comb and isinstance(state, CombMatrix):
-        raise ValueError("this function takes a grid or ideal state, not a CombMatrix; pass its zak_transform")
+    if not comb:
+        _kind(state, (ModularWavefunction, IdealZakState), "this function takes a grid or ideal state",
+              "pass its zak_transform")
 
 
 def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
@@ -260,8 +261,7 @@ def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
     reduced for another ``alpha`` raises GridMismatchError.
     """
     _require_qubit_patch(state, code, comb=False)
-    if not isinstance(syn, Syndrome):
-        raise ValueError(f"ec_kraus_amplitudes takes a Syndrome, not a {type(syn).__name__}; pass syndrome_reduce(code, s, t)")
+    _kind(syn, Syndrome, "ec_kraus_amplitudes takes a Syndrome", "pass syndrome_reduce(code, s, t)")
     if syn.alpha != code.alpha:
         raise GridMismatchError(f"syndrome was reduced for alpha={syn.alpha!r}, not the code's {code.alpha!r}")
     u, v, alpha = syn.u_tilde, syn.v_tilde, code.alpha

@@ -39,7 +39,9 @@ import warnings
 
 import numpy as np
 
-from .core import BLOCK_ROWS, IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _finite_rows, _frozen
+from .core import BLOCK_ROWS, IdealZakState, ModularWavefunction, ZakGrid, ZakPatch, _finite_rows, _float, _frozen
+from .errors import _kind
+from .gkp import LogicalQubit
 
 __all__ = [
     "format_float",
@@ -70,7 +72,7 @@ LOGICAL_REPORT_COLUMNS = (
 
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips the 64-bit float."""
-    return repr(float(x))
+    return repr(_float(x))
 
 
 def _atomic_write(path, chunks, mode):
@@ -129,8 +131,7 @@ def _save_grid(psi: ModularWavefunction, path, mode, header, encode):
     ``j ..``.  Each block is checked first: a non-finite sample raises
     :class:`NonFiniteError` naming the file and ``(j, k)``, and leaves no
     file behind."""
-    if not isinstance(psi, ModularWavefunction):
-        raise ValueError(f"the grid writers take a grid state, not a {type(psi).__name__}")
+    _kind(psi, ModularWavefunction, "the grid writers take a grid state")
     path = os.fspath(path)
     samples = psi.samples
 
@@ -221,6 +222,7 @@ def _numpy_reads(fh, body, samples, seen):
 
 def load_grid_csv(path) -> ModularWavefunction:
     """Read a CSV grid; every sample must appear exactly once."""
+    path = os.fspath(path)  # an int would open, read and close a file descriptor
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline().strip()
@@ -263,6 +265,7 @@ def save_grid_binary(psi: ModularWavefunction, path):
 
 
 def load_grid_binary(path) -> ModularWavefunction:
+    path = os.fspath(path)
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -288,8 +291,7 @@ def load_grid_binary(path) -> ModularWavefunction:
 
 def save_point_list_csv(state: IdealZakState, path):
     """Point-mass list for ideal states: rows of u,v,re,im."""
-    if not isinstance(state, IdealZakState):
-        raise ValueError(f"save_point_list_csv takes an ideal state, not a {type(state).__name__}")
+    _kind(state, IdealZakState, "save_point_list_csv takes an ideal state")
     lines = ["u,v,re,im"]
     for (u, v), w in sorted(state.items()):
         lines.append(
@@ -300,7 +302,7 @@ def save_point_list_csv(state: IdealZakState, path):
 
 def logical_report_csv(qubit) -> str:
     """Two-line CSV report for a logical qubit."""
-    r = qubit.matrix
+    r = _kind(qubit, LogicalQubit, "logical_report_csv takes a LogicalQubit").matrix
     x, y, z = qubit.bloch
     # rho00, rho01, rho10, rho11 as (re, im) pairs, then the Bloch vector
     values = [part for entry in r.ravel() for part in (entry.real, entry.imag)]

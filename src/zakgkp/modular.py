@@ -14,6 +14,7 @@ patch at ``[-a/4, 3a/4) x [-pi/a, pi/a)``.
 from __future__ import annotations
 
 import math
+import reprlib
 
 __all__ = ["split"]
 
@@ -27,8 +28,12 @@ def _float(value, kind=float):
 
 
 def _shown(n):
-    """A number for a message: itself, but an int past the float range is the infinity of its sign."""
-    return n if math.isfinite(_float(n)) else _float(n)
+    """A value for a message: itself, but an int past the float range is the infinity of its sign,
+    and a value that is no number its repr, cut short."""
+    try:
+        return n if math.isfinite(_float(n)) else _float(n)
+    except (TypeError, ValueError):
+        return reprlib.repr(n)
 
 
 def split(x: float, period: float, centering: float) -> tuple[float, int]:

@@ -21,6 +21,7 @@ import cmath
 import numpy as np
 
 from .core import IdealZakState, ModularWavefunction, _finite, _float, _frozen
+from .errors import _kind
 
 __all__ = [
     "apply_phase_u",
@@ -50,9 +51,8 @@ def _displace(state, pu=None, pv=None, su=None, sv=None):
             if t is not None:
                 state = IdealZakState(state.patch, [fn(p, w) for p, w in state.items()])
         return state
-    if not isinstance(state, ModularWavefunction):
-        raise ValueError(f"the operators take a grid or ideal state, not a {type(state).__name__}; "
-                         "pass an SSDState's mode, a CombMatrix's zak_transform, or each component of a MixtureState")
+    _kind(state, ModularWavefunction, "the operators take a grid or ideal state",
+          "pass an SSDState's mode, a CombMatrix's zak_transform, or each component of a MixtureState")
     grid, s = state.grid, state.samples
     u, v = grid.u_values()[:, None], grid.v_values()[None, :]
     phase = next((np.exp(1j * _finite("phase", t) * x) for t, x in ((pv, v), (pu, u)) if t is not None), None)

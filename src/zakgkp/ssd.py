@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators
 from .core import IdealZakState, ModularWavefunction, ZakGrid, _frozen
-from .errors import GridMismatchError
+from .errors import GridMismatchError, _kind
 from .gkp import GKPCode, LogicalQubit, _gram, _mixture_logical, _require_qubit_patch, _sectors
 
 __all__ = [
@@ -60,8 +60,7 @@ class SSDState:
 
     def __init__(self, code: GKPCode, gamma0, gamma1):
         for gamma in (gamma0, gamma1):
-            if not isinstance(gamma, (ModularWavefunction, IdealZakState)):
-                raise ValueError(f"SSDState takes grid or ideal gauge components, not a {type(gamma).__name__}")
+            _kind(gamma, (ModularWavefunction, IdealZakState), "SSDState takes grid or ideal gauge components")
         if type(gamma0) is not type(gamma1):
             raise TypeError("gauge components must both be grid states or both ideal states")
         patch = code.gauge_patch()
@@ -87,10 +86,9 @@ class SSDState:
 def _ssd_state(state, grid=False) -> SSDState:
     """``state``; ValueError unless it is an SSDState, naming the change of basis that makes
     one, and with ``grid`` unless its mode is a grid state."""
-    if not isinstance(state, SSDState):
-        raise ValueError(f"this function takes an SSDState, not a {type(state).__name__}; pass to_ssd(state, code)")
-    if grid and not isinstance(state.mode, ModularWavefunction):
-        raise ValueError(f"this function takes an SSDState of a grid state, not of a {type(state.mode).__name__}")
+    _kind(state, SSDState, "this function takes an SSDState", "pass to_ssd(state, code)")
+    if grid:
+        _kind(state.mode, ModularWavefunction, "this function takes an SSDState whose mode is a grid state")
     return state
 
 
@@ -220,9 +218,7 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     ``(2 nu, nv)`` array.  ``modes`` is a PPGaugeModes whose ``coeffs`` are two arrays of one
     ``(nv, nu)`` shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
     """
-    if not isinstance(modes, PPGaugeModes):
-        raise ValueError(f"pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns, not a {type(modes).__name__}")
-    code = modes.code
+    code = _kind(modes, PPGaugeModes, "pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns").code
     if len(modes.coeffs) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
     if modes.coeffs[0].ndim != 2 or modes.coeffs[0].shape != modes.coeffs[1].shape:

@@ -1,4 +1,4 @@
-"""Closed-form Gram matrices of sums of Gaussians: a reference for the logical maps.
+"""Closed forms for sums of Gaussians: a reference for the logical maps and the Zak samples.
 
 It imports nothing from ``zakgkp``, so a fault in the library's Gaussian comb (its
 window, its tooth range or its amplitude) cannot move this reference along with it.
@@ -61,6 +61,25 @@ def _pair_integral(alpha, w, mu, sigma):
         return np.sum(weight * erfs.astype(float).sum(axis=1)) * sigma * math.sqrt(math.pi) / 2
 
     return P, norm
+
+
+def zak_samples(alpha, w, mu, sigma, u, v, shift=0.0, kick=0.0):
+    """The Zak transform on the code's full patch (``a = b = 2 alpha``) of ``X(shift) Z(kick) psi``,
+    ``psi`` normalized, at the nodes ``u`` x ``v``.
+
+    ``X(t) Z(s) psi(x) = exp(i s (x - t)) psi(x - t)`` is again a sum of Gaussians times a phase,
+    so each sample is summed directly,
+
+        Z(u, v) = sqrt(b / 2 pi) sum_{|m| <= 80} phi(u + a m) exp(-i b m v),
+
+    with ``phi`` that state divided by ``sqrt(int psi^2)``.
+    """
+    a = b = 2 * alpha
+    m = np.arange(-80, 81)
+    x = np.asarray(u, dtype=float)[:, None] + a * m[None, :] - shift
+    psi = np.sum(w * np.exp(-((x[..., None] - mu) ** 2) / (2 * sigma**2)), axis=-1)
+    phi = np.exp(1j * kick * x) * psi / math.sqrt(_pair_integral(alpha, w, mu, sigma)[1])
+    return math.sqrt(b / (2 * math.pi)) * phi @ np.exp(-1j * b * np.outer(m, v))
 
 
 def erf_gram(alpha, w, mu, sigma):

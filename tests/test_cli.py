@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALPHA, comb_table
+from erf_reference import codeword_gaussians, zak_samples
 from zakgkp import (
     IdealZakState,
     SSDState,
@@ -50,7 +51,7 @@ from zakgkp import (
 )
 from zakgkp.cli import main
 from zakgkp.core import comb_matrix, inverse_zak_transform
-from zakgkp.gkp import GKPCode, approx_codeword
+from zakgkp.gkp import GKPCode, LogicalQubit, approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 from zakgkp.modular import split
 
@@ -212,6 +213,23 @@ def test_shift_array_panels(tmp_path):
             math.atan2(reference.imag, reference.real),
             abs_tol=1e-6,
         )
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.2])
+def test_shift_array_panels_match_the_closed_form_samples(tmp_path, delta):
+    # panel (j, k) is X(j dx) Z(k dy) psi with the default steps dx = alpha/3 and dy = pi/(2 alpha),
+    # summed directly over the Gaussians with nothing from the library: this pins the wrap turns
+    # of the u-shift and the phase of the kick (the relative errors are 1.2e-14 at most)
+    out = tmp_path / "panels"
+    assert run("shift-array", "--state", f"gkp-approx:{delta}:0", "--grid", "96x96", "--format", "bin",
+               "--out", out) == 0
+    gaussians = codeword_gaussians(ALPHA, 0, delta)
+    for j in range(4):
+        for k in range(4):
+            psi = load_grid_binary(out / f"panel_j{j}_k{k}.bin")
+            want = zak_samples(ALPHA, *gaussians, psi.grid.u_values(), psi.grid.v_values(),
+                               shift=j * ALPHA / 3, kick=k * math.pi / (2 * ALPHA))
+            assert np.max(np.abs(psi.samples - want)) <= 1e-13 * np.max(np.abs(want)), (j, k)
 
 
 def test_shift_array_kicks_once_per_z_panel(tmp_path, monkeypatch):
@@ -1007,7 +1025,7 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                           ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
         # an ideal SSD state has no grid to bridge: this once ended in an AttributeError
         pytest.param(lambda psi, ideal: pp_bridge(to_ssd(ideal, _CODE)), ValueError,
-                     "takes an SSDState of a grid state, not of a IdealZakState", id="ideal-ssd-pp_bridge"),
+                     "takes an SSDState whose mode is a grid state, not a IdealZakState$", id="ideal-ssd-pp_bridge"),
         # each once ended in an AttributeError on a member the input does not have
         pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
                      "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
@@ -1020,22 +1038,25 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         *(pytest.param(lambda psi, ideal, pick=pick: SSDState(_CODE, pick(psi, ideal), pick(psi, ideal)), ValueError,
                        f"SSDState takes grid or ideal gauge components, not a {kind}$", id=f"{kind}-SSDState")
           for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)),
-                             ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])),
-                             ("NoneType", lambda psi, ideal: None))),
+                             ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])))),
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal), os.path.join("no-such-folder", "grid")),
                        ValueError, f"the grid writers take a grid state, not a {kind}$", id=f"{kind}-{f.__name__}")
           for f in (save_grid_csv, save_grid_binary)
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
-        pytest.param(lambda psi, ideal: gridio.save_point_list_csv(psi, os.path.join("no-such-folder", "points.csv")),
-                     ValueError, "save_point_list_csv takes an ideal state, not a ModularWavefunction$",
-                     id="grid-save_point_list_csv"),
         *(pytest.param(lambda psi, ideal, pick=pick: stretch_rescale(pick(psi, ideal), 1.0), ValueError,
                        f"stretch_rescale takes a grid state, not a {kind}$", id=f"{kind}-stretch_rescale")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
-        pytest.param(lambda psi, ideal: ec_kraus_amplitudes(psi, _CODE, (0.0, 0.0)), ValueError,
-                     r"takes a Syndrome, not a tuple; pass syndrome_reduce\(code, s, t\)$", id="tuple-ec_kraus_amplitudes"),
+        # a half period once read psi_x at the wrong point with no error
+        pytest.param(lambda psi, ideal: inverse_zak_transform(psi, 0.5, 0.0), ValueError,
+                     r"n must be a whole number of periods, got 0\.5$", id="half-n-inverse_zak_transform"),
+        # an ell that is not a number once raised float()'s own TypeError in place of the refusal
+        *(pytest.param(build, ValueError, f"ell must be 0 or 1, got {shown}$", id=f"{label}-ell-{name}")
+          for label, shown, ell in (("None", "None", None), ("a", "'a'", "a"))
+          for name, build in (("codeword", lambda psi, ideal, ell=ell: codeword(_CODE, ell)),
+                              ("approx_codeword", lambda psi, ideal, ell=ell: approx_codeword(_CODE, ell, 0.3)),
+                              ("fidelity", lambda psi, ideal, ell=ell: logical_from_overlap(ideal, _CODE).fidelity(ell)))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (
@@ -1048,6 +1069,8 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
              r"xs\[1\] is not finite: inf$"),
             ("tabulated-values", lambda psi, ideal: tabulated([0.0, 1.0], [1.0, -HUGE]), ValueError,
              r"values\[1\] is not finite: \(-inf\+0j\)$"),
+            ("LogicalQubit", lambda psi, ideal: LogicalQubit([[HUGE, 0], [0, 1]], 1.0), ValueError,
+             r"logical matrix \[\[\(inf\+0j\), 0j\], \[0j, \(1\+0j\)\]\] needs finite entries"),
             ("u_index", lambda psi, ideal: psi.grid.u_index(HUGE), OffGridError, r"u=inf \(from u_min\)"),
             ("apply_phase_u", lambda psi, ideal: apply_phase_u(psi, HUGE), ValueError, "phase must be finite, got inf"),
             ("apply_X-grid", lambda psi, ideal: apply_X(psi, -HUGE), OffGridError, "shift -inf is not"),

@@ -10,6 +10,7 @@ import pytest
 
 import zakgkp
 from conftest import ALPHA, comb_table
+from erf_reference import codeword_gaussians, vacuum_gaussians, zak_samples
 from zakgkp import (
     GKPCode,
     IdealZakState,
@@ -76,6 +77,25 @@ def test_vacuum_transform_matches_the_jacobi_theta_closed_form(vac64, grid64):
                       for v in grid64.v_values()] for u in grid64.u_values()])
     want *= math.sqrt(b / (2 * math.pi)) * math.pi**-0.25
     assert np.max(np.abs(vac64.samples - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize(
+    "delta, which",
+    [(None, 0.0), (None, 0.7), *((delta, ell) for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+    ids=["vacuum", "vacuum-0.7", *(f"delta-{delta}-ell-{ell}" for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+)
+def test_zak_transform_matches_the_closed_form_samples(code, n, delta, which):
+    # every sample summed directly over the Gaussians, with nothing from the library: this pins
+    # the comb's centres, window and amplitude (the relative errors are 1.7e-14 at most)
+    if delta is None:
+        descriptor, gaussians = vacuum(which), vacuum_gaussians(which)
+    else:
+        descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
+    grid = code.grid(n, n)
+    want = zak_samples(code.alpha, *gaussians, grid.u_values(), grid.v_values())
+    got = zak_transform(descriptor, grid, 16).samples
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def relative_error_squared(psi, reference):
@@ -189,6 +209,25 @@ def test_inverse_zak_vacuum_values(vac64):
             vac64.value_at(0.0, u)
 
 
+def test_inverse_zak_transform_takes_a_whole_number_of_periods(vac64):
+    # a half period once read the transform at u + a/2 wrongly, with no error
+    u = vac64.grid.u_values()[20]
+    for n in (1.0, True, "1"):
+        assert inverse_zak_transform(vac64, n, u) == inverse_zak_transform(vac64, 1, u)
+    for n in (-2.25, 1 + 1e-9):
+        with pytest.raises(ValueError, match=f"n must be a whole number of periods, got {n!r}$"):
+            inverse_zak_transform(vac64, n, u)
+
+
+def test_samples_holding_an_int_past_the_float_range_hold_its_infinity(grid64):
+    # such an int once raised OverflowError; a ModularWavefunction accepts any samples
+    samples = [[0] * grid64.nv for _ in range(grid64.nu)]
+    samples[3][5], samples[7][1] = 10**400, -10**400
+    psi = ModularWavefunction(grid64, samples)
+    assert (psi.samples[3, 5], psi.samples[7, 1]) == (math.inf, -math.inf)
+    assert np.count_nonzero(psi.samples) == 2
+
+
 @pytest.mark.parametrize("method,start", [("u_index", "u_min"), ("v_index", "v_min"), ("u_steps", None),
                                           ("v_steps", None)])
 @pytest.mark.parametrize("offset,value", [
@@ -300,6 +339,10 @@ def test_convention_phase():
     assert convention_phase(u, v, "symmetric") == pytest.approx(cmath.exp(-1j * u * v / 2))
     with pytest.raises(ValueError):
         convention_phase(0.0, 0.0, "sideways")
+    # an int past the float range once raised OverflowError
+    for u, v in ((10**400, 0.0), (0.0, -10**400), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            convention_phase(u, v, "opposite")
 
 
 @pytest.mark.parametrize("u,v", [(0.3, -1.1), (-2.2, 0.7), (ALPHA, math.pi / ALPHA)])

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,33 @@ from zakgkp.gridio import (
     save_grid_csv,
     save_point_list_csv,
 )
+
+
+def test_loaders_refuse_an_int_and_leave_every_file_descriptor_open():
+    # an int path once opened that descriptor: load_grid_csv(0) read stdin as a grid and closed it,
+    # and load_grid_csv(True) read and closed stdout
+    script = """
+import os
+from zakgkp.gridio import load_grid_binary, load_grid_csv
+for load in (load_grid_csv, load_grid_binary):
+    for path in (0, 1, True):
+        try:
+            load(path)
+        except TypeError:
+            continue
+        raise SystemExit(f"{load.__name__}({path!r}) did not raise TypeError")
+os.fstat(0), os.fstat(1)
+print("open")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(gridio.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], stdin=subprocess.DEVNULL, capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "open\n"), result.stderr
+
+
+def test_format_float_writes_an_int_past_the_float_range_as_its_infinity():
+    # such an int once raised OverflowError
+    assert (format_float(10**400), format_float(-10**400)) == ("inf", "-inf")
 
 
 def test_csv_roundtrip(code, tmp_path):

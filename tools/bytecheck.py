@@ -2,10 +2,11 @@
 
     python tools/bytecheck.py OLD_SRC NEW_SRC
 
-Runs a fixed set of ``zakgkp`` command lines (``zakplot``, ``shift-array``,
-``logical`` and ``sweep``, on grid and ideal states, in csv and bin) and
-``libruns.py``, which writes the bits of in-process results the CLI never
-reaches (a grid state's logical maps, residuals, norm, Kraus amplitudes and
+Runs 24 commands: 23 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
+``logical`` and ``sweep``, on grid and ideal states, in csv and bin, each
+expected to succeed (exit 0), to be refused as a configuration error (exit 2)
+or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
+in-process results the CLI never reaches (a grid state's logical maps, residuals, norm, Kraus amplitudes and
 ``pp_bridge`` round trip, the maps and residuals of comb matrices the CLI never builds, and what
 ``load_grid_csv`` reads from edited CSV files).  Each runs once
 with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
@@ -52,6 +53,9 @@ RUNS = [
     (2, "logical --state gkp-approx:0.3 --out refused_spec.csv"),
     (2, "sweep --deltas 0.3,-1 --out refused_deltas.csv"),
     (2, "shift-array --state gkp-approx:0.3:0 --grid 64x64 --out refused_steps"),  # dx not a grid step
+    # numerical failures, each with no file
+    (3, "logical --state gkp-approx:0.2:0 --grid 8x8 --out unresolved.csv"),  # the norm-defect gate
+    (3, "zakplot --state gkp-approx:0.1:0 --grid 64x64 --mmax 4 --out truncated.csv"),  # the truncation refusal
 ]
 
 #: the CLI runs, then the library runs, as (expected exit code, label, interpreter arguments)
