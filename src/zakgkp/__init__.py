@@ -6,16 +6,16 @@ decomposition with logical-qubit extraction.
 """
 
 from .core import (
+    GaussianComb,
     IdealZakState,
     ModularWavefunction,
+    TabulatedState,
+    VacuumState,
     ZakGrid,
     ZakPatch,
     convention_phase,
-    gaussian_comb,
     inverse_zak_transform,
     stretch_rescale,
-    tabulated,
-    vacuum,
     zak_transform,
 )
 from .errors import (

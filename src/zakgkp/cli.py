@@ -28,11 +28,11 @@ from . import gridio, operators
 from .core import (
     IdealZakState,
     ModularWavefunction,
+    TabulatedState,
+    VacuumState,
     _comb_rule,
     _frozen,
     comb_matrix,
-    tabulated,
-    vacuum,
     zak_transform,
 )
 from .errors import ConfigError, OffGridError, ZakError
@@ -151,17 +151,17 @@ def _load_table(path):
         xs.append(x)
         values.append(complex(re, im))
     with _refused(f"table {path}"):
-        return tabulated(xs, values)
+        return TabulatedState(xs, values)
 
 
 def _parse_state(spec, code):
     """``(ell, state)`` of a state spec: the codeword index it targets (0 for vacuum and
     tabulated) and the ideal state (an IdealZakState) or position-space descriptor it names.
-    A table's rules are ``tabulated``'s, and a ``gkp-approx`` spec's ``approx_codeword``'s."""
+    A table's rules are ``TabulatedState``'s, and a ``gkp-approx`` spec's ``approx_codeword``'s."""
     if spec in ("gkp0", "gkp1"):
         return int(spec[-1]), codeword(code, int(spec[-1]))
     if spec == "vacuum" or spec.startswith("tabulated:"):
-        return 0, vacuum() if spec == "vacuum" else _load_table(spec.split(":", 1)[1])
+        return 0, VacuumState() if spec == "vacuum" else _load_table(spec.split(":", 1)[1])
     if not spec.startswith("gkp-approx:"):
         raise ConfigError(f"unknown state spec {spec!r}")
     with _refused(f"state {spec!r} must be gkp-approx:DELTA:ELL"):

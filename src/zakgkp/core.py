@@ -32,9 +32,6 @@ __all__ = [
     "VacuumState",
     "GaussianComb",
     "TabulatedState",
-    "vacuum",
-    "gaussian_comb",
-    "tabulated",
     "CombMatrix",
     "comb_matrix",
     "zak_transform",
@@ -192,11 +189,6 @@ class ZakGrid:
     def cell_area(self):
         return self.du * self.dv
 
-    @property
-    def origin_index(self):
-        """Index of the (0, 0) node on a default-centered patch."""
-        return (self.nu // 4, self.nv // 2)
-
     @staticmethod
     def _steps(what, x, step, name, start=0.0, count=None):
         """The whole number of cells of width ``step`` in ``t = x - start``, and below ``count`` if
@@ -329,8 +321,9 @@ class IdealZakState:
     patch on construction (folding reduction phases into the weights) and
     duplicates are merged by weight addition.  The squared Dirac-comb norm
     proxy is ``sum |weight|^2``.  ``points`` is a dict, another state or
-    an iterable of ``((x, y), weight)`` pairs.  A point the patch cannot
-    count or a weight that is not finite raises ValueError.
+    an iterable of ``((x, y), weight)`` pairs.  An entry that is no such
+    pair, a point the patch cannot count or a weight that is not finite
+    raises ValueError.
     """
 
     __slots__ = ("patch", "points")
@@ -338,7 +331,11 @@ class IdealZakState:
     def __init__(self, patch: ZakPatch, points):
         items = points.items() if hasattr(points, "items") else points
         merged: dict[tuple[float, float], complex] = {}
-        for (x, y), w in items:
+        for entry in items:
+            try:
+                (x, y), w = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"points takes ((x, y), weight) pairs, got {_shown(entry)}") from None
             u, v, n = patch.reduce(x, y)
             w = merged[(u, v)] = merged.get((u, v), 0j) + _float(w, complex) * cmath.exp(-1j * patch.b * n * v)
             if not cmath.isfinite(w):
@@ -569,18 +566,6 @@ class TabulatedState:
         return float(self._weights[outside].sum()) / float(self._weights.sum())
 
 
-def vacuum(offset=0.0):
-    return VacuumState(offset=offset)
-
-
-def gaussian_comb(spacing, tooth_variance, envelope_variance, offset=0.0):
-    return GaussianComb(spacing, tooth_variance, envelope_variance, offset)
-
-
-def tabulated(xs, values):
-    return TabulatedState(xs, values)
-
-
 # ---------------------------------------------------------------------------
 # the transform and its companions
 
@@ -726,4 +711,4 @@ def convention_phase(u: float, v: float, convention: str) -> complex:
         return cmath.exp(-1j * u * v)
     if convention == "symmetric":
         return cmath.exp(-1j * u * v / 2)
-    raise ValueError(f"unknown convention {convention!r}")
+    raise ValueError(f"unknown convention {_shown(convention)}")

@@ -39,7 +39,6 @@ from .core import (
     _float,
     _frozen,
     _shown,
-    gaussian_comb,
 )
 from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError, _kind
 
@@ -59,6 +58,13 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = math.sqrt(math.pi)
+
+
+def _codeword_index(ell):
+    """``ell`` as an int; ValueError unless it is 0 or 1."""
+    if ell not in (0, 1):
+        raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
+    return int(ell)
 
 
 @dataclass(frozen=True)
@@ -162,12 +168,20 @@ class LogicalQubit:
 
     def fidelity(self, ell: int) -> float:
         """Overlap with the ideal codeword ``|ell><ell|``."""
-        if ell not in (0, 1):
-            raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
-        return float(self.matrix[int(ell), int(ell)].real)
+        ell = _codeword_index(ell)
+        return float(self.matrix[ell, ell].real)
 
     def __repr__(self):
         return f"LogicalQubit(matrix={self.matrix!r}, raw_trace={self.raw_trace!r})"
+
+
+def _component(entry):
+    """``entry`` as a ``(probability, state)`` pair; ValueError naming it unless it is one."""
+    try:
+        p, state = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"components takes (probability, state) pairs, got {_shown(entry)}") from None
+    return p, state
 
 
 class MixtureState:
@@ -176,7 +190,7 @@ class MixtureState:
     __slots__ = ("components",)
 
     def __init__(self, components):
-        components = [(_float(p), state) for p, state in components]
+        components = [(_float(p), state) for p, state in map(_component, components)]
         for p, _ in components:
             if not p >= 0:  # NaN too
                 raise ValueError(f"mixture probability {p!r} is not a nonnegative number")
@@ -191,9 +205,7 @@ class MixtureState:
 
 def codeword(code: GKPCode, ell: int) -> IdealZakState:
     """Ideal codeword: the single Zak point mass at ``(alpha * ell, 0)``."""
-    if ell not in (0, 1):
-        raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
-    return IdealZakState(code.full_patch(), {(code.alpha * ell, 0.0): 1.0 + 0j})
+    return IdealZakState(code.full_patch(), {(code.alpha * _codeword_index(ell), 0.0): 1.0 + 0j})
 
 
 def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
@@ -201,13 +213,12 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     under an envelope of variance delta^-2, normalized.  Raises ValueError
     unless both variances are positive finite floats."""
     _finite("delta", delta, positive=True)
-    if ell not in (0, 1):
-        raise ValueError(f"ell must be 0 or 1, got {_shown(ell)}")
+    ell = _codeword_index(ell)
     try:
         tooth_variance, envelope_variance = delta**2, delta**-2
     except OverflowError:
         raise ValueError(f"delta={delta!r} puts delta^2 or delta^-2 past the float range") from None
-    return gaussian_comb(code.period, tooth_variance, envelope_variance, offset=code.alpha * ell)
+    return GaussianComb(code.period, tooth_variance, envelope_variance, offset=code.alpha * ell)
 
 
 def stabilizer_residual(state, code: GKPCode):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zakgkp import GKPCode, ModularWavefunction, approx_codeword, vacuum, zak_transform
+from zakgkp import GKPCode, ModularWavefunction, VacuumState, approx_codeword, zak_transform
 
 ALPHA = math.sqrt(math.pi)
 
@@ -20,7 +20,7 @@ def grid64(code):
 
 @pytest.fixture(scope="session")
 def vac64(code, grid64):
-    return zak_transform(vacuum(), grid64, 16)
+    return zak_transform(VacuumState(), grid64, 16)
 
 
 def random_state(grid, seed):
@@ -33,7 +33,7 @@ def random_state(grid, seed):
 def corpus_256(code):
     """Acceptance corpus: vacuum plus approximate codewords at 256x256."""
     grid = code.grid(256, 256)
-    states = {"vacuum": zak_transform(vacuum(), grid, 16)}
+    states = {"vacuum": zak_transform(VacuumState(), grid, 16)}
     for delta in (0.2, 0.3, 0.4):
         for ell in (0, 1):
             key = f"gkp-approx:{delta}:{ell}"

@@ -14,8 +14,10 @@ import pytest
 
 from conftest import ALPHA, random_state
 from zakgkp import (
+    GaussianComb,
     IdealZakState,
     SSDState,
+    VacuumState,
     apply_phase_u,
     apply_phase_v,
     apply_translate_u,
@@ -31,7 +33,6 @@ from zakgkp import (
     ec_kraus_amplitudes,
     from_ssd,
     gauge_trace,
-    gaussian_comb,
     inverse_zak_transform,
     logical_from_overlap,
     pp_bridge,
@@ -39,7 +40,6 @@ from zakgkp import (
     stabilizer_residual,
     syndrome_reduce,
     to_ssd,
-    vacuum,
     zak_transform,
 )
 
@@ -57,7 +57,7 @@ def criterion(number, text):
 
 
 def corpus_descriptors(code):
-    states = {"vacuum": vacuum()}
+    states = {"vacuum": VacuumState()}
     for delta in (0.2, 0.3, 0.4):
         for ell in (0, 1):
             states[f"gkp-approx:{delta}:{ell}"] = approx_codeword(code, ell, delta)
@@ -77,9 +77,9 @@ def test_criterion_01_isometry(code):
     with criterion(1, "Zak isometry < 1e-6 relative at 256x256, m_max=16, < 5 s/state"):
         grid = code.grid(256, 256)
         for desc in (
-            vacuum(),
-            gaussian_comb(A, 0.2**2, 0.2**-2),
-            gaussian_comb(A, 0.4**2, 0.4**-2),
+            VacuumState(),
+            GaussianComb(A, 0.2**2, 0.2**-2),
+            GaussianComb(A, 0.4**2, 0.4**-2),
         ):
             start = time.perf_counter()
             psi = zak_transform(desc, grid, 16)
@@ -93,9 +93,9 @@ def test_criterion_02_inversion_roundtrip(code):
     with criterion(2, "inverse transform recovers psi_x at 64 points < 1e-6"):
         grid = code.grid(256, 256)
         for desc in (
-            vacuum(),
-            gaussian_comb(A, 0.2**2, 0.2**-2),
-            gaussian_comb(A, 0.4**2, 0.4**-2),
+            VacuumState(),
+            GaussianComb(A, 0.2**2, 0.2**-2),
+            GaussianComb(A, 0.4**2, 0.4**-2),
         ):
             psi = zak_transform(desc, grid, 16)
             count = 0
@@ -217,7 +217,7 @@ def test_criterion_07_povm_completeness(code, corpus_128):
 def test_criterion_08_counter_rotation(code):
     with criterion(8, "EC trace undoes small shifts exactly; plain trace shows e^{i alpha l v}"):
         grid = code.grid(64, 64)
-        gauge = to_ssd(zak_transform(vacuum(), grid, 16), code).gamma[0].grid
+        gauge = to_ssd(zak_transform(VacuumState(), grid, 16), code).gamma[0].grid
         nodes = [
             (gauge.u_values()[j], gauge.v_values()[k])
             for j in (0, 7, 16, 31)
@@ -296,7 +296,7 @@ def test_criterion_12_figure_reproduction(code, corpus_256):
         vac = corpus_256["vacuum"]
         grid = vac.grid
         mags = np.abs(vac.samples)
-        assert np.unravel_index(np.argmax(mags), mags.shape) == grid.origin_index
+        assert np.unravel_index(np.argmax(mags), mags.shape) == (grid.u_index(0.0), grid.v_index(0.0))
         mirrored = np.roll(mags[:, ::-1], 1, axis=1)  # v_k -> -v_k up to the period
         assert np.max(np.abs(mags - mirrored)) < 1e-10
 
@@ -305,7 +305,7 @@ def test_criterion_12_figure_reproduction(code, corpus_256):
         panel_grid = code.grid(96, 96)
         psi = zak_transform(approx_codeword(code, 0, 0.3), panel_grid, 16)
         dx, dy = ALPHA / 3, math.pi / (2 * ALPHA)
-        j0, k0 = panel_grid.origin_index
+        j0, k0 = panel_grid.u_index(0.0), panel_grid.v_index(0.0)
         values = {}
         for j, k in [(0, 0), (0, 3), (3, 0), (3, 3)]:
             panel = apply_X(apply_Z(psi, k * dy), j * dx)

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from conftest import ALPHA, comb_table
 from erf_reference import codeword_gaussians, zak_samples
 from zakgkp import (
+    GaussianComb,
     IdealZakState,
     SSDState,
     MixtureState,
     ModularWavefunction,
     NonFiniteError,
     OffGridError,
+    TabulatedState,
+    VacuumState,
     ZakError,
     ZakGrid,
     ZakPatch,
@@ -36,7 +39,6 @@ from zakgkp import (
     ec_kraus_amplitudes,
     from_ssd,
     gauge_trace,
-    gaussian_comb,
     gridio,
     logical_from_overlap,
     pp_bridge,
@@ -44,13 +46,11 @@ from zakgkp import (
     stabilizer_residual,
     stretch_rescale,
     syndrome_reduce,
-    tabulated,
     to_ssd,
-    vacuum,
     zak_transform,
 )
 from zakgkp.cli import main
-from zakgkp.core import comb_matrix, inverse_zak_transform
+from zakgkp.core import comb_matrix, convention_phase, inverse_zak_transform
 from zakgkp.gkp import GKPCode, LogicalQubit, approx_codeword
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 from zakgkp.modular import split
@@ -198,7 +198,7 @@ def test_shift_array_panels(tmp_path):
     )
 
     # the displaced origin carries the same value on all four corner panels
-    j0, k0 = base.grid.origin_index
+    j0, k0 = base.grid.u_index(0.0), base.grid.v_index(0.0)
     reference = base.samples[j0, k0]
     corner_values = {
         (0, 0): reference,
@@ -562,8 +562,8 @@ def test_zakplot_writes_the_bytes_of_the_saved_transform(tmp_path, code, fmt, nu
     table = tmp_path / "table.csv"
     rows = zip(xs.tolist(), values.real.tolist(), values.imag.tolist())
     table.write_text("".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
-    states = [("vacuum", vacuum()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
-              (f"tabulated:{table}", tabulated(xs, values))]
+    states = [("vacuum", VacuumState()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
+              (f"tabulated:{table}", TabulatedState(xs, values))]
     for spec, descriptor in states:
         out = tmp_path / f"z.{fmt}"
         assert run("zakplot", "--state", spec, "--grid", f"{nu}x{nv}", "--format", fmt, "--out", out) == 0
@@ -585,10 +585,8 @@ def test_non_finite_samples_are_a_numerical_failure(tmp_path, capsys, fmt, comma
     table = tmp_path / "table.csv"
     table.write_text(OVERFLOWING_TABLE)
     out = tmp_path / ("panels" if command == "shift-array" else f"z.{fmt}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(command, "--state", f"tabulated:{table}", "--grid", grid, "--format", fmt,
-                   "--out", out)
-    assert code == 3
+    # no np.errstate here: a numpy warning on the way to the refusal is an error
+    assert run(command, "--state", f"tabulated:{table}", "--grid", grid, "--format", fmt, "--out", out) == 3
     err = capsys.readouterr().err
     assert "is not finite" in err and "sample (" in err
     assert "nan+nanj)" in err and "np.complex128" not in err
@@ -642,15 +640,33 @@ def test_undecodable_config_file_or_table_is_a_config_error(tmp_path, capsys, wh
     assert os.listdir(tmp_path) == ["input.txt"]
 
 
+# squares of 1e200 overflow; the truncation share is still the 0.5 of a unit table
+HUGE_TABLE = "0.0,1e200,0\n100.0,1e200,0\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_huge_table_outside_the_window_is_a_truncation_failure(tmp_path, capsys, fmt):
-    # squares of 1e200 overflow; the truncation share is still the 0.5 of a unit table
     table = tmp_path / "huge.csv"
-    table.write_text("0.0,1e200,0\n100.0,1e200,0\n")
+    table.write_text(HUGE_TABLE)
     out = tmp_path / f"h.{fmt}"
     assert run("zakplot", "--state", f"tabulated:{table}", "--grid", "64x64", "--format", fmt, "--out", out) == 3
     assert "estimated truncation tail 5.000e-01 exceeds tolerance" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["huge.csv"]
+
+
+@pytest.mark.parametrize("method", ["trace", "ec-trace"])
+@pytest.mark.parametrize("table,failure", [
+    pytest.param(OVERFLOWING_TABLE, "logical matrix has non-finite entries: [[(inf+nanj), 0j], [0j, 0j]]", id="overflow"),
+    pytest.param(HUGE_TABLE, "estimated truncation tail 5.000e-01 exceeds tolerance", id="huge"),
+])
+def test_an_overflowing_table_is_a_numerical_failure_of_logical(tmp_path, capsys, table, failure, method):
+    # the comb matrix's sums or squares overflow; no numpy warning on the way, and no file
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    assert run("logical", "--method", method, "--state", f"tabulated:{path}", "--grid", "64x64",
+               "--out", tmp_path / "nan.csv") == 3
+    assert f"zakgkp: numerical failure: {failure}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def _peak_grids(args, tmp_path, nu=512, nv=512):
@@ -815,7 +831,7 @@ _CODE = GKPCode()
 _GRID = _CODE.grid(16, 16)
 HUGE = 10**400
 LONG = 10**5000
-_GRID_STATES = {"vacuum": zak_transform(vacuum(), _GRID, 16),
+_GRID_STATES = {"vacuum": zak_transform(VacuumState(), _GRID, 16),
                 "gkp-approx": zak_transform(approx_codeword(_CODE, 1, 0.4), _GRID, 16)}
 # the coordinate a phase multiplies, by operator: Z(t) = P_U(t) T_V(t)
 _PHASED = {apply_Z: "u", apply_phase_u: "u", apply_phase_v: "v"}
@@ -889,10 +905,10 @@ def test_library_contract_holds_for_any_operator_word(start, word):
 _BUILDERS = {
     "ZakPatch": lambda x, ell, rows: ZakGrid(ZakPatch(*x), 8, 8),
     "GKPCode.grid": lambda x, ell, rows: GKPCode(alpha=x[0]).grid(16, 8),
-    "vacuum": lambda x, ell, rows: vacuum(x[0]),
-    "gaussian_comb": lambda x, ell, rows: gaussian_comb(*x),
+    "VacuumState": lambda x, ell, rows: VacuumState(x[0]),
+    "GaussianComb": lambda x, ell, rows: GaussianComb(*x),
     "approx_codeword": lambda x, ell, rows: approx_codeword(_CODE, ell, x[0]),
-    "tabulated": lambda x, ell, rows: tabulated([r[0] for r in rows], [_weight(*r[1:]) for r in rows]),
+    "TabulatedState": lambda x, ell, rows: TabulatedState([r[0] for r in rows], [_weight(*r[1:]) for r in rows]),
     "IdealZakState": lambda x, ell, rows: IdealZakState(_CODE.full_patch(), {(x[0], x[1]): _weight(*x[2:])}),
     "MixtureState": lambda x, ell, rows: MixtureState([(x[0], codeword(_CODE, ell)), (x[1], codeword(_CODE, 1))]),
     "syndrome_reduce": lambda x, ell, rows: syndrome_reduce(_CODE, x[0], x[1]),
@@ -925,7 +941,7 @@ def test_library_contract_holds_for_any_constructor(name, x, ell, rows, m_max):
 def _saved_bytes(fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"grid.{fmt}")
-        (save_grid_binary if fmt == "bin" else save_grid_csv)(zak_transform(vacuum(), _CODE.grid(8, 4), 8), path)
+        (save_grid_binary if fmt == "bin" else save_grid_csv)(zak_transform(VacuumState(), _CODE.grid(8, 4), 8), path)
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -977,19 +993,19 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                      r"weight at \(0.0, 0.0\), in the patch, is not finite: \(nan\+nanj\)", id="ideal-nan-weight"),
         pytest.param(lambda psi, ideal: MixtureState([(math.nan, ideal)]), ValueError,
                      "probability nan is not a nonnegative number", id="mixture-nan-probability"),
-        pytest.param(lambda psi, ideal: tabulated([], []), ValueError, "the table is empty", id="empty-table"),
-        pytest.param(lambda psi, ideal: tabulated(np.zeros(2) + [0, 1], np.zeros(2)), ValueError,
+        pytest.param(lambda psi, ideal: TabulatedState([], []), ValueError, "the table is empty", id="empty-table"),
+        pytest.param(lambda psi, ideal: TabulatedState(np.zeros(2) + [0, 1], np.zeros(2)), ValueError,
                      "the table holds only zero values", id="all-zero-table"),
-        pytest.param(lambda psi, ideal: tabulated(np.array([1.5, 0.0, 1.5]), np.ones(3)), ValueError,
+        pytest.param(lambda psi, ideal: TabulatedState(np.array([1.5, 0.0, 1.5]), np.ones(3)), ValueError,
                      r"abscissa 1.5 is listed more than once$", id="repeated-abscissa"),
-        pytest.param(lambda psi, ideal: tabulated(np.array([0.0, np.nan]), np.ones(2)), ValueError,
+        pytest.param(lambda psi, ideal: TabulatedState(np.array([0.0, np.nan]), np.ones(2)), ValueError,
                      r"xs\[1\] is not finite: nan$", id="nan-abscissa"),
         # found by the contract tests above: a patch whose far edge overflows, and residuals whose
         # sums overflow (a numpy warning and NaN from a comb matrix, inf from an ideal weight)
         pytest.param(lambda psi, ideal: ZakPatch(1e308, u_min=1e308), ValueError, "u_min \\+ a", id="patch-u-edge"),
         pytest.param(lambda psi, ideal: ZakPatch(1.0, b=1e-320, v_min=0.0), ValueError, "v_min \\+ 2pi/b",
                      id="patch-v-edge"),
-        pytest.param(lambda psi, ideal: stabilizer_residual(comb_matrix(tabulated([0.0], [1e200j]), _GRID, 1), _CODE),
+        pytest.param(lambda psi, ideal: stabilizer_residual(comb_matrix(TabulatedState([0.0], [1e200j]), _GRID, 1), _CODE),
                      NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual"),
         pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
                      NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual"),
@@ -1001,7 +1017,7 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                           ("to_ssd", lambda m: to_ssd(m, _CODE)))),
         # a comb matrix has no samples to read: each once ended in an AttributeError, to_ssd's
         # in a later norm, pp_bridge or apply_X_ssd
-        *(pytest.param(lambda psi, ideal, f=f: f(comb_matrix(vacuum(), _GRID, 4)), ValueError,
+        *(pytest.param(lambda psi, ideal, f=f: f(comb_matrix(VacuumState(), _GRID, 4)), ValueError,
                        "takes a grid or ideal state, not a CombMatrix", id=f"comb-{name}")
           for name, f in (("ec_kraus_amplitudes", lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda c: to_ssd(c, _CODE)))),
@@ -1032,22 +1048,22 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         *(pytest.param(lambda psi, ideal, pick=pick: inverse_zak_transform(pick(psi, ideal), 0, 0.0), ValueError,
                        f"takes a grid state, not a {kind}$", id=f"{kind}-inverse_zak_transform")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
-                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # each once ended in an AttributeError, and a writer's refusal comes before any file
         # is opened (the folder does not exist)
         *(pytest.param(lambda psi, ideal, pick=pick: SSDState(_CODE, pick(psi, ideal), pick(psi, ideal)), ValueError,
                        f"SSDState takes grid or ideal gauge components, not a {kind}$", id=f"{kind}-SSDState")
-          for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)),
+          for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)),
                              ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])))),
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal), os.path.join("no-such-folder", "grid")),
                        ValueError, f"the grid writers take a grid state, not a {kind}$", id=f"{kind}-{f.__name__}")
           for f in (save_grid_csv, save_grid_binary)
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
-                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         *(pytest.param(lambda psi, ideal, pick=pick: stretch_rescale(pick(psi, ideal), 1.0), ValueError,
                        f"stretch_rescale takes a grid state, not a {kind}$", id=f"{kind}-stretch_rescale")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
-                             ("CombMatrix", lambda psi, ideal: comb_matrix(vacuum(), _GRID, 4)))),
+                             ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # a half period once read psi_x at the wrong point with no error
         pytest.param(lambda psi, ideal: inverse_zak_transform(psi, 0.5, 0.0), ValueError,
                      r"n must be a whole number of periods, got 0\.5$", id="half-n-inverse_zak_transform"),
@@ -1062,12 +1078,12 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (
             ("ZakPatch", lambda psi, ideal: ZakPatch(HUGE), ValueError, "period a must be .*, got inf"),
             ("GKPCode", lambda psi, ideal: GKPCode(alpha=HUGE), ValueError, "alpha must be .*, got inf"),
-            ("vacuum", lambda psi, ideal: vacuum(-HUGE), ValueError, "offset must be finite, got -inf"),
+            ("vacuum", lambda psi, ideal: VacuumState(-HUGE), ValueError, "offset must be finite, got -inf"),
             ("approx_codeword", lambda psi, ideal: approx_codeword(_CODE, 0, HUGE), ValueError,
              "delta must be positive and finite, got inf"),
-            ("tabulated-xs", lambda psi, ideal: tabulated([0.0, HUGE], [1.0, 1.0]), ValueError,
+            ("tabulated-xs", lambda psi, ideal: TabulatedState([0.0, HUGE], [1.0, 1.0]), ValueError,
              r"xs\[1\] is not finite: inf$"),
-            ("tabulated-values", lambda psi, ideal: tabulated([0.0, 1.0], [1.0, -HUGE]), ValueError,
+            ("tabulated-values", lambda psi, ideal: TabulatedState([0.0, 1.0], [1.0, -HUGE]), ValueError,
              r"values\[1\] is not finite: \(-inf\+0j\)$"),
             ("LogicalQubit", lambda psi, ideal: LogicalQubit([[HUGE, 0], [0, 1]], 1.0), ValueError,
              r"logical matrix \[\[\(inf\+0j\), 0j\], \[0j, \(1\+0j\)\]\] needs finite entries"),
@@ -1081,11 +1097,11 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         # sizes past numpy's limit once raised its own ValueError, from inside np.arange
         pytest.param(lambda psi, ideal: ZakGrid(ideal.patch, 4 * 10**20, 8), ValueError,
                      "a 400000000000000000000x8 grid is past numpy's size limit", id="grid-size"),
-        pytest.param(lambda psi, ideal: comb_matrix(vacuum(), _GRID, 10**24), ValueError,
+        pytest.param(lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 10**24), ValueError,
                      r"with a 16 x \(2 m_max \+ 1\) comb numpy can index, got 1000000000000000000000000$",
                      id="comb-size"),
         # a half-integer m_max once gave half-integer teeth and a wrong transform with no error
-        *(pytest.param(lambda psi, ideal, f=f: f(vacuum(), _GRID, 8.5), ValueError,
+        *(pytest.param(lambda psi, ideal, f=f: f(VacuumState(), _GRID, 8.5), ValueError,
                        r"m_max must be a positive whole number, .* comb numpy can index, got 8\.5$",
                        id=f"half-m_max-{f.__name__}")
           for f in (comb_matrix, zak_transform)),
@@ -1096,9 +1112,27 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
              "coordinate -inf is not finite"),
             ("grid-nv", lambda psi, ideal: _CODE.grid(8, LONG), "a 8xinf grid is past numpy's size limit"),
             ("grid-nu", lambda psi, ideal: _CODE.grid(4 * LONG, 8), "a infx8 grid is past numpy's size limit"),
-            ("comb", lambda psi, ideal: comb_matrix(vacuum(), _GRID, LONG), "comb numpy can index, got inf$"),
+            ("comb", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, LONG), "comb numpy can index, got inf$"),
             ("codeword", lambda psi, ideal: codeword(_CODE, -LONG), "ell must be 0 or 1, got -inf$"),
             ("split-period", lambda psi, ideal: split(1.0, LONG, 0.5), "too large to count in periods of inf$"))),
+        # a convention that is no short string once put its whole repr, 5,000 characters or an int's
+        # 5,000 digits in the message, or made Python's own int-to-text limit the message
+        *(pytest.param(lambda psi, ideal, c=c: convention_phase(0.0, 0.0, c(psi)), ValueError, message,
+                       id=f"convention-{name}") for name, c, message in (
+            ("PPGaugeModes", lambda psi: pp_bridge(to_ssd(psi, _CODE)), r"unknown convention PPGaugeModes\(\.\.\..{,24}$"),
+            ("long-str", lambda psi: "x" * 5000, r"unknown convention 'x{12}\.\.\.x{13}'$"),
+            ("long-int", lambda psi: LONG, "unknown convention inf$"))),
+        # an entry that is no pair once raised Python's own unpacking error, which names neither
+        # the argument nor the pair it takes
+        *(pytest.param(build, ValueError, message, id=f"unpaired-{name}") for name, build, message in (
+            ("points-array", lambda psi, ideal: IdealZakState(ideal.patch, np.zeros(2)),
+             r"points takes \(\(x, y\), weight\) pairs, got 0\.0$"),
+            ("points-point", lambda psi, ideal: IdealZakState(ideal.patch, [(1.0, 2.0)]),
+             r"points takes \(\(x, y\), weight\) pairs, got \(1\.0, 2\.0\)$"),
+            ("components-array", lambda psi, ideal: MixtureState(np.zeros(2)),
+             r"components takes \(probability, state\) pairs, got 0\.0$"),
+            ("components-probability", lambda psi, ideal: MixtureState([1.0]),
+             r"components takes \(probability, state\) pairs, got 1\.0$"))),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):

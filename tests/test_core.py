@@ -13,6 +13,7 @@ from conftest import ALPHA, comb_table
 from erf_reference import codeword_gaussians, vacuum_gaussians, zak_samples
 from zakgkp import (
     GKPCode,
+    GaussianComb,
     IdealZakState,
     LogicalQubit,
     ModularWavefunction,
@@ -20,6 +21,7 @@ from zakgkp import (
     OffGridError,
     SSDState,
     TruncationError,
+    VacuumState,
     ZakGrid,
     ZakPatch,
     apply_phase_u,
@@ -33,14 +35,11 @@ from zakgkp import (
     approx_codeword,
     convention_phase,
     from_ssd,
-    gaussian_comb,
     inverse_zak_transform,
     pp_bridge,
     pp_bridge_inverse,
     stretch_rescale,
-    tabulated,
     to_ssd,
-    vacuum,
     zak_transform,
 )
 from zakgkp.core import MAX_TEETH, NODE_TOL, TabulatedState, comb_matrix
@@ -63,7 +62,7 @@ VAC_AT_ORIGIN = 0.5662967670356824
 
 
 def test_vacuum_value_at_origin(vac64, grid64):
-    j, k = grid64.origin_index
+    j, k = grid64.u_index(0.0), grid64.v_index(0.0)
     assert theta_sum(0.0, 0.0) == pytest.approx(VAC_AT_ORIGIN, abs=1e-15)
     assert vac64.samples[j, k] == pytest.approx(VAC_AT_ORIGIN, abs=1e-12)
 
@@ -89,7 +88,7 @@ def test_zak_transform_matches_the_closed_form_samples(code, n, delta, which):
     # every sample summed directly over the Gaussians, with nothing from the library: this pins
     # the comb's centres, window and amplitude (the relative errors are 1.7e-14 at most)
     if delta is None:
-        descriptor, gaussians = vacuum(which), vacuum_gaussians(which)
+        descriptor, gaussians = VacuumState(which), vacuum_gaussians(which)
     else:
         descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
     grid = code.grid(n, n)
@@ -110,7 +109,7 @@ def test_tail_bound_is_the_error_of_a_table_with_one_point_past_the_window(code)
     grid, m_max = code.grid(64, 64), 3
     xs, values = comb_table(grid, 8, m_range=m_max - 1)
     far = grid.u_values()[5] + grid.patch.a * (m_max + 1)
-    state = tabulated(np.append(xs, far), np.append(values, 1e-6j))
+    state = TabulatedState(np.append(xs, far), np.append(values, 1e-6j))
     truncated = zak_transform(state, grid, m_max)
     assert 1e-16 < truncated.tail_bound < 1e-12
     error2 = relative_error_squared(truncated, zak_transform(state, grid, m_max + 1))
@@ -119,25 +118,25 @@ def test_tail_bound_is_the_error_of_a_table_with_one_point_past_the_window(code)
 
 def test_tail_bound_bounds_the_truncation_error_of_a_displaced_vacuum(code):
     grid = code.grid(64, 64)
-    truncated = zak_transform(vacuum(offset=4.5), grid, 3)
+    truncated = zak_transform(VacuumState(offset=4.5), grid, 3)
     assert truncated.tail_bound == pytest.approx(5.7e-14, rel=0.01)
-    assert relative_error_squared(truncated, zak_transform(vacuum(offset=4.5), grid, 16)) <= truncated.tail_bound
+    assert relative_error_squared(truncated, zak_transform(VacuumState(offset=4.5), grid, 16)) <= truncated.tail_bound
 
 
 def test_comb_mass_peaks_at_origin(code):
     grid = code.grid(64, 64)
-    psi = zak_transform(gaussian_comb(A, 0.1**2, 0.1**-2), grid, 16)
+    psi = zak_transform(GaussianComb(A, 0.1**2, 0.1**-2), grid, 16)
     peak = np.unravel_index(np.argmax(np.abs(psi.samples)), psi.samples.shape)
-    assert peak == grid.origin_index
+    assert peak == (grid.u_index(0.0), grid.v_index(0.0))
 
 
 def test_isometry_against_analytic_norm(code):
     grid = code.grid(256, 256)
     for state in [
-        vacuum(),
-        vacuum(offset=0.7),
-        gaussian_comb(A, 0.2**2, 0.2**-2),
-        gaussian_comb(A, 0.4**2, 0.4**-2, offset=ALPHA),
+        VacuumState(),
+        VacuumState(offset=0.7),
+        GaussianComb(A, 0.2**2, 0.2**-2),
+        GaussianComb(A, 0.4**2, 0.4**-2, offset=ALPHA),
     ]:
         psi = zak_transform(state, grid, 16)
         assert abs(psi.norm_squared() - state.norm_squared()) < 1e-6 * state.norm_squared()
@@ -148,16 +147,16 @@ def test_isometry_tabulated_is_exact(code):
     rng = np.random.default_rng(3)
     xs = np.concatenate([grid.u_values() + A * m for m in (-1, 0, 1)])
     values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-    state = tabulated(xs, values)
+    state = TabulatedState(xs, values)
     psi = zak_transform(state, grid, 4)
     assert psi.norm_squared() == pytest.approx(state.norm_squared(), rel=1e-12)
 
 
 def test_truncation_bound_reported_and_enforced(code):
     grid = code.grid(64, 64)
-    psi = zak_transform(vacuum(), grid, 16)
+    psi = zak_transform(VacuumState(), grid, 16)
     assert psi.tail_bound < 1e-12
-    comb = gaussian_comb(A, 0.4**2, 0.4**-2)
+    comb = GaussianComb(A, 0.4**2, 0.4**-2)
     with pytest.raises(TruncationError) as err:
         zak_transform(comb, grid, 4)
     # the refused bound is reported: past the tolerance, yet far below 1
@@ -169,7 +168,7 @@ def test_truncation_bound_reported_and_enforced(code):
 def test_table_half_outside_the_window_is_refused_at_any_scale(code, scale):
     # the point at x = 100 lies past every comb tooth the sum sees; squares of 1e200
     # overflow and those of 1e-200 underflow, yet the share of the norm is exact
-    state = tabulated([0.0, 100.0], [scale, scale])
+    state = TabulatedState([0.0, 100.0], [scale, scale])
     with pytest.raises(TruncationError) as err:
         comb_matrix(state, code.grid(64, 64), 16)
     assert err.value.tail == 0.5
@@ -179,7 +178,7 @@ def test_table_half_outside_the_window_is_refused_at_any_scale(code, scale):
 def test_tail_bound_of_a_table_does_not_depend_on_its_scale(code, scale):
     grid = code.grid(64, 64)
     xs, values = comb_table(grid, 5)
-    state, scaled = tabulated(xs, values), tabulated(xs, values * scale)
+    state, scaled = TabulatedState(xs, values), TabulatedState(xs, values * scale)
     assert comb_matrix(scaled, grid, 16).tail_bound == comb_matrix(state, grid, 16).tail_bound == 0.0
     # a window that leaves part of the table out: the same share of the norm
     lo, hi = -1.0, 2.0
@@ -190,7 +189,7 @@ def test_tail_bound_of_a_table_does_not_depend_on_its_scale(code, scale):
 
 def test_zak_transform_refuses_sums_past_the_float_range(code):
     # two teeth of 1e308 on one comb row sum past the largest float
-    state = tabulated([0.0, A], [1e308, 1e308])
+    state = TabulatedState([0.0, A], [1e308, 1e308])
     with pytest.raises(NonFiniteError, match=r"Zak transform: sample \(\d+, \d+\) is not finite"):
         zak_transform(state, code.grid(64, 64), 16)
 
@@ -254,7 +253,7 @@ def test_inverse_zak_roundtrip_tabulated(code):
     rng = np.random.default_rng(11)
     xs = np.concatenate([grid.u_values() + A * m for m in (-2, -1, 0, 1, 2)])
     values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-    state = tabulated(xs, values)
+    state = TabulatedState(xs, values)
     psi = zak_transform(state, grid, 8)
     for idx in range(xs.size):
         m, j = divmod(idx, grid.nu)
@@ -273,8 +272,8 @@ def gauge_gram(code, psi, phi):
 
 def test_inner_product_overlap_of_displaced_vacua(code):
     grid = code.gauge_grid(256, 256)
-    psi0 = zak_transform(vacuum(), grid, 16)
-    psi1 = zak_transform(vacuum(offset=A), grid, 16)
+    psi0 = zak_transform(VacuumState(), grid, 16)
+    psi1 = zak_transform(VacuumState(offset=A), grid, 16)
     gram = gauge_gram(code, psi0, psi1)
     assert gram[0, 1] == pytest.approx(math.exp(-(A**2) / 4), abs=1e-9)
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -317,7 +316,7 @@ def test_stretch_rescale(code, vac64):
 @pytest.mark.parametrize("b", [2 * A, A / 2, 3.1])
 @pytest.mark.parametrize(
     "descriptor",
-    [vacuum(offset=0.7), approx_codeword(GKPCode(), 0, 0.3)],
+    [VacuumState(offset=0.7), approx_codeword(GKPCode(), 0, 0.3)],
     ids=["displaced-vacuum", "codeword-0.3"],
 )
 def test_stretch_rescale_matches_direct_transform(code, b, descriptor):
@@ -349,7 +348,7 @@ def test_convention_phase():
 def test_convention_phase_matches_displacement_orderings(u, v):
     # the three orderings of a position shift by u and a momentum kick by v,
     # acting on a wavefunction in position space
-    f = vacuum(offset=0.4).evaluate
+    f = VacuumState(offset=0.4).evaluate
     x = np.linspace(-6.0, 6.0, 241)
     translate_then_multiply = np.exp(1j * v * x) * f(x - u)
     multiply_then_translate = np.exp(1j * v * (x - u)) * f(x - u)
@@ -393,7 +392,7 @@ def test_grid_validation(code):
     with pytest.raises(ValueError):
         ZakPatch(1.0, b=0.0)
     with pytest.raises(ValueError):
-        zak_transform(vacuum(), code.grid(64, 64), 0)
+        zak_transform(VacuumState(), code.grid(64, 64), 0)
 
 
 def test_wavefunction_samples_are_frozen(vac64):
@@ -405,8 +404,8 @@ def test_zak_transform_on_stretched_patch(code):
     # prefactor sqrt(b/2pi) and phases exp(-i b m v) with independent b
     patch = code.gauge_patch()  # (a, b) = (alpha, 2 alpha)
     grid = ZakGrid(patch, 16, 16)
-    psi = zak_transform(vacuum(), grid, 24)
-    state = vacuum()
+    psi = zak_transform(VacuumState(), grid, 24)
+    state = VacuumState()
     for j, k in [(0, 0), (3, 11), (8, 8), (15, 1)]:
         u = grid.u_values()[j]
         v = grid.v_values()[k]
@@ -433,7 +432,7 @@ def transform_points(grid, m_max):
 
 @pytest.mark.parametrize("delta,window", [(0.1, 1), (0.4, 1), (0.5, 2), (1.0, 3), (2.0, 7)])
 def test_comb_window_width(delta, window):
-    assert gaussian_comb(A, delta**2, delta**-2)._window == window
+    assert GaussianComb(A, delta**2, delta**-2)._window == window
 
 
 @pytest.mark.parametrize("ell", [0, 1])
@@ -480,13 +479,13 @@ def test_far_out_values_are_zero_without_an_overflow_warning(alpha, delta):
     # delta = 2.5e153, and the comb's squared tooth distances in tail_mass at both,
     # overflow only where the exponential is 0
     code = GKPCode(alpha)
-    descriptor = vacuum() if delta is None else approx_codeword(code, 1, delta)
+    descriptor = VacuumState() if delta is None else approx_codeword(code, 1, delta)
     comb = comb_matrix(descriptor, code.grid(8, 8), 16)
     assert np.isfinite(comb.values).all()
 
 
 def test_windowed_comb_evaluates_scalars_and_far_points():
-    comb = gaussian_comb(A, 0.3**2, 0.3**-2)
+    comb = GaussianComb(A, 0.3**2, 0.3**-2)
     x = np.array([0.0, 0.4 * A, 1e3, -1e3])
     dense = comb.amplitude * dense_comb_terms(comb, x).sum(axis=-1) * np.exp(
         -(x * x) / (2 * comb.envelope_variance)
@@ -601,8 +600,8 @@ def test_blocked_contraction_matches_one_complex_product(code, nu, nv):
     m = np.arange(-16, 17)
     phases = np.exp(-1j * grid.patch.b * np.outer(m, grid.v_values()))
     x = grid.u_values()[:, None] + grid.patch.a * m[None, :]
-    table = tabulated(*comb_table(grid, nu))
-    for descriptor in (vacuum(), vacuum(0.7), approx_codeword(code, 0, 0.3),
+    table = TabulatedState(*comb_table(grid, nu))
+    for descriptor in (VacuumState(), VacuumState(0.7), approx_codeword(code, 0, 0.3),
                        approx_codeword(code, 1, 0.5), table):
         reference = np.asarray(descriptor.evaluate(x), dtype=np.complex128) @ phases
         reference *= math.sqrt(grid.patch.b / (2 * math.pi))
@@ -610,7 +609,7 @@ def test_blocked_contraction_matches_one_complex_product(code, nu, nv):
         # a few ulp of the largest sample: the BLAS may order the sums differently
         assert np.max(np.abs(got - reference)) <= 4 * np.finfo(float).eps * np.max(np.abs(reference))
     # the vacuum's outer teeth underflow: their columns are flushed and dropped
-    comb = comb_matrix(vacuum(), grid, 16)
+    comb = comb_matrix(VacuumState(), grid, 16)
     assert comb.values.dtype == np.float64 and comb.values.shape[1] < 33
     assert comb.phases.shape == (comb.values.shape[1], nv)
     assert comb_matrix(table, grid, 16).values.dtype == np.complex128
@@ -636,9 +635,9 @@ def test_blocked_contraction_matches_one_complex_product(code, nu, nv):
         pytest.param(lambda: ZakPatch(1.0, b=math.inf), "period parameter b", id="patch-inf-b"),
         pytest.param(lambda: ZakPatch(1.0, u_min=math.inf), "u_min", id="patch-inf-u-min"),
         pytest.param(lambda: ZakPatch(1.0, v_min=math.nan), "v_min", id="patch-nan-v-min"),
-        pytest.param(lambda: vacuum(math.nan), "offset", id="vacuum-nan-offset"),
-        pytest.param(lambda: tabulated([0.0, math.nan], [1.0, 1.0]), "xs", id="table-nan-x"),
-        pytest.param(lambda: tabulated([0.0, 1.0], [1.0, math.nan]), "values", id="table-nan-value"),
+        pytest.param(lambda: VacuumState(math.nan), "offset", id="vacuum-nan-offset"),
+        pytest.param(lambda: TabulatedState([0.0, math.nan], [1.0, 1.0]), "xs", id="table-nan-x"),
+        pytest.param(lambda: TabulatedState([0.0, 1.0], [1.0, math.nan]), "values", id="table-nan-value"),
         # a period so long that spacing^2 / (2 tooth_variance) overflows, or the
         # norm's pairwise integrals overflow or (every tooth far out in the
         # envelope) underflow to 0
@@ -650,10 +649,10 @@ def test_blocked_contraction_matches_one_complex_product(code, nu, nv):
                      id="comb-norm-overflows"),
         pytest.param(lambda: approx_codeword(GKPCode(alpha=100.0), 1, 0.3), "spacing",
                      id="comb-norm-underflows"),
-        pytest.param(lambda: gaussian_comb(math.nan, 0.04, 25.0), "spacing", id="comb-nan-spacing"),
-        pytest.param(lambda: gaussian_comb(A, 0.04, math.inf), "envelope_variance",
+        pytest.param(lambda: GaussianComb(math.nan, 0.04, 25.0), "spacing", id="comb-nan-spacing"),
+        pytest.param(lambda: GaussianComb(A, 0.04, math.inf), "envelope_variance",
                      id="comb-inf-envelope"),
-        pytest.param(lambda: gaussian_comb(A, 0.04, 25.0, offset=math.inf), "offset",
+        pytest.param(lambda: GaussianComb(A, 0.04, 25.0, offset=math.inf), "offset",
                      id="comb-inf-offset"),
     ],
 )
@@ -706,6 +705,10 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
         ("zakgkp.ssd", "save_ssd"),
         ("zakgkp.ssd", "load_ssd"),
         ("zakgkp.ssd", "IdealSSDState"),
+        ("zakgkp.core", "vacuum"),
+        ("zakgkp.core", "gaussian_comb"),
+        ("zakgkp.core", "tabulated"),
+        ("ZakGrid", "origin_index"),
     ],
 )
 def test_removed_names_are_gone(owner, name):
@@ -729,7 +732,6 @@ def test_removed_names_are_gone(owner, name):
         (apply_Z, "interpolate"),
         (GKPCode, "dim"),
         (zak_transform, "tail_tol"),
-        (tabulated, "step"),
         (TabulatedState, "step"),
     ],
 )

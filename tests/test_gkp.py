@@ -20,6 +20,8 @@ from zakgkp import (
     MixtureState,
     ModularWavefunction,
     NormalizationError,
+    TabulatedState,
+    VacuumState,
     ZakError,
     apply_translate_u,
     apply_X,
@@ -31,8 +33,6 @@ from zakgkp import (
     logical_from_overlap,
     stabilizer_residual,
     syndrome_reduce,
-    tabulated,
-    vacuum,
     zak_transform,
 )
 from zakgkp import gkp, ssd
@@ -211,10 +211,8 @@ def test_logical_from_overlap_ideal(code):
 
 
 def test_logical_from_overlap_vacuum_golden(code):
-    from zakgkp import vacuum
-
     grid = code.grid(512, 512)
-    q = logical_from_overlap(zak_transform(vacuum(), grid, 16), code)
+    q = logical_from_overlap(zak_transform(VacuumState(), grid, 16), code)
     assert q.matrix[0, 0].real == pytest.approx(VACUUM_RHO00, abs=1e-9)
     assert q.matrix[1, 1].real == pytest.approx(VACUUM_RHO11, abs=1e-9)
     assert q.matrix[0, 1] == pytest.approx(VACUUM_RHO01, abs=1e-9)
@@ -224,7 +222,7 @@ def test_logical_from_overlap_vacuum_golden(code):
     assert q.matrix[0, 0].real > q.matrix[1, 1].real > 0
     # coarser grids converge to the same values
     q256 = logical_from_overlap(
-        zak_transform(vacuum(), code.grid(256, 256), 16), code
+        zak_transform(VacuumState(), code.grid(256, 256), 16), code
     )
     assert q256.matrix[0, 0].real == pytest.approx(VACUUM_RHO00, abs=1e-3)
     assert q256.matrix[0, 1].real == pytest.approx(VACUUM_RHO01, abs=2e-3)
@@ -288,9 +286,9 @@ def test_parseval_kernel_against_its_defining_integral(code):
 def test_ec_riemann_error_against_gauss_legendre_oracle(code, offset, errors):
     # the EC cross weight exp(i alpha v) is anti-periodic over the v period, so the v sum is
     # only algebraically accurate: at nu = 4096 the u error is small and the error is dv's
-    exact = _oracle_ec_rho(vacuum(offset), code)
+    exact = _oracle_ec_rho(VacuumState(offset), code)
     for nv, error in errors.items():
-        got = ec_channel_logical(comb_matrix(vacuum(offset), code.grid(4096, nv), 16), code).matrix
+        got = ec_channel_logical(comb_matrix(VacuumState(offset), code.grid(4096, nv), 16), code).matrix
         assert np.max(np.abs(got - exact)) == pytest.approx(error, rel=0.1), nv
 
 
@@ -304,9 +302,9 @@ def test_gauss_legendre_oracle_against_vacuum_erf_sums(code, c):
                 for ell in (0, 1))
     g01 = math.exp(-alpha**2 / 4) * sum(math.erf(x + alpha) - math.erf(x) for x in xs) / 2
     gram = np.array([[g00, g01], [g01, g11]])
-    assert np.max(np.abs(_oracle_rho(vacuum(c), code) - gram / gram.trace())) <= 1e-13
+    assert np.max(np.abs(_oracle_rho(VacuumState(c), code) - gram / gram.trace())) <= 1e-13
     assert np.max(np.abs(erf_gram(alpha, *vacuum_gaussians(c)) - gram)) <= 1e-15
-    assert np.max(np.abs(erf_ec_gram(alpha, *vacuum_gaussians(c)) - _oracle_ec_rho(vacuum(c), code))) <= 1e-14
+    assert np.max(np.abs(erf_ec_gram(alpha, *vacuum_gaussians(c)) - _oracle_ec_rho(VacuumState(c), code))) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -363,7 +361,7 @@ def test_stabilizer_residuals_against_erf_reference(code, delta, which):
     # both residuals have closed forms in the Gaussians' pair sums, and on both routes the
     # library meets them up to rounding (8.8e-15 at most), so the pin is rounding's
     if delta is None:
-        descriptor, gaussians = vacuum(which), vacuum_gaussians(which)
+        descriptor, gaussians = VacuumState(which), vacuum_gaussians(which)
     else:
         descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
     exact = erf_residuals(code.alpha, *gaussians)
@@ -376,8 +374,8 @@ def test_stabilizer_residuals_against_erf_reference(code, delta, which):
 @pytest.mark.parametrize(
     "make, entry, errors",
     [
-        (lambda code: vacuum(), (0, 1), {64: 6.5e-3, 256: 1.6e-3}),
-        (lambda code: vacuum(0.7), (0, 0), {64: 1.4e-2, 256: 3.4e-3}),
+        (lambda code: VacuumState(), (0, 1), {64: 6.5e-3, 256: 1.6e-3}),
+        (lambda code: VacuumState(0.7), (0, 0), {64: 1.4e-2, 256: 3.4e-3}),
         (lambda code: approx_codeword(code, 0, 0.3), (0, 0), {64: 3.0e-6, 256: 1.9e-7}),
     ],
     ids=["vacuum-rho01", "vacuum-0.7-rho00", "delta-0.3-rho00"],
@@ -605,8 +603,8 @@ def _statistics_corpus(code):
     for n in (64, 256):
         grid = code.grid(n, n)
         for name, descriptor in [
-            ("vacuum", vacuum()),
-            ("displaced vacuum", vacuum(offset=0.7)),
+            ("vacuum", VacuumState()),
+            ("displaced vacuum", VacuumState(offset=0.7)),
             ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
         ]:
             yield f"{name} {n}x{n}", zak_transform(descriptor, grid, 16)
@@ -658,14 +656,14 @@ def _comb_corpus(code):
     """(label, descriptor, grid): the states the CLI transforms, a complex table, and an
     aliased grid (nv = 16 <= 2 m_max) on which the v sums do not separate the m terms."""
     grid = code.grid(128, 128)
-    descriptors = [("vacuum", vacuum()), ("vacuum displaced 0.7", vacuum(0.7))]
+    descriptors = [("vacuum", VacuumState()), ("vacuum displaced 0.7", VacuumState(0.7))]
     descriptors += [(f"gkp-approx:{d}:{ell}", approx_codeword(code, ell, d))
                     for d in (0.5, 0.3, 0.1) for ell in (0, 1)]
-    for label, descriptor in descriptors + [("complex table", tabulated(*comb_table(grid, 3)))]:
+    for label, descriptor in descriptors + [("complex table", TabulatedState(*comb_table(grid, 3)))]:
         yield f"{label} 128x128", descriptor, grid
     aliased = code.grid(64, 16)
-    for label, descriptor in [("vacuum", vacuum()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
-                              ("complex table", tabulated(*comb_table(aliased, 4)))]:
+    for label, descriptor in [("vacuum", VacuumState()), ("gkp-approx:0.3:1", approx_codeword(code, 1, 0.3)),
+                              ("complex table", TabulatedState(*comb_table(aliased, 4)))]:
         yield f"{label} 64x16", descriptor, aliased
 
 
@@ -685,14 +683,14 @@ def test_comb_route_matches_the_materialized_grid(code, ec_phase):
 
 def test_comb_route_refuses_a_grid_without_gauge_halves(code):
     grid = code.grid(68, 16)  # Nu/2 = 34 is not a multiple of 4
-    for state in (comb_matrix(vacuum(), grid, 16), zak_transform(vacuum(), grid, 16)):
+    for state in (comb_matrix(VacuumState(), grid, 16), zak_transform(VacuumState(), grid, 16)):
         with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 34"):
             logical_from_overlap(state, code)
 
 
 def test_overflowing_comb_gram_is_refused_without_a_warning(code):
     # finite table values whose comb sums overflow: the Gram entries are inf and NaN
-    table = tabulated([0.0, 3.5449077018110318], [1e308, 1e308])
+    table = TabulatedState([0.0, 3.5449077018110318], [1e308, 1e308])
     comb = comb_matrix(table, code.grid(64, 64), 16)
     for logical in (logical_from_overlap, ec_channel_logical):
         with pytest.raises(ZakError, match="logical matrix has non-finite entries"):
@@ -773,7 +771,7 @@ def _memo_corpus(code):
     yield "random 512x512", random_state(code.grid(512, 512), 11)
     grid = code.grid(96, 90)
     yield "gkp-approx:0.3:1 96x90", apply_X(zak_transform(approx_codeword(code, 1, 0.3), grid, 16), 3 * grid.du)
-    yield "vacuum 96x90", zak_transform(vacuum(), grid, 16)
+    yield "vacuum 96x90", zak_transform(VacuumState(), grid, 16)
 
 
 def _four_maps(psi, code, ec_first):
@@ -797,7 +795,7 @@ def test_memoized_maps_are_bitwise_equal_in_either_order(code):
 
 
 def test_refused_grid_is_refused_in_either_order_and_memoizes_no_gram(code):
-    psi = zak_transform(vacuum(), code.grid(68, 16), 16)  # Nu/2 = 34 is not a multiple of 4
+    psi = zak_transform(VacuumState(), code.grid(68, 16), 16)  # Nu/2 = 34 is not a multiple of 4
     for ec_first in (False, True, False):
         with pytest.raises(ValueError, match="nu must be a positive multiple of 4, got 34"):
             _four_maps(psi, code, ec_first)

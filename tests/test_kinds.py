@@ -27,9 +27,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 CODE = gkp.GKPCode()
 GRID = CODE.grid(16, 16)
-PSI = core.zak_transform(core.vacuum(), GRID, 8)
+PSI = core.zak_transform(core.VacuumState(), GRID, 8)
 IDEAL = gkp.codeword(CODE, 0)
-COMB = core.comb_matrix(core.vacuum(), GRID, 4)
+COMB = core.comb_matrix(core.VacuumState(), GRID, 4)
 SSD = ssd.to_ssd(PSI, CODE)
 MODES = ssd.pp_bridge(SSD)
 SYNDROME = gkp.syndrome_reduce(CODE, 0.0, 0.0)
@@ -40,7 +40,7 @@ KINDS = {
     "tuple": (0.0, 0.0), "list": [0.0, 0.0], "array": np.zeros(2), "1j": 1j, "True": True,
     "grid-state": PSI, "comb": COMB, "ideal-state": IDEAL, "SSDState": SSD, "PPGaugeModes": MODES,
     "MixtureState": gkp.MixtureState([(1.0, IDEAL)]), "Syndrome": SYNDROME, "GKPCode": CODE,
-    "ZakGrid": GRID, "ZakPatch": GRID.patch, "descriptor": core.vacuum(),
+    "ZakGrid": GRID, "ZakPatch": GRID.patch, "descriptor": core.VacuumState(),
 }
 
 #: valid values of each callable's parameters without a default; the loaders read the
@@ -51,14 +51,11 @@ VALID = {
     core.ModularWavefunction: (GRID, np.zeros((16, 16))),
     core.IdealZakState: (GRID.patch, {(0.0, 0.0): 1.0}),
     core.VacuumState: (),
-    core.vacuum: (),
     core.GaussianComb: (CODE.period, 0.09, 1 / 0.09),
-    core.gaussian_comb: (CODE.period, 0.09, 1 / 0.09),
     core.TabulatedState: ([0.0, 1.0], [1.0, 0.5]),
-    core.tabulated: ([0.0, 1.0], [1.0, 0.5]),
     core.CombMatrix: (GRID, COMB.values, COMB.m, COMB.tail_bound),
-    core.comb_matrix: (core.vacuum(), GRID, 4),
-    core.zak_transform: (core.vacuum(), GRID, 4),
+    core.comb_matrix: (core.VacuumState(), GRID, 4),
+    core.zak_transform: (core.VacuumState(), GRID, 4),
     core.inverse_zak_transform: (PSI, 0, 0.0),
     core.stretch_rescale: (PSI, 1.0),
     core.convention_phase: (0.5, 0.5, "opposite"),

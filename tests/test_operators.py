@@ -7,10 +7,12 @@ import pytest
 
 from conftest import ALPHA, random_state
 from zakgkp import (
+    GaussianComb,
     IdealZakState,
     MixtureState,
     ModularWavefunction,
     OffGridError,
+    VacuumState,
     apply_phase_u,
     apply_phase_v,
     apply_translate_u,
@@ -18,9 +20,7 @@ from zakgkp import (
     apply_X,
     apply_Z,
     codeword,
-    gaussian_comb,
     stretch_rescale,
-    vacuum,
     zak_transform,
 )
 from zakgkp.core import comb_matrix
@@ -157,7 +157,7 @@ def test_off_grid_translation_raises(grid64, off_grid):
 @pytest.mark.parametrize("kind", ["comb", "mixture"])
 def test_operators_refuse_comb_and_mixture(grid64, vac64, op, kind):
     # neither has samples to shift: a ValueError naming the state to pass, not an AttributeError
-    state = comb_matrix(vacuum(), grid64, 4) if kind == "comb" else MixtureState([(1.0, vac64)])
+    state = comb_matrix(VacuumState(), grid64, 4) if kind == "comb" else MixtureState([(1.0, vac64)])
     with pytest.raises(ValueError, match="zak_transform, or each component"):
         op(state, grid64.du)
 
@@ -238,7 +238,7 @@ def test_stretched_translation_wrap_phase(code, grid64):
 
 def test_stretched_expectation_is_squeezed(code):
     grid = code.grid(128, 128)
-    psi = zak_transform(gaussian_comb(A, 0.2**2, 0.2**-2), grid, 16)
+    psi = zak_transform(GaussianComb(A, 0.2**2, 0.2**-2), grid, 16)
     psi = apply_translate_v(psi, 5 * grid.dv)  # give <v> a nonzero value
     _, ev = modular_means(psi)
     for b in (2 * A, A / 2):
@@ -252,13 +252,13 @@ def test_stretched_expectation_is_squeezed(code):
 def test_vacuum_expectations_against_oracle(code):
     assert vacuum_mean_u_oracle() == pytest.approx(VACUUM_MEAN_U, abs=1e-14)
     grid = code.grid(256, 256)
-    psi = zak_transform(vacuum(), grid, 16)
+    psi = zak_transform(VacuumState(), grid, 16)
     eu, ev = modular_means(psi)
     # left-rule quadrature of the wrapped integrand converges first order
     assert eu == pytest.approx(VACUUM_MEAN_U, abs=0.01)
     assert abs(ev) < grid.dv
     grid2 = code.grid(512, 512)
-    eu2, ev2 = modular_means(zak_transform(vacuum(), grid2, 16))
+    eu2, ev2 = modular_means(zak_transform(VacuumState(), grid2, 16))
     richardson = 2 * eu2 - eu
     assert richardson == pytest.approx(VACUUM_MEAN_U, abs=2e-4)
     assert abs(ev2) < abs(ev)
@@ -266,7 +266,7 @@ def test_vacuum_expectations_against_oracle(code):
 
 def test_translate_shifts_mean(code):
     grid = code.grid(128, 128)
-    psi = zak_transform(gaussian_comb(A, 0.2**2, 0.2**-2), grid, 16)
+    psi = zak_transform(GaussianComb(A, 0.2**2, 0.2**-2), grid, 16)
     eu, _ = modular_means(psi)
     eu_shifted, _ = modular_means(apply_translate_u(psi, grid.du))
     assert eu_shifted - eu == pytest.approx(grid.du, abs=1e-6)

@@ -20,6 +20,7 @@ from zakgkp import (
     apply_Z,
     apply_Z_ssd,
     GKPCode,
+    VacuumState,
     approx_codeword,
     codeword,
     ec_channel_logical,
@@ -30,7 +31,6 @@ from zakgkp import (
     pp_bridge,
     pp_bridge_inverse,
     to_ssd,
-    vacuum,
     zak_transform,
 )
 from zakgkp.core import comb_matrix
@@ -452,7 +452,7 @@ def test_pp_bridge_matches_dense_sums(code, nu, nv):
 def test_comb_matrix_is_the_partitioned_position_representation(code, kind, n):
     # gauge half l's coefficient at frequency -m[k] is column k of the comb's row block l,
     # and every frequency the comb did not keep is empty: nv > 2 m_max, so nothing aliases
-    state = vacuum(0.3) if kind == "vacuum" else approx_codeword(code, 1, 0.3)
+    state = VacuumState(0.3) if kind == "vacuum" else approx_codeword(code, 1, 0.3)
     grid = code.grid(n, n)
     comb = comb_matrix(state, grid, 16)
     modes = pp_bridge(to_ssd(zak_transform(state, grid, 16), code))

@@ -49,11 +49,9 @@ from zakgkp import (
     logical_from_overlap,
     stabilizer_residual,
     syndrome_reduce,
-    tabulated,
-    vacuum,
     zak_transform,
 )
-from zakgkp.core import comb_matrix
+from zakgkp.core import TabulatedState, VacuumState, comb_matrix
 from zakgkp.gridio import load_grid_csv, save_grid_csv
 from zakgkp.ssd import ec_gauge_trace, gauge_trace, pp_bridge, pp_bridge_inverse, to_ssd
 
@@ -71,7 +69,7 @@ def grid_states(code):
     for nu, nv in ((64, 64), (96, 90), (128, 256)):
         grid = code.grid(nu, nv)
         word = zak_transform(approx_codeword(code, 1, 0.3), grid, 16)
-        yield f"vacuum {nu}x{nv}", zak_transform(vacuum(), grid, 16)
+        yield f"vacuum {nu}x{nv}", zak_transform(VacuumState(), grid, 16)
         yield f"gkp-approx:0.3:1 {nu}x{nv}", word
         yield f"gkp-approx:0.3:1 shifted {nu}x{nv}", apply_X(apply_Z(word, 3 * grid.dv), -5 * grid.du)
     # past one period each way (k >= 1 and k <= -2 full turns); two states, so each later one keeps its map order
@@ -94,13 +92,13 @@ def ideal_states(code):
 
 def comb_states(code):
     grid, aliased = code.grid(128, 128), code.grid(64, 16)
-    yield "comb vacuum 128x128", comb_matrix(vacuum(), grid, 16)
+    yield "comb vacuum 128x128", comb_matrix(VacuumState(), grid, 16)
     yield "comb gkp-approx:0.3:1 128x128", comb_matrix(approx_codeword(code, 1, 0.3), grid, 16)
     yield "comb gkp-approx:0.3:1 64x16", comb_matrix(approx_codeword(code, 1, 0.3), aliased, 16)
     # a Gaussian bump with seeded phases on the comb u_j + a m, |m| <= 3: complex128 values
     rng = np.random.default_rng(26)
     xs = np.concatenate([grid.u_values() + grid.patch.a * m for m in range(-3, 4)])
-    table = tabulated(xs, np.exp(-xs * xs / 2 + 2j * math.pi * rng.random(xs.size)))
+    table = TabulatedState(xs, np.exp(-xs * xs / 2 + 2j * math.pi * rng.random(xs.size)))
     yield "comb complex table 128x128", comb_matrix(table, grid, 16)
 
 
