@@ -22,7 +22,7 @@ import numpy as np
 
 from . import modular
 from .modular import _float, _shown
-from .errors import NonFiniteError, OffGridError, TruncationError, _kind
+from .errors import NonFiniteError, NormalizationError, OffGridError, TruncationError, _kind
 
 __all__ = [
     "ZakPatch",
@@ -68,6 +68,23 @@ def _finite(name, value, positive=False):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def _pairs(entries, name, form, nested=False):
+    """The entries of ``entries`` as ``(first, second)`` pairs, each ``first`` a pair too if ``nested``;
+    ValueError ``"<name> takes <form> pairs, got <value>"`` naming ``entries`` unless it is iterable,
+    or else the first entry that is no such pair."""
+    pairs, got = [], entries
+    try:
+        for got in entries:
+            first, second = got
+            if nested:
+                x, y = first
+                first = x, y
+            pairs.append((first, second))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} takes {form} pairs, got {_shown(got)}") from None
+    return pairs
 
 
 def _array(values, kind=float):
@@ -309,7 +326,7 @@ class ModularWavefunction:
     def normalized(self):
         n = self.norm()
         if n == 0:
-            raise ZeroDivisionError("cannot normalize the zero wavefunction")
+            raise NormalizationError(n, "cannot normalize the zero wavefunction")
         return self.with_samples(_frozen(self.samples / n))
 
 
@@ -321,9 +338,9 @@ class IdealZakState:
     patch on construction (folding reduction phases into the weights) and
     duplicates are merged by weight addition.  The squared Dirac-comb norm
     proxy is ``sum |weight|^2``.  ``points`` is a dict, another state or
-    an iterable of ``((x, y), weight)`` pairs.  An entry that is no such
-    pair, a point the patch cannot count or a weight that is not finite
-    raises ValueError.
+    an iterable of ``((x, y), weight)`` pairs.  Any other ``points``, an
+    entry that is no such pair, a point the patch cannot count or a weight
+    that is not finite raises ValueError.
     """
 
     __slots__ = ("patch", "points")
@@ -331,11 +348,7 @@ class IdealZakState:
     def __init__(self, patch: ZakPatch, points):
         items = points.items() if hasattr(points, "items") else points
         merged: dict[tuple[float, float], complex] = {}
-        for entry in items:
-            try:
-                (x, y), w = entry
-            except (TypeError, ValueError):
-                raise ValueError(f"points takes ((x, y), weight) pairs, got {_shown(entry)}") from None
+        for (x, y), w in _pairs(items, "points", "((x, y), weight)", nested=True):
             u, v, n = patch.reduce(x, y)
             w = merged[(u, v)] = merged.get((u, v), 0j) + _float(w, complex) * cmath.exp(-1j * patch.b * n * v)
             if not cmath.isfinite(w):

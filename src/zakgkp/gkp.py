@@ -38,6 +38,7 @@ from .core import (
     _finite,
     _float,
     _frozen,
+    _pairs,
     _shown,
 )
 from .errors import DegenerateLogicalError, GridMismatchError, NonFiniteError, NormalizationError, ZakError, _kind
@@ -175,22 +176,13 @@ class LogicalQubit:
         return f"LogicalQubit(matrix={self.matrix!r}, raw_trace={self.raw_trace!r})"
 
 
-def _component(entry):
-    """``entry`` as a ``(probability, state)`` pair; ValueError naming it unless it is one."""
-    try:
-        p, state = entry
-    except (TypeError, ValueError):
-        raise ValueError(f"components takes (probability, state) pairs, got {_shown(entry)}") from None
-    return p, state
-
-
 class MixtureState:
     """Convex mixture of pure states (grid or ideal), probabilities summing to 1."""
 
     __slots__ = ("components",)
 
     def __init__(self, components):
-        components = [(_float(p), state) for p, state in map(_component, components)]
+        components = [(_float(p), state) for p, state in _pairs(components, "components", "(probability, state)")]
         for p, _ in components:
             if not p >= 0:  # NaN too
                 raise ValueError(f"mixture probability {p!r} is not a nonnegative number")
@@ -251,16 +243,16 @@ def stabilizer_residual(state, code: GKPCode):
 
 def _require_qubit_patch(state, code: GKPCode, comb=True):
     """ValueError for anything but a grid state, an ideal state or a comb matrix (a mixture is told to
-    pass each component); GridMismatchError unless the state's patch is the code's; then ValueError
-    for a comb matrix unless ``comb``."""
+    pass each component), naming a comb only if ``comb``; GridMismatchError unless the state's patch is
+    the code's; then ValueError for a comb matrix unless ``comb``."""
     pure = (ModularWavefunction, IdealZakState, CombMatrix)
-    _kind(state, (*pure, MixtureState), "this function takes a grid, ideal or comb state", "pass an SSDState's mode")
+    takes = "this function takes a grid, ideal or comb state" if comb else "this function takes a grid or ideal state"
+    _kind(state, (*pure, MixtureState), takes, "pass an SSDState's mode")
     _kind(state, pure, "this function takes a pure state", "pass each component")
     if state.patch != code.full_patch():
         raise GridMismatchError("state patch does not match the code's fundamental patch")
     if not comb:
-        _kind(state, (ModularWavefunction, IdealZakState), "this function takes a grid or ideal state",
-              "pass its zak_transform")
+        _kind(state, (ModularWavefunction, IdealZakState), takes, "pass its zak_transform")
 
 
 def ec_kraus_amplitudes(state, code: GKPCode, syn: Syndrome):
@@ -284,21 +276,23 @@ def _sectors(state, code: GKPCode):
 
     This is the unphased change of basis to (qubit) x (gauge mode), a pure
     re-indexing: the left half-patch is logical 0, the right half logical
-    1.  An ideal state yields its points ``(u - alpha*l, v)`` on the gauge
-    patch; a grid state, its two row halves (views) on
-    ``code.gauge_grid(nu // 2, nv)``, which has the full grid's ``b``,
-    ``v_min``, ``du`` and ``dv``; a comb matrix, the two row blocks of its
-    ``values`` (views), which share its ``m`` and ``phases``.  A foreign
-    patch raises GridMismatchError, and halves that are not grids raise ValueError.
+    1.  An ideal state's points are placed in the code's patch (the
+    state's may equal it only within the 1e-12 rule), and the gauge
+    patch's ``reduce``, which maps a syndrome too, reads each as
+    ``(u - alpha*l, v)`` with ``l`` its wrap count.  A grid state yields
+    its two row halves (views) on ``code.gauge_grid(nu // 2, nv)``, which
+    has the full grid's ``b``, ``v_min``, ``du`` and ``dv``; a comb matrix,
+    the two row blocks of its ``values`` (views), which share its ``m`` and
+    ``phases``.  A foreign patch raises GridMismatchError, and halves that
+    are not grids raise ValueError.
     """
     _require_qubit_patch(state, code)
     if isinstance(state, IdealZakState):
-        alpha = code.alpha
-        sectors = ([], [])
-        for (u, v), w in state.items():
-            ell = 0 if u < alpha / 2 else 1
-            sectors[ell].append(((u - alpha * ell, v), w))
-        return tuple(IdealZakState(code.gauge_patch(), sector) for sector in sectors)
+        gauge, sectors = code.gauge_patch(), ([], [])
+        for (u, v), w in IdealZakState(code.full_patch(), state.points).items():
+            u, v, ell = gauge.reduce(u, v)
+            sectors[ell].append(((u, v), w))
+        return tuple(IdealZakState(gauge, sector) for sector in sectors)
     half = state.grid.nu // 2
     gauge_grid = code.gauge_grid(half, state.grid.nv)  # refuses halves that are not grids, a comb's too
     if isinstance(state, CombMatrix):

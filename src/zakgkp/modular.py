@@ -29,23 +29,25 @@ def _float(value, kind=float):
 
 def _shown(n):
     """A value for a message: itself, but an int past the float range is the infinity of its sign,
-    and a value that is no number its repr, cut short."""
+    and text (which ``float`` would read) or a value that is no number its repr, cut short."""
     try:
-        return n if math.isfinite(_float(n)) else _float(n)
+        if not isinstance(n, (str, bytes, bytearray)):
+            return n if math.isfinite(_float(n)) else _float(n)
     except (TypeError, ValueError):
-        return reprlib.repr(n)
+        pass
+    return reprlib.repr(n)
 
 
 def split(x: float, period: float, centering: float) -> tuple[float, int]:
     """Return ``(frac, n)`` with ``frac = x - n*period`` in ``[-centering, period-centering)``.
 
     Raises ValueError for non-positive periods and for an ``x`` that is
-    not finite or has too many periods to count.  For ``|x|`` much larger
-    than the period the fractional part carries the usual floating-point
-    cancellation error.  The left-closed bound is authoritative: when the
-    centering is so small relative to the period that the two boundaries
-    are not float-distinguishable, the value stays on the in-range side of
-    the lower bound.
+    not finite or has too many periods to count; every other ``x`` gets a
+    ``frac`` inside the window.  For ``|x|`` much larger than the period
+    the fractional part carries the usual floating-point cancellation
+    error, and when no count puts the rounded difference inside the
+    window, the left-closed bound is authoritative: ``frac`` is
+    ``-centering``, with the count that leaves the difference just below it.
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {_shown(period)!r}")
@@ -54,15 +56,12 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
         n = math.floor((x + centering) / period)
     except (OverflowError, ValueError):  # an infinite or NaN quotient
         raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {_shown(period)!r}") from None
-    frac = x - n * period
     # The rounded quotient can land one cell off when x sits within an ulp
     # of a boundary; repair deterministically instead of tolerating it.
-    if frac < -centering:
+    if x - n * period < -centering:
         n -= 1
+    frac = x - n * period
+    if frac >= period - centering:
+        n += 1
         frac = x - n * period
-    elif frac >= period - centering:
-        candidate = x - (n + 1) * period
-        if candidate >= -centering:
-            n += 1
-            frac = candidate
-    return frac, n
+    return (frac, n) if -centering <= frac < period - centering else (-centering, n)

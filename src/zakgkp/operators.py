@@ -38,19 +38,17 @@ __all__ = [
 def _displace(state, pu=None, pv=None, su=None, sv=None):
     """``P_U(pu) P_V(pv) T_U(su) T_V(sv) state``, the displacement every operator is; None skips a factor.
 
-    No operator shifts both arguments, phases the one it shifts or applies two phases.  Ideal points are
-    mapped once for the shift (construction canonicalizes, with the u-wrap phase) and once for the phase.
+    No operator shifts both arguments, phases the one it shifts or applies two phases, so ideal points are
+    mapped in one construction, which canonicalizes them with the u-wrap phase.
     A grid is rolled into one new array, each block written once with at most one factor: a u-shift by
     ``(k Nu + r) du`` turns its ``r`` wrapped rows ``k + 1`` times by ``exp(-i b v)`` and the rest ``k``.
     """
     pu, pv, su, sv = (None if t is None else _float(t) for t in (pu, pv, su, sv))
     if isinstance(state, IdealZakState):
-        for t, fn in ((sv, lambda p, w: ((p[0], p[1] + sv), w)), (su, lambda p, w: ((p[0] + su, p[1]), w)),
-                      (pv, lambda p, w: (p, w * cmath.exp(1j * p[1] * pv))),
-                      (pu, lambda p, w: (p, w * cmath.exp(1j * p[0] * pu)))):
-            if t is not None:
-                state = IdealZakState(state.patch, [fn(p, w) for p, w in state.items()])
-        return state
+        shift = lambda x, t: x if t is None else x + t
+        phase = lambda w, x, t: w if t is None else w * cmath.exp(1j * x * t)
+        return IdealZakState(state.patch, [((shift(u, su), shift(v, sv)), phase(phase(w, v, pv), u, pu))
+                                           for (u, v), w in state.items()])
     _kind(state, ModularWavefunction, "the operators take a grid or ideal state",
           "pass an SSDState's mode, a CombMatrix's zak_transform, or each component of a MixtureState")
     grid, s = state.grid, state.samples

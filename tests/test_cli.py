@@ -18,6 +18,7 @@ from zakgkp import (
     MixtureState,
     ModularWavefunction,
     NonFiniteError,
+    NormalizationError,
     OffGridError,
     TabulatedState,
     VacuumState,
@@ -109,6 +110,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert "grid=32x32" in manifest  # flag wins
     assert "state=gkp-approx:0.3:1" in manifest
     assert load_grid_csv(out).grid.nu == 32
+
+
+def test_config_file_skips_comment_lines_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a small vacuum run\n\nstate = vacuum\n   \n  # grid next\ngrid = 32x32\n")
+    out = tmp_path / "state.csv"
+    assert run("zakplot", "--config", cfg, "--out", out) == 0
+    manifest = (tmp_path / "state.csv.manifest").read_text()
+    assert "state=vacuum" in manifest and "grid=32x32" in manifest
 
 
 def read_report(path):
@@ -1039,9 +1049,6 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                           ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
                           ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
                           ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
-        # an ideal SSD state has no grid to bridge: this once ended in an AttributeError
-        pytest.param(lambda psi, ideal: pp_bridge(to_ssd(ideal, _CODE)), ValueError,
-                     "takes an SSDState whose mode is a grid state, not a IdealZakState$", id="ideal-ssd-pp_bridge"),
         # each once ended in an AttributeError on a member the input does not have
         pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
                      "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
@@ -1069,7 +1076,7 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
                      r"n must be a whole number of periods, got 0\.5$", id="half-n-inverse_zak_transform"),
         # an ell that is not a number once raised float()'s own TypeError in place of the refusal
         *(pytest.param(build, ValueError, f"ell must be 0 or 1, got {shown}$", id=f"{label}-ell-{name}")
-          for label, shown, ell in (("None", "None", None), ("a", "'a'", "a"))
+          for label, shown, ell in (("None", "None", None), ("a", "'a'", "a"), ("str-2", "'2'", "2"))
           for name, build in (("codeword", lambda psi, ideal, ell=ell: codeword(_CODE, ell)),
                               ("approx_codeword", lambda psi, ideal, ell=ell: approx_codeword(_CODE, ell, 0.3)),
                               ("fidelity", lambda psi, ideal, ell=ell: logical_from_overlap(ideal, _CODE).fidelity(ell)))),
@@ -1132,7 +1139,22 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
             ("components-array", lambda psi, ideal: MixtureState(np.zeros(2)),
              r"components takes \(probability, state\) pairs, got 0\.0$"),
             ("components-probability", lambda psi, ideal: MixtureState([1.0]),
-             r"components takes \(probability, state\) pairs, got 1\.0$"))),
+             r"components takes \(probability, state\) pairs, got 1\.0$"),
+            # one that is not iterable at all once raised Python's own "not iterable" error
+            ("points-None", lambda psi, ideal: IdealZakState(ideal.patch, None),
+             r"points takes \(\(x, y\), weight\) pairs, got None$"),
+            ("components-None", lambda psi, ideal: MixtureState(None),
+             r"components takes \(probability, state\) pairs, got None$"),
+            ("components-int", lambda psi, ideal: MixtureState(3),
+             r"components takes \(probability, state\) pairs, got 3$"))),
+        # a function that refuses a comb matrix once said it takes one when given another kind
+        *(pytest.param(lambda psi, ideal, f=f: f(None), ValueError,
+                       r"takes a grid or ideal state, not a NoneType; pass an SSDState's mode$", id=f"None-{name}")
+          for name, f in (("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda s: to_ssd(s, _CODE)))),
+        # the zero state once raised ZeroDivisionError, outside the contract
+        pytest.param(lambda psi, ideal: psi.with_samples(np.zeros_like(psi.samples)).normalized(), NormalizationError,
+                     "cannot normalize the zero wavefunction$", id="zero-normalized"),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):

@@ -227,6 +227,15 @@ def test_samples_holding_an_int_past_the_float_range_hold_its_infinity(grid64):
     assert np.count_nonzero(psi.samples) == 2
 
 
+@pytest.mark.parametrize("axis", ["u", "v"])
+def test_a_node_one_period_on_lies_outside_the_patch(vac64, axis):
+    # a whole number of cells from the edge, but the cell past the last one
+    patch = vac64.patch
+    u, v = patch.u_min + (patch.a if axis == "u" else 0.0), patch.v_min + (patch.height if axis == "v" else 0.0)
+    with pytest.raises(OffGridError, match=rf"\(from {axis}_min\) lies outside the patch$"):
+        vac64.value_at(u, v)
+
+
 @pytest.mark.parametrize("method,start", [("u_index", "u_min"), ("v_index", "v_min"), ("u_steps", None),
                                           ("v_steps", None)])
 @pytest.mark.parametrize("offset,value", [

@@ -23,6 +23,7 @@ from zakgkp import (
     TabulatedState,
     VacuumState,
     ZakError,
+    ZakPatch,
     apply_translate_u,
     apply_X,
     apply_Z,
@@ -146,6 +147,34 @@ def test_syndrome_reduce_is_the_gauge_patch_reduction(alpha):
             got = (syn.u_tilde.hex(), syn.v_tilde.hex())
             assert got == (u.hex(), v.hex()) == (rect[0].hex(), rect[1].hex()), (s, t)
             assert syn == (s, t, syn.u_tilde, syn.v_tilde, alpha)
+
+
+def test_an_ideal_point_far_out_reduces_into_its_half_patch(code):
+    # the rounded difference once left u past the patch end, so the point read as logical 1
+    state = IdealZakState(code.full_patch(), {(32819715.2871268, 0.5): 1})
+    ((u, _),) = state.points
+    assert code.full_patch().u_min <= u < 3 * ALPHA / 2
+    assert logical_from_overlap(state, code).fidelity(0) == 1.0
+
+
+def test_a_point_on_a_patch_equal_to_the_code_s_splits_by_the_code_s_patch(code):
+    # the last float of a patch that is == to the code's lies past the code's end: the split
+    # places it in the code's patch first, where it wraps to logical 0
+    patch = ZakPatch(code.period * (1 + 1e-13))
+    assert patch == code.full_patch()
+    state = IdealZakState(patch, {(math.nextafter(patch.u_min + patch.a, 0.0), 0.1): 1})
+    gamma0, gamma1 = gkp._sectors(state, code)
+    assert (len(gamma0.points), len(gamma1.points)) == (1, 0)
+    assert logical_from_overlap(state, code).fidelity(0) == 1.0
+
+
+def test_kraus_reads_a_far_syndrome_inside_the_grid(code):
+    # the reduced u_tilde once sat one ulp short of the patch, off the grid
+    psi = zak_transform(VacuumState(), code.grid(16, 16), 8)
+    syn = syndrome_reduce(code, 2304116.449342358, 0.0)
+    assert syn.u_tilde == -ALPHA / 2
+    c0, c1 = ec_kraus_amplitudes(psi, code, syn)
+    assert c0 == c1 != 0
 
 
 def test_kraus_refuses_a_syndrome_of_another_code():

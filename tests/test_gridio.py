@@ -139,6 +139,22 @@ def test_binary_rejects_bad_magic(tmp_path):
     assert VERSION == 1
 
 
+def test_binary_rejects_another_format_version(tmp_path):
+    path = tmp_path / "grid.bin"
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION + 1, 8, 8, 1.0, 1.0, 0.0, 0.0) + bytes(16 * 8 * 8))
+    with pytest.raises(ValueError, match=f"^unsupported grid format version 2 in {re.escape(str(path))}$"):
+        load_grid_binary(path)
+
+
+def test_csv_rejects_a_file_without_its_data_header(code, tmp_path):
+    path = tmp_path / "grid.csv"
+    save_grid_csv(random_state(code.grid(8, 8), 1), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing j,k,re,im data header$"):
+        load_grid_csv(path)
+
+
 def test_point_list(code, tmp_path):
     path = tmp_path / "points.csv"
     save_point_list_csv(codeword(code, 0), path)

@@ -2,12 +2,13 @@
 
 Every class and function in the ``__all__`` of the six library modules is called
 with valid arguments, then with each positional parameter in turn replaced by
-each of 23 kinds of argument: numbers the library refuses or converts, the
+each of 24 kinds of argument: numbers the library refuses or converts, the
 containers a caller might pass instead, and each library object.  README's
 library contract states the rule this holds the calls to: a wrong kind raises
 ``ValueError``, ``TypeError`` or a ``ZakError``, a refusal that names a kind
-names the one given, and a refused call leaves no file behind.  The parameters
-README names outside the rule may end in the error it names for them.
+names the one given (or a mixture's component, or an SSD state's mode), and
+a refused call leaves no file behind.  The parameters README names outside
+the rule may end in the error it names for them.
 """
 
 import inspect
@@ -38,7 +39,8 @@ QUBIT = [[1.0, 0.0], [0.0, 0.0]]
 KINDS = {
     "None": None, "str": "zak", "nan": math.nan, "inf": math.inf, "-1": -1, "0": 0, "huge-int": 10**400,
     "tuple": (0.0, 0.0), "list": [0.0, 0.0], "array": np.zeros(2), "1j": 1j, "True": True,
-    "grid-state": PSI, "comb": COMB, "ideal-state": IDEAL, "SSDState": SSD, "PPGaugeModes": MODES,
+    "grid-state": PSI, "comb": COMB, "ideal-state": IDEAL, "SSDState": SSD, "ideal-SSDState": ssd.to_ssd(IDEAL, CODE),
+    "PPGaugeModes": MODES,
     "MixtureState": gkp.MixtureState([(1.0, IDEAL)]), "Syndrome": SYNDROME, "GKPCode": CODE,
     "ZakGrid": GRID, "ZakPatch": GRID.patch, "descriptor": core.VacuumState(),
 }
@@ -107,10 +109,12 @@ def _outside(fn, name):
 
 
 def _named(value):
-    """The type names a kind refusal of ``value`` may give: its own, or a mixture's components'."""
+    """The type names a kind refusal of ``value`` may give: its own, a mixture's components' or an SSD state's mode's."""
     names = {type(value).__name__}
     if isinstance(value, gkp.MixtureState):
         names |= {type(state).__name__ for _, state in value}
+    if isinstance(value, ssd.SSDState):
+        names.add(type(value.mode).__name__)
     return names
 
 

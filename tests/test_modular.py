@@ -66,19 +66,23 @@ def test_non_finite_coordinate_is_a_value_error(x):
         split(x, 1e-10, 0.5e-10)
 
 
-def _away_from_wrap(x, period, centering):
-    """Inputs within float resolution of a wrap boundary have no exact
-    representable residue; the documented contract excludes them."""
-    q = (x + centering) / period
-    return abs(q - round(q)) > 1e-9
-
-
 @given(x=reals, period=periods, fraction=centering_fractions)
 def test_range_invariant(x, period, fraction):
     centering = fraction * period
-    assume(_away_from_wrap(x, period, centering))
     f = split(x, period, centering)[0]
     assert -centering <= f < period - centering
+
+
+@pytest.mark.parametrize(
+    "x,period,centering,expected",
+    [
+        # no count puts the rounded difference inside: the left bound wins
+        (-1341342.174566397, 1.772453850905516, 0.5013627785529992, (-0.5013627785529992, -756771)),
+        (-492198.91344643093, 1.772453850905516, 0.886226925452758, (-0.886226925452758, -277693)),
+    ],
+)
+def test_a_difference_past_the_window_takes_the_left_bound(x, period, centering, expected):
+    assert split(x, period, centering) == expected
 
 
 def test_range_at_exact_boundaries():
@@ -90,7 +94,6 @@ def test_range_at_exact_boundaries():
 @given(x=reals, period=periods, fraction=centering_fractions)
 def test_idempotent(x, period, fraction):
     centering = fraction * period
-    assume(_away_from_wrap(x, period, centering))
     f = split(x, period, centering)[0]
     assert split(f, period, centering)[0] == f
 

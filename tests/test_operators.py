@@ -219,6 +219,21 @@ def test_z_matches_its_decomposition(grid64):
     assert max_diff(apply_Z(psi, t), apply_phase_u(apply_translate_v(psi, t), t)) == 0.0
 
 
+@pytest.mark.parametrize("op", [apply_phase_u, apply_phase_v, apply_translate_u, apply_translate_v, apply_X, apply_Z])
+def test_an_ideal_state_is_mapped_in_one_construction(code, op, monkeypatch):
+    # no operator phases the argument it shifts, so each maps every point once
+    state = IdealZakState(code.full_patch(), {(0.3, 0.2): 1.0, (2.5, -0.7): 0.5j})
+    built, init = [], IdealZakState.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IdealZakState, "__init__", counted)
+    op(state, 1.3)
+    assert len(built) == 1
+
+
 # --- stretched operators ----------------------------------------------------
 
 
