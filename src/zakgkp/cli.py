@@ -202,8 +202,7 @@ def _derived(psi, ufunc, *inputs):
     return ModularWavefunction(psi.grid, _frozen(samples))
 
 
-def cmd_zakplot(cfg, code, grid):
-    state = _parse_state(cfg["state"], code)[1]
+def cmd_zakplot(cfg, code, grid, ell, state):
     out = cfg["out"]
     if isinstance(state, IdealZakState):
         gridio.save_point_list_csv(state, out)
@@ -214,15 +213,13 @@ def cmd_zakplot(cfg, code, grid):
         z, (stem, ext) = psi.samples, os.path.splitext(out)
         for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
             _save_grid(_derived(psi, ufunc, *inputs), f"{stem}{suffix}{ext}", cfg["format"])
-    gridio.atomic_write_text(out + ".manifest", _manifest_text("zakplot", cfg))
-    return 0
+    return out + ".manifest"
 
 
-def cmd_shift_array(cfg, code, grid):
+def cmd_shift_array(cfg, code, grid, ell, state):
     # the manifest echoes the steps used
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
-    state = _parse_state(cfg["state"], code)[1]
     ideal = isinstance(state, IdealZakState)
     with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):  # before the transform and the output directory
         if ideal:  # the patch counts the largest panel's shifts, and its phase does not overflow
@@ -251,8 +248,7 @@ def cmd_shift_array(cfg, code, grid):
         if created:  # everything in it is this run's
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    gridio.atomic_write_text(os.path.join(out_dir, "manifest"), _manifest_text("shift-array", cfg))
-    return 0
+    return os.path.join(out_dir, "manifest")
 
 
 def _require_unit_mass(qubit, what):
@@ -262,8 +258,7 @@ def _require_unit_mass(qubit, what):
                        f"{qubit.raw_trace!r} for a state of norm 1, off by more than {NORM_DEFECT_TOL}")
 
 
-def cmd_logical(cfg, code, grid):
-    state = _parse_state(cfg["state"], code)[1]
+def cmd_logical(cfg, code, grid, ell, state):
     if not isinstance(state, IdealZakState):
         _require_gauge_halves("logical", code, grid)
         state = comb_matrix(state, grid, cfg["mmax"])
@@ -273,15 +268,13 @@ def cmd_logical(cfg, code, grid):
     if not cfg["state"].startswith("tabulated:"):  # a table's counting norm depends on its spacing
         _require_unit_mass(qubit, f"state {cfg['state']!r}")
     gridio.atomic_write_text(cfg["out"], gridio.logical_report_csv(qubit))
-    gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("logical", cfg))
-    return 0
+    return cfg["out"] + ".manifest"
 
 
-def cmd_sweep(cfg, code, grid):
-    target, _ = _parse_state(cfg["state"], code)
+def cmd_sweep(cfg, code, grid, ell, state):
     with _refused(f"bad --deltas list {cfg['deltas']!r}"):
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
-        states = [approx_codeword(code, target, delta) for delta in deltas]
+        states = [approx_codeword(code, ell, delta) for delta in deltas]
     if not deltas:
         raise ConfigError(f"--deltas must list at least one value, got {cfg['deltas']!r}")
     _require_gauge_halves("sweep", code, grid)
@@ -291,13 +284,14 @@ def cmd_sweep(cfg, code, grid):
         qubit = logical_from_overlap(comb, code)
         _require_unit_mass(qubit, f"delta {delta!r}")
         r1, r2 = stabilizer_residual(comb, code)
-        fields = [delta, qubit.fidelity(target), qubit.purity, qubit.raw_trace, r1, r2]
+        fields = [delta, qubit.fidelity(ell), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))
     gridio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
-    gridio.atomic_write_text(cfg["out"] + ".manifest", _manifest_text("sweep", cfg))
-    return 0
+    return cfg["out"] + ".manifest"
 
 
+# each command takes (cfg, code, grid, ell, state), writes its outputs and returns the path of
+# the manifest, which main writes after them
 _COMMANDS = {
     "zakplot": (cmd_zakplot, "write magnitude and phase grids of a state"),
     "shift-array": (cmd_shift_array, "write a panel array of displaced states"),
@@ -325,7 +319,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, code, grid = _resolve_config(args)
-        return _COMMANDS[args.command][0](cfg, code, grid)
+        ell, state = _parse_state(cfg["state"], code)
+        manifest = _COMMANDS[args.command][0](cfg, code, grid, ell, state)
+        gridio.atomic_write_text(manifest, _manifest_text(args.command, cfg))
+        return 0
     except ConfigError as exc:
         print(f"zakgkp: config error: {exc}", file=sys.stderr)
         return 2

@@ -70,6 +70,16 @@ def _finite(name, value, positive=False):
     return value
 
 
+def _resolved(what, width, lo, hi):
+    """ValueError naming ``what`` unless a coordinate at the edges ``lo`` and ``hi``, rounded by up to
+    half the float spacing there, stays within ``NODE_TOL * width``: the one rule by which a patch's
+    extent and a grid's cell are wide enough for the floats at their edges."""
+    rounding = math.ulp(max(abs(lo), abs(hi))) / 2
+    if not rounding <= NODE_TOL * width:
+        raise ValueError(f"{what}={width!r} is too narrow for the edges {lo!r} and {hi!r}: a coordinate "
+                         f"there rounds by up to {rounding!r}, more than NODE_TOL={NODE_TOL!r} times it")
+
+
 def _pairs(entries, name, form, nested=False):
     """The entries of ``entries`` as ``(first, second)`` pairs, each ``first`` a pair too if ``nested``;
     ValueError ``"<name> takes <form> pairs, got <value>"`` naming ``entries`` unless it is iterable,
@@ -130,7 +140,8 @@ class ZakPatch:
 
     ``a`` is the horizontal period, the vertical extent is ``2pi/b``.  The
     default centering is ``[-a/4, 3a/4) x [-pi/b, pi/b)``.  Each edge must be
-    finite: ValueError otherwise.
+    finite, and half the float spacing at the edges at most ``NODE_TOL`` of
+    the extent: ValueError otherwise.
     """
 
     __slots__ = ("a", "b", "u_min", "v_min")
@@ -140,8 +151,8 @@ class ZakPatch:
         self.b = _finite("period parameter b", a if b is None else b, positive=True)
         self.u_min = -self.a / 4 if u_min is None else _finite("u_min", u_min)
         self.v_min = _finite("v_min", -math.pi / self.b if v_min is None else v_min)
-        for name, edge in (("u_min + a", self.u_min + self.a), ("v_min + 2pi/b", self.v_min + self.height)):
-            _finite(name, edge)
+        _resolved("period a", self.a, self.u_min, _finite("u_min + a", self.u_min + self.a))
+        _resolved("height 2pi/b", self.height, self.v_min, _finite("v_min + 2pi/b", self.v_min + self.height))
 
     @property
     def height(self):
@@ -177,8 +188,9 @@ class ZakGrid:
     """Uniform discretization of a patch with ``nu`` by ``nv`` samples.
 
     ``nu`` must be divisible by 4 and ``nv`` even so that (0, 0) and
-    (a/2, 0) fall on grid nodes for default-centered patches, and numpy
-    must be able to index ``nu x nv`` complex samples.
+    (a/2, 0) fall on grid nodes for default-centered patches, numpy
+    must be able to index ``nu x nv`` complex samples, and half the float
+    spacing at the patch edges must be at most ``NODE_TOL`` of a cell.
     """
 
     __slots__ = ("patch", "nu", "nv", "du", "dv")
@@ -195,6 +207,8 @@ class ZakGrid:
         self.nv = int(nv)
         self.du = patch.a / nu
         self.dv = patch.height / nv
+        _resolved("du", self.du, patch.u_min, patch.u_min + patch.a)
+        _resolved("dv", self.dv, patch.v_min, patch.v_min + patch.height)
 
     def u_values(self):
         return self.patch.u_min + self.du * np.arange(self.nu)
@@ -716,12 +730,11 @@ def stretch_rescale(psi: ModularWavefunction, b: float) -> ModularWavefunction:
 
 def convention_phase(u: float, v: float, convention: str) -> complex:
     """Overlap of the momentum-first Zak ket with its alternatively ordered variants; ValueError
-    unless ``u`` and ``v`` are finite."""
+    unless ``u``, ``v`` and the phase ``u v`` are finite."""
     u, v = _finite("u", u), _finite("v", v)
     if convention == "momentum_first":
         return 1.0 + 0j
-    if convention == "opposite":
-        return cmath.exp(-1j * u * v)
-    if convention == "symmetric":
-        return cmath.exp(-1j * u * v / 2)
+    if convention in ("opposite", "symmetric"):
+        phase = _finite(f"the phase u v for u={u!r}, v={v!r}", u * v)
+        return cmath.exp(-1j * (phase if convention == "opposite" else phase / 2))
     raise ValueError(f"unknown convention {_shown(convention)}")

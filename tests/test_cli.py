@@ -1015,6 +1015,17 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         pytest.param(lambda psi, ideal: ZakPatch(1e308, u_min=1e308), ValueError, "u_min \\+ a", id="patch-u-edge"),
         pytest.param(lambda psi, ideal: ZakPatch(1.0, b=1e-320, v_min=0.0), ValueError, "v_min \\+ 2pi/b",
                      id="patch-v-edge"),
+        # an extent too narrow for the floats at its edges: a far edge that rounds onto the near one
+        # once reduced 3.0 to u = 1e20 or counted a period for a point on u_min, and the grids had 9
+        # distinct u or v nodes of 1024, so u_index(u_values()[1]) read 0
+        *(pytest.param(build, ValueError, message + " is too narrow for the edges", id=f"narrow-{name}")
+          for name, build, message in (
+              ("patch-u", lambda psi, ideal: ZakPatch(1.0, u_min=1e20), r"period a=1\.0"),
+              ("patch-tiny-a", lambda psi, ideal: ZakPatch(1e-300, 1.0, u_min=1.0), r"period a=1e-300"),
+              ("grid-u", lambda psi, ideal: ZakGrid(ZakPatch(1.0, u_min=1e15), 1024, 4), r"period a=1\.0"),
+              ("grid-v", lambda psi, ideal: ZakGrid(ZakPatch(1.0, v_min=1e15), 4, 1024), r"height 2pi/b=6\.28\d*"),
+              ("grid-du", lambda psi, ideal: ZakGrid(ZakPatch(1.0, u_min=1e6), 2**20, 4), r"du=9\.5367431640625e-07"),
+              ("grid-dv", lambda psi, ideal: ZakGrid(ZakPatch(1.0, v_min=1e6), 4, 2**20), r"dv=5\.99\d*e-06"))),
         pytest.param(lambda psi, ideal: stabilizer_residual(comb_matrix(TabulatedState([0.0], [1e200j]), _GRID, 1), _CODE),
                      NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual"),
         pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
@@ -1129,6 +1140,11 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
             ("PPGaugeModes", lambda psi: pp_bridge(to_ssd(psi, _CODE)), r"unknown convention PPGaugeModes\(\.\.\..{,24}$"),
             ("long-str", lambda psi: "x" * 5000, r"unknown convention 'x{12}\.\.\.x{13}'$"),
             ("long-int", lambda psi: LONG, "unknown convention inf$"))),
+        # a phase u v past the float range once raised "math domain error" or returned NaN
+        *(pytest.param(lambda psi, ideal, args=args: convention_phase(*args), ValueError, message,
+                       id=f"convention-phase-{args[2]}") for args, message in (
+            ((1e200, 1e200, "opposite"), r"the phase u v for u=1e\+200, v=1e\+200 must be finite, got inf$"),
+            ((1e308, 10, "symmetric"), r"the phase u v for u=1e\+308, v=10\.0 must be finite, got inf$"))),
         # an entry that is no pair once raised Python's own unpacking error, which names neither
         # the argument nor the pair it takes
         *(pytest.param(build, ValueError, message, id=f"unpaired-{name}") for name, build, message in (

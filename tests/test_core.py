@@ -236,6 +236,19 @@ def test_a_node_one_period_on_lies_outside_the_patch(vac64, axis):
         vac64.value_at(u, v)
 
 
+@pytest.mark.parametrize("axis,found,lost", [("u", 7 * 2**20, 2**24), ("v", 3 * 2**23, 2**25)])
+def test_a_default_grid_is_refused_only_once_its_nodes_are_lost(axis, found, lost):
+    # every node of the first size is found again; 1,558,690 of the 2**24 u nodes and 2,089,817
+    # of the 2**25 v nodes were not, and those grids were once accepted
+    shape = (lambda n: (n, 2)) if axis == "u" else (lambda n: (4, n))
+    grid = GKPCode().grid(*shape(found))
+    start, step = getattr(grid.patch, f"{axis}_min"), getattr(grid, f"d{axis}")
+    for k in (1, found // 3, found - 1):
+        assert getattr(grid, f"{axis}_index")(start + step * k) == k
+    with pytest.raises(ValueError, match=f"^d{axis}=.* is too narrow for the edges"):
+        GKPCode().grid(*shape(lost))
+
+
 @pytest.mark.parametrize("method,start", [("u_index", "u_min"), ("v_index", "v_min"), ("u_steps", None),
                                           ("v_steps", None)])
 @pytest.mark.parametrize("offset,value", [

@@ -531,6 +531,11 @@ def test_fidelity_takes_the_codeword_index_codeword_takes():
             q.fidelity(ell)
 
 
+def test_logical_qubit_repr_names_its_matrix_and_raw_trace():
+    q = LogicalQubit(np.diag([0.9, 0.1]).astype(complex), 2.5)
+    assert repr(q) == f"LogicalQubit(matrix={q.matrix!r}, raw_trace=2.5)"
+
+
 @pytest.mark.parametrize(
     "defect,problem",
     [(lambda e: [[1, e], [0, 1]], "Hermiticity"), (lambda e: [[1, 0], [0, -e]], "positivity")],
