@@ -71,13 +71,22 @@ def _finite(name, value, positive=False):
 
 
 def _resolved(what, width, lo, hi):
-    """ValueError naming ``what`` unless a coordinate at the edges ``lo`` and ``hi``, rounded by up to
-    half the float spacing there, stays within ``NODE_TOL * width``: the one rule by which a patch's
-    extent and a grid's cell are wide enough for the floats at their edges."""
-    rounding = math.ulp(max(abs(lo), abs(hi))) / 2
-    if not rounding <= NODE_TOL * width:
-        raise ValueError(f"{what}={width!r} is too narrow for the edges {lo!r} and {hi!r}: a coordinate "
-                         f"there rounds by up to {rounding!r}, more than NODE_TOL={NODE_TOL!r} times it")
+    """ValueError naming ``what`` unless every node ``lo + width*j`` between the edges ``lo`` and ``hi``
+    is found again within ``NODE_TOL * width`` of its cell: the one rule by which a patch's extent and
+    a grid's cell are wide enough for the floats at their edges."""
+    # A node is s = fl(lo + p) with p = fl(width*j) (``u_values``); ``_steps`` takes t = fl(s - lo),
+    # n = round(t/width), which is j, and t - fl(n*width) = t - p, exact by Sterbenz.  Exactly,
+    # s - lo = p + e, e the rounding of lo + p, so |e| <= ulp(M)/2 with M = max(|lo|, |hi|) >= |s|.
+    # t is the float nearest p + e and p is a float, so |t - p| <= 2|e| <= ulp(M).  If no node lies
+    # in a binade above lo's (ulp(M) == ulp(lo)), t is p + e itself: e != 0 only when lo + p, a
+    # multiple of min(ulp(lo), ulp(p)), is not a float, so ulp(p) < ulp(s); then s - lo = p + e is
+    # a multiple of ulp(s), as s and lo are, and lies below the top of s's binade, so it is a float
+    # and |t - p| = |e| <= ulp(M)/2.
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    off = spacing / 2 if spacing == math.ulp(lo) else spacing
+    if not off <= NODE_TOL * width:
+        raise ValueError(f"{what}={width!r} is too narrow for the edges {lo!r} and {hi!r}: a node there "
+                         f"is found again up to {off!r} off, more than NODE_TOL={NODE_TOL!r} times it")
 
 
 def _pairs(entries, name, form, nested=False):
@@ -140,8 +149,8 @@ class ZakPatch:
 
     ``a`` is the horizontal period, the vertical extent is ``2pi/b``.  The
     default centering is ``[-a/4, 3a/4) x [-pi/b, pi/b)``.  Each edge must be
-    finite, and half the float spacing at the edges at most ``NODE_TOL`` of
-    the extent: ValueError otherwise.
+    finite, and the floats at the edges fine enough for the extent (the rule
+    of ``_resolved``): ValueError otherwise.
     """
 
     __slots__ = ("a", "b", "u_min", "v_min")
@@ -189,8 +198,8 @@ class ZakGrid:
 
     ``nu`` must be divisible by 4 and ``nv`` even so that (0, 0) and
     (a/2, 0) fall on grid nodes for default-centered patches, numpy
-    must be able to index ``nu x nv`` complex samples, and half the float
-    spacing at the patch edges must be at most ``NODE_TOL`` of a cell.
+    must be able to index ``nu x nv`` complex samples, and every node must be
+    found again within ``NODE_TOL`` of its cell (the rule of ``_resolved``).
     """
 
     __slots__ = ("patch", "nu", "nv", "du", "dv")

@@ -1,11 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from erf_reference import codeword_gaussians, vacuum_gaussians
 from zakgkp import GKPCode, ModularWavefunction, VacuumState, approx_codeword, zak_transform
 
 ALPHA = math.sqrt(math.pi)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "contract(*keys): the README library contract rules a test or table row pins")
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +56,24 @@ def comb_table(grid, seed, m_range=3):
     xs = xs[rng.random(xs.size) < 0.8]
     values = np.exp(-xs * xs / 2 + 2j * math.pi * rng.random(xs.size))
     return xs, values
+
+
+#: the states each map is pinned on against its closed form: the vacuum at offset ``which`` when
+#: ``delta`` is None, else the approximate codeword ``which`` of that delta
+closed_form_states = pytest.mark.parametrize(
+    "delta, which",
+    [(None, 0.0), (None, 0.7), *((delta, ell) for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+    ids=["vacuum", "vacuum-0.7", *(f"delta-{delta}-ell-{ell}" for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
+)
+
+
+@functools.cache
+def closed_form_state(delta, which, n):
+    """``(psi, (w, mu, sigma))`` of a state of :data:`closed_form_states`: its transform on the
+    default code's ``n x n`` grid (``m_max`` 16), made once per session, and its Gaussians."""
+    code = GKPCode()
+    if delta is None:
+        descriptor, gaussians = VacuumState(which), vacuum_gaussians(which)
+    else:
+        descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
+    return zak_transform(descriptor, code.grid(n, n), 16), gaussians

@@ -49,7 +49,6 @@ def _pair_integral(alpha, w, mu, sigma):
     """
     i, j = np.meshgrid(np.arange(w.size), np.arange(w.size), indexing="ij")
     i, j = i.ravel(), j.ravel()
-    norm = np.sum(w[i] * w[j] * np.exp(-(mu[i] - mu[j]) ** 2 / (4 * sigma**2))) * sigma * math.sqrt(math.pi)
     period = 2 * alpha
     k = np.arange(-math.ceil(10 * sigma / period) - 1, math.ceil(10 * sigma / period) + 2)
 
@@ -60,26 +59,56 @@ def _pair_integral(alpha, w, mu, sigma):
         erfs = _erf((lo + alpha - x0[:, None]) / sigma) - _erf((lo - x0[:, None]) / sigma)
         return np.sum(weight * erfs.astype(float).sum(axis=1)) * sigma * math.sqrt(math.pi) / 2
 
-    return P, norm
+    return P, _norm(w, mu, sigma)
 
 
-def zak_samples(alpha, w, mu, sigma, u, v, shift=0.0, kick=0.0):
-    """The Zak transform on the code's full patch (``a = b = 2 alpha``) of ``X(shift) Z(kick) psi``,
-    ``psi`` normalized, at the nodes ``u`` x ``v``.
+def _norm(w, mu, sigma):
+    """``int psi^2``."""
+    pairs = np.outer(w, w) * np.exp(-np.subtract.outer(mu, mu) ** 2 / (4 * sigma**2))
+    return np.sum(pairs) * sigma * math.sqrt(math.pi)
+
+
+def position_samples(w, mu, sigma, x):
+    """``psi(x)``, ``psi`` normalized, at the points ``x`` (any shape)."""
+    x = np.asarray(x, dtype=float)
+    psi = np.sum(w * np.exp(-((x[..., None] - mu) ** 2) / (2 * sigma**2)), axis=-1)
+    return psi / math.sqrt(_norm(w, mu, sigma))
+
+
+def zak_samples(alpha, w, mu, sigma, u, v, shift=0.0, kick=0.0, b=None):
+    """The Zak transform on the code's full patch (``a = 2 alpha``, and ``b = 2 alpha`` unless
+    given) of ``X(shift) Z(kick) psi``, ``psi`` normalized, at the nodes ``u`` x ``v``.
 
     ``X(t) Z(s) psi(x) = exp(i s (x - t)) psi(x - t)`` is again a sum of Gaussians times a phase,
     so each sample is summed directly,
 
         Z(u, v) = sqrt(b / 2 pi) sum_{|m| <= 80} phi(u + a m) exp(-i b m v),
 
-    with ``phi`` that state divided by ``sqrt(int psi^2)``.
+    with ``phi`` that state.  With another ``b`` this is the transform stretched to it: the same
+    comb ``phi(u + a m)``, with ``b`` in the phase and the prefactor.
     """
-    a = b = 2 * alpha
+    a, b = 2 * alpha, 2 * alpha if b is None else b
     m = np.arange(-80, 81)
     x = np.asarray(u, dtype=float)[:, None] + a * m[None, :] - shift
-    psi = np.sum(w * np.exp(-((x[..., None] - mu) ** 2) / (2 * sigma**2)), axis=-1)
-    phi = np.exp(1j * kick * x) * psi / math.sqrt(_pair_integral(alpha, w, mu, sigma)[1])
+    phi = np.exp(1j * kick * x) * position_samples(w, mu, sigma, x)
     return math.sqrt(b / (2 * math.pi)) * phi @ np.exp(-1j * b * np.outer(m, v))
+
+
+def pp_coefficients(alpha, w, mu, sigma, u, m):
+    """The partitioned-position coefficients of ``psi`` normalized, ``[m, u]``: ``psi(u - a m)``,
+    ``a = 2 alpha``, at the full-patch nodes ``u`` of one gauge half.
+
+    A gauge half holds the Zak transform at its rows, ``sqrt(b / 2 pi) sum_n psi(u + a n)
+    exp(-i b n v)``, and the bridge's analysis sum over a v period, ``sqrt(alpha / pi) int
+    exp(-i b m v) dv``, keeps the one term ``n = -m``: ``sqrt(alpha / pi)^2 pi / alpha = 1``.
+    """
+    return position_samples(w, mu, sigma, np.asarray(u, dtype=float)[None, :] - 2 * alpha * np.asarray(m)[:, None])
+
+
+def inverse_samples(alpha, w, mu, sigma, n, u):
+    """``psi(u + a n)``, ``a = 2 alpha``, ``psi`` normalized: the position wavefunction that the
+    Riemann sum ``sqrt(b / 2 pi) int exp(i b n v) Z(u, v) dv`` over a v period recovers."""
+    return position_samples(w, mu, sigma, np.asarray(u, dtype=float) + 2 * alpha * n)
 
 
 def erf_gram(alpha, w, mu, sigma):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ALPHA, comb_table
 from erf_reference import codeword_gaussians, zak_samples
+from test_kinds import kind_refusal
 from zakgkp import (
     GaussianComb,
     IdealZakState,
@@ -881,6 +882,7 @@ def _check_maps(state):
     assert residuals is None or _finite(residuals)
 
 
+@pytest.mark.contract("finite-or-refused", "operators")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(st.sampled_from(sorted(_GRID_STATES)), _points),
        st.lists(st.tuples(st.sampled_from(_OPERATORS), _ts), max_size=4))
@@ -925,6 +927,7 @@ _BUILDERS = {
 }
 
 
+@pytest.mark.contract("finite-or-refused")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_BUILDERS)), st.lists(_numbers, min_size=4, max_size=4), st.sampled_from([0, 1]),
        st.lists(st.tuples(_numbers, _numbers, _numbers), max_size=4), st.sampled_from([1, 4, 16]))
@@ -962,6 +965,7 @@ _edits = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]), st.int
                   min_size=1, max_size=3)
 
 
+@pytest.mark.contract("finite-or-refused")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_SAVED)), _edits)
 def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
@@ -993,32 +997,40 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
 @pytest.mark.parametrize(
     "build,error,message",
     [
-        pytest.param(lambda psi, ideal: apply_X(psi, math.nan), OffGridError, "shift nan", id="grid-X-nan"),
+        pytest.param(lambda psi, ideal: apply_X(psi, math.nan), OffGridError, "shift nan", id="grid-X-nan",
+                     marks=pytest.mark.contract("operators")),
         *(pytest.param(lambda psi, ideal, op=op, t=t: op(psi, t), ValueError, f"phase must be finite, got {t}",
-                       id=f"grid-{op.__name__}-{t}")
+                       id=f"grid-{op.__name__}-{t}", marks=pytest.mark.contract("operators"))
           for op in (apply_Z, apply_phase_u, apply_phase_v) for t in (math.nan, math.inf)),
-        *(pytest.param(lambda psi, ideal, op=op, t=t: op(ideal, t), ValueError, "weight at", id=f"ideal-{op.__name__}-{t}")
+        *(pytest.param(lambda psi, ideal, op=op, t=t: op(ideal, t), ValueError, "weight at",
+                       id=f"ideal-{op.__name__}-{t}", marks=pytest.mark.contract("operators"))
           for op in (apply_phase_u, apply_phase_v) for t in (math.nan, math.inf)),
         pytest.param(lambda psi, ideal: IdealZakState(ideal.patch, {(0.0, 0.0): math.nan}), ValueError,
-                     r"weight at \(0.0, 0.0\), in the patch, is not finite: \(nan\+nanj\)", id="ideal-nan-weight"),
+                     r"weight at \(0.0, 0.0\), in the patch, is not finite: \(nan\+nanj\)", id="ideal-nan-weight",
+                     marks=pytest.mark.contract("points-and-components")),
         pytest.param(lambda psi, ideal: MixtureState([(math.nan, ideal)]), ValueError,
-                     "probability nan is not a nonnegative number", id="mixture-nan-probability"),
-        pytest.param(lambda psi, ideal: TabulatedState([], []), ValueError, "the table is empty", id="empty-table"),
-        pytest.param(lambda psi, ideal: TabulatedState(np.zeros(2) + [0, 1], np.zeros(2)), ValueError,
-                     "the table holds only zero values", id="all-zero-table"),
-        pytest.param(lambda psi, ideal: TabulatedState(np.array([1.5, 0.0, 1.5]), np.ones(3)), ValueError,
-                     r"abscissa 1.5 is listed more than once$", id="repeated-abscissa"),
-        pytest.param(lambda psi, ideal: TabulatedState(np.array([0.0, np.nan]), np.ones(2)), ValueError,
-                     r"xs\[1\] is not finite: nan$", id="nan-abscissa"),
+                     "probability nan is not a nonnegative number", id="mixture-nan-probability",
+                     marks=pytest.mark.contract("points-and-components")),
+        *(pytest.param(build, ValueError, message, id=name, marks=pytest.mark.contract("table"))
+          for name, build, message in (
+            ("empty-table", lambda psi, ideal: TabulatedState([], []), "the table is empty"),
+            ("all-zero-table", lambda psi, ideal: TabulatedState(np.zeros(2) + [0, 1], np.zeros(2)),
+             "the table holds only zero values"),
+            ("repeated-abscissa", lambda psi, ideal: TabulatedState(np.array([1.5, 0.0, 1.5]), np.ones(3)),
+             r"abscissa 1.5 is listed more than once$"),
+            ("nan-abscissa", lambda psi, ideal: TabulatedState(np.array([0.0, np.nan]), np.ones(2)),
+             r"xs\[1\] is not finite: nan$"))),
         # found by the contract tests above: a patch whose far edge overflows, and residuals whose
         # sums overflow (a numpy warning and NaN from a comb matrix, inf from an ideal weight)
-        pytest.param(lambda psi, ideal: ZakPatch(1e308, u_min=1e308), ValueError, "u_min \\+ a", id="patch-u-edge"),
+        pytest.param(lambda psi, ideal: ZakPatch(1e308, u_min=1e308), ValueError, "u_min \\+ a", id="patch-u-edge",
+                     marks=pytest.mark.contract("sizes")),
         pytest.param(lambda psi, ideal: ZakPatch(1.0, b=1e-320, v_min=0.0), ValueError, "v_min \\+ 2pi/b",
-                     id="patch-v-edge"),
+                     id="patch-v-edge", marks=pytest.mark.contract("sizes")),
         # an extent too narrow for the floats at its edges: a far edge that rounds onto the near one
         # once reduced 3.0 to u = 1e20 or counted a period for a point on u_min, and the grids had 9
         # distinct u or v nodes of 1024, so u_index(u_values()[1]) read 0
-        *(pytest.param(build, ValueError, message + " is too narrow for the edges", id=f"narrow-{name}")
+        *(pytest.param(build, ValueError, message + " is too narrow for the edges", id=f"narrow-{name}",
+                       marks=pytest.mark.contract("narrow-extent"))
           for name, build, message in (
               ("patch-u", lambda psi, ideal: ZakPatch(1.0, u_min=1e20), r"period a=1\.0"),
               ("patch-tiny-a", lambda psi, ideal: ZakPatch(1e-300, 1.0, u_min=1.0), r"period a=1e-300"),
@@ -1027,73 +1039,96 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
               ("grid-du", lambda psi, ideal: ZakGrid(ZakPatch(1.0, u_min=1e6), 2**20, 4), r"du=9\.5367431640625e-07"),
               ("grid-dv", lambda psi, ideal: ZakGrid(ZakPatch(1.0, v_min=1e6), 4, 2**20), r"dv=5\.99\d*e-06"))),
         pytest.param(lambda psi, ideal: stabilizer_residual(comb_matrix(TabulatedState([0.0], [1e200j]), _GRID, 1), _CODE),
-                     NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual"),
+                     NonFiniteError, "residuals inf and nan are not both finite", id="comb-residual",
+                     marks=pytest.mark.contract("residuals")),
         pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
-                     NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual"),
+                     NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual",
+                     marks=pytest.mark.contract("residuals")),
+        # each refusal of a kind, worded whole by the kind sweep's table
         # a mixture has no one patch: each once ended in an AttributeError
         *(pytest.param(lambda psi, ideal, f=f: f(MixtureState([(0.5, ideal), (0.5, codeword(_CODE, 1))])),
-                       ValueError, "takes a pure state, not a MixtureState", id=f"mixture-{name}")
-          for name, f in (("stabilizer_residual", lambda m: stabilizer_residual(m, _CODE)),
-                          ("ec_kraus_amplitudes", lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                          ("to_ssd", lambda m: to_ssd(m, _CODE)))),
+                       ValueError, kind_refusal(fn, "state", "MixtureState", entry), id=f"mixture-{fn.__name__}",
+                       marks=pytest.mark.contract("kind-rule"))
+          for fn, entry, f in ((stabilizer_residual, 1, lambda m: stabilizer_residual(m, _CODE)),
+                               (ec_kraus_amplitudes, 2,
+                                lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                               (to_ssd, 2, lambda m: to_ssd(m, _CODE)))),
         # a comb matrix has no samples to read: each once ended in an AttributeError, to_ssd's
         # in a later norm, pp_bridge or apply_X_ssd
         *(pytest.param(lambda psi, ideal, f=f: f(comb_matrix(VacuumState(), _GRID, 4)), ValueError,
-                       "takes a grid or ideal state, not a CombMatrix", id=f"comb-{name}")
-          for name, f in (("ec_kraus_amplitudes", lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                          ("to_ssd", lambda c: to_ssd(c, _CODE)))),
+                       kind_refusal(fn, "state", "CombMatrix", 1), id=f"comb-{fn.__name__}",
+                       marks=pytest.mark.contract("kind-rule"))
+          for fn, f in ((ec_kraus_amplitudes, lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                        (to_ssd, lambda c: to_ssd(c, _CODE)))),
         # an SSD function given a full-mode state, and a full-mode function given an SSDState:
         # each once ended in an AttributeError, the operators' refusal named no SSDState
+        # (the gauge traces take a mixture, and name the kind of its first component)
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal)), ValueError,
-                       r"takes an SSDState, not a \w+; pass to_ssd\(state, code\)", id=f"{kind}-{name}")
-          for kind, pick in (("grid", lambda psi, ideal: psi), ("ideal", lambda psi, ideal: ideal),
-                             ("mixture", lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
-          for name, f in (("gauge_trace", gauge_trace), ("ec_gauge_trace", ec_gauge_trace),
-                          ("apply_Z_ssd", lambda s: apply_Z_ssd(s, 0.0)), ("apply_X_ssd", lambda s: apply_X_ssd(s, 0.0)),
-                          ("pp_bridge", pp_bridge), ("from_ssd", from_ssd))
-          if kind != "mixture" or name.endswith("gauge_trace")),
+                       kind_refusal(fn, name, named), id=f"{kind}-{fn.__name__}",
+                       marks=pytest.mark.contract("kind-rule"))
+          for kind, named, pick in (("grid", "ModularWavefunction", lambda psi, ideal: psi),
+                                    ("ideal", "IdealZakState", lambda psi, ideal: ideal),
+                                    ("mixture", "ModularWavefunction",
+                                     lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
+          for fn, name, f in ((gauge_trace, "rho", gauge_trace), (ec_gauge_trace, "rho", ec_gauge_trace),
+                              (apply_Z_ssd, "state", lambda s: apply_Z_ssd(s, 0.0)),
+                              (apply_X_ssd, "state", lambda s: apply_X_ssd(s, 0.0)),
+                              (pp_bridge, "state", pp_bridge), (from_ssd, "state", from_ssd))
+          if kind != "mixture" or fn in (gauge_trace, ec_gauge_trace)),
         *(pytest.param(lambda psi, ideal, f=f, kind=kind: f(to_ssd(psi if kind == "grid" else ideal, _CODE)),
-                       ValueError, "not a SSDState; pass an SSDState's mode", id=f"ssd-{kind}-{name}")
+                       ValueError, kind_refusal(fn, name, "SSDState"), id=f"ssd-{kind}-{fn.__name__}",
+                       marks=pytest.mark.contract("kind-rule"))
           for kind in ("grid", "ideal")
-          for name, f in (("logical_from_overlap", lambda s: logical_from_overlap(s, _CODE)),
-                          ("ec_channel_logical", lambda s: ec_channel_logical(s, _CODE)),
-                          ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
-                          ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                          ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
+          for fn, name, f in ((logical_from_overlap, "rho", lambda s: logical_from_overlap(s, _CODE)),
+                              (ec_channel_logical, "rho", lambda s: ec_channel_logical(s, _CODE)),
+                              (stabilizer_residual, "state", lambda s: stabilizer_residual(s, _CODE)),
+                              (ec_kraus_amplitudes, "state",
+                               lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                              (to_ssd, "state", lambda s: to_ssd(s, _CODE)),
+                              (apply_X, "state", lambda s: apply_X(s, 0.0)))),
         # each once ended in an AttributeError on a member the input does not have
         pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
-                     "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
+                     kind_refusal(pp_bridge_inverse, "modes", "SSDState"), id="ssd-pp_bridge_inverse",
+                     marks=pytest.mark.contract("kind-rule")),
         *(pytest.param(lambda psi, ideal, pick=pick: inverse_zak_transform(pick(psi, ideal), 0, 0.0), ValueError,
-                       f"takes a grid state, not a {kind}$", id=f"{kind}-inverse_zak_transform")
+                       kind_refusal(inverse_zak_transform, "psi", kind), id=f"{kind}-inverse_zak_transform",
+                       marks=pytest.mark.contract("kind-rule"))
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # each once ended in an AttributeError, and a writer's refusal comes before any file
         # is opened (the folder does not exist)
         *(pytest.param(lambda psi, ideal, pick=pick: SSDState(_CODE, pick(psi, ideal), pick(psi, ideal)), ValueError,
-                       f"SSDState takes grid or ideal gauge components, not a {kind}$", id=f"{kind}-SSDState")
+                       kind_refusal(SSDState, "gamma0", kind), id=f"{kind}-SSDState",
+                       marks=pytest.mark.contract("kind-rule"))
           for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)),
                              ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])))),
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal), os.path.join("no-such-folder", "grid")),
-                       ValueError, f"the grid writers take a grid state, not a {kind}$", id=f"{kind}-{f.__name__}")
+                       ValueError, kind_refusal(f, "psi", kind), id=f"{kind}-{f.__name__}",
+                       marks=pytest.mark.contract("kind-rule"))
           for f in (save_grid_csv, save_grid_binary)
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         *(pytest.param(lambda psi, ideal, pick=pick: stretch_rescale(pick(psi, ideal), 1.0), ValueError,
-                       f"stretch_rescale takes a grid state, not a {kind}$", id=f"{kind}-stretch_rescale")
+                       kind_refusal(stretch_rescale, "psi", kind), id=f"{kind}-stretch_rescale",
+                       marks=pytest.mark.contract("kind-rule"))
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # a half period once read psi_x at the wrong point with no error
         pytest.param(lambda psi, ideal: inverse_zak_transform(psi, 0.5, 0.0), ValueError,
-                     r"n must be a whole number of periods, got 0\.5$", id="half-n-inverse_zak_transform"),
+                     r"n must be a whole number of periods, got 0\.5$", id="half-n-inverse_zak_transform",
+                     marks=pytest.mark.contract("sizes")),
         # an ell that is not a number once raised float()'s own TypeError in place of the refusal
-        *(pytest.param(build, ValueError, f"ell must be 0 or 1, got {shown}$", id=f"{label}-ell-{name}")
+        *(pytest.param(build, ValueError, f"ell must be 0 or 1, got {shown}$", id=f"{label}-ell-{name}",
+                       marks=pytest.mark.contract("alpha-and-ell", "finite-or-refused"))
           for label, shown, ell in (("None", "None", None), ("a", "'a'", "a"), ("str-2", "'2'", "2"))
           for name, build in (("codeword", lambda psi, ideal, ell=ell: codeword(_CODE, ell)),
                               ("approx_codeword", lambda psi, ideal, ell=ell: approx_codeword(_CODE, ell, 0.3)),
                               ("fidelity", lambda psi, ideal, ell=ell: logical_from_overlap(ideal, _CODE).fidelity(ell)))),
         # an int past the float range once raised OverflowError, and a phase b n v past it gave NaN
         # with a numpy warning: each is refused as the infinity of its sign
-        *(pytest.param(build, error, message, id=f"huge-int-{name}") for name, build, error, message in (
+        *(pytest.param(build, error, message, id=f"huge-int-{name}",
+                       marks=pytest.mark.contract("finite-or-refused"))
+          for name, build, error, message in (
             ("ZakPatch", lambda psi, ideal: ZakPatch(HUGE), ValueError, "period a must be .*, got inf"),
             ("GKPCode", lambda psi, ideal: GKPCode(alpha=HUGE), ValueError, "alpha must be .*, got inf"),
             ("vacuum", lambda psi, ideal: VacuumState(-HUGE), ValueError, "offset must be finite, got -inf"),
@@ -1114,17 +1149,20 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
              r"the largest phase b n v for n=8.98846567431158e\+307 must be finite, got inf"))),
         # sizes past numpy's limit once raised its own ValueError, from inside np.arange
         pytest.param(lambda psi, ideal: ZakGrid(ideal.patch, 4 * 10**20, 8), ValueError,
-                     "a 400000000000000000000x8 grid is past numpy's size limit", id="grid-size"),
+                     "a 400000000000000000000x8 grid is past numpy's size limit", id="grid-size",
+                     marks=pytest.mark.contract("sizes")),
         pytest.param(lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 10**24), ValueError,
                      r"with a 16 x \(2 m_max \+ 1\) comb numpy can index, got 1000000000000000000000000$",
-                     id="comb-size"),
+                     id="comb-size", marks=pytest.mark.contract("sizes")),
         # a half-integer m_max once gave half-integer teeth and a wrong transform with no error
         *(pytest.param(lambda psi, ideal, f=f: f(VacuumState(), _GRID, 8.5), ValueError,
                        r"m_max must be a positive whole number, .* comb numpy can index, got 8\.5$",
-                       id=f"half-m_max-{f.__name__}")
+                       id=f"half-m_max-{f.__name__}", marks=pytest.mark.contract("sizes"))
           for f in (comb_matrix, zak_transform)),
         # an int of more than 4300 digits once made Python's own int-to-text limit the message
-        *(pytest.param(build, ValueError, message, id=f"long-int-{name}") for name, build, message in (
+        *(pytest.param(build, ValueError, message, id=f"long-int-{name}",
+                       marks=pytest.mark.contract("finite-or-refused"))
+          for name, build, message in (
             ("syndrome_reduce", lambda psi, ideal: syndrome_reduce(_CODE, LONG, 0), "coordinate inf is not finite"),
             ("ideal-point", lambda psi, ideal: IdealZakState(ideal.patch, {(-LONG, 0.0): 1}),
              "coordinate -inf is not finite"),
@@ -1136,18 +1174,22 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         # a convention that is no short string once put its whole repr, 5,000 characters or an int's
         # 5,000 digits in the message, or made Python's own int-to-text limit the message
         *(pytest.param(lambda psi, ideal, c=c: convention_phase(0.0, 0.0, c(psi)), ValueError, message,
-                       id=f"convention-{name}") for name, c, message in (
+                       id=f"convention-{name}", marks=pytest.mark.contract("convention"))
+          for name, c, message in (
             ("PPGaugeModes", lambda psi: pp_bridge(to_ssd(psi, _CODE)), r"unknown convention PPGaugeModes\(\.\.\..{,24}$"),
             ("long-str", lambda psi: "x" * 5000, r"unknown convention 'x{12}\.\.\.x{13}'$"),
             ("long-int", lambda psi: LONG, "unknown convention inf$"))),
         # a phase u v past the float range once raised "math domain error" or returned NaN
         *(pytest.param(lambda psi, ideal, args=args: convention_phase(*args), ValueError, message,
-                       id=f"convention-phase-{args[2]}") for args, message in (
+                       id=f"convention-phase-{args[2]}", marks=pytest.mark.contract("convention"))
+          for args, message in (
             ((1e200, 1e200, "opposite"), r"the phase u v for u=1e\+200, v=1e\+200 must be finite, got inf$"),
             ((1e308, 10, "symmetric"), r"the phase u v for u=1e\+308, v=10\.0 must be finite, got inf$"))),
         # an entry that is no pair once raised Python's own unpacking error, which names neither
         # the argument nor the pair it takes
-        *(pytest.param(build, ValueError, message, id=f"unpaired-{name}") for name, build, message in (
+        *(pytest.param(build, ValueError, message, id=f"unpaired-{name}",
+                       marks=pytest.mark.contract("points-and-components"))
+          for name, build, message in (
             ("points-array", lambda psi, ideal: IdealZakState(ideal.patch, np.zeros(2)),
              r"points takes \(\(x, y\), weight\) pairs, got 0\.0$"),
             ("points-point", lambda psi, ideal: IdealZakState(ideal.patch, [(1.0, 2.0)]),
@@ -1164,13 +1206,14 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
             ("components-int", lambda psi, ideal: MixtureState(3),
              r"components takes \(probability, state\) pairs, got 3$"))),
         # a function that refuses a comb matrix once said it takes one when given another kind
-        *(pytest.param(lambda psi, ideal, f=f: f(None), ValueError,
-                       r"takes a grid or ideal state, not a NoneType; pass an SSDState's mode$", id=f"None-{name}")
-          for name, f in (("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                          ("to_ssd", lambda s: to_ssd(s, _CODE)))),
+        *(pytest.param(lambda psi, ideal, f=f: f(None), ValueError, kind_refusal(fn, "state", "NoneType"),
+                       id=f"None-{fn.__name__}", marks=pytest.mark.contract("kind-rule"))
+          for fn, f in ((ec_kraus_amplitudes, lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                        (to_ssd, lambda s: to_ssd(s, _CODE)))),
         # the zero state once raised ZeroDivisionError, outside the contract
         pytest.param(lambda psi, ideal: psi.with_samples(np.zeros_like(psi.samples)).normalized(), NormalizationError,
-                     "cannot normalize the zero wavefunction$", id="zero-normalized"),
+                     "cannot normalize the zero wavefunction$", id="zero-normalized",
+                     marks=pytest.mark.contract("zero-state")),
     ],
 )
 def test_library_refuses_each_input_it_once_passed_on(build, error, message):
@@ -1182,6 +1225,7 @@ def test_library_refuses_each_input_it_once_passed_on(build, error, message):
     assert "np." not in str(exc.value)
 
 
+@pytest.mark.contract("operators")
 def test_an_overflowing_grid_phase_gives_nan_samples_without_a_warning():
     # documented: the writers and the logical maps refuse them
     psi = apply_phase_u(_GRID_STATES["vacuum"], 1e308)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import zakgkp
-from conftest import ALPHA, comb_table
-from erf_reference import codeword_gaussians, vacuum_gaussians, zak_samples
+from conftest import ALPHA, closed_form_state, closed_form_states, comb_table
+from erf_reference import inverse_samples, zak_samples
 from zakgkp import (
     GKPCode,
     GaussianComb,
@@ -79,22 +79,36 @@ def test_vacuum_transform_matches_the_jacobi_theta_closed_form(vac64, grid64):
 
 
 @pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize(
-    "delta, which",
-    [(None, 0.0), (None, 0.7), *((delta, ell) for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
-    ids=["vacuum", "vacuum-0.7", *(f"delta-{delta}-ell-{ell}" for delta in (0.5, 0.3, 0.2) for ell in (0, 1))],
-)
+@closed_form_states
 def test_zak_transform_matches_the_closed_form_samples(code, n, delta, which):
     # every sample summed directly over the Gaussians, with nothing from the library: this pins
     # the comb's centres, window and amplitude (the relative errors are 1.7e-14 at most)
-    if delta is None:
-        descriptor, gaussians = VacuumState(which), vacuum_gaussians(which)
-    else:
-        descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
-    grid = code.grid(n, n)
-    want = zak_samples(code.alpha, *gaussians, grid.u_values(), grid.v_values())
-    got = zak_transform(descriptor, grid, 16).samples
+    psi, gaussians = closed_form_state(delta, which, n)
+    want = zak_samples(code.alpha, *gaussians, psi.grid.u_values(), psi.grid.v_values())
+    assert np.max(np.abs(psi.samples - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@closed_form_states
+def test_inverse_zak_transform_matches_the_closed_form(code, n, delta, which):
+    # psi_x(u + a n) summed over the Gaussians: pins the Riemann sum's phase, step and prefactor
+    psi, gaussians = closed_form_state(delta, which, n)
+    rows, shifts = psi.grid.u_values()[::n // 16], range(-2, 3)
+    want = np.array([inverse_samples(code.alpha, *gaussians, shift, rows) for shift in shifts])
+    got = np.array([[inverse_zak_transform(psi, shift, u) for u in rows] for shift in shifts])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@closed_form_states
+def test_stretch_rescale_matches_the_closed_form(code, n, delta, which):
+    # the comb summed over the Gaussians with the new b in its phase and prefactor: pins the
+    # rescaled samples and the stretched patch's v nodes
+    psi, gaussians = closed_form_state(delta, which, n)
+    for b in (2 * psi.patch.a, psi.patch.a / 2, 3.1):
+        stretched = stretch_rescale(psi, b)
+        want = zak_samples(code.alpha, *gaussians, stretched.grid.u_values(), stretched.grid.v_values(), b=b)
+        assert np.max(np.abs(stretched.samples - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def relative_error_squared(psi, reference):
@@ -236,6 +250,7 @@ def test_a_node_one_period_on_lies_outside_the_patch(vac64, axis):
         vac64.value_at(u, v)
 
 
+@pytest.mark.contract("narrow-extent")
 @pytest.mark.parametrize("axis,found,lost", [("u", 7 * 2**20, 2**24), ("v", 3 * 2**23, 2**25)])
 def test_a_default_grid_is_refused_only_once_its_nodes_are_lost(axis, found, lost):
     # every node of the first size is found again; 1,558,690 of the 2**24 u nodes and 2,089,817
@@ -247,6 +262,55 @@ def test_a_default_grid_is_refused_only_once_its_nodes_are_lost(axis, found, los
         assert getattr(grid, f"{axis}_index")(start + step * k) == k
     with pytest.raises(ValueError, match=f"^d{axis}=.* is too narrow for the edges"):
         GKPCode().grid(*shape(lost))
+
+
+@pytest.mark.contract("narrow-extent")
+def test_a_default_grid_that_loses_u_nodes_is_refused():
+    # 779,344 of its 8,388,608 u nodes were not found again by u_index, yet the grid was accepted
+    with pytest.raises(ValueError, match=r"^du=.* is too narrow for the edges"):
+        GKPCode().grid(2**23, 2)
+
+
+def _largest_accepted(grid, multiple):
+    """The largest count, a multiple of ``multiple``, for which ``grid(count)`` is accepted."""
+    lo, hi = 1, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            grid(mid * multiple)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo * multiple
+
+
+@pytest.mark.contract("narrow-extent")
+@pytest.mark.parametrize("alpha", [0.5, ALPHA, 1.3], ids=["0.5", "default", "1.3"])
+@pytest.mark.parametrize("axis", ["u", "v"])
+def test_every_node_of_the_largest_accepted_grids_is_found_again(alpha, axis):
+    # the nodes as u_values makes them, s = lo + step*j, found again as _steps does: t = s - lo
+    # and n = round(t / step) must give j, within NODE_TOL cells.  Replayed with numpy on the
+    # nodes near each binade edge of step*j and of s, at both ends and at random, for the largest
+    # counts the rule accepts; no grid is allocated
+    code, rng, multiple = GKPCode(alpha), np.random.default_rng(7), 4 if axis == "u" else 2
+    shape = (lambda n: (n, 2)) if axis == "u" else (lambda n: (4, n))
+    largest = _largest_accepted(lambda n: code.grid(*shape(n)), multiple)
+    for count in (largest, largest - multiple, largest // (3 * multiple) * 2 * multiple):
+        grid = code.grid(*shape(count))
+        lo, step = getattr(grid.patch, f"{axis}_min"), getattr(grid, f"d{axis}")
+        edges = 2.0 ** np.arange(-60, 8)
+        centres = np.concatenate([edges / step, (edges - lo) / step, (-edges - lo) / step])
+        near = (np.rint(centres[:, None]) + np.arange(-32, 33)).ravel()
+        j = np.unique(np.concatenate([near, np.arange(4096), count - 1 - np.arange(4096),
+                                      rng.integers(0, count, 50_000)]).astype(np.int64))
+        j = j[(j >= 0) & (j < count)]
+        s = lo + step * j
+        t = s - lo
+        n = np.rint(t / step)
+        lost = j[(n != j) | ~(np.abs(t - n * step) <= NODE_TOL * step)]
+        assert lost.size == 0, (count, lost[:5])
+        for k in j[::j.size // 20]:  # the replay is the library's own arithmetic
+            assert getattr(grid, f"{axis}_index")(lo + step * int(k)) == k
 
 
 @pytest.mark.parametrize("method,start", [("u_index", "u_min"), ("v_index", "v_min"), ("u_steps", None),
@@ -392,6 +456,7 @@ def test_ideal_state_canonicalization_merges_and_phases():
     assert state.norm() == pytest.approx(abs(weight))
 
 
+@pytest.mark.contract("patch-equality")
 def test_patches_and_grids_match_within_1e_12_and_do_not_hash(code):
     patch = code.full_patch()
     assert patch == ZakPatch(patch.a * (1 + 5e-13), patch.b, patch.u_min, patch.v_min)

@@ -72,6 +72,7 @@ def test_code_geometry(code):
     assert patch.a * patch.height == pytest.approx(2 * math.pi)
 
 
+@pytest.mark.contract("alpha-and-ell")
 def test_code_stores_alpha_as_the_float_it_checks():
     # a string alpha was once kept as given: GKPCode("1").period was "11"
     assert GKPCode("1.5") == GKPCode(1.5)
@@ -129,6 +130,7 @@ def test_syndrome_reduce(code):
         assert -math.pi / (2 * ALPHA) <= syn.v_tilde < math.pi / (2 * ALPHA)
 
 
+@pytest.mark.contract("syndrome")
 @pytest.mark.parametrize("alpha", [ALPHA, 1e-3, 0.1, 0.7, 1.3, 2.5, 123.456, 1e-150, 1e150, 3e-300])
 def test_syndrome_reduce_is_the_gauge_patch_reduction(alpha):
     # bit for bit, sign of zero included, with the gauge patch and with the rectangle
@@ -177,6 +179,7 @@ def test_kraus_reads_a_far_syndrome_inside_the_grid(code):
     assert c0 == c1 != 0
 
 
+@pytest.mark.contract("syndrome")
 def test_kraus_refuses_a_syndrome_of_another_code():
     code = GKPCode(1.3)
     with pytest.raises(GridMismatchError, match=r"syndrome was reduced for alpha=1\.77.*, not the code's 1\.3"):
@@ -498,6 +501,7 @@ def test_monotone_fidelity_and_purity(code):
     assert fidelities[-1] > 0.9999
 
 
+@pytest.mark.contract("logical-qubit")
 def test_logical_qubit_validation():
     with pytest.raises(Exception):
         LogicalQubit.from_unnormalized(np.array([[1, 1j], [2j, 1]]))
@@ -522,6 +526,7 @@ def test_logical_qubit_validation():
     assert q.purity == pytest.approx(np.trace(q.matrix @ q.matrix).real)
 
 
+@pytest.mark.contract("alpha-and-ell")
 def test_fidelity_takes_the_codeword_index_codeword_takes():
     # fidelity(-1) once read rho11, and fidelity(2) raised IndexError
     q = LogicalQubit(np.diag([0.9, 0.1]).astype(complex), 1.0)
@@ -547,6 +552,7 @@ def test_logical_qubit_tolerances_are_1e_10(defect, problem):
         LogicalQubit.from_unnormalized(np.array(defect(2e-10), dtype=complex))
 
 
+@pytest.mark.contract("logical-qubit")
 def test_degenerate_logical_error(code, grid64):
     # all support on the second v half, none anywhere: zero everywhere
     psi = ModularWavefunction(grid64, np.zeros((64, 64)))

@@ -45,6 +45,7 @@ def test_closest_int_multiple_examples():
     assert closest_int_multiple(0.3 * 2.0, 2.0, 1.0) == 0.0
 
 
+@pytest.mark.contract("split-window")
 @pytest.mark.parametrize(
     "period,centering", [(1.0, 0.25), (2.0, 1.0), (A, A / 2), (0.125, 0.0625), (4.0, 1.0)]
 )
@@ -66,6 +67,7 @@ def test_non_finite_coordinate_is_a_value_error(x):
         split(x, 1e-10, 0.5e-10)
 
 
+@pytest.mark.contract("split-window")
 @given(x=reals, period=periods, fraction=centering_fractions)
 def test_range_invariant(x, period, fraction):
     centering = fraction * period
@@ -73,6 +75,7 @@ def test_range_invariant(x, period, fraction):
     assert -centering <= f < period - centering
 
 
+@pytest.mark.contract("split-window")
 @pytest.mark.parametrize(
     "x,period,centering,expected",
     [

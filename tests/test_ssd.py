@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ALPHA, random_state
+from conftest import ALPHA, closed_form_state, closed_form_states, random_state
+from erf_reference import pp_coefficients
 from zakgkp import (
     GridMismatchError,
     SSDState,
@@ -461,6 +462,18 @@ def test_comb_matrix_is_the_partitioned_position_representation(code, kind, n):
     for ell, coeff in enumerate(modes.coeffs):
         assert np.max(np.abs(coeff[kept] - comb.values[ell * half:(ell + 1) * half].T)) <= 1e-15
         assert np.max(np.abs(np.delete(coeff, kept, axis=0))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@closed_form_states
+def test_pp_bridge_matches_the_closed_form(code, n, delta, which):
+    # psi(u - a m) summed over the Gaussians at each gauge half's rows: pins the bridge's
+    # scale, its v_min phase and the order of its frequencies
+    psi, gaussians = closed_form_state(delta, which, n)
+    modes = pp_bridge(to_ssd(psi, code))
+    halves = psi.grid.u_values().reshape(2, n // 2)
+    want = np.array([pp_coefficients(code.alpha, *gaussians, u, modes.m_values) for u in halves])
+    assert np.max(np.abs(np.array(modes.coeffs) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pp_gauge_modes_store_only_code_and_coeffs(code):

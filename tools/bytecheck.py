@@ -2,15 +2,16 @@
 
     python tools/bytecheck.py OLD_SRC NEW_SRC
 
-Runs 24 commands: 23 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
-``logical`` and ``sweep``, on grid and ideal states, in csv and bin, each
-expected to succeed (exit 0), to be refused as a configuration error (exit 2)
-or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
+Runs 26 commands: 25 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
+``logical`` and ``sweep``, on grid, tabulated and ideal states, in csv and bin,
+each expected to succeed (exit 0), to be refused as a configuration error
+(exit 2) or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
 in-process results the CLI never reaches (a grid state's logical maps, residuals, norm, Kraus amplitudes and
 ``pp_bridge`` round trip, the maps and residuals of comb matrices the CLI never builds, and what
 ``load_grid_csv`` reads from edited CSV files).  Each runs once
 with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
-directory.  Every output file and manifest is compared byte for byte, and so
+directory, which first holds the same ``table.csv`` for the tabulated runs.
+Every output file and manifest is compared byte for byte, and so
 is each exit code, which must also be the one listed, so that a tree that
 cannot run fails rather than matching another that cannot; stderr is not
 compared.  For each text file that differs, up to 20 differing lines are
@@ -25,6 +26,7 @@ from __future__ import annotations
 import difflib
 import os
 import subprocess
+import math
 import sys
 import tempfile
 
@@ -45,6 +47,8 @@ RUNS = [
     (0, "logical --state gkp1 --method ec-trace --out ideal_ec_trace.csv"),
     (0, "logical --state gkp0 --grid 68x16 --out ideal_68x16.csv"),  # an ideal state ignores the grid
     (0, "logical --state vacuum --grid 128x128 --method trace --out vacuum_trace.csv"),  # complex cross entry
+    (0, "zakplot --state tabulated:table.csv --grid 64x64 --format csv --out zakplot_table.csv"),
+    (0, "logical --state tabulated:table.csv --grid 64x64 --out table_trace.csv"),
     (2, "logical --grid 68x16 --out refused.csv"),  # halves that are not grids: no file
     # the library's rules, each a refusal with no file
     (2, "logical --grid 10x10 --out refused_grid.csv"),  # Nu not a multiple of 4
@@ -64,8 +68,19 @@ COMMANDS = [(code, args, ["-m", "zakgkp.cli", *args.split()]) for code, args in 
 ]
 
 
+def table_rows():
+    """The rows ``x,re,im`` of the tabulated runs' table: a Gaussian bump ``exp(-x^2 / 2)`` on the
+    comb ``u_j + a m``, ``|m| <= 4``, that the default code's 64x64 grid probes, each float its repr."""
+    a = 2 * math.sqrt(math.pi)
+    du = a / 64
+    xs = [(-a / 4 + du * j) + a * m for m in range(-4, 5) for j in range(64)]
+    return "".join(f"{x!r},{math.exp(-x * x / 2)!r},0.0\n" for x in xs)
+
+
 def run_all(src, workdir):
     """Exit codes of COMMANDS under ``src`` and the bytes of every file they wrote."""
+    with open(os.path.join(workdir, "table.csv"), "w", encoding="utf-8") as fh:
+        fh.write(table_rows())
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     codes = [
         subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
