@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import ALPHA, comb_table
 from erf_reference import codeword_gaussians, zak_samples
-from test_kinds import kind_refusal
 from zakgkp import (
     GaussianComb,
     IdealZakState,
@@ -1044,73 +1043,56 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
         pytest.param(lambda psi, ideal: stabilizer_residual(IdealZakState(ideal.patch, {(0.0, 1.0): 1e154j}), _CODE),
                      NonFiniteError, "residuals inf and 0.0 are not both finite", id="ideal-residual",
                      marks=pytest.mark.contract("residuals")),
-        # each refusal of a kind, worded whole by the kind sweep's table
         # a mixture has no one patch: each once ended in an AttributeError
         *(pytest.param(lambda psi, ideal, f=f: f(MixtureState([(0.5, ideal), (0.5, codeword(_CODE, 1))])),
-                       ValueError, kind_refusal(fn, "state", "MixtureState", entry), id=f"mixture-{fn.__name__}",
-                       marks=pytest.mark.contract("kind-rule"))
-          for fn, entry, f in ((stabilizer_residual, 1, lambda m: stabilizer_residual(m, _CODE)),
-                               (ec_kraus_amplitudes, 2,
-                                lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                               (to_ssd, 2, lambda m: to_ssd(m, _CODE)))),
+                       ValueError, "takes a pure state, not a MixtureState", id=f"mixture-{name}")
+          for name, f in (("stabilizer_residual", lambda m: stabilizer_residual(m, _CODE)),
+                          ("ec_kraus_amplitudes", lambda m: ec_kraus_amplitudes(m, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda m: to_ssd(m, _CODE)))),
         # a comb matrix has no samples to read: each once ended in an AttributeError, to_ssd's
         # in a later norm, pp_bridge or apply_X_ssd
         *(pytest.param(lambda psi, ideal, f=f: f(comb_matrix(VacuumState(), _GRID, 4)), ValueError,
-                       kind_refusal(fn, "state", "CombMatrix", 1), id=f"comb-{fn.__name__}",
-                       marks=pytest.mark.contract("kind-rule"))
-          for fn, f in ((ec_kraus_amplitudes, lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                        (to_ssd, lambda c: to_ssd(c, _CODE)))),
+                       "takes a grid or ideal state, not a CombMatrix", id=f"comb-{name}")
+          for name, f in (("ec_kraus_amplitudes", lambda c: ec_kraus_amplitudes(c, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda c: to_ssd(c, _CODE)))),
         # an SSD function given a full-mode state, and a full-mode function given an SSDState:
         # each once ended in an AttributeError, the operators' refusal named no SSDState
-        # (the gauge traces take a mixture, and name the kind of its first component)
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal)), ValueError,
-                       kind_refusal(fn, name, named), id=f"{kind}-{fn.__name__}",
-                       marks=pytest.mark.contract("kind-rule"))
-          for kind, named, pick in (("grid", "ModularWavefunction", lambda psi, ideal: psi),
-                                    ("ideal", "IdealZakState", lambda psi, ideal: ideal),
-                                    ("mixture", "ModularWavefunction",
-                                     lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
-          for fn, name, f in ((gauge_trace, "rho", gauge_trace), (ec_gauge_trace, "rho", ec_gauge_trace),
-                              (apply_Z_ssd, "state", lambda s: apply_Z_ssd(s, 0.0)),
-                              (apply_X_ssd, "state", lambda s: apply_X_ssd(s, 0.0)),
-                              (pp_bridge, "state", pp_bridge), (from_ssd, "state", from_ssd))
-          if kind != "mixture" or fn in (gauge_trace, ec_gauge_trace)),
+                       r"takes an SSDState, not a \w+; pass to_ssd\(state, code\)", id=f"{kind}-{name}")
+          for kind, pick in (("grid", lambda psi, ideal: psi), ("ideal", lambda psi, ideal: ideal),
+                             ("mixture", lambda psi, ideal: MixtureState([(0.5, psi), (0.5, ideal)])))
+          for name, f in (("gauge_trace", gauge_trace), ("ec_gauge_trace", ec_gauge_trace),
+                          ("apply_Z_ssd", lambda s: apply_Z_ssd(s, 0.0)), ("apply_X_ssd", lambda s: apply_X_ssd(s, 0.0)),
+                          ("pp_bridge", pp_bridge), ("from_ssd", from_ssd))
+          if kind != "mixture" or name.endswith("gauge_trace")),
         *(pytest.param(lambda psi, ideal, f=f, kind=kind: f(to_ssd(psi if kind == "grid" else ideal, _CODE)),
-                       ValueError, kind_refusal(fn, name, "SSDState"), id=f"ssd-{kind}-{fn.__name__}",
-                       marks=pytest.mark.contract("kind-rule"))
+                       ValueError, "not a SSDState; pass an SSDState's mode", id=f"ssd-{kind}-{name}")
           for kind in ("grid", "ideal")
-          for fn, name, f in ((logical_from_overlap, "rho", lambda s: logical_from_overlap(s, _CODE)),
-                              (ec_channel_logical, "rho", lambda s: ec_channel_logical(s, _CODE)),
-                              (stabilizer_residual, "state", lambda s: stabilizer_residual(s, _CODE)),
-                              (ec_kraus_amplitudes, "state",
-                               lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                              (to_ssd, "state", lambda s: to_ssd(s, _CODE)),
-                              (apply_X, "state", lambda s: apply_X(s, 0.0)))),
+          for name, f in (("logical_from_overlap", lambda s: logical_from_overlap(s, _CODE)),
+                          ("ec_channel_logical", lambda s: ec_channel_logical(s, _CODE)),
+                          ("stabilizer_residual", lambda s: stabilizer_residual(s, _CODE)),
+                          ("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda s: to_ssd(s, _CODE)), ("apply_X", lambda s: apply_X(s, 0.0)))),
         # each once ended in an AttributeError on a member the input does not have
         pytest.param(lambda psi, ideal: pp_bridge_inverse(to_ssd(psi, _CODE)), ValueError,
-                     kind_refusal(pp_bridge_inverse, "modes", "SSDState"), id="ssd-pp_bridge_inverse",
-                     marks=pytest.mark.contract("kind-rule")),
+                     "takes the PPGaugeModes that pp_bridge returns, not a SSDState", id="ssd-pp_bridge_inverse"),
         *(pytest.param(lambda psi, ideal, pick=pick: inverse_zak_transform(pick(psi, ideal), 0, 0.0), ValueError,
-                       kind_refusal(inverse_zak_transform, "psi", kind), id=f"{kind}-inverse_zak_transform",
-                       marks=pytest.mark.contract("kind-rule"))
+                       f"takes a grid state, not a {kind}$", id=f"{kind}-inverse_zak_transform")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # each once ended in an AttributeError, and a writer's refusal comes before any file
         # is opened (the folder does not exist)
         *(pytest.param(lambda psi, ideal, pick=pick: SSDState(_CODE, pick(psi, ideal), pick(psi, ideal)), ValueError,
-                       kind_refusal(SSDState, "gamma0", kind), id=f"{kind}-SSDState",
-                       marks=pytest.mark.contract("kind-rule"))
+                       f"SSDState takes grid or ideal gauge components, not a {kind}$", id=f"{kind}-SSDState")
           for kind, pick in (("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)),
                              ("MixtureState", lambda psi, ideal: MixtureState([(1.0, ideal)])))),
         *(pytest.param(lambda psi, ideal, f=f, pick=pick: f(pick(psi, ideal), os.path.join("no-such-folder", "grid")),
-                       ValueError, kind_refusal(f, "psi", kind), id=f"{kind}-{f.__name__}",
-                       marks=pytest.mark.contract("kind-rule"))
+                       ValueError, f"the grid writers take a grid state, not a {kind}$", id=f"{kind}-{f.__name__}")
           for f in (save_grid_csv, save_grid_binary)
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         *(pytest.param(lambda psi, ideal, pick=pick: stretch_rescale(pick(psi, ideal), 1.0), ValueError,
-                       kind_refusal(stretch_rescale, "psi", kind), id=f"{kind}-stretch_rescale",
-                       marks=pytest.mark.contract("kind-rule"))
+                       f"stretch_rescale takes a grid state, not a {kind}$", id=f"{kind}-stretch_rescale")
           for kind, pick in (("IdealZakState", lambda psi, ideal: ideal),
                              ("CombMatrix", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, 4)))),
         # a half period once read psi_x at the wrong point with no error
@@ -1206,10 +1188,10 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
             ("components-int", lambda psi, ideal: MixtureState(3),
              r"components takes \(probability, state\) pairs, got 3$"))),
         # a function that refuses a comb matrix once said it takes one when given another kind
-        *(pytest.param(lambda psi, ideal, f=f: f(None), ValueError, kind_refusal(fn, "state", "NoneType"),
-                       id=f"None-{fn.__name__}", marks=pytest.mark.contract("kind-rule"))
-          for fn, f in ((ec_kraus_amplitudes, lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
-                        (to_ssd, lambda s: to_ssd(s, _CODE)))),
+        *(pytest.param(lambda psi, ideal, f=f: f(None), ValueError,
+                       r"takes a grid or ideal state, not a NoneType; pass an SSDState's mode$", id=f"None-{name}")
+          for name, f in (("ec_kraus_amplitudes", lambda s: ec_kraus_amplitudes(s, _CODE, syndrome_reduce(_CODE, 0, 0))),
+                          ("to_ssd", lambda s: to_ssd(s, _CODE)))),
         # the zero state once raised ZeroDivisionError, outside the contract
         pytest.param(lambda psi, ideal: psi.with_samples(np.zeros_like(psi.samples)).normalized(), NormalizationError,
                      "cannot normalize the zero wavefunction$", id="zero-normalized",

@@ -24,9 +24,9 @@ the same tree on both sides it checks that reruns are deterministic.
 from __future__ import annotations
 
 import difflib
+import math
 import os
 import subprocess
-import math
 import sys
 import tempfile
 
