@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from erf_reference import codeword_gaussians, vacuum_gaussians
 from zakgkp import GKPCode, ModularWavefunction, VacuumState, approx_codeword, zak_transform
@@ -77,3 +78,15 @@ def closed_form_state(delta, which, n):
     else:
         descriptor, gaussians = approx_codeword(code, which, delta), codeword_gaussians(code.alpha, which, delta)
     return zak_transform(descriptor, code.grid(n, n), 16), gaussians
+
+
+def mostly(ordinary, odd):
+    """``ordinary`` three times in four and ``odd`` otherwise, so that many runs get past the checks."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 3 else ordinary)
+
+
+# ints past the float range, which the library takes as infinities of their sign
+EXTREME = [0.0, -1.0, 1e-320, 1e-300, 1e-5, 1e5, 2.5e153, 1e200, 1e308, math.inf, -math.inf, math.nan,
+           10**400, -10**400]
+#: the numbers the hypothesis tests of the library and the CLI draw
+numbers = st.one_of(st.sampled_from(EXTREME), st.floats(-10, 10), st.floats())

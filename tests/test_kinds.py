@@ -6,9 +6,10 @@ each of 24 kinds of argument: numbers the library refuses or converts, the
 containers a caller might pass instead, and each library object.  README's
 library contract states the rule this holds the calls to: a wrong kind raises
 ``ValueError``, ``TypeError`` or a ``ZakError``, a refusal that names a kind
-names the one given (or a mixture's component, or an SSD state's mode), and
-a refused call leaves no file behind.  The parameters README names outside
-the rule may end in the error it names for them.
+reads whole as its row of :data:`KIND_REFUSALS` words it, naming the kind
+given (or a mixture's component, or an SSD state's mode), and a refused call
+leaves no file behind.  The parameters README names outside the rule may end
+in the error it names for them.
 """
 
 import inspect
@@ -95,6 +96,52 @@ VALID = {
     ssd.pp_bridge_inverse: (MODES,),
 }
 
+#: the writers, which refuse a wrong state before they open a file: the sweep gives them no folder to open it in
+WRITERS = (gridio.save_grid_csv, gridio.save_grid_binary, gridio.save_point_list_csv)
+
+_GRID_OR_IDEAL = "this function takes a grid or ideal state"
+_MAPS = ("this function takes a grid, ideal or comb state", "pass an SSDState's mode")
+_PURE = ("this function takes a pure state", "pass each component")
+_FULL_MODE = {"MixtureState": _PURE, "comb": (_GRID_OR_IDEAL, "pass its zak_transform"),
+              None: (_GRID_OR_IDEAL, "pass an SSDState's mode")}
+_SSD = ("this function takes an SSDState", "pass to_ssd(state, code)")
+_WRITERS = ("the grid writers take a grid state", "")
+_OPERATORS = ("the operators take a grid or ideal state",
+              "pass an SSDState's mode, a CombMatrix's zak_transform, or each component of a MixtureState")
+
+#: each refusal of a kind, ``(what, hint)`` as ``errors._kind(value, kinds, what, hint)`` words it, by
+#: callable and parameter; where the wording depends on the kind given, ``{kind: (what, hint)}``,
+#: with ``None`` for every other kind
+KIND_REFUSALS = {
+    (core.inverse_zak_transform, "psi"): ("inverse_zak_transform takes a grid state", ""),
+    (core.stretch_rescale, "psi"): ("stretch_rescale takes a grid state", ""),
+    (gkp.stabilizer_residual, "state"): {"MixtureState": _PURE, None: _MAPS},
+    (gkp.ec_kraus_amplitudes, "state"): _FULL_MODE,
+    (gkp.ec_kraus_amplitudes, "syn"): ("ec_kraus_amplitudes takes a Syndrome", "pass syndrome_reduce(code, s, t)"),
+    (gkp.logical_from_overlap, "rho"): _MAPS,
+    (gkp.ec_channel_logical, "rho"): _MAPS,
+    (gridio.save_grid_csv, "psi"): _WRITERS,
+    (gridio.save_grid_binary, "psi"): _WRITERS,
+    (gridio.save_point_list_csv, "state"): ("save_point_list_csv takes an ideal state", ""),
+    (gridio.logical_report_csv, "qubit"): ("logical_report_csv takes a LogicalQubit", ""),
+    **{(getattr(operators, name), "state"): _OPERATORS for name in operators.__all__},
+    (ssd.SSDState, "gamma0"): ("SSDState takes grid or ideal gauge components", ""),
+    (ssd.SSDState, "gamma1"): ("SSDState takes grid or ideal gauge components", ""),
+    (ssd.to_ssd, "state"): _FULL_MODE,
+    (ssd.from_ssd, "state"): _SSD,
+    (ssd.gauge_trace, "rho"): _SSD,
+    (ssd.ec_gauge_trace, "rho"): _SSD,
+    (ssd.apply_Z_ssd, "state"): _SSD,
+    (ssd.apply_X_ssd, "state"): _SSD,
+    (ssd.pp_bridge, "state"): {"ideal-SSDState": ("this function takes an SSDState whose mode is a grid state", ""),
+                               None: _SSD},
+    (ssd.pp_bridge_inverse, "modes"): ("pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns", ""),
+}
+#: the maps that take a MixtureState of the states they take
+MIXTURE_MAPS = (gkp.logical_from_overlap, gkp.ec_channel_logical, ssd.gauge_trace, ssd.ec_gauge_trace)
+#: a message of ``errors._kind``
+KIND_MESSAGE = re.compile(r".+, not a \w+(?:; .+)?")
+
 #: the error each class of parameter README names outside the kind rule may end in
 OUTSIDE = {"code": AttributeError, "grid": AttributeError, "patch": AttributeError,
            "descriptor": AttributeError, "path": OSError}
@@ -109,14 +156,26 @@ def _outside(fn, name):
     return name if name in ("code", "grid", "patch") else None
 
 
-def _named(value):
-    """The type names a kind refusal of ``value`` may give: its own, a mixture's components' or an SSD state's mode's."""
-    names = {type(value).__name__}
-    if isinstance(value, gkp.MixtureState):
-        names |= {type(state).__name__ for _, state in value}
-    if isinstance(value, ssd.SSDState):
-        names.add(type(value.mode).__name__)
-    return names
+def _named(fn, value):
+    """The type a kind refusal of ``value`` by ``fn`` names: a mixture's component, for a map that takes
+    a mixture (each mixture here has one); an SSD state's mode, for ``pp_bridge``; otherwise its own."""
+    if isinstance(value, gkp.MixtureState) and fn in MIXTURE_MAPS:
+        ((_, value),) = value
+    elif isinstance(value, ssd.SSDState) and fn is ssd.pp_bridge:
+        value = value.mode
+    return type(value).__name__
+
+
+def _refusal(fn, name, kind, value):
+    """``(key, message)``: the key of the row of :data:`KIND_REFUSALS` that words a refusal of
+    ``kind``, ``value``, given as parameter ``name`` of ``fn``, and the whole message of that
+    refusal; ``(None, None)`` where no row is."""
+    row = KIND_REFUSALS.get((fn, name))
+    if row is None:
+        return None, None
+    key = kind if isinstance(row, dict) and kind in row else None
+    what, hint = row[key] if isinstance(row, dict) else row
+    return (fn, name, key), f"{what}, not a {_named(fn, value)}" + (f"; {hint}" if hint else "")
 
 
 def _calls():
@@ -128,6 +187,8 @@ def _calls():
             for kind, value in KINDS.items():
                 args = [*valid, *(p.default for p in params[len(valid):i + 1])]
                 args[i] = value
+                if fn in WRITERS and i == 0 and value is not valid[0]:
+                    args[1] = os.path.join("no-such-folder", args[1])
                 yield fn, param.name, kind, value, args
 
 
@@ -159,15 +220,17 @@ def test_every_kind_of_argument_is_refused_by_the_rule(tmp_path, monkeypatch):
     for fn, valid in VALID.items():  # every valid call runs
         fn(*valid)
     clear()
-    escapes, misnamed, left = [], [], []
+    escapes, misworded, left, given = [], [], [], set()
     start = time.perf_counter()
     for fn, name, kind, value, args in _calls():
         try:
             fn(*args)
         except (ValueError, TypeError, ZakError) as exc:
-            found = re.search(r", not a (\w+)(?:;|$)", str(exc))
-            if found and found.group(1) not in _named(value):
-                misnamed.append((fn.__name__, name, kind, str(exc)))
+            if KIND_MESSAGE.fullmatch(str(exc)):  # a refusal of a kind: whole, as its row words it
+                key, message = _refusal(fn, name, kind, value)
+                if type(exc) is not ValueError or str(exc) != message:
+                    misworded.append((fn.__name__, name, kind, f"{type(exc).__name__}: {exc}"))
+                given.add(key)
             if set(os.listdir()) - files:
                 left.append((fn.__name__, name, kind))
         except Exception as exc:  # an escape, unless README names it for this parameter
@@ -176,6 +239,9 @@ def test_every_kind_of_argument_is_refused_by_the_rule(tmp_path, monkeypatch):
         clear()
     elapsed = time.perf_counter() - start
     assert not escapes, escapes
-    assert not misnamed, misnamed
+    assert not misworded, misworded
+    rows = {(fn, name, key) for (fn, name), row in KIND_REFUSALS.items()
+            for key in (row if isinstance(row, dict) else [None])}
+    assert rows <= given, f"rows no refusal gave: {[(fn.__name__, name, key) for fn, name, key in rows - given]}"
     assert not left, left
     assert elapsed < 1.0, elapsed
