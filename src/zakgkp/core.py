@@ -612,14 +612,21 @@ class CombMatrix:
     Row ``j`` of the transform is ``sqrt(b/2pi) values[j] @ phases``, with
     ``values[j, k] = psi_x(u_j + a m[k])`` over the ``m`` that :func:`comb_matrix`
     kept and ``phases[k, i] = exp(-i b m[k] v_i)``, formed once here.  ``values``
-    is float64 for a real descriptor and complex128 otherwise.
+    is float64 for a real descriptor and complex128 otherwise.  Any ``m`` but a
+    1-d array of finite numbers, and any ``values`` but a float64 or complex128
+    array of shape ``(Nu, len(m))``, raises ValueError.
     """
 
     __slots__ = ("grid", "values", "m", "phases", "tail_bound")
 
     def __init__(self, grid: ZakGrid, values, m, tail_bound):
-        if not np.isfinite(m).all():
-            raise ValueError(f"the comb's m must be finite, got {m!r}")
+        _kind(m, np.ndarray, "CombMatrix takes m as an array")
+        _kind(values, np.ndarray, "CombMatrix takes values as an array")
+        if m.ndim != 1 or m.dtype.kind not in "iuf" or not np.isfinite(m).all():
+            raise ValueError(f"the comb's m must be 1-d and finite, got {_shown(m)}")
+        if values.dtype not in (np.float64, np.complex128) or values.shape != (grid.nu, len(m)):
+            raise ValueError(f"the comb's values must be float64 or complex128 of shape ({grid.nu}, {len(m)}), "
+                             f"got {values.dtype} of shape {values.shape}")
         self.grid = grid
         self.values = values
         self.m = m

@@ -41,17 +41,21 @@ def _shown(n):
 def split(x: float, period: float, centering: float) -> tuple[float, int]:
     """Return ``(frac, n)`` with ``frac = x - n*period`` in ``[-centering, period-centering)``.
 
-    Raises ValueError for non-positive periods and for an ``x`` that is
-    not finite or has too many periods to count; every other ``x`` gets a
-    ``frac`` inside the window.  For ``|x|`` much larger than the period
+    Raises ValueError for a period that is not positive and finite, a
+    centering that is not finite, and an ``x`` that is not finite or has
+    too many periods to count; every other ``x`` gets a ``frac`` inside the
+    window.  For ``|x|`` much larger than the period
     the fractional part carries the usual floating-point cancellation
     error, and when no count puts the rounded difference inside the
     window, the left-closed bound is authoritative: ``frac`` is
     ``-centering``, with the count that leaves the difference just below it.
     """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {_shown(period)!r}")
-    x = _float(x)  # an int past the float range is refused below as an infinity
+    # an int past the float range is refused as an infinity
+    x, period, centering = _float(x), _float(period), _float(centering)
+    if not 0 < period < math.inf:  # NaN too
+        raise ValueError(f"period must be positive and finite, got {period!r}")
+    if not math.isfinite(centering):
+        raise ValueError(f"centering must be finite, got {centering!r}")
     try:
         n = math.floor((x + centering) / period)
     except (OverflowError, ValueError):  # an infinite or NaN quotient

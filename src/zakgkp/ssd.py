@@ -219,8 +219,10 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     ``(nv, nu)`` shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
     """
     code = _kind(modes, PPGaugeModes, "pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns").code
-    if len(modes.coeffs) != 2:
+    if len(_kind(modes.coeffs, (tuple, list), "pp_bridge_inverse takes coeffs of two arrays")) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
+    for coeff in modes.coeffs:
+        _kind(coeff, np.ndarray, "pp_bridge_inverse takes coeffs of two arrays")
     if modes.coeffs[0].ndim != 2 or modes.coeffs[0].shape != modes.coeffs[1].shape:
         raise ValueError(f"coeffs must share one (nv, nu) shape, got {[c.shape for c in modes.coeffs]}")
     grid = modes.gauge_grid

@@ -27,7 +27,7 @@ from zakgkp import (
     apply_phase_v, apply_translate_u, apply_translate_v, apply_X, apply_Z, approx_codeword, codeword, convention_phase,
     inverse_zak_transform, logical_from_overlap, pp_bridge, stabilizer_residual, syndrome_reduce, to_ssd, zak_transform,
 )
-from zakgkp.core import comb_matrix
+from zakgkp.core import CombMatrix, comb_matrix
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 from zakgkp.modular import split
 
@@ -88,6 +88,7 @@ HUGE = 10**400
 LONG = 10**5000
 _GRID_STATES = {"vacuum": zak_transform(VacuumState(), _GRID, 16),
                 "gkp-approx": zak_transform(approx_codeword(_CODE, 1, 0.4), _GRID, 16)}
+_COMB = comb_matrix(VacuumState(), _GRID, 4)
 # the coordinate a phase multiplies, by operator: Z(t) = P_U(t) T_V(t)
 _PHASED = {apply_Z: "u", apply_phase_u: "u", apply_phase_v: "v"}
 _OPERATORS = [apply_X, apply_Z, apply_phase_u, apply_phase_v, apply_translate_u, apply_translate_v]
@@ -345,7 +346,7 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
             ("grid-nu", lambda psi, ideal: _CODE.grid(4 * LONG, 8), "a infx8 grid is past numpy's size limit"),
             ("comb", lambda psi, ideal: comb_matrix(VacuumState(), _GRID, LONG), "comb numpy can index, got inf$"),
             ("codeword", lambda psi, ideal: codeword(_CODE, -LONG), "ell must be 0 or 1, got -inf$"),
-            ("split-period", lambda psi, ideal: split(1.0, LONG, 0.5), "too large to count in periods of inf$"))),
+            ("split-period", lambda psi, ideal: split(1.0, LONG, 0.5), "period must be positive and finite, got inf$"))),
         # a convention that is no short string once put its whole repr, 5,000 characters or an int's
         # 5,000 digits in the message, or made Python's own int-to-text limit the message
         *(pytest.param(lambda psi, ideal, c=c: convention_phase(0.0, 0.0, c(psi)), ValueError, message,
@@ -380,6 +381,26 @@ def test_loaders_refuse_or_read_back_any_edited_file(fmt, edits):
              r"components takes \(probability, state\) pairs, got None$"),
             ("components-int", lambda psi, ideal: MixtureState(3),
              r"components takes \(probability, state\) pairs, got 3$"))),
+        # a comb matrix built by hand once failed later, deep inside the maps or numpy
+        *(pytest.param(build, ValueError, message, id=f"comb-{name}", marks=pytest.mark.contract("kind-rule"))
+          for name, build, message in (
+            ("values-list", lambda psi, ideal: logical_from_overlap(CombMatrix(_GRID, _COMB.values.tolist(), _COMB.m, 0.0),
+                                                                    _CODE), "CombMatrix takes values as an array, not a list$"),
+            ("values-narrow", lambda psi, ideal: CombMatrix(_GRID, _COMB.values[:, :-1], _COMB.m, 0.0),
+             r"values must be float64 or complex128 of shape \(16, 9\), got float64 of shape \(16, 8\)$"),
+            ("values-int", lambda psi, ideal: CombMatrix(_GRID, _COMB.values.astype(int), _COMB.m, 0.0),
+             r"values must be float64 or complex128 of shape \(16, 9\), got int64 of shape \(16, 9\)$"),
+            ("m-str", lambda psi, ideal: CombMatrix(_GRID, _COMB.values, "ab", 0.0), "CombMatrix takes m as an array, not a str$"),
+            ("m-2d", lambda psi, ideal: CombMatrix(_GRID, _COMB.values, _COMB.m[None], 0.0),
+             r"the comb's m must be 1-d and finite, got array\(\[\[-4"))),
+        # a period or centering split cannot count with once returned a wrong count or named the coordinate
+        *(pytest.param(lambda psi, ideal, args=args: split(*args), ValueError, message, id=f"split-{name}",
+                       marks=pytest.mark.contract("split-window"))
+          for name, args, message in (
+            ("period-inf", (1.0, math.inf, 0.5), "period must be positive and finite, got inf$"),
+            ("period-nan", (1.0, math.nan, 0.5), "period must be positive and finite, got nan$"),
+            ("centering-nan", (1.0, 1.0, math.nan), "centering must be finite, got nan$"),
+            ("centering-inf", (1.0, 1.0, math.inf), "centering must be finite, got inf$"))),
         # the zero state once raised ZeroDivisionError, outside the contract
         pytest.param(lambda psi, ideal: psi.with_samples(np.zeros_like(psi.samples)).normalized(), NormalizationError,
                      "cannot normalize the zero wavefunction$", id="zero-normalized",

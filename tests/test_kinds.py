@@ -115,6 +115,8 @@ _OPERATORS = ("the operators take a grid or ideal state",
 KIND_REFUSALS = {
     (core.inverse_zak_transform, "psi"): ("inverse_zak_transform takes a grid state", ""),
     (core.stretch_rescale, "psi"): ("stretch_rescale takes a grid state", ""),
+    (core.CombMatrix, "values"): ("CombMatrix takes values as an array", ""),
+    (core.CombMatrix, "m"): ("CombMatrix takes m as an array", ""),
     (gkp.stabilizer_residual, "state"): {"MixtureState": _PURE, None: _MAPS},
     (gkp.ec_kraus_amplitudes, "state"): _FULL_MODE,
     (gkp.ec_kraus_amplitudes, "syn"): ("ec_kraus_amplitudes takes a Syndrome", "pass syndrome_reduce(code, s, t)"),

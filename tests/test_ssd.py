@@ -495,23 +495,30 @@ def test_pp_bridge_inverse_needs_two_coefficient_arrays(code, count):
 
 
 SHAPE = r"coeffs must share one \(nv, nu\) shape"
+NOT_ARRAYS = "pp_bridge_inverse takes coeffs of two arrays, not a "
+
+
+def zeros(*shapes):
+    return tuple(np.zeros(shape, dtype=np.complex128) for shape in shapes)
 
 
 @pytest.mark.parametrize(
-    "shapes,message",
+    "coeffs,message",
     [
-        pytest.param([(64, 16), (64, 20)], SHAPE, id="two-nu"),
-        pytest.param([(64, 16), (32, 16)], SHAPE, id="two-nv"),
-        pytest.param([(1024,), (1024,)], SHAPE, id="one-dimensional"),
-        pytest.param([(2, 64, 16), (2, 64, 16)], SHAPE, id="three-dimensional"),
-        pytest.param([(64, 18), (64, 18)], "nu must be a positive multiple of 4", id="nu-18"),
-        pytest.param([(63, 16), (63, 16)], "nv must be a positive even integer", id="odd-nv"),
-        pytest.param([(0, 16), (0, 16)], "nv must be a positive even integer", id="empty"),
+        pytest.param(zeros((64, 16), (64, 20)), SHAPE, id="two-nu"),
+        pytest.param(zeros((64, 16), (32, 16)), SHAPE, id="two-nv"),
+        pytest.param(zeros((1024,), (1024,)), SHAPE, id="one-dimensional"),
+        pytest.param(zeros((2, 64, 16), (2, 64, 16)), SHAPE, id="three-dimensional"),
+        pytest.param(zeros((64, 18), (64, 18)), "nu must be a positive multiple of 4", id="nu-18"),
+        pytest.param(zeros((63, 16), (63, 16)), "nv must be a positive even integer", id="odd-nv"),
+        pytest.param(zeros((0, 16), (0, 16)), "nv must be a positive even integer", id="empty"),
+        # each once ended in Python's own error, an AttributeError or a TypeError
+        pytest.param(([1, 2], [3, 4]), NOT_ARRAYS + "list$", id="lists"),
+        pytest.param(None, NOT_ARRAYS + "NoneType$", id="None"),
     ],
 )
-def test_pp_bridge_inverse_needs_two_arrays_of_one_gauge_grid_shape(code, shapes, message):
-    # the shape is all that fixes gauge_grid and m_values, so it is the one thing checked
-    coeffs = tuple(np.zeros(shape, dtype=np.complex128) for shape in shapes)
+def test_pp_bridge_inverse_needs_two_arrays_of_one_gauge_grid_shape(code, coeffs, message):
+    # two arrays, and their shape, which is all that fixes gauge_grid and m_values, are what is checked
     with pytest.raises(ValueError, match=message):
         pp_bridge_inverse(PPGaugeModes(code=code, coeffs=coeffs))
 
