@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALPHA, comb_table, random_state
-from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, erf_residuals, vacuum_gaussians
+from conftest import ALPHA, closed_form_state, closed_form_states, comb_table, random_state
+from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, erf_residuals, vacuum_gaussians, zak_samples
 from zakgkp import (
     DegenerateLogicalError,
     GKPCode,
@@ -401,6 +401,23 @@ def test_stabilizer_residuals_against_erf_reference(code, delta, which):
         for make in (comb_matrix, zak_transform):
             got = stabilizer_residual(make(descriptor, code.grid(n, n), 16), code)
             assert max(abs(r - ref) for r, ref in zip(got, exact)) <= 1e-13, (make.__name__, n)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@closed_form_states
+def test_ec_kraus_amplitudes_match_the_closed_form(code, n, delta, which):
+    # Z(u~ + alpha l, v~) exp(-i alpha l v~), summed over the Gaussians at the reduced syndrome of
+    # 64 grid nodes: pins the counter-phase and the gauge half each amplitude reads (the relative
+    # errors are 1.7e-14 at most)
+    psi, gaussians = closed_form_state(delta, which, n)
+    got, want = [], []
+    for s in psi.grid.u_values()[::n // 8]:
+        for t in psi.grid.v_values()[::n // 8]:
+            syn = syndrome_reduce(code, s, t)
+            got.append(ec_kraus_amplitudes(psi, code, syn))
+            want.append([zak_samples(code.alpha, *gaussians, [syn.u_tilde + code.alpha * ell], [syn.v_tilde])[0, 0]
+                         * cmath.exp(-1j * code.alpha * ell * syn.v_tilde) for ell in (0, 1)])
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ALPHA, random_state
+from conftest import ALPHA, closed_form_state, closed_form_states, random_state
+from erf_reference import zak_samples
 from zakgkp import (
     GaussianComb,
     IdealZakState,
@@ -385,3 +386,21 @@ def test_apply_z_allocates_only_its_result(code):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * kicked.samples.nbytes
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@closed_form_states
+def test_phases_and_the_v_translate_match_the_closed_form(code, n, delta, which):
+    # the samples summed over the Gaussians times exp(i t u) or exp(i t v), and summed at v - t
+    # for whole steps, one past a v period: pins each phase's coordinate and sign and the
+    # translate's direction and free wrap (the relative errors are 1.8e-14 at most)
+    psi, gaussians = closed_form_state(delta, which, n)
+    u, v = psi.grid.u_values(), psi.grid.v_values()
+    want = zak_samples(code.alpha, *gaussians, u, v)
+    tol = 1e-13 * np.max(np.abs(want))
+    for t in (0.7, -2.3):
+        assert np.max(np.abs(apply_phase_u(psi, t).samples - np.exp(1j * t * u)[:, None] * want)) <= tol
+        assert np.max(np.abs(apply_phase_v(psi, t).samples - np.exp(1j * t * v) * want)) <= tol
+    for steps in (3, -5, n + 2):
+        t = steps * psi.grid.dv
+        assert np.max(np.abs(apply_translate_v(psi, t).samples - zak_samples(code.alpha, *gaussians, u, v - t))) <= tol
