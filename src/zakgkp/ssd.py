@@ -215,14 +215,16 @@ def pp_bridge_inverse(modes: PPGaugeModes) -> SSDState:
     factor ``exp(+i b m v_min)``, frequency ``m`` fills bin ``m mod nv``, and
     one unnormalized length-nv inverse DFT per gauge column, O(nv log nv),
     writes the samples straight into one half of the full mode's C-contiguous
-    ``(2 nu, nv)`` array.  ``modes`` is a PPGaugeModes whose ``coeffs`` are two arrays of one
-    ``(nv, nu)`` shape that ``code.gauge_grid(nu, nv)`` accepts; anything else raises ValueError.
+    ``(2 nu, nv)`` array.  ``modes`` is a PPGaugeModes whose ``coeffs`` are two arrays of
+    numbers of one ``(nv, nu)`` shape that ``code.gauge_grid(nu, nv)`` accepts; anything else
+    raises ValueError.
     """
     code = _kind(modes, PPGaugeModes, "pp_bridge_inverse takes the PPGaugeModes that pp_bridge returns").code
     if len(_kind(modes.coeffs, (tuple, list), "pp_bridge_inverse takes coeffs of two arrays")) != 2:
         raise ValueError(f"coeffs must hold two arrays, got {len(modes.coeffs)}")
     for coeff in modes.coeffs:
-        _kind(coeff, np.ndarray, "pp_bridge_inverse takes coeffs of two arrays")
+        if _kind(coeff, np.ndarray, "pp_bridge_inverse takes coeffs of two arrays").dtype.kind not in "iufc":
+            raise ValueError(f"coeffs must hold numbers, got {coeff.dtype}")
     if modes.coeffs[0].ndim != 2 or modes.coeffs[0].shape != modes.coeffs[1].shape:
         raise ValueError(f"coeffs must share one (nv, nu) shape, got {[c.shape for c in modes.coeffs]}")
     grid = modes.gauge_grid

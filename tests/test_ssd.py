@@ -515,6 +515,8 @@ def zeros(*shapes):
         # each once ended in Python's own error, an AttributeError or a TypeError
         pytest.param(([1, 2], [3, 4]), NOT_ARRAYS + "list$", id="lists"),
         pytest.param(None, NOT_ARRAYS + "NoneType$", id="None"),
+        # once numpy's own error from inside the synthesis
+        pytest.param((np.zeros((64, 16), "<U2"),) * 2, "coeffs must hold numbers, got <U2$", id="text"),
     ],
 )
 def test_pp_bridge_inverse_needs_two_arrays_of_one_gauge_grid_shape(code, coeffs, message):
