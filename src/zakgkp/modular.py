@@ -44,11 +44,11 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
     Raises ValueError for a period that is not positive and finite, a
     centering that is not finite, and an ``x`` that is not finite or has
     too many periods to count; every other ``x`` gets a ``frac`` inside the
-    window.  For ``|x|`` much larger than the period
-    the fractional part carries the usual floating-point cancellation
-    error, and when no count puts the rounded difference inside the
-    window, the left-closed bound is authoritative: ``frac`` is
-    ``-centering``, with the count that leaves the difference just below it.
+    window.  For ``|x|`` much larger than the period the fractional part
+    carries the usual floating-point cancellation error, and when no count
+    puts the rounded difference inside the window, the left-closed bound is
+    authoritative: ``frac`` is ``-centering``, with the count that leaves the
+    difference just below it.
     """
     # an int past the float range is refused as an infinity
     x, period, centering = _float(x), _float(period), _float(centering)
@@ -59,7 +59,7 @@ def split(x: float, period: float, centering: float) -> tuple[float, int]:
     try:
         n = math.floor((x + centering) / period)
     except (OverflowError, ValueError):  # an infinite or NaN quotient
-        raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {_shown(period)!r}") from None
+        raise ValueError(f"coordinate {x!r} is not finite, or too large to count in periods of {period!r}") from None
     # The rounded quotient can land one cell off when x sits within an ulp
     # of a boundary; repair deterministically instead of tolerating it.
     if x - n * period < -centering:

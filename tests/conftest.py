@@ -85,7 +85,7 @@ def mostly(ordinary, odd):
     return st.integers(0, 3).flatmap(lambda i: odd if i == 3 else ordinary)
 
 
-# ints past the float range, which the library takes as infinities of their sign
+#: numbers at the edges of the float range, and ints past it, which the library takes as infinities of their sign
 EXTREME = [0.0, -1.0, 1e-320, 1e-300, 1e-5, 1e5, 2.5e153, 1e200, 1e308, math.inf, -math.inf, math.nan,
            10**400, -10**400]
 #: the numbers the hypothesis tests of the library and the CLI draw
