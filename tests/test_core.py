@@ -36,13 +36,14 @@ from zakgkp import (
     convention_phase,
     from_ssd,
     inverse_zak_transform,
+    logical_from_overlap,
     pp_bridge,
     pp_bridge_inverse,
     stretch_rescale,
     to_ssd,
     zak_transform,
 )
-from zakgkp.core import MAX_TEETH, NODE_TOL, TabulatedState, comb_matrix
+from zakgkp.core import MAX_TEETH, NODE_TOL, CombMatrix, TabulatedState, comb_matrix
 from zakgkp.gkp import _gram
 from zakgkp.gridio import load_grid_binary, load_grid_csv, save_grid_binary, save_grid_csv
 
@@ -580,6 +581,31 @@ def test_windowed_comb_evaluates_scalars_and_far_points():
     assert np.array_equal(comb.evaluate(x), dense)
     assert comb.evaluate(0.0) == dense[0]
     assert np.shape(comb.evaluate(0.0)) == ()
+
+
+# a comb matrix built by hand once failed later, deep inside the maps or numpy
+@pytest.mark.contract("kind-rule")
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(lambda code, comb: logical_from_overlap(CombMatrix(comb.grid, comb.values.tolist(), comb.m, 0.0), code),
+                     "CombMatrix takes values as an array, not a list$", id="values-list"),
+        pytest.param(lambda code, comb: CombMatrix(comb.grid, comb.values[:, :-1], comb.m, 0.0),
+                     r"values must be float64 or complex128 of shape \(16, 9\), got float64 of shape \(16, 8\)$",
+                     id="values-narrow"),
+        pytest.param(lambda code, comb: CombMatrix(comb.grid, comb.values.astype(int), comb.m, 0.0),
+                     r"values must be float64 or complex128 of shape \(16, 9\), got int64 of shape \(16, 9\)$",
+                     id="values-int"),
+        pytest.param(lambda code, comb: CombMatrix(comb.grid, comb.values, "ab", 0.0),
+                     "CombMatrix takes m as an array, not a str$", id="m-str"),
+        pytest.param(lambda code, comb: CombMatrix(comb.grid, comb.values, comb.m[None], 0.0),
+                     r"the comb's m must be 1-d and finite, got array\(\[\[-4", id="m-2d"),
+    ],
+)
+def test_a_hand_built_comb_matrix_is_refused_at_the_entry(code, build, message):
+    comb = comb_matrix(VacuumState(), code.grid(16, 16), 4)
+    with pytest.raises(ValueError, match=message):
+        build(code, comb)
 
 
 def test_caller_array_is_copied(grid64):

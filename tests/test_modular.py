@@ -61,6 +61,22 @@ def test_non_positive_period_rejected():
         split(1.0, -2.0, 0.5)
 
 
+# a period or centering split cannot count with once returned a wrong count or named the coordinate
+@pytest.mark.contract("split-window")
+@pytest.mark.parametrize(
+    "period,centering,message",
+    [
+        pytest.param(math.inf, 0.5, "period must be positive and finite, got inf$", id="period-inf"),
+        pytest.param(math.nan, 0.5, "period must be positive and finite, got nan$", id="period-nan"),
+        pytest.param(1.0, math.nan, "centering must be finite, got nan$", id="centering-nan"),
+        pytest.param(1.0, math.inf, "centering must be finite, got inf$", id="centering-inf"),
+    ],
+)
+def test_a_period_or_centering_split_cannot_count_with_is_refused(period, centering, message):
+    with pytest.raises(ValueError, match=message):
+        split(1.0, period, centering)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
 def test_non_finite_coordinate_is_a_value_error(x):
     with pytest.raises(ValueError, match=re.escape(f"coordinate {x!r} is not finite, or too large to count")):
