@@ -25,7 +25,11 @@ binary format round-trips the patch parameters bit-exactly.
 All writers are atomic (temp file in the target directory, then rename).
 Grids are written in blocks of ``core.BLOCK_ROWS`` rows; a block holding a
 non-finite sample is refused before it is written, and no file is left
-behind.
+behind.  :func:`format_float` is the one definition of a number's text:
+CSV grid blocks are encoded by ``_csvtext`` (loaded on the first CSV grid
+write), which writes each number as that ``repr`` with numpy arrays and no
+Python object per number; point lists, grid headers and logical reports
+call :func:`format_float` itself.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ def _atomic_write(path, chunks, mode):
         with os.fdopen(fd, mode) as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                del chunk  # before the next one is made
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,22 +102,7 @@ def atomic_write_text(path, text: str):
 def _csv_header(grid):
     head = (format_float(grid.patch.u_min), format_float(grid.du), str(grid.nu),
             format_float(grid.patch.v_min), format_float(grid.dv), str(grid.nv))
-    return "u_min,du,Nu,v_min,dv,Nv\n" + ",".join(head) + "\nj,k,re,im\n"
-
-
-def _csv_rows(j, rows):
-    """The CSV lines of grid rows ``j ..``, one string per row; ``tolist()``'s floats
-    format as :func:`format_float` does."""
-    ks = [f",{k}," for k in range(rows.shape[1])]
-    # an imaginary part whose bits are all zero is +0.0, whose repr is "0.0"
-    zero_imag = ~rows.imag.view(np.uint64).any(axis=1)
-    for i in range(len(rows)):
-        prefix = str(j + i)
-        if zero_imag[i]:
-            yield "".join([f"{prefix}{k}{x!r},0.0\n" for k, x in zip(ks, rows[i].real.tolist())])
-        else:
-            re, im = rows[i].real.tolist(), rows[i].imag.tolist()
-            yield "".join([f"{prefix}{k}{x!r},{y!r}\n" for k, x, y in zip(ks, re, im)])
+    return ("u_min,du,Nu,v_min,dv,Nv\n" + ",".join(head) + "\nj,k,re,im\n").encode()
 
 
 def _binary_header(grid):
@@ -126,17 +116,18 @@ def _binary_rows(j, rows):
     return (np.ascontiguousarray(rows, dtype="<c16"),)
 
 
-def _save_grid(psi: ModularWavefunction, path, mode, header, encode):
-    """Write ``header(grid)``, then ``encode(j, rows)`` of each block of rows
-    ``j ..``.  Each block is checked first: a non-finite sample raises
-    :class:`NonFiniteError` naming the file and ``(j, k)``, and leaves no
-    file behind."""
+def _save_grid(psi: ModularWavefunction, path, mode, header, encoder):
+    """Write ``header(grid)``, then the chunks ``encode(j, rows)`` of each block
+    of rows ``j ..``, for ``encode = encoder(grid)``.  Each block is checked
+    first: a non-finite sample raises :class:`NonFiniteError` naming the file
+    and ``(j, k)``, and leaves no file behind."""
     _kind(psi, ModularWavefunction, "the grid writers take a grid state")
     path = os.fspath(path)
     samples = psi.samples
 
     def chunks():
         yield header(psi.grid)
+        encode = encoder(psi.grid)
         for j in range(0, psi.grid.nu, BLOCK_ROWS):
             yield from encode(j, _finite_rows(path, samples[j:j + BLOCK_ROWS], j))
 
@@ -144,7 +135,9 @@ def _save_grid(psi: ModularWavefunction, path, mode, header, encode):
 
 
 def save_grid_csv(psi: ModularWavefunction, path):
-    _save_grid(psi, path, "w", _csv_header, _csv_rows)
+    from ._csvtext import GridText  # loaded on the first CSV grid write
+
+    _save_grid(psi, path, "wb", _csv_header, GridText)
 
 
 def _numpy_parses_as_python(path):
@@ -261,7 +254,7 @@ def load_grid_csv(path) -> ModularWavefunction:
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
-    _save_grid(psi, path, "wb", _binary_header, _binary_rows)
+    _save_grid(psi, path, "wb", _binary_header, lambda grid: _binary_rows)
 
 
 def load_grid_binary(path) -> ModularWavefunction:

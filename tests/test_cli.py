@@ -672,10 +672,11 @@ def test_logical_and_sweep_never_hold_the_grid(tmp_path, args):
 
 @pytest.mark.parametrize("fmt,nu", [("bin", 512), ("csv", 256)])
 def test_zakplot_holds_the_grid_and_one_derived_grid(tmp_path, fmt, nu):
-    # the transform, one derived grid and a block of rows (2.12 and 2.18 grids
-    # measured); holding a real copy of each derived grid, and every CSV line,
-    # took 2.55 grids in bin and about 14 in csv.  csv at 256x256, because
-    # tracemalloc slows the per-sample formatting fourfold
+    # the transform, one derived grid and the writer's block or chunk of rows
+    # (2.03 and 2.19 grids measured); holding a real copy of each derived grid,
+    # and every CSV line, took 2.55 grids in bin and about 14 in csv.  csv at
+    # 256x256, where the CSV encoder's fixed-size chunk is the larger share of
+    # a grid
     args = ("zakplot", "--state", "gkp-approx:0.3:0", "--format", fmt)
     assert _peak_grids(args, tmp_path, nu, nu) <= 2.25
 

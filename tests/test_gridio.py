@@ -6,12 +6,15 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from zakgkp import GKPCode, IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword, gridio, to_ssd
@@ -196,6 +199,105 @@ def test_csv_formats_each_sample_as_format_float(code, tmp_path):
             z = samples[j, k]
             lines.append(f"{j},{k},{format_float(z.real)},{format_float(z.imag)}")
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _written_lines(samples):
+    """The sample lines ``save_grid_csv`` writes for ``samples``, on a grid of their shape."""
+    psi = ModularWavefunction(GKPCode().grid(*samples.shape), samples)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        save_grid_csv(psi, path)
+        with open(path, "rb") as fh:
+            return fh.read().split(b"\n", 3)[3]
+
+
+def _repr_lines(samples):
+    """The reference: ``j,k,re,im`` with each part's ``repr``."""
+    return "".join(f"{j},{k},{z.real!r},{z.imag!r}\n"
+                   for j, row in enumerate(samples.tolist()) for k, z in enumerate(row)).encode()
+
+
+def _block(values, real):
+    """A block of 4 rows and an even number of columns of ``values``: the real parts of a real
+    block (imaginary parts +0.0), or (re, im) pairs; padded with 1.0."""
+    values = list(values) + [1.0] * (-len(values) % (8 if real else 16))
+    x = np.array(values, dtype=np.float64)
+    return (x.astype(np.complex128) if real else x.view(np.complex128)).reshape(4, -1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1).filter(lambda bits: bits >> 52 & 0x7FF != 0x7FF), min_size=32, max_size=32),
+       st.booleans())
+def test_csv_numbers_are_repr_of_any_finite_float(bits, real):
+    # raw 64-bit patterns: every exponent, subnormals and signed zeros; a real block takes the
+    # encoder of real parts alone
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    samples = _block(x[:16], True) if real else _block(x, False)
+    assert _written_lines(samples) == _repr_lines(samples)
+
+
+_TENS = [float(f"1e{e}") for e in range(-323, 309)]
+
+
+@pytest.mark.parametrize(
+    "values,real",
+    [
+        pytest.param([0.0, -0.0, -0.0, 0.0], False, id="signed-zeros"),
+        # repr keeps one digit where Schubfach keeps two
+        pytest.param([5e-324, 1e-323, -2.5e-310, 2.225073858507201e-308], False, id="subnormals"),
+        pytest.param([2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308], False,
+                     id="least-normal-and-largest"),
+        # the exponent form starts at four zeros after the point and at 17 digits before it
+        pytest.param([1e-05, 0.0001, 1e16, 9999999999999998.0, -1e-05, -0.0001], False, id="exponent-form-edges"),
+        pytest.param([100.0, 123456.0, 1.0, 0.5, 2.0**52, 2.0**53], False, id="whole-numbers"),
+        # 18 exact digits, the last a 5: the two nearest 17-digit candidates tie, and the even one wins
+        pytest.param([1234567890123456.25, 1234567890123456.75, -2251799813685247.75], False, id="ties-to-even"),
+        pytest.param(_TENS + [math.nextafter(x, 0.0) for x in _TENS] + [math.nextafter(x, math.inf) for x in _TENS],
+                     False, id="powers-of-ten-and-neighbours"),
+        pytest.param([2.0**e for e in range(-1074, 1024)], False, id="powers-of-two"),
+        pytest.param([0.1, -2.5, 0.0, 1e-05, 5e-324, 1e300], True, id="real-block"),
+    ],
+)
+def test_csv_numbers_are_repr_in_each_case(values, real):
+    samples = _block(values, real)
+    assert _written_lines(samples) == _repr_lines(samples)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_csv_numbers_are_repr_on_a_grid_wider_than_a_chunk(code, real):
+    # 1002 columns: an index of four digits, and a chunk of one row
+    samples = random_state(code.grid(4, 1002), 81).samples
+    if real:
+        samples = samples.real.astype(np.complex128)
+    assert _written_lines(samples) == _repr_lines(samples)
+
+
+def test_csv_writes_a_negative_zero_imaginary_part_in_a_real_block():
+    # one imaginary part -0.0 among +0.0: the block is not real
+    samples = _block([0.25, 3.0, -7.5, 1e-20, 0.0, 8.0, 2e22, 0.125], True)
+    samples[2, 0] = complex(samples[2, 0].real, -0.0)
+    assert b"2,0,0.0,-0.0\n" in _written_lines(samples)
+    assert _written_lines(samples) == _repr_lines(samples)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_csv_write_peak_is_block_bounded(code, tmp_path, real):
+    # the encoder's buffers hold one chunk of rows, never the grid: a 512x512 write, of complex
+    # samples or of real ones, peaks under half a grid
+    psi = random_state(code.grid(512, 512), 80)
+    if real:
+        psi = ModularWavefunction(psi.grid, psi.samples.real.astype(np.complex128))
+    path = tmp_path / "grid.csv"
+    save_grid_csv(psi, path)  # the encoder's tables are built on the first write
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        save_grid_csv(psi, path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.samples.nbytes / 2
+    assert np.array_equal(load_grid_csv(path).samples, psi.samples)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])

@@ -2,7 +2,7 @@
 
     python tools/bytecheck.py OLD_SRC NEW_SRC
 
-Runs 26 commands: 25 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
+Runs 27 commands: 26 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
 ``logical`` and ``sweep``, on grid, tabulated and ideal states, in csv and bin,
 each expected to succeed (exit 0), to be refused as a configuration error
 (exit 2) or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
@@ -33,6 +33,9 @@ import tempfile
 # (expected exit code, command line)
 RUNS = [
     (0, "zakplot --state gkp-approx:0.3:0 --grid 64x64 --format csv --out zakplot.csv"),
+    # three 64-row blocks, the last one short, and an Nv that is no power of two: the CSV encoder's
+    # chunks of rows end inside each block, and its real-part chunks (_abs, _arg) at other rows
+    (0, "zakplot --state gkp-approx:0.3:0 --grid 136x100 --format csv --out zakplot_136x100.csv"),
     (0, "zakplot --state vacuum --grid 64x64 --format bin --out zakplot.bin"),
     (0, "zakplot --state gkp1 --out zakplot_ideal.csv"),
     (0, "shift-array --state gkp0 --out shift_ideal"),
