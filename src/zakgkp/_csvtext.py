@@ -45,9 +45,9 @@ def _u64(value):
     return np.array(value, dtype=np.uint64)
 
 
-_1, _2, _7, _8, _10, _16, _20, _32, _52, _56, _63 = map(_u64, (1, 2, 7, 8, 10, 16, 20, 32, 52, 56, 63))
+_1, _2, _4, _7, _8, _10, _16, _20, _32, _52, _56, _63 = map(_u64, (1, 2, 4, 7, 8, 10, 16, 20, 32, 52, 56, 63))
 _LOW32, _LOW63, _MANTISSA, _HIDDEN = map(_u64, (2**32 - 1, 2**63 - 1, 2**52 - 1, 2**52))
-_E4, _E8, _E16, _100 = map(_u64, (10**4, 10**8, 10**16, 100))
+_E4, _E8, _E16, _40, _100 = map(_u64, (10**4, 10**8, 10**16, 40, 100))
 
 
 def _exponent_tables():
@@ -157,24 +157,30 @@ def _digits(x):
     vbl += odd
     vbr -= odd
     # s = vb // 4 or t = s + 1: the one in the interval, or if both are, the nearer (ties to even s)
-    s4 = vb & ~np.uint64(3)
-    up = s4 + 4
+    s4 = vb >> _2
+    s4 <<= _2
+    up = s4 + _4
     up = up <= vbr
     t = vb & _7
     t = _TIE.take(t.view(np.intp))
-    t = np.where((vbl <= s4) != up, up, t)
+    # t ^= (s in) != (t in) and (t in) != t: where one of them is in, take it (no masked ufunc: faster)
+    alone = vbl <= s4
+    alone ^= up
+    up ^= t
+    alone &= up
+    t ^= alone
     vb >>= _2
     f = np.add(vb, t, dtype=np.uint64)
     # a multiple of 10 next to s that is alone in the interval has one digit fewer
     vb //= _10
-    vb *= 40
-    up = vb + 40
+    vb *= _40
+    up = vb + _40
     up = up <= vbr
     np.less_equal(vbl, vb, out=t)
     t ^= up
-    np.add(vb, 40, out=vb, where=up)
+    vb += up * _40
     vb >>= _2
-    np.copyto(f, vb, where=t)
+    np.putmask(f, t, vb)
     # f has 16 or 17 digits: 4.5e15 <= 2**52 <= f < 10 * 2**53
     short = f < _E16
     f *= _SCALE.take(short.view(np.uint8))
