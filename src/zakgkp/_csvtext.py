@@ -9,8 +9,8 @@ computes them; the powers are built once, from Python ints, when this module
 is imported.  Subnormals are the one case left to ``repr``: Schubfach keeps
 at least two digits where ``repr`` keeps one.
 
-Each number fills eight uint64 lanes of fixed slots, NUL where a slot is
-unused (bytes in memory order)::
+Each number fills eight little-endian uint64 lanes of fixed slots, NUL where
+a slot is unused (bytes in memory order)::
 
     lane 0     NUL x5, sign, the 0 of 0.ddd, first digit      (integer part)
     lanes 1-2  digits 2-17                                    (integer part)
@@ -38,6 +38,11 @@ import functools
 import numpy as np
 
 CHUNK = 768
+
+
+#: a lane: its bytes in memory are the text in order on any platform, its value is what the
+#: arithmetic sees
+_LANE = np.dtype("<u8")
 
 
 def _u64(value):
@@ -140,7 +145,7 @@ def _digits(x):
     key >>= _52  # 2 * biased exponent + the top significand bit
     c = bits & _MANTISSA
     key |= c != 0
-    key = key.view(np.intp)
+    key = key.view(np.int64)
     c |= _HIDDEN
     cp = np.empty((3, len(x)), dtype=np.uint64)  # 4c less the gap below, 4c, 4c plus the gap above
     np.left_shift(c, _2, out=cp[1])
@@ -162,7 +167,7 @@ def _digits(x):
     up = s4 + _4
     up = up <= vbr
     t = vb & _7
-    t = _TIE.take(t.view(np.intp))
+    t = _TIE.take(t.view(np.int64))
     # t ^= (s in) != (t in) and (t in) != t: where one of them is in, take it (no masked ufunc: faster)
     alone = vbl <= s4
     alone ^= up
@@ -283,7 +288,7 @@ def _number_tables(p):
     row[..., 31:48] = np.where((np.arange(17) >= digits) & (np.arange(17) < n[..., None]), 0xFF, 0)
     row[..., 27] = np.where((n > digits[..., 0]) | (b < 17), 0xFF, 0)  # a single digit takes no point: 1e-05
     row[..., 48] = np.where((n <= digits[..., 0]) & (b < 17), 0xFF, 0)  # d.0
-    return slots.view(np.uint64), before, masks.reshape(18 * 18, -1).view(np.uint64)
+    return slots.view(_LANE), before, masks.reshape(18 * 18, -1).view(_LANE)
 
 
 def _index_lanes(n, end, lanes):
@@ -297,7 +302,7 @@ def _index_lanes(n, end, lanes):
         text[:, end - 1 - width + p] = np.where(digit > 0, 48 + digit % 10, 0)
     text[0, end - 2] = ord("0")
     text[:, end - 1] = ord(",")
-    return text.view(np.uint64)
+    return text.view(_LANE)
 
 
 _COMMA, _NEWLINE = _u64(ord(",") << 48), _u64(ord("\n") << 48)
