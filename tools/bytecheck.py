@@ -34,7 +34,7 @@ import tempfile
 RUNS = [
     (0, "zakplot --state gkp-approx:0.3:0 --grid 64x64 --format csv --out zakplot.csv"),
     # three 64-row blocks, the last one short, and an Nv that is no power of two: the CSV encoder's
-    # chunks of rows end inside each block, and its real-part chunks (_abs, _arg) at other rows
+    # chunks of rows (seven here) end inside each block, in the grid and in its real _abs and _arg
     (0, "zakplot --state gkp-approx:0.3:0 --grid 136x100 --format csv --out zakplot_136x100.csv"),
     (0, "zakplot --state vacuum --grid 64x64 --format bin --out zakplot.bin"),
     (0, "zakplot --state gkp1 --out zakplot_ideal.csv"),
