@@ -291,16 +291,14 @@ def _number_tables(p):
     return slots.view(_LANE), before, masks.reshape(18 * 18, -1).view(_LANE)
 
 
-def _index_lanes(n, end, lanes):
-    """(n, lanes) uint64: the bytes of ``i,`` for each i < n, right-aligned to end before byte
-    ``end`` of the lanes and NUL elsewhere."""
+def _index_lanes(start, n, end, lanes):
+    """(n, lanes) lanes holding ``i,`` for each i from ``start``, right-aligned to end before byte
+    ``end`` and NUL elsewhere."""
     text = np.zeros((n, 8 * lanes), dtype=np.uint8)
-    i = np.arange(n)
-    width = len(str(max(n - 1, 0)))
-    for p in range(width):
-        digit = i // 10 ** (width - 1 - p)
-        text[:, end - 1 - width + p] = np.where(digit > 0, 48 + digit % 10, 0)
-    text[0, end - 2] = ord("0")
+    i = np.arange(start, start + n)
+    for p in range(len(str(start + n - 1))):  # the digit of 10**p
+        digit = i // 10**p
+        text[:, end - 2 - p] = np.where((digit > 0) | (p == 0), 48 + digit % 10, 0)
     text[:, end - 1] = ord(",")
     return text.view(_LANE)
 
@@ -315,20 +313,21 @@ class GridText:
     yields the text of rows ``j ..`` a chunk at a time."""
 
     def __init__(self, grid):
-        width = len(str(max(grid.nu, grid.nv) - 1)) + 1  # the digits of an index and its comma
+        self.width = width = len(str(max(grid.nu, grid.nv) - 1)) + 1  # an index's digits and comma
         self.front = p = -(-2 * width // 8)  # the lanes of j,k in front of a real part
-        self.j = _index_lanes(grid.nu, width, p)
-        self.k = _index_lanes(grid.nv, 2 * width, p)
+        self.k = _index_lanes(0, grid.nv, 2 * width, p)
         self.slots, self.before, self.masks = _number_tables(p)
 
     def __call__(self, j, rows):
         rows = np.ascontiguousarray(rows)
         real = not rows.view(np.uint64)[:, 1::2].any()  # every imaginary part's bits zero: +0.0
+        js = _index_lanes(j, len(rows), self.width, self.front)
         step = max(1, CHUNK // rows.shape[1])
         for i in range(0, len(rows), step):
-            yield self._text(j + i, rows[i:i + step], real)
+            yield self._text(js[i:i + step], rows[i:i + step], real)
 
-    def _text(self, j, rows, real):
+    def _text(self, js, rows, real):
+        """The text of ``rows``, whose j lanes are ``js``."""
         r, nv = rows.shape
         p = self.front
         x = (rows.real if real else rows.view(np.float64)).reshape(-1)
@@ -351,7 +350,7 @@ class GridText:
         del count
         lanes &= self.masks.take(before, axis=0)
         index = lanes.reshape(r, nv, -1)[:, :, :p] if real else lanes.reshape(r, nv, 2, -1)[:, :, 0, :p]
-        np.bitwise_or(self.j[j:j + r, None], self.k[None, :nv], out=index)
+        np.bitwise_or(js[:, None], self.k[None, :nv], out=index)
         text = lanes.tobytes()
         del lanes, index
         return text.translate(None, b"\0")

@@ -263,10 +263,11 @@ def test_csv_numbers_are_repr_in_each_case(values, real):
     assert _written_lines(samples) == _repr_lines(samples)
 
 
+@pytest.mark.parametrize("nu,nv", [(4, 1002), (1004, 2)], ids=["wide", "tall"])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def test_csv_numbers_are_repr_on_a_grid_wider_than_a_chunk(code, real):
-    # 1002 columns: an index of four digits, and a chunk of one row
-    samples = random_state(code.grid(4, 1002), 81).samples
+def test_csv_numbers_are_repr_with_four_digit_indices(code, nu, nv, real):
+    # 1002 columns: a chunk of one row; 1004 rows: a j of four digits in the last of 16 blocks
+    samples = random_state(code.grid(nu, nv), 81).samples
     if real:
         samples = samples.real.astype(np.complex128)
     assert _written_lines(samples) == _repr_lines(samples)
