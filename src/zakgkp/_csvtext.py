@@ -37,6 +37,8 @@ import functools
 
 import numpy as np
 
+# samples: with a real block's chunk at ~180 bytes per number, a 256x256 zakplot in csv, which
+# writes its real _abs and _arg grids with two grids alive, peaks under 2.25 grids
 CHUNK = 768
 
 
