@@ -10,10 +10,11 @@ CSV grid layout (numbers in shortest round-trip decimal form):
 
 The loader reconstructs the patch from ``a = du*Nu`` and
 ``b = 2*pi/(dv*Nv)``, exact for power-of-two sample counts.  The line reader
-defines a row.  numpy reads a file it accepts ``core.BLOCK_ROWS * Nv`` rows at
-a time from the file; on any refusal the line reader reads the body again from
-the data header and names the first bad line in file order.  A load peaks at
-no more than three grids.
+defines a row.  The body is read once, 32 KiB of lines at a time: numpy reads
+a block it accepts, and the line reader reads a block numpy refuses and names
+its first bad line, so the first in file order.  A load holds the samples,
+their seen mask and one block: at most three grids from 96x96 up, and a floor
+of 256 KiB.
 
 Binary grid layout: a 48-byte little-endian header
 
@@ -65,7 +66,10 @@ _HEADER = struct.Struct("<4sIIIdddd")
 _CSV_ROW = np.dtype([("j", np.int64), ("k", np.int64), ("re", np.float64), ("im", np.float64)])
 # the separators 0x1C-0x1F, which numpy's parser strips as whitespace but int()
 # and float() refuse
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# the bytes of lines a CSV load reads at a time, about 700 rows: it bounds the
+# memory a load holds beside the grid, whatever the grid's shape
+_BLOCK_BYTES = 32 << 10
 _WARNINGS_LOCK = threading.Lock()
 
 LOGICAL_REPORT_COLUMNS = (
@@ -116,7 +120,7 @@ def _binary_rows(j, rows):
     return (np.ascontiguousarray(rows, dtype="<c16"),)
 
 
-def _save_grid(psi: ModularWavefunction, path, mode, header, encoder):
+def _save_grid(psi: ModularWavefunction, path, header, encoder):
     """Write ``header(grid)``, then the chunks ``encode(j, rows)`` of each block
     of rows ``j ..``, for ``encode = encoder(grid)``.  Each block is checked
     first: a non-finite sample raises :class:`NonFiniteError` naming the file
@@ -131,34 +135,13 @@ def _save_grid(psi: ModularWavefunction, path, mode, header, encoder):
         for j in range(0, psi.grid.nu, BLOCK_ROWS):
             yield from encode(j, _finite_rows(path, samples[j:j + BLOCK_ROWS], j))
 
-    _atomic_write(path, chunks(), mode)
+    _atomic_write(path, chunks(), "wb")
 
 
 def save_grid_csv(psi: ModularWavefunction, path):
     from ._csvtext import GridText  # loaded on the first CSV grid write
 
-    _save_grid(psi, path, "wb", _csv_header, GridText)
-
-
-def _numpy_parses_as_python(path):
-    """Whether the file is ASCII and holds none of the separators numpy's parser
-    strips as whitespace, so that numpy reads it as ``int()`` and ``float()`` do."""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
-                return False
-    return True
-
-
-def _load_block(fh, rows):
-    """``np.loadtxt`` of the next ``rows`` CSV rows of ``fh``; blank lines are not
-    rows.  numpy versions that parse an integer field such as ``3.0`` through a
-    float only warn; here that refuses the block, as ``int()`` refuses the field."""
-    # the lock keeps two loads from restoring each other's warning filters
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1, max_rows=rows)
+    _save_grid(psi, path, _csv_header, GridText)
 
 
 def _scan_rows(path, lines, samples, seen):
@@ -183,33 +166,35 @@ def _scan_rows(path, lines, samples, seen):
         flat[i] = value
 
 
-def _scatter_rows(rows, samples, seen):
-    """Write rows numpy parsed into ``samples``, marking ``seen``; an index outside
-    the grid or seen before raises a bare ValueError, for :func:`_scan_rows` to name."""
+def _numpy_reads(lines, samples, seen):
+    """Whether numpy read the CSV ``lines`` into ``samples``, marking ``seen``.  A
+    refusal (a separator, a line numpy rejects, an index outside the grid or seen
+    before) leaves both as they were, for :func:`_scan_rows` to read the lines
+    again.  numpy versions that parse an integer field such as ``3.0`` through a
+    float only warn; here that refuses the lines, as ``int()`` refuses the field."""
+    text = "".join(lines)
+    if any(sep in text for sep in _SEPARATORS):
+        return False
+    try:
+        # the lock keeps two loads from restoring each other's warning filters
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # lines without a row
+            rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return False
     nu, nv = samples.shape
     j, k = rows["j"], rows["k"]
-    if j.min() < 0 or j.max() >= nu or k.min() < 0 or k.max() >= nv:
-        raise ValueError
+    if ((j < 0) | (j >= nu) | (k < 0) | (k >= nv)).any():
+        return False
     index = j * nv + k
-    count = np.count_nonzero(seen)
+    # a sample an earlier block gave, or one these lines give twice
+    if seen[index].any() or (np.diff(np.sort(index)) == 0).any():
+        return False
     seen[index] = True
-    if np.count_nonzero(seen) - count != len(index):
-        raise ValueError
     flat = samples.reshape(-1)
     flat.real[index] = rows["re"]
     flat.imag[index] = rows["im"]
-
-
-def _numpy_reads(fh, body, samples, seen):
-    """Whether numpy read the rest of ``fh`` into ``samples``, ``BLOCK_ROWS * Nv`` rows
-    at a time; a refusal clears ``seen`` and seeks back to the data header ``body``."""
-    try:
-        while len(rows := _load_block(fh, BLOCK_ROWS * samples.shape[1])):
-            _scatter_rows(rows, samples, seen)
-    except (ValueError, DeprecationWarning):
-        fh.seek(body)
-        seen[:] = False
-        return False
     return True
 
 
@@ -232,16 +217,16 @@ def load_grid_csv(path) -> ModularWavefunction:
                 raise ValueError(f"{path}: bad grid line {grid_line!r}: {exc}") from None
             if fh.readline().strip() != "j,k,re,im":
                 raise ValueError(f"{path}: missing j,k,re,im data header")
-            body = fh.tell()
             # a row takes at least 8 bytes ("0,0,0,0\n"), the last one 7
-            left = os.fstat(fh.fileno()).st_size - body
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
             if left < 8 * nu * nv - 1:
                 raise ValueError(f"{path}: {left} bytes after the headers cannot hold "
                                  f"the {nu * nv} samples of a {nu}x{nv} grid")
             samples = np.empty((nu, nv), dtype=np.complex128)
             seen = np.zeros(nu * nv, dtype=bool)
-            if not (_numpy_parses_as_python(path) and _numpy_reads(fh, body, samples, seen)):
-                _scan_rows(path, fh, samples, seen)
+            while lines := fh.readlines(_BLOCK_BYTES):
+                if not _numpy_reads(lines, samples, seen):
+                    _scan_rows(path, lines, samples, seen)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not an ASCII file: {exc}") from None
     if not seen.all():
@@ -254,7 +239,7 @@ def load_grid_csv(path) -> ModularWavefunction:
 
 
 def save_grid_binary(psi: ModularWavefunction, path):
-    _save_grid(psi, path, "wb", _binary_header, lambda grid: _binary_rows)
+    _save_grid(psi, path, _binary_header, lambda grid: _binary_rows)
 
 
 def load_grid_binary(path) -> ModularWavefunction:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import random
@@ -504,16 +503,17 @@ def test_csv_round_trip_is_bitwise_across_row_blocks(code, tmp_path, nu, nv):
 
 
 def test_csv_loads_shuffled_rows_and_blank_lines(code, tmp_path):
-    psi = special_samples(code.grid(68, 4), 3)  # 272 rows, blocks of 256 lines
+    psi = special_samples(code.grid(544, 4), 3)  # 2176 rows, three 32 KiB read blocks and more
     path = tmp_path / "grid.csv"
     save_grid_csv(psi, path)
     lines = path.read_text().splitlines()
     head, body = lines[:3], lines[3:]
     random.Random(4).shuffle(body)
-    # blank lines inside the first block, at a block start, and a trailing run
+    # blank lines inside the first block, whitespace in a later one, and a trailing
+    # run longer than a block
     body[10:10] = [""] * 3
-    body[256:256] = ["", "  ", "\t"]
-    path.write_text("\n".join(head + body + [""] * 300) + "\n")
+    body[1500:1500] = ["", "  ", "\t"]
+    path.write_text("\n".join(head + body + [""] * 40000) + "\n")
     assert np.array_equal(bits(load_strict(path).samples), bits(psi.samples))
 
 
@@ -537,9 +537,10 @@ def test_csv_body_without_rows_is_missing_every_sample_without_a_numpy_warning(c
 
 
 def block_lines(code, tmp_path):
-    """A 136x4 grid file: its 544 rows are two full 256-line blocks and a short one."""
+    """A 1088x4 grid file: its 4352 rows, sample (j, k) in row 4j + k, fill six 32 KiB
+    read blocks of about 710 rows and a short seventh."""
     path = tmp_path / "grid.csv"
-    save_grid_csv(random_state(code.grid(136, 4), 77), path)
+    save_grid_csv(random_state(code.grid(1088, 4), 77), path)
     return path, path.read_text().splitlines()
 
 
@@ -551,13 +552,14 @@ def _with_row(lines, n, row):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        # body row 300, sample (75, 0), lies in the second block
-        (lambda lines: _with_row(lines, 300, lines[3 + 300] + "#note"), r"expected j,k,re,im, got '75,0,.*#note"),
-        (lambda lines: _with_row(lines, 300, "75.0" + lines[3 + 300][2:]), r"expected j,k,re,im, got '75\.0,0,"),
-        (lambda lines: _with_row(lines, 300, lines[3 + 300] + ",0.5"), r"expected j,k,re,im, got '75,0,.*,0\.5"),
-        # row 255 ends the first block, row 256 opens the second
-        (lambda lines: _with_row(lines, 256, lines[3 + 255]), r"sample \(63, 3\) appears more than once"),
-        (lambda lines: _with_row(lines, 540, "136," + lines[3 + 540].split(",", 1)[1]), r"sample index \(136, 0\) lies outside the 136x4 grid"),
+        # body row 3000, sample (750, 0), lies in the fifth block
+        (lambda lines: _with_row(lines, 3000, lines[3 + 3000] + "#note"), r"expected j,k,re,im, got '750,0,.*#note"),
+        (lambda lines: _with_row(lines, 3000, "750.0" + lines[3 + 3000][3:]), r"expected j,k,re,im, got '750\.0,0,"),
+        (lambda lines: _with_row(lines, 3000, lines[3 + 3000] + ",0.5"), r"expected j,k,re,im, got '750,0,.*,0\.5"),
+        # row 2000 repeats row 100, two blocks back
+        (lambda lines: _with_row(lines, 2000, lines[3 + 100]), r"sample \(25, 0\) appears more than once"),
+        (lambda lines: _with_row(lines, 4340, "1088," + lines[3 + 4340].split(",", 1)[1]),
+         r"sample index \(1088, 0\) lies outside the 1088x4 grid"),
     ],
     ids=["comment", "float-index", "five-fields", "repeat-across-blocks", "outside-in-last-block"],
 )
@@ -580,7 +582,7 @@ def test_csv_refuses_malformed_rows_in_any_block_naming_the_file(code, tmp_path,
 )
 def test_csv_reports_the_first_bad_line_of_a_block_whatever_its_kind(code, tmp_path, first, later, message):
     path, lines = block_lines(code, tmp_path)
-    lines = _with_row(_with_row(lines, 270, first), 280, later)
+    lines = _with_row(_with_row(lines, 2270, first), 2280, later)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_grid_csv(path)
@@ -604,52 +606,61 @@ def test_csv_reads_fields_as_int_and_float_do(code, tmp_path, row, loads):
             load_grid_csv(path)
 
 
-@pytest.mark.parametrize("start", [0, 256], ids=["first-block", "second-block"])
+@pytest.mark.parametrize("start", [0, 800], ids=["first-block", "second-block"])
 def test_csv_numpy_refusal_in_either_block_loads_through_the_line_reader(code, tmp_path, monkeypatch, start):
-    # numpy refuses the underscore (body row start + 100) and the whitespace-only line
-    # (before row start + 200); the line reader reads both, so the file loads bit for bit
+    # numpy refuses the underscore (body row start + 100) and, two blocks on, the
+    # whitespace-only line (before row start + 1600); the line reader reads both, so the
+    # file loads bit for bit, and it reads the lines of those two blocks alone
     path, lines = block_lines(code, tmp_path)
     expected = load_grid_csv(path).samples
     j, k, re, im = lines[3 + start + 100].split(",")
     cut = next(i for i in range(1, len(re)) if re[i - 1].isdigit() and re[i].isdigit())
-    lines = _with_row(lines, start + 100, f"{j},{k},{re[:cut]}_{re[cut:]},{im}")
-    lines.insert(3 + start + 200, "  ")
+    underscore = f"{j},{k},{re[:cut]}_{re[cut:]},{im}"
+    lines = _with_row(lines, start + 100, underscore)
+    lines.insert(3 + start + 1600, "  ")
     path.write_text("\n".join(lines) + "\n")
     scans = []
     scan_rows = gridio._scan_rows
-    monkeypatch.setattr(gridio, "_scan_rows", lambda *args: scans.append(scan_rows(*args)))
+
+    def scan_recorded(path, lines, samples, seen):
+        scans.append(lines := list(lines))
+        scan_rows(path, lines, samples, seen)
+
+    monkeypatch.setattr(gridio, "_scan_rows", scan_recorded)
     assert np.array_equal(bits(load_strict(path).samples), bits(expected))
-    assert len(scans) == 1
+    assert [[line for line in scan if line in (underscore + "\n", "  \n")] for scan in scans] == [
+        [underscore + "\n"], ["  \n"]]
+    # readlines(hint) stops at the line that reaches the hint
+    assert all(sum(map(len, scan[:-1])) < gridio._BLOCK_BYTES for scan in scans)
 
 
 def test_csv_refuses_an_index_numpy_reads_through_a_float_with_a_warning(code, tmp_path, monkeypatch):
     # numpy versions that parse "75.0" for an integer field warn and go on
     loadtxt = np.loadtxt
 
-    def warning_loadtxt(fh, max_rows, **kwargs):
-        lines = list(itertools.islice(fh, max_rows))
+    def warning_loadtxt(lines, **kwargs):
         if any("." in line.split(",", 1)[0] for line in lines):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
             lines = [line.replace(".0,", ",", 1) for line in lines]
-        return loadtxt(lines, max_rows=max_rows, **kwargs)
+        return loadtxt(lines, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     path, lines = block_lines(code, tmp_path)
-    path.write_text("\n".join(_with_row(lines, 300, "75.0" + lines[3 + 300][2:])) + "\n")
+    path.write_text("\n".join(_with_row(lines, 3000, "750.0" + lines[3 + 3000][3:])) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '75\.0,0,"):
+        with pytest.raises(ValueError, match=r"grid\.csv: expected j,k,re,im, got '750\.0,0,"):
             load_grid_csv(path)
     assert caught == []
 
 
-# edits of a saved 96x96 grid, whose 9216 body rows are a block of 6144 and one of
-# 3072, each with the outcome the line reader gives it (None: the file loads)
+# edits of a saved 96x96 grid, whose 9216 body rows fill thirteen 32 KiB read blocks of
+# about 710 rows, each with the outcome the line reader gives it (None: the file loads)
 DIFFERENTIAL_EDITS = {
     "non-ascii-early": (lambda lines: _with_row(lines, 10, lines[3 + 10] + "\u00e9"), r"not an ASCII file"),
     "non-ascii-late": (lambda lines: _with_row(lines, 9000, lines[3 + 9000] + "\u00e9"), r"not an ASCII file"),
-    "repeat-across-blocks": (lambda lines: _with_row(lines, 6144, lines[3 + 6143]),
-                             r"sample \(63, 95\) appears more than once"),
+    "repeat-across-blocks": (lambda lines: _with_row(lines, 6144, lines[3 + 100]),
+                             r"sample \(1, 4\) appears more than once"),
     "outside-then-malformed": (lambda lines: _with_row(_with_row(lines, 100, "96" + lines[3 + 100][1:]), 200, "0,1,2"),
                                r"sample index \(96, 4\) lies outside the 96x96 grid"),
     "malformed-then-outside": (lambda lines: _with_row(_with_row(lines, 100, "0,1,2"), 7000, "-1" + lines[3 + 7000][2:]),
@@ -659,13 +670,23 @@ DIFFERENTIAL_EDITS = {
     "extra-row": (lambda lines: lines + [lines[3 + 1234]], r"sample \(12, 82\) appears more than once"),
     "missing-rows": (lambda lines: lines[:-10], r"10 of 9216 samples missing, the first at \(95, 86\)"),
     "blank-lines": (lambda lines: lines[:3] + [""] * 3 + lines[3:6147] + ["", ""] + lines[6147:] + [""] * 5, None),
+    # the loader reads a block's lines before it reads its rows, so a non-ASCII byte in the
+    # same block as a malformed row (the first block ends near row 720) is the one refused;
+    # a malformed row in an earlier block is refused first
+    "malformed-then-non-ascii-near": (lambda lines: _with_row(_with_row(lines, 10, "0,1,2"), 100, lines[3 + 100] + "\u00e9"),
+                                      r"not an ASCII file"),
+    "malformed-then-non-ascii-far": (lambda lines: _with_row(_with_row(lines, 10, "0,1,2"), 300, lines[3 + 300] + "\u00e9"),
+                                     r"not an ASCII file"),
+    "malformed-then-non-ascii-blocks-later": (
+        lambda lines: _with_row(_with_row(lines, 10, "0,1,2"), 5000, lines[3 + 5000] + "\u00e9"),
+        r"expected j,k,re,im, got '0,1,2\\n'"),
     "float-index": (lambda lines: _with_row(lines, 7000, "72.0" + lines[3 + 7000][2:]), r"expected j,k,re,im, got '72\.0,"),
 }
 
 
 @pytest.mark.parametrize("edit", DIFFERENTIAL_EDITS)
 def test_csv_load_matches_the_line_reader_alone(code, tmp_path, monkeypatch, edit):
-    # load_grid_csv gives the bits or the message of _scan_rows over the whole body
+    # load_grid_csv gives the bits or the message of _scan_rows alone
     change, message = DIFFERENTIAL_EDITS[edit]
     path = tmp_path / "grid.csv"
     save_grid_csv(random_state(code.grid(96, 96), 79), path)
@@ -678,7 +699,7 @@ def test_csv_load_matches_the_line_reader_alone(code, tmp_path, monkeypatch, edi
             return str(exc)
 
     got = outcome()
-    monkeypatch.setattr(gridio, "_numpy_parses_as_python", lambda path: False)
+    monkeypatch.setattr(gridio, "_numpy_reads", lambda lines, samples, seen: False)
     assert outcome() == got
     if message is None:
         assert isinstance(got, bytes)
@@ -730,17 +751,22 @@ def load_peak(path):
 
 
 def test_csv_load_peak_is_at_most_three_grids(code, tmp_path):
-    psi = random_state(code.grid(256, 256), 78)
-    path = tmp_path / "grid.csv"
-    save_grid_csv(psi, path)
-    samples, peak = load_peak(path)
-    assert np.array_equal(samples, psi.samples)
-    assert peak <= 3 * psi.samples.nbytes
+    # a load holds the samples, their mask of seen samples (a sixteenth of a grid) and
+    # one block of lines, whatever the grid's shape: three grids from 96x96 up, and a
+    # floor of 256 KiB that a small grid such as 32x32 reaches
+    for nu, nv in ((256, 256), (96, 96), (16, 1024), (32, 32)):
+        psi = random_state(code.grid(nu, nv), 78)
+        path = tmp_path / "grid.csv"
+        save_grid_csv(psi, path)
+        samples, peak = load_peak(path)
+        assert np.array_equal(samples, psi.samples)
+        assert peak <= 17 / 16 * psi.samples.nbytes + (256 << 10), (nu, nv)
+        assert nu * nv < 96 * 96 or peak <= 3 * psi.samples.nbytes, (nu, nv)
 
 
 def test_csv_load_peak_is_at_most_three_grids_when_the_last_block_is_refused(code, tmp_path):
     # numpy refuses a whitespace-only line in the last block, so the line reader reads
-    # the whole body again into the same samples and seen mask
+    # that block's lines into the same samples and seen mask
     psi = random_state(code.grid(256, 256), 78)
     path = tmp_path / "grid.csv"
     save_grid_csv(psi, path)

@@ -17,11 +17,13 @@ on the aliased 64x16 grid, where ``Nv <= 2 m_max``, and a complex table at
 128x128, whose complex128 values the CLI never builds) it writes
 ``logical_from_overlap``, ``ec_channel_logical`` and ``stabilizer_residual``.  It also writes a saved
 96x90 grid into the current directory as CSV files under relative names, one
-with its rows shuffled among blank lines and four edits of it (a repeat across
-row blocks, an underscore, a separator and a malformed line late in the file),
-and writes what ``load_grid_csv`` reads from each: its samples or its exact
-message.  Floats are written with ``float.hex`` and arrays as the SHA-256 of
-their bytes, so two trees agree on a line only when they agree bit for bit.
+with its rows shuffled among blank lines and six edits of it (a repeat across
+read blocks, an underscore, a separator, a malformed line late in the file, a
+whitespace-only line in a middle block with a malformed line in a later one,
+and that whitespace-only line alone), and writes what ``load_grid_csv`` reads
+from each: its samples or its exact message.  Floats are written with
+``float.hex`` and arrays as the SHA-256 of their bytes, so two trees agree on
+a line only when they agree bit for bit.
 Every second state takes its EC maps before its plain ones.  :mod:`bytecheck`
 runs this under each tree: the CLI reaches none of these grid results, and
 reads no grid.
@@ -103,9 +105,9 @@ def comb_states(code):
 
 
 def csv_files(code):
-    """``(name, lines)`` of CSV grid files: a saved 96x90 grid, whose 8640 rows are
-    a block of 5760 and one of 2880, with its rows shuffled among blank lines, and
-    four edits of the saved rows."""
+    """``(name, lines)`` of CSV grid files: a saved 96x90 grid, whose 8640 rows fill
+    thirteen 32 KiB read blocks of 640 to 720 rows, with its rows shuffled among blank
+    lines, and six edits of the saved rows."""
     save_grid_csv(zak_transform(approx_codeword(code, 1, 0.3), code.grid(96, 90), 16), "grid96x90.csv")
     with open("grid96x90.csv", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -115,10 +117,13 @@ def csv_files(code):
     for at in (8640, 5760, 100, 0):
         shuffled[at:at] = ["", "  "]
     yield "shuffled.csv", head + shuffled
-    yield "repeat-across-blocks.csv", head + rows[:5760] + [rows[5759]] + rows[5761:]
+    yield "repeat-across-blocks.csv", head + rows[:5760] + [rows[100]] + rows[5761:]
     yield "underscore.csv", head + rows[:4000] + ["44,40,1_0.5,2"] + rows[4001:]
     yield "separator.csv", head + rows[:7000] + [rows[7000] + "\x1c"] + rows[7001:]
     yield "malformed-late.csv", head + rows[:8500] + ["94,40,0.5"] + rows[8501:]
+    # numpy refuses the block with the whitespace-only line, and the line reader reads it
+    yield "whitespace-then-malformed.csv", head + rows[:4000] + ["  "] + rows[4000:7500] + ["83,30,0.5"] + rows[7501:]
+    yield "whitespace.csv", head + rows[:4000] + ["  "] + rows[4000:]
 
 
 def loaded(name):
