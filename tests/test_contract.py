@@ -396,6 +396,13 @@ def test_library_refuses_each_input_it_once_passed_on(build, error, message):
     assert "np." not in str(exc.value)
 
 
+def test_each_refusal_row_names_a_contract_rule():
+    (table,) = (mark for mark in test_library_refuses_each_input_it_once_passed_on.pytestmark
+                if mark.name == "parametrize")
+    unkeyed = [row.id for row in table.args[1] if not any(mark.name == "contract" and mark.args for mark in row.marks)]
+    assert not unkeyed, f"refusal rows with no @pytest.mark.contract key: {unkeyed}"
+
+
 @pytest.mark.contract("operators")
 def test_an_overflowing_grid_phase_gives_nan_samples_without_a_warning():
     # documented: the writers and the logical maps refuse them

@@ -1,5 +1,5 @@
-"""How the tests stand: the test that pins each public callable to the independent reference, and
-test modules that import no other.
+"""How the tests stand: the test that pins each public callable to the independent reference, test
+modules that import no other, and a CLI test module whose every test runs the CLI.
 
 ``erf_reference.py`` computes each map from the Gaussians of a state with nothing from the
 library.  :data:`REFERENCE` names, for each class and function in the ``__all__`` of the six
@@ -98,3 +98,34 @@ def test_no_test_module_imports_another():
     found = {path.name: names for path in sorted(TESTS.glob("test_*.py"))
              if (names := [name for name in _imported(path) if name.split(".")[0].startswith("test_")])}
     assert not found, found
+
+
+# a call that runs the CLI: the module's ``run`` and ``main`` (cli.main), any function of ``cli``
+# (its parser too) and a subprocess
+CLI_CALLS = {"run", "main", "cli", "subprocess"}
+
+
+def _callees(fn):
+    """The names the function node ``fn`` calls: ``f`` for ``f(...)`` and ``m`` for ``m.f(...)``."""
+    for call in ast.walk(fn):
+        if isinstance(call, ast.Call):
+            func = call.func.value if isinstance(call.func, ast.Attribute) else call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+
+
+def _cli_drivers(path):
+    """``(tests, drivers)``: the names of the ``test_*`` functions of the module at ``path``, and of
+    its functions that drive the CLI, by calling it directly or through a function of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {fn.name: set(_callees(fn)) for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    drivers = set()
+    while more := {name for name, called in calls.items() if called & (CLI_CALLS | drivers)} - drivers:
+        drivers |= more
+    return {name for name in calls if name.startswith("test_")}, drivers
+
+
+def test_each_cli_test_drives_the_cli():
+    # what test_cli.py holds beside the CLI belongs with the module it tests
+    tests, drivers = _cli_drivers(TESTS / "test_cli.py")
+    assert not tests - drivers, f"tests in test_cli.py that never run the CLI: {sorted(tests - drivers)}"
