@@ -195,6 +195,15 @@ def _save_grid(psi, path, fmt):
         gridio.save_grid_csv(psi, path)
 
 
+def _unrecorded(manifest):
+    """Remove the file at path ``manifest``, if there is one, and return the path.  Each command calls
+    this just before its first write: a run that fails after it leaves no manifest beside outputs it
+    has replaced, and a run refused before it leaves the last run's outputs and manifest as they were."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
+    return manifest
+
+
 def _derived(psi, ufunc, *inputs):
     """The state whose samples' real parts one ``ufunc(*inputs, out=...)`` call fills."""
     samples = np.zeros_like(psi.samples)
@@ -205,15 +214,17 @@ def _derived(psi, ufunc, *inputs):
 def cmd_zakplot(cfg, code, grid, ell, state):
     out = cfg["out"]
     if isinstance(state, IdealZakState):
+        manifest = _unrecorded(out + ".manifest")
         gridio.save_point_list_csv(state, out)
     else:
         psi = zak_transform(state, grid, cfg["mmax"])
+        manifest = _unrecorded(out + ".manifest")
         _save_grid(psi, out, cfg["format"])
         # each derived grid is saved and freed before the next; arctan2(imag, real) is np.angle
         z, (stem, ext) = psi.samples, os.path.splitext(out)
         for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
             _save_grid(_derived(psi, ufunc, *inputs), f"{stem}{suffix}{ext}", cfg["format"])
-    return out + ".manifest"
+    return manifest
 
 
 def cmd_shift_array(cfg, code, grid, ell, state):
@@ -233,6 +244,7 @@ def cmd_shift_array(cfg, code, grid, ell, state):
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     ext = ".csv" if ideal or cfg["format"] == "csv" else ".bin"
+    manifest = _unrecorded(os.path.join(out_dir, "manifest"))
     try:
         # one Z panel at a time, X-shifted for every j
         for k in range(cfg["kmax"] + 1):
@@ -248,7 +260,7 @@ def cmd_shift_array(cfg, code, grid, ell, state):
         if created:  # everything in it is this run's
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    return os.path.join(out_dir, "manifest")
+    return manifest
 
 
 def _require_unit_mass(qubit, what):
@@ -267,8 +279,9 @@ def cmd_logical(cfg, code, grid, ell, state):
     qubit = logical(state, code)
     if not cfg["state"].startswith("tabulated:"):  # a table's counting norm depends on its spacing
         _require_unit_mass(qubit, f"state {cfg['state']!r}")
+    manifest = _unrecorded(cfg["out"] + ".manifest")
     gridio.atomic_write_text(cfg["out"], gridio.logical_report_csv(qubit))
-    return cfg["out"] + ".manifest"
+    return manifest
 
 
 def cmd_sweep(cfg, code, grid, ell, state):
@@ -286,12 +299,13 @@ def cmd_sweep(cfg, code, grid, ell, state):
         r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(ell), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))
+    manifest = _unrecorded(cfg["out"] + ".manifest")
     gridio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
-    return cfg["out"] + ".manifest"
+    return manifest
 
 
-# each command takes (cfg, code, grid, ell, state), writes its outputs and returns the path of
-# the manifest, which main writes after them
+# each command takes (cfg, code, grid, ell, state), removes the last run's manifest just before its
+# first write, writes its outputs and returns the path of the manifest, which main writes after them
 _COMMANDS = {
     "zakplot": (cmd_zakplot, "write magnitude and phase grids of a state"),
     "shift-array": (cmd_shift_array, "write a panel array of displaced states"),

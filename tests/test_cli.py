@@ -580,6 +580,51 @@ def test_overflowing_panel_phase_is_a_numerical_failure_without_a_warning(tmp_pa
     assert os.listdir(tmp_path) == []
 
 
+def _panels_16x2(out, *flags):
+    return run("shift-array", "--state", "vacuum", "--grid", "16x2", *flags, "--out", out)
+
+
+def _files(folder):
+    return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+def test_a_shift_array_that_fails_part_way_leaves_no_manifest(tmp_path, capsys):
+    # panels j1_k0 to j3_k0 are rewritten with dx = 2 du before Z(dy) overflows at k = 1
+    out = tmp_path / "panels"
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0) == 0
+    before = _files(out)
+    grid = GKPCode().grid(16, 2)
+    assert _panels_16x2(out, "--dx", repr(2 * grid.du), "--dy", repr(grid.dv * 2.0**1023), "--kmax", 1) == 3
+    assert "panel_j0_k1.csv: sample" in capsys.readouterr().err
+    after = _files(out)
+    assert [after[f"panel_j{j}_k0.csv"] != before[f"panel_j{j}_k0.csv"] for j in range(4)] == [False, True, True, True]
+    assert "manifest" not in after
+
+
+def test_a_zakplot_that_fails_part_way_leaves_no_manifest(tmp_path, capsys):
+    # the comb's transform replaces z.csv before the _abs write fails
+    out = tmp_path / "z.csv"
+    assert run("zakplot", "--state", "vacuum", "--grid", "16x16", "--out", out) == 0
+    vacuum = out.read_bytes()
+    (tmp_path / "z_abs.csv").unlink()
+    (tmp_path / "z_abs.csv").mkdir()
+    assert run("zakplot", "--state", "gkp-approx:0.5:0", "--grid", "16x16", "--out", out) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert out.read_bytes() != vacuum
+    assert not (tmp_path / "z.csv.manifest").exists()
+
+
+def test_a_refused_run_leaves_the_last_outputs_and_manifest(tmp_path, capsys):
+    # the panel step is refused before the first write
+    out = tmp_path / "panels"
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0) == 0
+    before = _files(out)
+    assert len(before) == 17
+    assert _panels_16x2(out, "--dx", 0.3) == 2
+    assert "panel steps" in capsys.readouterr().err
+    assert _files(out) == before
+
+
 @pytest.mark.parametrize(
     "table,rule",
     [
