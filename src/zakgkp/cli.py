@@ -4,8 +4,10 @@ Subcommands: ``zakplot`` (magnitude/phase grids of a state), ``shift-array``
 (a panel array of displaced states), ``logical`` (logical-qubit report) and
 ``sweep`` (approximation-quality table over a list of delta values).
 
-Flags override values from an optional ``key=value`` config file; the
-resolved configuration is echoed into a ``.manifest`` next to each output.
+Flags override values from an optional ``key=value`` config file.  Commands hand
+each output to ``main``'s ``write(path, output)``, whose first call removes the last
+run's manifest; ``main`` writes the new one, which echoes the resolved configuration,
+after the last output: ``<out>.manifest``, or ``<out>/manifest`` for ``shift-array``.
 All commands are deterministic functions of the configuration.  Exit
 codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
 The library states the rules for a table, grid, alpha, delta and panel step;
@@ -188,20 +190,14 @@ def _manifest_text(command, cfg):
     return "\n".join(lines) + "\n"
 
 
-def _save_grid(psi, path, fmt):
-    if fmt == "bin":
-        gridio.save_grid_binary(psi, path)
+def _write(path, output, fmt):
+    """Write an ideal state's point list (whatever ``fmt``), a grid state as a ``fmt`` grid, or a text."""
+    if isinstance(output, IdealZakState):
+        gridio.save_point_list_csv(output, path)
+    elif isinstance(output, str):
+        gridio.atomic_write_text(path, output)
     else:
-        gridio.save_grid_csv(psi, path)
-
-
-def _unrecorded(manifest):
-    """Remove the file at path ``manifest``, if there is one, and return the path.  Each command calls
-    this just before its first write: a run that fails after it leaves no manifest beside outputs it
-    has replaced, and a run refused before it leaves the last run's outputs and manifest as they were."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(manifest)
-    return manifest
+        (gridio.save_grid_binary if fmt == "bin" else gridio.save_grid_csv)(output, path)
 
 
 def _derived(psi, ufunc, *inputs):
@@ -211,23 +207,18 @@ def _derived(psi, ufunc, *inputs):
     return ModularWavefunction(psi.grid, _frozen(samples))
 
 
-def cmd_zakplot(cfg, code, grid, ell, state):
-    out = cfg["out"]
+def cmd_zakplot(cfg, code, grid, ell, state, write):
     if isinstance(state, IdealZakState):
-        manifest = _unrecorded(out + ".manifest")
-        gridio.save_point_list_csv(state, out)
-    else:
-        psi = zak_transform(state, grid, cfg["mmax"])
-        manifest = _unrecorded(out + ".manifest")
-        _save_grid(psi, out, cfg["format"])
-        # each derived grid is saved and freed before the next; arctan2(imag, real) is np.angle
-        z, (stem, ext) = psi.samples, os.path.splitext(out)
-        for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
-            _save_grid(_derived(psi, ufunc, *inputs), f"{stem}{suffix}{ext}", cfg["format"])
-    return manifest
+        return write(cfg["out"], state)
+    psi = zak_transform(state, grid, cfg["mmax"])
+    write(cfg["out"], psi)
+    # each derived grid is written and freed before the next; arctan2(imag, real) is np.angle
+    z, (stem, ext) = psi.samples, os.path.splitext(cfg["out"])
+    for suffix, ufunc, inputs in (("_abs", np.abs, (z,)), ("_arg", np.arctan2, (z.imag, z.real))):
+        write(f"{stem}{suffix}{ext}", _derived(psi, ufunc, *inputs))
 
 
-def cmd_shift_array(cfg, code, grid, ell, state):
+def cmd_shift_array(cfg, code, grid, ell, state, write):
     # the manifest echoes the steps used
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
@@ -240,27 +231,19 @@ def cmd_shift_array(cfg, code, grid, ell, state):
             grid.v_steps(dy), grid.v_steps(cfg["kmax"] * dy)
     if not ideal:
         state = zak_transform(state, grid, cfg["mmax"])
-    out_dir = cfg["out"]
-    created = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    created = not os.path.isdir(cfg["out"])
+    os.makedirs(cfg["out"], exist_ok=True)
     ext = ".csv" if ideal or cfg["format"] == "csv" else ".bin"
-    manifest = _unrecorded(os.path.join(out_dir, "manifest"))
     try:
         # one Z panel at a time, X-shifted for every j
         for k in range(cfg["kmax"] + 1):
             kicked = operators.apply_Z(state, k * dy)
             for j in range(cfg["jmax"] + 1):
-                panel = operators.apply_X(kicked, j * dx)
-                path = os.path.join(out_dir, f"panel_j{j}_k{k}{ext}")
-                if ideal:
-                    gridio.save_point_list_csv(panel, path)
-                else:
-                    _save_grid(panel, path, cfg["format"])
+                write(os.path.join(cfg["out"], f"panel_j{j}_k{k}{ext}"), operators.apply_X(kicked, j * dx))
     except BaseException:
         if created:  # everything in it is this run's
-            shutil.rmtree(out_dir, ignore_errors=True)
+            shutil.rmtree(cfg["out"], ignore_errors=True)
         raise
-    return manifest
 
 
 def _require_unit_mass(qubit, what):
@@ -270,7 +253,7 @@ def _require_unit_mass(qubit, what):
                        f"{qubit.raw_trace!r} for a state of norm 1, off by more than {NORM_DEFECT_TOL}")
 
 
-def cmd_logical(cfg, code, grid, ell, state):
+def cmd_logical(cfg, code, grid, ell, state, write):
     if not isinstance(state, IdealZakState):
         _require_gauge_halves("logical", code, grid)
         state = comb_matrix(state, grid, cfg["mmax"])
@@ -279,12 +262,10 @@ def cmd_logical(cfg, code, grid, ell, state):
     qubit = logical(state, code)
     if not cfg["state"].startswith("tabulated:"):  # a table's counting norm depends on its spacing
         _require_unit_mass(qubit, f"state {cfg['state']!r}")
-    manifest = _unrecorded(cfg["out"] + ".manifest")
-    gridio.atomic_write_text(cfg["out"], gridio.logical_report_csv(qubit))
-    return manifest
+    write(cfg["out"], gridio.logical_report_csv(qubit))
 
 
-def cmd_sweep(cfg, code, grid, ell, state):
+def cmd_sweep(cfg, code, grid, ell, state, write):
     with _refused(f"bad --deltas list {cfg['deltas']!r}"):
         deltas = [float(d) for d in cfg["deltas"].split(",") if d.strip()]
         states = [approx_codeword(code, ell, delta) for delta in deltas]
@@ -299,13 +280,10 @@ def cmd_sweep(cfg, code, grid, ell, state):
         r1, r2 = stabilizer_residual(comb, code)
         fields = [delta, qubit.fidelity(ell), qubit.purity, qubit.raw_trace, r1, r2]
         lines.append(",".join(gridio.format_float(x) for x in fields))
-    manifest = _unrecorded(cfg["out"] + ".manifest")
-    gridio.atomic_write_text(cfg["out"], "\n".join(lines) + "\n")
-    return manifest
+    write(cfg["out"], "\n".join(lines) + "\n")
 
 
-# each command takes (cfg, code, grid, ell, state), removes the last run's manifest just before its
-# first write, writes its outputs and returns the path of the manifest, which main writes after them
+# each command takes (cfg, code, grid, ell, state, write) and hands each output to write(path, output)
 _COMMANDS = {
     "zakplot": (cmd_zakplot, "write magnitude and phase grids of a state"),
     "shift-array": (cmd_shift_array, "write a panel array of displaced states"),
@@ -315,10 +293,7 @@ _COMMANDS = {
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="zakgkp",
-        description="Zak-domain numerics for the GKP code",
-    )
+    parser = argparse.ArgumentParser(prog="zakgkp", description="Zak-domain numerics for the GKP code")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -334,7 +309,17 @@ def main(argv=None) -> int:
     try:
         cfg, code, grid = _resolve_config(args)
         ell, state = _parse_state(cfg["state"], code)
-        manifest = _COMMANDS[args.command][0](cfg, code, grid, ell, state)
+        out, first = cfg["out"], [True]
+        manifest = os.path.join(out, "manifest") if args.command == "shift-array" else out + ".manifest"
+
+        def write(path, output):
+            if first:  # a run refused before this leaves the last run's outputs and manifest
+                first.clear()
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(manifest)
+            _write(path, output, cfg["format"])
+
+        _COMMANDS[args.command][0](cfg, code, grid, ell, state, write)
         gridio.atomic_write_text(manifest, _manifest_text(args.command, cfg))
         return 0
     except ConfigError as exc:
