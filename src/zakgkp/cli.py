@@ -6,7 +6,8 @@ Subcommands: ``zakplot`` (magnitude/phase grids of a state), ``shift-array``
 
 Flags override values from an optional ``key=value`` config file.  Commands hand
 each output to ``main``'s ``write(path, output)``, whose first call removes the last
-run's manifest; ``main`` writes the new one, which echoes the resolved configuration,
+run's manifest and the files of the command's own naming at ``--out`` (never a
+directory); ``main`` writes the new one, which echoes the resolved configuration,
 after the last output: ``<out>.manifest``, or ``<out>/manifest`` for ``shift-array``.
 All commands are deterministic functions of the configuration.  Exit
 codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import shutil
 import sys
 from typing import NamedTuple
@@ -51,6 +53,7 @@ from .gkp import (
 __all__ = ["main"]
 
 NORM_DEFECT_TOL = 1e-6  # |raw_trace - 1| past which logical and sweep refuse a state of norm 1 (README)
+_PANEL = re.compile(r"panel_j[0-9]+_k[0-9]+\.(csv|bin)")  # the name of a shift-array panel
 
 
 class _Key(NamedTuple):
@@ -200,6 +203,15 @@ def _write(path, output, fmt):
         (gridio.save_grid_binary if fmt == "bin" else gridio.save_grid_csv)(output, path)
 
 
+def _own_outputs(command, out):
+    """The files a last run of ``command`` may have left at ``out`` under the command's own naming:
+    the panels in a ``shift-array`` directory, the derived grids beside a ``zakplot`` output."""
+    if command == "shift-array":
+        return [os.path.join(out, name) for name in os.listdir(out) if _PANEL.fullmatch(name)]
+    stem, ext = os.path.splitext(out)
+    return [f"{stem}{suffix}{ext}" for suffix in ("_abs", "_arg")] if command == "zakplot" else []
+
+
 def _derived(psi, ufunc, *inputs):
     """The state whose samples' real parts one ``ufunc(*inputs, out=...)`` call fills."""
     samples = np.zeros_like(psi.samples)
@@ -315,8 +327,9 @@ def main(argv=None) -> int:
         def write(path, output):
             if first:  # a run refused before this leaves the last run's outputs and manifest
                 first.clear()
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(manifest)
+                for stale in [manifest, *_own_outputs(args.command, out)]:
+                    with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                        os.remove(stale)
             _write(path, output, cfg["format"])
 
         _COMMANDS[args.command][0](cfg, code, grid, ell, state, write)

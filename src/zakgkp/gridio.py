@@ -23,7 +23,8 @@ Binary grid layout: a 48-byte little-endian header
 followed by two f64 per sample (re, im), row-major in j then k.  The
 binary format round-trips the patch parameters bit-exactly.
 
-All writers are atomic (temp file in the target directory, then rename).
+All writers are atomic (temp file in the target directory, then rename), and
+each file takes the mode a plain write under the umask gives.
 Grids are written in blocks of ``core.BLOCK_ROWS`` rows; a block holding a
 non-finite sample is refused before it is written, and no file is left
 behind.  :func:`format_float` is the one definition of a number's text:
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 import threading
 import warnings
 
@@ -86,7 +86,8 @@ def format_float(x: float) -> str:
 def _atomic_write(path, chunks, mode):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zakgkp-tmp-")
+    tmp = os.path.join(directory, f".zakgkp-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask sets the mode
     try:
         with os.fdopen(fd, mode) as fh:
             for chunk in chunks:

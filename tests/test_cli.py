@@ -625,6 +625,48 @@ def test_a_refused_run_leaves_the_last_outputs_and_manifest(tmp_path, capsys):
     assert _files(out) == before
 
 
+def test_a_shift_array_rerun_with_fewer_panels_leaves_only_its_own(tmp_path):
+    out = tmp_path / "panels"
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0) == 0
+    assert len(_files(out)) == 17
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0, "--jmax", 1, "--kmax", 1) == 0
+    assert sorted(_files(out)) == ["manifest", *(f"panel_j{j}_k{k}.csv" for j in (0, 1) for k in (0, 1))]
+    assert "jmax=1\n" in (out / "manifest").read_text()
+
+
+def test_a_shift_array_rerun_in_bin_leaves_no_csv_panel(tmp_path):
+    # files of any other name, and directories, are not the command's own
+    out = tmp_path / "panels"
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0) == 0
+    (out / "notes.csv").write_text("kept\n")
+    (out / "panel_j9_k9.bin").mkdir()
+    assert _panels_16x2(out, "--dx", 0, "--dy", 0, "--jmax", 1, "--kmax", 1, "--format", "bin") == 0
+    assert sorted(os.listdir(out)) == ["manifest", "notes.csv", *(f"panel_j{j}_k{k}.bin" for j in (0, 1) for k in (0, 1)),
+                                       "panel_j9_k9.bin"]
+    assert (out / "notes.csv").read_text() == "kept\n" and (out / "panel_j9_k9.bin").is_dir()
+
+
+def test_a_zakplot_rerun_to_a_point_list_leaves_no_derived_grid(tmp_path):
+    out = tmp_path / "z.csv"
+    assert run("zakplot", "--state", "vacuum", "--grid", "16x16", "--out", out) == 0
+    assert sorted(os.listdir(tmp_path)) == ["z.csv", "z.csv.manifest", "z_abs.csv", "z_arg.csv"]
+    assert run("zakplot", "--state", "gkp0", "--out", out) == 0
+    assert sorted(os.listdir(tmp_path)) == ["z.csv", "z.csv.manifest"]
+    assert out.read_text().startswith("u,v,re,im\n") and "state=gkp0\n" in (tmp_path / "z.csv.manifest").read_text()
+
+
+def test_outputs_and_manifests_take_the_mode_the_umask_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run("zakplot", "--state", "vacuum", "--grid", "16x16", "--out", tmp_path / "z.csv") == 0
+        assert run("logical", "--state", "gkp0", "--out", tmp_path / "r.csv") == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+    names = ["r.csv", "r.csv.manifest", "z.csv", "z.csv.manifest", "z_abs.csv", "z_arg.csv"]
+    assert modes == dict.fromkeys(names, 0o644)
+
+
 @pytest.mark.parametrize(
     "table,rule",
     [
