@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,19 @@ def grid64(code):
 @pytest.fixture(scope="session")
 def vac64(code, grid64):
     return zak_transform(VacuumState(), grid64, 16)
+
+
+def traced(fn):
+    """``(fn(), peak, retained)``: the peak of the memory ``fn()`` allocated and the bytes still
+    allocated when it returned, result included, each above the start, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return result, peak - start, current - start
+    finally:
+        tracemalloc.stop()
 
 
 def random_state(grid, seed):

@@ -2,14 +2,13 @@ import argparse
 import math
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHA, EXTREME, comb_table, mostly, numbers
+from conftest import ALPHA, EXTREME, comb_table, mostly, numbers, traced
 from erf_reference import codeword_gaussians, zak_samples
 from zakgkp import (
     GKPCode, ModularWavefunction, TabulatedState, VacuumState, approx_codeword, cli, codeword, ec_channel_logical,
@@ -731,13 +730,9 @@ def test_an_overflowing_table_is_a_numerical_failure_of_logical(tmp_path, capsys
 
 def _peak_grids(args, tmp_path, nu=512, nv=512):
     """tracemalloc peak of one in-process command on an nu x nv grid, in units of that grid."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        assert run(*args, "--grid", f"{nu}x{nv}", "--out", tmp_path / "out") == 0
-        return (tracemalloc.get_traced_memory()[1] - start) / (nu * nv * 16)
-    finally:
-        tracemalloc.stop()
+    exit_code, peak, _ = traced(lambda: run(*args, "--grid", f"{nu}x{nv}", "--out", tmp_path / "out"))
+    assert exit_code == 0
+    return peak / (nu * nv * 16)
 
 
 @pytest.mark.parametrize(
@@ -762,6 +757,13 @@ def test_zakplot_holds_the_grid_and_one_derived_grid(tmp_path, fmt, nu):
     # a grid
     args = ("zakplot", "--state", "gkp-approx:0.3:0", "--format", fmt)
     assert _peak_grids(args, tmp_path, nu, nu) <= 2.25
+
+
+def test_shift_array_holds_the_transform_and_two_panels(tmp_path):
+    # the transform, the current Z panel and the X panel being written (3.27 grids measured); a
+    # local that kept the last X panel while the next was built took 4.27
+    args = ("shift-array", "--state", "gkp-approx:0.3:0", "--format", "bin")
+    assert _peak_grids(args, tmp_path, 384, 384) <= 3.5
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,13 @@ import cmath
 import importlib
 import inspect
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import zakgkp
-from conftest import ALPHA, closed_form_state, closed_form_states, comb_table
+from conftest import ALPHA, closed_form_state, closed_form_states, comb_table, traced
 from erf_reference import inverse_samples, zak_samples
 from zakgkp import (
     GKPCode,
@@ -695,13 +694,7 @@ def test_from_ssd_copies_components_it_cannot_adopt(code):
 def test_zak_transform_allocates_little_beyond_its_result(code):
     grid = code.grid(512, 512)
     comb = approx_codeword(code, 0, 0.1)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        psi = zak_transform(comb, grid, 16)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    psi, peak, _ = traced(lambda: zak_transform(comb, grid, 16))
     assert psi.samples.nbytes == 512 * 512 * 16
     assert peak <= 1.5 * psi.samples.nbytes
 
@@ -778,13 +771,8 @@ def test_tooth_cap_admits_delta_0_01_and_refuses_before_allocating(code):
     for ell in (0, 1):
         assert approx_codeword(code, ell, 0.01)._centers.size <= MAX_TEETH
         assert approx_codeword(code, ell, 0.0091)._centers.size <= MAX_TEETH
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="MAX_TEETH"):
-            approx_codeword(code, 1, 1e-6)  # about 1e7 teeth
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak, _ = traced(lambda: pytest.raises(ValueError, approx_codeword, code, 1, 1e-6))  # about 1e7 teeth
+    refusal.match("MAX_TEETH")
     assert peak < 100_000
 
 

@@ -3,13 +3,12 @@ import cmath
 import math
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA, closed_form_state, closed_form_states, comb_table, random_state
+from conftest import ALPHA, closed_form_state, closed_form_states, comb_table, random_state, traced
 from erf_reference import codeword_gaussians, erf_ec_gram, erf_gram, erf_residuals, vacuum_gaussians, zak_samples
 from zakgkp import (
     DegenerateLogicalError,
@@ -754,18 +753,6 @@ def test_overflowing_comb_gram_is_refused_without_a_warning(code):
             logical(comb, code)
 
 
-def _peak_and_retained(fn, nbytes):
-    """The peak of the memory ``fn()`` allocated, as a multiple of ``nbytes``, and the bytes it left."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        current, peak = tracemalloc.get_traced_memory()
-        return (peak - start) / nbytes, current - start
-    finally:
-        tracemalloc.stop()
-
-
 def _chain(psi, code):
     s = ssd.to_ssd(psi, code)
     return (ssd.gauge_trace(s), logical_from_overlap(psi, code), ssd.ec_gauge_trace(s),
@@ -790,8 +777,8 @@ def test_quadratic_statistics_form_no_grid_temporary(code, name):
         "stabilizer_residual": lambda: stabilizer_residual(psi, code),
         "chain": lambda: _chain(psi, code),
     }
-    peak, retained = _peak_and_retained(calls[name], psi.samples.nbytes)
-    assert peak <= 0.05
+    _, peak, retained = traced(calls[name])
+    assert peak / psi.samples.nbytes <= 0.05
     assert retained <= 16 * (grid.nu + grid.nv) + 4096
 
 

@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_state, traced
 from zakgkp import GKPCode, IdealZakState, LogicalQubit, ModularWavefunction, NonFiniteError, codeword, gridio, to_ssd
 from zakgkp.gridio import (
     _HEADER,
@@ -119,13 +118,7 @@ def test_binary_save_writes_the_documented_layout_on_a_stretched_patch(tmp_path)
 def test_binary_save_writes_samples_without_a_copy(code, tmp_path):
     psi = random_state(code.grid(256, 256), 73)
     path = tmp_path / "grid.bin"
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        save_grid_binary(psi, path)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(lambda: save_grid_binary(psi, path))
     assert peak < psi.samples.nbytes / 8
     loaded = load_grid_binary(path)
     assert np.array_equal(loaded.samples, psi.samples)
@@ -289,13 +282,7 @@ def test_csv_write_peak_is_block_bounded(code, tmp_path, real):
         psi = ModularWavefunction(psi.grid, psi.samples.real.astype(np.complex128))
     path = tmp_path / "grid.csv"
     save_grid_csv(psi, path)  # the encoder's tables are built on the first write
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        save_grid_csv(psi, path)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(lambda: save_grid_csv(psi, path))
     assert peak < psi.samples.nbytes / 2
     assert np.array_equal(load_grid_csv(path).samples, psi.samples)
 
@@ -719,14 +706,9 @@ def test_csv_refuses_a_grid_line_the_file_is_too_short_for(tmp_path):
     # every row takes at least 8 bytes, so the file is refused before any allocation
     path = tmp_path / "grid.csv"
     path.write_text("u_min,du,Nu,v_min,dv,Nv\n0.0,1.0,4000000,0.0,1.0,4000000\nj,k,re,im\n0,0,1.0,0.0\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"grid\.csv: 12 bytes after the headers cannot hold "
-                                             r"the 16000000000000 samples of a 4000000x4000000 grid"):
-            load_grid_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak, _ = traced(lambda: pytest.raises(ValueError, load_grid_csv, path))
+    refusal.match(r"grid\.csv: 12 bytes after the headers cannot hold "
+                  r"the 16000000000000 samples of a 4000000x4000000 grid")
     assert peak < 1 << 20
 
 
@@ -740,13 +722,7 @@ def test_csv_size_check_admits_minimal_rows(tmp_path):
 
 def load_peak(path):
     """The samples ``load_grid_csv`` reads from ``path`` and its traced peak in bytes."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        loaded = load_grid_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    loaded, peak, _ = traced(lambda: load_grid_csv(path))
     return loaded.samples, peak
 
 

@@ -1,11 +1,10 @@
 import cmath
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA, closed_form_state, closed_form_states, random_state
+from conftest import ALPHA, closed_form_state, closed_form_states, random_state, traced
 from erf_reference import zak_samples
 from zakgkp import (
     GaussianComb,
@@ -378,13 +377,7 @@ def test_x_is_roll_then_wrap_phase_bit_for_bit(code):
 
 def test_apply_z_allocates_only_its_result(code):
     psi = random_state(code.grid(512, 512), 93)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        kicked = apply_Z(psi, -5 * psi.grid.dv)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    kicked, peak, _ = traced(lambda: apply_Z(psi, -5 * psi.grid.dv))
     assert peak <= 1.2 * kicked.samples.nbytes
 
 

@@ -1,12 +1,11 @@
 import cmath
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA, closed_form_state, closed_form_states, random_state
+from conftest import ALPHA, closed_form_state, closed_form_states, random_state, traced
 from erf_reference import pp_coefficients
 from zakgkp import (
     GridMismatchError,
@@ -294,21 +293,10 @@ def test_ssd_shifts_match_full_mode_route_ideal(code, grid64):
             assert via_ssd.value_at(*point) == pytest.approx(w, abs=1e-10)
 
 
-def allocation_peak(f):
-    """``f()`` and the peak of the memory it allocated, as tracemalloc counts it."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = f()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_from_ssd_of_a_split_allocates_nothing(code):
     psi = random_state(code.grid(512, 512), 62)
     split = to_ssd(psi, code)
-    back, peak = allocation_peak(lambda: from_ssd(split))
+    back, peak, _ = traced(lambda: from_ssd(split))
     assert np.array_equal(back.samples, psi.samples)
     assert peak <= 0.01 * psi.samples.nbytes
 
@@ -317,7 +305,7 @@ def test_ssd_state_joins_its_components_in_one_array(code):
     # the components constructor stacks once: no allocation beyond the mode
     gauge = code.gauge_grid(256, 512)
     top, bottom = (random_state(gauge, seed) for seed in (66, 67))
-    s, peak = allocation_peak(lambda: SSDState(code, top, bottom))
+    s, peak, _ = traced(lambda: SSDState(code, top, bottom))
     assert np.array_equal(s.mode.samples, np.vstack([top.samples, bottom.samples]))
     assert all(np.shares_memory(g.samples, s.mode.samples) for g in s.gamma)
     assert peak <= 1.1 * s.mode.samples.nbytes
@@ -340,7 +328,7 @@ def test_apply_x_ssd_allocates_little_beyond_its_result(code, steps):
     # the full mode is the split's own array, so only the shifted result is new
     grid = code.grid(512, 512)
     s = to_ssd(random_state(grid, 61), code)
-    shifted, peak = allocation_peak(lambda: apply_X_ssd(s, steps * grid.du))
+    shifted, peak, _ = traced(lambda: apply_X_ssd(s, steps * grid.du))
     nbytes = 512 * 512 * 16
     assert shifted.gamma[0].samples.nbytes + shifted.gamma[1].samples.nbytes == nbytes
     assert peak <= 1.1 * nbytes
@@ -351,7 +339,7 @@ def test_apply_z_ssd_allocates_little_beyond_its_result(code, steps):
     # only the kicked result, phased as it is written
     grid = code.grid(512, 512)
     s = to_ssd(random_state(grid, 64), code)
-    kicked, peak = allocation_peak(lambda: apply_Z_ssd(s, steps * grid.dv))
+    kicked, peak, _ = traced(lambda: apply_Z_ssd(s, steps * grid.dv))
     nbytes = 512 * 512 * 16
     assert kicked.gamma[0].samples.nbytes + kicked.gamma[1].samples.nbytes == nbytes
     assert peak <= 1.2 * nbytes
@@ -570,10 +558,10 @@ def test_pp_bridge_allocates_little_beyond_its_result(code):
     # each direction: its result plus one component's scratch spectrum
     s = to_ssd(random_state(code.grid(512, 512), 63), code)
     nbytes = 512 * 512 * 16
-    modes, peak = allocation_peak(lambda: pp_bridge(s))
+    modes, peak, _ = traced(lambda: pp_bridge(s))
     assert sum(coeff.nbytes for coeff in modes.coeffs) == nbytes
     assert peak <= 1.6 * nbytes
-    back, peak = allocation_peak(lambda: pp_bridge_inverse(modes))
+    back, peak, _ = traced(lambda: pp_bridge_inverse(modes))
     assert back.gamma[0].samples.nbytes + back.gamma[1].samples.nbytes == nbytes
     assert peak <= 1.6 * nbytes
 
