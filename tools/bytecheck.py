@@ -8,17 +8,19 @@ each expected to succeed (exit 0), to be refused as a configuration error
 (exit 2) or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
 in-process results the CLI never reaches (a grid state's logical maps, residuals, norm, Kraus amplitudes and
 ``pp_bridge`` round trip, the maps and residuals of comb matrices the CLI never builds, and what
-``load_grid_csv`` reads from edited CSV files).  Each runs once
+``load_grid_csv`` reads from edited CSV files).  Each runs twice
 with each ``src`` tree first on ``PYTHONPATH``, each tree in its own temporary
-directory, which first holds the same ``table.csv`` for the tabulated runs.
-Every output file and manifest is compared byte for byte, and so
-is each exit code, which must also be the one listed, so that a tree that
-cannot run fails rather than matching another that cannot; stderr is not
-compared.  For each text file that differs, up to 20 differing lines are
+directory, which first holds the same ``table.csv`` for the tabulated runs: the
+second pass writes over the first pass's outputs, and a tree whose files after
+it differ from its files after the first fails, so a rerun must leave exactly
+what a first run leaves.  Every output file and manifest after the second pass
+is compared byte for byte between the trees, and so is each exit code of both
+passes, which must also be the one listed, so that a tree that cannot run fails
+rather than matching another that cannot; stderr is not compared.  For each text file that differs, up to 20 differing lines are
 printed with their line numbers on each side and their first two fields
 (``label  name`` in ``library.txt``).  Exits 1 on any difference, 0 when
-everything is identical.  With
-the same tree on both sides it checks that reruns are deterministic.
+everything is identical.  With the same tree on both sides it checks that
+reruns are deterministic.
 """
 
 from __future__ import annotations
@@ -80,11 +82,8 @@ def table_rows():
     return "".join(f"{x!r},{math.exp(-x * x / 2)!r},0.0\n" for x in xs)
 
 
-def run_all(src, workdir):
-    """Exit codes of COMMANDS under ``src`` and the bytes of every file they wrote."""
-    with open(os.path.join(workdir, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(table_rows())
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+def run_pass(workdir, env):
+    """Exit codes of COMMANDS in ``workdir`` and the bytes of every file there after them."""
     codes = [
         subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
@@ -97,6 +96,18 @@ def run_all(src, workdir):
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, workdir)] = fh.read()
     return codes, files
+
+
+def run_all(src, workdir):
+    """Exit codes of COMMANDS under ``src`` on two passes, the second over the first's outputs, as
+    ``(first, second)`` pairs; the bytes of every file after the second pass; and the names of the
+    files the second pass changed, added or removed."""
+    with open(os.path.join(workdir, "table.csv"), "w", encoding="utf-8") as fh:
+        fh.write(table_rows())
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    (first_codes, first), (codes, files) = run_pass(workdir, env), run_pass(workdir, env)
+    rerun = sorted(name for name in first.keys() | files.keys() if first.get(name) != files.get(name))
+    return list(zip(first_codes, codes)), files, rerun
 
 
 def differing_lines(old, new, limit=20):
@@ -133,10 +144,13 @@ def main(argv):
         for side, src in zip(("old", "new"), argv):
             os.mkdir(os.path.join(tmp, side))
             results.append(run_all(src, os.path.join(tmp, side)))
-    (old_codes, old_files), (new_codes, new_files) = results
+    (old_codes, old_files, old_rerun), (new_codes, new_files, new_rerun) = results
     # (difference, differing lines of a text file)
-    differ = [(f"exit codes {a}, {b} (expected {code}): {args}", [])
-              for (code, args, _), a, b in zip(COMMANDS, old_codes, new_codes) if not code == a == b]
+    differ = [(f"exit codes {a}, {b} on pass {n} (expected {code}): {args}", [])
+              for (code, args, _), old, new in zip(COMMANDS, old_codes, new_codes)
+              for n, (a, b) in enumerate(zip(old, new), 1) if not code == a == b]
+    differ += [(f"{side}: {name}: the second pass left other bytes than the first", [])
+               for side, rerun in (("old", old_rerun), ("new", new_rerun)) for name in rerun]
     for name in sorted(old_files.keys() | new_files.keys()):
         old, new = old_files.get(name), new_files.get(name)
         if old != new:
@@ -147,8 +161,8 @@ def main(argv):
         print(line)
         for entry in lines:
             print(f"  {entry}")
-    print(f"{len(COMMANDS)} runs, {len(old_files | new_files)} files: "
-          + (f"{len(differ)} differences" if differ else "byte-identical, exit codes as expected"))
+    print(f"{len(COMMANDS)} runs, each twice, {len(old_files | new_files)} files: "
+          + (f"{len(differ)} differences" if differ else "byte-identical, reruns unchanged, exit codes as expected"))
     return 1 if differ else 0
 
 
