@@ -235,7 +235,7 @@ def cmd_shift_array(cfg, code, grid, ell, state, write):
     dx = cfg["dx"] = cfg["dx"] if cfg["dx"] is not None else code.alpha / 3
     dy = cfg["dy"] = cfg["dy"] if cfg["dy"] is not None else math.pi / (2 * code.alpha)
     ideal = isinstance(state, IdealZakState)
-    with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):  # before the transform and the output directory
+    with _refused(f"panel steps dx={dx!r}, dy={dy!r}"):  # before the transform and the first write
         if ideal:  # the patch counts the largest panel's shifts, and its phase does not overflow
             operators.apply_X(operators.apply_Z(state, cfg["kmax"] * dy), cfg["jmax"] * dx)
         else:  # each step and largest shift is a grid multiple whose count a float holds
@@ -243,19 +243,11 @@ def cmd_shift_array(cfg, code, grid, ell, state, write):
             grid.v_steps(dy), grid.v_steps(cfg["kmax"] * dy)
     if not ideal:
         state = zak_transform(state, grid, cfg["mmax"])
-    created = not os.path.isdir(cfg["out"])
-    os.makedirs(cfg["out"], exist_ok=True)
     ext = ".csv" if ideal or cfg["format"] == "csv" else ".bin"
-    try:
-        # one Z panel at a time, X-shifted for every j
-        for k in range(cfg["kmax"] + 1):
-            kicked = operators.apply_Z(state, k * dy)
-            for j in range(cfg["jmax"] + 1):
-                write(os.path.join(cfg["out"], f"panel_j{j}_k{k}{ext}"), operators.apply_X(kicked, j * dx))
-    except BaseException:
-        if created:  # everything in it is this run's
-            shutil.rmtree(cfg["out"], ignore_errors=True)
-        raise
+    for k in range(cfg["kmax"] + 1):  # one Z panel at a time, X-shifted for every j
+        kicked = operators.apply_Z(state, k * dy)
+        for j in range(cfg["jmax"] + 1):
+            write(os.path.join(cfg["out"], f"panel_j{j}_k{k}{ext}"), operators.apply_X(kicked, j * dx))
 
 
 def _require_unit_mass(qubit, what):
@@ -318,6 +310,7 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made = []  # the shift-array directory, once write has made it: removed unless the run returns 0
     try:
         cfg, code, grid = _resolve_config(args)
         ell, state = _parse_state(cfg["state"], code)
@@ -327,6 +320,9 @@ def main(argv=None) -> int:
         def write(path, output):
             if first:  # a run refused before this leaves the last run's outputs and manifest
                 first.clear()
+                if args.command == "shift-array" and not os.path.isdir(out):
+                    os.mkdir(out)  # its parent must exist, as every command's --out's must
+                    made.append(out)
                 for stale in [manifest, *_own_outputs(args.command, out)]:
                     with contextlib.suppress(FileNotFoundError, IsADirectoryError):
                         os.remove(stale)
@@ -334,6 +330,7 @@ def main(argv=None) -> int:
 
         _COMMANDS[args.command][0](cfg, code, grid, ell, state, write)
         gridio.atomic_write_text(manifest, _manifest_text(args.command, cfg))
+        made.clear()
         return 0
     except ConfigError as exc:
         print(f"zakgkp: config error: {exc}", file=sys.stderr)
@@ -345,6 +342,9 @@ def main(argv=None) -> int:
         what = "allocate" if isinstance(exc, MemoryError) else "write output"
         print(f"zakgkp: cannot {what}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for folder in made:  # everything in it is this run's
+            shutil.rmtree(folder, ignore_errors=True)
 
 
 if __name__ == "__main__":
