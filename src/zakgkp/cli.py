@@ -4,11 +4,11 @@ Subcommands: ``zakplot`` (magnitude/phase grids of a state), ``shift-array``
 (a panel array of displaced states), ``logical`` (logical-qubit report) and
 ``sweep`` (approximation-quality table over a list of delta values).
 
-Flags override values from an optional ``key=value`` config file.  Commands hand
-each output to ``main``'s ``write(path, output)``, whose first call removes the last
-run's manifest and the files of the command's own naming at ``--out`` (never a
-directory); ``main`` writes the new one, which echoes the resolved configuration,
-after the last output: ``<out>.manifest``, or ``<out>/manifest`` for ``shift-array``.
+Flags override values from an optional ``key=value`` config file.  Commands hand each output
+to ``main``'s ``write(path, output)``, whose first call makes a missing ``shift-array`` directory
+(never a parent) and removes the last run's manifest and the files of the command's own naming
+at ``--out``.  After the last output ``main`` writes the resolved configuration to ``<out>.manifest``
+(``<out>/manifest`` for ``shift-array``); it removes a directory ``write`` made unless the run succeeds.
 All commands are deterministic functions of the configuration.  Exit
 codes: 0 success, 2 configuration error, 3 numerical-tolerance failure.
 The library states the rules for a table, grid, alpha, delta and panel step;

@@ -204,7 +204,7 @@ def approx_codeword(code: GKPCode, ell: int, delta: float) -> GaussianComb:
     """Finite-energy codeword: Gaussian comb with tooth variance delta^2
     under an envelope of variance delta^-2, normalized.  Raises ValueError
     unless both variances are positive finite floats."""
-    _finite("delta", delta, positive=True)
+    delta = _finite("delta", delta, positive=True)
     ell = _codeword_index(ell)
     try:
         tooth_variance, envelope_variance = delta**2, delta**-2

@@ -613,6 +613,32 @@ def test_a_zakplot_that_fails_part_way_leaves_no_manifest(tmp_path, capsys):
     assert not (tmp_path / "z.csv.manifest").exists()
 
 
+def test_a_shift_array_whose_manifest_write_fails_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # the 16 panels are written, then the manifest's disk is full
+    atomic_write_text = gridio.atomic_write_text
+
+    def full(path, text):
+        if os.path.basename(path) == "manifest":
+            raise OSError(28, "No space left on device")
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(gridio, "atomic_write_text", full)
+    assert _panels_16x2(tmp_path / "m", "--dx", 0, "--dy", 0) == 2
+    assert "zakgkp: cannot write output: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--dy", 0), id="panels"),
+    pytest.param(("--dy", repr(GKPCode().grid(16, 2).dv * 2.0**1023), "--kmax", 1, "--jmax", 0), id="overflowing-dy"),
+])
+def test_a_shift_array_directory_needs_its_parent(tmp_path, capsys, flags):
+    # as every command's --out does: no parent is made, so a failed run leaves none behind
+    assert _panels_16x2(tmp_path / "missing" / "p", "--dx", 0, *flags) == 2
+    assert "zakgkp: cannot write output:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_refused_run_leaves_the_last_outputs_and_manifest(tmp_path, capsys):
     # the panel step is refused before the first write
     out = tmp_path / "panels"
@@ -729,8 +755,11 @@ def test_an_overflowing_table_is_a_numerical_failure_of_logical(tmp_path, capsys
 
 
 def _peak_grids(args, tmp_path, nu=512, nv=512):
-    """tracemalloc peak of one in-process command on an nu x nv grid, in units of that grid."""
-    exit_code, peak, _ = traced(lambda: run(*args, "--grid", f"{nu}x{nv}", "--out", tmp_path / "out"))
+    """tracemalloc peak of one in-process command on an nu x nv grid, in units of that grid, run
+    once untraced first: the first CSV write in a process imports the encoder and builds its tables."""
+    command = lambda: run(*args, "--grid", f"{nu}x{nv}", "--out", tmp_path / "out")  # noqa: E731
+    assert command() == 0
+    exit_code, peak, _ = traced(command)
     assert exit_code == 0
     return peak / (nu * nv * 16)
 

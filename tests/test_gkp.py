@@ -80,6 +80,14 @@ def test_code_stores_alpha_as_the_float_it_checks():
     assert type(GKPCode(1).alpha) is float
 
 
+@pytest.mark.contract("alpha-and-ell")
+def test_approx_codeword_takes_delta_as_the_float_it_checks():
+    # numeric text passed the delta check, and then delta**2 raised TypeError
+    text, number = approx_codeword(GKPCode(), 0, "0.3"), approx_codeword(GKPCode(), 0, 0.3)
+    for name in ("tooth_variance", "envelope_variance", "offset", "amplitude"):
+        assert getattr(text, name) == getattr(number, name), name
+
+
 def test_approx_codeword_normalization_and_peaks(code):
     grid = code.grid(128, 128)
     for ell in (0, 1):

@@ -2,7 +2,7 @@
 
     python tools/bytecheck.py OLD_SRC NEW_SRC
 
-Runs 27 commands: 26 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
+Runs 28 commands: 27 ``zakgkp`` command lines (``zakplot``, ``shift-array``,
 ``logical`` and ``sweep``, on grid, tabulated and ideal states, in csv and bin,
 each expected to succeed (exit 0), to be refused as a configuration error
 (exit 2) or to fail numerically (exit 3)) and ``libruns.py``, which writes the bits of
@@ -14,7 +14,8 @@ directory, which first holds the same ``table.csv`` for the tabulated runs: the
 second pass writes over the first pass's outputs, and a tree whose files after
 it differ from its files after the first fails, so a rerun must leave exactly
 what a first run leaves.  Every output file and manifest after the second pass
-is compared byte for byte between the trees, and so is each exit code of both
+is compared byte for byte between the trees, every directory by its path (so an
+empty directory that a failed run leaves behind is a difference), and each exit code of both
 passes, which must also be the one listed, so that a tree that cannot run fails
 rather than matching another that cannot; stderr is not compared.  For each text file that differs, up to 20 differing lines are
 printed with their line numbers on each side and their first two fields
@@ -65,6 +66,10 @@ RUNS = [
     # numerical failures, each with no file
     (3, "logical --state gkp-approx:0.2:0 --grid 8x8 --out unresolved.csv"),  # the norm-defect gate
     (3, "zakplot --state gkp-approx:0.1:0 --grid 64x64 --mmax 4 --out truncated.csv"),  # the truncation refusal
+    # dy is 2^1023 grid steps dv: Z(dy)'s phase overflows at k = 1, after panel j0_k0 is written, and
+    # the run removes the directory it made
+    (3, "shift-array --state vacuum --grid 16x2 --dx 0 --dy 7.965820299082803e+307 --kmax 1 --jmax 0 "
+        "--out failed_panels"),
 ]
 
 #: the CLI runs, then the library runs, as (expected exit code, label, interpreter arguments)
@@ -83,14 +88,16 @@ def table_rows():
 
 
 def run_pass(workdir, env):
-    """Exit codes of COMMANDS in ``workdir`` and the bytes of every file there after them."""
+    """Exit codes of COMMANDS in ``workdir``, and the bytes of every file there after them and
+    ``b""`` for every directory, keyed by its path with a trailing ``/``."""
     codes = [
         subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         for _, _, argv in COMMANDS
     ]
     files = {}
-    for folder, _, names in os.walk(workdir):
+    for folder, dirs, names in os.walk(workdir):
+        files.update((os.path.relpath(os.path.join(folder, name), workdir) + "/", b"") for name in dirs)
         for name in names:
             path = os.path.join(folder, name)
             with open(path, "rb") as fh:
@@ -161,7 +168,8 @@ def main(argv):
         print(line)
         for entry in lines:
             print(f"  {entry}")
-    print(f"{len(COMMANDS)} runs, each twice, {len(old_files | new_files)} files: "
+    dirs = sum(name.endswith("/") for name in old_files | new_files)
+    print(f"{len(COMMANDS)} runs, each twice, {len(old_files | new_files) - dirs} files, {dirs} directories: "
           + (f"{len(differ)} differences" if differ else "byte-identical, reruns unchanged, exit codes as expected"))
     return 1 if differ else 0
 
